@@ -153,6 +153,17 @@ type compiled = {
   co_result : result;
 }
 
+(* A lower..report artifact, filed under what those stages consume:
+   [ar_bucket] (recipe, result label, netlist name, plan key) and the
+   per-process schedules, matched by {!Schedule.lowers_same} — so two
+   requests whose schedules lower alike (say, two explorer targets)
+   share one compile. *)
+type artifact = {
+  ar_bucket : Style.recipe * string * string * string;
+  ar_scheds : Schedule.t option array;
+  ar_compiled : compiled;
+}
+
 type session = {
   ss_device : Device.t;
   ss_name : string;
@@ -167,9 +178,11 @@ type session = {
   mutable ss_dfs : (string * Dataflow.t) list;  (** plan key -> network *)
   mutable ss_classify : (string * Classify.report) list;  (** by plan key *)
   mutable ss_scheds :
-    ((string * Style.sched_mode) * Schedule.t option array) list;
-      (** (plan key, sched mode) -> schedules *)
-  mutable ss_compiled : (string * compiled) list;
+    ((string * float * Schedule.inject option * Style.sched_mode)
+    * Schedule.t option array)
+    list;
+      (** (plan key, effective target, injection, sched mode) -> schedules *)
+  mutable ss_compiled : artifact list;
   ss_counts : (string, int) Hashtbl.t;
   mutable ss_last : stage_record list;  (** reversed while a run records *)
   mutable ss_diags : Diag.t list;  (** reversed *)
@@ -285,20 +298,6 @@ let cached t stage =
 
 let plan_key plan = Plan.to_string plan
 
-(* Per-run tuning (target-frequency override + register injection) joins
-   the cache keys. Both default to [None], rendering as "", so untuned
-   runs key — and therefore cache — exactly as before the explorer
-   existed. *)
-let tuning_key ~target_mhz ~inject =
-  (match target_mhz with
-  | None -> ""
-  | Some t -> Printf.sprintf "@%g" t)
-  ^
-  match inject with
-  | None -> ""
-  | Some { Schedule.inj_top; inj_levels } ->
-    Printf.sprintf "+inj%d:%d" inj_top inj_levels
-
 let plan_has_source plan =
   List.exists
     (function Plan.Source _ | Plan.Pragmas -> true | Plan.Channel_reuse -> false)
@@ -375,21 +374,24 @@ let elaborate ?(plan = Plan.identity) t ~recipe =
       t.ss_dfs <- (key, df) :: t.ss_dfs;
       df)
 
+(* Schedules are keyed on the effective target — the override, else the
+   session's, else [Schedule.default_target_mhz] — so the explorer's
+   first probe at 300 MHz shares the untuned compile's schedule. *)
 let scheduled ?(plan = Plan.identity) ?target_mhz ?inject t ~recipe df =
-  let key =
-    (plan_key plan ^ tuning_key ~target_mhz ~inject, recipe.Style.sched)
+  let target =
+    match (target_mhz, t.ss_target_mhz) with
+    | Some m, _ | None, Some m -> m
+    | None, None -> Schedule.default_target_mhz
   in
+  let key = (plan_key plan, target, inject, recipe.Style.sched) in
   match List.assoc_opt key t.ss_scheds with
   | Some scheds ->
     cached t Schedule;
     scheds
   | None ->
     exec t ~recipe Schedule (fun () ->
-      let target =
-        match target_mhz with Some _ -> target_mhz | None -> t.ss_target_mhz
-      in
       let scheds =
-        Design.schedule_processes ?target_mhz:target ?inject
+        Design.schedule_processes ~target_mhz:target ?inject
           ~device:t.ss_device ~recipe df
       in
       t.ss_scheds <- (key, scheds) :: t.ss_scheds;
@@ -453,29 +455,36 @@ let record_broadcast_gauges df =
     Metrics.set_gauge_int "broadcast.channels" (Dataflow.n_channels df)
   end
 
-let compile_key ~netlist_name ~plan ~tuning recipe =
-  Style.label recipe ^ "|" ^ netlist_name
-  ^ (match plan_key plan with "" -> "" | k -> "|" ^ k)
-  ^ match tuning with "" -> "" | k -> "|" ^ k
+let same_scheds a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y ->
+         match (x, y) with
+         | None, None -> true
+         | Some x, Some y -> Schedule.lowers_same x y
+         | _ -> false)
+       a b
 
+(* A repeat request finds its schedules in [ss_scheds], so it matches
+   its own artifact here too. *)
 let compiled_exn ?name ?(plan = Plan.identity) ?target_mhz ?inject t ~recipe =
   t.ss_last <- [];
   let label, netlist_name = effective_names ?name t ~recipe in
-  let tuning = tuning_key ~target_mhz ~inject in
-  let key = compile_key ~netlist_name ~plan ~tuning recipe in
-  match List.assoc_opt key t.ss_compiled with
-  | Some c ->
-    if t.ss_program <> None then cached t Transform;
-    List.iter
-      (fun s -> if s <> Classify && s <> Transform then cached t s)
-      [ Elaborate; Schedule; Lower; Sync; Place; Sta; Report ];
-    c
-  | None ->
-    Metrics.incr "pipeline.cache_misses";
-    let body () =
-      let df = elaborate ~plan t ~recipe in
+  let bucket = (recipe, label, netlist_name, plan_key plan) in
+  let body () =
+    let df = elaborate ~plan t ~recipe in
+    let scheds = scheduled ~plan ?target_mhz ?inject t ~recipe df in
+    match
+      List.find_opt
+        (fun a -> a.ar_bucket = bucket && same_scheds a.ar_scheds scheds)
+        t.ss_compiled
+    with
+    | Some a ->
+      List.iter (cached t) [ Lower; Sync; Place; Sta; Report ];
+      a.ar_compiled
+    | None ->
+      Metrics.incr "pipeline.cache_misses";
       record_broadcast_gauges df;
-      let scheds = scheduled ~plan ?target_mhz ?inject t ~recipe df in
       let dp =
         exec t ~recipe Lower (fun () ->
           Design.lower_processes ~device:t.ss_device ~recipe ~name:netlist_name
@@ -509,27 +518,42 @@ let compiled_exn ?name ?(plan = Plan.identity) ?target_mhz ?inject t ~recipe =
           co_result = result;
         }
       in
-      t.ss_compiled <- (key, c) :: t.ss_compiled;
+      t.ss_compiled <-
+        { ar_bucket = bucket; ar_scheds = scheds; ar_compiled = c }
+        :: t.ss_compiled;
       c
-    in
-    if not (Trace.enabled ()) then body ()
-    else
-      Trace.with_span "pipeline"
-        ~attrs:
-          [
-            ("design", Json.Str netlist_name);
-            ("recipe", Json.Str (Style.label recipe));
-          ]
-        body
+  in
+  if not (Trace.enabled ()) then body ()
+  else
+    Trace.with_span "pipeline"
+      ~attrs:
+        [
+          ("design", Json.Str netlist_name);
+          ("recipe", Json.Str (Style.label recipe));
+        ]
+      body
 
-(* Session persistence hooks: the compile daemon keys its on-disk
-   artifact store off the exact same strings the in-memory caches use,
-   so a store key distinguishes precisely what the session caches
-   distinguish (recipe, run name, plan, target override, injection). *)
+(* The compile daemon's store key: a request key (recipe, run name,
+   plan, target override, injection), not a content key — keying the
+   store on schedules would mean scheduling before every lookup. Two
+   store keys may therefore share one session artifact. The defaulted
+   tuning axes render as "", so untuned keys keep their pre-explorer
+   spelling. *)
+let tuning_key ~target_mhz ~inject =
+  (match target_mhz with
+  | None -> ""
+  | Some t -> Printf.sprintf "@%g" t)
+  ^
+  match inject with
+  | None -> ""
+  | Some { Schedule.inj_top; inj_levels } ->
+    Printf.sprintf "+inj%d:%d" inj_top inj_levels
+
 let cache_key ?name ?(plan = Plan.identity) ?target_mhz ?inject t ~recipe =
   let _, netlist_name = effective_names ?name t ~recipe in
-  let tuning = tuning_key ~target_mhz ~inject in
-  compile_key ~netlist_name ~plan ~tuning recipe
+  Style.label recipe ^ "|" ^ netlist_name
+  ^ (match plan_key plan with "" -> "" | k -> "|" ^ k)
+  ^ match tuning_key ~target_mhz ~inject with "" -> "" | k -> "|" ^ k
 
 let session_name t = t.ss_name
 let session_device t = t.ss_device

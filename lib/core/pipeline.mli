@@ -111,14 +111,14 @@ val cache_key :
   session ->
   recipe:Hlsb_ctrl.Style.recipe ->
   string
-(** The exact key {!run} files its compiled artifact under in the
-    session cache — recipe label, effective design name, canonical plan
-    string, and the tuning suffix (target override + injection), with
-    the defaulted axes rendering as empty so untuned keys match the
-    pre-explorer spelling byte for byte. The compile daemon derives its
-    on-disk content-addressed store keys from this same string (plus the
-    device fingerprint and input identity), which is what makes a
-    daemon store hit equivalent to an in-session cache hit. *)
+(** The request key the compile daemon files a result under in its
+    on-disk store (plus the device fingerprint and input identity):
+    recipe label, effective design name, canonical plan string, and the
+    tuning suffix (target override + injection), with the defaulted
+    axes rendering as empty so untuned keys match the pre-explorer
+    spelling byte for byte. The session itself no longer uses this key: {!run} files
+    lower..report by the schedules they consume, so distinct keys whose
+    schedules lower alike share one session artifact. *)
 
 val session_name : session -> string
 val session_device : session -> Hlsb_device.Device.t
@@ -146,10 +146,13 @@ val run :
     [?target_mhz] overrides the session's schedule target for this run
     only and [?inject] forces extra distribution registers on the
     widest-read values ({!Hlsb_sched.Schedule.inject}) — the explorer's
-    two tuning axes. Both join the schedule and compile cache keys, and
-    both default to [None], under which every key is byte-identical to
-    an untuned run (the staged-vs-legacy equivalence tests rely on
-    this). No [Invalid_argument] or [Failure] escapes: malformed inputs
+    two tuning axes. Both key the schedule cache, the target as its
+    effective value (override, else session target, else
+    {!Hlsb_sched.Schedule.default_target_mhz}), so an explicit 300 MHz
+    reuses an untuned run's schedules. Lower..report are then reused
+    whenever the schedules lower alike
+    ({!Hlsb_sched.Schedule.lowers_same}), whatever target or injection
+    produced them: such runs return the same result record. No [Invalid_argument] or [Failure] escapes: malformed inputs
     surface as [Error d] with stage and entity names. *)
 
 val run_exn :

@@ -39,8 +39,8 @@ let schedule_mode device (recipe : Style.recipe) =
 
 (* ---- stage: schedule ---- *)
 
-let schedule_processes ?(target_mhz = 300.) ?inject ~device ~recipe
-    (df : Dataflow.t) =
+let schedule_processes ?(target_mhz = Schedule.default_target_mhz) ?inject
+    ~device ~recipe (df : Dataflow.t) =
   let mode = schedule_mode device recipe in
   let n_procs = Dataflow.n_processes df in
   Array.init n_procs (fun p ->
@@ -247,7 +247,8 @@ let generate_body ~target_mhz ~device ~recipe ~name (df : Dataflow.t) =
   let dp = lower_processes ~device ~recipe ~name df scheds in
   emit_sync ~device ~recipe df dp
 
-let generate ?(target_mhz = 300.) ~device ~recipe ~name (df : Dataflow.t) =
+let generate ?(target_mhz = Schedule.default_target_mhz) ~device ~recipe ~name
+    (df : Dataflow.t) =
   (* Malformed inputs raise [Diag.Diagnostic] with the stage and the
      offending kernel/channel/process intact. This used to be flattened
      into an [Invalid_argument] string "for backward compatibility",
@@ -276,7 +277,8 @@ let kernel_dataflow kernel =
        ~src:(-1) ~dst:p ~dtype:(Dtype.Uint 8) ());
   df
 
-let single_kernel ?(target_mhz = 300.) ~device ~recipe kernel =
+let single_kernel ?(target_mhz = Schedule.default_target_mhz) ~device ~recipe
+    kernel =
   generate ~target_mhz ~device ~recipe
     ~name:(kernel.Kernel.name ^ "_" ^ Style.label recipe)
     (kernel_dataflow kernel)

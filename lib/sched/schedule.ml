@@ -331,7 +331,9 @@ let run_body ~target_mhz ~inject mode (k : Kernel.t) =
   record_metrics t;
   t
 
-let run ?(target_mhz = 300.) ?inject mode (k : Kernel.t) =
+let default_target_mhz = 300.
+
+let run ?(target_mhz = default_target_mhz) ?inject mode (k : Kernel.t) =
   if not (Trace.enabled ()) then run_body ~target_mhz ~inject mode k
   else
     Trace.with_span "schedule"
@@ -364,3 +366,31 @@ let registers_inserted t =
   Array.fold_left
     (fun acc e -> acc + e.e_added_pipe + e.e_bcast_levels)
     0 t.entries
+
+(* Lowering ([Hlsb_rtlgen.Lower], via [Design.lower_processes]) reads a
+   schedule's [kernel], [depth] and each entry's [e_cycle], [e_latency],
+   [e_added_pipe] and [e_bcast_levels] — never [target_ns], [mode_label],
+   [e_start], [e_delay] or [e_factor]. Two schedules that agree on the
+   former lower to the same netlist. The kernel is compared physically:
+   schedules of one elaborated network share their kernels, and a false
+   "different" only costs a recompile. *)
+let lowers_same a b =
+  a == b
+  || a.kernel == b.kernel
+     && a.depth = b.depth
+     &&
+     let ea = a.entries and eb = b.entries in
+     let n = Array.length ea in
+     n = Array.length eb
+     &&
+     let rec go i =
+       i = n
+       ||
+       let x = ea.(i) and y = eb.(i) in
+       x.e_cycle = y.e_cycle
+       && x.e_latency = y.e_latency
+       && x.e_added_pipe = y.e_added_pipe
+       && x.e_bcast_levels = y.e_bcast_levels
+       && go (i + 1)
+     in
+     go 0

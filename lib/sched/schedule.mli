@@ -58,9 +58,21 @@ type t = {
   depth : int;  (** pipeline depth in cycles (latest finish, exclusive) *)
 }
 
+val lowers_same : t -> t -> bool
+(** True when the two schedules lower to the same netlist: same kernel
+    (physically), same [depth], and per entry the same [e_cycle],
+    [e_latency], [e_added_pipe] and [e_bcast_levels] — the only fields
+    lowering reads. [target_ns], [mode_label], [e_start], [e_delay] and
+    [e_factor] are ignored; they vary between targets that schedule
+    alike. The compile pipeline reuses lower..report on a match. *)
+
+val default_target_mhz : float
+(** 300 MHz: the target {!run} schedules at when none is given. *)
+
 val run : ?target_mhz:float -> ?inject:inject -> mode -> Kernel.t -> t
-(** Default target is 300 MHz (more aggressive than any of the paper's
-    original designs achieve, so the schedule, not the target, binds).
+(** Default target is {!default_target_mhz} (more aggressive than any of
+    the paper's original designs achieve, so the schedule, not the
+    target, binds).
     [?inject] (default none) forces extra distribution stages on the
     widest-read values — see {!inject}. *)
 

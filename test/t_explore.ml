@@ -186,6 +186,20 @@ let test_session_reuse_and_floor () =
   Alcotest.(check bool) "hit rate in (0, 1)" true
     (rp.Explore.ep_hit_rate > 0. && rp.Explore.ep_hit_rate < 1.)
 
+(* Stream Buffer's schedule barely moves with the target, so a default
+   search lowers far fewer netlists than it schedules: probes whose
+   schedules lower alike share one lower..report. *)
+let test_probes_share_lowering () =
+  let s = spec_exn "Stream Buffer" in
+  let rp = Explore.run_design (Pipeline.of_spec s) ~name:s.Spec.sp_name in
+  let runs stage =
+    Option.value ~default:0 (List.assoc_opt stage rp.Explore.ep_stage_runs)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "lower %d < schedule %d" (runs "lower") (runs "schedule"))
+    true
+    (runs "lower" < runs "schedule")
+
 let test_jobs_deterministic () =
   let subset = [ vec; "Stream Buffer" ] in
   let run jobs =
@@ -220,6 +234,8 @@ let suite =
       test_front_drops_dominated;
     Alcotest.test_case "session reuse and static floor" `Quick
       test_session_reuse_and_floor;
+    Alcotest.test_case "probes share lowering" `Quick
+      test_probes_share_lowering;
     Alcotest.test_case "winner identical at jobs=1 and jobs=4" `Quick
       test_jobs_deterministic;
   ]

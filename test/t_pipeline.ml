@@ -144,6 +144,106 @@ let prop_cached_reuse_stable =
           fingerprint via_shared = fingerprint via_fresh)
         idxs)
 
+(* qcheck: lower..report are reused across requests whose schedules
+   lower alike (different targets, say). Whatever sequence of tuned
+   requests one session serves, each result must be byte-identical to
+   the same request compiled in a fresh session. Targets come partly
+   from a small pool so repeats and near-repeats are common. *)
+let table1 = List.filteri (fun i _ -> i < 9) Hlsb_designs.Suite.all
+
+let target_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        return None;
+        map Option.some (oneofl [ 300.; 310.; 330.; 400.; 480. ]);
+        map Option.some (float_range 150. 700.);
+      ])
+
+let inject_gen =
+  QCheck.Gen.(
+    oneofl
+      [
+        None;
+        Some { Hlsb_sched.Schedule.inj_top = 1; inj_levels = 1 };
+        Some { Hlsb_sched.Schedule.inj_top = 2; inj_levels = 1 };
+        Some { Hlsb_sched.Schedule.inj_top = 4; inj_levels = 2 };
+      ])
+
+let request_print (target, inject) =
+  Printf.sprintf "(%s, %s)"
+    (match target with None -> "-" | Some t -> Printf.sprintf "%g MHz" t)
+    (match inject with
+    | None -> "-"
+    | Some { Hlsb_sched.Schedule.inj_top; inj_levels } ->
+      Printf.sprintf "inj%dx%d" inj_top inj_levels)
+
+let prop_content_reuse_equals_fresh =
+  QCheck.Test.make ~count:6
+    ~name:"content-keyed reuse returns fresh-session result bytes"
+    (QCheck.make
+       ~print:(fun (d, reqs) ->
+         Printf.sprintf "%s: %s"
+           (List.nth table1 d).Spec.sp_name
+           (String.concat " " (List.map request_print reqs)))
+       QCheck.Gen.(
+         pair
+           (int_bound (List.length table1 - 1))
+           (list_size (int_range 2 5) (pair target_gen inject_gen))))
+    (fun (d, reqs) ->
+      let spec = List.nth table1 d in
+      let bytes ?target_mhz ?inject session =
+        Pipeline.run_exn ?target_mhz ?inject session ~recipe:Style.optimized
+        |> Pipeline.result_to_json |> Hlsb_telemetry.Json.to_string
+      in
+      let shared = Pipeline.of_spec spec in
+      List.for_all
+        (fun (target_mhz, inject) ->
+          bytes ?target_mhz ?inject shared
+          = bytes ?target_mhz ?inject (Pipeline.of_spec spec))
+        reqs)
+
+(* Two targets whose schedules lower alike share one lower..report;
+   only the schedule runs again. Stream Buffer schedules identically, as
+   far as lowering can see, at 300 and 310 MHz. *)
+let test_schedule_content_reuse () =
+  let s = Option.get (Hlsb_designs.Suite.find "Stream Buffer") in
+  let session = Pipeline.of_spec s in
+  let run ?target_mhz () =
+    Pipeline.run_exn ?target_mhz session ~recipe:Style.optimized
+  in
+  let static = run () in
+  let at300 = run ~target_mhz:300. () in
+  Alcotest.(check int) "explicit 300 MHz reuses the untuned schedule" 1
+    (runs_of session "schedule");
+  Alcotest.(check bool) "and its result" true (at300 == static);
+  let at310 = run ~target_mhz:310. () in
+  Alcotest.(check int) "a new target schedules again" 2
+    (runs_of session "schedule");
+  Alcotest.(check int) "but lowers once" 1 (runs_of session "lower");
+  Alcotest.(check bool) "same result record" true (at310 == static);
+  List.iter
+    (fun (stage, status) ->
+      Alcotest.(check string)
+        (Pipeline.stage_name stage ^ " status")
+        status
+        (Pipeline.status_label
+           (List.find
+              (fun (r : Pipeline.stage_record) -> r.Pipeline.sr_stage = stage)
+              (Pipeline.last_run session))
+             .Pipeline.sr_status))
+    [
+      (Pipeline.Schedule, "ran");
+      (Pipeline.Lower, "cached");
+      (Pipeline.Sync, "cached");
+      (Pipeline.Place, "cached");
+      (Pipeline.Sta, "cached");
+      (Pipeline.Report, "cached");
+    ];
+  Alcotest.(check bool) "cache key still tells the requests apart" true
+    (Pipeline.cache_key session ~recipe:Style.optimized
+    <> Pipeline.cache_key ~target_mhz:300. session ~recipe:Style.optimized)
+
 (* ---- structured diagnostics ---- *)
 
 let orphan_process_df () =
@@ -277,5 +377,8 @@ let suite =
       test_dump_and_explain;
     Alcotest.test_case "staged = legacy on all Table-1 specs" `Slow
       test_staged_equals_legacy;
+    Alcotest.test_case "schedule content keys lower..report" `Quick
+      test_schedule_content_reuse;
     QCheck_alcotest.to_alcotest prop_cached_reuse_stable;
+    QCheck_alcotest.to_alcotest prop_content_reuse_equals_fresh;
   ]

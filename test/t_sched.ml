@@ -165,6 +165,43 @@ let test_violations_baseline_vs_aware () =
   Alcotest.(check (list (pair int (float 0.001)))) "aware is clean" []
     (Report.violations c sa)
 
+(* [lowers_same] looks only at what lowering reads: the fields that
+   vary between targets scheduling alike are ignored, and a change to
+   any field lowering reads is caught. *)
+let test_lowers_same () =
+  let s = Schedule.run (aware ()) (broadcast_kernel 64) in
+  let map_entry v f =
+    let entries = Array.copy s.Schedule.entries in
+    entries.(v) <- f entries.(v);
+    { s with Schedule.entries }
+  in
+  let v = Array.length s.Schedule.entries - 1 in
+  let check name expect t =
+    Alcotest.(check bool) name expect (Schedule.lowers_same s t)
+  in
+  check "itself" true s;
+  check "a copy" true
+    { s with Schedule.entries = Array.copy s.Schedule.entries };
+  check "target_ns ignored" true { s with Schedule.target_ns = 1.234 };
+  check "e_start/e_delay/e_factor ignored" true
+    (map_entry v (fun e ->
+       { e with Schedule.e_start = 0.7; e_delay = 9.9; e_factor = 1000 }));
+  check "depth" false { s with Schedule.depth = s.Schedule.depth + 1 };
+  check "e_cycle" false
+    (map_entry v (fun e ->
+       { e with Schedule.e_cycle = e.Schedule.e_cycle + 1 }));
+  check "e_latency" false
+    (map_entry v (fun e ->
+       { e with Schedule.e_latency = e.Schedule.e_latency + 1 }));
+  check "e_added_pipe" false
+    (map_entry v (fun e ->
+       { e with Schedule.e_added_pipe = e.Schedule.e_added_pipe + 1 }));
+  check "e_bcast_levels" false
+    (map_entry v (fun e ->
+       { e with Schedule.e_bcast_levels = e.Schedule.e_bcast_levels + 1 }));
+  check "another kernel" false
+    (Schedule.run (aware ()) (broadcast_kernel 64))
+
 let suite =
   [
     Alcotest.test_case "deps respected (baseline)" `Quick
@@ -193,4 +230,6 @@ let suite =
     Alcotest.test_case "chain delays bounded" `Quick test_chain_delays_bounded;
     Alcotest.test_case "violations baseline vs aware" `Quick
       test_violations_baseline_vs_aware;
+    Alcotest.test_case "lowers_same reads only lowered fields" `Quick
+      test_lowers_same;
   ]
