@@ -538,11 +538,14 @@ let compiled_exn ?name ?(plan = Plan.identity) ?target_mhz ?inject t ~recipe =
    store on schedules would mean scheduling before every lookup. Two
    store keys may therefore share one session artifact. The defaulted
    tuning axes render as "", so untuned keys keep their pre-explorer
-   spelling. *)
+   spelling. The target renders as its shortest round-trip decimal, so
+   distinct targets never share a key. *)
 let tuning_key ~target_mhz ~inject =
-  (match target_mhz with
-  | None -> ""
-  | Some t -> Printf.sprintf "@%g" t)
+  let rec shortest p t =
+    let s = Printf.sprintf "%.*g" p t in
+    if p >= 17 || float_of_string s = t then s else shortest (p + 1) t
+  in
+  (match target_mhz with None -> "" | Some t -> "@" ^ shortest 15 t)
   ^
   match inject with
   | None -> ""

@@ -209,8 +209,11 @@ let interp grid values x =
   if x <= grid.(0) then values.(0)
   else if x >= grid.(n - 1) then values.(n - 1)
   else begin
-    let rec find i = if grid.(i + 1) >= x then i else find (i + 1) in
-    let i = find 0 in
+    let i = ref 0 in
+    while grid.(!i + 1) < x do
+      incr i
+    done;
+    let i = !i in
     let x0 = log (float_of_int grid.(i)) and x1 = log (float_of_int grid.(i + 1)) in
     let fx = log (float_of_int x) in
     let frac = (fx -. x0) /. (x1 -. x0) in
@@ -219,16 +222,25 @@ let interp grid values x =
 
 let op_predicted _t op dt = Oplib.predicted op dt
 
-let op_delay t op dt ~factor =
+(* [Stdlib.max]'s semantics without its polymorphic compare. *)
+let fmax (a : float) b = if a >= b then a else b
+
+type resolved = {
+  r_predicted : float;
+  r_smoothed : float array;
+}
+
+let resolve t op dt =
+  let c = op_curves t op dt in
+  { r_predicted = Oplib.predicted op dt; r_smoothed = c.smoothed }
+
+let resolved_delay r ~factor =
   if factor < 1 then invalid_arg "Calibrate.op_delay: factor < 1";
   Metrics.incr "calibrate.lookups";
-  let c = op_curves t op dt in
-  let measured = interp factor_grid c.smoothed factor in
-  max (Oplib.predicted op dt) measured
+  fmax r.r_predicted (interp factor_grid r.r_smoothed factor)
 
-let op_measured t op dt ~factor =
-  let c = op_curves t op dt in
-  interp factor_grid c.raw factor
+let op_delay t op dt ~factor =
+  resolved_delay (resolve t op dt) ~factor
 
 let units_of ~width ~depth = Device.bram18_for ~width ~depth
 
@@ -236,13 +248,13 @@ let mem_write_delay t ~width ~depth =
   Metrics.incr "calibrate.lookups";
   let c = mem_curves t ~read:false in
   let u = units_of ~width ~depth in
-  max Oplib.mem_write_predicted (interp unit_grid c.smoothed u)
+  fmax Oplib.mem_write_predicted (interp unit_grid c.smoothed u)
 
 let mem_read_delay t ~width ~depth =
   Metrics.incr "calibrate.lookups";
   let c = mem_curves t ~read:true in
   let u = units_of ~width ~depth in
-  max Oplib.mem_read_predicted (interp unit_grid c.smoothed u)
+  fmax Oplib.mem_read_predicted (interp unit_grid c.smoothed u)
 
 type curve_row = {
   cr_factor : int;

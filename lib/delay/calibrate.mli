@@ -39,11 +39,18 @@ val op_delay : t -> Op.t -> Dtype.t -> factor:int -> float
 (** Calibrated delay at any factor >= 1 (log-interpolated between grid
     points, clamped beyond). *)
 
+type resolved
+(** One (op, dtype) curve, looked up once: for schedulers that read the
+    same operator's delay at many factors. *)
+
+val resolve : t -> Op.t -> Dtype.t -> resolved
+(** Find (building or loading on first use) the curve {!op_delay} reads. *)
+
+val resolved_delay : resolved -> factor:int -> float
+(** [resolved_delay (resolve t op dt) ~factor = op_delay t op dt ~factor]. *)
+
 val op_predicted : t -> Op.t -> Dtype.t -> float
 (** The fanout-blind HLS prediction, for comparison columns. *)
-
-val op_measured : t -> Op.t -> Dtype.t -> factor:int -> float
-(** Raw (unsmoothed) measurement, interpolated like {!op_delay}. *)
 
 val mem_write_delay : t -> width:int -> depth:int -> float
 (** Calibrated store delay for a buffer of the given geometry. *)

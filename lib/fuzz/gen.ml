@@ -236,7 +236,7 @@ let build_dag (c : kern_case) =
   let n_out = ref 0 in
   List.iter
     (fun node ->
-      if Dag.consumers dag node = [] then begin
+      if Dag.consumer_slots dag node = [] then begin
         let f =
           Dag.add_fifo dag ~name:(Printf.sprintf "o%d" !n_out) ~dtype:dt ~depth:8
         in

@@ -121,12 +121,15 @@ let node_data t v = Vec.get t.nodes v
 let kind t v = (node_data t v).nd_kind
 let dtype t v = (node_data t v).nd_dtype
 let args t v = Array.to_list (node_data t v).nd_args
+let args_array t v = (node_data t v).nd_args
 let node_name t v = (node_data t v).nd_name
 let buffers t = Vec.to_array t.bufs
 let fifos t = Vec.to_array t.fifo_decls
 let buffer t b = check_buffer t b; Vec.get t.bufs b
 let fifo t f = check_fifo t f; Vec.get t.fifo_decls f
 
+(* One entry per read slot, consumers in descending id order: the table is
+   built by consing while scanning ids upward, and hot loops read it as is. *)
 let consumer_table t =
   match t.consumers_cache with
   | Some c -> c
@@ -135,17 +138,14 @@ let consumer_table t =
     Vec.iteri
       (fun id nd -> Array.iter (fun a -> table.(a) <- id :: table.(a)) nd.nd_args)
       t.nodes;
-    let table = Array.map List.rev table in
     t.consumers_cache <- Some table;
     table
 
-let consumers t v =
+let consumer_slots t v =
   check_node t v;
-  List.sort_uniq compare (consumer_table t).(v)
+  (consumer_table t).(v)
 
-let broadcast_factor t v =
-  check_node t v;
-  List.length (consumer_table t).(v)
+let broadcast_factor t v = List.length (consumer_slots t v)
 
 let is_datapath = function
   | Input _ | Const _ -> false

@@ -61,14 +61,20 @@ val n_nodes : t -> int
 val kind : t -> node -> kind
 val dtype : t -> node -> Dtype.t
 val args : t -> node -> node list
+val args_array : t -> node -> node array
+(** The node's argument array itself, not a copy — for per-node loops.
+    Read-only: writing to it corrupts the DAG. *)
+
 val node_name : t -> node -> string
 val buffers : t -> buffer array
 val fifos : t -> fifo array
 val buffer : t -> int -> buffer
 val fifo : t -> int -> fifo
 
-val consumers : t -> node -> node list
-(** Nodes that read this node's value (deduplicated, ascending). *)
+val consumer_slots : t -> node -> node list
+(** The cached read slots of this node's value: one entry per argument slot
+    that reads it, consumers in descending id order (a consumer reading the
+    value twice appears twice, adjacently). Returned without copying. *)
 
 val broadcast_factor : t -> node -> int
 (** Number of argument slots in which this node's value is read — the "how

@@ -63,9 +63,15 @@ let check_cell t c =
   if c < 0 || c >= Vec.length t.cells then
     invalid_arg "Netlist: cell id out of range"
 
+let rec check_cells t = function
+  | [] -> ()
+  | c :: rest ->
+    check_cell t c;
+    check_cells t rest
+
 let add_net t ?(cls = Data) ~name ~driver ~sinks ~width () =
   check_cell t driver;
-  List.iter (check_cell t) sinks;
+  check_cells t sinks;
   if width < 1 then invalid_arg "Netlist.add_net: width < 1";
   (match (Vec.get t.cells driver).c_kind with
   | Port_out -> invalid_arg "Netlist.add_net: output port cannot drive"

@@ -13,7 +13,7 @@ let add_membank (d : Device.t) nl ?(read_pipeline = false) ~name ~width ~depth
   let units =
     Array.init n_units (fun i ->
       Netlist.add_cell nl
-        ~name:(Printf.sprintf "%s_u%d" name i)
+        ~name:(name ^ "_u" ^ string_of_int i)
         ~kind:Netlist.Mem ~delay:0.9 (* BRAM clk-to-dout on top of clk_q *)
         (* each cell is exactly one physical BRAM18 unit of the bank *)
         ~res:{ Netlist.zero_res with Netlist.r_bram18 = 1; r_luts = 2 })
@@ -22,6 +22,7 @@ let add_membank (d : Device.t) nl ?(read_pipeline = false) ~name ~width ~depth
      level, nearly LUT-free), as vendors infer for deep memories. *)
   let read_latency = ref 0 in
   let rec reduce level cells =
+    let lvl = string_of_int level in
     match cells with
     | [] -> invalid_arg "Structs.add_membank: no units"
     | [ c ] -> c
@@ -40,7 +41,7 @@ let add_membank (d : Device.t) nl ?(read_pipeline = false) ~name ~width ~depth
           (fun i group ->
             let mux =
               Netlist.add_cell nl
-                ~name:(Printf.sprintf "%s_rmux%d_%d" name level i)
+                ~name:(name ^ "_rmux" ^ lvl ^ "_" ^ string_of_int i)
                 ~kind:Netlist.Comb ~delay:(2. *. d.t_lut)
                 ~res:(Macro.logic ((width / 4) + 4))
             in
@@ -48,19 +49,21 @@ let add_membank (d : Device.t) nl ?(read_pipeline = false) ~name ~width ~depth
               (fun j src ->
                 ignore
                   (Netlist.add_net nl
-                     ~name:(Printf.sprintf "%s_rnet%d_%d_%d" name level i j)
+                     ~name:
+                       (name ^ "_rnet" ^ lvl ^ "_" ^ string_of_int i ^ "_"
+                      ^ string_of_int j)
                      ~driver:src ~sinks:[ mux ] ~width ()))
               group;
             if read_pipeline then begin
               (* BRAM output-stage register: free in the macro *)
               let r =
                 Netlist.add_cell nl
-                  ~name:(Printf.sprintf "%s_rreg%d_%d" name level i)
+                  ~name:(name ^ "_rreg" ^ lvl ^ "_" ^ string_of_int i)
                   ~kind:Netlist.Seq ~delay:0. ~res:Netlist.zero_res
               in
               ignore
                 (Netlist.add_net nl
-                   ~name:(Printf.sprintf "%s_rregn%d_%d" name level i)
+                   ~name:(name ^ "_rregn" ^ lvl ^ "_" ^ string_of_int i)
                    ~driver:mux ~sinks:[ r ] ~width ());
               r
             end
@@ -103,14 +106,16 @@ let add_and_tree (d : Device.t) nl ~name ~inputs =
             (fun i group ->
               let lut =
                 Netlist.add_cell nl
-                  ~name:(Printf.sprintf "%s_and%d_%d" name level i)
+                  ~name:(name ^ "_and" ^ string_of_int level ^ "_" ^ string_of_int i)
                   ~kind:Netlist.Comb ~delay:d.t_lut ~res:(Macro.logic 6)
               in
               List.iteri
                 (fun j src ->
                   ignore
                     (Netlist.add_net nl ~cls:Netlist.Ctrl_sync
-                       ~name:(Printf.sprintf "%s_andnet%d_%d_%d" name level i j)
+                       ~name:
+                         (name ^ "_andnet" ^ string_of_int level ^ "_"
+                        ^ string_of_int i ^ "_" ^ string_of_int j)
                        ~driver:src ~sinks:[ lut ] ~width:1 ()))
                 group;
               lut)
@@ -127,13 +132,13 @@ let add_reg_chain nl ~name ~width ~length =
   if length < 1 then invalid_arg "Structs.add_reg_chain: length < 1";
   let regs =
     List.init length (fun i ->
-      add_register nl ~name:(Printf.sprintf "%s_%d" name i) ~width)
+      add_register nl ~name:(name ^ "_" ^ string_of_int i) ~width)
   in
   let rec link = function
     | a :: (b :: _ as rest) ->
       ignore
         (Netlist.add_net nl
-           ~name:(Printf.sprintf "%s_link%d" name a)
+           ~name:(name ^ "_link" ^ string_of_int a)
            ~driver:a ~sinks:[ b ] ~width ());
       link rest
     | [ _ ] | [] -> ()
@@ -158,7 +163,9 @@ let add_fanout_tree nl ~name ~driver ~sinks ~width ~levels ~leaf_fanout =
   in
   let make_level lvl count =
     List.init count (fun i ->
-      add_register nl ~name:(Printf.sprintf "%s_l%d_%d" name lvl i) ~width)
+      add_register nl
+        ~name:(name ^ "_l" ^ string_of_int lvl ^ "_" ^ string_of_int i)
+        ~width)
   in
   let connect srcs dsts lvl =
     (* Split dsts into |srcs| contiguous groups. *)
@@ -173,7 +180,7 @@ let add_fanout_tree nl ~name ~driver ~sinks ~width ~levels ~leaf_fanout =
           let group = Array.to_list (Array.sub dst_arr lo (hi - lo + 1)) in
           ignore
             (Netlist.add_net nl ~cls:Netlist.Data
-               ~name:(Printf.sprintf "%s_t%d_%d" name lvl i)
+               ~name:(name ^ "_t" ^ string_of_int lvl ^ "_" ^ string_of_int i)
                ~driver:src ~sinks:group ~width ())
         end)
       srcs
@@ -188,6 +195,3 @@ let add_fanout_tree nl ~name ~driver ~sinks ~width ~levels ~leaf_fanout =
   in
   build 0 [ driver ];
   levels
-
-let broadcast_register _d nl ?(cls = Netlist.Data) ~name ~driver ~sinks ~width () =
-  Netlist.add_net nl ~cls ~name ~driver ~sinks ~width ()

@@ -77,17 +77,3 @@ val add_fanout_tree :
     actually inserted (= [levels], for latency accounting). Raises
     [Invalid_argument] if [levels < 1], [leaf_fanout < 1] or [sinks] is
     empty. *)
-
-val broadcast_register :
-  Hlsb_device.Device.t ->
-  Netlist.t ->
-  ?cls:Netlist.net_class ->
-  name:string ->
-  driver:int ->
-  sinks:int list ->
-  width:int ->
-  unit ->
-  int
-(** One net from [driver] to all [sinks]; the plain broadcast the HLS
-    back-end emits (no fanout tree — the paper leaves replication to the
-    physical tools). *)

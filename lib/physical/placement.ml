@@ -18,26 +18,32 @@ type t = {
   max_y : float;
 }
 
-(* Hilbert curve index -> (x, y) on a 2^k x 2^k grid; contiguous index runs
-   map to compact 2D regions, giving nets over contiguously-placed cells a
-   bounding box of half-perimeter Theta(sqrt(area)). *)
+(* Hilbert curve index -> point on a 2^k x 2^k grid, packed as [x * n + y]
+   so the once-per-slice-point call allocates nothing; contiguous index
+   runs map to compact 2D regions, giving nets over contiguously-placed
+   cells a bounding box of half-perimeter Theta(sqrt(area)). *)
 let hilbert_d2xy n d =
-  let rot s x y rx ry =
-    if ry = 0 then
-      if rx = 1 then (s - 1 - y, s - 1 - x) else (y, x)
-    else (x, y)
-  in
-  let rec go s x y t =
-    if s >= n then (x, y)
-    else begin
-      let rx = 1 land (t / 2) in
-      let ry = 1 land (t lxor rx) in
-      let x, y = rot s x y rx ry in
-      let x = x + (s * rx) and y = y + (s * ry) in
-      go (2 * s) x y (t / 4)
-    end
-  in
-  go 1 0 0 d
+  let x = ref 0 and y = ref 0 and t = ref d and s = ref 1 in
+  while !s < n do
+    let rx = 1 land (!t / 2) in
+    let ry = 1 land (!t lxor rx) in
+    if ry = 0 then begin
+      (* rotate: reflect when rx = 1, then swap *)
+      let x0 = if rx = 1 then !s - 1 - !x else !x in
+      x := if rx = 1 then !s - 1 - !y else !y;
+      y := x0
+    end;
+    x := !x + (!s * rx);
+    y := !y + (!s * ry);
+    t := !t / 4;
+    s := 2 * !s
+  done;
+  (!x * n) + !y
+
+(* Monomorphic maxima: [Stdlib.max] on floats is a polymorphic compare over
+   boxed arguments. [fmax] keeps its exact semantics ([a >= b] picks [a]). *)
+let imax (a : int) b = if a >= b then a else b
+let fmax (a : float) b = if a >= b then a else b
 
 let cdiv a b = (a + b - 1) / b
 
@@ -47,10 +53,10 @@ let cdiv a b = (a + b - 1) / b
 let footprint (d : Device.t) (c : Netlist.cell) =
   let r = c.Netlist.c_res in
   let slices =
-    max (cdiv r.Netlist.r_luts d.lut_per_slice) (cdiv r.Netlist.r_ffs d.ff_per_slice)
+    imax (cdiv r.Netlist.r_luts d.lut_per_slice) (cdiv r.Netlist.r_ffs d.ff_per_slice)
   in
   let extra = (r.Netlist.r_dsps * 3) + (r.Netlist.r_bram18 * 5) in
-  max 1 (slices + extra)
+  imax 1 (slices + extra)
 
 (* Cell classification for the refinement sweeps, precomputed once instead
    of re-deriving kind + degree checks n times per sweep. *)
@@ -71,10 +77,11 @@ let place ?(max_sweeps = 24) ?(early_exit = true) (d : Device.t) nl =
   let capacity = d.cols * d.rows in
   let cursor = ref 0 in
   let used = ref 0 in
-  let max_x = ref 0. and max_y = ref 0. in
-  (* Take the next on-die Hilbert point. *)
+  let max_x = ref 0 and max_y = ref 0 in
+  (* Take the next on-die Hilbert point (packed as by [hilbert_d2xy]). *)
   let next_point () =
-    let rec go () =
+    let p = ref (-1) in
+    while !p < 0 do
       if !cursor >= total_points then
         Diag.fail
           ~entity:(Diag.Design (Netlist.name nl))
@@ -82,11 +89,11 @@ let place ?(max_sweeps = 24) ?(early_exit = true) (d : Device.t) nl =
           "design does not fit device %s: packing curve exhausted after %d \
            of %d on-die slices (%d x %d grid)"
           d.name !used capacity d.cols d.rows;
-      let x, y = hilbert_d2xy side !cursor in
+      let h = hilbert_d2xy side !cursor in
       incr cursor;
-      if x < d.cols && y < d.rows then (x, y) else go ()
-    in
-    go ()
+      if h / side < d.cols && h mod side < d.rows then p := h
+    done;
+    !p
   in
   Netlist.iter_cells nl (fun id c ->
     let s = footprint d c in
@@ -101,11 +108,12 @@ let place ?(max_sweeps = 24) ?(early_exit = true) (d : Device.t) nl =
     used := !used + s;
     let sx = ref 0. and sy = ref 0. in
     for _ = 1 to s do
-      let x, y = next_point () in
+      let h = next_point () in
+      let x = h / side and y = h mod side in
       sx := !sx +. float_of_int x;
       sy := !sy +. float_of_int y;
-      max_x := Stdlib.max !max_x (float_of_int x);
-      max_y := Stdlib.max !max_y (float_of_int y)
+      max_x := imax !max_x x;
+      max_y := imax !max_y y
     done;
     xs.(id) <- !sx /. float_of_int s;
     ys.(id) <- !sy /. float_of_int s);
@@ -125,12 +133,12 @@ let place ?(max_sweeps = 24) ?(early_exit = true) (d : Device.t) nl =
   let indeg = Array.make n 0 in
   let outdeg = Array.make n 0 in
   Netlist.iter_nets nl (fun _ net ->
-    let drv = net.Netlist.n_driver in
-    Array.iter
-      (fun s ->
-        indeg.(s) <- indeg.(s) + 1;
-        outdeg.(drv) <- outdeg.(drv) + 1)
-      net.Netlist.n_sinks);
+    let drv = net.Netlist.n_driver and sinks = net.Netlist.n_sinks in
+    for k = 0 to Array.length sinks - 1 do
+      let s = sinks.(k) in
+      indeg.(s) <- indeg.(s) + 1;
+      outdeg.(drv) <- outdeg.(drv) + 1
+    done);
   let in_off = Array.make (n + 1) 0 in
   let out_off = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
@@ -142,14 +150,14 @@ let place ?(max_sweeps = 24) ?(early_exit = true) (d : Device.t) nl =
   let in_pos = Array.init n (fun i -> in_off.(i + 1)) in
   let out_pos = Array.init n (fun i -> out_off.(i + 1)) in
   Netlist.iter_nets nl (fun _ net ->
-    let drv = net.Netlist.n_driver in
-    Array.iter
-      (fun s ->
-        in_pos.(s) <- in_pos.(s) - 1;
-        in_adj.(in_pos.(s)) <- drv;
-        out_pos.(drv) <- out_pos.(drv) - 1;
-        out_adj.(out_pos.(drv)) <- s)
-      net.Netlist.n_sinks);
+    let drv = net.Netlist.n_driver and sinks = net.Netlist.n_sinks in
+    for k = 0 to Array.length sinks - 1 do
+      let s = sinks.(k) in
+      in_pos.(s) <- in_pos.(s) - 1;
+      in_adj.(in_pos.(s)) <- drv;
+      out_pos.(drv) <- out_pos.(drv) - 1;
+      out_adj.(out_pos.(drv)) <- s
+    done);
   let cls = Bytes.make n (Char.chr cls_fixed) in
   for id = 0 to n - 1 do
     if fp.(id) <= 64 && indeg.(id) > 0 && outdeg.(id) > 0 then
@@ -167,7 +175,8 @@ let place ?(max_sweeps = 24) ?(early_exit = true) (d : Device.t) nl =
   let slot_y = Array.copy ys in
   (* Sweeps alternate direction (Gauss-Seidel): long register chains relax
      to evenly spaced waypoints in a few passes instead of diffusing one
-     hop per pass. *)
+     hop per pass. [delta.(0)] tracks the sweep's largest update (a float
+     array cell, so the running maximum is never boxed). *)
   let relax delta id =
     let c = Char.code (Bytes.unsafe_get cls id) in
     if c <> cls_fixed then begin
@@ -196,9 +205,8 @@ let place ?(max_sweeps = 24) ?(early_exit = true) (d : Device.t) nl =
         let wo = sqrt ko in
         let nx = ((ix *. wi) +. (ox *. wo)) /. (wi +. wo)
         and ny = ((iy *. wi) +. (oy *. wo)) /. (wi +. wo) in
-        delta :=
-          Stdlib.max !delta
-            (Stdlib.max (abs_float (nx -. xs.(id))) (abs_float (ny -. ys.(id))));
+        delta.(0) <-
+          fmax delta.(0) (fmax (abs_float (nx -. xs.(id))) (abs_float (ny -. ys.(id))));
         xs.(id) <- nx;
         ys.(id) <- ny
       end
@@ -211,9 +219,8 @@ let place ?(max_sweeps = 24) ?(early_exit = true) (d : Device.t) nl =
         and cy = (0.65 *. iy) +. (0.35 *. oy) in
         let nx = (0.1 *. slot_x.(id)) +. (0.9 *. cx)
         and ny = (0.1 *. slot_y.(id)) +. (0.9 *. cy) in
-        delta :=
-          Stdlib.max !delta
-            (Stdlib.max (abs_float (nx -. xs.(id))) (abs_float (ny -. ys.(id))));
+        delta.(0) <-
+          fmax delta.(0) (fmax (abs_float (nx -. xs.(id))) (abs_float (ny -. ys.(id))));
         xs.(id) <- nx;
         ys.(id) <- ny
       end
@@ -229,7 +236,7 @@ let place ?(max_sweeps = 24) ?(early_exit = true) (d : Device.t) nl =
   let sweep = ref 1 in
   let settled = ref false in
   while !sweep <= max_sweeps && not !settled do
-    let delta = ref 0. in
+    let delta = [| 0. |] in
     if !sweep mod 2 = 1 then
       for id = 0 to n - 1 do
         relax delta id
@@ -238,12 +245,17 @@ let place ?(max_sweeps = 24) ?(early_exit = true) (d : Device.t) nl =
       for id = n - 1 downto 0 do
         relax delta id
       done;
-    if early_exit && !delta = 0. then settled := true;
+    if early_exit && delta.(0) = 0. then settled := true;
     incr sweep
   done;
-  let sq = Array.map (fun s -> sqrt (float_of_int s)) fp in
-  { netlist = nl; xs; ys; fp; sq; max_x = !max_x; max_y = !max_y }
+  let sq = Array.make n 0. in
+  for i = 0 to n - 1 do
+    sq.(i) <- sqrt (float_of_int fp.(i))
+  done;
+  let max_x = float_of_int !max_x and max_y = float_of_int !max_y in
+  { netlist = nl; xs; ys; fp; sq; max_x; max_y }
 
+let coords t = (t.xs, t.ys)
 let position t c = (t.xs.(c), t.ys.(c))
 let footprint_slices t c = t.fp.(c)
 
@@ -292,25 +304,19 @@ let hpwl t nid =
 
 let star_length t nid =
   let net = Netlist.net t.netlist nid in
-  if Array.length net.Netlist.n_sinks = 0 then 0.
+  let sinks = net.Netlist.n_sinks in
+  let n_sinks = Array.length sinks in
+  if n_sinks = 0 then 0.
   else begin
     let drv = net.Netlist.n_driver in
     let dx = t.xs.(drv) and dy = t.ys.(drv) in
-    let far =
-      Array.fold_left
-        (fun acc s ->
-          Stdlib.max acc
-            (abs_float (t.xs.(s) -. dx) +. abs_float (t.ys.(s) -. dy)))
-        0. net.Netlist.n_sinks
-    in
-    let spread =
-      Array.fold_left
-        (fun acc s -> acc +. t.sq.(s))
-        t.sq.(drv)
-        net.Netlist.n_sinks
-      /. float_of_int (1 + Array.length net.Netlist.n_sinks)
-    in
-    far +. spread
+    let far = ref 0. and spread = ref t.sq.(drv) in
+    for k = 0 to n_sinks - 1 do
+      let s = sinks.(k) in
+      far := fmax !far (abs_float (t.xs.(s) -. dx) +. abs_float (t.ys.(s) -. dy));
+      spread := !spread +. t.sq.(s)
+    done;
+    !far +. (!spread /. float_of_int (1 + n_sinks))
   end
 
 let overlap_free _t = true

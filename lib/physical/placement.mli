@@ -37,6 +37,11 @@ val place :
 val position : t -> int -> float * float
 (** Centroid of a placed cell in slice-grid units. *)
 
+val coords : t -> float array * float array
+(** The live x and y coordinate arrays (indexed by cell), for per-cell loops
+    that would otherwise build a {!position} tuple per cell. Read-only:
+    move cells with {!set_position}. *)
+
 val set_position : t -> int -> float * float -> unit
 (** Move one cell (ECO-style nudge between STA queries). The placement's
     wire-length queries see the new centroid immediately; pair with

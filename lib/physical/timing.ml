@@ -43,15 +43,18 @@ let unit_float state =
   Int64.to_float (Int64.shift_right_logical (mix64 state) 11)
   /. 9007199254740992. (* 2^53 *)
 
+(* [Stdlib.max]'s semantics without its polymorphic compare. *)
+let fmax (a : float) b = if a >= b then a else b
+
 let jitter_factor ~jitter ~seed nid =
   if jitter <= 0. then 1.
   else begin
     let s1 = Int64.add (Int64.of_int ((seed * 1_000_003) + nid)) golden in
     let s2 = Int64.add s1 golden in
-    let u1 = max 1e-12 (unit_float s1) in
+    let u1 = fmax 1e-12 (unit_float s1) in
     let u2 = unit_float s2 in
     let z = sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2) in
-    max 0.5 (1. +. (jitter *. z))
+    fmax 0.5 (1. +. (jitter *. z))
   end
 
 let net_delay (d : Device.t) nl pl ~jitter ~seed nid =
@@ -101,9 +104,10 @@ let prepare ?(jitter = 0.02) ?seed (d : Device.t) nl pl =
   let ndelay = Array.make (Netlist.n_nets nl) 0. in
   let off = Array.make (n + 1) 0 in
   Netlist.iter_nets nl (fun _ net ->
-    Array.iter
-      (fun s -> off.(s + 1) <- off.(s + 1) + 1)
-      net.Netlist.n_sinks);
+    let sinks = net.Netlist.n_sinks in
+    for k = 0 to Array.length sinks - 1 do
+      off.(sinks.(k) + 1) <- off.(sinks.(k) + 1) + 1
+    done);
   for c = 0 to n - 1 do
     off.(c + 1) <- off.(c + 1) + off.(c)
   done;
@@ -113,20 +117,16 @@ let prepare ?(jitter = 0.02) ?seed (d : Device.t) nl pl =
   let cursor = Array.init n (fun c -> off.(c + 1)) in
   Netlist.iter_nets nl (fun nid net ->
     ndelay.(nid) <- net_delay d nl pl ~jitter ~seed nid;
-    Array.iter
-      (fun s ->
-        let k = cursor.(s) - 1 in
-        cursor.(s) <- k;
-        arc_pred.(k) <- net.Netlist.n_driver;
-        arc_net.(k) <- nid)
-      net.Netlist.n_sinks);
-  let snap_x = Array.make n 0. in
-  let snap_y = Array.make n 0. in
-  for c = 0 to n - 1 do
-    let x, y = Placement.position pl c in
-    snap_x.(c) <- x;
-    snap_y.(c) <- y
-  done;
+    let sinks = net.Netlist.n_sinks in
+    for i = 0 to Array.length sinks - 1 do
+      let s = sinks.(i) in
+      let k = cursor.(s) - 1 in
+      cursor.(s) <- k;
+      arc_pred.(k) <- net.Netlist.n_driver;
+      arc_net.(k) <- nid
+    done);
+  let xs, ys = Placement.coords pl in
+  let snap_x = Array.copy xs and snap_y = Array.copy ys in
   {
     cx_device = d;
     cx_netlist = nl;
@@ -183,8 +183,9 @@ let refresh ctx =
   let inc = incidence ctx in
   let dirty = Bytes.make n_nets '\000' in
   let moved = ref 0 in
+  let xs, ys = Placement.coords ctx.cx_pl in
   for c = 0 to n - 1 do
-    let x, y = Placement.position ctx.cx_pl c in
+    let x = xs.(c) and y = ys.(c) in
     if x <> ctx.cx_snap_x.(c) || y <> ctx.cx_snap_y.(c) then begin
       incr moved;
       ctx.cx_snap_x.(c) <- x;

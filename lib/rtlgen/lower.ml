@@ -37,7 +37,11 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
   let kname = k.Kernel.name in
   let n = Dag.n_nodes dag in
   let entries = sched.Schedule.entries in
-  let cname fmt = Printf.ksprintf (fun s -> kname ^ "." ^ s) fmt in
+  (* Names are concatenated, not formatted: a Printf per cell and net was a
+     large share of lowering's allocation. *)
+  let prefix = kname ^ "." in
+  let cname s = prefix ^ s in
+  let vname stem v = prefix ^ stem ^ string_of_int v in
   let slots = Array.make n { s_result = None; s_arg_sinks = [] } in
   let seq_cells = ref [] in
   let start_sinks = ref [] in
@@ -49,20 +53,19 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
     add_seq c;
     c
   in
-  (* Register chain of given length after a producer cell. *)
+  (* Register chain of given length after a producer cell; returns its
+     last register. *)
   let chain_after producer name width length =
-    let rec go prev i acc =
-      if i > length then List.rev acc
-      else begin
-        let r = new_reg (Printf.sprintf "%s_p%d" name i) width in
-        ignore
-          (Netlist.add_net nl
-             ~name:(Printf.sprintf "%s_pn%d" name i)
-             ~driver:prev ~sinks:[ r ] ~width ());
-        go r (i + 1) (r :: acc)
-      end
-    in
-    go producer 1 []
+    let prev = ref producer in
+    for i = 1 to length do
+      let r = new_reg (name ^ "_p" ^ string_of_int i) width in
+      ignore
+        (Netlist.add_net nl
+           ~name:(name ^ "_pn" ^ string_of_int i)
+           ~driver:!prev ~sinks:[ r ] ~width ());
+      prev := r
+    done;
+    !prev
   in
   (* Memory banks are shared across all loads/stores of one buffer. Under
      the broadcast-aware flow, banks spanning many units get their read
@@ -85,7 +88,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
           let read_pipeline = fanout_trees && units > 16 in
           [|
             Structs.add_membank d nl ~read_pipeline
-              ~name:(cname "%s" buf.Dag.b_name)
+              ~name:(cname buf.Dag.b_name)
               ~width:(Dtype.width buf.Dag.b_dtype)
               ~depth:buf.Dag.b_depth ();
           |]
@@ -102,7 +105,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
             in
             let read_pipeline = fanout_trees && units > 16 in
             Structs.add_membank d nl ~read_pipeline
-              ~name:(cname "%s_bk%d" buf.Dag.b_name bk)
+              ~name:(cname (buf.Dag.b_name ^ "_bk" ^ string_of_int bk))
               ~width:(Dtype.width buf.Dag.b_dtype)
               ~depth ())
       in
@@ -122,7 +125,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
         (* Data inputs are loaded by the datapath as it runs; only control
            interfaces (FIFO reads, the iteration counter) listen to the
            controller's start. *)
-        let c = new_reg (cname "in_%s" name) w in
+        let c = new_reg (cname ("in_" ^ name)) w in
         { s_result = Some c; s_arg_sinks = [] }
       | Dag.Operation o ->
         (* Internal stages: intrinsic pipelining + §4.1 split stages. The
@@ -133,7 +136,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
         let internal = e.Schedule.e_latency - e.Schedule.e_bcast_levels in
         let c =
           Netlist.add_cell nl
-            ~name:(cname "%s_%d" (Op.to_string o) v)
+            ~name:(vname (Op.to_string o ^ "_") v)
             ~kind:Netlist.Comb
             ~delay:(Oplib.logic_delay d o dt /. float_of_int (internal + 1))
             ~res:(Oplib.resources o dt)
@@ -141,9 +144,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
         let result =
           if internal > 0 then begin
             registers_added := !registers_added + e.Schedule.e_added_pipe;
-            match List.rev (chain_after c (cname "r%d" v) w internal) with
-            | last :: _ -> last
-            | [] -> c
+            chain_after c (vname "r" v) w internal
           end
           else c
         in
@@ -158,20 +159,20 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
         in
         let mux =
           Netlist.add_cell nl
-            ~name:(cname "ld%d_bmux" v)
+            ~name:(vname "ld" v ^ "_bmux")
             ~kind:Netlist.Comb ~delay:0.05 ~res:(Macro.logic w)
         in
         Array.iteri
           (fun bk mb ->
             ignore
               (Netlist.add_net nl
-                 ~name:(cname "ld%d_bk%d" v bk)
+                 ~name:(vname "ld" v ^ "_bk" ^ string_of_int bk)
                  ~driver:mb.Structs.mb_read_out ~sinks:[ mux ] ~width:w ()))
           mbs;
-        let out = new_reg (cname "ld%d_q" v) w in
+        let out = new_reg (vname "ld" v ^ "_q") w in
         ignore
           (Netlist.add_net nl
-             ~name:(cname "ld%d_d" v)
+             ~name:(vname "ld" v ^ "_d")
              ~driver:mux ~sinks:[ out ] ~width:w ());
         let extra =
           max 0 (e.Schedule.e_added_pipe - mbs.(0).Structs.mb_read_latency)
@@ -179,9 +180,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
         let result =
           if extra > 0 then begin
             registers_added := !registers_added + extra;
-            match List.rev (chain_after out (cname "ld%d" v) w extra) with
-            | last :: _ -> last
-            | [] -> out
+            chain_after out (vname "ld" v) w extra
           end
           else out
         in
@@ -190,10 +189,10 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
         let mb = (get_banks b).(0) in
         let units = Array.to_list mb.Structs.mb_units in
         (* Synchronous read: one output register, plus any added stages. *)
-        let out = new_reg (cname "ld%d_q" v) w in
+        let out = new_reg (vname "ld" v ^ "_q") w in
         ignore
           (Netlist.add_net nl
-             ~name:(cname "ld%d_d" v)
+             ~name:(vname "ld" v ^ "_d")
              ~driver:mb.Structs.mb_read_out ~sinks:[ out ] ~width:w ());
         let added = e.Schedule.e_added_pipe in
         if fanout_trees && added > 0 && mb.Structs.mb_n_units > 16 then begin
@@ -202,12 +201,12 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
           registers_added := !registers_added + added;
           let addr_root =
             Netlist.add_cell nl
-              ~name:(cname "ld%d_addr" v)
+              ~name:(vname "ld" v ^ "_addr")
               ~kind:Netlist.Comb ~delay:0.05 ~res:(Macro.logic 16)
           in
           ignore
             (Structs.add_fanout_tree nl
-               ~name:(cname "ld%d_atree" v)
+               ~name:(vname "ld" v ^ "_atree")
                ~driver:addr_root ~sinks:units ~width:16 ~levels:added
                ~leaf_fanout:16);
           { s_result = Some out; s_arg_sinks = [ addr_root ] }
@@ -219,9 +218,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
           let result =
             if extra > 0 then begin
               registers_added := !registers_added + extra;
-              match List.rev (chain_after out (cname "ld%d" v) w extra) with
-              | last :: _ -> last
-              | [] -> out
+              chain_after out (vname "ld" v) w extra
             end
             else out
           in
@@ -233,7 +230,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
         let mbs = get_banks b in
         let bundle_w = w + 16 in
         let st =
-          Netlist.add_cell nl ~name:(cname "st%d" v) ~kind:Netlist.Comb
+          Netlist.add_cell nl ~name:(vname "st" v) ~kind:Netlist.Comb
             ~delay:0.10 ~res:(Macro.logic bundle_w)
         in
         Array.iteri
@@ -246,7 +243,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
             in
             ignore
               (Netlist.add_net nl ~cls
-                 ~name:(cname "st%d_w%d" v bk)
+                 ~name:(vname "st" v ^ "_w" ^ string_of_int bk)
                  ~driver:st ~sinks:units ~width:bundle_w ()))
           mbs;
         { s_result = None; s_arg_sinks = [ st ] }
@@ -256,7 +253,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
            Fig. 4 (a raw mid-chain net under the baseline flow). *)
         let bundle_w = w + 16 in
         let st =
-          Netlist.add_cell nl ~name:(cname "st%d" v) ~kind:Netlist.Comb
+          Netlist.add_cell nl ~name:(vname "st" v) ~kind:Netlist.Comb
             ~delay:0.10 ~res:(Macro.logic bundle_w)
         in
         let units = Array.to_list mb.Structs.mb_units in
@@ -264,7 +261,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
         if fanout_trees && added > 0 && mb.Structs.mb_n_units > 1 then begin
           registers_added := !registers_added + added;
           ignore
-            (Structs.add_fanout_tree nl ~name:(cname "st%d_tree" v) ~driver:st
+            (Structs.add_fanout_tree nl ~name:(vname "st" v ^ "_tree") ~driver:st
                ~sinks:units ~width:bundle_w ~levels:added ~leaf_fanout:16)
         end
         else begin
@@ -274,7 +271,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
           in
           ignore
             (Netlist.add_net nl ~cls
-               ~name:(cname "st%d_w" v)
+               ~name:(vname "st" v ^ "_w")
                ~driver:st ~sinks:units ~width:bundle_w ())
         end;
         { s_result = None; s_arg_sinks = [ st ] }
@@ -282,7 +279,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
         let fd = Dag.fifo dag f in
         let c =
           Netlist.add_cell nl
-            ~name:(cname "fifo_%s" fd.Dag.f_name)
+            ~name:(cname ("fifo_" ^ fd.Dag.f_name))
             ~kind:Netlist.Seq ~delay:0.2
             ~res:(Macro.fifo ~width:w ~depth:fd.Dag.f_depth)
         in
@@ -297,7 +294,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
         let fd = Dag.fifo dag f in
         let c =
           Netlist.add_cell nl
-            ~name:(cname "wr_%s" fd.Dag.f_name)
+            ~name:(cname ("wr_" ^ fd.Dag.f_name))
             ~kind:Netlist.Seq ~delay:0.2
             ~res:(Netlist.add_res (Macro.logic w) (Macro.register w))
         in
@@ -306,103 +303,92 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
         { s_result = None; s_arg_sinks = [ c ] }
       | Dag.Output name ->
         let c =
-          Netlist.add_cell nl ~name:(cname "out_%s" name)
+          Netlist.add_cell nl ~name:(cname ("out_" ^ name))
             ~kind:Netlist.Port_out ~delay:0. ~res:Netlist.zero_res
         in
         { s_result = None; s_arg_sinks = [ c ] }
     in
     slots.(v) <- slot);
   (* ---- pass 2: nets (args -> consumers), with cross-cycle registers ---- *)
-  (* Boundary register chains, per producer node, extended lazily. *)
-  let chains : (int, (int, int) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
-  let chain_reg v j =
-    (* register holding v's value j cycles after its result cycle *)
-    let table =
-      match Hashtbl.find_opt chains v with
-      | Some t -> t
-      | None ->
-        let t = Hashtbl.create 4 in
-        Hashtbl.add chains v t;
-        t
-    in
-    let rec get j =
-      match Hashtbl.find_opt table j with
-      | Some c -> c
-      | None ->
-        let w = Dtype.width (Dag.dtype dag v) in
-        let prev =
-          if j = 1 then Option.get slots.(v).s_result else get (j - 1)
-        in
-        let r = new_reg (cname "v%d_s%d" v j) w in
-        ignore
-          (Netlist.add_net nl
-             ~name:(cname "v%d_sn%d" v j)
-             ~driver:prev ~sinks:[ r ] ~width:w ());
-        Hashtbl.replace table j r;
-        r
-    in
-    get j
-  in
   (* Cycle at which v's value leaves its internal pipeline; the remaining
      e_bcast_levels stages up to the scheduler's result cycle belong to the
      distribution tree built here. *)
   let internal_done_cycle v =
     Schedule.finish_cycle sched v - entries.(v).Schedule.e_bcast_levels
   in
+  (* [groups.(j)]: the sinks of one value's consumers read [j] cycles after
+     it leaves its pipeline, reset after each value. *)
+  let groups =
+    Array.make
+      (1 + Array.fold_left (fun m e -> max m e.Schedule.e_cycle) 0 entries)
+      []
+  in
   (* Group each node's consumers by cycle distance. *)
   Dag.iter dag (fun v ->
     match slots.(v).s_result with
     | None -> ()
     | Some rc ->
-      let w = Dtype.width (Dag.dtype dag v) in
       let rcyc = internal_done_cycle v in
-      let groups = Hashtbl.create 4 in
+      (* One reverse walk over the read slots (one per read: multiplicity
+         matters for fanout) prepends each reader's cells reversed, so
+         every group lists consumers ascending. *)
+      let jmin = ref max_int and jmax = ref (-1) in
       List.iter
         (fun u ->
           match slots.(u).s_arg_sinks with
           | [] -> ()
           | ucells ->
-            (* one sink entry per read (multiplicity matters for fanout) *)
-            let reads =
-              List.length (List.filter (fun a -> a = v) (Dag.args dag u))
-            in
             let j = max 0 (entries.(u).Schedule.e_cycle - rcyc) in
-            let cur = Option.value ~default:[] (Hashtbl.find_opt groups j) in
-            let repeated =
-              List.concat (List.init reads (fun _ -> ucells))
+            groups.(j) <- List.rev_append ucells groups.(j);
+            if j < !jmin then jmin := j;
+            if j > !jmax then jmax := j)
+        (Dag.consumer_slots dag v);
+      if !jmax >= 0 then begin
+        let w = Dtype.width (Dag.dtype dag v) in
+        let vp = vname "v" v in
+        (* Boundary register chain, extended lazily: [!reg] holds v's value
+           [!hops] cycles after its result cycle. *)
+        let hops = ref 0 and reg = ref rc in
+        for j = !jmin to !jmax do
+          match groups.(j) with
+          | [] -> ()
+          | sinks ->
+            groups.(j) <- [];
+            let n_sinks = List.length sinks in
+            let cls =
+              if n_sinks >= big_fanout then Netlist.Data_broadcast
+              else Netlist.Data
             in
-            Hashtbl.replace groups j (repeated @ cur))
-        (Dag.consumers dag v);
-      let js = Hashtbl.fold (fun j _ acc -> j :: acc) groups [] in
-      List.iter
-        (fun j ->
-          let sinks = List.rev (Hashtbl.find groups j) in
-          let cls =
-            if List.length sinks >= big_fanout then Netlist.Data_broadcast
-            else Netlist.Data
-          in
-          if j = 0 then
-            (* Consumers chained directly to the producer — under the
-               baseline flow this is the raw mid-chain broadcast of §3.1. *)
-            ignore
-              (Netlist.add_net nl ~cls
-                 ~name:(cname "v%d_c0" v)
-                 ~driver:rc ~sinks ~width:w ())
-          else if fanout_trees && List.length sinks > 16 then begin
-            registers_added := !registers_added + j;
-            ignore
-              (Structs.add_fanout_tree nl
-                 ~name:(cname "v%d_ft%d" v j)
-                 ~driver:rc ~sinks ~width:w ~levels:j ~leaf_fanout:8)
-          end
-          else begin
-            let reg = chain_reg v j in
-            ignore
-              (Netlist.add_net nl ~cls
-                 ~name:(cname "v%d_c%d" v j)
-                 ~driver:reg ~sinks ~width:w ())
-          end)
-        (List.sort compare js));
+            if j = 0 then
+              (* Consumers chained directly to the producer — under the
+                 baseline flow this is the raw mid-chain broadcast of §3.1. *)
+              ignore
+                (Netlist.add_net nl ~cls ~name:(vp ^ "_c0") ~driver:rc ~sinks
+                   ~width:w ())
+            else if fanout_trees && n_sinks > 16 then begin
+              registers_added := !registers_added + j;
+              ignore
+                (Structs.add_fanout_tree nl
+                   ~name:(vp ^ "_ft" ^ string_of_int j)
+                   ~driver:rc ~sinks ~width:w ~levels:j ~leaf_fanout:8)
+            end
+            else begin
+              while !hops < j do
+                incr hops;
+                let r = new_reg (vp ^ "_s" ^ string_of_int !hops) w in
+                ignore
+                  (Netlist.add_net nl
+                     ~name:(vp ^ "_sn" ^ string_of_int !hops)
+                     ~driver:!reg ~sinks:[ r ] ~width:w ());
+                reg := r
+              done;
+              ignore
+                (Netlist.add_net nl ~cls
+                   ~name:(vp ^ "_c" ^ string_of_int j)
+                   ~driver:!reg ~sinks ~width:w ())
+            end
+        done
+      end);
   (* Iteration counter feeding the done flag: created before control
      generation so the stall net reaches it too. *)
   let counter = new_reg (cname "iter_cnt") 16 in
@@ -422,7 +408,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
       (fun (name, c, _) ->
         ignore
           (Netlist.add_net nl ~cls:Netlist.Ctrl_pipeline
-             ~name:(cname "full_%s" name)
+             ~name:(cname ("full_" ^ name))
              ~driver:c ~sinks:[ stall ] ~width:1 ()))
       !fifo_rd;
     let sinks = List.rev !seq_cells in
@@ -451,7 +437,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
         let entries_total = depth_entries + ctrl_stages in
         let c =
           Netlist.add_cell nl
-            ~name:(cname "skid_%d" pos)
+            ~name:(vname "skid_" pos)
             ~kind:Netlist.Seq ~delay:0.2
             ~res:(Macro.fifo ~width ~depth:entries_total)
         in
@@ -465,7 +451,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
         in
         ignore
           (Netlist.add_net nl
-             ~name:(cname "skid_in_%d" pos)
+             ~name:(vname "skid_in_" pos)
              ~driver:src ~sinks:[ c ] ~width ()))
       plan.Skid.depths;
     (* Occupancy of the first buffer gates upstream reads, through a short

@@ -34,13 +34,16 @@ let stage_widths (s : Schedule.t) =
   let dag = s.Schedule.kernel.Kernel.dag in
   let nb = max 0 (s.Schedule.depth - 1) in
   let widths = Array.make nb 0 in
+  let entries = s.Schedule.entries in
+  let rec latest acc = function
+    | [] -> acc
+    | u :: rest ->
+      let c = entries.(u).Schedule.e_cycle in
+      latest (if acc >= c then acc else c) rest
+  in
   Dag.iter dag (fun v ->
-    let def = s.Schedule.entries.(v).Schedule.e_cycle in
-    let last_use =
-      List.fold_left
-        (fun acc u -> max acc s.Schedule.entries.(u).Schedule.e_cycle)
-        def (Dag.consumers dag v)
-    in
+    let def = entries.(v).Schedule.e_cycle in
+    let last_use = latest def (Dag.consumer_slots dag v) in
     let w = Dtype.width (Dag.dtype dag v) in
     (* value occupies pipeline storage across boundaries def..last_use-1
        (including the operator's own internal stages) *)

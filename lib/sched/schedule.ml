@@ -58,10 +58,33 @@ let produces_value dag v =
   | Dag.Store _ | Dag.Fifo_write _ | Dag.Output _ | Dag.Const _ -> false
   | Dag.Input _ | Dag.Operation _ | Dag.Load _ | Dag.Fifo_read _ -> true
 
+let imax (a : int) b = if a >= b then a else b
+let imin (a : int) b = if a <= b then a else b
+
+(* [Stdlib.max]'s semantics without its polymorphic compare. *)
+let fmax (a : float) b = if a >= b then a else b
+
+(* Each distinct (op, dtype) curve, resolved once per run in node order
+   (the order a pass first reads them): [None] off operators and under the
+   baseline model. *)
+let op_curves mode dag =
+  let seen = ref [] in
+  Array.init (Dag.n_nodes dag) (fun v ->
+    match (mode, Dag.kind dag v) with
+    | Broadcast_aware cal, Dag.Operation o -> (
+      let key = (o, Dag.dtype dag v) in
+      match List.assoc_opt key !seen with
+      | Some c -> c
+      | None ->
+        let c = Some (Calibrate.resolve cal o (snd key)) in
+        seen := (key, c) :: !seen;
+        c)
+    | _ -> None)
+
 (* The operator delay lookup is keyed on the *input-side* broadcast factor:
    the operator reading a widely-shared variable is the one whose input net
    carries the broadcast (Fig. 2: the add after `source`). *)
-let node_delay mode dag v ~factor =
+let node_delay mode curves dag v ~factor =
   let dt = Dag.dtype dag v in
   match Dag.kind dag v with
   | Dag.Input _ | Dag.Const _ -> 0.
@@ -70,7 +93,7 @@ let node_delay mode dag v ~factor =
   | Dag.Operation o -> (
     match mode with
     | Baseline -> Oplib.predicted o dt
-    | Broadcast_aware cal -> Calibrate.op_delay cal o dt ~factor)
+    | Broadcast_aware _ -> Calibrate.resolved_delay (Option.get curves.(v)) ~factor)
   | Dag.Load b -> (
     let buf = Dag.buffer dag b in
     match mode with
@@ -94,7 +117,7 @@ let node_delay mode dag v ~factor =
 (* [extra.(v)] is forced distribution levels on node [v]'s value beyond
    what the read-count policy decides — the explorer's register-injection
    axis. Zero everywhere reproduces the policy schedule exactly. *)
-let pass ~mode ~target ~extra (k : Kernel.t) reads =
+let pass ~mode ~curves ~target ~extra (k : Kernel.t) reads =
   let dag = k.Kernel.dag in
   let n = Dag.n_nodes dag in
   let aware = match mode with Baseline -> false | Broadcast_aware _ -> true in
@@ -115,14 +138,14 @@ let pass ~mode ~target ~extra (k : Kernel.t) reads =
     (* Input-side broadcast factor: the largest fanout among this node's
        argument nets; tree-distributed arguments arrive from a leaf register
        driving at most [leaf_fanout] readers. *)
-    let factor =
-      List.fold_left
-        (fun acc a ->
-          let f = if tree'd a then min reads.(a) leaf_fanout else reads.(a) in
-          max acc f)
-        1 (Dag.args dag v)
-    in
-    let raw_delay = node_delay mode dag v ~factor in
+    let args = Dag.args_array dag v in
+    let factor = ref 1 in
+    for i = 0 to Array.length args - 1 do
+      let a = args.(i) in
+      factor := imax !factor (if tree'd a then imin reads.(a) leaf_fanout else reads.(a))
+    done;
+    let factor = !factor in
+    let raw_delay = node_delay mode curves dag v ~factor in
     let intrinsic = intrinsic_latency dag v in
     (* §4.1: an operator whose calibrated delay alone exceeds the target
        gets additional pipelining; downstream retiming (placement
@@ -153,7 +176,7 @@ let pass ~mode ~target ~extra (k : Kernel.t) reads =
           int_of_float (ceil (raw_delay /. target)) - 1
         else 0
       in
-      max by_delay mem_floor
+      imax by_delay mem_floor
     in
     (* Broadcast distribution stages for this node's own value. *)
     let added_bcast =
@@ -161,26 +184,22 @@ let pass ~mode ~target ~extra (k : Kernel.t) reads =
     in
     let delay = raw_delay /. float_of_int (added_split + 1) in
     let latency = intrinsic + added_split + added_bcast in
-    let ready =
-      List.fold_left
-        (fun acc a ->
-          let ea = entries.(a) in
-          let t_avail =
-            if ea.e_latency > 0 then
-              float_of_int (ea.e_cycle + ea.e_latency) *. target
-            else
-              (float_of_int ea.e_cycle *. target) +. ea.e_start +. ea.e_delay
-          in
-          max acc t_avail)
-        0. (Dag.args dag v)
-    in
+    let ready = ref 0. in
+    for i = 0 to Array.length args - 1 do
+      let ea = entries.(args.(i)) in
+      let t_avail =
+        if ea.e_latency > 0 then float_of_int (ea.e_cycle + ea.e_latency) *. target
+        else (float_of_int ea.e_cycle *. target) +. ea.e_start +. ea.e_delay
+      in
+      ready := fmax !ready t_avail
+    done;
+    let ready = !ready in
     let cycle = int_of_float ((ready +. eps) /. target) in
     let offset = ready -. (float_of_int cycle *. target) in
     let offset = if offset < 0. then 0. else offset in
-    let cycle, offset =
-      if offset +. delay > target +. eps && offset > eps then (cycle + 1, 0.)
-      else (cycle, offset)
-    in
+    let bump = offset +. delay > target +. eps && offset > eps in
+    let cycle = if bump then cycle + 1 else cycle in
+    let offset = if bump then 0. else offset in
     entries.(v) <-
       {
         e_cycle = cycle;
@@ -202,12 +221,23 @@ let same_cycle_reads entries dag =
   let n = Dag.n_nodes dag in
   let counts = Array.make n 0 in
   Dag.iter dag (fun u ->
-    List.iter
-      (fun a ->
-        if entries.(u).e_cycle = result_cycle entries a then
-          counts.(a) <- counts.(a) + 1)
-      (Dag.args dag u));
+    let args = Dag.args_array dag u in
+    for i = 0 to Array.length args - 1 do
+      let a = args.(i) in
+      if entries.(u).e_cycle = result_cycle entries a then
+        counts.(a) <- counts.(a) + 1
+    done);
   counts
+
+(* Whether any read slot is scheduled after cycle [rc] / the earliest cycle
+   of any read slot (at most [acc]). *)
+let rec read_after entries rc = function
+  | [] -> false
+  | u :: rest -> entries.(u).e_cycle > rc || read_after entries rc rest
+
+let rec first_read entries acc = function
+  | [] -> acc
+  | u :: rest -> first_read entries (imin acc entries.(u).e_cycle) rest
 
 (* The scheduler budgets chains against the target minus a clock
    uncertainty margin, like the commercial tool's default. *)
@@ -271,11 +301,12 @@ let run_body ~target_mhz ~inject mode (k : Kernel.t) =
   (* Conservative first estimate: every read lands in one cycle. *)
   let total_reads = Array.init n (fun v -> Dag.broadcast_factor dag v) in
   let extra = injection_levels inject dag n total_reads in
+  let curves = op_curves mode dag in
   let entries =
     match mode with
-    | Baseline -> pass ~mode ~target ~extra k total_reads
+    | Baseline -> pass ~mode ~curves ~target ~extra k total_reads
     | Broadcast_aware _ ->
-      let e1 = pass ~mode ~target ~extra k total_reads in
+      let e1 = pass ~mode ~curves ~target ~extra k total_reads in
       (* Refine: only same-cycle readers load the net; +1 for the boundary
          register when the value also has later consumers. *)
       let sc = same_cycle_reads e1 dag in
@@ -283,9 +314,7 @@ let run_body ~target_mhz ~inject mode (k : Kernel.t) =
         Array.mapi
           (fun v c ->
             let later =
-              List.exists
-                (fun u -> e1.(u).e_cycle > result_cycle e1 v)
-                (Dag.consumers dag v)
+              read_after e1 (result_cycle e1 v) (Dag.consumer_slots dag v)
             in
             (* Values that were given distribution stages keep their full
                read count: the tree still has to reach every reader. *)
@@ -294,10 +323,10 @@ let run_body ~target_mhz ~inject mode (k : Kernel.t) =
               && total_reads.(v) >= tree_threshold
             then total_reads.(v)
             else if later then c + 1
-            else max 1 c)
+            else imax 1 c)
           sc
       in
-      pass ~mode ~target ~extra k refined
+      pass ~mode ~curves ~target ~extra k refined
   in
   (* Source nodes (inputs, constants, FIFO reads) are staged as late as
      possible: a value first consumed in cycle c is read/registered in
@@ -306,15 +335,11 @@ let run_body ~target_mhz ~inject mode (k : Kernel.t) =
   Dag.iter dag (fun v ->
     match Dag.kind dag v with
     | Dag.Input _ | Dag.Const _ | Dag.Fifo_read _ ->
-      let consumers = Dag.consumers dag v in
-      if consumers <> [] then begin
-        let first_use =
-          List.fold_left
-            (fun acc u -> min acc entries.(u).e_cycle)
-            max_int consumers
-        in
+      let slots = Dag.consumer_slots dag v in
+      if slots <> [] then begin
+        let first_use = first_read entries max_int slots in
         let e = entries.(v) in
-        let late = max e.e_cycle (first_use - 1 - e.e_latency) in
+        let late = imax e.e_cycle (first_use - 1 - e.e_latency) in
         entries.(v) <- { e with e_cycle = late; e_start = 0. }
       end
     | Dag.Operation _ | Dag.Load _ | Dag.Store _ | Dag.Fifo_write _
@@ -322,7 +347,7 @@ let run_body ~target_mhz ~inject mode (k : Kernel.t) =
       ());
   let depth =
     let m = ref 0 in
-    Dag.iter dag (fun v -> m := max !m (result_cycle entries v));
+    Dag.iter dag (fun v -> m := imax !m (result_cycle entries v));
     !m + 1
   in
   let t =
@@ -352,15 +377,10 @@ let chain_ok t =
     t.entries
 
 let same_cycle_factor t v =
-  let dag = t.kernel.Kernel.dag in
   let rc = result_cycle t.entries v in
   List.fold_left
-    (fun acc u ->
-      let reads =
-        List.length (List.filter (fun a -> a = v) (Dag.args dag u))
-      in
-      if t.entries.(u).e_cycle = rc then acc + reads else acc)
-    0 (Dag.consumers dag v)
+    (fun acc u -> if t.entries.(u).e_cycle = rc then acc + 1 else acc)
+    0 (Dag.consumer_slots t.kernel.Kernel.dag v)
 
 let registers_inserted t =
   Array.fold_left

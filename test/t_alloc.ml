@@ -1,0 +1,75 @@
+(* Allocation budgets for the per-node, per-cell loops of the backend.
+   Minor-heap allocation is deterministic for a given build and input, so
+   the budgets are exact thresholds, not timing guesses: schedule is
+   charged per DAG node, lower and place per cell, over every Suite design
+   under both recipes. Calibration is warmed first so the schedule figure
+   measures scheduling, not curve characterization. When set, the worst
+   designs measured 57.5 words/node (schedule), 83.8 words/cell (lower)
+   and 0.3 words/cell (place); the tuple-, closure- and Printf-heavy loops
+   these replaced measured 165-267, 194-320 and 176-477. *)
+
+open Hlsb_ir
+module Style = Hlsb_ctrl.Style
+module Design = Hlsb_rtlgen.Design
+module Netlist = Hlsb_netlist.Netlist
+module Placement = Hlsb_physical.Placement
+module Spec = Hlsb_designs.Spec
+
+let schedule_budget = 80.
+let lower_budget = 120.
+let place_budget = 16.
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  let r = f () in
+  (r, Gc.minor_words () -. before)
+
+let dag_nodes df =
+  let n = ref 0 in
+  for p = 0 to Dataflow.n_processes df - 1 do
+    match (Dataflow.process df p).Dataflow.p_kernel with
+    | Some k -> n := !n + Dag.n_nodes k.Kernel.dag
+    | None -> ()
+  done;
+  !n
+
+(* (schedule words/node, lower words/cell, place words/cell) *)
+let measure (spec : Spec.t) recipe =
+  let device = spec.Spec.sp_device in
+  let df = spec.Spec.sp_build () in
+  let sched () = Design.schedule_processes ~device ~recipe df in
+  ignore (sched ());
+  let scheds, w_sched = minor_words sched in
+  let dp, w_lower =
+    minor_words (fun () ->
+      Design.lower_processes ~device ~recipe ~name:spec.Spec.sp_name df scheds)
+  in
+  let lowered_cells = Netlist.n_cells dp.Design.dp_netlist in
+  let design = Design.emit_sync ~device ~recipe df dp in
+  let nl = design.Design.netlist in
+  let _, w_place = minor_words (fun () -> Placement.place device nl) in
+  ( w_sched /. float_of_int (dag_nodes df),
+    w_lower /. float_of_int lowered_cells,
+    w_place /. float_of_int (Netlist.n_cells nl) )
+
+let test_budgets () =
+  List.iter
+    (fun (spec : Spec.t) ->
+      List.iter
+        (fun recipe ->
+          let s, l, p = measure spec recipe in
+          let what = spec.Spec.sp_name ^ " [" ^ Style.label recipe ^ "]" in
+          Printf.printf "%s: schedule %.1f words/node, lower %.1f and place %.1f words/cell\n"
+            what s l p;
+          let within name v budget =
+            if v > budget then
+              Alcotest.failf "%s: %s allocates %.1f words per unit, budget %.0f"
+                what name v budget
+          in
+          within "schedule" s schedule_budget;
+          within "lower" l lower_budget;
+          within "place" p place_budget)
+        [ Style.original; Style.optimized ])
+    Hlsb_designs.Suite.all
+
+let suite = [ Alcotest.test_case "schedule/lower/place minor words" `Quick test_budgets ]

@@ -223,6 +223,80 @@ let test_single_kernel_wrapper () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
+(* Sink order of the value nets, pinned on a hand-scheduled kernel: x is
+   read twice by one consumer and once by another in its own cycle, once a
+   cycle later and, as the address of a load from a 2-bank partitioned
+   buffer (2 BRAM units per bank), two cycles later. A net lists its
+   consumers ascending and, per read, the consumer's input cells in
+   reverse; later reads hang off the value's boundary register chain. *)
+let test_lower_sink_order () =
+  let dag = Dag.create () in
+  let fin = Dag.add_fifo dag ~name:"in" ~dtype:i32 ~depth:8 in
+  let fout = Dag.add_fifo dag ~name:"out" ~dtype:i32 ~depth:8 in
+  let m = Dag.add_buffer dag ~name:"m" ~dtype:i32 ~depth:2048 ~partition:2 in
+  let x = Dag.fifo_read dag ~fifo:fin in
+  let a = Dag.op dag Op.Add ~dtype:i32 [ x; x ] in
+  let e = Dag.op dag Op.Xor ~dtype:i32 [ x; a ] in
+  let b = Dag.op dag Op.Sub ~dtype:i32 [ x; e ] in
+  let ld = Dag.load dag ~buffer:m ~index:x in
+  let c = Dag.op dag Op.Add ~dtype:i32 [ ld; b ] in
+  ignore (Dag.fifo_write dag ~fifo:fout ~value:c);
+  let entry cycle latency =
+    {
+      Schedule.e_cycle = cycle;
+      e_start = 0.;
+      e_delay = 0.;
+      e_latency = latency;
+      e_added_pipe = 0;
+      e_bcast_levels = 0;
+      e_factor = 1;
+    }
+  in
+  let sched =
+    {
+      Schedule.kernel = Kernel.create ~name:"so" dag;
+      mode_label = "hand";
+      target_ns = 3.;
+      entries =
+        (* x, a, e at 0; b at 1; the load at 2 (one cycle); c, write at 3 *)
+        [|
+          entry 0 0; entry 0 0; entry 0 0; entry 1 0; entry 2 1; entry 3 0; entry 3 0;
+        |];
+      depth = 4;
+    }
+  in
+  let nl = Netlist.create ~name:"t" in
+  ignore (Lower.lower dev nl ~pipe:Style.Stall ~fanout_trees:false sched);
+  let cell_name c = (Netlist.cell nl c).Netlist.c_name in
+  let value_nets = ref [] in
+  Netlist.iter_nets nl (fun _ n ->
+    let name = n.Netlist.n_name in
+    if String.length name > 4 && String.sub name 0 4 = "so.v" then
+      value_nets :=
+        ( name,
+          cell_name n.Netlist.n_driver,
+          Array.to_list (Array.map cell_name n.Netlist.n_sinks) )
+        :: !value_nets);
+  let units = [ "so.m_bk1_u1"; "so.m_bk1_u0"; "so.m_bk0_u1"; "so.m_bk0_u0" ] in
+  Alcotest.(check (list (triple string string (list string))))
+    "value nets: name, driver, sinks"
+    [
+      ("so.v0_c0", "so.fifo_in", [ "so.add_1"; "so.add_1"; "so.xor_2" ]);
+      ("so.v0_sn1", "so.fifo_in", [ "so.v0_s1" ]);
+      ("so.v0_c1", "so.v0_s1", [ "so.sub_3" ]);
+      ("so.v0_sn2", "so.v0_s1", [ "so.v0_s2" ]);
+      ("so.v0_c2", "so.v0_s2", units);
+      ("so.v1_c0", "so.add_1", [ "so.xor_2" ]);
+      ("so.v2_sn1", "so.xor_2", [ "so.v2_s1" ]);
+      ("so.v2_c1", "so.v2_s1", [ "so.sub_3" ]);
+      ("so.v3_sn1", "so.sub_3", [ "so.v3_s1" ]);
+      ("so.v3_sn2", "so.v3_s1", [ "so.v3_s2" ]);
+      ("so.v3_c2", "so.v3_s2", [ "so.add_5" ]);
+      ("so.v4_c0", "so.ld4_q", [ "so.add_5" ]);
+      ("so.v5_c0", "so.add_5", [ "so.wr_out" ]);
+    ]
+    (List.rev !value_nets)
+
 let suite =
   [
     Alcotest.test_case "lowered netlists validate" `Quick test_lower_valid_netlist;
@@ -240,6 +314,7 @@ let suite =
     Alcotest.test_case "missing fifo rejected" `Quick test_design_missing_fifo_rejected;
     Alcotest.test_case "sync pruned smaller" `Quick test_design_sync_pruned_uses_latency;
     Alcotest.test_case "single kernel wrapper" `Quick test_single_kernel_wrapper;
+    Alcotest.test_case "value-net sink order" `Quick test_lower_sink_order;
   ]
 
 (* ---- end-to-end fuzz: random kernels survive the whole flow ---- *)
