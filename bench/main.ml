@@ -85,7 +85,7 @@ let sections =
           (List.fold_left
              (fun acc (r : Experiments.table1_row) ->
                acc
-               +. Core.Flow.improvement_pct ~orig:r.Experiments.t1_orig
+               +. Experiments.improvement_pct ~orig:r.Experiments.t1_orig
                     ~opt:r.Experiments.t1_opt)
              0. t1
           /. float_of_int (List.length t1)) );

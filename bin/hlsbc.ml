@@ -166,10 +166,6 @@ let cmd_classify =
     (Cmd.info "classify" ~doc:"Source-level broadcast classification")
     Term.(const run $ design_arg)
 
-let compile name recipe =
-  let s = find_design name in
-  Core.Flow.compile_spec ~recipe:(recipe_of recipe) s
-
 let write_text ~path text =
   match open_out path with
   | exception Sys_error msg ->
@@ -187,6 +183,33 @@ let write_text ~path text =
 let fail_diag d =
   Log.error "%s" (Diag.to_string d);
   exit 1
+
+let run_or_fail ?plan session ~recipe =
+  match Pipeline.run ?plan session ~recipe with
+  | Ok r -> r
+  | Error d -> fail_diag d
+
+let compile name recipe =
+  run_or_fail (Pipeline.of_spec (find_design name)) ~recipe:(recipe_of recipe)
+
+(* The C-subset source front end shared by cc and explore: one file
+   read, one parse (a parse error exits 1), one session per program. *)
+let read_source file =
+  let ic = open_in file in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let source_name file = Filename.remove_extension (Filename.basename file)
+let source_device = Hlsb_device.Device.ultrascale_plus
+
+let source_session file src =
+  match Hlsb_frontend.Frontend.parse src with
+  | Error e ->
+    Format.eprintf "%s: %a@." file Hlsb_frontend.Frontend.pp_error e;
+    exit 1
+  | Ok program ->
+    Pipeline.of_program ~device:source_device ~name:(source_name file) program
 
 (* ---- hlsbd client mode ---------------------------------------------- *)
 
@@ -220,7 +243,7 @@ let daemon_or_fallback verb fallback =
 (* The in-process spelling of the daemon's compile artifact: the same
    result record, rendered by the same encoder, newline-terminated. *)
 let print_result_artifact r =
-  print_string (Json.to_string ~minify:false (Core.Flow.result_to_json r) ^ "\n")
+  print_string (Json.to_string ~minify:false (Pipeline.result_to_json r) ^ "\n")
 
 let daemon_arg =
   Arg.(
@@ -234,7 +257,15 @@ let daemon_arg =
            back to an in-process compile (same bytes) when no daemon \
            answers. Implied by setting \\$(b,HLSBD_SOCKET).")
 
-(* ---- run-ledger assembly shared by compile / cc / profile / fuzz ---- *)
+let explain_arg =
+  Arg.(
+    value & flag
+    & info [ "explain" ]
+        ~doc:
+          "After compiling, print the per-stage table of the run (ran / \
+           cached / skipped, wall-clock) and any diagnostics.")
+
+(* ---- run-ledger records: compile / cc / profile / fuzz / explore ---- *)
 
 let stage_ms_of_session session =
   List.map
@@ -261,6 +292,52 @@ let append_ledger record =
       "appended run record to %s" path
   | Error msg -> Log.warn "run ledger: %s" msg
 
+(* What a run record says besides its metrics. *)
+type run_info = {
+  ri_label : string;
+  ri_device : Hlsb_device.Device.t option;
+  ri_recipe : Style.recipe option;
+  ri_stages : Ledger.stage_ms list;
+  ri_results : Pipeline.result list;
+}
+
+let compile_info ~label ~device ~recipe session r =
+  {
+    ri_label = label;
+    ri_device = Some device;
+    ri_recipe = Some recipe;
+    ri_stages = stage_ms_of_session session;
+    ri_results = [ r ];
+  }
+
+(* The one place a run record is assembled: run [f] under a fresh
+   metrics registry, describe its value as an hlsb-run/1 record and
+   append that to the ledger when it is enabled. The registry is
+   installed only when the ledger is enabled, so with HLSB_LEDGER=off
+   [f] runs bare, unless [~always] asks for the snapshot and record
+   regardless (profile and fuzz print them). *)
+let with_run_record ?(always = false) ~cmd ~describe f =
+  if not (always || Ledger.enabled ()) then (f (), None)
+  else begin
+    let registry = Metrics.create () in
+    let v = Metrics.with_registry registry f in
+    let snap = Metrics.snapshot registry in
+    let info = describe v in
+    let record =
+      Ledger.make
+        ?device:
+          (Option.map (fun d -> d.Hlsb_device.Device.name) info.ri_device)
+        ?fingerprint:(Option.map Cal_cache.fingerprint info.ri_device)
+        ?recipe:(Option.map Style.label info.ri_recipe)
+        ~stages:info.ri_stages
+        ~results:(List.map Pipeline.result_to_json info.ri_results)
+        ~cache:(cache_counters snap) ~metrics:(Metrics.to_json snap) ~cmd
+        ~label:info.ri_label ()
+    in
+    if Ledger.enabled () then append_ledger record;
+    (v, Some (snap, record))
+  end
+
 let stage_of_string s =
   match Pipeline.stage_of_name (String.lowercase_ascii (String.trim s)) with
   | Some st -> st
@@ -276,6 +353,41 @@ let sanitize_filename name =
       | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '-' | '_' | '.' -> c
       | _ -> '_')
     name
+
+(* The tail compile and cc share: the result as text (or, with [json],
+   as JSON carrying the run record), then the --dump-after file, then
+   the --explain table. *)
+let report_compile ?plan ?(json = false) ~record ~dump_name ~dump_after
+    ~explain session ~recipe r =
+  (if json then
+     let fields =
+       match Pipeline.result_to_json r with Json.Obj f -> f | _ -> []
+     in
+     let run =
+       match record with
+       | Some (_, rc) -> [ ("run", Ledger.to_json rc) ]
+       | None -> []
+     in
+     print_endline (Json.to_string ~minify:false (Json.Obj (fields @ run)))
+   else print_endline (Pipeline.summary r));
+  (match dump_after with
+  | None -> ()
+  | Some stage_s -> (
+    let stage = stage_of_string stage_s in
+    match Pipeline.dump_after ?plan session ~recipe stage with
+    | Error d -> fail_diag d
+    | Ok text ->
+      let path =
+        Printf.sprintf "%s.%s.dump.%s" (sanitize_filename dump_name)
+          (Pipeline.stage_name stage)
+          (Pipeline.dump_extension stage)
+      in
+      write_text ~path text;
+      Printf.printf "wrote %s\n" path));
+  if explain then begin
+    print_newline ();
+    print_string (Pipeline.explain session)
+  end
 
 let cmd_passes =
   let run () =
@@ -297,6 +409,8 @@ let cmd_compile =
   let run () name recipe json dump_after explain daemon =
     let s = find_design name in
     let recipe = recipe_of recipe in
+    let session = Pipeline.of_spec s in
+    let compile () = run_or_fail session ~recipe in
     if daemon || daemon_env_set () then
       daemon_or_fallback
         (Serve_protocol.Compile
@@ -306,75 +420,17 @@ let cmd_compile =
              cp_target_mhz = None;
              cp_inject = None;
            })
-        (fun () ->
-          let session = Pipeline.of_spec s in
-          match Pipeline.run session ~recipe with
-          | Error d -> fail_diag d
-          | Ok r -> print_result_artifact r)
+        (fun () -> print_result_artifact (compile ()))
     else
-    let session = Pipeline.of_spec s in
-    (* The ledger wants the full metrics snapshot, which needs a registry
-       installed around the compile. With HLSB_LEDGER=off none of this
-       runs and the compile path is exactly what it was. *)
-    let registry = if Ledger.enabled () then Some (Metrics.create ()) else None in
-    let outcome =
-      match registry with
-      | Some reg ->
-        Metrics.with_registry reg (fun () -> Pipeline.run session ~recipe)
-      | None -> Pipeline.run session ~recipe
-    in
-    match outcome with
-    | Error d -> fail_diag d
-    | Ok r ->
-      let record =
-        match registry with
-        | None -> None
-        | Some reg ->
-          let snap = Metrics.snapshot reg in
-          let record =
-            Ledger.make
-              ~device:s.Spec.sp_device.Hlsb_device.Device.name
-              ~fingerprint:(Cal_cache.fingerprint s.Spec.sp_device)
-              ~recipe:(Style.label recipe)
-              ~stages:(stage_ms_of_session session)
-              ~results:[ Core.Flow.result_to_json r ]
-              ~cache:(cache_counters snap)
-              ~metrics:(Metrics.to_json snap) ~cmd:"compile"
-              ~label:s.Spec.sp_name ()
-          in
-          append_ledger record;
-          Some record
+      let r, record =
+        with_run_record ~cmd:"compile"
+          ~describe:
+            (compile_info ~label:s.Spec.sp_name ~device:s.Spec.sp_device
+               ~recipe session)
+          compile
       in
-      if json then begin
-        let base = Core.Flow.result_to_json r in
-        let full =
-          match (base, record) with
-          | Json.Obj fields, Some rc ->
-            Json.Obj (fields @ [ ("run", Ledger.to_json rc) ])
-          | _ -> base
-        in
-        print_endline (Json.to_string ~minify:false full)
-      end
-      else print_endline (Core.Flow.summary r);
-      (match dump_after with
-      | None -> ()
-      | Some stage_s -> (
-        let stage = stage_of_string stage_s in
-        match Pipeline.dump_after session ~recipe stage with
-        | Error d -> fail_diag d
-        | Ok text ->
-          let path =
-            Printf.sprintf "%s.%s.dump.%s"
-              (sanitize_filename s.Spec.sp_name)
-              (Pipeline.stage_name stage)
-              (Pipeline.dump_extension stage)
-          in
-          write_text ~path text;
-          Printf.printf "wrote %s\n" path));
-      if explain then begin
-        print_newline ();
-        print_string (Pipeline.explain session)
-      end
+      report_compile ~json ~record ~dump_name:s.Spec.sp_name ~dump_after
+        ~explain session ~recipe r
   in
   let json_arg =
     Arg.(
@@ -391,14 +447,6 @@ let cmd_compile =
              timing dump) to $(b,DESIGN.STAGE.dump.EXT) in the current \
              directory. See $(b,hlsbc passes) for the stage list.")
   in
-  let explain_arg =
-    Arg.(
-      value & flag
-      & info [ "explain" ]
-          ~doc:
-            "After compiling, print the per-stage table of the run (ran / \
-             cached / skipped, wall-clock) and any diagnostics.")
-  in
   Cmd.v
     (Cmd.info "compile" ~doc:"Compile a benchmark and report Fmax/resources")
     Term.(
@@ -408,58 +456,46 @@ let cmd_compile =
 let cmd_profile =
   let run () name recipe trace_out metrics_out quiet =
     let s = find_design name in
+    let recipe = recipe_of recipe in
     let trace = Trace.create () in
-    let registry = Metrics.create () in
     let session = Pipeline.of_spec s in
-    let r =
-      Trace.with_collector trace (fun () ->
-        Metrics.with_registry registry (fun () ->
-          let r =
-            match Pipeline.run session ~recipe:(recipe_of recipe) with
-            | Ok r -> r
-            | Error d -> fail_diag d
-          in
-          (* Drive the behavioral skid model under bursty back-pressure so
-             the profile also carries the §4.3 occupancy series. *)
-          let stages =
-            List.fold_left
-              (fun acc (k : Hlsb_rtlgen.Design.kernel_info) ->
-                max acc k.Hlsb_rtlgen.Design.ki_depth)
-              1 r.Core.Flow.fr_design.Hlsb_rtlgen.Design.kernels
-            |> min 64
-          in
-          let skid_depth =
-            Hlsb_ctrl.Skid.required_depth ~pipeline_depth:stages ()
-          in
-          Trace.with_span "occupancy_sim"
-            ~attrs:[ ("stages", Json.Int stages) ]
-            (fun () ->
-              ignore
-                (Hlsb_sim.Pipeline.run_skid ~stages ~skid_depth ~ctrl_delay:0
-                   ~gate:Hlsb_sim.Pipeline.Gate_empty
-                   ~inputs:(List.init 256 Fun.id)
-                   ~ready:(fun c -> c mod 7 <> 0 && c mod 13 <> 1)
-                   ~f:Fun.id));
-          r))
-    in
-    let snap = Metrics.snapshot registry in
     (* Profile is inherently instrumented, so the record is assembled
        regardless; HLSB_LEDGER only controls whether it is persisted.
-       The --metrics file is that same record — one format everywhere
-       (satellite requirement). *)
-    let record =
-      Ledger.make
-        ~device:s.Spec.sp_device.Hlsb_device.Device.name
-        ~fingerprint:(Cal_cache.fingerprint s.Spec.sp_device)
-        ~recipe:(Style.label (recipe_of recipe))
-        ~stages:(stage_ms_of_session session)
-        ~results:[ Core.Flow.result_to_json r ]
-        ~cache:(cache_counters snap)
-        ~metrics:(Metrics.to_json snap) ~cmd:"profile" ~label:s.Spec.sp_name ()
+       The --metrics file is that same record — one format everywhere. *)
+    let r, recorded =
+      with_run_record ~always:true ~cmd:"profile"
+        ~describe:
+          (compile_info ~label:s.Spec.sp_name ~device:s.Spec.sp_device ~recipe
+             session)
+        (fun () ->
+          Trace.with_collector trace (fun () ->
+            let r = run_or_fail session ~recipe in
+            (* Drive the behavioral skid model under bursty back-pressure
+               so the profile also carries the §4.3 occupancy series. *)
+            let stages =
+              List.fold_left
+                (fun acc (k : Hlsb_rtlgen.Design.kernel_info) ->
+                  max acc k.Hlsb_rtlgen.Design.ki_depth)
+                1 r.Pipeline.fr_design.Hlsb_rtlgen.Design.kernels
+              |> min 64
+            in
+            let skid_depth =
+              Hlsb_ctrl.Skid.required_depth ~pipeline_depth:stages ()
+            in
+            Trace.with_span "occupancy_sim"
+              ~attrs:[ ("stages", Json.Int stages) ]
+              (fun () ->
+                ignore
+                  (Hlsb_sim.Pipeline.run_skid ~stages ~skid_depth ~ctrl_delay:0
+                     ~gate:Hlsb_sim.Pipeline.Gate_empty
+                     ~inputs:(List.init 256 Fun.id)
+                     ~ready:(fun c -> c mod 7 <> 0 && c mod 13 <> 1)
+                     ~f:Fun.id));
+            r))
     in
-    if Ledger.enabled () then append_ledger record;
+    let snap, record = Option.get recorded in
     if not quiet then begin
-      print_endline (Core.Flow.summary r);
+      print_endline (Pipeline.summary r);
       print_newline ();
       print_endline "spans:";
       print_string (Trace.render trace);
@@ -516,8 +552,8 @@ let cmd_profile =
 let cmd_path =
   let run name recipe =
     let r = compile name recipe in
-    print_endline (Core.Flow.summary r);
-    let nl = r.Core.Flow.fr_design.Hlsb_rtlgen.Design.netlist in
+    print_endline (Pipeline.summary r);
+    let nl = r.Pipeline.fr_design.Hlsb_rtlgen.Design.netlist in
     List.iter
       (fun (st : Timing.path_step) ->
         Printf.printf "  %-34s arrival %7.3f ns  %s\n" st.Timing.ps_cell_name
@@ -528,7 +564,7 @@ let cmd_path =
             let net = Netlist.net nl n in
             Printf.sprintf "via %s (fanout %d)" net.Netlist.n_name
               (Array.length net.Netlist.n_sinks)))
-      r.Core.Flow.fr_timing.Timing.path
+      r.Pipeline.fr_timing.Timing.path
   in
   Cmd.v
     (Cmd.info "path" ~doc:"Show the critical path of a compiled benchmark")
@@ -537,26 +573,16 @@ let cmd_path =
 let cmd_schedule =
   let run name recipe =
     let s = find_design name in
-    let df = s.Spec.sp_build () in
     let kernel =
-      let rec first i =
-        if i >= Hlsb_ir.Dataflow.n_processes df then None
-        else
-          match (Hlsb_ir.Dataflow.process df i).Hlsb_ir.Dataflow.p_kernel with
-          | Some k -> Some k
-          | None -> first (i + 1)
-      in
-      first 0
+      Array.find_map
+        (fun (p : Hlsb_ir.Dataflow.process) -> p.Hlsb_ir.Dataflow.p_kernel)
+        (Hlsb_ir.Dataflow.processes (s.Spec.sp_build ()))
     in
     match kernel with
     | None -> print_endline "design has no kernels"
     | Some k ->
       let mode =
-        match (recipe_of recipe).Style.sched with
-        | Style.Sched_hls -> Hlsb_sched.Schedule.Baseline
-        | Style.Sched_aware ->
-          Hlsb_sched.Schedule.Broadcast_aware
-            (Hlsb_delay.Calibrate.shared s.Spec.sp_device)
+        Hlsb_rtlgen.Design.schedule_mode s.Spec.sp_device (recipe_of recipe)
       in
       print_string
         (Hlsb_sched.Report.to_string (Hlsb_sched.Schedule.run mode k))
@@ -567,12 +593,7 @@ let cmd_schedule =
 
 let cmd_cc =
   let run () file recipe transform dump_after explain daemon =
-    let src =
-      let ic = open_in file in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
+    let src = read_source file in
     let plan =
       match Hlsb_transform.Plan.of_string transform with
       | Ok p -> p
@@ -584,89 +605,37 @@ let cmd_cc =
           msg;
         exit 1
     in
+    let recipe = recipe_of recipe in
+    let name = source_name file in
     if daemon || daemon_env_set () then
-      let name = Filename.remove_extension (Filename.basename file) in
       daemon_or_fallback
         (Serve_protocol.Cc
            {
              Serve_protocol.cc_name = name;
              cc_source = src;
-             cc_recipe = recipe_of recipe;
+             cc_recipe = recipe;
              cc_plan = plan;
            })
         (fun () ->
-          match Hlsb_frontend.Frontend.parse src with
-          | Error e ->
-            Format.eprintf "%s: %a@." file Hlsb_frontend.Frontend.pp_error e;
-            exit 1
-          | Ok program -> (
-            let device = Hlsb_device.Device.ultrascale_plus in
-            let session = Pipeline.of_program ~device ~name program in
-            match Pipeline.run ~plan session ~recipe:(recipe_of recipe) with
-            | Error d -> fail_diag d
-            | Ok r -> print_result_artifact r))
+          print_result_artifact
+            (run_or_fail ~plan (source_session file src) ~recipe))
     else
-    match Hlsb_frontend.Frontend.parse src with
-    | Error e ->
-      Format.eprintf "%s: %a@." file Hlsb_frontend.Frontend.pp_error e;
-      exit 1
-    | Ok program -> (
-      let device = Hlsb_device.Device.ultrascale_plus in
-      let name = Filename.remove_extension (Filename.basename file) in
-      let session = Pipeline.of_program ~device ~name program in
+      let session = source_session file src in
       (match Pipeline.classify_report ~plan session with
       | report -> print_string (Core.Classify.to_string report)
       | exception Diag.Diagnostic d -> fail_diag d);
-      let recipe = recipe_of recipe in
-      let registry =
-        if Ledger.enabled () then Some (Metrics.create ()) else None
+      let label =
+        match Hlsb_transform.Plan.to_string plan with
+        | "" -> name
+        | p -> name ^ " [" ^ p ^ "]"
       in
-      let outcome =
-        match registry with
-        | Some reg ->
-          Metrics.with_registry reg (fun () ->
-            Pipeline.run ~plan session ~recipe)
-        | None -> Pipeline.run ~plan session ~recipe
+      let r, record =
+        with_run_record ~cmd:"cc"
+          ~describe:(compile_info ~label ~device:source_device ~recipe session)
+          (fun () -> run_or_fail ~plan session ~recipe)
       in
-      match outcome with
-      | Error d -> fail_diag d
-      | Ok r ->
-        (match registry with
-        | None -> ()
-        | Some reg ->
-          let label =
-            match Hlsb_transform.Plan.to_string plan with
-            | "" -> name
-            | p -> name ^ " [" ^ p ^ "]"
-          in
-          let snap = Metrics.snapshot reg in
-          append_ledger
-            (Ledger.make ~device:device.Hlsb_device.Device.name
-               ~fingerprint:(Cal_cache.fingerprint device)
-               ~recipe:(Style.label recipe)
-               ~stages:(stage_ms_of_session session)
-               ~results:[ Core.Flow.result_to_json r ]
-               ~cache:(cache_counters snap)
-               ~metrics:(Metrics.to_json snap) ~cmd:"cc" ~label ()));
-        print_endline (Core.Flow.summary r);
-        (match dump_after with
-        | None -> ()
-        | Some stage_s -> (
-          let stage = stage_of_string stage_s in
-          match Pipeline.dump_after ~plan session ~recipe stage with
-          | Error d -> fail_diag d
-          | Ok text ->
-            let path =
-              Printf.sprintf "%s.%s.dump.%s" (sanitize_filename name)
-                (Pipeline.stage_name stage)
-                (Pipeline.dump_extension stage)
-            in
-            write_text ~path text;
-            Printf.printf "wrote %s\n" path));
-        if explain then begin
-          print_newline ();
-          print_string (Pipeline.explain session)
-        end)
+      report_compile ~plan ~record ~dump_name:name ~dump_after ~explain session
+        ~recipe r
   in
   let file_arg =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.c")
@@ -693,14 +662,6 @@ let cmd_cc =
              ($(b,transform) dumps the transformed C source). See \
              $(b,hlsbc passes) for the stage list.")
   in
-  let explain_arg =
-    Arg.(
-      value & flag
-      & info [ "explain" ]
-          ~doc:
-            "After compiling, print the per-stage table of the run (ran / \
-             cached / skipped, wall-clock) and any diagnostics.")
-  in
   Cmd.v
     (Cmd.info "cc" ~doc:"Compile a C-subset source file through the flow")
     Term.(
@@ -710,7 +671,7 @@ let cmd_cc =
 let cmd_emit =
   let run name recipe fmt out =
     let r = compile name recipe in
-    let nl = r.Core.Flow.fr_design.Hlsb_rtlgen.Design.netlist in
+    let nl = r.Pipeline.fr_design.Hlsb_rtlgen.Design.netlist in
     let text =
       match fmt with
       | "dot" -> Hlsb_netlist.Export.to_dot nl
@@ -886,21 +847,22 @@ let cmd_fuzz =
         Printf.printf "  (was: %s)\n" fl.Campaign.fl_message)
   in
   let campaign seed runs oracles out =
-    let registry = Metrics.create () in
-    let report =
-      Metrics.with_registry registry (fun () ->
-        Campaign.run ~oracles ~log:print_endline ~seed ~runs ())
+    let report, recorded =
+      with_run_record ~always:true ~cmd:"fuzz"
+        ~describe:(fun report ->
+          {
+            ri_label =
+              Printf.sprintf "seed=%d runs=%d failures=%d" seed runs
+                (List.length report.Campaign.rp_failures);
+            ri_device = None;
+            ri_recipe = None;
+            ri_stages = [];
+            ri_results = [];
+          })
+        (fun () -> Campaign.run ~oracles ~log:print_endline ~seed ~runs ())
     in
     print_string (Campaign.summary report);
-    let snap = Metrics.snapshot registry in
-    if Ledger.enabled () then
-      append_ledger
-        (Ledger.make ~cache:(cache_counters snap)
-           ~metrics:(Metrics.to_json snap) ~cmd:"fuzz"
-           ~label:
-             (Printf.sprintf "seed=%d runs=%d failures=%d" seed runs
-                (List.length report.Campaign.rp_failures))
-           ());
+    let snap, _ = Option.get recorded in
     List.iter
       (fun (name, v) ->
         if String.starts_with ~prefix:"fuzz." name then
@@ -982,31 +944,40 @@ let cmd_explore =
          suite designs explore recipes and register injection only)\n";
       exit 1
     end;
-    let registry = Metrics.create () in
-    let reports =
-      Metrics.with_registry registry (fun () ->
+    let describe reports =
+      {
+        ri_label =
+          Printf.sprintf "budget=%d designs=%d probes=%d" budget
+            (List.length reports)
+            (List.fold_left (fun acc rp -> acc + rp.Explore.ep_probes) 0 reports);
+        ri_device = None;
+        ri_recipe = None;
+        ri_stages =
+          List.map
+            (fun rp ->
+              {
+                Ledger.st_name = rp.Explore.ep_design;
+                st_status = "ran";
+                st_ms = rp.Explore.ep_ms;
+              })
+            reports;
+        ri_results =
+          List.map
+            (fun rp -> rp.Explore.ep_winner.Explore.cr_result)
+            reports;
+      }
+    in
+    let reports, _ =
+      with_run_record ~cmd:"explore" ~describe (fun () ->
         match source with
         | Some file -> (
-          let src =
-            let ic = open_in file in
-            Fun.protect
-              ~finally:(fun () -> close_in ic)
-              (fun () -> really_input_string ic (in_channel_length ic))
-          in
-          match Hlsb_frontend.Frontend.parse src with
-          | Error e ->
-            Format.eprintf "%s: %a@." file Hlsb_frontend.Frontend.pp_error e;
-            exit 1
-          | Ok program -> (
-            let device = Hlsb_device.Device.ultrascale_plus in
-            let name = Filename.remove_extension (Filename.basename file) in
-            let session = Pipeline.of_program ~device ~name program in
-            match
-              Explore.run_design ~budget ~t0 ~tol ~max_probes ~plans session
-                ~name
-            with
-            | rp -> [ rp ]
-            | exception Diag.Diagnostic d -> fail_diag d))
+          let session = source_session file (read_source file) in
+          match
+            Explore.run_design ~budget ~t0 ~tol ~max_probes ~plans session
+              ~name:(source_name file)
+          with
+          | rp -> [ rp ]
+          | exception Diag.Diagnostic d -> fail_diag d)
         | None -> (
           let subset =
             match designs with
@@ -1029,7 +1000,7 @@ let cmd_explore =
         print_newline ();
         print_string (Explore.summary rp))
       reports;
-    (match out with
+    match out with
     | None -> ()
     | Some dir ->
       List.iter
@@ -1037,37 +1008,7 @@ let cmd_explore =
           let paths = Explore.write_logs ~dir rp in
           Printf.printf "wrote %d file(s) for %s under %s\n"
             (List.length paths) rp.Explore.ep_design dir)
-        reports);
-    if Ledger.enabled () then begin
-      let snap = Metrics.snapshot registry in
-      let stages =
-        List.map
-          (fun rp ->
-            {
-              Ledger.st_name = rp.Explore.ep_design;
-              st_status = "ran";
-              st_ms = rp.Explore.ep_ms;
-            })
-          reports
-      in
-      let results =
-        List.map
-          (fun rp ->
-            Pipeline.result_to_json
-              rp.Explore.ep_winner.Explore.cr_result)
-          reports
-      in
-      let probes =
-        List.fold_left (fun acc rp -> acc + rp.Explore.ep_probes) 0 reports
-      in
-      append_ledger
-        (Ledger.make ~stages ~results ~cache:(cache_counters snap)
-           ~metrics:(Metrics.to_json snap) ~cmd:"explore"
-           ~label:
-             (Printf.sprintf "budget=%d designs=%d probes=%d" budget
-                (List.length reports) probes)
-           ())
-    end
+        reports
   in
   let designs_arg =
     Arg.(

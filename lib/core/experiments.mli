@@ -7,8 +7,8 @@ type table1_row = {
   t1_name : string;
   t1_broadcast : string;
   t1_device : string;
-  t1_orig : Flow.result;
-  t1_opt : Flow.result;
+  t1_orig : Pipeline.result;
+  t1_opt : Pipeline.result;
   t1_paper : Hlsb_designs.Spec.paper_numbers;
 }
 
@@ -18,11 +18,16 @@ val run_table1 : ?subset:string list -> ?jobs:int -> unit -> table1_row list
     {!Hlsb_util.Pool}; rows come back in benchmark order regardless of the
     job count. *)
 
+val improvement_pct : orig:Pipeline.result -> opt:Pipeline.result -> float
+(** Relative Fmax gain in percent, the paper's "Diff" column. Returns
+    [0.] when the baseline Fmax is zero or non-finite (a degenerate
+    compile) instead of letting [inf]/[nan] reach the report tables. *)
+
 val render_table1 : table1_row list -> string
 
 type variant_row = {
   vr_label : string;
-  vr_result : Flow.result;
+  vr_result : Pipeline.result;
   vr_paper_mhz : int option;
 }
 

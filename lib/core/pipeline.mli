@@ -15,9 +15,9 @@
     over recipes, as the Fig-19 driver does — therefore elaborates once
     instead of once per recipe point.
 
-    [Flow.compile]/[compile_spec]/[compile_kernel] remain as thin
-    compatibility wrappers with byte-identical results (asserted by the
-    staged-vs-legacy equivalence tests). *)
+    This is the library's one compile path: compile a design with
+    {!Hlsb_ctrl.Style.original} to see what today's HLS emits, with
+    {!Hlsb_ctrl.Style.optimized} to apply the paper's three techniques. *)
 
 module Diag = Hlsb_util.Diag
 
@@ -57,15 +57,22 @@ type result = {
   fr_design : Hlsb_rtlgen.Design.t;
   fr_timing : Hlsb_physical.Timing.report;
 }
-(** The compile result record ([Flow.result] is an alias of this type). *)
+(** The compile result record. *)
 
 val result_to_json : result -> Hlsb_telemetry.Json.t
+(** The record as JSON (Fmax, critical ns, utilization percentages,
+    per-kernel depth/registers/skid bits) — the payload of
+    [hlsbc compile --json] and [hlsbc profile]. *)
+
+val summary : result -> string
+(** One text line: label, Fmax, critical ns and utilization — what
+    [hlsbc compile] prints. *)
 
 val finish :
   name:string -> Hlsb_rtlgen.Design.t -> Hlsb_physical.Timing.report -> result
-(** The [report] stage body: utilization + record assembly (shared with
-    the legacy [Flow] wrappers so both paths emit identical records and
-    metrics). *)
+(** The [report] stage body: utilization + record assembly, exposed for
+    callers that run the layers by hand and must emit the same record
+    and metrics as {!run}. *)
 
 (** {1 Sessions} *)
 
@@ -99,9 +106,10 @@ val of_spec : ?target_mhz:float -> Hlsb_designs.Spec.t -> session
 
 val of_kernel :
   ?target_mhz:float -> device:Hlsb_device.Device.t -> Hlsb_ir.Kernel.t -> session
-(** Single-kernel session. Matches [Flow.compile_kernel] naming: the
-    netlist is named [<kernel>_<recipe label>] per run, the result label
-    after the kernel alone. *)
+(** Single-kernel session over {!Hlsb_rtlgen.Design.kernel_dataflow}:
+    the netlist is named [<kernel>_<recipe label>] per run (the name
+    seeds the timing model's net-delay jitter), the result label after
+    the kernel alone. *)
 
 val cache_key :
   ?name:string ->

@@ -9,7 +9,6 @@ module Sync = Hlsb_ctrl.Sync
 module Diag = Hlsb_util.Diag
 module Trace = Hlsb_telemetry.Trace
 module Metrics = Hlsb_telemetry.Metrics
-module Json = Hlsb_telemetry.Json
 
 type kernel_info = {
   ki_name : string;
@@ -231,39 +230,6 @@ let emit_sync ~device ~recipe (df : Dataflow.t) (dp : datapath) =
     max_sync_fanout = !max_fanout;
   }
 
-(* ---- legacy single-call entry point ---- *)
-
-let generate_body ~target_mhz ~device ~recipe ~name (df : Dataflow.t) =
-  (match Dataflow.problems df with
-  | [] -> ()
-  | { Dataflow.pb_entity; pb_message } :: _ ->
-    let entity =
-      match pb_entity with
-      | `Channel n -> Diag.Channel n
-      | `Process n -> Diag.Process n
-    in
-    raise (Diag.Diagnostic (Diag.error ~entity ~stage:"elaborate" pb_message)));
-  let scheds = schedule_processes ~target_mhz ~device ~recipe df in
-  let dp = lower_processes ~device ~recipe ~name df scheds in
-  emit_sync ~device ~recipe df dp
-
-let generate ?(target_mhz = Schedule.default_target_mhz) ~device ~recipe ~name
-    (df : Dataflow.t) =
-  (* Malformed inputs raise [Diag.Diagnostic] with the stage and the
-     offending kernel/channel/process intact. This used to be flattened
-     into an [Invalid_argument] string "for backward compatibility",
-     which destroyed exactly the structure the compile service needs to
-     return machine-readable error responses. *)
-  let body () = generate_body ~target_mhz ~device ~recipe ~name df in
-  if not (Trace.enabled ()) then body ()
-  else
-    Trace.with_span "generate"
-      ~attrs:
-        [
-          ("design", Json.Str name); ("recipe", Json.Str (Style.label recipe));
-        ]
-      body
-
 let kernel_dataflow kernel =
   let df = Dataflow.create () in
   let p =
@@ -276,9 +242,3 @@ let kernel_dataflow kernel =
        ~name:(kernel.Kernel.name ^ "_anchor")
        ~src:(-1) ~dst:p ~dtype:(Dtype.Uint 8) ());
   df
-
-let single_kernel ?(target_mhz = Schedule.default_target_mhz) ~device ~recipe
-    kernel =
-  generate ~target_mhz ~device ~recipe
-    ~name:(kernel.Kernel.name ^ "_" ^ Style.label recipe)
-    (kernel_dataflow kernel)

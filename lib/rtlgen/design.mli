@@ -5,12 +5,12 @@
     Fig. 6) or pruned (§4.2: independent flows get their own controller;
     parallel modules wait only on the longest static latency).
 
-    The work is exposed both as the legacy single-call {!generate} and as
-    the three staged functions the compile pipeline ([Core.Pipeline]) runs
-    and caches individually: {!schedule_processes} (pure per-kernel
-    scheduling, reusable across recipes that share a [sched_mode]),
-    {!lower_processes} (netlist emission + channel wiring) and
-    {!emit_sync} (controller emission, completing a {!t}). *)
+    The work is exposed as the three staged functions the compile
+    pipeline ([Core.Pipeline]) runs and caches individually:
+    {!schedule_processes} (pure per-kernel scheduling, reusable across
+    recipes that share a [sched_mode]), {!lower_processes} (netlist
+    emission + channel wiring) and {!emit_sync} (controller emission,
+    completing a {!t}). *)
 
 type kernel_info = {
   ki_name : string;
@@ -73,29 +73,7 @@ val emit_sync :
 (** Emit the synchronization controllers into the datapath's netlist and
     assemble the design record. *)
 
-val generate :
-  ?target_mhz:float ->
-  device:Hlsb_device.Device.t ->
-  recipe:Hlsb_ctrl.Style.recipe ->
-  name:string ->
-  Hlsb_ir.Dataflow.t ->
-  t
-(** The staged functions above in sequence, after validating the network.
-    Raises {!Hlsb_util.Diag.Diagnostic} if the dataflow network fails
-    validation (stage ["elaborate"], naming the offending channel or
-    process) or a channel endpoint kernel lacks the correspondingly-named
-    FIFO (stage ["lower"]) — the same structured payload the pipeline API
-    returns as data, so callers like the compile daemon can render
-    machine-readable error responses. *)
-
 val kernel_dataflow : Hlsb_ir.Kernel.t -> Hlsb_ir.Dataflow.t
 (** Wrap one kernel in a single-process dataflow network (with the anchor
-    input channel that makes it validate), as {!single_kernel} does. *)
-
-val single_kernel :
-  ?target_mhz:float ->
-  device:Hlsb_device.Device.t ->
-  recipe:Hlsb_ctrl.Style.recipe ->
-  Hlsb_ir.Kernel.t ->
-  t
-(** Convenience wrapper for designs that are one pipelined kernel. *)
+    input channel that makes it validate) — the network of a
+    single-kernel compile session. *)

@@ -9,8 +9,8 @@
     byte-identity contract is that [p_artifact] for a hit equals the
     [p_artifact] that populated the store. Failures carry the full
     structured diagnostic ({!Hlsb_util.Diag.t}) as data: stage,
-    severity, offending entity, message — which is why [Design.generate]
-    had to stop flattening diagnostics into [invalid_arg] strings. *)
+    severity, offending entity, message — exactly what [Pipeline.run]
+    returns on failure. *)
 
 module Json = Hlsb_telemetry.Json
 module Diag = Hlsb_util.Diag

@@ -5,11 +5,9 @@
     [Invalid_argument]/[Failure] escape with a context-free string.
 
     The staged pipeline ([Core.Pipeline]) catches {!Diagnostic} at stage
-    boundaries and returns the payload as a [Result]; the legacy
-    [Flow.compile]/[Design.generate] entry points let it propagate
-    unchanged, so even pre-pipeline callers (and the compile daemon's
-    error responses) see the stage and entity rather than a flattened
-    [Invalid_argument] string. *)
+    boundaries and returns the payload as a [Result], so callers (and
+    the compile daemon's error responses) see the stage and entity
+    rather than a flattened [Invalid_argument] string. *)
 
 type severity = Error | Warning
 

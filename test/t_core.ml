@@ -3,7 +3,7 @@
    structures, and the experiment drivers produce well-formed rows. *)
 
 open Hlsb_ir
-module Flow = Core.Flow
+module Pipeline = Core.Pipeline
 module Classify = Core.Classify
 module Experiments = Core.Experiments
 module Style = Hlsb_ctrl.Style
@@ -19,12 +19,14 @@ let test_compile_small_kernel () =
   ignore (Dag.fifo_write dag ~fifo:fout ~value:y);
   let k = Kernel.create ~name:"tiny" dag in
   let r =
-    Flow.compile_kernel ~device:Device.ultrascale_plus ~recipe:Style.original k
+    Pipeline.run_exn
+      (Pipeline.of_kernel ~device:Device.ultrascale_plus k)
+      ~recipe:Style.original
   in
-  Alcotest.(check bool) "reasonable fmax" true
-    (r.Flow.fr_fmax_mhz > 100. && r.Flow.fr_fmax_mhz < 1500.);
+  let fmax = r.Pipeline.fr_fmax_mhz in
+  Alcotest.(check bool) "reasonable fmax" true (fmax > 100. && fmax < 1500.);
   Alcotest.(check bool) "critical consistent" true
-    (abs_float ((1000. /. r.Flow.fr_critical_ns) -. r.Flow.fr_fmax_mhz) < 1e-6)
+    (abs_float ((1000. /. r.Pipeline.fr_critical_ns) -. fmax) < 1e-6)
 
 (* The headline: on every Table-1 benchmark, the optimized flow is at
    least as fast as the original, and strictly faster overall. *)
@@ -32,9 +34,10 @@ let test_optimization_improves_every_benchmark () =
   let gains =
     List.map
       (fun (s : Hlsb_designs.Spec.t) ->
-        let orig = Flow.compile_spec ~recipe:Style.original s in
-        let opt = Flow.compile_spec ~recipe:Style.optimized s in
-        let gain = Flow.improvement_pct ~orig ~opt in
+        let session = Pipeline.of_spec s in
+        let orig = Pipeline.run_exn session ~recipe:Style.original in
+        let opt = Pipeline.run_exn session ~recipe:Style.optimized in
+        let gain = Experiments.improvement_pct ~orig ~opt in
         Alcotest.(check bool)
           (s.Hlsb_designs.Spec.sp_name ^ " not worse")
           true (gain > -5.);
@@ -66,11 +69,12 @@ let test_classify_hbm_sync () =
 
 let test_classify_netlist_summary () =
   let r =
-    Flow.compile_spec ~recipe:Style.original
-      (Option.get (Hlsb_designs.Suite.find "Stream Buffer"))
+    Pipeline.run_exn
+      (Pipeline.of_spec (Option.get (Hlsb_designs.Suite.find "Stream Buffer")))
+      ~recipe:Style.original
   in
   let summary =
-    Classify.netlist_summary r.Flow.fr_design.Hlsb_rtlgen.Design.netlist
+    Classify.netlist_summary r.Pipeline.fr_design.Hlsb_rtlgen.Design.netlist
   in
   let ctrl_pipe =
     List.find_map
@@ -141,20 +145,20 @@ let test_table2_driver () =
   match rows with
   | [ stall; skid; minarea ] ->
     Alcotest.(check bool) "skid faster than stall" true
-      (skid.Experiments.vr_result.Flow.fr_fmax_mhz
-      > stall.Experiments.vr_result.Flow.fr_fmax_mhz);
+      (skid.Experiments.vr_result.Pipeline.fr_fmax_mhz
+      > stall.Experiments.vr_result.Pipeline.fr_fmax_mhz);
     (* min-area buffers hold no more bits than the plain end-of-pipe skid *)
-    let skid_bits (r : Flow.result) =
+    let skid_bits (r : Pipeline.result) =
       List.fold_left
         (fun acc k -> acc + k.Hlsb_rtlgen.Design.ki_skid_bits)
-        0 r.Flow.fr_design.Hlsb_rtlgen.Design.kernels
+        0 r.Pipeline.fr_design.Hlsb_rtlgen.Design.kernels
     in
     Alcotest.(check bool) "min-area fewer buffer bits" true
       (skid_bits minarea.Experiments.vr_result
       <= skid_bits skid.Experiments.vr_result);
     Alcotest.(check bool) "min-area keeps the speed" true
-      (minarea.Experiments.vr_result.Flow.fr_fmax_mhz
-      > 0.9 *. skid.Experiments.vr_result.Flow.fr_fmax_mhz)
+      (minarea.Experiments.vr_result.Pipeline.fr_fmax_mhz
+      > 0.9 *. skid.Experiments.vr_result.Pipeline.fr_fmax_mhz)
   | _ -> Alcotest.fail "three rows"
 
 let test_fig15_driver_small () =
@@ -176,14 +180,14 @@ let test_fig15_driver_small () =
 (* Bit-level projection of a compile result: the headline numbers plus the
    full STA arrival array, so any divergence in the numeric pipeline — not
    just in the summary — fails the comparison. *)
-let result_fingerprint (r : Flow.result) =
-  ( r.Flow.fr_fmax_mhz,
-    r.Flow.fr_critical_ns,
-    r.Flow.fr_lut_pct,
-    r.Flow.fr_ff_pct,
-    r.Flow.fr_bram_pct,
-    r.Flow.fr_dsp_pct,
-    r.Flow.fr_timing.Hlsb_physical.Timing.arrivals )
+let result_fingerprint (r : Pipeline.result) =
+  ( r.Pipeline.fr_fmax_mhz,
+    r.Pipeline.fr_critical_ns,
+    r.Pipeline.fr_lut_pct,
+    r.Pipeline.fr_ff_pct,
+    r.Pipeline.fr_bram_pct,
+    r.Pipeline.fr_dsp_pct,
+    r.Pipeline.fr_timing.Hlsb_physical.Timing.arrivals )
 
 let prop_table1_jobs_deterministic =
   (* The PR-4 acceptance bar for the pool: fanning the Table-1 benchmarks

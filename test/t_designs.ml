@@ -8,6 +8,16 @@ module Device = Hlsb_device.Device
 module Netlist = Hlsb_netlist.Netlist
 module Design = Hlsb_rtlgen.Design
 module Style = Hlsb_ctrl.Style
+module Pipeline = Core.Pipeline
+
+(* The compiled design record of one pipeline run. *)
+let design recipe session = (Pipeline.run_exn session ~recipe).Pipeline.fr_design
+
+let compile_df ~name df =
+  Pipeline.run_exn
+    (Pipeline.create ~device:Device.ultrascale_plus ~name
+       ~build:(fun () -> df) ())
+    ~recipe:Style.original
 
 let test_ten_designs () =
   (* the nine Table-1 rows plus the wide-arithmetic modular squarer *)
@@ -48,23 +58,18 @@ let test_genome_lane_scaling () =
 
 let test_stream_buffer_bram_bound () =
   let df = Hlsb_designs.Stream_buffer.dataflow () in
-  let des =
-    Design.generate ~device:Device.ultrascale_plus ~recipe:Style.original
-      ~name:"sb" df
-  in
+  let des = (compile_df ~name:"sb" df).Pipeline.fr_design in
   let _, _, bram, _ = Netlist.utilization des.Design.netlist Device.ultrascale_plus in
   (* the paper's row: 95% BRAM; ours must be large and below 100% *)
   Alcotest.(check bool) "BRAM-dominated" true (bram > 0.5 && bram <= 1.0)
 
 let test_stencil_depth_scales () =
-  let d1 =
-    Design.single_kernel ~device:Device.ultrascale_plus ~recipe:Style.original
-      (Hlsb_designs.Stencil.kernel ~iterations:1 ())
+  let stencil iterations =
+    design Style.original
+      (Pipeline.of_kernel ~device:Device.ultrascale_plus
+         (Hlsb_designs.Stencil.kernel ~iterations ()))
   in
-  let d4 =
-    Design.single_kernel ~device:Device.ultrascale_plus ~recipe:Style.original
-      (Hlsb_designs.Stencil.kernel ~iterations:4 ())
-  in
+  let d1 = stencil 1 and d4 = stencil 4 in
   let depth (d : Design.t) =
     List.fold_left (fun acc k -> acc + k.Design.ki_depth) 0 d.Design.kernels
   in
@@ -104,16 +109,15 @@ let test_pattern_pe_latencies_differ () =
   Alcotest.(check bool) "heterogeneous latencies" true (List.length lats > 1)
 
 module Bigmul = Hlsb_designs.Bigmul
-module Placement = Hlsb_physical.Placement
 module Timing = Hlsb_physical.Timing
 
+let bigmul_compile ~bits ~limb ~lanes =
+  compile_df
+    ~name:(Printf.sprintf "bm%dx%d" bits lanes)
+    (Bigmul.dataflow ~bits ~limb ~lanes ())
+
 let bigmul_netlist ~bits ~limb ~lanes =
-  let des =
-    Design.generate ~device:Device.ultrascale_plus ~recipe:Style.original
-      ~name:(Printf.sprintf "bm%dx%d" bits lanes)
-      (Bigmul.dataflow ~bits ~limb ~lanes ())
-  in
-  des.Design.netlist
+  (bigmul_compile ~bits ~limb ~lanes).Pipeline.fr_design.Design.netlist
 
 let test_bigmul_deterministic () =
   (* same parameters => byte-identical netlist, at any job count *)
@@ -160,10 +164,10 @@ let test_bigmul_scaling () =
 
 let test_bigmul_100k_smoke () =
   (* the acceptance point: a >=100k-cell netlist goes through place + STA *)
-  let nl = bigmul_netlist ~bits:420 ~limb:7 ~lanes:2 in
+  let res = bigmul_compile ~bits:420 ~limb:7 ~lanes:2 in
+  let nl = res.Pipeline.fr_design.Design.netlist in
   Alcotest.(check bool) "past 100k cells" true (Netlist.n_cells nl >= 100_000);
-  let pl = Placement.place Device.ultrascale_plus nl in
-  let r = Timing.analyze Device.ultrascale_plus nl pl in
+  let r = res.Pipeline.fr_timing in
   Alcotest.(check bool) "finite critical path" true
     (r.Timing.critical_ns > 0. && r.Timing.fmax_mhz > 0.)
 
@@ -172,12 +176,10 @@ let test_all_fit_their_devices () =
      place successfully on the paper's device *)
   List.iter
     (fun (s : Spec.t) ->
+      let session = Pipeline.of_spec s in
       List.iter
         (fun recipe ->
-          let des =
-            Design.generate ~device:s.Spec.sp_device ~recipe
-              ~name:s.Spec.sp_name (s.Spec.sp_build ())
-          in
+          let des = design recipe session in
           match Netlist.validate des.Design.netlist with
           | Ok () -> ()
           | Error e -> Alcotest.fail (s.Spec.sp_name ^ ": " ^ e))

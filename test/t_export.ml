@@ -56,10 +56,12 @@ let test_verilog_full_design () =
   (* the whole stream buffer design exports without error and mentions its
      memory units *)
   let r =
-    Core.Flow.compile_spec ~recipe:Hlsb_ctrl.Style.original
-      (Option.get (Hlsb_designs.Suite.find "Pattern Matching"))
+    Core.Pipeline.run_exn
+      (Core.Pipeline.of_spec
+         (Option.get (Hlsb_designs.Suite.find "Pattern Matching")))
+      ~recipe:Hlsb_ctrl.Style.original
   in
-  let v = Export.to_verilog r.Core.Flow.fr_design.Hlsb_rtlgen.Design.netlist in
+  let v = Export.to_verilog r.Core.Pipeline.fr_design.Hlsb_rtlgen.Design.netlist in
   Alcotest.(check bool) "bram units present" true (contains ~needle:"hlsb_bram18" v);
   Alcotest.(check bool) "nontrivial" true (String.length v > 10_000)
 

@@ -285,10 +285,12 @@ let test_dataflow_region () =
 let test_dataflow_compiles () =
   let df = ok (Frontend.design_of_string fig5a_src) in
   let r =
-    Core.Flow.compile ~device:Hlsb_device.Device.ultrascale_plus
-      ~recipe:Hlsb_ctrl.Style.optimized ~name:"fig5a" df
+    Core.Pipeline.run_exn
+      (Core.Pipeline.create ~device:Hlsb_device.Device.ultrascale_plus
+         ~name:"fig5a" ~build:(fun () -> df) ())
+      ~recipe:Hlsb_ctrl.Style.optimized
   in
-  Alcotest.(check bool) "sane fmax" true (r.Core.Flow.fr_fmax_mhz > 100.)
+  Alcotest.(check bool) "sane fmax" true (r.Core.Pipeline.fr_fmax_mhz > 100.)
 
 let test_single_kernel_design () =
   let df =

@@ -1,13 +1,10 @@
-(* Staged pipeline tests: the staged session API must be byte-identical
-   to the legacy [Flow] wrappers on every Table-1 benchmark under both
-   recipes, cross-recipe sessions must actually share upstream artifacts
-   (one elaboration, schedule reuse per sched mode), cached-artifact
-   reuse must never change a timing report, and malformed inputs must
-   surface as structured diagnostics — never as a bare
-   [Invalid_argument]/[Failure] escaping [Pipeline.run]. *)
+(* Staged pipeline tests: cross-recipe sessions must actually share
+   upstream artifacts (one elaboration, schedule reuse per sched mode),
+   cached-artifact reuse must never change a timing report, and
+   malformed inputs must surface as structured diagnostics — never as a
+   bare [Invalid_argument]/[Failure] escaping [Pipeline.run]. *)
 
 open Hlsb_ir
-module Flow = Core.Flow
 module Pipeline = Core.Pipeline
 module Style = Hlsb_ctrl.Style
 module Device = Hlsb_device.Device
@@ -26,47 +23,28 @@ let contains_sub ~sub s =
    record's scalars, per-kernel info, sync-controller stats, netlist
    size, and the full critical path. Two results with equal fingerprints
    went through indistinguishable compiles. *)
-let fingerprint (r : Flow.result) =
-  ( r.Flow.fr_label,
-    Style.label r.Flow.fr_recipe,
-    ( r.Flow.fr_fmax_mhz,
-      r.Flow.fr_critical_ns,
-      r.Flow.fr_lut_pct,
-      r.Flow.fr_ff_pct,
-      r.Flow.fr_bram_pct,
-      r.Flow.fr_dsp_pct ),
+let fingerprint (r : Pipeline.result) =
+  ( r.Pipeline.fr_label,
+    Style.label r.Pipeline.fr_recipe,
+    ( r.Pipeline.fr_fmax_mhz,
+      r.Pipeline.fr_critical_ns,
+      r.Pipeline.fr_lut_pct,
+      r.Pipeline.fr_ff_pct,
+      r.Pipeline.fr_bram_pct,
+      r.Pipeline.fr_dsp_pct ),
     List.map
       (fun (k : Design.kernel_info) ->
         (k.Design.ki_name, k.ki_depth, k.ki_registers_added, k.ki_skid_bits))
-      r.Flow.fr_design.Design.kernels,
-    ( r.Flow.fr_design.Design.sync_groups_emitted,
-      r.Flow.fr_design.Design.max_sync_fanout ),
-    ( Netlist.n_cells r.Flow.fr_design.Design.netlist,
-      Netlist.n_nets r.Flow.fr_design.Design.netlist ),
-    ( r.Flow.fr_timing.Timing.worst_net_fanout,
+      r.Pipeline.fr_design.Design.kernels,
+    ( r.Pipeline.fr_design.Design.sync_groups_emitted,
+      r.Pipeline.fr_design.Design.max_sync_fanout ),
+    ( Netlist.n_cells r.Pipeline.fr_design.Design.netlist,
+      Netlist.n_nets r.Pipeline.fr_design.Design.netlist ),
+    ( r.Pipeline.fr_timing.Timing.worst_net_fanout,
       List.map
         (fun (st : Timing.path_step) ->
           (st.Timing.ps_cell_name, st.Timing.ps_arrival))
-        r.Flow.fr_timing.Timing.path ) )
-
-(* The acceptance criterion: for every Table-1 spec and both recipes,
-   one shared staged session computes exactly what two legacy
-   [Flow.compile_spec] calls compute. *)
-let test_staged_equals_legacy () =
-  List.iter
-    (fun (s : Spec.t) ->
-      let session = Pipeline.of_spec s in
-      List.iter
-        (fun recipe ->
-          let staged = Pipeline.run_exn session ~recipe in
-          let legacy = Flow.compile_spec ~recipe s in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s [%s] staged = legacy" s.Spec.sp_name
-               (Style.label recipe))
-            true
-            (fingerprint staged = fingerprint legacy))
-        [ Style.original; Style.optimized ])
-    Hlsb_designs.Suite.all
+        r.Pipeline.fr_timing.Timing.path ) )
 
 let runs_of session name =
   Option.value ~default:0 (List.assoc_opt name (Pipeline.stage_runs session))
@@ -95,12 +73,9 @@ let test_session_shares_stages () =
   Alcotest.(check int) "still one elaboration" 1 (runs_of session "elaborate");
   (* a recipe already compiled is served entirely from cache *)
   let before = List.fold_left (fun a (_, n) -> a + n) 0 (Pipeline.stage_runs session) in
-  let again = Pipeline.run_exn session ~recipe:Style.optimized in
+  ignore (Pipeline.run_exn session ~recipe:Style.optimized);
   let after = List.fold_left (fun a (_, n) -> a + n) 0 (Pipeline.stage_runs session) in
   Alcotest.(check int) "full cache hit runs nothing" before after;
-  let fresh = Flow.compile_spec ~recipe:Style.optimized s in
-  Alcotest.(check bool) "cached result still equals legacy" true
-    (fingerprint again = fingerprint fresh);
   (* the cached run is visible in last_run as Cached stages *)
   let cached_stages =
     List.filter
@@ -336,24 +311,6 @@ let test_diagnostic_fifo_mismatch () =
     Alcotest.(check bool) "message names the channel" true
       (contains_sub ~sub:"c_data" d.Diag.d_message)
 
-(* The legacy wrappers now propagate the structured diagnostic instead
-   of flattening it into an [Invalid_argument] string: the stage and
-   offending entity must survive [Flow.compile]/[Design.generate], which
-   is what lets the compile daemon return machine-readable errors. *)
-let test_legacy_still_raises () =
-  let expect_diag name ~stage df =
-    match
-      Flow.compile ~device:Device.ultrascale_plus ~recipe:Style.original ~name df
-    with
-    | _ -> Alcotest.fail (name ^ ": expected Diag.Diagnostic")
-    | exception Diag.Diagnostic d ->
-      Alcotest.(check string) (name ^ " stage") stage d.Diag.d_stage;
-      Alcotest.(check bool) (name ^ " entity carried") true
-        (d.Diag.d_entity <> None)
-  in
-  expect_diag "orphan" ~stage:"elaborate" (orphan_process_df ());
-  expect_diag "fifo-mismatch" ~stage:"lower" (fifo_mismatch_df ())
-
 (* Dumps and explain render for every stage without touching disk. *)
 let test_dump_and_explain () =
   let session = small_session () in
@@ -396,12 +353,8 @@ let suite =
       test_diagnostic_validate;
     Alcotest.test_case "diagnostic: FIFO mismatch names kernel+channel" `Quick
       test_diagnostic_fifo_mismatch;
-    Alcotest.test_case "legacy Flow still raises Invalid_argument" `Quick
-      test_legacy_still_raises;
     Alcotest.test_case "dump-after + explain render" `Quick
       test_dump_and_explain;
-    Alcotest.test_case "staged = legacy on all Table-1 specs" `Slow
-      test_staged_equals_legacy;
     Alcotest.test_case "schedule content keys lower..report" `Quick
       test_schedule_content_reuse;
     Alcotest.test_case "store key: target round-trips" `Quick test_store_key_target;

@@ -159,10 +159,21 @@ let two_kernel_df () =
   Dataflow.add_sync_group df [ pa; pb ];
   df
 
+module Pipeline = Core.Pipeline
+
+let compile_df ~recipe ~name df =
+  Pipeline.run (Pipeline.create ~device:dev ~name ~build:(fun () -> df) ()) ~recipe
+
+let design_of ~recipe ~name df =
+  match compile_df ~recipe ~name df with
+  | Ok r -> r.Pipeline.fr_design
+  | Error d -> Alcotest.fail (Hlsb_util.Diag.to_string d)
+
+let compile_kernel ~recipe k =
+  Pipeline.run_exn (Pipeline.of_kernel ~device:dev k) ~recipe
+
 let test_design_generate () =
-  let des =
-    Design.generate ~device:dev ~recipe:Style.original ~name:"two" (two_kernel_df ())
-  in
+  let des = design_of ~recipe:Style.original ~name:"two" (two_kernel_df ()) in
   (match Netlist.validate des.Design.netlist with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
@@ -170,9 +181,7 @@ let test_design_generate () =
   Alcotest.(check int) "one sync controller" 1 des.Design.sync_groups_emitted
 
 let test_design_channel_wired () =
-  let des =
-    Design.generate ~device:dev ~recipe:Style.original ~name:"two" (two_kernel_df ())
-  in
+  let des = design_of ~recipe:Style.original ~name:"two" (two_kernel_df ()) in
   let found = ref false in
   Netlist.iter_nets des.Design.netlist (fun _ n ->
     if n.Netlist.n_name = "chan_ka_out" then found := true);
@@ -186,22 +195,18 @@ let test_design_missing_fifo_rejected () =
     (Dataflow.add_channel df ~name:"nonexistent" ~src:pa ~dst:(-1) ~dtype:i32 ());
   (* the diagnostic must survive with its structure intact (stage +
      offending entity), not be flattened into an Invalid_argument string *)
-  match Design.generate ~device:dev ~recipe:Style.original ~name:"x" df with
-  | _ -> Alcotest.fail "bad channel accepted"
-  | exception Hlsb_util.Diag.Diagnostic d ->
+  match compile_df ~recipe:Style.original ~name:"x" df with
+  | Ok _ -> Alcotest.fail "bad channel accepted"
+  | Error d ->
     Alcotest.(check string) "stage" "lower" d.Hlsb_util.Diag.d_stage;
-    Alcotest.(check bool) "entity carried" true
-      (match d.Hlsb_util.Diag.d_entity with
-      | Some (Hlsb_util.Diag.Channel _) | Some (Hlsb_util.Diag.Kernel _) -> true
-      | _ -> false)
+    Alcotest.(check bool) "channel entity carried" true
+      (d.Hlsb_util.Diag.d_entity = Some (Hlsb_util.Diag.Channel "nonexistent"))
 
 let test_design_sync_pruned_uses_latency () =
   (* pruned sync reduces the done-reduce inputs *)
-  let naive =
-    Design.generate ~device:dev ~recipe:Style.original ~name:"n" (two_kernel_df ())
-  in
+  let naive = design_of ~recipe:Style.original ~name:"n" (two_kernel_df ()) in
   let pruned =
-    Design.generate ~device:dev
+    design_of
       ~recipe:{ Style.original with Style.sync = Style.Sync_pruned }
       ~name:"p" (two_kernel_df ())
   in
@@ -216,7 +221,8 @@ let test_design_sync_pruned_uses_latency () =
 
 let test_single_kernel_wrapper () =
   let des =
-    Design.single_kernel ~device:dev ~recipe:Style.optimized (streaming_kernel "solo")
+    (compile_kernel ~recipe:Style.optimized (streaming_kernel "solo"))
+      .Pipeline.fr_design
   in
   Alcotest.(check int) "one kernel" 1 (List.length des.Design.kernels);
   match Netlist.validate des.Design.netlist with
@@ -378,15 +384,11 @@ let prop_flow_fuzz =
       let recipe =
         if optimized then Style.optimized else Style.original
       in
-      let des =
-        Design.single_kernel ~device:dev ~recipe (random_kernel seed)
-      in
-      (match Netlist.validate des.Design.netlist with
+      let r = compile_kernel ~recipe (random_kernel seed) in
+      (match Netlist.validate r.Pipeline.fr_design.Design.netlist with
       | Ok () -> ()
       | Error e -> QCheck.Test.fail_reportf "invalid netlist: %s" e);
-      let r = Hlsb_physical.Timing.run dev des.Design.netlist in
-      r.Hlsb_physical.Timing.fmax_mhz > 10.
-      && r.Hlsb_physical.Timing.fmax_mhz < 2000.)
+      r.Pipeline.fr_fmax_mhz > 10. && r.Pipeline.fr_fmax_mhz < 2000.)
 
 let prop_opt_never_much_worse =
   QCheck.Test.make ~count:15
@@ -394,8 +396,7 @@ let prop_opt_never_much_worse =
     QCheck.small_nat
     (fun seed ->
       let fmax recipe =
-        let des = Design.single_kernel ~device:dev ~recipe (random_kernel seed) in
-        (Hlsb_physical.Timing.run dev des.Design.netlist).Hlsb_physical.Timing.fmax_mhz
+        (compile_kernel ~recipe (random_kernel seed)).Pipeline.fr_fmax_mhz
       in
       fmax Style.optimized >= 0.75 *. fmax Style.original)
 

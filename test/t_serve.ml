@@ -402,9 +402,12 @@ let test_daemon_repeat_compile_hits_byte_identical () =
     Alcotest.(check string) "byte-identical artifact" r1.Protocol.p_artifact
       r2.Protocol.p_artifact;
     (* ... and byte-identical to what an in-process compile prints *)
-    let r = Core.Flow.compile_spec ~recipe:Style.optimized vec_spec in
+    let r =
+      Core.Pipeline.run_exn (Core.Pipeline.of_spec vec_spec)
+        ~recipe:Style.optimized
+    in
     Alcotest.(check string) "matches the in-process result record"
-      (Json.to_string ~minify:false (Core.Flow.result_to_json r) ^ "\n")
+      (Json.to_string ~minify:false (Core.Pipeline.result_to_json r) ^ "\n")
       r1.Protocol.p_artifact;
     (* a different namespace cannot be served from alice's artifacts *)
     let r3 = check_ok (Daemon.handle t (req ~ns:"other" "3" compile_verb)) in

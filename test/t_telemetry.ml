@@ -7,7 +7,7 @@ module Json = Hlsb_telemetry.Json
 module Clock = Hlsb_telemetry.Clock
 module Trace = Hlsb_telemetry.Trace
 module Metrics = Hlsb_telemetry.Metrics
-module Flow = Core.Flow
+module Pipeline = Core.Pipeline
 module Style = Hlsb_ctrl.Style
 
 (* A fake clock advancing 1 us per read keeps span durations exact. *)
@@ -250,12 +250,13 @@ let test_metrics_json_shape () =
 
 (* ---- Telemetry does not perturb compilation ---- *)
 
-let compile_fingerprint r =
-  ( r.Flow.fr_fmax_mhz,
-    r.Flow.fr_critical_ns,
-    (r.Flow.fr_lut_pct, r.Flow.fr_ff_pct, r.Flow.fr_bram_pct, r.Flow.fr_dsp_pct),
-    Hlsb_netlist.Netlist.n_cells r.Flow.fr_design.Hlsb_rtlgen.Design.netlist,
-    Hlsb_netlist.Netlist.n_nets r.Flow.fr_design.Hlsb_rtlgen.Design.netlist )
+let compile_fingerprint (r : Pipeline.result) =
+  let nl = r.fr_design.Hlsb_rtlgen.Design.netlist in
+  ( r.fr_fmax_mhz,
+    r.fr_critical_ns,
+    (r.fr_lut_pct, r.fr_ff_pct, r.fr_bram_pct, r.fr_dsp_pct),
+    Hlsb_netlist.Netlist.n_cells nl,
+    Hlsb_netlist.Netlist.n_nets nl )
 
 let prop_telemetry_transparent =
   QCheck.Test.make ~count:6 ~name:"telemetry does not change compile results"
@@ -265,14 +266,17 @@ let prop_telemetry_transparent =
       let width = pes * 8 in
       let device = Hlsb_device.Device.ultrascale_plus in
       let recipe = if optimized then Style.optimized else Style.original in
-      let build () = Hlsb_designs.Vector_arith.dataflow ~width ~pes () in
-      let bare =
-        Flow.compile ~device ~recipe ~name:"qcheck_va" (build ())
+      let compile () =
+        Pipeline.run_exn
+          (Pipeline.create ~device ~name:"qcheck_va"
+             ~build:(fun () -> Hlsb_designs.Vector_arith.dataflow ~width ~pes ())
+             ())
+          ~recipe
       in
+      let bare = compile () in
       let traced =
         Trace.with_collector (Trace.create ()) (fun () ->
-          Metrics.with_registry (Metrics.create ()) (fun () ->
-            Flow.compile ~device ~recipe ~name:"qcheck_va" (build ())))
+          Metrics.with_registry (Metrics.create ()) compile)
       in
       compile_fingerprint bare = compile_fingerprint traced)
 
@@ -282,15 +286,19 @@ let test_instrumentation_populates () =
   let _r =
     Trace.with_collector trace (fun () ->
       Metrics.with_registry m (fun () ->
-        Flow.compile ~device:Hlsb_device.Device.ultrascale_plus
-          ~recipe:Style.optimized ~name:"probe_va"
-          (Hlsb_designs.Vector_arith.dataflow ~width:16 ~pes:2 ())))
+        Pipeline.run_exn
+          (Pipeline.create ~device:Hlsb_device.Device.ultrascale_plus
+             ~name:"probe_va"
+             ~build:(fun () ->
+               Hlsb_designs.Vector_arith.dataflow ~width:16 ~pes:2 ())
+             ())
+          ~recipe:Style.optimized))
   in
   let names = List.map (fun s -> s.Trace.sp_name) (Trace.spans trace) in
   List.iter
     (fun n ->
       Alcotest.(check bool) (n ^ " span present") true (List.mem n names))
-    [ "compile"; "generate"; "schedule"; "lower"; "timing"; "place"; "sta" ];
+    [ "pipeline"; "stage.schedule"; "stage.lower"; "stage.place"; "stage.sta" ];
   let snap = Metrics.snapshot m in
   Alcotest.(check bool) "broadcast factor histogram non-empty" true
     (match List.assoc_opt "sched.broadcast_factor" snap.Metrics.sn_hists with
