@@ -155,17 +155,6 @@ let cmd_list =
   Cmd.v (Cmd.info "list" ~doc:"List benchmark designs and devices")
     Term.(const run $ const ())
 
-let cmd_classify =
-  let run name =
-    let s = find_design name in
-    print_string
-      (Core.Classify.to_string
-         (Core.Classify.analyze ~device:s.Spec.sp_device (s.Spec.sp_build ())))
-  in
-  Cmd.v
-    (Cmd.info "classify" ~doc:"Source-level broadcast classification")
-    Term.(const run $ design_arg)
-
 let write_text ~path text =
   match open_out path with
   | exception Sys_error msg ->
@@ -183,6 +172,18 @@ let write_text ~path text =
 let fail_diag d =
   Log.error "%s" (Diag.to_string d);
   exit 1
+
+(* Classification runs on the session's validated network: an invalid one
+   is reported as a diagnostic, not classified. *)
+let cmd_classify =
+  let run name =
+    match Pipeline.classify_report (Pipeline.of_spec (find_design name)) with
+    | report -> print_string (Core.Classify.to_string report)
+    | exception Diag.Diagnostic d -> fail_diag d
+  in
+  Cmd.v
+    (Cmd.info "classify" ~doc:"Source-level broadcast classification")
+    Term.(const run $ design_arg)
 
 let run_or_fail ?plan session ~recipe =
   match Pipeline.run ?plan session ~recipe with

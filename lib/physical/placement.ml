@@ -18,10 +18,11 @@ type t = {
   max_y : float;
 }
 
-(* Hilbert curve index -> point on a 2^k x 2^k grid, packed as [x * n + y]
-   so the once-per-slice-point call allocates nothing; contiguous index
-   runs map to compact 2D regions, giving nets over contiguously-placed
-   cells a bounding box of half-perimeter Theta(sqrt(area)). *)
+(* Hilbert curve index -> point on a 2^k x 2^k grid, packed as [x * n + y];
+   contiguous index runs map to compact 2D regions, giving nets over
+   contiguously-placed cells a bounding box of half-perimeter
+   Theta(sqrt(area)). [place] walks the same curve block by block; this
+   per-point form is its reference. *)
 let hilbert_d2xy n d =
   let x = ref 0 and y = ref 0 and t = ref d and s = ref 1 in
   while !s < n do
@@ -69,32 +70,49 @@ let place ?(max_sweeps = 24) ?(early_exit = true) (d : Device.t) nl =
   let xs = Array.make n 0. in
   let ys = Array.make n 0. in
   let fp = Array.make n 1 in
-  let side =
-    let rec grow k = if k >= d.cols && k >= d.rows then k else grow (2 * k) in
-    grow 1
+  let side, levels =
+    let rec grow k l = if k >= d.cols && k >= d.rows then (k, l) else grow (2 * k) (l + 1) in
+    grow 1 0
   in
   let total_points = side * side in
   let capacity = d.cols * d.rows in
-  let cursor = ref 0 in
   let used = ref 0 in
   let max_x = ref 0 and max_y = ref 0 in
-  (* Take the next on-die Hilbert point (packed as by [hilbert_d2xy]). *)
-  let next_point () =
-    let p = ref (-1) in
-    while !p < 0 do
-      if !cursor >= total_points then
-        Diag.fail
-          ~entity:(Diag.Design (Netlist.name nl))
-          ~stage:"place"
-          "design does not fit device %s: packing curve exhausted after %d \
-           of %d on-die slices (%d x %d grid)"
-          d.name !used capacity d.cols d.rows;
-      let h = hilbert_d2xy side !cursor in
-      incr cursor;
-      if h / side < d.cols && h mod side < d.rows then p := h
-    done;
-    !p
+  (* The packer walks the curve in aligned blocks instead of calling
+     [hilbert_d2xy] once per slice. [g] holds, per level j, the affine map
+     G_j (a signed permutation and an offset: six ints) from the level-j
+     sub-square that contains index [cur] to the grid: G_levels is the
+     identity and G_j = G_(j+1) o F_j, with F_j [hilbert_d2xy]'s step for
+     digit j of [cur]. Invariant: G_j is valid for every j >= [lvl], and
+     [cur] is a multiple of 4^lvl, so indices [cur, cur + 4^lvl) fill the
+     aligned square G_lvl([0, 2^lvl)^2). *)
+  let g = Array.make (6 * (levels + 1)) 0 in
+  g.(6 * levels) <- 1;
+  g.((6 * levels) + 3) <- 1;
+  (* F_j for digits 0..3 (s = 2^j) maps (x, y) to (y, x), (x, y + s),
+     (x + s, y + s) and (2s - 1 - y, s - 1 - x). *)
+  let compose j digit =
+    let s = 1 lsl j and o = 6 * j and p = (6 * j) + 6 in
+    let a = g.(p) and b = g.(p + 1) and c = g.(p + 2) and e = g.(p + 3) in
+    let tx = match digit with 0 | 1 -> 0 | 2 -> s | _ -> (2 * s) - 1
+    and ty = match digit with 0 -> 0 | 3 -> s - 1 | _ -> s in
+    g.(o + 4) <- (a * tx) + (b * ty) + g.(p + 4);
+    g.(o + 5) <- (c * tx) + (e * ty) + g.(p + 5);
+    if digit = 0 || digit = 3 then begin
+      let sgn = if digit = 3 then -1 else 1 in
+      g.(o) <- sgn * b;
+      g.(o + 1) <- sgn * a;
+      g.(o + 2) <- sgn * e;
+      g.(o + 3) <- sgn * c
+    end
+    else begin
+      g.(o) <- a;
+      g.(o + 1) <- b;
+      g.(o + 2) <- c;
+      g.(o + 3) <- e
+    end
   in
+  let cur = ref 0 and lvl = ref levels in
   Netlist.iter_cells nl (fun id c ->
     let s = footprint d c in
     fp.(id) <- s;
@@ -106,17 +124,47 @@ let place ?(max_sweeps = 24) ?(early_exit = true) (d : Device.t) nl =
          %d of %d remain (%d x %d slice grid)"
         d.name c.Netlist.c_name s (capacity - !used) capacity d.cols d.rows;
     used := !used + s;
-    let sx = ref 0. and sy = ref 0. in
-    for _ = 1 to s do
-      let h = next_point () in
-      let x = h / side and y = h mod side in
-      sx := !sx +. float_of_int x;
-      sy := !sy +. float_of_int y;
-      max_x := imax !max_x x;
-      max_y := imax !max_y y
+    (* Integer sums of the cell's slice coordinates: every partial sum is
+       below 2^53, so the centroid equals per-slice float accumulation bit
+       for bit. *)
+    let sx = ref 0 and sy = ref 0 and r = ref s in
+    while !r > 0 do
+      if !cur >= total_points then
+        Diag.fail
+          ~entity:(Diag.Design (Netlist.name nl))
+          ~stage:"place"
+          "design does not fit device %s: packing curve exhausted after %d \
+           of %d on-die slices (%d x %d grid)"
+          d.name !used capacity d.cols d.rows;
+      let o = 6 * !lvl and w = 1 lsl !lvl in
+      let x0 = g.(o + 4) - if g.(o) + g.(o + 1) < 0 then w - 1 else 0
+      and y0 = g.(o + 5) - if g.(o + 2) + g.(o + 3) < 0 then w - 1 else 0 in
+      let on_die = x0 + w <= d.cols && y0 + w <= d.rows in
+      if x0 >= d.cols || y0 >= d.rows || (on_die && w * w <= !r) then begin
+        (* skip a block wholly off-die, or consume one wholly on-die *)
+        if on_die then begin
+          sx := !sx + (w * ((w * x0) + (w * (w - 1) / 2)));
+          sy := !sy + (w * ((w * y0) + (w * (w - 1) / 2)));
+          r := !r - (w * w);
+          max_x := imax !max_x (x0 + w - 1);
+          max_y := imax !max_y (y0 + w - 1)
+        end;
+        cur := !cur + (w * w);
+        (* the next block starts at the new index's lowest nonzero digit,
+           the only level whose map changed *)
+        while !lvl < levels && (!cur lsr (2 * !lvl)) land 3 = 0 do
+          incr lvl
+        done;
+        if !lvl < levels then compose !lvl ((!cur lsr (2 * !lvl)) land 3)
+      end
+      else begin
+        (* straddles the die edge or exceeds the remainder: descend *)
+        decr lvl;
+        compose !lvl 0
+      end
     done;
-    xs.(id) <- !sx /. float_of_int s;
-    ys.(id) <- !sy /. float_of_int s);
+    xs.(id) <- float_of_int !sx /. float_of_int s;
+    ys.(id) <- float_of_int !sy /. float_of_int s);
   (* Register refinement: a timing-driven placer (and phys_opt) pulls light
      register cells to the midpoint between their driver and their sinks, so
      a chain of pipeline registers inserted across a long route settles at

@@ -34,6 +34,13 @@ val place :
     ["place"], entity [Design]) naming the device and the capacity
     constraint if the design does not fit. *)
 
+val hilbert_d2xy : int -> int -> int
+(** [hilbert_d2xy n d] is the point at index [d] of the Hilbert curve over
+    an [n] x [n] grid ([n] a power of two), packed as [x * n + y]. The
+    reference for {!place}'s packing: cell k takes the next
+    [footprint_slices] on-die points of this curve after cell k-1's, and
+    its centroid is their mean. *)
+
 val position : t -> int -> float * float
 (** Centroid of a placed cell in slice-grid units. *)
 

@@ -415,6 +415,118 @@ let test_place_early_exit_equivalence () =
         gx gy fx fy
   done
 
+(* Test-local per-slice reference packer, built on [Placement.hilbert_d2xy]:
+   cell k takes the next [fp.(k)] on-die points of the curve and sits at
+   their float-accumulated mean; also returns the largest coordinate used.
+   [Placement.place] walks the same curve in aligned blocks and must agree
+   bit for bit. *)
+let ref_pack (d : Device.t) fp =
+  let side =
+    let rec grow k = if k >= d.Device.cols && k >= d.Device.rows then k else grow (2 * k) in
+    grow 1
+  in
+  let cursor = ref 0 and ext = ref 0 in
+  let rec next () =
+    let h = Placement.hilbert_d2xy side !cursor in
+    incr cursor;
+    let x = h / side and y = h mod side in
+    if x < d.Device.cols && y < d.Device.rows then (x, y) else next ()
+  in
+  let pos =
+    Array.map
+      (fun s ->
+        let sx = ref 0. and sy = ref 0. in
+        for _ = 1 to s do
+          let x, y = next () in
+          sx := !sx +. float_of_int x;
+          sy := !sy +. float_of_int y;
+          ext := max !ext (max x y)
+        done;
+        (!sx /. float_of_int s, !sy /. float_of_int s))
+      fp
+  in
+  (pos, float_of_int !ext)
+
+(* Unconnected cells of the given slice footprints: every cell is fixed, so
+   [place]'s result is the packing alone. *)
+let footprint_netlist (d : Device.t) fp =
+  let nl = Netlist.create ~name:"pack" in
+  Array.iteri
+    (fun i s ->
+      ignore
+        (Netlist.add_cell nl ~name:(Printf.sprintf "c%d" i) ~kind:Netlist.Comb
+           ~delay:0.
+           ~res:{ Netlist.zero_res with Netlist.r_luts = s * d.Device.lut_per_slice }))
+    fp;
+  nl
+
+let check_matches_ref (d : Device.t) fp =
+  let pl = Placement.place d (footprint_netlist d fp) in
+  let pos, ext = ref_pack d fp in
+  let xs, ys = Placement.coords pl in
+  let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
+  Array.iteri
+    (fun i (rx, ry) ->
+      if not (same xs.(i) rx && same ys.(i) ry) then
+        Alcotest.failf "%s cell %d (%d slices): packed (%h,%h) <> reference (%h,%h)"
+          d.Device.name i fp.(i) xs.(i) ys.(i) rx ry)
+    pos;
+  if not (same (Placement.max_extent pl) ext) then
+    Alcotest.failf "%s: max_extent %g <> reference %g" d.Device.name
+      (Placement.max_extent pl) ext;
+  true
+
+(* Random footprints on every device: mostly small cells with the odd
+   macro, optionally topped up by one cell that fills the die to within
+   [slack] slices of capacity (so the walk crosses every die edge and
+   off-die block). *)
+let prop_pack_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let* dev_i = int_bound (List.length Device.all - 1) in
+      let* small = list_size (int_range 1 60) (int_range 1 9) in
+      let* macros = list_size (int_bound 3) (int_range 10 5000) in
+      let* fill = bool in
+      let* slack = int_bound 5 in
+      return (dev_i, small @ macros, fill, slack))
+  in
+  let print (i, fps, fill, slack) =
+    Printf.sprintf "device %d, %d cells, fill=%b slack=%d" i (List.length fps) fill slack
+  in
+  QCheck.Test.make ~count:40 ~name:"block packer = per-slice reference"
+    (QCheck.make ~print gen)
+    (fun (dev_i, fps, fill, slack) ->
+      let d = List.nth Device.all dev_i in
+      let used = List.fold_left ( + ) 0 fps in
+      let top = Device.n_slices d - used - slack in
+      let fps = if fill && top > 0 then fps @ [ top ] else fps in
+      check_matches_ref d (Array.of_list fps))
+
+let test_pack_fills_die () =
+  (* one unit cell per slice: every on-die slot is taken exactly once, in
+     reference order, and one more slice overflows *)
+  List.iter
+    (fun (d : Device.t) ->
+      let cap = Device.n_slices d in
+      ignore (check_matches_ref d (Array.make cap 1));
+      match Placement.place d (footprint_netlist d (Array.make (cap + 1) 1)) with
+      | _ -> Alcotest.failf "%s: placed one slice past capacity" d.Device.name
+      | exception Hlsb_util.Diag.Diagnostic _ -> ())
+    [ Device.virtex7_690t; Device.ultrascale_plus ]
+
+let test_place_overflow_text () =
+  (* overflow mid-way: the diagnostic names the cell that does not fit,
+     what remains, and the grid *)
+  let d = Device.zynq_7z045 in
+  match Placement.place d (footprint_netlist d [| 20000; 10000; 6000; 1 |]) with
+  | _ -> Alcotest.fail "over-capacity design placed"
+  | exception Hlsb_util.Diag.Diagnostic diag ->
+    Alcotest.(check string) "diagnostic"
+      "error[place] design pack: design does not fit device xc7z045: cell c2 \
+       needs 6000 slice(s) but only 5910 of 35910 remain (189 x 190 slice \
+       grid)"
+      (Hlsb_util.Diag.to_string diag)
+
 let test_jitter_matches_rng_reference () =
   (* the allocation-free hash-mix must reproduce the Rng-based factor
      bit-for-bit for every (seed, net) the flow can produce *)
@@ -508,6 +620,8 @@ let suite =
   [
     Alcotest.test_case "place inside die" `Quick test_place_inside_die;
     Alcotest.test_case "place too big" `Quick test_place_too_big;
+    Alcotest.test_case "place overflow text" `Quick test_place_overflow_text;
+    Alcotest.test_case "pack fills die" `Quick test_pack_fills_die;
     Alcotest.test_case "adjacent cells close" `Quick test_adjacent_cells_close;
     Alcotest.test_case "footprint scales" `Quick test_footprint_scales;
     Alcotest.test_case "hpwl grows with fanout" `Quick test_hpwl_grows_with_fanout;
@@ -532,4 +646,5 @@ let suite =
     Alcotest.test_case "incremental sta equivalence" `Quick
       test_incremental_sta_equivalence;
   ]
-  @ [ QCheck_alcotest.to_alcotest prop_sta_monotone_in_cell_delay ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_sta_monotone_in_cell_delay; prop_pack_matches_reference ]
