@@ -287,7 +287,7 @@ let run_record ~label ~jobs trace registry =
       ("effective_jobs", Json.Int (Pool.default_jobs ()));
       ("cores", Json.Int (Domain.recommended_domain_count ()));
       ( "cache_dir",
-        match Hlsb_delay.Cal_cache.ambient_dir () with
+        match Hlsb_delay.Calibrate.ambient_dir () with
         | Some d -> Json.Str d
         | None -> Json.Null );
       ( "sections_s",

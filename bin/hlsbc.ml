@@ -10,7 +10,7 @@
                               transform plans x register injection
      profile   DESIGN         compile with telemetry: spans + metrics
      path      DESIGN         critical path under a recipe
-     schedule  DESIGN         schedule report of the design's first kernel
+     schedule  DESIGN         schedule report of every kernel, per process
      calibrate                warm / inspect / clear the calibration cache
      obs                      run ledger: list | report | diff | regress | prom
      table1|table2|table3     regenerate the paper's tables
@@ -24,7 +24,6 @@ module Explore_driver = Hlsb_explore.Experiments
 module Diag = Hlsb_util.Diag
 module Pool = Hlsb_util.Pool
 module Calibrate = Hlsb_delay.Calibrate
-module Cal_cache = Hlsb_delay.Cal_cache
 module Style = Hlsb_ctrl.Style
 module Spec = Hlsb_designs.Spec
 module Timing = Hlsb_physical.Timing
@@ -328,7 +327,7 @@ let with_run_record ?(always = false) ~cmd ~describe f =
       Ledger.make
         ?device:
           (Option.map (fun d -> d.Hlsb_device.Device.name) info.ri_device)
-        ?fingerprint:(Option.map Cal_cache.fingerprint info.ri_device)
+        ?fingerprint:(Option.map Hlsb_device.Device.fingerprint info.ri_device)
         ?recipe:(Option.map Style.label info.ri_recipe)
         ~stages:info.ri_stages
         ~results:(List.map Pipeline.result_to_json info.ri_results)
@@ -571,25 +570,21 @@ let cmd_path =
     (Cmd.info "path" ~doc:"Show the critical path of a compiled benchmark")
     Term.(const run $ design_arg $ recipe_arg)
 
+(* The session's schedule dump: the network is validated first, and
+   every kernel is listed under its process header. *)
 let cmd_schedule =
   let run name recipe =
-    let s = find_design name in
-    let kernel =
-      Array.find_map
-        (fun (p : Hlsb_ir.Dataflow.process) -> p.Hlsb_ir.Dataflow.p_kernel)
-        (Hlsb_ir.Dataflow.processes (s.Spec.sp_build ()))
-    in
-    match kernel with
-    | None -> print_endline "design has no kernels"
-    | Some k ->
-      let mode =
-        Hlsb_rtlgen.Design.schedule_mode s.Spec.sp_device (recipe_of recipe)
-      in
-      print_string
-        (Hlsb_sched.Report.to_string (Hlsb_sched.Schedule.run mode k))
+    match
+      Pipeline.dump_after
+        (Pipeline.of_spec (find_design name))
+        ~recipe:(recipe_of recipe) Pipeline.Schedule
+    with
+    | Ok text -> print_string text
+    | Error d -> fail_diag d
   in
   Cmd.v
-    (Cmd.info "schedule" ~doc:"Print the schedule report of the first kernel")
+    (Cmd.info "schedule"
+       ~doc:"Print the schedule report of every kernel, per process")
     Term.(const run $ design_arg $ recipe_arg)
 
 let cmd_cc =
@@ -724,36 +719,15 @@ let cmd_calibrate =
         exit 1)
   in
   let inspect dir =
-    Printf.printf "calibration cache: %s\n" dir;
-    let paths = Cal_cache.entries ~dir in
-    if paths = [] then print_endline "  (empty)"
-    else
-      List.iter
-        (fun path ->
-          match
-            Cal_cache.summarize ~factor_grid:Calibrate.factor_grid
-              ~unit_grid:Calibrate.unit_grid path
-          with
-          | None -> Printf.printf "  %s: unreadable\n" (Filename.basename path)
-          | Some s ->
-            Printf.printf "  %s: device %s, schema v%d, %s\n"
-              (Filename.basename path) s.Cal_cache.s_device s.Cal_cache.s_schema
-              (if not s.Cal_cache.s_valid then "STALE (will re-characterize)"
-               else
-                 Printf.sprintf "%d op curve(s)%s%s"
-                   (List.length s.Cal_cache.s_ops)
-                   (if s.Cal_cache.s_has_mem_wr then " + mem write" else "")
-                   (if s.Cal_cache.s_has_mem_rd then " + mem read" else ""));
-            if s.Cal_cache.s_valid && s.Cal_cache.s_ops <> [] then
-              Printf.printf "      ops: %s\n"
-                (String.concat ", " s.Cal_cache.s_ops))
-        paths
+    let entries, bytes = Hlsb_util.Store.disk_usage ~root:dir in
+    Printf.printf "calibration cache: %s\n  %d curve entr%s, %d payload bytes\n"
+      dir entries (if entries = 1 then "y" else "ies") bytes
   in
   let run () dir_flag warm clear device =
     let dir =
       match dir_flag with
       | Some d -> Some d
-      | None -> Cal_cache.ambient_dir ()
+      | None -> Calibrate.ambient_dir ()
     in
     match dir with
     | None ->
@@ -763,8 +737,9 @@ let cmd_calibrate =
       exit 1
     | Some dir ->
       if clear then begin
-        let n = Cal_cache.clear ~dir in
-        Printf.printf "removed %d cache file(s) from %s\n" n dir
+        let n = Hlsb_util.Store.clear (Hlsb_util.Store.open_ ~root:dir ()) in
+        Printf.printf "removed %d cache entr%s from %s\n" n
+          (if n = 1 then "y" else "ies") dir
       end;
       if warm then
         List.iter
@@ -793,7 +768,7 @@ let cmd_calibrate =
           ~doc:"Characterize the standard op and memory curves into the cache.")
   in
   let clear_arg =
-    Arg.(value & flag & info [ "clear" ] ~doc:"Remove all cache files.")
+    Arg.(value & flag & info [ "clear" ] ~doc:"Remove every cache entry.")
   in
   let device_arg =
     Arg.(
@@ -806,7 +781,8 @@ let cmd_calibrate =
     (Cmd.info "calibrate"
        ~doc:
          "Inspect, warm, or clear the persistent calibration cache \
-          (post-route delay curves keyed by device fingerprint)")
+          (post-route delay curves keyed by build id, device fingerprint \
+          and grid)")
     Term.(
       const run $ common_term $ dir_arg $ warm_arg $ clear_arg $ device_arg)
 

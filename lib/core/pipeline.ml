@@ -88,11 +88,11 @@ let finish ~name (design : Design.t) (report : Timing.report) =
       Netlist.utilization design.Design.netlist design.Design.device)
   in
   if Metrics.enabled () then begin
-    Metrics.incr "flow.compiles";
-    Metrics.set_gauge "flow.fmax_mhz" report.Timing.fmax_mhz;
-    Metrics.set_gauge "flow.critical_ns" report.Timing.critical_ns;
-    Metrics.set_gauge "flow.lut_pct" (100. *. lut);
-    Metrics.set_gauge "flow.ff_pct" (100. *. ff)
+    Metrics.incr "pipeline.compiles";
+    Metrics.set_gauge "pipeline.fmax_mhz" report.Timing.fmax_mhz;
+    Metrics.set_gauge "pipeline.critical_ns" report.Timing.critical_ns;
+    Metrics.set_gauge "pipeline.lut_pct" (100. *. lut);
+    Metrics.set_gauge "pipeline.ff_pct" (100. *. ff)
   end;
   {
     fr_label = name ^ " [" ^ Style.label design.Design.recipe ^ "]";
@@ -753,8 +753,6 @@ let dump_after ?name ?(plan = Plan.identity) t ~recipe stage =
              ("cells", Json.Int (Netlist.n_cells c.co_design.Design.netlist));
              ("nets", Json.Int (Netlist.n_nets c.co_design.Design.netlist));
              ("max_extent", Json.Float (Placement.max_extent c.co_placement));
-             ( "overlap_free",
-               Json.Bool (Placement.overlap_free c.co_placement) );
            ])
       ^ "\n"
     | Sta ->

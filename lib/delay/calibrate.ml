@@ -2,206 +2,148 @@ open Hlsb_ir
 module Device = Hlsb_device.Device
 module Stats = Hlsb_util.Stats
 module Metrics = Hlsb_telemetry.Metrics
+module Store = Hlsb_util.Store
 
 type curves = {
   raw : float array;
   smoothed : float array;
 }
 
-(* Thread-safe via an immutable snapshot: the whole curve table lives in one
-   immutable record behind an [Atomic], so warm lookups are a plain
-   [Atomic.get] plus an assoc scan — no lock, no serialization across
-   domains.  Inserts copy-and-CAS; a same-key race wastes one rebuild but
+(* Thread-safe via immutable snapshots: the op curves live in one
+   immutable assoc list behind an [Atomic] and each memory curve in an
+   [Atomic] of its own, so warm lookups are a plain [Atomic.get] (plus an
+   assoc scan for ops) — no lock, no allocation, no serialization across
+   domains. Inserts copy-and-CAS; a same-key race wastes one rebuild but
    both results are identical (characterization is deterministic), so
    whichever insert wins is indistinguishable and the loser adopts it.
 
-   Persistence is batched: builds enqueue their cache updates and the first
-   domain through [flush] drains everything queued so far into a single
-   load-merge-store, so n concurrent builds cost O(1) disk round-trips, not
-   n.  Flushing is still synchronous with respect to the caller — when a
-   build returns, its curve is durable — which is what lets a fresh process
-   over the same directory start warm. *)
-type store = {
-  s_ops : (string * curves) list;  (* "op/dtype" -> curves *)
-  s_mem_wr : curves option;
-  s_mem_rd : curves option;
-}
-
+   Persistence is one {!Store} entry per raw curve under namespace "cal",
+   keyed on the device fingerprint, the curve name and its grid (and,
+   through [Store.key], the build id). A put is synchronous and
+   idempotent — the same key always gets the same bytes — so concurrent
+   builders in any process need no coordination, and a fresh process
+   over the same directory starts warm. *)
 type t = {
   dev : Device.t;
   window : int;
-  cache_dir : string option;
-  store : store Atomic.t;
-  disk : Cal_cache.entry option Atomic.t;  (* lazily loaded once *)
-  pending : (Cal_cache.entry -> Cal_cache.entry) list Atomic.t;
-  persist_lock : Mutex.t;
-  (* Last entry we wrote and the file signature right after writing it;
-     guarded by [persist_lock]. Lets [flush] skip re-parsing the file when
-     nobody else has touched it since our own store. *)
-  mutable persisted : (Cal_cache.entry * (float * int)) option;
+  disk : Store.t option;
+  ops : (string * curves) list Atomic.t;  (* "op/dtype" -> curves *)
+  mem_rd : curves option Atomic.t;
+  mem_wr : curves option Atomic.t;
 }
 
 let factor_grid = [| 1; 2; 4; 8; 16; 32; 64; 128; 256; 512 |]
 let unit_grid = [| 1; 4; 16; 64; 256; 1024; 4096 |]
 let depth_grid = Array.map (fun u -> u * 512) unit_grid
 
-let empty_store = { s_ops = []; s_mem_wr = None; s_mem_rd = None }
+(* $HLSB_CACHE_DIR ("" disables caching entirely), else
+   $XDG_CACHE_HOME/hlsb, else $HOME/.cache/hlsb, else disabled. *)
+let ambient_dir () =
+  let non_empty v =
+    match Sys.getenv_opt v with Some d when d <> "" -> Some d | _ -> None
+  in
+  match Sys.getenv_opt "HLSB_CACHE_DIR" with
+  | Some "" -> None
+  | Some d -> Some d
+  | None ->
+    Option.map
+      (fun b -> Filename.concat b "hlsb")
+      (match non_empty "XDG_CACHE_HOME" with
+      | Some d -> Some d
+      | None -> Option.map (fun h -> Filename.concat h ".cache") (non_empty "HOME"))
 
 let create ?(window = 1) ?cache_dir dev =
   if window < 0 then invalid_arg "Calibrate.create: negative window";
   {
     dev;
     window;
-    cache_dir;
-    store = Atomic.make empty_store;
-    disk = Atomic.make None;
-    pending = Atomic.make [];
-    persist_lock = Mutex.create ();
-    persisted = None;
+    disk = Option.map (fun root -> Store.open_ ~root ()) cache_dir;
+    ops = Atomic.make [];
+    mem_rd = Atomic.make None;
+    mem_wr = Atomic.make None;
   }
 
 let device t = t.dev
-let cache_dir t = t.cache_dir
 
 let op_key op dt = Op.to_string op ^ "/" ^ Dtype.to_string dt
 
-(* Racing loads are fine: the file parse is idempotent, both racers produce
-   the same entry, and the CAS loser just adopts the winner's copy. *)
-let disk_entry t =
-  match Atomic.get t.disk with
-  | Some e -> e
+(* Exact text for a raw curve: [%h] round-trips every float bit for bit. *)
+let encode raw =
+  String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") raw))
+
+let decode ~len text =
+  let vals =
+    List.filter_map float_of_string_opt (String.split_on_char ' ' text)
+  in
+  if List.length vals = len then Some (Array.of_list vals) else None
+
+(* The raw curve from the store, or built and published. *)
+let raw_curve t ~name ~grid build =
+  let key =
+    Store.key
+      ~parts:
+        [
+          Device.fingerprint t.dev;
+          name;
+          String.concat "," (Array.to_list (Array.map string_of_int grid));
+        ]
+  in
+  let stored =
+    Option.bind t.disk (fun st ->
+      Option.bind (Store.find st ~ns:"cal" ~key) (decode ~len:(Array.length grid)))
+  in
+  match stored with
+  | Some raw ->
+    Metrics.incr "calibrate.cache_hits";
+    raw
   | None ->
-    let e =
-      match t.cache_dir with
-      | None -> Cal_cache.empty
-      | Some dir -> (
-        match Cal_cache.load ~dir ~factor_grid ~unit_grid t.dev with
-        | Some e -> e
-        | None -> Cal_cache.empty)
-    in
-    if Atomic.compare_and_set t.disk None (Some e) then e
-    else match Atomic.get t.disk with Some e' -> e' | None -> e
+    Metrics.incr "calibrate.curve_builds";
+    let raw = Array.map (fun p -> p.Characterize.measured) (build ()) in
+    Option.iter
+      (fun st ->
+        Metrics.incr "calibrate.cache_misses";
+        match Store.put st ~ns:"cal" ~key (encode raw) with
+        | Ok () -> Metrics.incr "calibrate.cache_writes"
+        | Error _ -> () (* still answered from memory *))
+      t.disk;
+    raw
 
-let file_sig path =
-  match Unix.stat path with
-  | s -> Some (s.Unix.st_mtime, s.Unix.st_size)
-  | exception Unix.Unix_error _ -> None
-  | exception Sys_error _ -> None
-
-(* Drain every queued update into one load-merge-store. Merging over the
-   freshest on-disk state keeps concurrent processes warming different ops
-   from clobbering each other's keys; the signature check skips the reparse
-   in the common case where the last writer was us. *)
-let flush t dir =
-  Mutex.lock t.persist_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.persist_lock)
-    (fun () ->
-      match List.rev (Atomic.exchange t.pending []) with
-      | [] ->
-        (* Whoever held the lock before us drained our update and stored it
-           before releasing, so it is already durable. *)
-        ()
-      | updates ->
-        let path = Cal_cache.file_path ~dir t.dev in
-        let base =
-          match t.persisted with
-          | Some (e, s) when file_sig path = Some s -> e
-          | _ -> (
-            match Cal_cache.load ~dir ~factor_grid ~unit_grid t.dev with
-            | Some e -> e
-            | None -> Cal_cache.empty)
-        in
-        let merged = List.fold_left (fun e u -> u e) base updates in
-        (match Cal_cache.store ~dir ~factor_grid ~unit_grid t.dev merged with
-        | () ->
-          Metrics.incr "calibrate.cache_writes";
-          t.persisted <- Option.map (fun s -> (merged, s)) (file_sig path)
-        | exception Sys_error _ -> ()))
-
-let persist t update =
-  match t.cache_dir with
-  | None -> ()
-  | Some dir ->
-    let rec push () =
-      let cur = Atomic.get t.pending in
-      if not (Atomic.compare_and_set t.pending cur (update :: cur)) then
-        push ()
-    in
-    push ();
-    flush t dir
-
-let smooth t raw = Stats.smooth_neighbors ~window:t.window raw
+let load t ~name ~grid build =
+  let raw = raw_curve t ~name ~grid build in
+  { raw; smoothed = Stats.smooth_neighbors ~window:t.window raw }
 
 let rec insert_op t key c =
-  let s = Atomic.get t.store in
-  match List.assoc_opt key s.s_ops with
+  let tbl = Atomic.get t.ops in
+  match List.assoc_opt key tbl with
   | Some c' -> c'
   | None ->
-    if Atomic.compare_and_set t.store s { s with s_ops = (key, c) :: s.s_ops }
-    then c
+    if Atomic.compare_and_set t.ops tbl ((key, c) :: tbl) then c
     else insert_op t key c
-
-let rec insert_mem t ~read c =
-  let s = Atomic.get t.store in
-  match if read then s.s_mem_rd else s.s_mem_wr with
-  | Some c' -> c'
-  | None ->
-    let s' =
-      if read then { s with s_mem_rd = Some c }
-      else { s with s_mem_wr = Some c }
-    in
-    if Atomic.compare_and_set t.store s s' then c else insert_mem t ~read c
 
 let op_curves t op dt =
   let key = op_key op dt in
-  match List.assoc_opt key (Atomic.get t.store).s_ops with
+  match List.assoc_opt key (Atomic.get t.ops) with
   | Some c -> c
-  | None -> (
-    match List.assoc_opt key (disk_entry t).Cal_cache.e_ops with
-    | Some raw ->
-      Metrics.incr "calibrate.cache_hits";
-      insert_op t key { raw; smoothed = smooth t raw }
-    | None ->
-      Metrics.incr "calibrate.curve_builds";
-      if t.cache_dir <> None then Metrics.incr "calibrate.cache_misses";
-      let pts = Characterize.arith_curve t.dev op dt ~factors:factor_grid in
-      let raw = Array.map (fun p -> p.Characterize.measured) pts in
-      let c = { raw; smoothed = smooth t raw } in
-      persist t (fun e ->
-        {
-          e with
-          Cal_cache.e_ops =
-            (key, raw) :: List.remove_assoc key e.Cal_cache.e_ops;
-        });
-      insert_op t key c)
+  | None ->
+    insert_op t key
+      (load t ~name:key ~grid:factor_grid (fun () ->
+         Characterize.arith_curve t.dev op dt ~factors:factor_grid))
 
 let mem_curves t ~read =
-  let s = Atomic.get t.store in
-  match if read then s.s_mem_rd else s.s_mem_wr with
+  let slot = if read then t.mem_rd else t.mem_wr in
+  match Atomic.get slot with
   | Some c -> c
-  | None -> (
-    let disk = disk_entry t in
-    let stored =
-      if read then disk.Cal_cache.e_mem_rd else disk.Cal_cache.e_mem_wr
+  | None ->
+    let c =
+      load t
+        ~name:(if read then "mem/read" else "mem/write")
+        ~grid:unit_grid
+        (fun () ->
+          if read then Characterize.mem_read_curve t.dev ~units:unit_grid
+          else Characterize.mem_write_curve t.dev ~units:unit_grid)
     in
-    match stored with
-    | Some raw ->
-      Metrics.incr "calibrate.cache_hits";
-      insert_mem t ~read { raw; smoothed = smooth t raw }
-    | None ->
-      Metrics.incr "calibrate.curve_builds";
-      if t.cache_dir <> None then Metrics.incr "calibrate.cache_misses";
-      let pts =
-        if read then Characterize.mem_read_curve t.dev ~units:unit_grid
-        else Characterize.mem_write_curve t.dev ~units:unit_grid
-      in
-      let raw = Array.map (fun p -> p.Characterize.measured) pts in
-      let c = { raw; smoothed = smooth t raw } in
-      persist t (fun e ->
-        if read then { e with Cal_cache.e_mem_rd = Some raw }
-        else { e with Cal_cache.e_mem_wr = Some raw });
-      insert_mem t ~read c)
+    if Atomic.compare_and_set slot None (Some c) then c
+    else Option.get (Atomic.get slot)
 
 (* Log-linear interpolation over a positive grid. Clamp outside. *)
 let interp grid values x =
@@ -311,6 +253,6 @@ let shared ?(window = 1) dev =
       match Hashtbl.find_opt shared_table key with
       | Some t -> t
       | None ->
-        let t = create ~window ?cache_dir:(Cal_cache.ambient_dir ()) dev in
+        let t = create ~window ?cache_dir:(ambient_dir ()) dev in
         Hashtbl.add shared_table key t;
         t)

@@ -17,13 +17,21 @@ type t
 val create : ?window:int -> ?cache_dir:string -> Hlsb_device.Device.t -> t
 (** [window] is the neighbour-smoothing half-width (default 1). Curves are
     characterized lazily and cached per (op, dtype). When [cache_dir] is
-    given, raw curves are also persisted there (see {!Cal_cache}) and
-    reloaded on later runs instead of being re-characterized. *)
+    given, each raw curve is also persisted as one {!Hlsb_util.Store}
+    entry rooted there (namespace ["cal"], keyed on
+    {!Hlsb_device.Device.fingerprint}, the curve name and its grid, plus
+    the build id every store key carries) and reloaded on later runs
+    instead of being re-characterized. Smoothing is applied in memory: it
+    depends on the window, which is deliberately not part of the key. A
+    store that cannot be written costs only persistence; answers still
+    come from memory. *)
+
+val ambient_dir : unit -> string option
+(** [$HLSB_CACHE_DIR], else [$XDG_CACHE_HOME/hlsb], else
+    [$HOME/.cache/hlsb]; [None] when [HLSB_CACHE_DIR] is the empty
+    string or no base directory can be resolved. *)
 
 val device : t -> Hlsb_device.Device.t
-
-val cache_dir : t -> string option
-(** The on-disk cache directory this instance persists to, if any. *)
 
 val factor_grid : int array
 (** The log-spaced broadcast factors at which curves are sampled. *)
@@ -81,4 +89,4 @@ val shared : ?window:int -> Hlsb_device.Device.t -> t
 (** A process-wide memoized instance per (device, window): characterization
     curves are expensive, and every design on the same device can reuse
     them. Shared instances persist to the ambient cache directory
-    ({!Cal_cache.ambient_dir}) when one is available. Thread-safe. *)
+    ({!ambient_dir}) when one is available. Thread-safe. *)

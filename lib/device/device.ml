@@ -135,6 +135,12 @@ let bram18_for ~width ~depth =
 
 let find name = List.find_opt (fun d -> d.name = name) all
 
+let fingerprint d =
+  Printf.sprintf "%s|%s|%dx%d|s%d.%d|b%d|d%d|%g|%g|%g|%g|%g|%g" d.name d.family
+    d.cols d.rows d.lut_per_slice d.ff_per_slice d.bram_col_every
+    d.dsp_col_every d.t_clk_q d.t_setup d.t_lut d.t_net_base d.t_net_fanout
+    d.t_net_dist
+
 let pp fmt t =
   Format.fprintf fmt "%s (%s, %s): %d LUT / %d FF / %d BRAM18 / %d DSP"
     t.name t.family t.board t.luts t.ffs t.bram18 t.dsps

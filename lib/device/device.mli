@@ -56,4 +56,9 @@ val bram18_for : width:int -> depth:int -> int
 val find : string -> t option
 (** Look up a device by [name]. *)
 
+val fingerprint : t -> string
+(** Every field that feeds the delay model, flattened: a device renamed
+    or retimed must not reuse curves or results measured under the old
+    numbers. *)
+
 val pp : Format.formatter -> t -> unit

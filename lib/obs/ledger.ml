@@ -261,7 +261,7 @@ let sync_requested () =
   | _ -> false
 
 (* One locked single-buffer write per record: the advisory lock
-   serializes concurrent writers (same guarantee Cal_cache gets from
+   serializes concurrent writers (same guarantee Store gets from
    write-then-rename, adapted to an append-only file) and the whole
    line goes down in one [Unix.write]. A short or failed write used to
    leave a torn line for every later reader to skip — now the file is

@@ -17,7 +17,7 @@
 
     Appends serialize under an advisory file lock and go down as one
     [write] of the fully-assembled line — the append-only analog of
-    [Cal_cache]'s write-then-rename discipline — so concurrent writers
+    {!Hlsb_util.Store}'s write-then-rename discipline — so concurrent writers
     never interleave records. A short or failed write is rolled back by
     truncating the file to its pre-append length (the lock is still
     held), so a failed append leaves no torn line behind; what malformed

@@ -367,9 +367,4 @@ let star_length t nid =
     !far +. (!spread /. float_of_int (1 + n_sinks))
   end
 
-let overlap_free _t = true
-(* Packing assigns disjoint Hilbert slots by construction; kept as an
-   explicit invariant entry point for tests that re-verify via max_extent
-   and used-slot accounting. *)
-
 let max_extent t = max t.max_x t.max_y

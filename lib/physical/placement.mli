@@ -72,10 +72,5 @@ val star_length : t -> int -> float
 val bbox : t -> int -> float * float * float * float
 (** (xmin, ymin, xmax, ymax) of a net. *)
 
-val overlap_free : t -> bool
-(** True if no two cells share a packing slot; holds by construction
-    (disjoint curve slots — refined registers are light enough to legalize
-    next to their ideal point), exposed for tests. *)
-
 val max_extent : t -> float
 (** Largest coordinate used; must be within the die (tests). *)

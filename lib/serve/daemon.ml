@@ -12,7 +12,6 @@ module Suite = Hlsb_designs.Suite
 module Spec = Hlsb_designs.Spec
 module Device = Hlsb_device.Device
 module Calibrate = Hlsb_delay.Calibrate
-module Cal_cache = Hlsb_delay.Cal_cache
 
 let socket_env_var = "HLSBD_SOCKET"
 let default_socket = Filename.concat ".hlsb" "hlsbd.sock"
@@ -29,14 +28,11 @@ type slot = { sl_session : Pipeline.session; sl_mutex : Mutex.t }
 
 type t = {
   d_store : Store.t;
-  d_git_rev : string;  (** "" outside a checkout *)
   d_ledger : bool;
   d_sessions : (string, slot) Hashtbl.t;
   d_sessions_mu : Mutex.t;
   d_mu : Mutex.t;
   mutable d_requests : int;
-  mutable d_hits : int;  (** store hits on compile-flavoured verbs *)
-  mutable d_misses : int;
   d_stop : bool Atomic.t;
 }
 
@@ -44,14 +40,11 @@ let create ?budget_bytes ?store_root ?(ledger = true) () =
   let root = match store_root with Some r -> r | None -> Store.ambient_root () in
   {
     d_store = Store.open_ ?budget_bytes ~root ();
-    d_git_rev = Option.value (Ledger.git_rev ()) ~default:"";
     d_ledger = ledger;
     d_sessions = Hashtbl.create 16;
     d_sessions_mu = Mutex.create ();
     d_mu = Mutex.create ();
     d_requests = 0;
-    d_hits = 0;
-    d_misses = 0;
     d_stop = Atomic.make false;
   }
 
@@ -70,23 +63,17 @@ let session_for t ~key mk =
 let artifact_of_result r =
   Json.to_string ~minify:false (Pipeline.result_to_json r) ^ "\n"
 
-let hit_rate t =
-  Mutex.protect t.d_mu (fun () ->
-    let lookups = t.d_hits + t.d_misses in
-    if lookups = 0 then 0. else float_of_int t.d_hits /. float_of_int lookups)
-
 (* The store-backed serving discipline shared by every compile-flavoured
    verb: look the key up in the client's namespace; on miss run the
    compile thunk, publish the bytes, and answer with exactly the bytes
-   the store now holds — so hit and miss responses are byte-identical. *)
+   the store now holds — so hit and miss responses are byte-identical.
+   This is the daemon's only store lookup, so the store's own hit and
+   miss counters are exactly these verbs'. *)
 let serve_artifact t ~id ~ns ~parts compile =
   let key = Store.key ~parts in
   match Store.find t.d_store ~ns ~key with
-  | Some bytes ->
-    Mutex.protect t.d_mu (fun () -> t.d_hits <- t.d_hits + 1);
-    Protocol.ok ~hit:true ~key ~id bytes
+  | Some bytes -> Protocol.ok ~hit:true ~key ~id bytes
   | None ->
-    Mutex.protect t.d_mu (fun () -> t.d_misses <- t.d_misses + 1);
     let bytes = compile () in
     (match Store.put t.d_store ~ns ~key bytes with
     | Ok () -> ()
@@ -113,8 +100,7 @@ let handle_compile t ~id ~ns (c : Protocol.compile_req) =
     let parts =
       [
         "compile";
-        Cal_cache.fingerprint spec.Spec.sp_device;
-        t.d_git_rev;
+        Device.fingerprint spec.Spec.sp_device;
         spec.Spec.sp_name;
         ck;
       ]
@@ -147,7 +133,7 @@ let handle_cc t ~id ~ns (c : Protocol.cc_req) =
       Pipeline.cache_key ~plan:c.cc_plan slot.sl_session ~recipe:c.cc_recipe
     in
     let parts =
-      [ "cc"; Cal_cache.fingerprint device; t.d_git_rev; digest; c.cc_name; ck ]
+      [ "cc"; Device.fingerprint device; digest; c.cc_name; ck ]
     in
     serve_artifact t ~id ~ns ~parts (fun () ->
       Mutex.protect slot.sl_mutex (fun () ->
@@ -165,8 +151,8 @@ let handle_characterize t ~id ~ns dev_name =
          ~entity:(Diag.Design dev_name)
          (Printf.sprintf "unknown device %S" dev_name))
   | Some device ->
-    let fp = Cal_cache.fingerprint device in
-    let parts = [ "characterize"; fp; t.d_git_rev ] in
+    let fp = Device.fingerprint device in
+    let parts = [ "characterize"; fp ] in
     serve_artifact t ~id ~ns ~parts (fun () ->
       let cal = Calibrate.shared device in
       Calibrate.warm ~mem:true cal;
@@ -198,8 +184,7 @@ let handle_explore t ~id ~ns (e : Protocol.explore_req) =
     let parts =
       [
         "explore";
-        Cal_cache.fingerprint spec.Spec.sp_device;
-        t.d_git_rev;
+        Device.fingerprint spec.Spec.sp_device;
         spec.Spec.sp_name;
         string_of_int e.ex_budget;
         string_of_int e.ex_max_probes;
@@ -217,17 +202,15 @@ let handle_explore t ~id ~ns (e : Protocol.explore_req) =
 
 let status_json t =
   let st = Store.stats t.d_store in
-  let requests, hits, misses =
-    Mutex.protect t.d_mu (fun () -> (t.d_requests, t.d_hits, t.d_misses))
-  in
+  let requests = Mutex.protect t.d_mu (fun () -> t.d_requests) in
   Json.Obj
     [
       ("schema", Json.Str "hlsbd-status/1");
       ("pid", Json.Int (Unix.getpid ()));
       ("requests", Json.Int requests);
-      ("hits", Json.Int hits);
-      ("misses", Json.Int misses);
-      ("hit_rate", Json.Float (hit_rate t));
+      ("hits", Json.Int st.Store.st_hits);
+      ("misses", Json.Int st.Store.st_misses);
+      ("hit_rate", Json.Float (Store.hit_rate t.d_store));
       ( "store",
         Json.Obj
           [
@@ -242,7 +225,7 @@ let status_json t =
 
 let record_request t (req : Protocol.request) (resp : Protocol.response) ms =
   Metrics.incr "serve.requests";
-  Metrics.set_gauge "serve.store_hit_rate" (hit_rate t);
+  Metrics.set_gauge "serve.store_hit_rate" (Store.hit_rate t.d_store);
   if t.d_ledger && Ledger.enabled () then begin
     let label =
       Printf.sprintf "%s %s"

@@ -1,6 +1,6 @@
-(** Crash- and concurrency-safe whole-file writes, shared by every
-    on-disk store in the tree ([Hlsb_delay.Cal_cache], the compile
-    service's artifact store).
+(** Crash- and concurrency-safe whole-file writes: the writer under
+    {!Store}, the one on-disk store in the tree (compile artifacts and
+    calibration curves alike).
 
     The contract is write-then-rename: the payload goes to a temporary
     file in the destination directory and is renamed over the target, so
@@ -8,10 +8,10 @@
     the process id, the domain id, and a random suffix — two *processes*
     (a daemon and a stray CLI invocation) or two domains writing the
     same target concurrently each use distinct temp paths, so neither
-    can publish the other's half-written bytes. (The previous
-    [Cal_cache] scheme keyed the temp name on the domain id alone, which
-    collides across processes: both sides open the same [.tmp.0] file
-    and the slower writer renames a torn mixture into place.) *)
+    can publish the other's half-written bytes. (A temp name keyed on
+    the domain id alone collides across processes: both sides open the
+    same [.tmp.0] file and the slower writer renames a torn mixture into
+    place.) *)
 
 val write : path:string -> string -> (unit, string) result
 (** Atomically replace [path] with the given bytes (creating parent

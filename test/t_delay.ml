@@ -5,10 +5,9 @@ open Hlsb_ir
 module Oplib = Hlsb_delay.Oplib
 module Characterize = Hlsb_delay.Characterize
 module Calibrate = Hlsb_delay.Calibrate
-module Cal_cache = Hlsb_delay.Cal_cache
+module Store = Hlsb_util.Store
 module Device = Hlsb_device.Device
 module Metrics = Hlsb_telemetry.Metrics
-module Json = Hlsb_telemetry.Json
 module Pool = Hlsb_util.Pool
 
 let dev = Device.ultrascale_plus
@@ -158,17 +157,37 @@ let test_device_scaling () =
 
 (* ---- Persistent calibration cache ---- *)
 
+let rec rm_rf path =
+  match Unix.lstat path with
+  | exception Unix.Unix_error _ -> ()
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    (try Unix.rmdir path with Unix.Unix_error _ -> ())
+  | _ -> ( try Sys.remove path with Sys_error _ -> ())
+
 let with_temp_dir f =
   let base = Filename.temp_file "hlsb-cal" "" in
   Sys.remove base;
   Sys.mkdir base 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun fn -> try Sys.remove (Filename.concat base fn) with Sys_error _ -> ())
-        (try Sys.readdir base with Sys_error _ -> [||]);
-      try Sys.rmdir base with Sys_error _ -> ())
-    (fun () -> f base)
+  Fun.protect ~finally:(fun () -> rm_rf base) (fun () -> f base)
+
+(* The store key of one raw curve, as [Calibrate.create] documents it. *)
+let curve_key d name grid =
+  Store.key
+    ~parts:
+      [
+        Device.fingerprint d;
+        name;
+        String.concat "," (Array.to_list (Array.map string_of_int grid));
+      ]
+
+let curve_entry dir d name grid =
+  Store.find (Store.open_ ~root:dir ()) ~ns:"cal" ~key:(curve_key d name grid)
+
+let builds_of f =
+  let reg = Metrics.create () in
+  Metrics.with_registry reg f;
+  Metrics.counter_value reg "calibrate.curve_builds"
 
 let test_cache_round_trip () =
   with_temp_dir (fun dir ->
@@ -195,87 +214,62 @@ let test_cache_fingerprint_invalidation () =
   with_temp_dir (fun dir ->
       let c = Calibrate.create ~cache_dir:dir dev in
       ignore (Calibrate.op_curve c Op.Add i32);
-      (* same device name, different timing numbers: stale *)
+      (* same device name, different timing numbers: a different key *)
       let retimed = { dev with Device.t_lut = dev.Device.t_lut *. 2. } in
+      Alcotest.(check bool) "original device has an entry" true
+        (curve_entry dir dev "add/i32" Calibrate.factor_grid <> None);
       Alcotest.(check bool) "retimed device misses" true
-        (Cal_cache.load ~dir ~factor_grid:Calibrate.factor_grid
-           ~unit_grid:Calibrate.unit_grid retimed
-        = None);
-      Alcotest.(check bool) "original device still hits" true
-        (Cal_cache.load ~dir ~factor_grid:Calibrate.factor_grid
-           ~unit_grid:Calibrate.unit_grid dev
-        <> None))
-
-let test_cache_schema_invalidation () =
-  with_temp_dir (fun dir ->
-      let c = Calibrate.create ~cache_dir:dir dev in
-      ignore (Calibrate.op_curve c Op.Add i32);
-      let path = Cal_cache.file_path ~dir dev in
-      let text =
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      let bumped =
-        match Json.of_string text with
-        | Ok (Json.Obj fields) ->
-          Json.Obj
-            (List.map
-               (fun (k, v) -> if k = "schema" then (k, Json.Int 999) else (k, v))
-               fields)
-        | _ -> Alcotest.fail "cache file should parse as an object"
-      in
-      let oc = open_out_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc (Json.to_string bumped));
-      Alcotest.(check bool) "future schema misses" true
-        (Cal_cache.load ~dir ~factor_grid:Calibrate.factor_grid
-           ~unit_grid:Calibrate.unit_grid dev
-        = None);
-      match Cal_cache.summarize ~factor_grid:Calibrate.factor_grid
-              ~unit_grid:Calibrate.unit_grid path
-      with
-      | None -> Alcotest.fail "summarize should still parse the file"
-      | Some s ->
-        Alcotest.(check bool) "flagged stale" false s.Cal_cache.s_valid;
-        Alcotest.(check int) "schema surfaced" 999 s.Cal_cache.s_schema)
+        (curve_entry dir retimed "add/i32" Calibrate.factor_grid = None);
+      Alcotest.(check int) "retimed device re-characterizes" 1
+        (builds_of (fun () ->
+           ignore (Calibrate.op_curve (Calibrate.create ~cache_dir:dir retimed) Op.Add i32)));
+      Alcotest.(check int) "original device still hits" 0
+        (builds_of (fun () ->
+           ignore (Calibrate.op_curve (Calibrate.create ~cache_dir:dir dev) Op.Add i32))))
 
 let test_cache_grid_invalidation () =
   with_temp_dir (fun dir ->
-      Cal_cache.store ~dir ~factor_grid:[| 1; 2 |] ~unit_grid:[| 1 |] dev
-        { Cal_cache.empty with Cal_cache.e_ops = [ ("add/i32", [| 1.; 2. |]) ] };
+      (* a curve stored under another grid is another key *)
+      (match
+         Store.put (Store.open_ ~root:dir ()) ~ns:"cal"
+           ~key:(curve_key dev "add/i32" [| 1; 2 |]) "0x1p+0 0x1p+1"
+       with
+      | Ok () -> ()
+      | Error m -> Alcotest.fail m);
       Alcotest.(check bool) "different grid misses" true
-        (Cal_cache.load ~dir ~factor_grid:Calibrate.factor_grid
-           ~unit_grid:Calibrate.unit_grid dev
-        = None))
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+        (curve_entry dir dev "add/i32" Calibrate.factor_grid = None);
+      Alcotest.(check int) "different grid re-characterizes" 1
+        (builds_of (fun () ->
+           ignore (Calibrate.op_curve (Calibrate.create ~cache_dir:dir dev) Op.Add i32))))
 
 let test_cache_bytes_order_independent () =
-  (* The cache file serializes op curves in sorted key order, so its exact
-     bytes are independent of the order — and the number of domains — the
-     curves were built with. Warm one directory sequentially and another
-     with the ops reversed and fanned out across a real multi-domain pool,
-     and require identical files. *)
+  (* Each raw curve is its own store entry with an exact encoding, so the
+     entry bytes are independent of the order — and the number of
+     domains — the curves were built with. Warm one directory
+     sequentially and another with the ops reversed and fanned out across
+     a real multi-domain pool, and require identical entries. *)
   let ops = [ (Op.Add, i32); (Op.Sub, i32); (Op.Mul, i32) ] in
   let warm_in dir order ~jobs =
     let cal = Calibrate.create ~cache_dir:dir dev in
     Pool.iter ~jobs
       (fun (op, dt) -> ignore (Calibrate.op_delay cal op dt ~factor:4))
       (Array.of_list order);
-    read_file (Cal_cache.file_path ~dir dev)
+    List.map
+      (fun (op, dt) ->
+        match
+          curve_entry dir dev
+            (Op.to_string op ^ "/" ^ Dtype.to_string dt)
+            Calibrate.factor_grid
+        with
+        | Some bytes -> bytes
+        | None -> Alcotest.fail "curve entry missing")
+      ops
   in
   with_temp_dir (fun d1 ->
       with_temp_dir (fun d2 ->
           let seq = warm_in d1 ops ~jobs:1 in
           let par = warm_in d2 (List.rev ops) ~jobs:4 in
-          Alcotest.(check string) "cache files byte-identical" seq par))
+          Alcotest.(check (list string)) "curve entries byte-identical" seq par))
 
 let test_jobs_deterministic () =
   (* the acceptance bar: curves bit-identical at any job count *)
@@ -313,8 +307,6 @@ let suite =
     Alcotest.test_case "cache round trip" `Quick test_cache_round_trip;
     Alcotest.test_case "cache fingerprint invalidation" `Quick
       test_cache_fingerprint_invalidation;
-    Alcotest.test_case "cache schema invalidation" `Quick
-      test_cache_schema_invalidation;
     Alcotest.test_case "cache grid invalidation" `Quick test_cache_grid_invalidation;
     Alcotest.test_case "jobs deterministic" `Quick test_jobs_deterministic;
     Alcotest.test_case "cache bytes order-independent" `Quick

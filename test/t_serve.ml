@@ -1,17 +1,17 @@
-(* Compile-service tests: the content-addressed artifact store
-   (round-trip, namespace isolation, key sensitivity, LRU eviction),
-   cross-PROCESS concurrency on both hardened writers (two re-exec'd
-   worker processes hammering Cal_cache.store and Store.put on shared
-   paths must leave only complete, parseable files), the hlsbd protocol
-   codec and framing, and the daemon itself — in-process via
-   Daemon.handle (repeat compile is a store hit, byte-identical to the
-   in-process Flow result) and over a real Unix socket via Client. *)
+(* Compile-service tests: the content-addressed store (round-trip,
+   namespace isolation, key scheme and sensitivity, LRU eviction, and
+   its faults: corrupt entries, a killed writer's temp file, a root that
+   is not a directory), cross-PROCESS concurrency on the hardened writer
+   (two re-exec'd worker processes hammering Store.put on shared keys
+   must leave only complete entries), the hlsbd protocol codec and
+   framing, and the daemon itself — in-process via Daemon.handle (repeat
+   compile is a store hit, byte-identical to the in-process Pipeline
+   result) and over a real Unix socket via Client. *)
 
 module Json = Hlsb_telemetry.Json
 module Metrics = Hlsb_telemetry.Metrics
 module Diag = Hlsb_util.Diag
 module Atomic_file = Hlsb_util.Atomic_file
-module Cal_cache = Hlsb_delay.Cal_cache
 module Calibrate = Hlsb_delay.Calibrate
 module Device = Hlsb_device.Device
 module Style = Hlsb_ctrl.Style
@@ -89,6 +89,128 @@ let test_store_key_sensitivity () =
   Alcotest.(check bool) "no concatenation aliasing" true
     (Store.key ~parts:[ "ab"; "c" ] <> Store.key ~parts:[ "a"; "bc" ])
 
+let test_store_key_scheme () =
+  let parts = [ "compile"; "fp"; "design"; "optimized" ] in
+  Alcotest.(check int) "build id is 32 hex digits" 32
+    (String.length Build_id.digest);
+  Alcotest.(check string) "key = MD5 of schema, build id, parts"
+    (Digest.to_hex
+       (Digest.string
+          (String.concat "\x00" (Store.schema :: Build_id.digest :: parts))))
+    (Store.key ~parts)
+
+let entry_path root ~ns ~key =
+  Filename.concat
+    (Filename.concat (Filename.concat root ns) (String.sub key 0 2))
+    key
+
+let write_file path bytes =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc bytes)
+
+let put_ok t ~ns ~key bytes =
+  match Store.put t ~ns ~key bytes with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail m
+
+(* [f ()] with stderr sent to a temp file: its result and the lines it
+   printed there. *)
+let capture_stderr f =
+  let path = Filename.temp_file "hlsb-stderr" ".txt" in
+  let saved = Unix.dup Unix.stderr in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  let v =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stderr;
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved)
+      f
+  in
+  let lines =
+    String.split_on_char '\n' (Option.get (Atomic_file.read path))
+    |> List.filter (( <> ) "")
+  in
+  Sys.remove path;
+  (v, lines)
+
+let test_store_corrupt_entries_evicted () =
+  with_temp_dir (fun root ->
+    let t = Store.open_ ~root () in
+    let payload = "artifact-bytes\n" ^ String.make 200 'p' in
+    let flip_last file =
+      let b = Bytes.of_string file in
+      let i = Bytes.length b - 3 in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+      Bytes.to_string b
+    in
+    List.iter
+      (fun (what, corrupt) ->
+        let key = Store.key ~parts:[ "fault"; what ] in
+        let path = entry_path root ~ns:"f" ~key in
+        put_ok t ~ns:"f" ~key payload;
+        write_file path (corrupt (Option.get (Atomic_file.read path)));
+        let misses = (Store.stats t).Store.st_misses in
+        let got, lines = capture_stderr (fun () -> Store.find t ~ns:"f" ~key) in
+        Alcotest.(check (option string)) (what ^ " reads as None") None got;
+        Alcotest.(check int) (what ^ " counts a miss") (misses + 1)
+          (Store.stats t).Store.st_misses;
+        Alcotest.(check bool) (what ^ " entry evicted") false
+          (Sys.file_exists path);
+        Alcotest.(check int) (what ^ " warns once") 1 (List.length lines);
+        Alcotest.(check bool) (what ^ " warning is a store diagnostic") true
+          (String.starts_with ~prefix:"warning[store]" (List.hd lines));
+        put_ok t ~ns:"f" ~key payload;
+        Alcotest.(check (option string)) (what ^ " rewritten by the next put")
+          (Some payload) (Store.find t ~ns:"f" ~key))
+      [
+        ("truncated", fun file -> String.sub file 0 (String.length file - 7));
+        ("bit-flipped", flip_last);
+        ("garbage", fun _ -> "not a store entry");
+      ])
+
+let test_store_leftover_temp_ignored () =
+  with_temp_dir (fun root ->
+    (* budget 0: gc would evict every entry it can see *)
+    let t = Store.open_ ~budget_bytes:0 ~root () in
+    let key = Store.key ~parts:[ "killed writer" ] in
+    let path = entry_path root ~ns:"k" ~key in
+    let tmp = path ^ ".tmp." ^ Atomic_file.temp_suffix () in
+    Atomic_file.mkdir_p (Filename.dirname path);
+    write_file tmp "half-written";
+    Alcotest.(check (option string)) "find ignores the temp file" None
+      (Store.find t ~ns:"k" ~key);
+    let st = Store.stats t in
+    Alcotest.(check int) "stats count no entry" 0 st.Store.st_entries;
+    Alcotest.(check int) "stats count no bytes" 0 st.Store.st_bytes;
+    put_ok t ~ns:"k" ~key:(Store.key ~parts:[ "live" ]) "live";
+    Alcotest.(check int) "gc evicts only the real entry" 1 (Store.gc t);
+    Alcotest.(check bool) "temp file left alone" true (Sys.file_exists tmp))
+
+let test_store_root_is_a_file () =
+  with_temp_dir (fun dir ->
+    let root = Filename.concat dir "not-a-dir" in
+    write_file root "x";
+    let t = Store.open_ ~root () in
+    Alcotest.(check bool) "put returns Error" true
+      (Result.is_error (Store.put t ~ns:"n" ~key:(Store.key ~parts:[ "k" ]) "v"));
+    Alcotest.(check (option string)) "find misses" None
+      (Store.find t ~ns:"n" ~key:(Store.key ~parts:[ "k" ]));
+    (* calibration over such a root still answers, from memory *)
+    let i32 = Hlsb_ir.Dtype.Int 32 in
+    let cal = Calibrate.create ~cache_dir:root Device.ultrascale_plus in
+    let d = Calibrate.op_delay cal Hlsb_ir.Op.Add i32 ~factor:64 in
+    Alcotest.(check (float 0.)) "same delay as an uncached calibrator"
+      (Calibrate.op_delay (Calibrate.create Device.ultrascale_plus) Hlsb_ir.Op.Add i32 ~factor:64)
+      d;
+    let reg = Metrics.create () in
+    Metrics.with_registry reg (fun () ->
+      ignore (Calibrate.op_delay cal Hlsb_ir.Op.Add i32 ~factor:8));
+    Alcotest.(check int) "second lookup answered from memory" 0
+      (Metrics.counter_value reg "calibrate.curve_builds"))
+
 let test_store_lru_eviction () =
   with_temp_dir (fun root ->
     (* budget of 3 payloads; 5 puts with strictly increasing mtimes *)
@@ -137,7 +259,7 @@ let test_sanitize_ns () =
   Alcotest.(check string) "empty becomes default" "default"
     (Store.sanitize_ns "../..")
 
-(* ---- cross-process writers (the Cal_cache temp-name collision bug) ---- *)
+(* ---- cross-process writers (the temp-name collision bug) ---- *)
 
 let hammer_iters = 30
 let hammer_keys = 8
@@ -146,39 +268,14 @@ let worker_env_var = "HLSB_T_SERVE_WORKER"
 let hammer_payload tag k =
   Printf.sprintf "%s:%d:%s\n" tag k (String.make 2048 tag.[0])
 
-(* Curves must match the grids exactly or [load] treats the file as
-   invalid — which is precisely what makes load a whole-file validity
-   check for this test. *)
-let hammer_entry tag i =
-  {
-    Cal_cache.e_ops =
-      [
-        ( "add/" ^ tag,
-          Array.make (Array.length Calibrate.factor_grid) (float_of_int i) );
-      ];
-    e_mem_wr = Some (Array.make (Array.length Calibrate.unit_grid) 1.0);
-    e_mem_rd = None;
-  }
-
-let cal_dev = Device.ultrascale_plus
-
-(* Re-exec'd worker body: hammer Cal_cache.store and Store.put against
-   directories shared with a sibling process. Returns the exit code. *)
+(* Re-exec'd worker body: hammer Store.put against a root shared with a
+   sibling process. Returns the exit code. *)
 let worker spec =
   match String.split_on_char '|' spec with
-  | [ "hammer"; cal_dir; store_root; ns; tag ] ->
+  | [ "hammer"; store_root; ns; tag ] ->
     let st = Store.open_ ~root:store_root () in
     let ok = ref true in
     for i = 0 to hammer_iters - 1 do
-      Cal_cache.store ~dir:cal_dir ~factor_grid:Calibrate.factor_grid
-        ~unit_grid:Calibrate.unit_grid cal_dev (hammer_entry tag i);
-      (* rename is atomic: after our first store, a load must always see
-         a complete valid file (ours or the sibling's) *)
-      if
-        Cal_cache.load ~dir:cal_dir ~factor_grid:Calibrate.factor_grid
-          ~unit_grid:Calibrate.unit_grid cal_dev
-        = None
-      then ok := false;
       let k = i mod hammer_keys in
       let key = Store.key ~parts:[ "hammer"; string_of_int k ] in
       (match Store.put st ~ns ~key (hammer_payload tag k) with
@@ -200,46 +297,32 @@ let spawn_worker spec =
     env Unix.stdin Unix.stdout Unix.stderr
 
 let test_multiprocess_writers () =
-  with_temp_dir (fun cal_dir ->
-    with_temp_dir (fun store_root ->
-      let spec tag =
-        String.concat "|" [ "hammer"; cal_dir; store_root; "ns"; tag ]
-      in
-      let p1 = spawn_worker (spec "aa") in
-      let p2 = spawn_worker (spec "bb") in
-      let wait p =
-        match Unix.waitpid [] p with
-        | _, Unix.WEXITED 0 -> ()
-        | _, Unix.WEXITED n ->
-          Alcotest.failf "writer process exited with %d (torn file seen?)" n
-        | _ -> Alcotest.fail "writer process killed"
-      in
-      wait p1;
-      wait p2;
-      (* the calibration cache file is complete and valid *)
-      (match
-         Cal_cache.load ~dir:cal_dir ~factor_grid:Calibrate.factor_grid
-           ~unit_grid:Calibrate.unit_grid cal_dev
-       with
-      | None -> Alcotest.fail "cal cache unreadable after concurrent writers"
-      | Some e ->
-        Alcotest.(check bool) "one writer's complete entry" true
-          (e.Cal_cache.e_ops = (hammer_entry "aa" (hammer_iters - 1)).Cal_cache.e_ops
-          || e.Cal_cache.e_ops
-             = (hammer_entry "bb" (hammer_iters - 1)).Cal_cache.e_ops));
-      (* every hammered store entry is one writer's payload, never an
-         interleaving *)
-      let st = Store.open_ ~root:store_root () in
-      for k = 0 to hammer_keys - 1 do
-        let key = Store.key ~parts:[ "hammer"; string_of_int k ] in
-        match Store.find st ~ns:"ns" ~key with
-        | None -> Alcotest.failf "store entry %d missing" k
-        | Some bytes ->
-          Alcotest.(check bool)
-            (Printf.sprintf "entry %d is a complete payload" k)
-            true
-            (bytes = hammer_payload "aa" k || bytes = hammer_payload "bb" k)
-      done))
+  with_temp_dir (fun store_root ->
+    let spec tag = String.concat "|" [ "hammer"; store_root; "ns"; tag ] in
+    let p1 = spawn_worker (spec "aa") in
+    let p2 = spawn_worker (spec "bb") in
+    let wait p =
+      match Unix.waitpid [] p with
+      | _, Unix.WEXITED 0 -> ()
+      | _, Unix.WEXITED n ->
+        Alcotest.failf "writer process exited with %d (torn file seen?)" n
+      | _ -> Alcotest.fail "writer process killed"
+    in
+    wait p1;
+    wait p2;
+    (* every hammered store entry is one writer's payload, never an
+       interleaving *)
+    let st = Store.open_ ~root:store_root () in
+    for k = 0 to hammer_keys - 1 do
+      let key = Store.key ~parts:[ "hammer"; string_of_int k ] in
+      match Store.find st ~ns:"ns" ~key with
+      | None -> Alcotest.failf "store entry %d missing" k
+      | Some bytes ->
+        Alcotest.(check bool)
+          (Printf.sprintf "entry %d is a complete payload" k)
+          true
+          (bytes = hammer_payload "aa" k || bytes = hammer_payload "bb" k)
+    done)
 
 (* ---- protocol codec + framing ---- *)
 
@@ -453,10 +536,12 @@ let test_daemon_status_and_gc () =
     | Ok j ->
       Alcotest.(check bool) "status schema" true
         (Json.member "schema" j = Some (Json.Str "hlsbd-status/1"));
+      Alcotest.(check bool) "one hit, one miss" true
+        (Json.member "hits" j = Some (Json.Int 1)
+        && Json.member "misses" j = Some (Json.Int 1));
       (match Json.member "hit_rate" j with
       | Some (Json.Float r) ->
-        Alcotest.(check bool) "hit rate > 0 after a repeat compile" true
-          (r > 0.)
+        Alcotest.(check (float 0.)) "hit rate after a repeat compile" 0.5 r
       | _ -> Alcotest.fail "hit_rate missing"));
     let gc = check_ok (Daemon.handle t (req "4" Protocol.Gc)) in
     match Json.of_string gc.Protocol.p_artifact with
@@ -559,6 +644,14 @@ let suite =
       test_store_key_sensitivity;
     Alcotest.test_case "store: LRU eviction to budget" `Quick
       test_store_lru_eviction;
+    Alcotest.test_case "store: key = MD5 of schema, build id, parts" `Quick
+      test_store_key_scheme;
+    Alcotest.test_case "store: corrupt entries miss, evict, rewrite" `Quick
+      test_store_corrupt_entries_evicted;
+    Alcotest.test_case "store: killed writer's temp file ignored" `Quick
+      test_store_leftover_temp_ignored;
+    Alcotest.test_case "store: root is a file; calibration still answers"
+      `Quick test_store_root_is_a_file;
     Alcotest.test_case "store: namespace sanitization" `Quick test_sanitize_ns;
     Alcotest.test_case "cross-process: concurrent writers leave whole files"
       `Slow test_multiprocess_writers;
