@@ -13,6 +13,7 @@
      schedule  DESIGN         schedule report of every kernel, per process
      calibrate                warm / inspect / clear the calibration cache
      obs                      run ledger: list | report | diff | regress | prom
+     experiments [NAME...]    EXPERIMENTS.md's generated blocks
      table1|table2|table3     regenerate the paper's tables
      fig9|fig15|fig16|fig17|fig19   regenerate the paper's figures
      ablation                 design-choice ablations *)
@@ -1247,47 +1248,46 @@ let cmd_obs =
           perf-regression gate")
     [ cmd_list_runs; cmd_report; cmd_diff; cmd_regress; cmd_prom ]
 
-let simple name doc f = Cmd.v (Cmd.info name ~doc) Term.(const f $ const ())
+(* Every paper table and figure is one entry of [Experiments.sections]:
+   one subcommand each, and [experiments] prints the marked blocks
+   EXPERIMENTS.md carries. *)
+let cmd_sections =
+  List.map
+    (fun (s : Experiments.section) ->
+      let print () = print_string (fst (s.Experiments.render ())) in
+      Cmd.v
+        (Cmd.info s.Experiments.name ~doc:s.Experiments.title)
+        Term.(const print $ const ()))
+    Experiments.sections
 
-let cmd_table1 =
-  simple "table1" "Regenerate Table 1" (fun () ->
-    print_string (Experiments.render_table1 (Experiments.run_table1 ())))
-
-let cmd_table2 =
-  simple "table2" "Regenerate Table 2" (fun () ->
-    print_string
-      (Experiments.render_variants ~title:"Table 2 (paper: 195/299/301 MHz)"
-         (Experiments.run_table2 ())))
-
-let cmd_table3 =
-  simple "table3" "Regenerate Table 3" (fun () ->
-    print_string
-      (Experiments.render_variants ~title:"Table 3 (paper: 187/208/278 MHz)"
-         (Experiments.run_table3 ())))
-
-let cmd_fig9 =
-  simple "fig9" "Regenerate Figure 9" (fun () ->
-    print_string (Experiments.render_fig9 (Experiments.run_fig9 ())))
-
-let cmd_fig15 =
-  simple "fig15" "Regenerate Figure 15" (fun () ->
-    print_string (Experiments.render_fig15 (Experiments.run_fig15 ())))
-
-let cmd_fig16 =
-  simple "fig16" "Regenerate Figure 16" (fun () ->
-    print_string (Experiments.render_fig16 (Experiments.run_fig16 ())))
-
-let cmd_fig17 =
-  simple "fig17" "Regenerate Figure 17" (fun () ->
-    print_string (Experiments.render_fig17 (Experiments.run_fig17 ())))
-
-let cmd_fig19 =
-  simple "fig19" "Regenerate Figure 19" (fun () ->
-    print_string (Experiments.render_fig19 (Experiments.run_fig19 ())))
-
-let cmd_ablation =
-  simple "ablation" "Run the design-choice ablations" (fun () ->
-    print_string (Experiments.render_ablations (Experiments.run_ablations ())))
+let cmd_experiments =
+  let run () names =
+    let find n =
+      match
+        List.find_opt (fun (s : Experiments.section) -> s.Experiments.name = n)
+          Experiments.sections
+      with
+      | Some s -> s
+      | None ->
+        Printf.eprintf "unknown section %S; available: %s\n" n
+          (String.concat " "
+             (List.map (fun (s : Experiments.section) -> s.Experiments.name)
+                Experiments.sections));
+        exit 1
+    in
+    let chosen =
+      if names = [] then Experiments.sections else List.map find names
+    in
+    List.iter (fun s -> print_string (Experiments.block s)) chosen
+  in
+  let names_arg = Arg.(value & pos_all string [] & info [] ~docv:"NAME") in
+  Cmd.v
+    (Cmd.info "experiments"
+       ~doc:
+         "Print the named table/figure sections (default: all) as the \
+          marked, fenced blocks EXPERIMENTS.md carries, each followed by \
+          its shape claims")
+    Term.(const run $ jobs_term $ names_arg)
 
 let () =
   let info =
@@ -1297,27 +1297,20 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [
-            cmd_list;
-            cmd_passes;
-            cmd_classify;
-            cmd_compile;
-            cmd_profile;
-            cmd_calibrate;
-            cmd_path;
-            cmd_schedule;
-            cmd_cc;
-            cmd_emit;
-            cmd_fuzz;
-            cmd_explore;
-            cmd_obs;
-            cmd_table1;
-            cmd_table2;
-            cmd_table3;
-            cmd_fig9;
-            cmd_fig15;
-            cmd_fig16;
-            cmd_fig17;
-            cmd_fig19;
-            cmd_ablation;
-          ]))
+          ([
+             cmd_list;
+             cmd_passes;
+             cmd_classify;
+             cmd_compile;
+             cmd_profile;
+             cmd_calibrate;
+             cmd_path;
+             cmd_schedule;
+             cmd_cc;
+             cmd_emit;
+             cmd_fuzz;
+             cmd_explore;
+             cmd_obs;
+             cmd_experiments;
+           ]
+          @ cmd_sections)))

@@ -5,7 +5,6 @@ module Schedule = Hlsb_sched.Schedule
 module Sched_report = Hlsb_sched.Report
 module Style = Hlsb_ctrl.Style
 module Skid = Hlsb_ctrl.Skid
-module Timing = Hlsb_physical.Timing
 module Design = Hlsb_rtlgen.Design
 module Spec = Hlsb_designs.Spec
 module Table = Hlsb_util.Table
@@ -569,140 +568,165 @@ let render_ablations rows =
     rows;
   Table.render t
 
-(* ---------- Scale: wide-arithmetic 100k-cell workloads ---------- *)
+(* ---------- Shape predicates ---------- *)
 
-module Placement = Hlsb_physical.Placement
-module Netlist = Hlsb_netlist.Netlist
+type shape = { claim : string; holds : bool }
 
-type scale_row = {
-  sc_label : string;
-  sc_bits : int;
-  sc_limb : int;
-  sc_lanes : int;
-  sc_cells : int;
-  sc_nets : int;
-  sc_fmax_mhz : float;
-  sc_stage_ms : (string * float) list;
-  sc_total_ms : float;
-  sc_cells_per_sec : float;
-  sc_sta_full_ms : float;
-  sc_sta_refresh_ms : float;
-  sc_refreshed_nets : int;
+(* [p] holds for every adjacent pair of [xs], in order. *)
+let rec pairwise p = function
+  | a :: (b :: _ as rest) -> p a b && pairwise p rest
+  | _ -> true
+
+let fmax (r : Pipeline.result) = r.Pipeline.fr_fmax_mhz
+
+let table1_shapes rows =
+  let mean =
+    List.fold_left
+      (fun acc r -> acc +. improvement_pct ~orig:r.t1_orig ~opt:r.t1_opt)
+      0. rows
+    /. float_of_int (max 1 (List.length rows))
+  in
+  [
+    {
+      claim =
+        Printf.sprintf "optimized > original on every row (mean gain %.0f%%)"
+          mean;
+      holds = List.for_all (fun r -> fmax r.t1_opt > fmax r.t1_orig) rows;
+    };
+  ]
+
+let variant_mhz rows = List.map (fun r -> fmax r.vr_result) rows
+
+let table2_shapes rows =
+  match variant_mhz rows with
+  | [ stall; skid; min_area ] ->
+    [
+      { claim = "skid > stall"; holds = skid > stall };
+      {
+        claim = "min-area within 5% of skid";
+        holds = Float.abs (min_area -. skid) <= 0.05 *. skid;
+      };
+    ]
+  | _ -> [ { claim = "three variants"; holds = false } ]
+
+let table3_shapes rows =
+  [
+    {
+      claim = "orig < data < data+ctrl";
+      holds = pairwise ( < ) (variant_mhz rows);
+    };
+  ]
+
+let fig15_shapes rows =
+  let col f = List.map f rows in
+  [
+    {
+      claim = "HLS estimate constant";
+      holds = pairwise Float.equal (col (fun r -> r.f15_hls_est_ns));
+    };
+    {
+      claim = "our estimate rises with unroll";
+      holds = pairwise ( < ) (col (fun r -> r.f15_our_est_ns));
+    };
+    {
+      claim = "opt >= orig at each unroll";
+      holds = List.for_all (fun r -> r.f15_opt_mhz >= r.f15_orig_mhz) rows;
+    };
+  ]
+
+let fig16_shapes rows =
+  [
+    {
+      claim = "stall falls with iterations";
+      holds = pairwise ( > ) (List.map (fun r -> r.f16_stall_mhz) rows);
+    };
+    {
+      claim = "skid >= stall from 2 iterations on";
+      holds =
+        List.for_all
+          (fun r -> r.f16_iterations < 2 || r.f16_skid_mhz >= r.f16_stall_mhz)
+          rows;
+    };
+  ]
+
+let fig19_shapes rows =
+  let margin r = r.f19_data_opt_mhz -. r.f19_orig_mhz in
+  [
+    {
+      claim = "original falls with size";
+      holds = pairwise ( > ) (List.map (fun r -> r.f19_orig_mhz) rows);
+    };
+    {
+      claim = "full >= data >= orig on each row";
+      holds =
+        List.for_all
+          (fun r ->
+            r.f19_full_opt_mhz >= r.f19_data_opt_mhz
+            && r.f19_data_opt_mhz >= r.f19_orig_mhz)
+          rows;
+    };
+    {
+      claim = "data-opt margin shrinks from smallest to largest buffer";
+      holds =
+        (match (rows, List.rev rows) with
+        | first :: _, last :: _ -> margin last < margin first
+        | _ -> false);
+    };
+  ]
+
+(* ---------- The section list ---------- *)
+
+type section = {
+  name : string;
+  title : string;
+  render : unit -> string * shape list;
 }
 
-let wall_ms f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, (Unix.gettimeofday () -. t0) *. 1e3)
+let section name title run render shapes =
+  {
+    name;
+    title;
+    render =
+      (fun () ->
+        let rows = run () in
+        (render rows, shapes rows));
+  }
 
-let run_scale ?(points = Hlsb_designs.Bigmul.sweep) ?jobs () =
-  let dev = Device.ultrascale_plus in
-  Pool.map_list ?jobs
-    (fun (label, (bits, limb, lanes)) ->
-      let session =
-        Pipeline.create ~device:dev ~name:label
-          ~build:(fun () ->
-            Hlsb_designs.Bigmul.build_point ~bits ~limb ~lanes ())
-          ()
-      in
-      let res = Pipeline.run_exn session ~recipe:Style.original in
-      let stage_ms =
-        List.filter_map
-          (fun (sr : Pipeline.stage_record) ->
-            if sr.Pipeline.sr_status = Pipeline.Ran then
-              Some (Pipeline.stage_name sr.Pipeline.sr_stage, sr.Pipeline.sr_ms)
-            else None)
-          (Pipeline.last_run session)
-      in
-      let total_ms =
-        List.fold_left (fun acc (_, ms) -> acc +. ms) 0. stage_ms
-      in
-      let nl = res.Pipeline.fr_design.Design.netlist in
-      let cells = Netlist.n_cells nl in
-      (* The incremental-STA hot path: prepare a timing context once, then
-         an ECO-style nudge of a handful of cells re-times only the nets
-         those cells touch instead of the whole design. *)
-      let pl = Placement.place dev nl in
-      let ctx = Timing.prepare dev nl pl in
-      (* per-query cost without a context: rebuild the arrays, re-time
-         every net, propagate *)
-      let full, full_ms = wall_ms (fun () -> Timing.analyze dev nl pl) in
-      let nudged =
-        List.sort_uniq compare [ 0; cells / 3; cells / 2; cells - 1 ]
-      in
-      List.iter
-        (fun c ->
-          let x, y = Placement.position pl c in
-          Placement.set_position pl c (x +. 0.5, y +. 0.5))
-        nudged;
-      let (dirty, incr), refresh_ms =
-        wall_ms (fun () ->
-          let d = Timing.refresh ctx in
-          (d, Timing.analyze_ctx ctx))
-      in
-      (* a nudge this small must not lose timing visibility *)
-      assert (incr.Timing.critical_ns > 0. && full.Timing.critical_ns > 0.);
-      {
-        sc_label = label;
-        sc_bits = bits;
-        sc_limb = limb;
-        sc_lanes = lanes;
-        sc_cells = cells;
-        sc_nets = Netlist.n_nets nl;
-        sc_fmax_mhz = res.Pipeline.fr_fmax_mhz;
-        sc_stage_ms = stage_ms;
-        sc_total_ms = total_ms;
-        sc_cells_per_sec =
-          (if total_ms > 0. then float_of_int cells /. (total_ms /. 1e3)
-           else 0.);
-        sc_sta_full_ms = full_ms;
-        sc_sta_refresh_ms = refresh_ms;
-        sc_refreshed_nets = dirty;
-      })
-    points
+let no_shapes _ = []
 
-let render_scale rows =
-  let stage ms_list name =
-    match List.assoc_opt name ms_list with
-    | Some ms -> Printf.sprintf "%.1f" ms
-    | None -> "-"
-  in
-  let t =
-    Table.create
-      ~headers:
-        [
-          ("workload", Table.Left);
-          ("bits x lanes", Table.Right);
-          ("cells", Table.Right);
-          ("nets", Table.Right);
-          ("Fmax", Table.Right);
-          ("lower ms", Table.Right);
-          ("place ms", Table.Right);
-          ("sta ms", Table.Right);
-          ("total ms", Table.Right);
-          ("kcells/s", Table.Right);
-          ("STA full ms", Table.Right);
-          ("STA incr ms", Table.Right);
-          ("nets re-timed", Table.Right);
-        ]
-  in
+let sections =
+  [
+    section "table1" "Regenerate Table 1" (fun () -> run_table1 ())
+      render_table1 table1_shapes;
+    section "table2" "Regenerate Table 2" (fun () -> run_table2 ())
+      (render_variants ~title:"Table 2 (paper: 195/299/301 MHz)")
+      table2_shapes;
+    section "table3" "Regenerate Table 3" run_table3
+      (render_variants ~title:"Table 3 (paper: 187/208/278 MHz)")
+      table3_shapes;
+    section "fig9" "Regenerate Figure 9" (fun () -> run_fig9 ()) render_fig9
+      no_shapes;
+    section "fig15" "Regenerate Figure 15" (fun () -> run_fig15 ())
+      render_fig15 fig15_shapes;
+    section "fig16" "Regenerate Figure 16" (fun () -> run_fig16 ())
+      render_fig16 fig16_shapes;
+    section "fig17" "Regenerate Figure 17" (fun () -> run_fig17 ())
+      render_fig17 no_shapes;
+    section "fig19" "Regenerate Figure 19" (fun () -> run_fig19 ())
+      render_fig19 fig19_shapes;
+    section "ablation" "Run the design-choice ablations" run_ablations
+      render_ablations no_shapes;
+  ]
+
+let block s =
+  let text, shapes = s.render () in
+  let buf = Buffer.create (String.length text + 256) in
+  (* every render ends with a newline *)
+  Printf.bprintf buf "<!-- experiments:%s -->\n```text\n%s" s.name text;
   List.iter
-    (fun r ->
-      Table.add_row t
-        [
-          r.sc_label;
-          Printf.sprintf "%dx%d" r.sc_bits r.sc_lanes;
-          string_of_int r.sc_cells;
-          string_of_int r.sc_nets;
-          Printf.sprintf "%.0f MHz" r.sc_fmax_mhz;
-          stage r.sc_stage_ms "lower";
-          stage r.sc_stage_ms "place";
-          stage r.sc_stage_ms "sta";
-          Printf.sprintf "%.1f" r.sc_total_ms;
-          Printf.sprintf "%.0f" (r.sc_cells_per_sec /. 1e3);
-          Printf.sprintf "%.2f" r.sc_sta_full_ms;
-          Printf.sprintf "%.2f" r.sc_sta_refresh_ms;
-          string_of_int r.sc_refreshed_nets;
-        ])
-    rows;
-  Table.render t
+    (fun sh ->
+      Printf.bprintf buf "shape: %s %s\n" sh.claim
+        (if sh.holds then "holds" else "FAILS"))
+    shapes;
+  Buffer.add_string buf "```\n";
+  Buffer.contents buf

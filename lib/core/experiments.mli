@@ -1,7 +1,7 @@
 (** Drivers that regenerate every table and figure of the paper's
-    evaluation (§5). Each [run_*] returns typed rows; each [render_*]
-    formats them in the paper's layout. The bench executable calls these;
-    EXPERIMENTS.md records their output against the paper's numbers. *)
+    evaluation (§5). Each [run_*] returns typed rows; {!sections} renders
+    them in the paper's layout, with the shape claims computed from the
+    same rows. *)
 
 type table1_row = {
   t1_name : string;
@@ -13,7 +13,8 @@ type table1_row = {
 }
 
 val run_table1 : ?subset:string list -> ?jobs:int -> unit -> table1_row list
-(** All nine benchmarks (or the named subset), original vs optimized.
+(** Every {!Hlsb_designs.Suite} benchmark (or the named subset), original
+    vs optimized.
     Benchmarks compile independently and fan out across the
     {!Hlsb_util.Pool}; rows come back in benchmark order regardless of the
     job count. *)
@@ -22,8 +23,6 @@ val improvement_pct : orig:Pipeline.result -> opt:Pipeline.result -> float
 (** Relative Fmax gain in percent, the paper's "Diff" column. Returns
     [0.] when the baseline Fmax is zero or non-finite (a degenerate
     compile) instead of letting [inf]/[nan] reach the report tables. *)
-
-val render_table1 : table1_row list -> string
 
 type variant_row = {
   vr_label : string;
@@ -34,11 +33,6 @@ type variant_row = {
 val run_table2 : ?width:int -> unit -> variant_row list
 (** 512-wide vector product: stall / skid / min-area skid (§5.4). *)
 
-val run_table3 : unit -> variant_row list
-(** Pattern matching: original / data-opt / data+ctrl-opt (§5.5). *)
-
-val render_variants : title:string -> variant_row list -> string
-
 type fig9_series = {
   f9_label : string;
   f9_rows : Hlsb_delay.Calibrate.curve_row list;
@@ -47,8 +41,6 @@ type fig9_series = {
 val run_fig9 :
   ?device:Hlsb_device.Device.t -> ?jobs:int -> unit -> fig9_series list
 (** Delay vs broadcast factor: int add, BRAM write (by depth), float mul. *)
-
-val render_fig9 : fig9_series list -> string
 
 type fig15_row = {
   f15_unroll : int;
@@ -60,7 +52,6 @@ type fig15_row = {
 }
 
 val run_fig15 : ?factors:int list -> ?jobs:int -> unit -> fig15_row list
-val render_fig15 : fig15_row list -> string
 
 type fig16_row = {
   f16_iterations : int;
@@ -70,7 +61,6 @@ type fig16_row = {
 }
 
 val run_fig16 : ?iterations:int list -> ?jobs:int -> unit -> fig16_row list
-val render_fig16 : fig16_row list -> string
 
 type fig17_result = {
   f17_widths : int array;  (** live bits at each stage boundary *)
@@ -81,7 +71,6 @@ type fig17_result = {
 }
 
 val run_fig17 : ?width:int -> unit -> fig17_result
-val render_fig17 : fig17_result -> string
 
 type fig19_row = {
   f19_words : int;
@@ -92,47 +81,29 @@ type fig19_row = {
 }
 
 val run_fig19 : ?sizes:int list -> ?jobs:int -> unit -> fig19_row list
-val render_fig19 : fig19_row list -> string
 
-type ablation_row = {
-  ab_label : string;
-  ab_value : float;
-  ab_unit : string;
+(** {1 Sections}
+
+    The one list every experiment driver reads: each [hlsbc] table and
+    figure subcommand, [hlsbc experiments], and the generated blocks of
+    EXPERIMENTS.md. *)
+
+type shape = { claim : string; holds : bool }
+(** One of the paper's shape claims, checked on the section's own rows. *)
+
+type section = {
+  name : string;  (** the [hlsbc] subcommand, e.g. ["table1"] *)
+  title : string;
+  render : unit -> string * shape list;
+      (** the paper-layout text [hlsbc NAME] prints, and the shape
+          claims computed from the same rows *)
 }
 
-val run_ablations : unit -> ablation_row list
-(** The DESIGN.md §8 design-choice ablations: smoothing window, skid
-    placement strategy, sync pruning granularity. *)
+val sections : section list
+(** table1, table2, table3, fig9, fig15, fig16, fig17, fig19, ablation. *)
 
-val render_ablations : ablation_row list -> string
-
-type scale_row = {
-  sc_label : string;
-  sc_bits : int;  (** operand width per lane *)
-  sc_limb : int;
-  sc_lanes : int;
-  sc_cells : int;
-  sc_nets : int;
-  sc_fmax_mhz : float;
-  sc_stage_ms : (string * float) list;
-      (** wall-clock of each pipeline stage that actually ran *)
-  sc_total_ms : float;  (** elaborate -> report, sum of the above *)
-  sc_cells_per_sec : float;  (** cells / total compile seconds *)
-  sc_sta_full_ms : float;
-      (** a context-free {!Hlsb_physical.Timing.analyze} query: rebuild
-          the arrays, re-time every net, propagate *)
-  sc_sta_refresh_ms : float;
-      (** re-time + re-propagate after a 4-cell ECO nudge *)
-  sc_refreshed_nets : int;  (** net delays recomputed by that refresh *)
-}
-
-val run_scale :
-  ?points:(string * (int * int * int)) list -> ?jobs:int -> unit -> scale_row list
-(** Compile the {!Hlsb_designs.Bigmul} wide-arithmetic sweep (default
-    [Bigmul.sweep]: ~7k, ~29k and ~104k cells) end to end, recording
-    per-stage wall-clock and compile throughput, then exercise the
-    incremental-STA path ({!Hlsb_physical.Timing.prepare} /
-    [refresh] / [analyze_ctx]) against a small placement nudge. Each
-    [points] element is [(label, (bits, limb, lanes))]. *)
-
-val render_scale : scale_row list -> string
+val block : section -> string
+(** The section as EXPERIMENTS.md carries it: a marker line
+    [<!-- experiments:NAME -->], then a fenced block holding the rendered
+    text followed by one [shape: CLAIM holds] (or [FAILS]) line per
+    claim. *)

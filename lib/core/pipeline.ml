@@ -564,9 +564,6 @@ let cache_key ?name ?(plan = Plan.identity) ?target_mhz ?inject t ~recipe =
   ^ (match plan_key plan with "" -> "" | k -> "|" ^ k)
   ^ match tuning_key ~target_mhz ~inject with "" -> "" | k -> "|" ^ k
 
-let session_name t = t.ss_name
-let session_device t = t.ss_device
-
 let run_exn ?name ?plan ?target_mhz ?inject t ~recipe =
   (compiled_exn ?name ?plan ?target_mhz ?inject t ~recipe).co_result
 

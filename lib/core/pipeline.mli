@@ -128,11 +128,6 @@ val cache_key :
     lower..report by the schedules they consume, so distinct keys whose
     schedules lower alike share one session artifact. *)
 
-val session_name : session -> string
-val session_device : session -> Hlsb_device.Device.t
-(** The session's design name and target device, for callers (the
-    compile service) that persist session artifacts externally. *)
-
 val run :
   ?name:string ->
   ?plan:Hlsb_transform.Plan.t ->

@@ -3,6 +3,7 @@ module Device = Hlsb_device.Device
 module Stats = Hlsb_util.Stats
 module Metrics = Hlsb_telemetry.Metrics
 module Store = Hlsb_util.Store
+module Diag = Hlsb_util.Diag
 
 type curves = {
   raw : float array;
@@ -77,6 +78,19 @@ let decode ~len text =
   in
   if List.length vals = len then Some (Array.of_list vals) else None
 
+(* A curve that cannot be persisted is still answered from memory, but
+   every later process pays to re-characterize it: say so once per
+   process, and count every failure. *)
+let persist_warned = Atomic.make false
+
+let persist_failed msg =
+  Metrics.incr "calibrate.persist_errors";
+  if not (Atomic.exchange persist_warned true) then
+    prerr_endline
+      (Diag.to_string
+         (Diag.warning ~stage:"store"
+            ("calibration curves are not persisted: " ^ msg)))
+
 (* The raw curve from the store, or built and published. *)
 let raw_curve t ~name ~grid build =
   let key =
@@ -104,7 +118,7 @@ let raw_curve t ~name ~grid build =
         Metrics.incr "calibrate.cache_misses";
         match Store.put st ~ns:"cal" ~key (encode raw) with
         | Ok () -> Metrics.incr "calibrate.cache_writes"
-        | Error _ -> () (* still answered from memory *))
+        | Error msg -> persist_failed msg)
       t.disk;
     raw
 
@@ -161,8 +175,6 @@ let interp grid values x =
     let frac = (fx -. x0) /. (x1 -. x0) in
     (values.(i) *. (1. -. frac)) +. (values.(i + 1) *. frac)
   end
-
-let op_predicted _t op dt = Oplib.predicted op dt
 
 (* [Stdlib.max]'s semantics without its polymorphic compare. *)
 let fmax (a : float) b = if a >= b then a else b

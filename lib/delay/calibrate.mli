@@ -24,7 +24,9 @@ val create : ?window:int -> ?cache_dir:string -> Hlsb_device.Device.t -> t
     instead of being re-characterized. Smoothing is applied in memory: it
     depends on the window, which is deliberately not part of the key. A
     store that cannot be written costs only persistence; answers still
-    come from memory. *)
+    come from memory; the first failed write in a process prints one
+    [warning[store]] line, and every one counts
+    [calibrate.persist_errors]. *)
 
 val ambient_dir : unit -> string option
 (** [$HLSB_CACHE_DIR], else [$XDG_CACHE_HOME/hlsb], else
@@ -40,9 +42,6 @@ val unit_grid : int array
 (** BRAM18 unit counts at which memory curves are sampled (once per device
     — the unit count, not the width/depth split, sets the broadcast cost). *)
 
-val depth_grid : int array
-(** The unit grid expressed as 36-bit-buffer depths, for presentation. *)
-
 val op_delay : t -> Op.t -> Dtype.t -> factor:int -> float
 (** Calibrated delay at any factor >= 1 (log-interpolated between grid
     points, clamped beyond). *)
@@ -56,9 +55,6 @@ val resolve : t -> Op.t -> Dtype.t -> resolved
 
 val resolved_delay : resolved -> factor:int -> float
 (** [resolved_delay (resolve t op dt) ~factor = op_delay t op dt ~factor]. *)
-
-val op_predicted : t -> Op.t -> Dtype.t -> float
-(** The fanout-blind HLS prediction, for comparison columns. *)
 
 val mem_write_delay : t -> width:int -> depth:int -> float
 (** Calibrated store delay for a buffer of the given geometry. *)

@@ -136,7 +136,8 @@ let bram18_for ~width ~depth =
 let find name = List.find_opt (fun d -> d.name = name) all
 
 let fingerprint d =
-  Printf.sprintf "%s|%s|%dx%d|s%d.%d|b%d|d%d|%g|%g|%g|%g|%g|%g" d.name d.family
+  (* [%h] spells each float exactly: a one-ulp retiming changes the key *)
+  Printf.sprintf "%s|%s|%dx%d|s%d.%d|b%d|d%d|%h|%h|%h|%h|%h|%h" d.name d.family
     d.cols d.rows d.lut_per_slice d.ff_per_slice d.bram_col_every
     d.dsp_col_every d.t_clk_q d.t_setup d.t_lut d.t_net_base d.t_net_fanout
     d.t_net_dist

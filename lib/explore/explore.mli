@@ -29,10 +29,6 @@ type config = {
   cf_inject : Schedule.inject option;
 }
 
-val config_label : config -> string
-(** Deterministic, filename-safe-ish label, e.g.
-    ["optimized+inj2x1"] or ["optimized+plan[partition=cyclic:4]"]. *)
-
 val space : plans:Plan.t list -> config list
 (** The enumeration order (trim with the budget): the static
     [optimized] point first — so the explorer's best can never fall
@@ -111,11 +107,6 @@ val run_design :
     [explore.*] gauges into the installed metrics registry (configs,
     probes, best/static MHz, search ms, cache-hit rate, elaborate
     runs). Deterministic for a given session kind and parameters. *)
-
-val slug : string -> string
-(** Lowercase, [a-z0-9-] design-name slug used in the [explore.*] gauge
-    names and log filenames, e.g. ["Vector Arithmetic"] ->
-    ["vector-arithmetic"]. *)
 
 val summary : report -> string
 (** Human-readable per-design summary: winner vs static, the front, and

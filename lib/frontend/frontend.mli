@@ -37,9 +37,6 @@ val pp_error : Format.formatter -> error -> unit
 val parse : string -> (Ast.program, error) result
 (** Lex + parse. *)
 
-val has_dataflow_pragma : Ast.func -> bool
-(** The function body carries a [#pragma HLS dataflow]. *)
-
 val kernel_of_program :
   ?name:string -> Ast.program -> (Hlsb_ir.Kernel.t, error) result
 (** Elaborate an already-parsed program containing exactly one kernel

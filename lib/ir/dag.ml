@@ -147,11 +147,6 @@ let consumer_slots t v =
 
 let broadcast_factor t v = List.length (consumer_slots t v)
 
-let is_datapath = function
-  | Input _ | Const _ -> false
-  | Operation _ | Load _ | Store _ | Fifo_read _ | Fifo_write _ | Output _ ->
-    true
-
 let iter t f =
   for v = 0 to Vec.length t.nodes - 1 do
     f v

@@ -186,15 +186,3 @@ let merge dst src =
       net_map.(i) <- Vec.push dst.nets n')
     src.nets;
   (cell_map, net_map)
-
-let stats_string t =
-  let r = total_resources t in
-  let max_fo =
-    match max_fanout_net t () with
-    | None -> 0
-    | Some (_, n) -> Array.length n.n_sinks
-  in
-  Printf.sprintf
-    "%s: %d cells, %d nets, max fanout %d, %d LUT / %d FF / %d BRAM18 / %d DSP"
-    t.nl_name (Vec.length t.cells) (Vec.length t.nets) max_fo r.r_luts r.r_ffs
-    r.r_bram18 r.r_dsps

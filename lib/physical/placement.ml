@@ -129,13 +129,9 @@ let place ?(max_sweeps = 24) ?(early_exit = true) (d : Device.t) nl =
        for bit. *)
     let sx = ref 0 and sy = ref 0 and r = ref s in
     while !r > 0 do
-      if !cur >= total_points then
-        Diag.fail
-          ~entity:(Diag.Design (Netlist.name nl))
-          ~stage:"place"
-          "design does not fit device %s: packing curve exhausted after %d \
-           of %d on-die slices (%d x %d grid)"
-          d.name !used capacity d.cols d.rows;
+      (* the capacity check leaves at most [capacity] slices to claim,
+         and the curve visits every on-die slice *)
+      assert (!cur < total_points);
       let o = 6 * !lvl and w = 1 lsl !lvl in
       let x0 = g.(o + 4) - if g.(o) + g.(o + 1) < 0 then w - 1 else 0
       and y0 = g.(o + 5) - if g.(o + 2) + g.(o + 3) < 0 then w - 1 else 0 in

@@ -94,5 +94,3 @@ val analyze_ctx : ctx -> report
 
 val run : ?jitter:float -> ?seed:int -> Hlsb_device.Device.t -> Hlsb_netlist.Netlist.t -> report
 (** Place then analyze. *)
-
-val pp_report : Format.formatter -> report -> unit

@@ -37,9 +37,6 @@ type datapath = {
     [emit_sync] appends to [dp_netlist] in place — a datapath feeds
     exactly one {!emit_sync} call. *)
 
-val schedule_mode :
-  Hlsb_device.Device.t -> Hlsb_ctrl.Style.recipe -> Hlsb_sched.Schedule.mode
-
 val schedule_processes :
   ?target_mhz:float ->
   ?inject:Hlsb_sched.Schedule.inject ->

@@ -8,12 +8,6 @@
     expected to treat as "no daemon": [hlsbc --daemon] falls back to the
     in-process pipeline, printing the same bytes either way. *)
 
-val ns_env_var : string
-(** ["HLSBD_NS"]. *)
-
-val default_ns : unit -> string
-(** [$HLSBD_NS] when set and non-empty, else ["uid<euid>"]. *)
-
 val fresh_id : unit -> string
 (** A unique-enough request id: pid + a monotonic per-process counter. *)
 

@@ -24,11 +24,8 @@ module Json = Hlsb_telemetry.Json
 val socket_env_var : string
 (** ["HLSBD_SOCKET"]. *)
 
-val default_socket : string
-(** [".hlsb/hlsbd.sock"]. *)
-
 val ambient_socket : unit -> string
-(** [$HLSBD_SOCKET] when set and non-empty, else {!default_socket}. *)
+(** [$HLSBD_SOCKET] when set and non-empty, else [".hlsb/hlsbd.sock"]. *)
 
 type t
 
@@ -40,7 +37,6 @@ val create :
     records — tests turn it off. *)
 
 val store : t -> Store.t
-val requests_served : t -> int
 
 val handle : t -> Protocol.request -> Protocol.response
 (** Serve one request against the daemon state — the entire protocol
@@ -48,11 +44,6 @@ val handle : t -> Protocol.request -> Protocol.response
     in-process. Store lookup first; on miss, compile in the (created on
     demand) session and publish the artifact before responding. Never
     raises: every failure becomes a [p_error] diagnostic. *)
-
-val status_json : t -> Json.t
-(** The [status] verb's artifact: schema, pid, uptime requests, store
-    root/budget and {!Store.stats}, hit rate, and the [serve.*] gauge
-    values. *)
 
 val serve : ?max_requests:int -> t -> socket:string -> (unit, string) result
 (** Bind the socket (replacing a stale file), loop accepting

@@ -102,9 +102,6 @@ val diff : before:snapshot -> after:snapshot -> snapshot
     Entries only in [after] pass through; entries only in [before] are
     dropped. *)
 
-val hist_mean : hist_snap -> float
-(** nan when empty. *)
-
 val quantile : hist_snap -> float -> float
 (** [quantile h p] estimates the [p]-quantile ([0. <= p <= 1.]) from the
     bucket counts: the bucket containing rank [p * count] is found and

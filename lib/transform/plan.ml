@@ -77,9 +77,6 @@ let of_string s =
   in
   go [] toks
 
-let source_requests p =
-  List.filter_map (function Source r -> Some r | _ -> None) p
-
 let has_channel_reuse p = List.mem Channel_reuse p
 
 let apply_source plan program =

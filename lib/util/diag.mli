@@ -35,9 +35,6 @@ val warning : ?entity:entity -> stage:string -> string -> t
 val fail : ?entity:entity -> stage:string -> ('a, unit, string, 'b) format4 -> 'a
 (** [fail ~stage fmt ...] raises {!Diagnostic} with an [Error] payload. *)
 
-val entity_label : entity -> string
-(** ["kernel foo"], ["channel bar"], ... *)
-
 val severity_label : severity -> string
 
 val to_string : t -> string

@@ -19,14 +19,6 @@ let add_edge t u v =
 
 let n_nodes t = t.n
 
-let succs t u =
-  check t u;
-  List.rev t.succ.(u)
-
-let preds t v =
-  check t v;
-  List.rev t.pred.(v)
-
 let topological_order t =
   let indeg = Array.make t.n 0 in
   for u = 0 to t.n - 1 do

@@ -48,11 +48,8 @@ val schema : string
 val env_var : string
 (** ["HLSBD_STORE"] — overrides the store root directory. *)
 
-val default_root : string
-(** [".hlsb/store"]. *)
-
 val ambient_root : unit -> string
-(** [$HLSBD_STORE] when set and non-empty, else {!default_root}. *)
+(** [$HLSBD_STORE] when set and non-empty, else [".hlsb/store"]. *)
 
 val default_budget_bytes : int
 (** 256 MiB. *)

@@ -95,9 +95,7 @@ let test_fig9_driver () =
     (fun (s : Experiments.fig9_series) ->
       Alcotest.(check bool) (s.Experiments.f9_label ^ " nonempty") true
         (List.length s.Experiments.f9_rows > 3))
-    series;
-  Alcotest.(check bool) "renders" true
-    (String.length (Experiments.render_fig9 series) > 200)
+    series
 
 let test_fig17_driver () =
   let r = Experiments.run_fig17 ~width:32 () in
@@ -105,13 +103,11 @@ let test_fig17_driver () =
     (r.Experiments.f17_min_area_bits < r.Experiments.f17_end_only_bits);
   (* the paper's example achieves ~8x; accept >= 3x *)
   Alcotest.(check bool) "substantial ratio" true
-    (r.Experiments.f17_end_only_bits >= 3 * r.Experiments.f17_min_area_bits);
-  Alcotest.(check bool) "renders" true
-    (String.length (Experiments.render_fig17 r) > 100)
+    (r.Experiments.f17_end_only_bits >= 3 * r.Experiments.f17_min_area_bits)
 
 let test_fig16_driver_small () =
   let rows = Experiments.run_fig16 ~iterations:[ 1; 4 ] () in
-  (match rows with
+  match rows with
   | [ r1; r4 ] ->
     Alcotest.(check bool) "deeper pipeline" true
       (r4.Experiments.f16_stages > r1.Experiments.f16_stages);
@@ -123,9 +119,7 @@ let test_fig16_driver_small () =
     Alcotest.(check bool) "stall decays faster" true (stall_drop > skid_drop);
     Alcotest.(check bool) "skid wins at depth" true
       (r4.Experiments.f16_skid_mhz > r4.Experiments.f16_stall_mhz)
-  | _ -> Alcotest.fail "two rows");
-  Alcotest.(check bool) "renders" true
-    (String.length (Experiments.render_fig16 rows) > 50)
+  | _ -> Alcotest.fail "two rows"
 
 let test_fig19_driver_small () =
   let rows = Experiments.run_fig19 ~sizes:[ 8192; 65536 ] () in
@@ -218,6 +212,20 @@ let prop_table1_jobs_deterministic =
          the comparison even on bit-identical arrays *)
       compare (run 1) (run 4) = 0)
 
+(* Every shape claim EXPERIMENTS.md prints must hold on a fresh run, so
+   a model change that breaks one of the paper's claims fails here even
+   after the golden digests and the generated blocks are re-recorded. *)
+let test_shape_claims_hold () =
+  List.iter
+    (fun (s : Experiments.section) ->
+      List.iter
+        (fun (sh : Experiments.shape) ->
+          Alcotest.(check bool)
+            (s.Experiments.name ^ ": " ^ sh.Experiments.claim)
+            true sh.Experiments.holds)
+        (snd (s.Experiments.render ())))
+    Experiments.sections
+
 let suite =
   [
     Alcotest.test_case "compile small kernel" `Quick test_compile_small_kernel;
@@ -232,5 +240,6 @@ let suite =
     Alcotest.test_case "fig15 driver" `Slow test_fig15_driver_small;
     Alcotest.test_case "optimization improves all" `Slow
       test_optimization_improves_every_benchmark;
+    Alcotest.test_case "shape claims hold" `Slow test_shape_claims_hold;
   ]
   @ [ QCheck_alcotest.to_alcotest prop_table1_jobs_deterministic ]

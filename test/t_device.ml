@@ -63,6 +63,25 @@ let test_7series_slower_than_usplus () =
   let us = Device.ultrascale_plus and z = Device.zynq_7z045 in
   Alcotest.(check bool) "zynq slower" true (z.Device.t_lut > us.Device.t_lut)
 
+(* A device built at run time with [{ dev with ... }] and one timing
+   field nudged by one ulp times differently, so it must not share a
+   calibration or store key with the original. *)
+let test_fingerprint_sees_one_ulp () =
+  let d = Device.ultrascale_plus in
+  let fp = Device.fingerprint d in
+  List.iter
+    (fun (field, nudged) ->
+      Alcotest.(check bool) field true (Device.fingerprint nudged <> fp))
+    [
+      ("t_clk_q", { d with Device.t_clk_q = Float.succ d.Device.t_clk_q });
+      ("t_setup", { d with Device.t_setup = Float.succ d.Device.t_setup });
+      ("t_lut", { d with Device.t_lut = Float.succ d.Device.t_lut });
+      ("t_net_base", { d with Device.t_net_base = Float.succ d.Device.t_net_base });
+      ( "t_net_fanout",
+        { d with Device.t_net_fanout = Float.succ d.Device.t_net_fanout } );
+      ("t_net_dist", { d with Device.t_net_dist = Float.succ d.Device.t_net_dist });
+    ]
+
 let suite =
   [
     Alcotest.test_case "known devices" `Quick test_known_devices;
@@ -74,4 +93,6 @@ let suite =
     Alcotest.test_case "bram invalid" `Quick test_bram18_invalid;
     Alcotest.test_case "timing constants" `Quick test_timing_constants_sane;
     Alcotest.test_case "7-series slower" `Quick test_7series_slower_than_usplus;
+    Alcotest.test_case "fingerprint sees one ulp" `Quick
+      test_fingerprint_sees_one_ulp;
   ]

@@ -198,18 +198,38 @@ let test_store_root_is_a_file () =
       (Result.is_error (Store.put t ~ns:"n" ~key:(Store.key ~parts:[ "k" ]) "v"));
     Alcotest.(check (option string)) "find misses" None
       (Store.find t ~ns:"n" ~key:(Store.key ~parts:[ "k" ]));
-    (* calibration over such a root still answers, from memory *)
+    (* calibration over such a root still answers, from memory, and says
+       once per process that it could not persist *)
     let i32 = Hlsb_ir.Dtype.Int 32 in
+    let lookup cal factor =
+      let reg = Metrics.create () in
+      let d, lines =
+        capture_stderr (fun () ->
+          Metrics.with_registry reg (fun () ->
+            Calibrate.op_delay cal Hlsb_ir.Op.Add i32 ~factor))
+      in
+      (d, lines, reg)
+    in
     let cal = Calibrate.create ~cache_dir:root Device.ultrascale_plus in
-    let d = Calibrate.op_delay cal Hlsb_ir.Op.Add i32 ~factor:64 in
+    let d, lines, reg = lookup cal 64 in
     Alcotest.(check (float 0.)) "same delay as an uncached calibrator"
       (Calibrate.op_delay (Calibrate.create Device.ultrascale_plus) Hlsb_ir.Op.Add i32 ~factor:64)
       d;
-    let reg = Metrics.create () in
-    Metrics.with_registry reg (fun () ->
-      ignore (Calibrate.op_delay cal Hlsb_ir.Op.Add i32 ~factor:8));
+    Alcotest.(check int) "one warning line" 1 (List.length lines);
+    Alcotest.(check bool) "warning is a store diagnostic" true
+      (String.starts_with ~prefix:"warning[store]" (List.hd lines));
+    Alcotest.(check int) "failed persist counted" 1
+      (Metrics.counter_value reg "calibrate.persist_errors");
+    let _, lines, reg = lookup cal 8 in
     Alcotest.(check int) "second lookup answered from memory" 0
-      (Metrics.counter_value reg "calibrate.curve_builds"))
+      (Metrics.counter_value reg "calibrate.curve_builds");
+    Alcotest.(check int) "nothing more to persist" 0 (List.length lines);
+    let _, lines, reg =
+      lookup (Calibrate.create ~cache_dir:root Device.ultrascale_plus) 8
+    in
+    Alcotest.(check int) "a second failure is counted" 1
+      (Metrics.counter_value reg "calibrate.persist_errors");
+    Alcotest.(check int) "but not warned again" 0 (List.length lines))
 
 let test_store_lru_eviction () =
   with_temp_dir (fun root ->
