@@ -40,33 +40,9 @@ module Obs_report = Hlsb_obs.Report
 module Prom = Hlsb_obs.Prom
 open Cmdliner
 
-(* Designs can be named exactly ("Vector Arithmetic") or in a relaxed
-   form: case-insensitive with spaces/dashes/underscores ignored, and a
-   unique prefix suffices ("vector-arithmetic", "vector_arith", "lstm"). *)
-let normalize name =
-  String.to_seq name
-  |> Seq.filter_map (fun c ->
-       match c with
-       | 'A' .. 'Z' -> Some (Char.lowercase_ascii c)
-       | 'a' .. 'z' | '0' .. '9' -> Some c
-       | _ -> None)
-  |> String.of_seq
-
+(* Designs can be named exactly or in Suite.resolve's relaxed form. *)
 let find_design name =
-  let exact = Hlsb_designs.Suite.find name in
-  let relaxed () =
-    let n = normalize name in
-    let matches p =
-      List.filter (fun s -> p (normalize s.Spec.sp_name)) Hlsb_designs.Suite.all
-    in
-    match matches (String.equal n) with
-    | [ s ] -> Some s
-    | _ -> (
-      match matches (fun cand -> String.starts_with ~prefix:n cand) with
-      | [ s ] when n <> "" -> Some s
-      | _ -> None)
-  in
-  match if exact <> None then exact else relaxed () with
+  match Hlsb_designs.Suite.resolve name with
   | Some s -> s
   | None ->
     let names =
@@ -156,14 +132,11 @@ let cmd_list =
     Term.(const run $ const ())
 
 let write_text ~path text =
-  match open_out path with
-  | exception Sys_error msg ->
-    Printf.eprintf "cannot write output file: %s\n" msg;
+  match Hlsb_util.Atomic_file.write ~path text with
+  | Ok () -> ()
+  | Error msg ->
+    Printf.eprintf "cannot write output file: %s: %s\n" path msg;
     exit 1
-  | oc ->
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc text)
 
 (* Structured diagnostics (stage + offending entity) render through the
    event log (so --log-level json gives a machine-readable failure
@@ -196,10 +169,11 @@ let compile name recipe =
 (* The C-subset source front end shared by cc and explore: one file
    read, one parse (a parse error exits 1), one session per program. *)
 let read_source file =
-  let ic = open_in file in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+  match Hlsb_util.Atomic_file.read file with
+  | Some src -> src
+  | None ->
+    Printf.eprintf "cannot read source file: %s\n" file;
+    exit 1
 
 let source_name file = Filename.remove_extension (Filename.basename file)
 let source_device = Hlsb_device.Device.ultrascale_plus
@@ -680,7 +654,7 @@ let cmd_emit =
     match out with
     | None -> print_string text
     | Some path ->
-      Hlsb_netlist.Export.write_file ~path text;
+      write_text ~path text;
       Printf.printf "wrote %s\n" path
   in
   let fmt_arg =
@@ -1229,11 +1203,11 @@ let cmd_obs =
     let run ledger ref_ =
       let runs = load_runs (ledger_path ledger) in
       let r = run_of_ref ~runs ref_ in
-      match Obs_report.snapshot_of_run r with
+      match r.Ledger.r_metrics with
       | None ->
         usage
           (Printf.sprintf "run %s carries no metrics snapshot" r.Ledger.r_id)
-      | Some snap -> print_string (Prom.of_snapshot snap)
+      | Some m -> print_string (Prom.of_snapshot (Metrics.of_json m))
     in
     Cmd.v
       (Cmd.info "prom"

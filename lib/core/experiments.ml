@@ -95,7 +95,9 @@ let render_table1 rows =
           mhz r.t1_opt.Pipeline.fr_fmax_mhz;
           Printf.sprintf "%.0f%%"
             (improvement_pct ~orig:r.t1_orig ~opt:r.t1_opt);
-          Printf.sprintf "%d->%d (%d%%)" po pp (100 * (pp - po) / po);
+          Printf.sprintf "%d->%d (%.0f%%)" po pp
+            (Float.round
+               (100. *. float_of_int (pp - po) /. float_of_int po));
         ])
     rows;
   Table.render t

@@ -539,31 +539,6 @@ let compiled_exn ?name ?(plan = Plan.identity) ?target_mhz ?inject t ~recipe =
         ]
       body
 
-(* The compile daemon's store key: a request key (recipe, run name,
-   plan, target override, injection), not a content key — keying the
-   store on schedules would mean scheduling before every lookup. Two
-   store keys may therefore share one session artifact. The defaulted
-   tuning axes render as "", so untuned keys keep their pre-explorer
-   spelling. The target renders as its shortest round-trip decimal, so
-   distinct targets never share a key. *)
-let tuning_key ~target_mhz ~inject =
-  let rec shortest p t =
-    let s = Printf.sprintf "%.*g" p t in
-    if p >= 17 || float_of_string s = t then s else shortest (p + 1) t
-  in
-  (match target_mhz with None -> "" | Some t -> "@" ^ shortest 15 t)
-  ^
-  match inject with
-  | None -> ""
-  | Some { Schedule.inj_top; inj_levels } ->
-    Printf.sprintf "+inj%d:%d" inj_top inj_levels
-
-let cache_key ?name ?(plan = Plan.identity) ?target_mhz ?inject t ~recipe =
-  let _, netlist_name = effective_names ?name t ~recipe in
-  Style.label recipe ^ "|" ^ netlist_name
-  ^ (match plan_key plan with "" -> "" | k -> "|" ^ k)
-  ^ match tuning_key ~target_mhz ~inject with "" -> "" | k -> "|" ^ k
-
 let run_exn ?name ?plan ?target_mhz ?inject t ~recipe =
   (compiled_exn ?name ?plan ?target_mhz ?inject t ~recipe).co_result
 

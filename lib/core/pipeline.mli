@@ -111,23 +111,6 @@ val of_kernel :
     seeds the timing model's net-delay jitter), the result label after
     the kernel alone. *)
 
-val cache_key :
-  ?name:string ->
-  ?plan:Hlsb_transform.Plan.t ->
-  ?target_mhz:float ->
-  ?inject:Hlsb_sched.Schedule.inject ->
-  session ->
-  recipe:Hlsb_ctrl.Style.recipe ->
-  string
-(** The request key the compile daemon files a result under in its
-    on-disk store (plus the device fingerprint and input identity):
-    recipe label, effective design name, canonical plan string, and the
-    tuning suffix (target override + injection), with the defaulted
-    axes rendering as empty so untuned keys match the pre-explorer
-    spelling byte for byte. The session itself no longer uses this key: {!run} files
-    lower..report by the schedules they consume, so distinct keys whose
-    schedules lower alike share one session artifact. *)
-
 val run :
   ?name:string ->
   ?plan:Hlsb_transform.Plan.t ->

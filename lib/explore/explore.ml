@@ -3,6 +3,7 @@ module Style = Hlsb_ctrl.Style
 module Schedule = Hlsb_sched.Schedule
 module Plan = Hlsb_transform.Plan
 module Diag = Hlsb_util.Diag
+module Atomic_file = Hlsb_util.Atomic_file
 module Metrics = Hlsb_telemetry.Metrics
 module Clock = Hlsb_telemetry.Clock
 module Json = Hlsb_telemetry.Json
@@ -304,19 +305,6 @@ let report_to_json rp =
 
 (* ---------------- frequency_log output ---------------- *)
 
-let rec ensure_dir dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    ensure_dir (Filename.dirname dir);
-    try Sys.mkdir dir 0o755
-    with Sys_error _ when Sys.file_exists dir -> ()
-  end
-
-let write_text ~path text =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc text)
-
 let config_log rp r =
   let buf = Buffer.create 512 in
   Buffer.add_string buf
@@ -340,7 +328,6 @@ let config_log rp r =
 
 let write_logs ~dir rp =
   let fdir = Filename.concat dir "frequency_log" in
-  ensure_dir fdir;
   let log_paths =
     List.map
       (fun r ->
@@ -348,13 +335,13 @@ let write_logs ~dir rp =
           Filename.concat fdir
             (Printf.sprintf "%s__%s.txt" (slug rp.ep_design) (slug r.cr_label))
         in
-        write_text ~path (config_log rp r);
+        Atomic_file.write_exn ~path (config_log rp r);
         path)
       rp.ep_configs
   in
   let summary_path =
     Filename.concat dir (slug rp.ep_design ^ ".summary.json")
   in
-  write_text ~path:summary_path
+  Atomic_file.write_exn ~path:summary_path
     (Json.to_string ~minify:false (report_to_json rp) ^ "\n");
   log_paths @ [ summary_path ]

@@ -1,5 +1,6 @@
 module Rng = Hlsb_util.Rng
 module Json = Hlsb_telemetry.Json
+module Atomic_file = Hlsb_util.Atomic_file
 module Metrics = Hlsb_telemetry.Metrics
 
 type failure = {
@@ -131,19 +132,10 @@ let failure_of_json j =
       | None -> Error (Printf.sprintf "unknown oracle %S" s))
     | _ -> Error "missing oracle field"
   in
-  let int_field key =
-    match Json.member key j with
-    | Some (Json.Int i) -> Ok i
-    | _ -> Error (Printf.sprintf "missing integer field %S" key)
-  in
-  let* fl_seed = int_field "seed" in
-  let* fl_index = int_field "index" in
-  let* fl_shrink_steps = int_field "shrink_steps" in
-  let* fl_message =
-    match Json.member "message" j with
-    | Some (Json.Str s) -> Ok s
-    | _ -> Error "missing message field"
-  in
+  let* fl_seed = Json.int_field "seed" j in
+  let* fl_index = Json.int_field "index" j in
+  let* fl_shrink_steps = Json.int_field "shrink_steps" j in
+  let* fl_message = Json.str_field "message" j in
   let* fl_case =
     match Json.member "case" j with
     | Some c -> Gen.of_json c
@@ -165,38 +157,24 @@ let failure_of_json j =
       fl_shrink_steps;
     }
 
-let write_file ~path text =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc text)
-
 let write_repros ~dir report =
-  if report.rp_failures = [] then []
-  else begin
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    List.mapi
-      (fun i fl ->
-        let path =
-          if i = 0 then Filename.concat dir (Printf.sprintf "repro-%d.json" fl.fl_seed)
-          else
-            Filename.concat dir
-              (Printf.sprintf "repro-%d-%d.json" fl.fl_seed fl.fl_index)
-        in
-        write_file ~path
-          (Json.to_string ~minify:false (failure_to_json fl) ^ "\n");
-        path)
-      report.rp_failures
-  end
+  List.mapi
+    (fun i fl ->
+      let path =
+        if i = 0 then Filename.concat dir (Printf.sprintf "repro-%d.json" fl.fl_seed)
+        else
+          Filename.concat dir
+            (Printf.sprintf "repro-%d-%d.json" fl.fl_seed fl.fl_index)
+      in
+      Atomic_file.write_exn ~path
+        (Json.to_string ~minify:false (failure_to_json fl) ^ "\n");
+      path)
+    report.rp_failures
 
 let replay_file path =
   let* text =
-    match open_in path with
-    | exception Sys_error msg -> Error msg
-    | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> Ok (really_input_string ic (in_channel_length ic)))
+    Option.to_result ~none:(Printf.sprintf "cannot read %s" path)
+      (Atomic_file.read path)
   in
   let* j = Json.of_string text in
   let* fl = failure_of_json j in

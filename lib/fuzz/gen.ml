@@ -499,11 +499,6 @@ let to_json = function
         ("plan", Json.Str c.sc_plan);
       ]
 
-let get_int j key =
-  match Json.member key j with
-  | Some (Json.Int i) -> Ok i
-  | _ -> Error (Printf.sprintf "missing or non-integer field %S" key)
-
 let ( let* ) r f =
   match r with
   | Ok v -> f v
@@ -518,18 +513,18 @@ let of_json j =
   let case =
     match Json.member "kind" j with
     | Some (Json.Str "pipe") ->
-      let* pc_stages = get_int j "stages" in
-      let* pc_ctrl_delay = get_int j "ctrl_delay" in
+      let* pc_stages = Json.int_field "stages" j in
+      let* pc_ctrl_delay = Json.int_field "ctrl_delay" j in
       let* pc_gate =
         match Json.member "gate" j with
         | Some (Json.Str "empty") -> Ok Empty
         | Some (Json.Str "credit") -> Ok Credit
         | _ -> Error "bad gate"
       in
-      let* pc_n = get_int j "n" in
-      let* pc_slack = get_int j "slack" in
-      let* pc_ready_seed = get_int j "ready_seed" in
-      let* pc_ready_duty = get_int j "ready_duty" in
+      let* pc_n = Json.int_field "n" j in
+      let* pc_slack = Json.int_field "slack" j in
+      let* pc_ready_seed = Json.int_field "ready_seed" j in
+      let* pc_ready_duty = Json.int_field "ready_duty" j in
       Ok
         (Pipe
            {
@@ -554,14 +549,14 @@ let of_json j =
             l (Ok [])
         | _ -> Error "missing chains"
       in
-      let* nc_depth_seed = get_int j "depth_seed" in
+      let* nc_depth_seed = Json.int_field "depth_seed" j in
       let* nc_groups =
         match Json.member "groups" j with
         | Some (Json.List l) ->
           List.fold_right
             (fun g acc ->
               let* acc = acc in
-              let* pos = get_int g "pos" in
+              let* pos = Json.int_field "pos" g in
               let* members =
                 match Json.member "chains" g with
                 | Some (Json.List ms) ->
@@ -578,9 +573,9 @@ let of_json j =
             l (Ok [])
         | _ -> Error "missing groups"
       in
-      let* nc_tokens = get_int j "tokens" in
-      let* nc_ready_seed = get_int j "ready_seed" in
-      let* nc_ready_duty = get_int j "ready_duty" in
+      let* nc_tokens = Json.int_field "tokens" j in
+      let* nc_ready_seed = Json.int_field "ready_seed" j in
+      let* nc_ready_duty = Json.int_field "ready_duty" j in
       Ok
         (Net
            {
@@ -592,10 +587,10 @@ let of_json j =
              nc_ready_duty;
            })
     | Some (Json.Str "kern") ->
-      let* kc_seed = get_int j "seed" in
-      let* kc_ops = get_int j "ops" in
-      let* kc_width = get_int j "width" in
-      let* kc_recipe = get_int j "recipe" in
+      let* kc_seed = Json.int_field "seed" j in
+      let* kc_ops = Json.int_field "ops" j in
+      let* kc_width = Json.int_field "width" j in
+      let* kc_recipe = Json.int_field "recipe" j in
       let* kc_shape =
         match Json.member "shape" j with
         | None -> Ok Sdag
@@ -605,20 +600,12 @@ let of_json j =
       in
       Ok (Kern { kc_seed; kc_ops; kc_width; kc_recipe; kc_shape })
     | Some (Json.Str "src") ->
-      let* sc_seed = get_int j "seed" in
-      let* sc_strands = get_int j "strands" in
-      let* sc_trips = get_int j "trips" in
-      let* sc_big =
-        match Json.member "big" j with
-        | Some (Json.Bool b) -> Ok b
-        | None -> Ok false
-        | Some _ -> Error "bad big flag"
-      in
-      let* sc_plan =
-        match Json.member "plan" j with
-        | Some (Json.Str s) -> Ok s
-        | _ -> Error "missing plan field"
-      in
+      let* sc_seed = Json.int_field "seed" j in
+      let* sc_strands = Json.int_field "strands" j in
+      let* sc_trips = Json.int_field "trips" j in
+      let* sc_big = Json.opt_field Json.bool_field "big" j in
+      let sc_big = Option.value ~default:false sc_big in
+      let* sc_plan = Json.str_field "plan" j in
       Ok (Src { sc_seed; sc_strands; sc_trips; sc_big; sc_plan })
     | _ -> Error "unknown or missing case kind"
   in

@@ -108,9 +108,3 @@ let to_verilog nl =
          (String.concat ", " ports)));
   Buffer.add_string buf "endmodule\n";
   Buffer.contents buf
-
-let write_file ~path content =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc content)

@@ -16,6 +16,3 @@ val to_verilog : Netlist.t -> string
     become registered assignments, combinational macros become opaque
     `hlsb_<kind>` instances with input/output ports per net, memory units
     become `hlsb_bram18` instances. Deterministic output (cell order). *)
-
-val write_file : path:string -> string -> unit
-(** Write a string to a file (helper for the CLI emit commands). *)

@@ -1,5 +1,6 @@
 module Json = Hlsb_telemetry.Json
 module Pool = Hlsb_util.Pool
+module Atomic_file = Hlsb_util.Atomic_file
 
 let schema = "hlsb-run/1"
 let env_var = "HLSB_LEDGER"
@@ -12,7 +13,7 @@ type run = {
   r_time_s : float;
   r_cmd : string;
   r_label : string;
-  r_git_rev : string option;
+  r_build_id : string option;
   r_device : string option;
   r_fingerprint : string option;
   r_recipe : string option;
@@ -24,72 +25,6 @@ type run = {
   r_metrics : Json.t option;
 }
 
-(* ---- git rev, without a subprocess ---- *)
-
-let read_file path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Some (really_input_string ic (in_channel_length ic)))
-
-let first_line s =
-  match String.index_opt s '\n' with
-  | Some i -> String.sub s 0 i
-  | None -> s
-
-let rec find_git_dir dir =
-  let cand = Filename.concat dir ".git" in
-  if Sys.file_exists cand then
-    (* worktrees store "gitdir: PATH" in a plain .git file *)
-    if Sys.is_directory cand then Some cand
-    else
-      Option.bind (read_file cand) (fun text ->
-        let line = String.trim (first_line text) in
-        if String.starts_with ~prefix:"gitdir:" line then
-          Some
-            (String.trim
-               (String.sub line 7 (String.length line - 7)))
-        else None)
-  else
-    let parent = Filename.dirname dir in
-    if parent = dir then None else find_git_dir parent
-
-let resolve_ref git_dir refname =
-  let direct = Filename.concat git_dir refname in
-  match read_file direct with
-  | Some text -> Some (String.trim (first_line text))
-  | None -> (
-    (* packed refs: "HASH refs/heads/main" lines *)
-    match read_file (Filename.concat git_dir "packed-refs") with
-    | None -> None
-    | Some text ->
-      String.split_on_char '\n' text
-      |> List.find_map (fun line ->
-           match String.index_opt line ' ' with
-           | Some i
-             when String.sub line (i + 1) (String.length line - i - 1)
-                  = refname ->
-             Some (String.sub line 0 i)
-           | _ -> None))
-
-let git_rev () =
-  match find_git_dir (Sys.getcwd ()) with
-  | None -> None
-  | Some git_dir -> (
-    match read_file (Filename.concat git_dir "HEAD") with
-    | None -> None
-    | Some head -> (
-      let head = String.trim (first_line head) in
-      if String.starts_with ~prefix:"ref:" head then
-        let refname =
-          String.trim (String.sub head 4 (String.length head - 4))
-        in
-        resolve_ref git_dir refname
-      else if head <> "" then Some head
-      else None))
-
 (* ---- record assembly ---- *)
 
 let fresh_id ~cmd time_s =
@@ -99,7 +34,7 @@ let fresh_id ~cmd time_s =
     (Int64.to_int (Int64.rem (Int64.of_float (time_s *. 1000.)) 0xff_ffff_ffffL))
     (Unix.getpid () land 0xffff)
 
-let make ?git_rev:(rev = git_rev ()) ?device ?fingerprint ?recipe
+let make ?device ?fingerprint ?recipe
     ?(stages = []) ?(results = []) ?(cache = []) ?metrics ~cmd ~label () =
   let time_s = Unix.gettimeofday () in
   {
@@ -107,7 +42,7 @@ let make ?git_rev:(rev = git_rev ()) ?device ?fingerprint ?recipe
     r_time_s = time_s;
     r_cmd = cmd;
     r_label = label;
-    r_git_rev = rev;
+    r_build_id = Some Build_id.digest;
     r_device = device;
     r_fingerprint = fingerprint;
     r_recipe = recipe;
@@ -127,14 +62,8 @@ let total_ms run =
 let result_label j =
   match Json.member "label" j with Some (Json.Str s) -> s | _ -> "?"
 
-let member_float name j =
-  match Json.member name j with
-  | Some (Json.Float f) -> Some f
-  | Some (Json.Int i) -> Some (float_of_int i)
-  | _ -> None
-
-let result_fmax j = member_float "fmax_mhz" j
-let result_critical_ns j = member_float "critical_ns" j
+let result_fmax j = Result.to_option (Json.float_field "fmax_mhz" j)
+let result_critical_ns j = Result.to_option (Json.float_field "critical_ns" j)
 
 (* ---- JSON codec ---- *)
 
@@ -148,7 +77,7 @@ let to_json r =
       ("time_unix_s", Json.Float r.r_time_s);
       ("cmd", Json.Str r.r_cmd);
       ("label", Json.Str r.r_label);
-      ("git_rev", opt_str r.r_git_rev);
+      ("build_id", opt_str r.r_build_id);
       ("device", opt_str r.r_device);
       ("device_fingerprint", opt_str r.r_fingerprint);
       ("recipe", opt_str r.r_recipe);
@@ -171,12 +100,6 @@ let to_json r =
         match r.r_metrics with None -> Json.Null | Some m -> m );
     ]
 
-let str_member name j =
-  match Json.member name j with Some (Json.Str s) -> Some s | _ -> None
-
-let int_member name j =
-  match Json.member name j with Some (Json.Int i) -> Some i | _ -> None
-
 let of_json j =
   match Json.member "schema" j with
   | Some (Json.Str s) when s = schema ->
@@ -185,13 +108,13 @@ let of_json j =
       | Some (Json.List items) ->
         List.filter_map
           (fun it ->
-            match (str_member "stage" it, str_member "status" it) with
-            | Some name, Some status ->
+            match (Json.str_field "stage" it, Json.str_field "status" it) with
+            | Ok name, Ok status ->
               Some
                 {
                   st_name = name;
                   st_status = status;
-                  st_ms = Option.value ~default:0. (member_float "ms" it);
+                  st_ms = Result.value ~default:0. (Json.float_field "ms" it);
                 }
             | _ -> None)
           items
@@ -212,16 +135,16 @@ let of_json j =
     in
     Ok
       {
-        r_id = Option.value ~default:"?" (str_member "id" j);
-        r_time_s = Option.value ~default:0. (member_float "time_unix_s" j);
-        r_cmd = Option.value ~default:"?" (str_member "cmd" j);
-        r_label = Option.value ~default:"" (str_member "label" j);
-        r_git_rev = str_member "git_rev" j;
-        r_device = str_member "device" j;
-        r_fingerprint = str_member "device_fingerprint" j;
-        r_recipe = str_member "recipe" j;
-        r_jobs = Option.value ~default:1 (int_member "jobs" j);
-        r_cores = Option.value ~default:1 (int_member "cores" j);
+        r_id = Result.value ~default:"?" (Json.str_field "id" j);
+        r_time_s = Result.value ~default:0. (Json.float_field "time_unix_s" j);
+        r_cmd = Result.value ~default:"?" (Json.str_field "cmd" j);
+        r_label = Result.value ~default:"" (Json.str_field "label" j);
+        r_build_id = Result.to_option (Json.str_field "build_id" j);
+        r_device = Result.to_option (Json.str_field "device" j);
+        r_fingerprint = Result.to_option (Json.str_field "device_fingerprint" j);
+        r_recipe = Result.to_option (Json.str_field "recipe" j);
+        r_jobs = Result.value ~default:1 (Json.int_field "jobs" j);
+        r_cores = Result.value ~default:1 (Json.int_field "cores" j);
         r_stages = stages;
         r_results = results;
         r_cache = cache;
@@ -244,22 +167,6 @@ let ambient_path () =
 
 let enabled () = ambient_path () <> None
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
-(* Opt-in durability for daemon mode: a long-running compile service is
-   exactly the process whose ledger survives crashes, so it can ask for
-   an fsync per record. Everything else keeps the cheap default. *)
-let sync_env_var = "HLSB_LEDGER_SYNC"
-
-let sync_requested () =
-  match Sys.getenv_opt sync_env_var with
-  | Some ("1" | "true" | "on" | "yes") -> true
-  | _ -> false
-
 (* One locked single-buffer write per record: the advisory lock
    serializes concurrent writers (same guarantee Store gets from
    write-then-rename, adapted to an append-only file) and the whole
@@ -268,8 +175,8 @@ let sync_requested () =
    truncated back to its pre-append length (we still hold the lock, and
    O_APPEND writes land at the end, so the recorded length is exact)
    and the append is reported as failed instead of half-published. *)
-let append_line ?(sync = sync_requested ()) ~path line =
-  mkdir_p (Filename.dirname path);
+let append_line ?(sync = false) ~path line =
+  Atomic_file.mkdir_p (Filename.dirname path);
   match
     Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644
   with
@@ -315,7 +222,7 @@ let append ?path ?sync run =
 let load ~path =
   if not (Sys.file_exists path) then Ok []
   else
-    match read_file path with
+    match Atomic_file.read path with
     | None -> Error (Printf.sprintf "cannot read %s" path)
     | Some text ->
       Ok

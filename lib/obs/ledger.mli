@@ -22,9 +22,13 @@
     truncating the file to its pre-append length (the lock is still
     held), so a failed append leaves no torn line behind; what malformed
     lines can still arise (a crash between write and truncate, hand
-    editing) are skipped on load, never fatal. Daemon mode can
-    additionally opt into one [fsync] per record with
-    [HLSB_LEDGER_SYNC=1], making each acknowledged record durable. *)
+    editing) are skipped on load, never fatal. A caller that must not
+    lose an acknowledged record (the compile daemon) passes [~sync:true]
+    for one [fsync] per record.
+
+    Every record carries the {!Build_id.digest} of the library sources
+    the program was built from: the same id every store key holds, so
+    it tells apart builds that differ by an uncommitted edit. *)
 
 module Json = Hlsb_telemetry.Json
 
@@ -45,7 +49,8 @@ type run = {
   r_time_s : float;  (** unix epoch seconds at assembly *)
   r_cmd : string;  (** compile | cc | profile | fuzz | bench | ... *)
   r_label : string;
-  r_git_rev : string option;  (** HEAD commit of the enclosing checkout *)
+  r_build_id : string option;
+      (** {!Build_id.digest} of the writer; [None] in records that predate it *)
   r_device : string option;
   r_fingerprint : string option;  (** device timing-model fingerprint *)
   r_recipe : string option;  (** recipe hash ([Style.label]) *)
@@ -58,7 +63,6 @@ type run = {
 }
 
 val make :
-  ?git_rev:string option ->
   ?device:string ->
   ?fingerprint:string ->
   ?recipe:string ->
@@ -70,8 +74,7 @@ val make :
   label:string ->
   unit ->
   run
-(** Assemble a record: stamps the id and time, resolves the git rev from
-    the working directory (unless [?git_rev] overrides it), and fills
+(** Assemble a record: stamps the id, time and build id, and fills
     jobs/cores from the ambient pool configuration. *)
 
 val total_ms : run -> float
@@ -100,24 +103,16 @@ val default_path : string
 (** [".hlsb/ledger.jsonl"] — what [hlsbc obs] reads when [HLSB_LEDGER]
     is unset or disabled and no [--ledger] flag is given. *)
 
-val sync_env_var : string
-(** ["HLSB_LEDGER_SYNC"] — set to [1]/[true]/[on]/[yes] to fsync after
-    every appended record (the daemon sets this for its own appends). *)
-
 val append : ?path:string -> ?sync:bool -> run -> (string, string) result
 (** Append one record (creating the directory and file as needed) and
     return the path written. [Error] carries the system message; ledger
     failures must never take a compile down, so callers log and move
     on. [?path] overrides the ambient resolution (tests, [--ledger]);
-    [?sync] overrides the [HLSB_LEDGER_SYNC] resolution. *)
+    [~sync:true] fsyncs the record before returning (default [false]). *)
 
 val load : path:string -> (run list, string) result
 (** All well-formed records, oldest first. Malformed lines are skipped.
     A missing file is [Ok []]; an unreadable one is [Error]. *)
-
-val git_rev : unit -> string option
-(** HEAD commit hash of the checkout enclosing the current directory
-    (plain read of [.git], no subprocess). *)
 
 val resolve : run list -> string -> (run, string) result
 (** Resolve a run reference against a ledger, for the CLI: ["last"] or

@@ -15,82 +15,6 @@ let time_str epoch_s =
 
 let opt_str = Option.value ~default:"-"
 
-(* Rebuild a metrics snapshot from the record's JSON so the quantile
-   estimator can run on a run loaded back from disk. *)
-let snapshot_of_json j =
-  let counters =
-    match Json.member "counters" j with
-    | Some (Json.Obj fields) ->
-      List.filter_map
-        (fun (k, v) -> match v with Json.Int i -> Some (k, i) | _ -> None)
-        fields
-    | _ -> []
-  in
-  let gauges =
-    match Json.member "gauges" j with
-    | Some (Json.Obj fields) ->
-      List.filter_map
-        (fun (k, v) ->
-          match v with
-          | Json.Float f -> Some (k, f)
-          | Json.Int i -> Some (k, float_of_int i)
-          | _ -> None)
-        fields
-    | _ -> []
-  in
-  let num = function
-    | Json.Float f -> Some f
-    | Json.Int i -> Some (float_of_int i)
-    | _ -> None
-  in
-  let hists =
-    match Json.member "histograms" j with
-    | Some (Json.Obj fields) ->
-      List.filter_map
-        (fun (k, h) ->
-          match (Json.member "buckets" h, Json.member "counts" h) with
-          | Some (Json.List bs), Some (Json.List cs) ->
-            let buckets = Array.of_list (List.filter_map num bs) in
-            let counts =
-              Array.of_list
-                (List.filter_map
-                   (function Json.Int i -> Some i | _ -> None)
-                   cs)
-            in
-            if Array.length counts = Array.length buckets + 1 then
-              Some
-                ( k,
-                  {
-                    Metrics.hs_buckets = buckets;
-                    hs_counts = counts;
-                    hs_count =
-                      (match Json.member "count" h with
-                      | Some (Json.Int c) -> c
-                      | _ -> Array.fold_left ( + ) 0 counts);
-                    hs_sum =
-                      Option.value ~default:nan
-                        (Option.bind (Json.member "sum" h) num);
-                    hs_min =
-                      Option.value ~default:nan
-                        (Option.bind (Json.member "min" h) num);
-                    hs_max =
-                      Option.value ~default:nan
-                        (Option.bind (Json.member "max" h) num);
-                  } )
-            else None
-          | _ -> None)
-        fields
-    | _ -> []
-  in
-  {
-    Metrics.sn_counters = counters;
-    sn_gauges = gauges;
-    sn_hists = hists;
-  }
-
-let snapshot_of_run (run : Ledger.run) =
-  Option.map snapshot_of_json run.Ledger.r_metrics
-
 (* ---- report ---- *)
 
 let stage_table (run : Ledger.run) =
@@ -130,7 +54,7 @@ let report ?(top = 12) (run : Ledger.run) =
   line "  time:   %s" (time_str run.Ledger.r_time_s);
   line "  cmd:    %s%s" run.Ledger.r_cmd
     (if run.Ledger.r_label <> "" then "  (" ^ run.Ledger.r_label ^ ")" else "");
-  line "  git:    %s" (opt_str run.Ledger.r_git_rev);
+  line "  build:  %s" (opt_str run.Ledger.r_build_id);
   line "  device: %s  recipe: %s"
     (opt_str run.Ledger.r_device)
     (opt_str run.Ledger.r_recipe);
@@ -164,7 +88,7 @@ let report ?(top = 12) (run : Ledger.run) =
   (match run.Ledger.r_metrics with
   | None -> ()
   | Some m ->
-    let snap = snapshot_of_json m in
+    let snap = Metrics.of_json m in
     if snap.Metrics.sn_counters <> [] then begin
       line "";
       line "top counters:";
@@ -214,8 +138,8 @@ let diff (a : Ledger.run) (b : Ledger.run) =
     a.Ledger.r_cmd;
   line "B: %s  (%s, %s)" b.Ledger.r_id (time_str b.Ledger.r_time_s)
     b.Ledger.r_cmd;
-  (match (a.Ledger.r_git_rev, b.Ledger.r_git_rev) with
-  | Some ra, Some rb when ra <> rb -> line "git: %s -> %s" ra rb
+  (match (a.Ledger.r_build_id, b.Ledger.r_build_id) with
+  | Some ra, Some rb when ra <> rb -> line "build: %s -> %s" ra rb
   | _ -> ());
   line "";
   let tbl =

@@ -23,12 +23,6 @@ val report : ?top:int -> Ledger.run -> string
 val summary_line : Ledger.run -> string
 (** One line per run for [hlsbc obs list]: id, age, cmd, label, total. *)
 
-val snapshot_of_run : Ledger.run -> Hlsb_telemetry.Metrics.snapshot option
-(** Rebuild a metrics snapshot from the record's embedded
-    [Metrics.to_json] payload (so quantiles and Prometheus exposition
-    work on runs loaded back from disk). [None] when the record carries
-    no metrics. *)
-
 val diff : Ledger.run -> Ledger.run -> string
 
 type verdict = {

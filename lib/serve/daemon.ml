@@ -63,14 +63,24 @@ let session_for t ~key mk =
 let artifact_of_result r =
   Json.to_string ~minify:false (Pipeline.result_to_json r) ^ "\n"
 
+(* The store key of a compile-flavoured verb: the device's fingerprint
+   and the verb's own wire encoding, its names already resolved. The
+   encoding carries every input the artifact depends on (recipe, target,
+   injection, plan, cc source), and Json spells each float so that it
+   reads back exactly, so distinct requests never share a key. *)
+let store_key ~device verb =
+  Store.key
+    ~parts:
+      [ Device.fingerprint device; Json.to_string (Protocol.verb_to_json verb) ]
+
 (* The store-backed serving discipline shared by every compile-flavoured
    verb: look the key up in the client's namespace; on miss run the
    compile thunk, publish the bytes, and answer with exactly the bytes
    the store now holds — so hit and miss responses are byte-identical.
    This is the daemon's only store lookup, so the store's own hit and
    miss counters are exactly these verbs'. *)
-let serve_artifact t ~id ~ns ~parts compile =
-  let key = Store.key ~parts in
+let serve_artifact t ~id ~ns ~device verb compile =
+  let key = store_key ~device verb in
   match Store.find t.d_store ~ns ~key with
   | Some bytes -> Protocol.ok ~hit:true ~key ~id bytes
   | None ->
@@ -85,34 +95,27 @@ let unknown_design name =
     ~entity:(Diag.Design name)
     (Printf.sprintf "unknown design %S (hlsbc list names them)" name)
 
+let run_artifact slot run =
+  Mutex.protect slot.sl_mutex (fun () ->
+    match run slot.sl_session with
+    | Ok r -> artifact_of_result r
+    | Error d -> raise (Diag.Diagnostic d))
+
+let design_slot t spec =
+  session_for t ~key:("design:" ^ spec.Spec.sp_name) (fun () ->
+    Pipeline.of_spec spec)
+
 let handle_compile t ~id ~ns (c : Protocol.compile_req) =
-  match Suite.find c.cp_design with
+  match Suite.resolve c.cp_design with
   | None -> Protocol.fail ~id (unknown_design c.cp_design)
   | Some spec ->
-    let slot =
-      session_for t ~key:("design:" ^ spec.Spec.sp_name) (fun () ->
-        Pipeline.of_spec spec)
-    in
-    let ck =
-      Pipeline.cache_key ?target_mhz:c.cp_target_mhz ?inject:c.cp_inject
-        slot.sl_session ~recipe:c.cp_recipe
-    in
-    let parts =
-      [
-        "compile";
-        Device.fingerprint spec.Spec.sp_device;
-        spec.Spec.sp_name;
-        ck;
-      ]
-    in
-    serve_artifact t ~id ~ns ~parts (fun () ->
-      Mutex.protect slot.sl_mutex (fun () ->
-        match
-          Pipeline.run ?target_mhz:c.cp_target_mhz ?inject:c.cp_inject
-            slot.sl_session ~recipe:c.cp_recipe
-        with
-        | Ok r -> artifact_of_result r
-        | Error d -> raise (Diag.Diagnostic d)))
+    let slot = design_slot t spec in
+    serve_artifact t ~id ~ns ~device:spec.Spec.sp_device
+      (Protocol.Compile { c with cp_design = spec.Spec.sp_name })
+      (fun () ->
+        run_artifact slot
+          (Pipeline.run ?target_mhz:c.cp_target_mhz ?inject:c.cp_inject
+             ~recipe:c.cp_recipe))
 
 let handle_cc t ~id ~ns (c : Protocol.cc_req) =
   match Hlsb_frontend.Frontend.parse c.cc_source with
@@ -123,25 +126,13 @@ let handle_cc t ~id ~ns (c : Protocol.cc_req) =
          (Format.asprintf "%a" Hlsb_frontend.Frontend.pp_error e))
   | Ok program ->
     let device = Device.ultrascale_plus in
-    let digest = Digest.to_hex (Digest.string c.cc_source) in
     let slot =
       session_for t
-        ~key:(Printf.sprintf "cc:%s:%s" digest c.cc_name)
+        ~key:(Printf.sprintf "cc:%s\x00%s" c.cc_name c.cc_source)
         (fun () -> Pipeline.of_program ~device ~name:c.cc_name program)
     in
-    let ck =
-      Pipeline.cache_key ~plan:c.cc_plan slot.sl_session ~recipe:c.cc_recipe
-    in
-    let parts =
-      [ "cc"; Device.fingerprint device; digest; c.cc_name; ck ]
-    in
-    serve_artifact t ~id ~ns ~parts (fun () ->
-      Mutex.protect slot.sl_mutex (fun () ->
-        match
-          Pipeline.run ~plan:c.cc_plan slot.sl_session ~recipe:c.cc_recipe
-        with
-        | Ok r -> artifact_of_result r
-        | Error d -> raise (Diag.Diagnostic d)))
+    serve_artifact t ~id ~ns ~device (Protocol.Cc c) (fun () ->
+      run_artifact slot (Pipeline.run ~plan:c.cc_plan ~recipe:c.cc_recipe))
 
 let handle_characterize t ~id ~ns dev_name =
   match Device.find dev_name with
@@ -151,9 +142,8 @@ let handle_characterize t ~id ~ns dev_name =
          ~entity:(Diag.Design dev_name)
          (Printf.sprintf "unknown device %S" dev_name))
   | Some device ->
-    let fp = Device.fingerprint device in
-    let parts = [ "characterize"; fp ] in
-    serve_artifact t ~id ~ns ~parts (fun () ->
+    serve_artifact t ~id ~ns ~device (Protocol.Characterize device.Device.name)
+      (fun () ->
       let cal = Calibrate.shared device in
       Calibrate.warm ~mem:true cal;
       Json.to_string ~minify:false
@@ -161,7 +151,7 @@ let handle_characterize t ~id ~ns dev_name =
            [
              ("schema", Json.Str "hlsbd-characterize/1");
              ("device", Json.Str device.Device.name);
-             ("fingerprint", Json.Str fp);
+             ("fingerprint", Json.Str (Device.fingerprint device));
              ( "factor_grid",
                Json.List
                  (Array.to_list
@@ -174,31 +164,22 @@ let handle_characterize t ~id ~ns dev_name =
       ^ "\n")
 
 let handle_explore t ~id ~ns (e : Protocol.explore_req) =
-  match Suite.find e.ex_design with
+  match Suite.resolve e.ex_design with
   | None -> Protocol.fail ~id (unknown_design e.ex_design)
   | Some spec ->
-    let slot =
-      session_for t ~key:("design:" ^ spec.Spec.sp_name) (fun () ->
-        Pipeline.of_spec spec)
-    in
-    let parts =
-      [
-        "explore";
-        Device.fingerprint spec.Spec.sp_device;
-        spec.Spec.sp_name;
-        string_of_int e.ex_budget;
-        string_of_int e.ex_max_probes;
-      ]
-    in
-    serve_artifact t ~id ~ns ~parts (fun () ->
-      let report =
-        Mutex.protect slot.sl_mutex (fun () ->
-          Hlsb_explore.Explore.run_design ~budget:e.ex_budget
-            ~max_probes:e.ex_max_probes slot.sl_session
-            ~name:spec.Spec.sp_name)
-      in
-      Json.to_string ~minify:false (Hlsb_explore.Explore.report_to_json report)
-      ^ "\n")
+    let slot = design_slot t spec in
+    serve_artifact t ~id ~ns ~device:spec.Spec.sp_device
+      (Protocol.Explore { e with ex_design = spec.Spec.sp_name })
+      (fun () ->
+        let report =
+          Mutex.protect slot.sl_mutex (fun () ->
+            Hlsb_explore.Explore.run_design ~budget:e.ex_budget
+              ~max_probes:e.ex_max_probes slot.sl_session
+              ~name:spec.Spec.sp_name)
+        in
+        Json.to_string ~minify:false
+          (Hlsb_explore.Explore.report_to_json report)
+        ^ "\n")
 
 let status_json t =
   let st = Store.stats t.d_store in

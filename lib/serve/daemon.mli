@@ -15,9 +15,9 @@
     Ops surface, per request: a [serve.request] telemetry span tagged
     with verb/ns/key/hit, the [serve.*] gauges
     (queue depth, requests, store hit rate, store bytes/entries), and
-    one [hlsb-run/1] ledger record with [r_cmd = "serve"] — fsynced,
-    because the daemon turns {!Hlsb_obs.Ledger.sync_env_var} semantics
-    on for its own appends. *)
+    one [hlsb-run/1] ledger record with [r_cmd = "serve"], appended
+    with [~sync:true] so an acknowledged request's record survives a
+    crash. *)
 
 module Json = Hlsb_telemetry.Json
 
@@ -37,6 +37,12 @@ val create :
     records — tests turn it off. *)
 
 val store : t -> Store.t
+
+val store_key : device:Hlsb_device.Device.t -> Protocol.verb -> string
+(** The store key a compile-flavoured verb is filed under: the device
+    fingerprint plus {!Protocol.verb_to_json} of the verb. {!handle}
+    first resolves the verb's names (a relaxed design name to its suite
+    name), so every spelling of one request shares one entry. *)
 
 val handle : t -> Protocol.request -> Protocol.response
 (** Serve one request against the daemon state — the entire protocol

@@ -61,27 +61,8 @@ let verb_name = function
 
 let ( let* ) = Result.bind
 
-let str_field k j =
-  match Json.member k j with
-  | Some (Json.Str s) -> Ok s
-  | Some _ -> Error (Printf.sprintf "field %S: expected string" k)
-  | None -> Error (Printf.sprintf "field %S missing" k)
-
-let int_field k j =
-  match Json.member k j with
-  | Some (Json.Int n) -> Ok n
-  | Some _ -> Error (Printf.sprintf "field %S: expected int" k)
-  | None -> Error (Printf.sprintf "field %S missing" k)
-
-let float_opt_field k j =
-  match Json.member k j with
-  | None | Some Json.Null -> Ok None
-  | Some (Json.Float f) -> Ok (Some f)
-  | Some (Json.Int n) -> Ok (Some (float_of_int n))
-  | Some _ -> Error (Printf.sprintf "field %S: expected number" k)
-
 let expect_schema j =
-  let* s = str_field "schema" j in
+  let* s = Json.str_field "schema" j in
   if s = schema then Ok ()
   else Error (Printf.sprintf "schema mismatch: got %S, want %S" s schema)
 
@@ -99,8 +80,8 @@ let entity_to_json (e : Diag.entity) =
   Json.Obj [ ("kind", Json.Str kind); ("name", Json.Str name) ]
 
 let entity_of_json j =
-  let* kind = str_field "kind" j in
-  let* name = str_field "name" j in
+  let* kind = Json.str_field "kind" j in
+  let* name = Json.str_field "name" j in
   match kind with
   | "kernel" -> Ok (Diag.Kernel name)
   | "channel" -> Ok (Diag.Channel name)
@@ -122,8 +103,8 @@ let diag_to_json (d : Diag.t) =
     ]
 
 let diag_of_json j =
-  let* stage = str_field "stage" j in
-  let* sev_s = str_field "severity" j in
+  let* stage = Json.str_field "stage" j in
+  let* sev_s = Json.str_field "severity" j in
   let* severity =
     match sev_s with
     | "error" -> Ok Diag.Error
@@ -137,7 +118,7 @@ let diag_of_json j =
       let* e = entity_of_json e in
       Ok (Some e)
   in
-  let* message = str_field "message" j in
+  let* message = Json.str_field "message" j in
   Ok
     {
       Diag.d_stage = stage;
@@ -149,7 +130,7 @@ let diag_of_json j =
 (* ---- verbs --------------------------------------------------------- *)
 
 let recipe_of_json j =
-  let* s = str_field "recipe" j in
+  let* s = Json.str_field "recipe" j in
   match Style.of_string s with
   | Ok r -> Ok r
   | Error d -> Error d.Diag.d_message
@@ -159,8 +140,8 @@ let inject_to_json (i : Schedule.inject) =
     [ ("top", Json.Int i.Schedule.inj_top); ("levels", Json.Int i.inj_levels) ]
 
 let inject_of_json j =
-  let* top = int_field "top" j in
-  let* levels = int_field "levels" j in
+  let* top = Json.int_field "top" j in
+  let* levels = Json.int_field "levels" j in
   Ok { Schedule.inj_top = top; inj_levels = levels }
 
 let verb_to_json = function
@@ -202,12 +183,12 @@ let verb_to_json = function
   | Shutdown -> Json.Obj [ ("verb", Json.Str "shutdown") ]
 
 let verb_of_json j =
-  let* v = str_field "verb" j in
+  let* v = Json.str_field "verb" j in
   match v with
   | "compile" ->
-    let* design = str_field "design" j in
+    let* design = Json.str_field "design" j in
     let* recipe = recipe_of_json j in
-    let* target_mhz = float_opt_field "target_mhz" j in
+    let* target_mhz = Json.opt_field Json.float_field "target_mhz" j in
     let* inject =
       match Json.member "inject" j with
       | None | Some Json.Null -> Ok None
@@ -224,20 +205,20 @@ let verb_of_json j =
            cp_inject = inject;
          })
   | "cc" ->
-    let* name = str_field "name" j in
-    let* source = str_field "source" j in
+    let* name = Json.str_field "name" j in
+    let* source = Json.str_field "source" j in
     let* recipe = recipe_of_json j in
-    let* plan_s = str_field "plan" j in
+    let* plan_s = Json.str_field "plan" j in
     let* plan = Plan.of_string plan_s in
     Ok { cc_name = name; cc_source = source; cc_recipe = recipe; cc_plan = plan }
     |> Result.map (fun c -> Cc c)
   | "characterize" ->
-    let* dev = str_field "device" j in
+    let* dev = Json.str_field "device" j in
     Ok (Characterize dev)
   | "explore" ->
-    let* design = str_field "design" j in
-    let* budget = int_field "budget" j in
-    let* max_probes = int_field "max_probes" j in
+    let* design = Json.str_field "design" j in
+    let* budget = Json.int_field "budget" j in
+    let* max_probes = Json.int_field "max_probes" j in
     Ok
       (Explore
          { ex_design = design; ex_budget = budget; ex_max_probes = max_probes })
@@ -260,8 +241,8 @@ let request_to_json r =
 
 let request_of_json j =
   let* () = expect_schema j in
-  let* id = str_field "id" j in
-  let* ns = str_field "ns" j in
+  let* id = Json.str_field "id" j in
+  let* ns = Json.str_field "ns" j in
   let* verb = verb_of_json j in
   Ok { q_id = id; q_ns = ns; q_verb = verb }
 
@@ -280,10 +261,10 @@ let response_to_json p =
 
 let response_of_json j =
   let* () = expect_schema j in
-  let* id = str_field "id" j in
-  let* key = str_field "key" j in
-  let* artifact = str_field "artifact" j in
-  let hit = match Json.member "hit" j with Some (Json.Bool b) -> b | _ -> false in
+  let* id = Json.str_field "id" j in
+  let* key = Json.str_field "key" j in
+  let* artifact = Json.str_field "artifact" j in
+  let hit = Result.value ~default:false (Json.bool_field "hit" j) in
   let* error =
     match Json.member "error" j with
     | None | Some Json.Null -> Ok None

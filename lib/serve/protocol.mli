@@ -20,7 +20,7 @@ val schema : string
     never half-understood. *)
 
 type compile_req = {
-  cp_design : string;  (** exact suite design name *)
+  cp_design : string;  (** suite design name, exact or relaxed *)
   cp_recipe : Hlsb_ctrl.Style.recipe;
   cp_target_mhz : float option;
   cp_inject : Hlsb_sched.Schedule.inject option;
@@ -71,6 +71,10 @@ val diag_to_json : Diag.t -> Json.t
 val diag_of_json : Json.t -> (Diag.t, string) result
 (** Lossless round-trip of the structured diagnostic, including the
     entity constructor. *)
+
+val verb_to_json : verb -> Json.t
+(** The verb's canonical encoding, as it appears inside a request. The
+    daemon keys its store on it. *)
 
 val request_to_json : request -> Json.t
 val request_of_json : Json.t -> (request, string) result

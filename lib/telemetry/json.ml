@@ -228,6 +228,29 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
+let to_float = function
+  | Float f -> Some f
+  | Int i -> Some (float_of_int i)
+  | _ -> None
+
+let field what conv key j =
+  match member key j with
+  | None -> Error (Printf.sprintf "field %S missing" key)
+  | Some v -> (
+    match conv v with
+    | Some x -> Ok x
+    | None -> Error (Printf.sprintf "field %S: expected %s" key what))
+
+let str_field = field "string" (function Str s -> Some s | _ -> None)
+let int_field = field "int" (function Int i -> Some i | _ -> None)
+let float_field = field "number" to_float
+let bool_field = field "bool" (function Bool b -> Some b | _ -> None)
+
+let opt_field get key j =
+  match member key j with
+  | None | Some Null -> Ok None
+  | Some _ -> Result.map Option.some (get key j)
+
 let rec equal a b =
   match (a, b) with
   | Null, Null -> true

@@ -355,6 +355,53 @@ let to_json s =
       ("histograms", Json.Obj (List.map (fun (k, h) -> (k, hist_to_json h)) s.sn_hists));
     ]
 
+(* The inverse of [to_json], tolerant of what it cannot use: a malformed
+   entry is dropped, and a histogram's missing or [null] sum, min or max
+   (the encoder writes nan as [null]) reads back as nan. *)
+let of_json j =
+  let fields key =
+    match Json.member key j with Some (Json.Obj fs) -> fs | _ -> []
+  in
+  let hist h =
+    match (Json.member "buckets" h, Json.member "counts" h) with
+    | Some (Json.List bs), Some (Json.List cs) ->
+      let buckets = Array.of_list (List.filter_map Json.to_float bs) in
+      let counts =
+        Array.of_list
+          (List.filter_map (function Json.Int i -> Some i | _ -> None) cs)
+      in
+      let float key = Result.value ~default:nan (Json.float_field key h) in
+      if Array.length counts = Array.length buckets + 1 then
+        Some
+          {
+            hs_buckets = buckets;
+            hs_counts = counts;
+            hs_count =
+              Result.value
+                ~default:(Array.fold_left ( + ) 0 counts)
+                (Json.int_field "count" h);
+            hs_sum = float "sum";
+            hs_min = float "min";
+            hs_max = float "max";
+          }
+      else None
+    | _ -> None
+  in
+  {
+    sn_counters =
+      List.filter_map
+        (fun (k, v) -> match v with Json.Int i -> Some (k, i) | _ -> None)
+        (fields "counters");
+    sn_gauges =
+      List.filter_map
+        (fun (k, v) -> Option.map (fun f -> (k, f)) (Json.to_float v))
+        (fields "gauges");
+    sn_hists =
+      List.filter_map
+        (fun (k, h) -> Option.map (fun h -> (k, h)) (hist h))
+        (fields "histograms");
+  }
+
 let render s =
   let buf = Buffer.create 512 in
   let line fmt = Printf.ksprintf (fun l -> Buffer.add_string buf (l ^ "\n")) fmt in

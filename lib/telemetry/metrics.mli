@@ -113,5 +113,12 @@ val quantile : hist_snap -> float -> float
     containing bucket's clamped bounds. *)
 
 val to_json : snapshot -> Json.t
+
+val of_json : Json.t -> snapshot
+(** The inverse of {!to_json}, so quantiles and Prometheus exposition
+    work on a snapshot loaded back from disk. Malformed entries are
+    dropped; a histogram's [null] min or max (an empty interval's nan)
+    reads back as nan. *)
+
 val render : snapshot -> string
 (** Human-readable table of all metrics. *)

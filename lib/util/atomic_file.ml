@@ -37,7 +37,15 @@ let read path =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> Some (really_input_string ic (in_channel_length ic)))
 
-let write ~path contents =
+(* The rename replaces whatever [path] names, so a device or pipe
+   (an output path of /dev/stdout, say) is refused, not replaced. *)
+let not_regular path =
+  match Unix.stat path with
+  | { Unix.st_kind = Unix.S_REG; _ } -> false
+  | _ -> true
+  | exception Unix.Unix_error _ -> false
+
+let replace ~path contents =
   mkdir_p (Filename.dirname path);
   (* O_EXCL: a leftover temp file from a crashed writer with the same
      suffix (pid reuse) must not be silently overwritten mid-rename by
@@ -82,6 +90,10 @@ let write ~path contents =
       | exception Sys_error msg ->
         cleanup ();
         Error msg))
+
+let write ~path contents =
+  if not_regular path then Error "not a regular file"
+  else replace ~path contents
 
 let write_exn ~path contents =
   match write ~path contents with

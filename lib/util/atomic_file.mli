@@ -18,7 +18,9 @@ val write : path:string -> string -> (unit, string) result
     directories as needed). On success the rename has happened; on
     [Error msg] the target is untouched and the temporary file has been
     removed. Concurrent writers of the same [path] serialize at the
-    rename: the last rename wins with a complete file either way. *)
+    rename: the last rename wins with a complete file either way. A
+    [path] that exists but is not a regular file (a device, a pipe, a
+    directory) is an [Error], and is left as it is. *)
 
 val write_exn : path:string -> string -> unit
 (** [write], raising [Sys_error] on failure. *)

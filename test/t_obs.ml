@@ -181,7 +181,7 @@ let test_log_parse_spec () =
 (* ---- Ledger ---- *)
 
 let sample_run ?(cmd = "compile") ?(label = "t") ?(ms = 10.) () =
-  Ledger.make ~git_rev:(Some "deadbeef") ~device:"xcvu9p" ~fingerprint:"fp"
+  Ledger.make ~device:"xcvu9p" ~fingerprint:"fp"
     ~recipe:"aware/skid-min/pruned"
     ~stages:
       [
@@ -204,7 +204,8 @@ let test_ledger_codec_roundtrip () =
   | Ok r' ->
     Alcotest.(check string) "id" r.Ledger.r_id r'.Ledger.r_id;
     Alcotest.(check string) "cmd" "compile" r'.Ledger.r_cmd;
-    Alcotest.(check bool) "git rev" true (r'.Ledger.r_git_rev = Some "deadbeef");
+    Alcotest.(check (option string)) "build id" (Some Build_id.digest)
+      r'.Ledger.r_build_id;
     Alcotest.(check bool) "recipe" true
       (r'.Ledger.r_recipe = Some "aware/skid-min/pruned");
     Alcotest.(check int) "stages" 2 (List.length r'.Ledger.r_stages);
@@ -218,6 +219,35 @@ let test_ledger_codec_roundtrip () =
   match Ledger.of_json (Json.Obj [ ("schema", Json.Str "hlsb-run/999") ]) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "wrong schema accepted"
+
+(* A trimmed copy of a committed ci/baseline-ledger.json record: written
+   before records carried a build id, it has a git_rev field instead. *)
+let baseline_record =
+  {|{"schema":"hlsb-run/1","id":"cc-9fdcbb099a-4819","time_unix_s":1786114673.049793,"cmd":"cc","label":"fig18_stream_buffer [partition=cyclic:4;channel-reuse]","git_rev":"05b2f80f9bc0abbcc00b7191518b61df2f40ee26","device":"xcvu9p","device_fingerprint":"xcvu9p|UltraScale+|435x436|s8.16|b12|d9|0.1|0.06|0.12|0.25|0.12|0.013","recipe":"aware/skid-min/pruned","jobs":1,"cores":1,"stages":[{"stage":"transform","status":"cached","ms":0.0},{"stage":"schedule","status":"ran","ms":2.163643},{"stage":"lower","status":"ran","ms":1.464599}],"results":[{"label":"fig18_stream_buffer [aware/skid-min/pruned]","recipe":"aware/skid-min/pruned","fmax_mhz":339.34764107225993,"critical_ns":2.9468305624292292}],"cache":{"calibrate.cache_hits":2,"pipeline.cache_misses":1},"metrics":{"counters":{"flow.compiles":1,"timing.runs":1}}}|}
+
+let test_ledger_build_id () =
+  let r = Ledger.make ~cmd:"compile" ~label:"t" () in
+  Alcotest.(check (option string)) "a new record carries the build id"
+    (Some Build_id.digest) r.Ledger.r_build_id;
+  Alcotest.(check bool) "and writes it" true
+    (Json.member "build_id" (Ledger.to_json r) = Some (Json.Str Build_id.digest));
+  match Result.bind (Json.of_string baseline_record) Ledger.of_json with
+  | Error e -> Alcotest.fail e
+  | Ok old ->
+    Alcotest.(check (option string)) "an old record has no build id" None
+      old.Ledger.r_build_id;
+    Alcotest.(check string) "id" "cc-9fdcbb099a-4819" old.Ledger.r_id;
+    Alcotest.(check int) "stages" 3 (List.length old.Ledger.r_stages);
+    Alcotest.(check (float 1e-9)) "ran stages total" (2.163643 +. 1.464599)
+      (Ledger.total_ms old);
+    Alcotest.(check bool) "fmax" true
+      (Ledger.result_fmax (List.hd old.Ledger.r_results)
+      = Some 339.34764107225993);
+    Alcotest.(check bool) "cache" true
+      (old.Ledger.r_cache
+      = [ ("calibrate.cache_hits", 2); ("pipeline.cache_misses", 1) ]);
+    Alcotest.(check bool) "report prints no build" true
+      (contains ~needle:"build:  -" (Report.report old))
 
 let tmp_ledger () =
   let path = Filename.temp_file "hlsb_ledger" ".jsonl" in
@@ -372,10 +402,10 @@ let test_report_renders () =
     (contains ~needle:"compile" (Report.summary_line r));
   let d = Report.diff (sample_run ~ms:10. ()) (sample_run ~ms:20. ()) in
   Alcotest.(check bool) "diff has ratio" true (contains ~needle:"2.00x" d);
-  match Report.snapshot_of_run r with
-  | Some snap ->
+  match r.Ledger.r_metrics with
+  | Some m ->
     Alcotest.(check bool) "snapshot rebuilt from record" true
-      (snap.Metrics.sn_counters = [ ("c", 1) ])
+      ((Metrics.of_json m).Metrics.sn_counters = [ ("c", 1) ])
   | None -> Alcotest.fail "metrics snapshot missing"
 
 let suite =
@@ -391,6 +421,8 @@ let suite =
     Alcotest.test_case "log spec parsing" `Quick test_log_parse_spec;
     Alcotest.test_case "ledger codec round-trip" `Quick
       test_ledger_codec_roundtrip;
+    Alcotest.test_case "ledger build id; old records load" `Quick
+      test_ledger_build_id;
     Alcotest.test_case "ledger append/load" `Quick test_ledger_append_load;
     Alcotest.test_case "ledger concurrent writers" `Quick
       test_ledger_concurrent_append;

@@ -214,35 +214,7 @@ let test_schedule_content_reuse () =
       (Pipeline.Place, "cached");
       (Pipeline.Sta, "cached");
       (Pipeline.Report, "cached");
-    ];
-  Alcotest.(check bool) "cache key still tells the requests apart" true
-    (Pipeline.cache_key session ~recipe:Style.optimized
-    <> Pipeline.cache_key ~target_mhz:300. session ~recipe:Style.optimized)
-
-(* The store key spells a target override as its shortest round-trip
-   decimal: targets that agree to 6 digits (where "%g" stops) get distinct
-   keys, while untuned keys and targets of at most 6 significant digits
-   keep the spelling older store entries were filed under. *)
-let test_store_key_target () =
-  let s = Option.get (Hlsb_designs.Suite.find "Vector Arithmetic") in
-  let session = Pipeline.of_spec s in
-  let key ?target_mhz () =
-    Pipeline.cache_key ?target_mhz session ~recipe:Style.optimized
-  in
-  Alcotest.(check string) "untuned key" "aware/skid-min/pruned|Vector Arithmetic"
-    (key ());
-  Alcotest.(check bool) "391.2341 and 391.2344 MHz are distinct keys" true
-    (key ~target_mhz:391.2341 () <> key ~target_mhz:391.2344 ());
-  Alcotest.(check string) "full precision" (key () ^ "|@391.2341")
-    (key ~target_mhz:391.2341 ());
-  Alcotest.(check string) "17 digits when needed" (key () ^ "|@0.30000000000000004")
-    (key ~target_mhz:(0.1 +. 0.2) ());
-  List.iter
-    (fun t ->
-      Alcotest.(check string) "6-digit targets keep the %g spelling"
-        (key () ^ "|" ^ Printf.sprintf "@%g" t)
-        (key ~target_mhz:t ()))
-    [ 300.; 391.234; 250.5; 0.125 ]
+    ]
 
 (* ---- structured diagnostics ---- *)
 
@@ -357,7 +329,6 @@ let suite =
       test_dump_and_explain;
     Alcotest.test_case "schedule content keys lower..report" `Quick
       test_schedule_content_reuse;
-    Alcotest.test_case "store key: target round-trips" `Quick test_store_key_target;
     QCheck_alcotest.to_alcotest prop_cached_reuse_stable;
     QCheck_alcotest.to_alcotest prop_content_reuse_equals_fresh;
   ]

@@ -526,6 +526,94 @@ let test_daemon_repeat_compile_hits_byte_identical () =
     Alcotest.(check string) "same bytes from disk" r1.Protocol.p_artifact
       r4.Protocol.p_artifact)
 
+(* The daemon files a compile under the device fingerprint and the
+   verb's wire encoding. A relaxed design name resolves to the suite name
+   first, so it hits that name's entry; every input the artifact depends
+   on changes the key, so a changed request misses. *)
+let pc_source =
+  {|void pc(stream<int> &in_fifo, stream<int> &out_fifo) {
+  int tmp[64];
+  for (int i = 0; i < 64; i++) { tmp[i] = in_fifo.read() * 3; }
+  for (int i = 0; i < 64; i++) { out_fifo.write(tmp[i] + 1); }
+}
+|}
+
+let test_daemon_keys () =
+  with_temp_dir (fun root ->
+    let t = Daemon.create ~store_root:root ~ledger:false () in
+    let r1 = check_ok (Daemon.handle t (req "1" compile_verb)) in
+    let relaxed =
+      Protocol.Compile
+        {
+          Protocol.cp_design = "vector-arithmetic";
+          cp_recipe = Style.optimized;
+          cp_target_mhz = None;
+          cp_inject = None;
+        }
+    in
+    let r2 = check_ok (Daemon.handle t (req "2" relaxed)) in
+    Alcotest.(check bool) "a relaxed name hits the suite name's entry" true
+      r2.Protocol.p_hit;
+    Alcotest.(check string) "under the same key" r1.Protocol.p_key
+      r2.Protocol.p_key;
+    Alcotest.(check string) "which is store_key of the verb"
+      (Daemon.store_key ~device:vec_spec.Spec.sp_device compile_verb)
+      r1.Protocol.p_key);
+  let compile ?(recipe = Style.optimized) ?target_mhz ?inject () =
+    Daemon.store_key ~device:vec_spec.Spec.sp_device
+      (Protocol.Compile
+         {
+           Protocol.cp_design = vec_spec.Spec.sp_name;
+           cp_recipe = recipe;
+           cp_target_mhz = target_mhz;
+           cp_inject = inject;
+         })
+  in
+  let plan s = Result.get_ok (Hlsb_transform.Plan.of_string s) in
+  let cc ?(plan = Hlsb_transform.Plan.identity) ?(source = pc_source) () =
+    Daemon.store_key ~device:Device.ultrascale_plus
+      (Protocol.Cc
+         {
+           Protocol.cc_name = "pc";
+           cc_source = source;
+           cc_recipe = Style.optimized;
+           cc_plan = plan;
+         })
+  in
+  let inject top levels =
+    { Hlsb_sched.Schedule.inj_top = top; inj_levels = levels }
+  in
+  Alcotest.(check string) "a key is deterministic" (compile ~target_mhz:300. ())
+    (compile ~target_mhz:300. ());
+  List.iter
+    (fun (name, a, b) ->
+      Alcotest.(check bool) (name ^ " misses") true (a <> b))
+    [
+      ( "391.2341 vs 391.2344 MHz",
+        compile ~target_mhz:391.2341 (),
+        compile ~target_mhz:391.2344 () );
+      ("0.1 +. 0.2 vs 0.3 MHz", compile ~target_mhz:(0.1 +. 0.2) (),
+       compile ~target_mhz:0.3 ());
+      ("no target vs 300 MHz", compile (), compile ~target_mhz:300. ());
+      ("no injection vs one", compile (), compile ~inject:(inject 1 1) ());
+      ( "a different injection",
+        compile ~inject:(inject 1 1) (),
+        compile ~inject:(inject 2 1) () );
+      ("a different recipe", compile (), compile ~recipe:Style.original ());
+      ("a different plan", cc (), cc ~plan:(plan "stream=tmp") ());
+      ("a different cc source", cc (), cc ~source:(pc_source ^ "\n") ());
+      ( "another device",
+        cc (),
+        Daemon.store_key ~device:Device.alveo_u50
+          (Protocol.Cc
+             {
+               Protocol.cc_name = "pc";
+               cc_source = pc_source;
+               cc_recipe = Style.optimized;
+               cc_plan = Hlsb_transform.Plan.identity;
+             }) );
+    ]
+
 let test_daemon_error_is_structured () =
   with_temp_dir (fun root ->
     let t = Daemon.create ~store_root:root ~ledger:false () in
@@ -646,6 +734,23 @@ let test_atomic_file_concurrent_writers () =
       Alcotest.(check bool) "file is one writer's complete payload" true
         (Array.exists (fun tag -> bytes = payload tag) tags))
 
+(* Output paths come from the command line; renaming over a pipe or a
+   device (--trace /dev/stdout) would replace it with a plain file. *)
+let test_atomic_file_refuses_special_files () =
+  with_temp_dir (fun dir ->
+    let fifo = Filename.concat dir "fifo" in
+    Unix.mkfifo fifo 0o600;
+    (match Atomic_file.write ~path:fifo "bytes" with
+    | Ok () -> Alcotest.fail "a pipe was replaced"
+    | Error _ -> ());
+    Alcotest.(check bool) "the pipe is still a pipe" true
+      ((Unix.stat fifo).Unix.st_kind = Unix.S_FIFO);
+    Alcotest.(check (list string)) "no temp file left" [ "fifo" ]
+      (Array.to_list (Sys.readdir dir));
+    match Atomic_file.write ~path:(Filename.concat dir "file") "bytes" with
+    | Ok () -> ()
+    | Error m -> Alcotest.fail m)
+
 let test_atomic_temp_suffix_unique () =
   let n = 64 in
   let seen = Hashtbl.create n in
@@ -684,6 +789,8 @@ let suite =
     Alcotest.test_case "protocol: socket framing" `Quick test_framing_roundtrip;
     Alcotest.test_case "daemon: repeat compile hits, byte-identical" `Slow
       test_daemon_repeat_compile_hits_byte_identical;
+    Alcotest.test_case "daemon: keys are the verb's wire form" `Quick
+      test_daemon_keys;
     Alcotest.test_case "daemon: structured error responses" `Quick
       test_daemon_error_is_structured;
     Alcotest.test_case "daemon: status + gc verbs" `Slow
@@ -694,6 +801,8 @@ let suite =
       test_ledger_sync_append;
     Alcotest.test_case "atomic writer: concurrent domains" `Quick
       test_atomic_file_concurrent_writers;
+    Alcotest.test_case "atomic writer: refuses pipes and devices" `Quick
+      test_atomic_file_refuses_special_files;
     Alcotest.test_case "atomic writer: unique temp suffixes" `Quick
       test_atomic_temp_suffix_unique;
   ]

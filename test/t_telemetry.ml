@@ -65,6 +65,49 @@ let test_json_member () =
     (Json.member "int" sample_json = Some (Json.Int (-42)));
   Alcotest.(check bool) "missing" true (Json.member "nope" sample_json = None)
 
+(* Every accessor names the field in its error, missing or mistyped. *)
+let test_json_typed_fields () =
+  let j =
+    Json.Obj
+      [
+        ("s", Json.Str "x"); ("i", Json.Int 3); ("f", Json.Float 1.5);
+        ("b", Json.Bool true); ("n", Json.Null);
+      ]
+  in
+  Alcotest.(check bool) "str" true (Json.str_field "s" j = Ok "x");
+  Alcotest.(check bool) "int" true (Json.int_field "i" j = Ok 3);
+  Alcotest.(check bool) "float" true (Json.float_field "f" j = Ok 1.5);
+  Alcotest.(check bool) "int widens to float" true
+    (Json.float_field "i" j = Ok 3.);
+  Alcotest.(check bool) "bool" true (Json.bool_field "b" j = Ok true);
+  Alcotest.(check bool) "null optional" true
+    (Json.opt_field Json.int_field "n" j = Ok None);
+  Alcotest.(check bool) "missing optional" true
+    (Json.opt_field Json.int_field "zz" j = Ok None);
+  Alcotest.(check bool) "present optional" true
+    (Json.opt_field Json.int_field "i" j = Ok (Some 3));
+  let error name r =
+    match r with
+    | Ok _ -> Alcotest.failf "%s: expected an error" name
+    | Error msg -> msg
+  in
+  Alcotest.(check string) "missing names the field" "field \"zz\" missing"
+    (error "missing" (Json.int_field "zz" j));
+  Alcotest.(check string) "mistyped names the field and the type"
+    "field \"s\": expected int"
+    (error "mistyped" (Json.int_field "s" j));
+  List.iter
+    (fun (name, r) ->
+      Alcotest.(check bool) (name ^ " names the field") true
+        (String.starts_with ~prefix:"field \"" (error name r)))
+    [
+      ("str", Json.str_field "i" j |> Result.map ignore);
+      ("float", Json.float_field "s" j |> Result.map ignore);
+      ("bool", Json.bool_field "n" j |> Result.map ignore);
+      ("optional", Json.opt_field Json.str_field "i" j |> Result.map ignore);
+      ("non-object", Json.str_field "s" (Json.List []) |> Result.map ignore);
+    ]
+
 (* ---- Trace ---- *)
 
 let test_span_nesting () =
@@ -248,6 +291,59 @@ let test_metrics_json_shape () =
     | _ -> Alcotest.fail "buckets list")
   | None -> Alcotest.fail "histogram missing in JSON"
 
+(* [Metrics.of_json] inverts [to_json], on the tree and through the
+   printed text, including the nan extrema of an empty [diff] interval
+   (printed as null). *)
+let test_metrics_json_roundtrip () =
+  let m = Metrics.create () in
+  Metrics.with_registry m (fun () ->
+    Metrics.incr ~by:5 "c";
+    Metrics.incr "d";
+    Metrics.set_gauge "g" 0.25;
+    Metrics.set_gauge "g.int" 7.;
+    List.iter (Metrics.observe_int "h") [ 1; 3; 3; 900; 5000 ];
+    Metrics.observe ~buckets:[| 0.5; 1.5 |] "idle" 1.);
+  let before = Metrics.snapshot m in
+  Metrics.with_registry m (fun () ->
+    Metrics.incr "c";
+    Metrics.observe_int "h" 2);
+  let after = Metrics.snapshot m in
+  let interval = Metrics.diff ~before ~after in
+  let idle = List.assoc "idle" interval.Metrics.sn_hists in
+  Alcotest.(check bool) "the empty interval has nan extrema" true
+    (Float.is_nan idle.Metrics.hs_min && Float.is_nan idle.Metrics.hs_max);
+  let same_hist (a : Metrics.hist_snap) (b : Metrics.hist_snap) =
+    let same_float x y = x = y || (Float.is_nan x && Float.is_nan y) in
+    a.Metrics.hs_buckets = b.Metrics.hs_buckets
+    && a.Metrics.hs_counts = b.Metrics.hs_counts
+    && a.Metrics.hs_count = b.Metrics.hs_count
+    && same_float a.Metrics.hs_sum b.Metrics.hs_sum
+    && same_float a.Metrics.hs_min b.Metrics.hs_min
+    && same_float a.Metrics.hs_max b.Metrics.hs_max
+  in
+  let check name (s : Metrics.snapshot) (s' : Metrics.snapshot) =
+    Alcotest.(check (list (pair string int)))
+      (name ^ ": counters") s.Metrics.sn_counters s'.Metrics.sn_counters;
+    Alcotest.(check (list (pair string (float 0.))))
+      (name ^ ": gauges") s.Metrics.sn_gauges s'.Metrics.sn_gauges;
+    Alcotest.(check (list string))
+      (name ^ ": histogram names")
+      (List.map fst s.Metrics.sn_hists)
+      (List.map fst s'.Metrics.sn_hists);
+    List.iter2
+      (fun (k, h) (_, h') ->
+        Alcotest.(check bool) (name ^ ": histogram " ^ k) true (same_hist h h'))
+      s.Metrics.sn_hists s'.Metrics.sn_hists
+  in
+  List.iter
+    (fun (name, s) ->
+      let j = Metrics.to_json s in
+      check (name ^ " tree") s (Metrics.of_json j);
+      match Json.of_string (Json.to_string j) with
+      | Error e -> Alcotest.fail e
+      | Ok j -> check (name ^ " text") s (Metrics.of_json j))
+    [ ("snapshot", after); ("interval", interval) ]
+
 (* ---- Telemetry does not perturb compilation ---- *)
 
 let compile_fingerprint (r : Pipeline.result) =
@@ -413,6 +509,8 @@ let suite =
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "json numbers" `Quick test_json_numbers;
     Alcotest.test_case "json member" `Quick test_json_member;
+    Alcotest.test_case "json typed fields name the field" `Quick
+      test_json_typed_fields;
     Alcotest.test_case "span nesting" `Quick test_span_nesting;
     Alcotest.test_case "span exception safety" `Quick test_span_exception_safety;
     Alcotest.test_case "disabled is no-op" `Quick test_span_disabled_noop;
@@ -426,6 +524,8 @@ let suite =
     Alcotest.test_case "trace parallel spans" `Quick
       test_trace_parallel_spans_race_free;
     Alcotest.test_case "metrics json shape" `Quick test_metrics_json_shape;
+    Alcotest.test_case "metrics json round-trip" `Quick
+      test_metrics_json_roundtrip;
     Alcotest.test_case "instrumentation populates" `Quick
       test_instrumentation_populates;
     Alcotest.test_case "sim occupancy series" `Quick test_sim_occupancy_series;
