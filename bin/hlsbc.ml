@@ -330,21 +330,11 @@ let sanitize_filename name =
     name
 
 (* The tail compile and cc share: the result as text (or, with [json],
-   as JSON carrying the run record), then the --dump-after file, then
-   the --explain table. *)
-let report_compile ?plan ?(json = false) ~record ~dump_name ~dump_after
-    ~explain session ~recipe r =
-  (if json then
-     let fields =
-       match Pipeline.result_to_json r with Json.Obj f -> f | _ -> []
-     in
-     let run =
-       match record with
-       | Some (_, rc) -> [ ("run", Ledger.to_json rc) ]
-       | None -> []
-     in
-     print_endline (Json.to_string ~minify:false (Json.Obj (fields @ run)))
-   else print_endline (Pipeline.summary r));
+   as the artifact bytes a daemon serves), then the --dump-after file,
+   then the --explain table. *)
+let report_compile ?plan ?(json = false) ~dump_name ~dump_after ~explain
+    session ~recipe r =
+  if json then print_result_artifact r else print_endline (Pipeline.summary r);
   (match dump_after with
   | None -> ()
   | Some stage_s -> (
@@ -397,15 +387,15 @@ let cmd_compile =
            })
         (fun () -> print_result_artifact (compile ()))
     else
-      let r, record =
+      let r, _ =
         with_run_record ~cmd:"compile"
           ~describe:
             (compile_info ~label:s.Spec.sp_name ~device:s.Spec.sp_device
                ~recipe session)
           compile
       in
-      report_compile ~json ~record ~dump_name:s.Spec.sp_name ~dump_after
-        ~explain session ~recipe r
+      report_compile ~json ~dump_name:s.Spec.sp_name ~dump_after ~explain
+        session ~recipe r
   in
   let json_arg =
     Arg.(
@@ -600,13 +590,13 @@ let cmd_cc =
         | "" -> name
         | p -> name ^ " [" ^ p ^ "]"
       in
-      let r, record =
+      let r, _ =
         with_run_record ~cmd:"cc"
           ~describe:(compile_info ~label ~device:source_device ~recipe session)
           (fun () -> run_or_fail ~plan session ~recipe)
       in
-      report_compile ~plan ~record ~dump_name:name ~dump_after ~explain session
-        ~recipe r
+      report_compile ~plan ~dump_name:name ~dump_after ~explain session ~recipe
+        r
   in
   let file_arg =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.c")

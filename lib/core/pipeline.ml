@@ -154,7 +154,9 @@ type stage_record = {
 
 type compiled = {
   co_design : Design.t;
-  co_placement : Placement.t;
+  co_max_extent : float;
+      (* all the place dump reads: neither positions nor arcs outlive a
+         compile *)
   co_timing : Timing.report;
   co_result : result;
 }
@@ -519,7 +521,7 @@ let compiled_exn ?name ?(plan = Plan.identity) ?target_mhz ?inject t ~recipe =
       let c =
         {
           co_design = design;
-          co_placement = placement;
+          co_max_extent = Placement.max_extent placement;
           co_timing = timing;
           co_result = result;
         }
@@ -724,7 +726,7 @@ let dump_after ?name ?(plan = Plan.identity) t ~recipe stage =
            [
              ("cells", Json.Int (Netlist.n_cells c.co_design.Design.netlist));
              ("nets", Json.Int (Netlist.n_nets c.co_design.Design.netlist));
-             ("max_extent", Json.Float (Placement.max_extent c.co_placement));
+             ("max_extent", Json.Float c.co_max_extent);
            ])
       ^ "\n"
     | Sta ->

@@ -1,4 +1,5 @@
 module Vec = Hlsb_util.Vec
+module Intgraph = Hlsb_util.Intgraph
 module Device = Hlsb_device.Device
 
 type resources = {
@@ -120,53 +121,71 @@ let utilization t (d : Device.t) =
   let frac used cap = if cap = 0 then 0. else float_of_int used /. float_of_int cap in
   (frac r.r_luts d.luts, frac r.r_ffs d.ffs, frac r.r_bram18 d.bram18, frac r.r_dsps d.dsps)
 
-(* Combinational cycle detection: DFS over comb-to-comb edges. *)
-let comb_cycle t =
+type fanin = {
+  in_off : int array;
+  in_driver : int array;
+  in_net : int array;
+}
+
+type arcs = {
+  fanin : fanin;
+  out_off : int array;
+  out_sink : int array;
+}
+
+let arcs t =
   let n = Vec.length t.cells in
-  let adj = Array.make n [] in
+  let in_off = Array.make (n + 1) 0 and out_off = Array.make (n + 1) 0 in
   Vec.iteri
     (fun _ net ->
-      let d = net.n_driver in
-      if (Vec.get t.cells d).c_kind = Comb then
-        Array.iter
-          (fun s ->
-            if (Vec.get t.cells s).c_kind = Comb then adj.(d) <- s :: adj.(d))
-          net.n_sinks)
+      let drv = net.n_driver and sinks = net.n_sinks in
+      for k = 0 to Array.length sinks - 1 do
+        let s = sinks.(k) in
+        in_off.(s) <- in_off.(s) + 1;
+        out_off.(drv) <- out_off.(drv) + 1
+      done)
     t.nets;
-  let color = Array.make n 0 in
-  (* 0 white, 1 grey, 2 black *)
-  let rec dfs v =
-    if color.(v) = 1 then true
-    else if color.(v) = 2 then false
-    else begin
-      color.(v) <- 1;
-      let cyc = List.exists dfs adj.(v) in
-      color.(v) <- 2;
-      cyc
-    end
-  in
-  let found = ref false in
-  for v = 0 to n - 1 do
-    if (not !found) && color.(v) = 0 then if dfs v then found := true
+  (* Inclusive prefix sums: [off.(c)] is one past the end of slice [c],
+     and [off.(n)] the arc total. The fill below steps each [off.(c)] back
+     once per arc, leaving it at the start of slice [c]: the offsets are
+     their own cursors. *)
+  for c = 1 to n do
+    in_off.(c) <- in_off.(c) + in_off.(c - 1);
+    out_off.(c) <- out_off.(c) + out_off.(c - 1)
   done;
-  !found
+  let n_arcs = in_off.(n) in
+  let in_driver = Array.make n_arcs 0 and in_net = Array.make n_arcs 0 in
+  let out_sink = Array.make n_arcs 0 in
+  Vec.iteri
+    (fun nid net ->
+      let drv = net.n_driver and sinks = net.n_sinks in
+      for k = 0 to Array.length sinks - 1 do
+        let s = sinks.(k) in
+        let i = in_off.(s) - 1 in
+        in_off.(s) <- i;
+        in_driver.(i) <- drv;
+        in_net.(i) <- nid;
+        let o = out_off.(drv) - 1 in
+        out_off.(drv) <- o;
+        out_sink.(o) <- s
+      done)
+    t.nets;
+  { fanin = { in_off; in_driver; in_net }; out_off; out_sink }
 
 let validate t =
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  Vec.iteri
-    (fun id n ->
-      if n.n_driver < 0 || n.n_driver >= Vec.length t.cells then
-        err "net %d: bad driver" id;
-      Array.iter
-        (fun s ->
-          if s < 0 || s >= Vec.length t.cells then err "net %d: bad sink" id)
-        n.n_sinks)
-    t.nets;
-  if !errors = [] && comb_cycle t then err "combinational cycle detected";
-  match !errors with
-  | [] -> Ok ()
-  | es -> Error (String.concat "; " (List.rev es))
+  let n = Vec.length t.cells in
+  let { in_off; in_driver; _ } = (arcs t).fanin in
+  let comb c = (Vec.get t.cells c).c_kind = Comb in
+  let g = Intgraph.create n in
+  for c = 0 to n - 1 do
+    if comb c then
+      for k = in_off.(c) to in_off.(c + 1) - 1 do
+        if comb in_driver.(k) then Intgraph.add_edge g in_driver.(k) c
+      done
+  done;
+  match Intgraph.topological_order g with
+  | Some _ -> Ok ()
+  | None -> Error "combinational cycle detected"
 
 let merge dst src =
   let cell_map = Array.make (Vec.length src.cells) (-1) in

@@ -88,9 +88,43 @@ val total_resources : t -> resources
 val utilization : t -> Hlsb_device.Device.t -> float * float * float * float
 (** (lut, ff, bram, dsp) utilization as fractions of the device. *)
 
+(** {2 Connectivity}
+
+    The one per-cell view of the nets. Sink [s] of net [n] is one arc: a
+    fanin arc of [s] (the driver of [n], and [n]) and a fanout arc of that
+    driver ([s]). A sink listed twice gives two arcs; a sinkless net gives
+    none. Placement, timing and {!validate} all read this view; nothing
+    else rebuilds it.
+
+    Order invariant: the nets are walked forward, each net's sinks in
+    array order, and every cell's slice is filled back to front. A slice
+    read front to back therefore lists its arcs in reverse net-encounter
+    order. Placement's centroid sums and the STA's strict [>] tie-breaks
+    fold slices front to back, so their floats and critical paths depend
+    on this order, and it must not change. *)
+
+type fanin = {
+  in_off : int array;
+      (** [n_cells + 1] offsets: cell [c]'s fanin arcs are
+          [in_off.(c) .. in_off.(c + 1) - 1] *)
+  in_driver : int array;  (** per arc: the net's driver *)
+  in_net : int array;  (** per arc: the net *)
+}
+
+type arcs = {
+  fanin : fanin;
+  out_off : int array;  (** [n_cells + 1] offsets into [out_sink] *)
+  out_sink : int array;  (** per fanout arc: the sink it reaches *)
+}
+
+val arcs : t -> arcs
+(** Both halves in one pair of passes over the nets. The arrays are
+    fresh; the netlist does not keep them. *)
+
 val validate : t -> (unit, string) result
-(** Checks net endpoints and that no combinational cycle exists (walking
-    Comb cells through nets). *)
+(** Checks that no combinational cycle exists (walking Comb cells through
+    their Comb fanin arcs). Net endpoints need no check: {!add_net} and
+    {!merge} only ever record cells that exist. *)
 
 val merge : t -> t -> int array * int array
 (** [merge dst src] appends all cells/nets of [src] into [dst]; returns the

@@ -8,14 +8,14 @@ module Diag = Hlsb_util.Diag
    write without chasing or allocating a box per access. *)
 type t = {
   netlist : Netlist.t;
+  fanin : Netlist.fanin;  (* the arcs STA reads; the fanout half is dropped *)
   xs : float array;
   ys : float array;
   fp : int array;
   sq : float array;
       (* sqrt (float fp) per cell: the spread radius folded into every
          wire-length query, precomputed once instead of per net per STA *)
-  max_x : float;
-  max_y : float;
+  max_extent : float;  (* largest slice coordinate the packer claimed *)
 }
 
 (* Hilbert curve index -> point on a 2^k x 2^k grid, packed as [x * n + y];
@@ -77,7 +77,7 @@ let place ?(max_sweeps = 24) ?(early_exit = true) (d : Device.t) nl =
   let total_points = side * side in
   let capacity = d.cols * d.rows in
   let used = ref 0 in
-  let max_x = ref 0 and max_y = ref 0 in
+  let extent = ref 0 in
   (* The packer walks the curve in aligned blocks instead of calling
      [hilbert_d2xy] once per slice. [g] holds, per level j, the affine map
      G_j (a signed permutation and an offset: six ints) from the level-j
@@ -142,8 +142,7 @@ let place ?(max_sweeps = 24) ?(early_exit = true) (d : Device.t) nl =
           sx := !sx + (w * ((w * x0) + (w * (w - 1) / 2)));
           sy := !sy + (w * ((w * y0) + (w * (w - 1) / 2)));
           r := !r - (w * w);
-          max_x := imax !max_x (x0 + w - 1);
-          max_y := imax !max_y (y0 + w - 1)
+          extent := imax !extent (imax x0 y0 + w - 1)
         end;
         cur := !cur + (w * w);
         (* the next block starts at the new index's lowest nonzero digit,
@@ -168,43 +167,16 @@ let place ?(max_sweeps = 24) ?(early_exit = true) (d : Device.t) nl =
      the total distance. Heavy cells (logic macros, BRAM, DSP) stay where
      the packer put them.
 
-     Fanin/fanout are CSR int arrays (offsets + flat adjacency), built in
-     two passes, so the 24 sweeps below never touch a list. The slices are
-     filled back to front while iterating nets forward: a forward read of a
-     slice then visits edges in reverse net-encounter order, which is
-     exactly the order the previous cons-list representation folded in —
-     float summation order, and hence every position, stays bit-identical. *)
-  let indeg = Array.make n 0 in
-  let outdeg = Array.make n 0 in
-  Netlist.iter_nets nl (fun _ net ->
-    let drv = net.Netlist.n_driver and sinks = net.Netlist.n_sinks in
-    for k = 0 to Array.length sinks - 1 do
-      let s = sinks.(k) in
-      indeg.(s) <- indeg.(s) + 1;
-      outdeg.(drv) <- outdeg.(drv) + 1
-    done);
-  let in_off = Array.make (n + 1) 0 in
-  let out_off = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    in_off.(i + 1) <- in_off.(i) + indeg.(i);
-    out_off.(i + 1) <- out_off.(i) + outdeg.(i)
-  done;
-  let in_adj = Array.make in_off.(n) 0 in
-  let out_adj = Array.make out_off.(n) 0 in
-  let in_pos = Array.init n (fun i -> in_off.(i + 1)) in
-  let out_pos = Array.init n (fun i -> out_off.(i + 1)) in
-  Netlist.iter_nets nl (fun _ net ->
-    let drv = net.Netlist.n_driver and sinks = net.Netlist.n_sinks in
-    for k = 0 to Array.length sinks - 1 do
-      let s = sinks.(k) in
-      in_pos.(s) <- in_pos.(s) - 1;
-      in_adj.(in_pos.(s)) <- drv;
-      out_pos.(drv) <- out_pos.(drv) - 1;
-      out_adj.(out_pos.(drv)) <- s
-    done);
+     The sweeps read the netlist's arcs ({!Netlist.arcs}): flat CSR int
+     arrays, so the 24 sweeps below never touch a list, in the order that
+     keeps float summation, and hence every position, bit-identical. *)
+  let { Netlist.fanin; out_off; out_sink } = Netlist.arcs nl in
+  let { Netlist.in_off; in_driver; _ } = fanin in
   let cls = Bytes.make n (Char.chr cls_fixed) in
   for id = 0 to n - 1 do
-    if fp.(id) <= 64 && indeg.(id) > 0 && outdeg.(id) > 0 then
+    if fp.(id) <= 64 && in_off.(id + 1) > in_off.(id)
+       && out_off.(id + 1) > out_off.(id)
+    then
       match (Netlist.cell nl id).Netlist.c_kind with
       | Netlist.Seq -> Bytes.unsafe_set cls id (Char.chr cls_movable)
       | Netlist.Comb -> Bytes.unsafe_set cls id (Char.chr cls_light_comb)
@@ -226,17 +198,18 @@ let place ?(max_sweeps = 24) ?(early_exit = true) (d : Device.t) nl =
     if c <> cls_fixed then begin
       let isx = ref 0. and isy = ref 0. in
       for k = in_off.(id) to in_off.(id + 1) - 1 do
-        let p = in_adj.(k) in
+        let p = in_driver.(k) in
         isx := !isx +. xs.(p);
         isy := !isy +. ys.(p)
       done;
       let osx = ref 0. and osy = ref 0. in
       for k = out_off.(id) to out_off.(id + 1) - 1 do
-        let p = out_adj.(k) in
+        let p = out_sink.(k) in
         osx := !osx +. xs.(p);
         osy := !osy +. ys.(p)
       done;
-      let ki = float_of_int indeg.(id) and ko = float_of_int outdeg.(id) in
+      let ki = float_of_int (in_off.(id + 1) - in_off.(id))
+      and ko = float_of_int (out_off.(id + 1) - out_off.(id)) in
       let ix = !isx /. ki and iy = !isy /. ki in
       let ox = !osx /. ko and oy = !osy /. ko in
       if c = cls_movable then begin
@@ -296,9 +269,10 @@ let place ?(max_sweeps = 24) ?(early_exit = true) (d : Device.t) nl =
   for i = 0 to n - 1 do
     sq.(i) <- sqrt (float_of_int fp.(i))
   done;
-  let max_x = float_of_int !max_x and max_y = float_of_int !max_y in
-  { netlist = nl; xs; ys; fp; sq; max_x; max_y }
+  let max_extent = float_of_int !extent in
+  { netlist = nl; fanin; xs; ys; fp; sq; max_extent }
 
+let fanin t = t.fanin
 let coords t = (t.xs, t.ys)
 let position t c = (t.xs.(c), t.ys.(c))
 let footprint_slices t c = t.fp.(c)
@@ -363,4 +337,4 @@ let star_length t nid =
     !far +. (!spread /. float_of_int (1 + n_sinks))
   end
 
-let max_extent t = max t.max_x t.max_y
+let max_extent t = t.max_extent

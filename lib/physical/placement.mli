@@ -41,6 +41,10 @@ val hilbert_d2xy : int -> int -> int
     [footprint_slices] on-die points of this curve after cell k-1's, and
     its centroid is their mean. *)
 
+val fanin : t -> Hlsb_netlist.Netlist.fanin
+(** The placed netlist's fanin arcs ({!Hlsb_netlist.Netlist.arcs}), built
+    once by {!place} and read by the STA. *)
+
 val position : t -> int -> float * float
 (** Centroid of a placed cell in slice-grid units. *)
 

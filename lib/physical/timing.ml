@@ -73,130 +73,71 @@ let default_seed nl = Hashtbl.hash (Netlist.name nl) land 0xFFFFFF
 
 (* ---- incremental STA context ---- *)
 
-type incidence = { inc_off : int array; inc_adj : int array }
-
 type ctx = {
   cx_device : Device.t;
   cx_netlist : Netlist.t;
   cx_pl : Placement.t;
   cx_jitter : float;
   cx_seed : int;
-  cx_off : int array;
-  cx_arc_pred : int array;
-  cx_arc_net : int array;
+  cx_fanin : Netlist.fanin;  (* the placement's arcs, built once per place *)
   cx_ndelay : float array;
   cx_snap_x : float array;  (* cell positions as of the last ndelay fill *)
   cx_snap_y : float array;
-  mutable cx_inc : incidence option;
-      (* cell -> incident nets CSR, built lazily on the first [refresh]
-         so a one-shot [analyze] never pays for it *)
 }
 
 let prepare ?(jitter = 0.02) ?seed (d : Device.t) nl pl =
   let seed = match seed with Some s -> s | None -> default_seed nl in
-  let n = Netlist.n_cells nl in
-  (* Per-cell fanin arcs in CSR form (arc_pred/arc_net flat arrays sliced by
-     off): this is the inner loop of every characterization point, and the
-     flat int arrays avoid allocating a (pred, net) cons per arc.  Slices are
-     filled back-to-front while iterating nets forward, reproducing the
-     reverse-insertion order the old per-cell lists had, so tie-breaking on
-     equal arrivals is unchanged. *)
-  let ndelay = Array.make (Netlist.n_nets nl) 0. in
-  let off = Array.make (n + 1) 0 in
-  Netlist.iter_nets nl (fun _ net ->
-    let sinks = net.Netlist.n_sinks in
-    for k = 0 to Array.length sinks - 1 do
-      off.(sinks.(k) + 1) <- off.(sinks.(k) + 1) + 1
-    done);
-  for c = 0 to n - 1 do
-    off.(c + 1) <- off.(c + 1) + off.(c)
-  done;
-  let n_arcs = off.(n) in
-  let arc_pred = Array.make n_arcs 0 in
-  let arc_net = Array.make n_arcs 0 in
-  let cursor = Array.init n (fun c -> off.(c + 1)) in
-  Netlist.iter_nets nl (fun nid net ->
-    ndelay.(nid) <- net_delay d nl pl ~jitter ~seed nid;
-    let sinks = net.Netlist.n_sinks in
-    for i = 0 to Array.length sinks - 1 do
-      let s = sinks.(i) in
-      let k = cursor.(s) - 1 in
-      cursor.(s) <- k;
-      arc_pred.(k) <- net.Netlist.n_driver;
-      arc_net.(k) <- nid
-    done);
+  let ndelay =
+    Array.init (Netlist.n_nets nl) (net_delay d nl pl ~jitter ~seed)
+  in
   let xs, ys = Placement.coords pl in
-  let snap_x = Array.copy xs and snap_y = Array.copy ys in
   {
     cx_device = d;
     cx_netlist = nl;
     cx_pl = pl;
     cx_jitter = jitter;
     cx_seed = seed;
-    cx_off = off;
-    cx_arc_pred = arc_pred;
-    cx_arc_net = arc_net;
+    cx_fanin = Placement.fanin pl;
     cx_ndelay = ndelay;
-    cx_snap_x = snap_x;
-    cx_snap_y = snap_y;
-    cx_inc = None;
+    cx_snap_x = Array.copy xs;
+    cx_snap_y = Array.copy ys;
   }
 
-let incidence ctx =
-  match ctx.cx_inc with
-  | Some i -> i
-  | None ->
-    let nl = ctx.cx_netlist in
-    let n = Netlist.n_cells nl in
-    let inc_off = Array.make (n + 1) 0 in
-    Netlist.iter_nets nl (fun _ net ->
-      inc_off.(net.Netlist.n_driver + 1) <- inc_off.(net.Netlist.n_driver + 1) + 1;
-      Array.iter
-        (fun s -> inc_off.(s + 1) <- inc_off.(s + 1) + 1)
-        net.Netlist.n_sinks);
-    for c = 0 to n - 1 do
-      inc_off.(c + 1) <- inc_off.(c + 1) + inc_off.(c)
-    done;
-    let inc_adj = Array.make inc_off.(n) 0 in
-    let cursor = Array.init n (fun c -> inc_off.(c + 1)) in
-    let put c nid =
-      let k = cursor.(c) - 1 in
-      cursor.(c) <- k;
-      inc_adj.(k) <- nid
-    in
-    Netlist.iter_nets nl (fun nid net ->
-      put net.Netlist.n_driver nid;
-      Array.iter (fun s -> put s nid) net.Netlist.n_sinks);
-    let i = { inc_off; inc_adj } in
-    ctx.cx_inc <- Some i;
-    i
-
 let refresh ctx =
-  (* Re-time only the nets incident to cells whose position changed since
+  (* Re-time only the nets with an endpoint whose position changed since
      the last fill: a net's delay depends solely on its own endpoints'
      positions (fanout and jitter are placement-independent), so every
      untouched net keeps a bit-identical delay and a full [prepare] after
-     the same moves would produce exactly this array. *)
+     the same moves would produce exactly this array. One scan of the
+     fanin arcs finds them, since every arc pairs a sink with its net's
+     driver; a sinkless net has no arc, and its delay is 0 wherever its
+     driver sits. *)
   let nl = ctx.cx_netlist in
   let n = Netlist.n_cells nl in
   let n_nets = Array.length ctx.cx_ndelay in
-  let inc = incidence ctx in
-  let dirty = Bytes.make n_nets '\000' in
-  let moved = ref 0 in
+  let moved = Bytes.make n '\000' in
+  let any = ref false in
   let xs, ys = Placement.coords ctx.cx_pl in
   for c = 0 to n - 1 do
     let x = xs.(c) and y = ys.(c) in
     if x <> ctx.cx_snap_x.(c) || y <> ctx.cx_snap_y.(c) then begin
-      incr moved;
+      any := true;
+      Bytes.unsafe_set moved c '\001';
       ctx.cx_snap_x.(c) <- x;
-      ctx.cx_snap_y.(c) <- y;
-      for k = inc.inc_off.(c) to inc.inc_off.(c + 1) - 1 do
-        Bytes.unsafe_set dirty inc.inc_adj.(k) '\001'
-      done
+      ctx.cx_snap_y.(c) <- y
     end
   done;
   let recomputed = ref 0 in
-  if !moved > 0 then
+  if !any then begin
+    let { Netlist.in_off; in_driver; in_net } = ctx.cx_fanin in
+    let dirty = Bytes.make n_nets '\000' in
+    for c = 0 to n - 1 do
+      let sink_moved = Bytes.unsafe_get moved c = '\001' in
+      for k = in_off.(c) to in_off.(c + 1) - 1 do
+        if sink_moved || Bytes.unsafe_get moved in_driver.(k) = '\001' then
+          Bytes.unsafe_set dirty in_net.(k) '\001'
+      done
+    done;
     for nid = 0 to n_nets - 1 do
       if Bytes.unsafe_get dirty nid = '\001' then begin
         ctx.cx_ndelay.(nid) <-
@@ -204,15 +145,16 @@ let refresh ctx =
             ~seed:ctx.cx_seed nid;
         incr recomputed
       end
-    done;
+    done
+  end;
   !recomputed
 
 let analyze_ctx ctx =
   let d = ctx.cx_device in
   let nl = ctx.cx_netlist in
-  let off = ctx.cx_off in
-  let arc_pred = ctx.cx_arc_pred in
-  let arc_net = ctx.cx_arc_net in
+  let { Netlist.in_off = off; in_driver = arc_pred; in_net = arc_net } =
+    ctx.cx_fanin
+  in
   let ndelay = ctx.cx_ndelay in
   let n = Netlist.n_cells nl in
   let n_arcs = off.(n) in

@@ -62,9 +62,10 @@ val analyze :
 (** {2 Incremental analysis}
 
     The characterize loop and ECO-style exploration re-run STA against
-    placements that barely change between queries. A {!ctx} caches the
-    fanin CSR and the per-net delay array for one (netlist, placement)
-    pair; {!refresh} re-times only the nets whose endpoint cells moved
+    placements that barely change between queries. A {!ctx} reads the
+    placement's fanin arcs ({!Placement.fanin}) and caches the per-net
+    delay array for one (netlist, placement) pair; {!refresh} re-times
+    only the nets whose endpoint cells moved
     (via {!Placement.set_position}) since the last fill, and
     {!analyze_ctx} runs the arrival propagation over the cached arrays.
     Reports are bit-identical to a fresh {!analyze} of the same
@@ -84,9 +85,10 @@ val prepare :
     are picked up by {!refresh}. *)
 
 val refresh : ctx -> int
-(** Re-time the nets incident to cells that moved since {!prepare} (or
-    the previous [refresh]); returns how many net delays were recomputed
-    (0 when nothing moved). *)
+(** Re-time the nets with a driver or sink that moved since {!prepare}
+    (or the previous [refresh]); returns how many net delays were
+    recomputed (0 when nothing moved). Sinkless nets are never re-timed:
+    their delay is 0 wherever their driver sits. *)
 
 val analyze_ctx : ctx -> report
 (** Arrival propagation + critical-path reconstruction over the cached

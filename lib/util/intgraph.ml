@@ -17,8 +17,6 @@ let add_edge t u v =
   t.succ.(u) <- v :: t.succ.(u);
   t.pred.(v) <- u :: t.pred.(v)
 
-let n_nodes t = t.n
-
 let topological_order t =
   let indeg = Array.make t.n 0 in
   for u = 0 to t.n - 1 do
@@ -66,41 +64,3 @@ let connected_components t =
     end
   done;
   comp
-
-let longest_path_lengths t ~weight =
-  match topological_order t with
-  | None -> None
-  | Some order ->
-    let dist = Array.make t.n neg_infinity in
-    List.iter
-      (fun u ->
-        let best_pred =
-          List.fold_left (fun acc p -> max acc dist.(p)) 0. t.pred.(u)
-        in
-        let base = if t.pred.(u) = [] then 0. else best_pred in
-        dist.(u) <- base +. weight u)
-      order;
-    Some dist
-
-let reachable_from t sources =
-  let seen = Array.make t.n false in
-  let stack = Stack.create () in
-  List.iter
-    (fun s ->
-      check t s;
-      if not seen.(s) then begin
-        seen.(s) <- true;
-        Stack.push s stack
-      end)
-    sources;
-  while not (Stack.is_empty stack) do
-    let u = Stack.pop stack in
-    List.iter
-      (fun v ->
-        if not seen.(v) then begin
-          seen.(v) <- true;
-          Stack.push v stack
-        end)
-      t.succ.(u)
-  done;
-  seen

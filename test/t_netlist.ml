@@ -113,6 +113,81 @@ let test_merge () =
   let n = Netlist.net a net_map.(0) in
   Alcotest.(check int) "driver remapped" cell_map.(0) n.Netlist.n_driver
 
+(* ---- Arcs ---- *)
+
+(* The order invariant, restated with per-cell cons lists: walking nets
+   forward and consing each arc onto its cell's list leaves every list in
+   reverse net-encounter order, which is the slice order [Netlist.arcs]
+   promises. Flattened cell by cell, the lists must equal its arrays. *)
+let reference_arcs nl =
+  let n = Netlist.n_cells nl in
+  let fi = Array.make n [] and fo = Array.make n [] in
+  Netlist.iter_nets nl (fun nid net ->
+    let d = net.Netlist.n_driver in
+    Array.iter
+      (fun s ->
+        fi.(s) <- (d, nid) :: fi.(s);
+        fo.(d) <- s :: fo.(d))
+      net.Netlist.n_sinks);
+  let offsets lists =
+    let off = Array.make (n + 1) 0 in
+    Array.iteri (fun c l -> off.(c + 1) <- off.(c) + List.length l) lists;
+    off
+  in
+  let flat f lists = Array.of_list (List.concat_map (List.map f) (Array.to_list lists)) in
+  {
+    Netlist.fanin =
+      { Netlist.in_off = offsets fi; in_driver = flat fst fi; in_net = flat snd fi };
+    out_off = offsets fo;
+    out_sink = flat Fun.id fo;
+  }
+
+(* A random netlist of every cell kind. Besides random nets (sink lists
+   drawn from a few cells, so duplicates are common) it always carries a
+   sinkless net and a net whose sinks repeat a cell and include its own
+   driver. *)
+let random_netlist rng name =
+  let module Rng = Hlsb_util.Rng in
+  let nl = Netlist.create ~name in
+  let kinds = [| Netlist.Comb; Netlist.Seq; Netlist.Mem; Netlist.Port_in; Netlist.Port_out |] in
+  let n = 2 + Rng.int rng 12 in
+  let drivers = ref [] in
+  for i = 0 to n - 1 do
+    let kind = if i < 2 then Netlist.Seq else kinds.(Rng.int rng 5) in
+    let c =
+      Netlist.add_cell nl ~name:(Printf.sprintf "c%d" i) ~kind ~delay:0.1
+        ~res:Netlist.zero_res
+    in
+    if kind <> Netlist.Port_out then drivers := c :: !drivers
+  done;
+  let drivers = Array.of_list !drivers in
+  let net sinks driver =
+    ignore
+      (Netlist.add_net nl ~name:(Printf.sprintf "n%d" (Netlist.n_nets nl)) ~driver
+         ~sinks ~width:1 ())
+  in
+  net [] drivers.(0);
+  for _ = 1 to Rng.int rng 16 do
+    let pool = 1 + Rng.int rng n in
+    net
+      (List.init (Rng.int rng 6) (fun _ -> Rng.int rng pool))
+      drivers.(Rng.int rng (Array.length drivers))
+  done;
+  let d = drivers.(Rng.int rng (Array.length drivers)) in
+  let s = Rng.int rng n in
+  net [ s; d; s ] d;
+  nl
+
+let prop_arcs_order =
+  QCheck.Test.make ~count:200 ~name:"arcs equal the cons-list reference, in order"
+    QCheck.small_nat
+    (fun seed ->
+      let rng = Hlsb_util.Rng.create seed in
+      let a = random_netlist rng "a" in
+      let plain = Netlist.arcs a = reference_arcs a in
+      ignore (Netlist.merge a (random_netlist rng "b"));
+      plain && Netlist.arcs a = reference_arcs a)
+
 (* ---- Macro ---- *)
 
 let test_macro_int_mul () =
@@ -254,4 +329,5 @@ let suite =
     Alcotest.test_case "reg chain" `Quick test_reg_chain;
     Alcotest.test_case "fanout tree reaches all" `Quick test_fanout_tree_reaches_all;
     Alcotest.test_case "fanout tree bad args" `Quick test_fanout_tree_bad_args;
+    QCheck_alcotest.to_alcotest prop_arcs_order;
   ]

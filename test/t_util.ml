@@ -163,20 +163,6 @@ let test_graph_components () =
   Alcotest.(check bool) "0!~3" true (comp.(0) <> comp.(3));
   Alcotest.(check bool) "2 alone" true (comp.(2) <> comp.(0) && comp.(2) <> comp.(3))
 
-let test_graph_longest_path () =
-  match Intgraph.longest_path_lengths (diamond ()) ~weight:(fun _ -> 1.) with
-  | None -> Alcotest.fail "acyclic"
-  | Some dist ->
-    check_float "source" 1. dist.(0);
-    check_float "sink depth" 3. dist.(3)
-
-let test_graph_reachable () =
-  let g = diamond () in
-  let r = Intgraph.reachable_from g [ 1 ] in
-  Alcotest.(check bool) "1 reaches 3" true r.(3);
-  Alcotest.(check bool) "1 not 2" false r.(2);
-  Alcotest.(check bool) "1 not 0" false r.(0)
-
 let test_graph_bad_edge () =
   let g = Intgraph.create 2 in
   Alcotest.check_raises "range" (Invalid_argument "Intgraph: node out of range")
@@ -401,8 +387,6 @@ let suite =
     Alcotest.test_case "graph topo" `Quick test_graph_topo;
     Alcotest.test_case "graph cycle" `Quick test_graph_cycle;
     Alcotest.test_case "graph components" `Quick test_graph_components;
-    Alcotest.test_case "graph longest path" `Quick test_graph_longest_path;
-    Alcotest.test_case "graph reachable" `Quick test_graph_reachable;
     Alcotest.test_case "graph bad edge" `Quick test_graph_bad_edge;
     Alcotest.test_case "vec push/get" `Quick test_vec_push_get;
     Alcotest.test_case "vec set" `Quick test_vec_set;
