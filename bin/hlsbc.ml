@@ -526,9 +526,8 @@ let cmd_path =
           (match st.Timing.ps_via_net with
           | None -> ""
           | Some n ->
-            let net = Netlist.net nl n in
-            Printf.sprintf "via %s (fanout %d)" net.Netlist.n_name
-              (Array.length net.Netlist.n_sinks)))
+            Printf.sprintf "via %s (fanout %d)" (Netlist.net_name nl n)
+              (Netlist.fanout nl n)))
       r.Pipeline.fr_timing.Timing.path
   in
   Cmd.v

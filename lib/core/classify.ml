@@ -99,11 +99,12 @@ let netlist_summary nl =
   List.map
     (fun cls ->
       let count = ref 0 and max_fo = ref 0 in
-      Netlist.iter_nets nl (fun _ n ->
-        if n.Netlist.n_class = cls then begin
+      for n = 0 to Netlist.n_nets nl - 1 do
+        if Netlist.net_class nl n = cls then begin
           incr count;
-          max_fo := max !max_fo (Array.length n.Netlist.n_sinks)
-        end);
+          max_fo := max !max_fo (Netlist.fanout nl n)
+        end
+      done;
       (cls, !count, !max_fo))
     classes
 

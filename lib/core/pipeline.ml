@@ -150,6 +150,7 @@ type stage_record = {
   sr_stage : stage;
   sr_status : status;
   sr_ms : float;
+  sr_minor_words : float;
 }
 
 type compiled = {
@@ -240,8 +241,10 @@ let of_kernel ?target_mhz ~device kernel =
 
 (* ---------------- stage execution machinery ---------------- *)
 
-let record t stage status ms =
-  t.ss_last <- { sr_stage = stage; sr_status = status; sr_ms = ms } :: t.ss_last
+let record t stage status ms words =
+  t.ss_last <-
+    { sr_stage = stage; sr_status = status; sr_ms = ms; sr_minor_words = words }
+    :: t.ss_last
 
 (* Run one stage body: telemetry span + run counters around it, stray
    [Invalid_argument]/[Failure] from deep inside the pass promoted to a
@@ -255,12 +258,13 @@ let exec t ~recipe stage f =
     Metrics.incr ("pipeline.stage_runs." ^ name)
   in
   let body () =
-    let t0 = Clock.now_ns () in
+    let t0 = Clock.now_ns () and w0 = Gc.minor_words () in
+    let elapsed () = Clock.ns_to_ms (Int64.sub (Clock.now_ns ()) t0) in
     match f () with
     | v ->
       count ();
-      let ms = Clock.ns_to_ms (Int64.sub (Clock.now_ns ()) t0) in
-      record t stage Ran ms;
+      let ms = elapsed () in
+      record t stage Ran ms (Gc.minor_words () -. w0);
       Log.debug
         ~attrs:
           [ ("stage", Json.Str name); ("design", Json.Str t.ss_name) ]
@@ -268,7 +272,7 @@ let exec t ~recipe stage f =
       v
     | exception e ->
       count ();
-      record t stage Failed (Clock.ns_to_ms (Int64.sub (Clock.now_ns ()) t0));
+      record t stage Failed (elapsed ()) (Gc.minor_words () -. w0);
       let d =
         match e with
         | Diag.Diagnostic d -> d
@@ -300,7 +304,7 @@ let cached t stage =
         ("stage", Json.Str (stage_name stage)); ("design", Json.Str t.ss_name);
       ]
     "stage %s: cache hit" (stage_name stage);
-  record t stage Cached 0.
+  record t stage Cached 0. 0.
 
 (* ---------------- cached upstream artifacts ---------------- *)
 
@@ -564,7 +568,8 @@ let last_run t =
     (fun s ->
       match List.find_opt (fun r -> r.sr_stage = s) recorded with
       | Some r -> r
-      | None -> { sr_stage = s; sr_status = Skipped; sr_ms = 0. })
+      | None ->
+        { sr_stage = s; sr_status = Skipped; sr_ms = 0.; sr_minor_words = 0. })
     stages
 
 let diagnostics t = List.rev t.ss_diags
@@ -583,18 +588,24 @@ let explain t =
           ("stage", Table.Left);
           ("status", Table.Left);
           ("time", Table.Right);
+          ("alloc", Table.Right);
           ("what", Table.Left);
         ]
   in
+  let words w =
+    if w >= 1e6 then Printf.sprintf "%.1f Mw" (w /. 1e6)
+    else if w >= 1e3 then Printf.sprintf "%.1f kw" (w /. 1e3)
+    else Printf.sprintf "%.0f w" w
+  in
   List.iter
     (fun r ->
+      let ran = r.sr_status = Ran || r.sr_status = Failed in
       Table.add_row tbl
         [
           stage_name r.sr_stage;
           status_label r.sr_status;
-          (if r.sr_status = Ran || r.sr_status = Failed then
-             Printf.sprintf "%.1f ms" r.sr_ms
-           else "-");
+          (if ran then Printf.sprintf "%.1f ms" r.sr_ms else "-");
+          (if ran then words r.sr_minor_words else "-");
           describe r.sr_stage;
         ])
     (last_run t);

@@ -170,6 +170,9 @@ type stage_record = {
   sr_stage : stage;
   sr_status : status;
   sr_ms : float;  (** wall-clock of the stage body; 0 unless [Ran] *)
+  sr_minor_words : float;
+      (** [Gc.minor_words] allocated by the stage body in the calling
+          domain; 0 unless [Ran] *)
 }
 
 val status_label : status -> string
@@ -182,8 +185,9 @@ val last_run : session -> stage_record list
     reported [Skipped]. *)
 
 val explain : session -> string
-(** Per-stage table of the last run (status + timing) followed by any
-    diagnostics collected — the payload of [hlsbc compile --explain]. *)
+(** Per-stage table of the last run (status, time and minor-heap words)
+    followed by any diagnostics collected — the payload of [hlsbc compile
+    --explain]. *)
 
 val diagnostics : session -> Diag.t list
 (** Every diagnostic the session has collected, oldest first. *)

@@ -24,26 +24,27 @@ let arith (d : Device.t) op dt ~factor =
   let src = Structs.add_register nl ~name:"src" ~width:w in
   let logic = Oplib.stage_delay d op dt in
   let res = Oplib.resources op dt in
+  let named stem i =
+    Netlist.name_str nl stem;
+    Netlist.name_int nl i
+  in
   let ops =
     List.init factor (fun i ->
-      Netlist.add_cell nl
-        ~name:(Printf.sprintf "op%d" i)
-        ~kind:Netlist.Comb ~delay:logic ~res)
+      named "op" i;
+      Netlist.add_cell nl ~kind:Netlist.Comb ~delay:logic ~res)
   in
   (* Per-instance second operand and output register, as in the paper's
      64-adder skeleton. *)
   List.iteri
     (fun i opc ->
-      let opnd = Structs.add_register nl ~name:(Printf.sprintf "b%d" i) ~width:w in
-      let out = Structs.add_register nl ~name:(Printf.sprintf "q%d" i) ~width:w in
-      ignore
-        (Netlist.add_net nl
-           ~name:(Printf.sprintf "opnd%d" i)
-           ~driver:opnd ~sinks:[ opc ] ~width:w ());
-      ignore
-        (Netlist.add_net nl
-           ~name:(Printf.sprintf "out%d" i)
-           ~driver:opc ~sinks:[ out ] ~width:w ()))
+      named "b" i;
+      let opnd = Structs.add_register nl ~width:w in
+      named "q" i;
+      let out = Structs.add_register nl ~width:w in
+      named "opnd" i;
+      ignore (Netlist.add_net nl ~driver:opnd ~sinks:[ opc ] ~width:w ());
+      named "out" i;
+      ignore (Netlist.add_net nl ~driver:opc ~sinks:[ out ] ~width:w ()))
     ops;
   ignore
     (Netlist.add_net nl ~cls:Netlist.Data_broadcast ~name:"bcast" ~driver:src

@@ -11,7 +11,10 @@ let f32_or_f64 dt = match dt with Dtype.Float64 -> `F64 | _ -> `F32
 
 (* Full combinational delay of each macro (UltraScale+ reference); the
    intrinsic pipeline registers divide it into per-stage delays. *)
-let base_logic op dt =
+(* [base_logic] and [logic_delay] are inlined into their callers in this
+   module; a call would box the float it returns (lowering asks for one
+   delay per operator cell). *)
+let[@inline] base_logic op dt =
   let w = Dtype.width dt in
   let fw = float_of_int w in
   match op with
@@ -30,7 +33,7 @@ let base_logic op dt =
   | Op.Log2 -> 0.30 +. (0.005 *. fw)
   | Op.Concat | Op.Slice _ -> 0.02
 
-let logic_delay (d : Device.t) op dt =
+let[@inline] logic_delay (d : Device.t) op dt =
   base_logic op dt *. (d.Device.t_lut /. 0.12)
 
 let rec stage_delay d op dt =

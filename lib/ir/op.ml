@@ -84,5 +84,20 @@ let to_string = function
   | Concat -> "concat"
   | Slice (hi, lo) -> Printf.sprintf "slice[%d:%d]" hi lo
 
+let spell put put_int = function
+  | Icmp c ->
+    put "icmp_";
+    put (cmp_to_string c)
+  | Fcmp c ->
+    put "fcmp_";
+    put (cmp_to_string c)
+  | Slice (hi, lo) ->
+    put "slice[";
+    put_int hi;
+    put ":";
+    put_int lo;
+    put "]"
+  | o -> put (to_string o)
+
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 let equal a b = a = b

@@ -46,5 +46,10 @@ val result_is_bool : t -> bool
 (** Comparison operators produce [Bool] regardless of operand type. *)
 
 val to_string : t -> string
+
+val spell : (string -> unit) -> (int -> unit) -> t -> unit
+(** [to_string]'s spelling as pieces, without building it: literal parts
+    go to the first function, bit indices to the second. *)
+
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

@@ -24,36 +24,37 @@ let to_dot ?(max_fanout_highlight = 16) nl =
   Buffer.add_string buf
     (Printf.sprintf "digraph %s {\n  rankdir=LR;\n  node [fontsize=9];\n"
        (sanitize (Netlist.name nl)));
-  Netlist.iter_cells nl (fun id c ->
+  for id = 0 to Netlist.n_cells nl - 1 do
+    let kind = Netlist.kind nl id in
     let style =
-      match c.Netlist.c_kind with
+      match kind with
       | Netlist.Seq -> ", style=filled, fillcolor=lightblue"
       | Netlist.Mem -> ", style=filled, fillcolor=khaki"
       | Netlist.Comb | Netlist.Port_in | Netlist.Port_out -> ""
     in
     Buffer.add_string buf
       (Printf.sprintf "  c%d [label=\"%s\", shape=%s%s];\n" id
-         (sanitize c.Netlist.c_name)
-         (kind_shape c.Netlist.c_kind)
-         style));
-  Netlist.iter_nets nl (fun _ n ->
-    let fanout = Array.length n.Netlist.n_sinks in
+         (sanitize (Netlist.cell_name nl id))
+         (kind_shape kind) style)
+  done;
+  for n = 0 to Netlist.n_nets nl - 1 do
+    let fanout = Netlist.fanout nl n in
     let attrs =
       if fanout >= max_fanout_highlight then
         Printf.sprintf "color=red, penwidth=2.0, label=\"%s (fo %d)\""
-          (sanitize n.Netlist.n_name) fanout
-      else Printf.sprintf "color=%s" (class_color n.Netlist.n_class)
+          (sanitize (Netlist.net_name nl n)) fanout
+      else Printf.sprintf "color=%s" (class_color (Netlist.net_class nl n))
     in
-    Array.iter
-      (fun s ->
-        Buffer.add_string buf
-          (Printf.sprintf "  c%d -> c%d [%s];\n" n.Netlist.n_driver s attrs))
-      n.Netlist.n_sinks);
+    for k = 0 to fanout - 1 do
+      Buffer.add_string buf
+        (Printf.sprintf "  c%d -> c%d [%s];\n" (Netlist.driver nl n)
+           (Netlist.sink nl n k) attrs)
+    done
+  done;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let kind_module (c : Netlist.cell) =
-  match c.Netlist.c_kind with
+let kind_module = function
   | Netlist.Comb -> "hlsb_comb"
   | Netlist.Seq -> "hlsb_reg"
   | Netlist.Mem -> "hlsb_bram18"
@@ -70,41 +71,49 @@ let to_verilog nl =
         module %s (input wire clk, input wire rst);\n"
        (Netlist.name nl) (Netlist.n_cells nl) (Netlist.n_nets nl) mname);
   (* one wire per net *)
-  Netlist.iter_nets nl (fun id n ->
+  for id = 0 to Netlist.n_nets nl - 1 do
     Buffer.add_string buf
       (Printf.sprintf "  wire [%d:0] n%d; // %s%s\n"
-         (max 0 (n.Netlist.n_width - 1))
+         (max 0 (Netlist.width nl id - 1))
          id
-         (sanitize n.Netlist.n_name)
-         (match n.Netlist.n_class with
+         (sanitize (Netlist.net_name nl id))
+         (match Netlist.net_class nl id with
          | Netlist.Data -> ""
          | Netlist.Data_broadcast -> " [data broadcast]"
          | Netlist.Ctrl_sync -> " [sync]"
-         | Netlist.Ctrl_pipeline -> " [pipeline ctrl]")));
+         | Netlist.Ctrl_pipeline -> " [pipeline ctrl]"))
+  done;
   (* per-cell fanin/fanout net lists *)
   let n_cells = Netlist.n_cells nl in
   let fanin = Array.make n_cells [] in
   let fanout = Array.make n_cells [] in
-  Netlist.iter_nets nl (fun id n ->
-    fanout.(n.Netlist.n_driver) <- id :: fanout.(n.Netlist.n_driver);
-    Array.iter (fun s -> fanin.(s) <- id :: fanin.(s)) n.Netlist.n_sinks);
-  Netlist.iter_cells nl (fun id c ->
+  for id = 0 to Netlist.n_nets nl - 1 do
+    let d = Netlist.driver nl id in
+    fanout.(d) <- id :: fanout.(d);
+    for k = 0 to Netlist.fanout nl id - 1 do
+      let s = Netlist.sink nl id k in
+      fanin.(s) <- id :: fanin.(s)
+    done
+  done;
+  for id = 0 to n_cells - 1 do
     let ports =
       List.mapi (fun i n -> Printf.sprintf ".i%d(n%d)" i n) (List.rev fanin.(id))
       @ List.mapi
           (fun i n -> Printf.sprintf ".o%d(n%d)" i n)
           (List.rev fanout.(id))
     in
+    let kind = Netlist.kind nl id in
     let ports =
-      match c.Netlist.c_kind with
+      match kind with
       | Netlist.Seq | Netlist.Mem -> ".clk(clk)" :: ".rst(rst)" :: ports
       | Netlist.Comb | Netlist.Port_in | Netlist.Port_out -> ports
     in
     Buffer.add_string buf
-      (Printf.sprintf "  %s #(.DELAY_PS(%d)) u%d_%s (%s);\n" (kind_module c)
-         (int_of_float (c.Netlist.c_delay *. 1000.))
+      (Printf.sprintf "  %s #(.DELAY_PS(%d)) u%d_%s (%s);\n" (kind_module kind)
+         (int_of_float (Netlist.delay nl id *. 1000.))
          id
-         (sanitize c.Netlist.c_name)
-         (String.concat ", " ports)));
+         (sanitize (Netlist.cell_name nl id))
+         (String.concat ", " ports))
+  done;
   Buffer.add_string buf "endmodule\n";
   Buffer.contents buf

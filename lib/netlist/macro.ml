@@ -1,6 +1,15 @@
 open Netlist
 
-let luts n = { zero_res with r_luts = max 1 n }
+(* Records are immutable, so the narrow footprints that lowering asks for
+   once per cell are built once and shared. *)
+let interned = 512
+
+let luts_of = Array.init interned (fun n -> { zero_res with r_luts = max 1 n })
+let ffs_of = Array.init interned (fun w -> { zero_res with r_ffs = max 1 w })
+
+let luts n =
+  if n >= 0 && n < interned then luts_of.(n) else { zero_res with r_luts = max 1 n }
+
 let cdiv a b = (a + b - 1) / b
 
 let int_add w = luts w
@@ -35,7 +44,8 @@ let shifter w =
   luts (w * cdiv log2w 2)
 
 let priority_encoder w = luts w
-let register w = { zero_res with r_ffs = max 1 w }
+let register w =
+  if w >= 0 && w < interned then ffs_of.(w) else { zero_res with r_ffs = max 1 w }
 
 let fifo ~width ~depth =
   (* shallow FIFOs map to SRL/LUTRAM shift registers regardless of width;

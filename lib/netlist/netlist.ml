@@ -1,4 +1,3 @@
-module Vec = Hlsb_util.Vec
 module Intgraph = Hlsb_util.Intgraph
 module Device = Hlsb_device.Device
 
@@ -32,89 +31,246 @@ type net_class =
   | Ctrl_sync
   | Ctrl_pipeline
 
-type cell = {
-  c_name : string;
-  c_kind : cell_kind;
-  c_delay : float;
-  c_res : resources;
-}
-
-type net = {
-  n_name : string;
-  n_driver : int;
-  n_sinks : int array;
-  n_width : int;
-  n_class : net_class;
-}
-
+(* Struct-of-arrays store. Every array is a growable buffer: only the first
+   [n_cells] (cells), [n_nets] (nets) or [sink_off.(n_nets)] (sinks) slots
+   are live, scaled by the per-entry stride ([res]: 4, names: 2). Past the
+   live ends sit the pieces of the next net's name and sinks. *)
 type t = {
   nl_name : string;
-  cells : cell Vec.t;
-  nets : net Vec.t;
+  mutable n_cells : int;
+  mutable kinds : cell_kind array;
+  mutable delays : float array;
+  mutable res : int array;  (* luts, ffs, bram18, dsps *)
+  mutable cell_names : int array;  (* start, stop in [names] *)
+  mutable n_nets : int;
+  mutable drivers : int array;
+  mutable widths : int array;
+  mutable classes : net_class array;
+  mutable net_names : int array;
+  mutable sink_off : int array;  (* [n_nets + 1] live offsets into [sinks] *)
+  mutable sinks : int array;
+  mutable sinks_len : int;  (* end of the pushed sinks *)
+  mutable names : Bytes.t;
+  mutable names_len : int;
+  mutable sealed : int;  (* end of the last sealed name: pieces follow it *)
 }
 
-let create ~name = { nl_name = name; cells = Vec.create (); nets = Vec.create () }
+let create ~name =
+  {
+    nl_name = name;
+    n_cells = 0;
+    kinds = [||];
+    delays = [||];
+    res = [||];
+    cell_names = [||];
+    n_nets = 0;
+    drivers = [||];
+    widths = [||];
+    classes = [||];
+    net_names = [||];
+    sink_off = [| 0 |];
+    sinks = [||];
+    sinks_len = 0;
+    names = Bytes.empty;
+    names_len = 0;
+    sealed = 0;
+  }
+
 let name t = t.nl_name
 
-let add_cell t ~name ~kind ~delay ~res =
-  if delay < 0. then invalid_arg "Netlist.add_cell: negative delay";
-  Vec.push t.cells { c_name = name; c_kind = kind; c_delay = delay; c_res = res }
+(* [a] with room for [need] elements, doubled when it grows. *)
+let reserve a need fill =
+  if need <= Array.length a then a
+  else begin
+    let b = Array.make (max need (max 16 (2 * Array.length a))) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* ---- the name arena ---- *)
+
+let reserve_names t n =
+  let need = t.names_len + n in
+  if need > Bytes.length t.names then begin
+    let b = Bytes.create (max need (max 256 (2 * Bytes.length t.names))) in
+    Bytes.blit t.names 0 b 0 t.names_len;
+    t.names <- b
+  end
+
+let name_str t s =
+  let n = String.length s in
+  reserve_names t n;
+  Bytes.blit_string s 0 t.names t.names_len n;
+  t.names_len <- t.names_len + n
+
+(* Digits are produced in the non-positive range, so [min_int] spells
+   exactly as [string_of_int] spells it. *)
+let name_int t i =
+  let neg = if i < 0 then i else -i in
+  let digits = ref 1 and m = ref (neg / 10) in
+  while !m <> 0 do
+    incr digits;
+    m := !m / 10
+  done;
+  let len = !digits + if i < 0 then 1 else 0 in
+  reserve_names t len;
+  let p = t.names_len in
+  if i < 0 then Bytes.unsafe_set t.names p '-';
+  let m = ref neg in
+  for k = p + len - 1 downto p + len - !digits do
+    Bytes.unsafe_set t.names k (Char.unsafe_chr (48 - (!m mod 10)));
+    m := !m / 10
+  done;
+  t.names_len <- p + len
+
+(* Seal the pending pieces, followed by [tail], as entry [i] of [offs]. *)
+let seal t offs i tail =
+  (match tail with Some s -> name_str t s | None -> ());
+  offs.(2 * i) <- t.sealed;
+  offs.((2 * i) + 1) <- t.names_len;
+  t.sealed <- t.names_len
+
+(* A rejected add leaves no pending pieces behind for the next one. *)
+let reject t msg =
+  t.names_len <- t.sealed;
+  t.sinks_len <- t.sink_off.(t.n_nets);
+  invalid_arg msg
+
+let spell t offs i =
+  let start = offs.(2 * i) in
+  Bytes.sub_string t.names start (offs.((2 * i) + 1) - start)
+
+(* ---- cells and nets ---- *)
+
+let add_cell ?name t ~kind ~delay ~res =
+  if delay < 0. then reject t "Netlist.add_cell: negative delay";
+  let c = t.n_cells in
+  t.kinds <- reserve t.kinds (c + 1) Comb;
+  t.delays <- reserve t.delays (c + 1) 0.;
+  t.res <- reserve t.res (4 * (c + 1)) 0;
+  t.cell_names <- reserve t.cell_names (2 * (c + 1)) 0;
+  t.kinds.(c) <- kind;
+  t.delays.(c) <- delay;
+  let r = 4 * c in
+  t.res.(r) <- res.r_luts;
+  t.res.(r + 1) <- res.r_ffs;
+  t.res.(r + 2) <- res.r_bram18;
+  t.res.(r + 3) <- res.r_dsps;
+  seal t t.cell_names c name;
+  t.n_cells <- c + 1;
+  c
 
 let check_cell t c =
-  if c < 0 || c >= Vec.length t.cells then
-    invalid_arg "Netlist: cell id out of range"
+  if c < 0 || c >= t.n_cells then invalid_arg "Netlist: cell id out of range"
 
-let rec check_cells t = function
+let check_net t n =
+  if n < 0 || n >= t.n_nets then invalid_arg "Netlist: net id out of range"
+
+(* Sinks go straight into the CSR past the live end; they only become
+   live when [add_net] sets the net's end offset. *)
+let push_sink t s =
+  if s < 0 || s >= t.n_cells then reject t "Netlist: cell id out of range";
+  t.sinks <- reserve t.sinks (t.sinks_len + 1) 0;
+  t.sinks.(t.sinks_len) <- s;
+  t.sinks_len <- t.sinks_len + 1
+
+let rec push_sinks t = function
   | [] -> ()
-  | c :: rest ->
-    check_cell t c;
-    check_cells t rest
+  | s :: rest ->
+    push_sink t s;
+    push_sinks t rest
 
-let add_net t ?(cls = Data) ~name ~driver ~sinks ~width () =
-  check_cell t driver;
-  check_cells t sinks;
-  if width < 1 then invalid_arg "Netlist.add_net: width < 1";
-  (match (Vec.get t.cells driver).c_kind with
-  | Port_out -> invalid_arg "Netlist.add_net: output port cannot drive"
+let add_net ?(cls = Data) ?name t ~driver ~sinks ~width () =
+  if driver < 0 || driver >= t.n_cells then reject t "Netlist: cell id out of range";
+  let n = t.n_nets in
+  push_sinks t sinks;
+  if width < 1 then reject t "Netlist.add_net: width < 1";
+  (match t.kinds.(driver) with
+  | Port_out -> reject t "Netlist.add_net: output port cannot drive"
   | Comb | Seq | Mem | Port_in -> ());
-  Vec.push t.nets
-    {
-      n_name = name;
-      n_driver = driver;
-      n_sinks = Array.of_list sinks;
-      n_width = width;
-      n_class = cls;
-    }
+  t.drivers <- reserve t.drivers (n + 1) 0;
+  t.widths <- reserve t.widths (n + 1) 0;
+  t.classes <- reserve t.classes (n + 1) Data;
+  t.net_names <- reserve t.net_names (2 * (n + 1)) 0;
+  t.sink_off <- reserve t.sink_off (n + 2) 0;
+  t.drivers.(n) <- driver;
+  t.widths.(n) <- width;
+  t.classes.(n) <- cls;
+  t.sink_off.(n + 1) <- t.sinks_len;
+  seal t t.net_names n name;
+  t.n_nets <- n + 1;
+  n
 
-let n_cells t = Vec.length t.cells
-let n_nets t = Vec.length t.nets
+let n_cells t = t.n_cells
+let n_nets t = t.n_nets
 
-let cell t c =
+let kind t c =
   check_cell t c;
-  Vec.get t.cells c
+  t.kinds.(c)
 
-let net t n =
-  if n < 0 || n >= Vec.length t.nets then
-    invalid_arg "Netlist: net id out of range";
-  Vec.get t.nets n
+let delay t c =
+  check_cell t c;
+  t.delays.(c)
 
-let iter_cells t f = Vec.iteri f t.cells
-let iter_nets t f = Vec.iteri f t.nets
+let[@inline] res_field t c k =
+  check_cell t c;
+  t.res.((4 * c) + k)
 
-let fanout t n = Array.length (net t n).n_sinks
+let luts t c = res_field t c 0
+let ffs t c = res_field t c 1
+let bram18 t c = res_field t c 2
+let dsps t c = res_field t c 3
+
+let delays t = Array.sub t.delays 0 t.n_cells
+
+let cell_name t c =
+  check_cell t c;
+  spell t t.cell_names c
+
+let driver t n =
+  check_net t n;
+  t.drivers.(n)
+
+let width t n =
+  check_net t n;
+  t.widths.(n)
+
+let net_class t n =
+  check_net t n;
+  t.classes.(n)
+
+let net_name t n =
+  check_net t n;
+  spell t t.net_names n
+
+let[@inline] fanout t n =
+  check_net t n;
+  t.sink_off.(n + 1) - t.sink_off.(n)
+
+let sink t n k =
+  if k < 0 || k >= fanout t n then invalid_arg "Netlist: sink index out of range";
+  t.sinks.(t.sink_off.(n) + k)
 
 let max_fanout_net t ?cls () =
   let best = ref None in
-  iter_nets t (fun id n ->
-    let keep = match cls with None -> true | Some c -> n.n_class = c in
+  for n = 0 to t.n_nets - 1 do
+    let keep = match cls with None -> true | Some c -> t.classes.(n) = c in
     if keep then
       match !best with
-      | Some (_, b) when Array.length b.n_sinks >= Array.length n.n_sinks -> ()
-      | _ -> best := Some (id, n));
+      | Some b when fanout t b >= fanout t n -> ()
+      | _ -> best := Some n
+  done;
   !best
 
 let total_resources t =
-  Vec.fold_left (fun acc c -> add_res acc c.c_res) zero_res t.cells
+  let sum k =
+    let s = ref 0 in
+    for c = 0 to t.n_cells - 1 do
+      s := !s + t.res.((4 * c) + k)
+    done;
+    !s
+  in
+  { r_luts = sum 0; r_ffs = sum 1; r_bram18 = sum 2; r_dsps = sum 3 }
 
 let utilization t (d : Device.t) =
   let r = total_resources t in
@@ -134,17 +290,16 @@ type arcs = {
 }
 
 let arcs t =
-  let n = Vec.length t.cells in
+  let n = t.n_cells in
   let in_off = Array.make (n + 1) 0 and out_off = Array.make (n + 1) 0 in
-  Vec.iteri
-    (fun _ net ->
-      let drv = net.n_driver and sinks = net.n_sinks in
-      for k = 0 to Array.length sinks - 1 do
-        let s = sinks.(k) in
-        in_off.(s) <- in_off.(s) + 1;
-        out_off.(drv) <- out_off.(drv) + 1
-      done)
-    t.nets;
+  for nid = 0 to t.n_nets - 1 do
+    let drv = t.drivers.(nid) in
+    for k = t.sink_off.(nid) to t.sink_off.(nid + 1) - 1 do
+      let s = t.sinks.(k) in
+      in_off.(s) <- in_off.(s) + 1;
+      out_off.(drv) <- out_off.(drv) + 1
+    done
+  done;
   (* Inclusive prefix sums: [off.(c)] is one past the end of slice [c],
      and [off.(n)] the arc total. The fill below steps each [off.(c)] back
      once per arc, leaving it at the start of slice [c]: the offsets are
@@ -156,26 +311,25 @@ let arcs t =
   let n_arcs = in_off.(n) in
   let in_driver = Array.make n_arcs 0 and in_net = Array.make n_arcs 0 in
   let out_sink = Array.make n_arcs 0 in
-  Vec.iteri
-    (fun nid net ->
-      let drv = net.n_driver and sinks = net.n_sinks in
-      for k = 0 to Array.length sinks - 1 do
-        let s = sinks.(k) in
-        let i = in_off.(s) - 1 in
-        in_off.(s) <- i;
-        in_driver.(i) <- drv;
-        in_net.(i) <- nid;
-        let o = out_off.(drv) - 1 in
-        out_off.(drv) <- o;
-        out_sink.(o) <- s
-      done)
-    t.nets;
+  for nid = 0 to t.n_nets - 1 do
+    let drv = t.drivers.(nid) in
+    for k = t.sink_off.(nid) to t.sink_off.(nid + 1) - 1 do
+      let s = t.sinks.(k) in
+      let i = in_off.(s) - 1 in
+      in_off.(s) <- i;
+      in_driver.(i) <- drv;
+      in_net.(i) <- nid;
+      let o = out_off.(drv) - 1 in
+      out_off.(drv) <- o;
+      out_sink.(o) <- s
+    done
+  done;
   { fanin = { in_off; in_driver; in_net }; out_off; out_sink }
 
 let validate t =
-  let n = Vec.length t.cells in
+  let n = t.n_cells in
   let { in_off; in_driver; _ } = (arcs t).fanin in
-  let comb c = (Vec.get t.cells c).c_kind = Comb in
+  let comb c = t.kinds.(c) = Comb in
   let g = Intgraph.create n in
   for c = 0 to n - 1 do
     if comb c then
@@ -187,21 +341,44 @@ let validate t =
   | Some _ -> Ok ()
   | None -> Error "combinational cycle detected"
 
+(* [src]'s arrays are appended to [dst]'s, with cell ids, sink offsets and
+   name offsets shifted by [dst]'s counts. The pieces of a net [dst] is
+   still writing move past [src]'s entries. *)
 let merge dst src =
-  let cell_map = Array.make (Vec.length src.cells) (-1) in
-  Vec.iteri
-    (fun i c -> cell_map.(i) <- Vec.push dst.cells c)
-    src.cells;
-  let net_map = Array.make (Vec.length src.nets) (-1) in
-  Vec.iteri
-    (fun i n ->
-      let n' =
-        {
-          n with
-          n_driver = cell_map.(n.n_driver);
-          n_sinks = Array.map (fun s -> cell_map.(s)) n.n_sinks;
-        }
-      in
-      net_map.(i) <- Vec.push dst.nets n')
-    src.nets;
-  (cell_map, net_map)
+  let c0 = dst.n_cells and n0 = dst.n_nets and k0 = dst.sink_off.(dst.n_nets) in
+  let pending = Bytes.sub dst.names dst.sealed (dst.names_len - dst.sealed) in
+  let pending_sinks = Array.sub dst.sinks k0 (dst.sinks_len - k0) in
+  let b0 = dst.sealed in
+  dst.names_len <- b0;
+  reserve_names dst src.sealed;
+  Bytes.blit src.names 0 dst.names b0 src.sealed;
+  dst.names_len <- b0 + src.sealed;
+  dst.sealed <- dst.names_len;
+  name_str dst (Bytes.unsafe_to_string pending);
+  let append dst_a src_a base len stride fill shift =
+    let a = reserve dst_a (stride * (base + len)) fill in
+    for i = 0 to (stride * len) - 1 do
+      a.((stride * base) + i) <- shift src_a.(i)
+    done;
+    a
+  in
+  let nc = src.n_cells and nn = src.n_nets and nk = src.sink_off.(src.n_nets) in
+  let id x = x and by d x = x + d in
+  dst.kinds <- append dst.kinds src.kinds c0 nc 1 Comb id;
+  dst.delays <- append dst.delays src.delays c0 nc 1 0. id;
+  dst.res <- append dst.res src.res c0 nc 4 0 id;
+  dst.cell_names <- append dst.cell_names src.cell_names c0 nc 2 0 (by b0);
+  dst.drivers <- append dst.drivers src.drivers n0 nn 1 0 (by c0);
+  dst.widths <- append dst.widths src.widths n0 nn 1 0 id;
+  dst.classes <- append dst.classes src.classes n0 nn 1 Data id;
+  dst.net_names <- append dst.net_names src.net_names n0 nn 2 0 (by b0);
+  dst.sinks <- append dst.sinks src.sinks k0 nk 1 0 (by c0);
+  dst.sink_off <- reserve dst.sink_off (n0 + nn + 1) 0;
+  for i = 1 to nn do
+    dst.sink_off.(n0 + i) <- k0 + src.sink_off.(i)
+  done;
+  dst.n_cells <- c0 + nc;
+  dst.n_nets <- n0 + nn;
+  dst.sinks_len <- k0 + nk;
+  Array.iter (push_sink dst) pending_sinks;
+  (Array.init nc (fun i -> c0 + i), Array.init nn (fun i -> n0 + i))

@@ -29,59 +29,106 @@ type net_class =
   | Ctrl_sync  (** §3.2 synchronization (done/start) net *)
   | Ctrl_pipeline  (** §3.3 pipeline flow-control (stall/enable) net *)
 
-type cell = private {
-  c_name : string;
-  c_kind : cell_kind;
-  c_delay : float;  (** intrinsic logic delay, ns (Seq: clk->q handled by device) *)
-  c_res : resources;
-}
+(** {2 Storage}
 
-type net = private {
-  n_name : string;
-  n_driver : int;
-  n_sinks : int array;
-  n_width : int;
-  n_class : net_class;
-}
+    One struct-of-arrays store, filled by appends into growable flat
+    buffers (doubled when full): per cell its kind, its intrinsic delay
+    (ns, in a float array; Seq clk->q is the device's) and its four
+    resource counts in an int array; per net its driver, width and class,
+    plus one sink CSR (per-net offsets into one sink array, each net's
+    sinks in the order they were given). Nothing is boxed per cell or per
+    net, so a finished netlist is a dozen arrays, not a heap of records.
+
+    Names live in one byte arena, with a (start, stop) offset pair per
+    cell and per net. A name is written as pieces ({!name_str},
+    {!name_int}) straight into the arena, and the next {!add_cell} or
+    {!add_net} seals the pieces written since the previous add, followed
+    by its [?name] tail, as that entity's name. So [add_cell nl ~name:"a.b"
+    ...] names a cell ["a.b"], and so does [name_str nl "a."; add_cell nl
+    ~name:"b" ...]. No per-name string is allocated; {!cell_name} and
+    {!net_name} spell one when it is read (exports, critical-path reports,
+    diagnostics).
+
+    A net's sinks may be written the same way: {!push_sink} appends them
+    one by one past the CSR's live end, and the next {!add_net} seals them,
+    followed by its [~sinks] list. A rejected add discards the pending
+    pieces, names and sinks alike. *)
 
 type t
 
 val create : name:string -> t
 val name : t -> string
 
+val name_str : t -> string -> unit
+(** Append a literal piece to the name being written. *)
+
+val name_int : t -> int -> unit
+(** Append an int's decimal spelling ([string_of_int]'s) to the name being
+    written. *)
+
 val add_cell :
+  ?name:string ->
   t ->
-  name:string ->
   kind:cell_kind ->
   delay:float ->
   res:resources ->
   int
+(** Raises [Invalid_argument] on a negative delay, discarding the pieces
+    written for it. *)
+
+val push_sink : t -> int -> unit
+(** Append a sink to the net being written. Raises [Invalid_argument] on
+    an unknown cell, discarding the pending pieces. *)
 
 val add_net :
-  t ->
   ?cls:net_class ->
-  name:string ->
+  ?name:string ->
+  t ->
   driver:int ->
   sinks:int list ->
   width:int ->
   unit ->
   int
 (** Raises [Invalid_argument] on out-of-range cells, [width < 1], or a
-    driver that is an output port. Empty sink lists are allowed (dangling
-    nets are legal RTL and are ignored by timing). *)
+    driver that is an output port, discarding the pieces written for it.
+    Empty sink lists are allowed (dangling nets are legal RTL and are
+    ignored by timing). *)
 
 val n_cells : t -> int
 val n_nets : t -> int
-val cell : t -> int -> cell
-val net : t -> int -> net
-val iter_cells : t -> (int -> cell -> unit) -> unit
-val iter_nets : t -> (int -> net -> unit) -> unit
+
+(** Per-cell fields; each raises [Invalid_argument] on an unknown cell. *)
+
+val kind : t -> int -> cell_kind
+val delay : t -> int -> float
+(** Intrinsic logic delay, ns. *)
+
+val delays : t -> float array
+(** Every cell's {!delay}, in a fresh array: per-cell loops index it
+    instead of calling {!delay}, whose float is boxed across the call. *)
+
+val luts : t -> int -> int
+val ffs : t -> int -> int
+val bram18 : t -> int -> int
+val dsps : t -> int -> int
+val cell_name : t -> int -> string
+
+(** Per-net fields; each raises [Invalid_argument] on an unknown net. *)
+
+val driver : t -> int -> int
+val width : t -> int -> int
+val net_class : t -> int -> net_class
+val net_name : t -> int -> string
 
 val fanout : t -> int -> int
 (** Sink count of a net. *)
 
-val max_fanout_net : t -> ?cls:net_class -> unit -> (int * net) option
-(** The highest-fanout net, optionally restricted to one class. *)
+val sink : t -> int -> int -> int
+(** [sink t n k]: the [k]-th sink of net [n], [0 <= k < fanout t n]. *)
+
+val max_fanout_net : t -> ?cls:net_class -> unit -> int option
+(** The highest-fanout net (the first such), optionally restricted to one
+    class. *)
 
 val total_resources : t -> resources
 
@@ -127,6 +174,7 @@ val validate : t -> (unit, string) result
     {!merge} only ever record cells that exist. *)
 
 val merge : t -> t -> int array * int array
-(** [merge dst src] appends all cells/nets of [src] into [dst]; returns the
-    (cell, net) id translation arrays. Used to stitch per-kernel netlists
+(** [merge dst src] appends all cells/nets of [src] into [dst], names
+    included; returns the (cell, net) id translation arrays. A name [dst]
+    is still writing stays pending. Used to stitch per-kernel netlists
     into a top-level design. *)

@@ -51,8 +51,8 @@ val add_and_tree :
     root cell. Nets are classed [Ctrl_sync]. For a single input, returns it
     unchanged. Raises [Invalid_argument] on an empty list. *)
 
-val add_register : Netlist.t -> name:string -> width:int -> int
-(** A [Seq] register bank cell. *)
+val add_register : ?name:string -> Netlist.t -> width:int -> int
+(** A [Seq] register bank cell, named like {!Netlist.add_cell}. *)
 
 val add_reg_chain :
   Netlist.t -> name:string -> width:int -> length:int -> int list
@@ -63,7 +63,7 @@ val add_fanout_tree :
   Netlist.t ->
   name:string ->
   driver:int ->
-  sinks:int list ->
+  sinks:int array ->
   width:int ->
   levels:int ->
   leaf_fanout:int ->

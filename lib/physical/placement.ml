@@ -51,12 +51,13 @@ let cdiv a b = (a + b - 1) / b
 (* Slice-equivalent footprint used for packing; DSP and BRAM contributions
    are folded in for Comb cells that embed them (they enlarge the region a
    macro occupies, which is what the wire model cares about). *)
-let footprint (d : Device.t) (c : Netlist.cell) =
-  let r = c.Netlist.c_res in
+let footprint (d : Device.t) nl c =
   let slices =
-    imax (cdiv r.Netlist.r_luts d.lut_per_slice) (cdiv r.Netlist.r_ffs d.ff_per_slice)
+    imax
+      (cdiv (Netlist.luts nl c) d.lut_per_slice)
+      (cdiv (Netlist.ffs nl c) d.ff_per_slice)
   in
-  let extra = (r.Netlist.r_dsps * 3) + (r.Netlist.r_bram18 * 5) in
+  let extra = (Netlist.dsps nl c * 3) + (Netlist.bram18 nl c * 5) in
   imax 1 (slices + extra)
 
 (* Cell classification for the refinement sweeps, precomputed once instead
@@ -113,8 +114,8 @@ let place ?(max_sweeps = 24) ?(early_exit = true) (d : Device.t) nl =
     end
   in
   let cur = ref 0 and lvl = ref levels in
-  Netlist.iter_cells nl (fun id c ->
-    let s = footprint d c in
+  for id = 0 to n - 1 do
+    let s = footprint d nl id in
     fp.(id) <- s;
     if !used + s > capacity then
       Diag.fail
@@ -122,7 +123,8 @@ let place ?(max_sweeps = 24) ?(early_exit = true) (d : Device.t) nl =
         ~stage:"place"
         "design does not fit device %s: cell %s needs %d slice(s) but only \
          %d of %d remain (%d x %d slice grid)"
-        d.name c.Netlist.c_name s (capacity - !used) capacity d.cols d.rows;
+        d.name (Netlist.cell_name nl id) s (capacity - !used) capacity d.cols
+        d.rows;
     used := !used + s;
     (* Integer sums of the cell's slice coordinates: every partial sum is
        below 2^53, so the centroid equals per-slice float accumulation bit
@@ -159,7 +161,8 @@ let place ?(max_sweeps = 24) ?(early_exit = true) (d : Device.t) nl =
       end
     done;
     xs.(id) <- float_of_int !sx /. float_of_int s;
-    ys.(id) <- float_of_int !sy /. float_of_int s);
+    ys.(id) <- float_of_int !sy /. float_of_int s
+  done;
   (* Register refinement: a timing-driven placer (and phys_opt) pulls light
      register cells to the midpoint between their driver and their sinks, so
      a chain of pipeline registers inserted across a long route settles at
@@ -177,7 +180,7 @@ let place ?(max_sweeps = 24) ?(early_exit = true) (d : Device.t) nl =
     if fp.(id) <= 64 && in_off.(id + 1) > in_off.(id)
        && out_off.(id + 1) > out_off.(id)
     then
-      match (Netlist.cell nl id).Netlist.c_kind with
+      match Netlist.kind nl id with
       | Netlist.Seq -> Bytes.unsafe_set cls id (Char.chr cls_movable)
       | Netlist.Comb -> Bytes.unsafe_set cls id (Char.chr cls_light_comb)
       | _ -> ()
@@ -281,56 +284,51 @@ let set_position t c (x, y) =
   t.xs.(c) <- x;
   t.ys.(c) <- y
 
-(* The wire-length queries below iterate the sinks array directly instead
-   of materializing [driver :: Array.to_list sinks]; they run once per net
-   per STA, so the per-call cons lists were pure GC pressure. Fold orders
-   are unchanged (driver first, then sinks in array order). *)
+(* The wire-length queries below index the netlist's sink CSR directly
+   instead of materializing [driver :: sinks] lists; they run once per net
+   per STA. Fold orders are driver first, then sinks in order. *)
 
 let bbox t nid =
-  let net = Netlist.net t.netlist nid in
-  let drv = net.Netlist.n_driver in
+  let nl = t.netlist in
+  let drv = Netlist.driver nl nid in
   let xmin = ref t.xs.(drv) and ymin = ref t.ys.(drv) in
   let xmax = ref t.xs.(drv) and ymax = ref t.ys.(drv) in
-  Array.iter
-    (fun s ->
-      let x = t.xs.(s) and y = t.ys.(s) in
-      if x < !xmin then xmin := x;
-      if y < !ymin then ymin := y;
-      if x > !xmax then xmax := x;
-      if y > !ymax then ymax := y)
-    net.Netlist.n_sinks;
+  for k = 0 to Netlist.fanout nl nid - 1 do
+    let s = Netlist.sink nl nid k in
+    let x = t.xs.(s) and y = t.ys.(s) in
+    if x < !xmin then xmin := x;
+    if y < !ymin then ymin := y;
+    if x > !xmax then xmax := x;
+    if y > !ymax then ymax := y
+  done;
   (!xmin, !ymin, !xmax, !ymax)
 
 let hpwl t nid =
-  let net = Netlist.net t.netlist nid in
-  let n_sinks = Array.length net.Netlist.n_sinks in
+  let nl = t.netlist in
+  let n_sinks = Netlist.fanout nl nid in
   if n_sinks = 0 then 0.
   else begin
     let xmin, ymin, xmax, ymax = bbox t nid in
     (* Large cells are regions, not points: extend the bbox by the radius of
        the cells at its corners so a net feeding one huge macro still pays
        for crossing it. *)
-    let spread =
-      Array.fold_left
-        (fun acc s -> acc +. t.sq.(s))
-        t.sq.(net.Netlist.n_driver)
-        net.Netlist.n_sinks
-      /. float_of_int (1 + n_sinks)
-    in
-    xmax -. xmin +. (ymax -. ymin) +. spread
+    let spread = ref t.sq.(Netlist.driver nl nid) in
+    for k = 0 to n_sinks - 1 do
+      spread := !spread +. t.sq.(Netlist.sink nl nid k)
+    done;
+    xmax -. xmin +. (ymax -. ymin) +. (!spread /. float_of_int (1 + n_sinks))
   end
 
 let star_length t nid =
-  let net = Netlist.net t.netlist nid in
-  let sinks = net.Netlist.n_sinks in
-  let n_sinks = Array.length sinks in
+  let nl = t.netlist in
+  let n_sinks = Netlist.fanout nl nid in
   if n_sinks = 0 then 0.
   else begin
-    let drv = net.Netlist.n_driver in
+    let drv = Netlist.driver nl nid in
     let dx = t.xs.(drv) and dy = t.ys.(drv) in
     let far = ref 0. and spread = ref t.sq.(drv) in
     for k = 0 to n_sinks - 1 do
-      let s = sinks.(k) in
+      let s = Netlist.sink nl nid k in
       far := fmax !far (abs_float (t.xs.(s) -. dx) +. abs_float (t.ys.(s) -. dy));
       spread := !spread +. t.sq.(s)
     done;

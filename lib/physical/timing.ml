@@ -30,7 +30,10 @@ type report = {
    to [jitter *. z], and [0. +. x] / [x *. 1.] are float identities). *)
 let golden = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+(* The three helpers are inlined into [jitter_factor]: across a call
+   boundary each [Int64] argument and result, and [unit_float]'s float, is
+   boxed, once per net per analysis. *)
+let[@inline] mix64 z =
   let z =
     Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L
   in
@@ -39,14 +42,14 @@ let mix64 z =
   in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let unit_float state =
+let[@inline] unit_float state =
   Int64.to_float (Int64.shift_right_logical (mix64 state) 11)
   /. 9007199254740992. (* 2^53 *)
 
 (* [Stdlib.max]'s semantics without its polymorphic compare. *)
-let fmax (a : float) b = if a >= b then a else b
+let[@inline] fmax (a : float) b = if a >= b then a else b
 
-let jitter_factor ~jitter ~seed nid =
+let[@inline] jitter_factor ~jitter ~seed nid =
   if jitter <= 0. then 1.
   else begin
     let s1 = Int64.add (Int64.of_int ((seed * 1_000_003) + nid)) golden in
@@ -57,7 +60,9 @@ let jitter_factor ~jitter ~seed nid =
     fmax 0.5 (1. +. (jitter *. z))
   end
 
-let net_delay (d : Device.t) nl pl ~jitter ~seed nid =
+(* Inlined, with [jitter_factor], into the two loops that fill the delay
+   array, so only [Placement.star_length]'s float is boxed per net. *)
+let[@inline] net_delay (d : Device.t) nl pl ~jitter ~seed nid =
   let f = Netlist.fanout nl nid in
   if f = 0 then 0.
   else begin
@@ -87,9 +92,10 @@ type ctx = {
 
 let prepare ?(jitter = 0.02) ?seed (d : Device.t) nl pl =
   let seed = match seed with Some s -> s | None -> default_seed nl in
-  let ndelay =
-    Array.init (Netlist.n_nets nl) (net_delay d nl pl ~jitter ~seed)
-  in
+  let ndelay = Array.make (Netlist.n_nets nl) 0. in
+  for nid = 0 to Array.length ndelay - 1 do
+    ndelay.(nid) <- net_delay d nl pl ~jitter ~seed nid
+  done;
   let xs, ys = Placement.coords pl in
   {
     cx_device = d;
@@ -155,7 +161,7 @@ let analyze_ctx ctx =
   let { Netlist.in_off = off; in_driver = arc_pred; in_net = arc_net } =
     ctx.cx_fanin
   in
-  let ndelay = ctx.cx_ndelay in
+  let ndelay = ctx.cx_ndelay and cdelay = Netlist.delays nl in
   let n = Netlist.n_cells nl in
   let n_arcs = off.(n) in
   (* Arrival at each cell's *output*. Sequential cells and input ports
@@ -195,10 +201,9 @@ let analyze_ctx ctx =
         if state.(c) = 2 then decr sp
         else if state.(c) = 0 then begin
           state.(c) <- 1;
-          let cell = Netlist.cell nl c in
-          match cell.Netlist.c_kind with
+          match Netlist.kind nl c with
           | Netlist.Seq | Netlist.Mem ->
-            arrival.(c) <- d.t_clk_q +. cell.Netlist.c_delay;
+            arrival.(c) <- d.t_clk_q +. cdelay.(c);
             state.(c) <- 2;
             decr sp
           | Netlist.Port_in ->
@@ -226,7 +231,7 @@ let analyze_ctx ctx =
                   bp_net.(c) <- arc_net.(k)
                 end
               done;
-              arrival.(c) <- !worst +. cell.Netlist.c_delay;
+              arrival.(c) <- !worst +. cdelay.(c);
               state.(c) <- 2;
               decr sp
             end
@@ -242,7 +247,7 @@ let analyze_ctx ctx =
               bp_net.(c) <- arc_net.(k)
             end
           done;
-          arrival.(c) <- !worst +. (Netlist.cell nl c).Netlist.c_delay;
+          arrival.(c) <- !worst +. cdelay.(c);
           state.(c) <- 2;
           decr sp
         end
@@ -260,8 +265,7 @@ let analyze_ctx ctx =
   (* I/O port paths are externally constrained (registered at the shell
      boundary), so like a real STA setup they are not clock endpoints. *)
   for c = 0 to n - 1 do
-    let cell = Netlist.cell nl c in
-    match cell.Netlist.c_kind with
+    match Netlist.kind nl c with
     | Netlist.Seq | Netlist.Mem ->
       for k = off.(c) to off.(c + 1) - 1 do
         let t = input_arrival arc_pred.(k) arc_net.(k) +. d.t_setup in
@@ -284,7 +288,7 @@ let analyze_ctx ctx =
         let step =
           {
             ps_cell = c;
-            ps_cell_name = (Netlist.cell nl c).Netlist.c_name;
+            ps_cell_name = Netlist.cell_name nl c;
             ps_arrival = arrival.(c);
             ps_via_net = via;
           }
@@ -295,7 +299,7 @@ let analyze_ctx ctx =
       let end_step =
         {
           ps_cell = endpoint;
-          ps_cell_name = (Netlist.cell nl endpoint).Netlist.c_name;
+          ps_cell_name = Netlist.cell_name nl endpoint;
           ps_arrival = input_arrival pred via;
           ps_via_net = Some via;
         }
@@ -314,7 +318,7 @@ let analyze_ctx ctx =
           | _ ->
             ( Some nid,
               Netlist.fanout nl nid,
-              Some (Netlist.net nl nid).Netlist.n_class )))
+              Some (Netlist.net_class nl nid) )))
       (None, 0, None) path
   in
   {

@@ -91,20 +91,20 @@ let lower_processes ~device ~recipe ~name (df : Dataflow.t)
       in
       match (wr, rd) with
       | Some (_, wcell, width), Some (_, rcell, _) ->
+        Netlist.name_str nl "chan_";
         ignore
-          (Netlist.add_net nl
-             ~name:("chan_" ^ c.Dataflow.c_name)
-             ~driver:wcell ~sinks:[ rcell ] ~width ())
+          (Netlist.add_net nl ~name:c.Dataflow.c_name ~driver:wcell
+             ~sinks:[ rcell ] ~width ())
       | Some (_, wcell, width), None when c.Dataflow.c_dst < 0 ->
+        Netlist.name_str nl "port_";
         let port =
-          Netlist.add_cell nl
-            ~name:("port_" ^ c.Dataflow.c_name)
-            ~kind:Netlist.Port_out ~delay:0. ~res:Netlist.zero_res
+          Netlist.add_cell nl ~name:c.Dataflow.c_name ~kind:Netlist.Port_out
+            ~delay:0. ~res:Netlist.zero_res
         in
+        Netlist.name_str nl "chan_";
         ignore
-          (Netlist.add_net nl
-             ~name:("chan_" ^ c.Dataflow.c_name)
-             ~driver:wcell ~sinks:[ port ] ~width ())
+          (Netlist.add_net nl ~name:c.Dataflow.c_name ~driver:wcell
+             ~sinks:[ port ] ~width ())
       | None, _ when c.Dataflow.c_src < 0 -> () (* external input: fed by port *)
       | None, _ -> missing_fifo ~side:"write" c.Dataflow.c_src
       | Some _, None -> missing_fifo ~side:"read" c.Dataflow.c_dst)
@@ -160,18 +160,22 @@ let emit_sync ~device ~recipe (df : Dataflow.t) (dp : datapath) =
         in
         (* FSM state register holding the aggregated condition; its output
            is the broadcast next-start (Fig. 6). *)
+        (* controller names are ["sync<group>_<part>"] *)
+        let group () =
+          Netlist.name_str nl "sync";
+          Netlist.name_int nl !n_groups
+        in
         match root with
         | None -> ()
         | Some root_cell ->
+          group ();
           let fsm =
-            Netlist.add_cell nl
-              ~name:(Printf.sprintf "sync%d_fsm" !n_groups)
-              ~kind:Netlist.Seq ~delay:0.
+            Netlist.add_cell nl ~name:"_fsm" ~kind:Netlist.Seq ~delay:0.
               ~res:(Hlsb_netlist.Macro.fsm ~states:4)
           in
+          group ();
           ignore
-            (Netlist.add_net nl ~cls:Netlist.Ctrl_sync
-               ~name:(Printf.sprintf "sync%d_cond" !n_groups)
+            (Netlist.add_net nl ~cls:Netlist.Ctrl_sync ~name:"_cond"
                ~driver:root_cell ~sinks:[ fsm ] ~width:1 ());
           let start_sinks =
             List.concat_map (fun (_, lw) -> lw.Lower.lw_start_sinks) members
@@ -180,18 +184,15 @@ let emit_sync ~device ~recipe (df : Dataflow.t) (dp : datapath) =
           if start_sinks <> [] then begin
             (* each member kernel registers the incoming start in its own
                controller, so the broadcast takes two registered hops *)
-            let hop =
-              Structs.add_register nl
-                ~name:(Printf.sprintf "sync%d_hop" !n_groups)
-                ~width:1
-            in
+            group ();
+            let hop = Structs.add_register nl ~name:"_hop" ~width:1 in
+            group ();
             ignore
-              (Netlist.add_net nl ~cls:Netlist.Ctrl_sync
-                 ~name:(Printf.sprintf "sync%d_s0" !n_groups)
+              (Netlist.add_net nl ~cls:Netlist.Ctrl_sync ~name:"_s0"
                  ~driver:fsm ~sinks:[ hop ] ~width:1 ());
+            group ();
             ignore
-              (Netlist.add_net nl ~cls:Netlist.Ctrl_sync
-                 ~name:(Printf.sprintf "sync%d_start" !n_groups)
+              (Netlist.add_net nl ~cls:Netlist.Ctrl_sync ~name:"_start"
                  ~driver:hop ~sinks:start_sinks ~width:1 ())
           end
       end)

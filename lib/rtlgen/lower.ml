@@ -21,14 +21,6 @@ type t = {
   lw_registers_added : int;
 }
 
-(* Per-node lowering result: the cell whose output carries the node's value
-   after its intrinsic/added latency, plus the cells at which this node's
-   *inputs* arrive (a Load's address arrives at every BRAM unit). *)
-type slot = {
-  s_result : int option;  (** None for Const and value-less nodes *)
-  s_arg_sinks : int list;  (** cells consuming this node's argument nets *)
-}
-
 let big_fanout = 8
 
 let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
@@ -37,32 +29,57 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
   let kname = k.Kernel.name in
   let n = Dag.n_nodes dag in
   let entries = sched.Schedule.entries in
-  (* Names are concatenated, not formatted: a Printf per cell and net was a
-     large share of lowering's allocation. *)
+  (* Names are written piece by piece into the netlist's arena, and the
+     add that follows seals them ({!Netlist.add_cell}): [pre s] writes
+     ["<kernel>.<s>"], [vpre stem v] writes ["<kernel>.<stem><v>"] and
+     [vpre_i] appends ["<sep><i>"]. A multi-cell structure takes one base
+     string ([cname], [vname]). *)
   let prefix = kname ^ "." in
+  let put = Netlist.name_str nl and put_int = Netlist.name_int nl in
+  let push = Netlist.push_sink nl in
+  let pre s =
+    put prefix;
+    put s
+  in
+  let vpre stem v =
+    pre stem;
+    put_int v
+  in
+  let vpre_i stem v sep i =
+    vpre stem v;
+    put sep;
+    put_int i
+  in
   let cname s = prefix ^ s in
   let vname stem v = prefix ^ stem ^ string_of_int v in
-  let slots = Array.make n { s_result = None; s_arg_sinks = [] } in
+  (* Per-node lowering result: the cell whose output carries the node's
+     value after its intrinsic/added latency (-1 for Const and value-less
+     nodes), plus the cells at which this node's *inputs* arrive (a Load's
+     address arrives at every BRAM unit). *)
+  let result = Array.make n (-1) and arg_sinks = Array.make n [||] in
+  let slot v r sinks =
+    result.(v) <- r;
+    arg_sinks.(v) <- sinks
+  in
   let seq_cells = ref [] in
   let start_sinks = ref [] in
   let fifo_rd = ref [] and fifo_wr = ref [] in
   let registers_added = ref 0 in
   let add_seq c = seq_cells := c :: !seq_cells in
-  let new_reg name width =
-    let c = Structs.add_register nl ~name ~width in
+  let new_reg ?name width =
+    let c = Structs.add_register ?name nl ~width in
     add_seq c;
     c
   in
-  (* Register chain of given length after a producer cell; returns its
-     last register. *)
-  let chain_after producer name width length =
+  (* Register chain of given length after a producer cell, named
+     [vname stem v ^ "_p" ^ i]; returns its last register. *)
+  let chain_after producer stem v width length =
     let prev = ref producer in
     for i = 1 to length do
-      let r = new_reg (name ^ "_p" ^ string_of_int i) width in
-      ignore
-        (Netlist.add_net nl
-           ~name:(name ^ "_pn" ^ string_of_int i)
-           ~driver:!prev ~sinks:[ r ] ~width ());
+      vpre_i stem v "_p" i;
+      let r = new_reg width in
+      vpre_i stem v "_pn" i;
+      ignore (Netlist.add_net nl ~driver:!prev ~sinks:[ r ] ~width ());
       prev := r
     done;
     !prev
@@ -118,15 +135,15 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
     let e = entries.(v) in
     let dt = Dag.dtype dag v in
     let w = Dtype.width dt in
-    let slot =
-      match Dag.kind dag v with
-      | Dag.Const _ -> { s_result = None; s_arg_sinks = [] }
+    match Dag.kind dag v with
+      | Dag.Const _ -> slot v (-1) [||]
       | Dag.Input name ->
         (* Data inputs are loaded by the datapath as it runs; only control
            interfaces (FIFO reads, the iteration counter) listen to the
            controller's start. *)
-        let c = new_reg (cname ("in_" ^ name)) w in
-        { s_result = Some c; s_arg_sinks = [] }
+        pre "in_";
+        let c = new_reg ~name w in
+        slot v c [||]
       | Dag.Operation o ->
         (* Internal stages: intrinsic pipelining + §4.1 split stages. The
            broadcast-distribution stages are realized in the wiring pass as
@@ -134,82 +151,85 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
            across its internal stages (DSP MREG/PREG, float-core stages,
            retiming over the split registers). *)
         let internal = e.Schedule.e_latency - e.Schedule.e_bcast_levels in
+        put prefix;
+        Op.spell put put_int o;
+        put "_";
+        put_int v;
         let c =
-          Netlist.add_cell nl
-            ~name:(vname (Op.to_string o ^ "_") v)
-            ~kind:Netlist.Comb
+          Netlist.add_cell nl ~kind:Netlist.Comb
             ~delay:(Oplib.logic_delay d o dt /. float_of_int (internal + 1))
             ~res:(Oplib.resources o dt)
         in
         let result =
           if internal > 0 then begin
             registers_added := !registers_added + e.Schedule.e_added_pipe;
-            chain_after c (vname "r" v) w internal
+            chain_after c "r" v w internal
           end
           else c
         in
-        { s_result = Some result; s_arg_sinks = [ c ] }
+        slot v result [| c |]
       | Dag.Load b when Array.length (get_banks b) > 1 ->
         (* partitioned read: the address reaches every bank's units, a
            bank-select mux funnels the read data back to one register *)
         let mbs = get_banks b in
         let all_units =
-          Array.to_list mbs
-          |> List.concat_map (fun mb -> Array.to_list mb.Structs.mb_units)
+          Array.concat
+            (Array.to_list (Array.map (fun mb -> mb.Structs.mb_units) mbs))
         in
+        vpre "ld" v;
         let mux =
-          Netlist.add_cell nl
-            ~name:(vname "ld" v ^ "_bmux")
-            ~kind:Netlist.Comb ~delay:0.05 ~res:(Macro.logic w)
+          Netlist.add_cell nl ~name:"_bmux" ~kind:Netlist.Comb ~delay:0.05
+            ~res:(Macro.logic w)
         in
         Array.iteri
           (fun bk mb ->
+            vpre_i "ld" v "_bk" bk;
             ignore
-              (Netlist.add_net nl
-                 ~name:(vname "ld" v ^ "_bk" ^ string_of_int bk)
-                 ~driver:mb.Structs.mb_read_out ~sinks:[ mux ] ~width:w ()))
+              (Netlist.add_net nl ~driver:mb.Structs.mb_read_out ~sinks:[ mux ]
+                 ~width:w ()))
           mbs;
-        let out = new_reg (vname "ld" v ^ "_q") w in
+        vpre "ld" v;
+        let out = new_reg ~name:"_q" w in
+        vpre "ld" v;
         ignore
-          (Netlist.add_net nl
-             ~name:(vname "ld" v ^ "_d")
-             ~driver:mux ~sinks:[ out ] ~width:w ());
+          (Netlist.add_net nl ~name:"_d" ~driver:mux ~sinks:[ out ] ~width:w ());
         let extra =
           max 0 (e.Schedule.e_added_pipe - mbs.(0).Structs.mb_read_latency)
         in
         let result =
           if extra > 0 then begin
             registers_added := !registers_added + extra;
-            chain_after out (vname "ld" v) w extra
+            chain_after out "ld" v w extra
           end
           else out
         in
-        { s_result = Some result; s_arg_sinks = all_units }
+        slot v result all_units
       | Dag.Load b ->
         let mb = (get_banks b).(0) in
-        let units = Array.to_list mb.Structs.mb_units in
+        let units = mb.Structs.mb_units in
         (* Synchronous read: one output register, plus any added stages. *)
-        let out = new_reg (vname "ld" v ^ "_q") w in
+        vpre "ld" v;
+        let out = new_reg ~name:"_q" w in
+        vpre "ld" v;
         ignore
-          (Netlist.add_net nl
-             ~name:(vname "ld" v ^ "_d")
-             ~driver:mb.Structs.mb_read_out ~sinks:[ out ] ~width:w ());
+          (Netlist.add_net nl ~name:"_d" ~driver:mb.Structs.mb_read_out
+             ~sinks:[ out ] ~width:w ());
         let added = e.Schedule.e_added_pipe in
         if fanout_trees && added > 0 && mb.Structs.mb_n_units > 16 then begin
           (* Spend the added latency on pipelining the address broadcast —
              that is where the wire delay lives for big buffers. *)
           registers_added := !registers_added + added;
+          vpre "ld" v;
           let addr_root =
-            Netlist.add_cell nl
-              ~name:(vname "ld" v ^ "_addr")
-              ~kind:Netlist.Comb ~delay:0.05 ~res:(Macro.logic 16)
+            Netlist.add_cell nl ~name:"_addr" ~kind:Netlist.Comb ~delay:0.05
+              ~res:(Macro.logic 16)
           in
           ignore
             (Structs.add_fanout_tree nl
                ~name:(vname "ld" v ^ "_atree")
                ~driver:addr_root ~sinks:units ~width:16 ~levels:added
                ~leaf_fanout:16);
-          { s_result = Some out; s_arg_sinks = [ addr_root ] }
+          slot v out [| addr_root |]
         end
         else begin
           let extra =
@@ -218,97 +238,97 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
           let result =
             if extra > 0 then begin
               registers_added := !registers_added + extra;
-              chain_after out (vname "ld" v) w extra
+              chain_after out "ld" v w extra
             end
             else out
           in
-          { s_result = Some result; s_arg_sinks = units }
+          slot v result units
         end
       | Dag.Store b when Array.length (get_banks b) > 1 ->
         (* partitioned write: one bundle source, one write net per bank —
            each net narrower than the unpartitioned broadcast would be *)
         let mbs = get_banks b in
         let bundle_w = w + 16 in
+        vpre "st" v;
         let st =
-          Netlist.add_cell nl ~name:(vname "st" v) ~kind:Netlist.Comb
-            ~delay:0.10 ~res:(Macro.logic bundle_w)
+          Netlist.add_cell nl ~kind:Netlist.Comb ~delay:0.10
+            ~res:(Macro.logic bundle_w)
         in
         Array.iteri
           (fun bk mb ->
-            let units = Array.to_list mb.Structs.mb_units in
             let cls =
               if mb.Structs.mb_n_units >= big_fanout then
                 Netlist.Data_broadcast
               else Netlist.Data
             in
+            vpre_i "st" v "_w" bk;
+            Array.iter push mb.Structs.mb_units;
             ignore
-              (Netlist.add_net nl ~cls
-                 ~name:(vname "st" v ^ "_w" ^ string_of_int bk)
-                 ~driver:st ~sinks:units ~width:bundle_w ()))
+              (Netlist.add_net nl ~cls ~driver:st ~sinks:[] ~width:bundle_w ()))
           mbs;
-        { s_result = None; s_arg_sinks = [ st ] }
+        slot v (-1) [| st |]
       | Dag.Store b ->
         let mb = (get_banks b).(0) in
         (* Bundle value+address; the bundle cell is the broadcast source of
            Fig. 4 (a raw mid-chain net under the baseline flow). *)
         let bundle_w = w + 16 in
+        vpre "st" v;
         let st =
-          Netlist.add_cell nl ~name:(vname "st" v) ~kind:Netlist.Comb
-            ~delay:0.10 ~res:(Macro.logic bundle_w)
+          Netlist.add_cell nl ~kind:Netlist.Comb ~delay:0.10
+            ~res:(Macro.logic bundle_w)
         in
-        let units = Array.to_list mb.Structs.mb_units in
+        let units = mb.Structs.mb_units in
         let added = e.Schedule.e_added_pipe in
         if fanout_trees && added > 0 && mb.Structs.mb_n_units > 1 then begin
           registers_added := !registers_added + added;
           ignore
             (Structs.add_fanout_tree nl ~name:(vname "st" v ^ "_tree") ~driver:st
-               ~sinks:units ~width:bundle_w ~levels:added ~leaf_fanout:16)
+               ~sinks:units ~width:bundle_w ~levels:added
+               ~leaf_fanout:16)
         end
         else begin
           let cls =
             if mb.Structs.mb_n_units >= big_fanout then Netlist.Data_broadcast
             else Netlist.Data
           in
+          vpre "st" v;
+          Array.iter push units;
           ignore
-            (Netlist.add_net nl ~cls
-               ~name:(vname "st" v ^ "_w")
-               ~driver:st ~sinks:units ~width:bundle_w ())
+            (Netlist.add_net nl ~cls ~name:"_w" ~driver:st ~sinks:[]
+               ~width:bundle_w ())
         end;
-        { s_result = None; s_arg_sinks = [ st ] }
+        slot v (-1) [| st |]
       | Dag.Fifo_read f ->
         let fd = Dag.fifo dag f in
+        pre "fifo_";
         let c =
-          Netlist.add_cell nl
-            ~name:(cname ("fifo_" ^ fd.Dag.f_name))
-            ~kind:Netlist.Seq ~delay:0.2
+          Netlist.add_cell nl ~name:fd.Dag.f_name ~kind:Netlist.Seq ~delay:0.2
             ~res:(Macro.fifo ~width:w ~depth:fd.Dag.f_depth)
         in
         add_seq c;
         start_sinks := c :: !start_sinks;
         fifo_rd := (fd.Dag.f_name, c, w) :: !fifo_rd;
-        { s_result = Some c; s_arg_sinks = [] }
+        slot v c [||]
       | Dag.Fifo_write f ->
         (* The FIFO write interface is registered (the macro's input
            stage), so cross-kernel channel wires start at a register and
            do not extend the producer's datapath cycle. *)
         let fd = Dag.fifo dag f in
+        pre "wr_";
         let c =
-          Netlist.add_cell nl
-            ~name:(cname ("wr_" ^ fd.Dag.f_name))
-            ~kind:Netlist.Seq ~delay:0.2
+          Netlist.add_cell nl ~name:fd.Dag.f_name ~kind:Netlist.Seq ~delay:0.2
             ~res:(Netlist.add_res (Macro.logic w) (Macro.register w))
         in
         add_seq c;
         fifo_wr := (fd.Dag.f_name, c, w) :: !fifo_wr;
-        { s_result = None; s_arg_sinks = [ c ] }
+        slot v (-1) [| c |]
       | Dag.Output name ->
+        pre "out_";
         let c =
-          Netlist.add_cell nl ~name:(cname ("out_" ^ name))
-            ~kind:Netlist.Port_out ~delay:0. ~res:Netlist.zero_res
+          Netlist.add_cell nl ~name ~kind:Netlist.Port_out ~delay:0.
+            ~res:Netlist.zero_res
         in
-        { s_result = None; s_arg_sinks = [ c ] }
-    in
-    slots.(v) <- slot);
+        slot v (-1) [| c |]);
   (* ---- pass 2: nets (args -> consumers), with cross-cycle registers ---- *)
   (* Cycle at which v's value leaves its internal pipeline; the remaining
      e_bcast_levels stages up to the scheduler's result cycle belong to the
@@ -316,82 +336,109 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
   let internal_done_cycle v =
     Schedule.finish_cycle sched v - entries.(v).Schedule.e_bcast_levels
   in
-  (* [groups.(j)]: the sinks of one value's consumers read [j] cycles after
-     it leaves its pipeline, reset after each value. *)
+  (* [groups.(j)]: the readers of one value that read it [j] cycles after
+     it leaves its pipeline, ascending (the read slots come descending, one
+     per read, and are consed); reset after each value. *)
   let groups =
     Array.make
       (1 + Array.fold_left (fun m e -> max m e.Schedule.e_cycle) 0 entries)
       []
   in
+  (* One walk over a value's read slots files each reader under its
+     distance; [jmin] and [jmax] bound the groups it filled. *)
+  let jmin = ref max_int and jmax = ref (-1) in
+  let rec group_reads rcyc = function
+    | [] -> ()
+    | u :: rest ->
+      if Array.length arg_sinks.(u) > 0 then begin
+        let j = max 0 (entries.(u).Schedule.e_cycle - rcyc) in
+        groups.(j) <- u :: groups.(j);
+        if j < !jmin then jmin := j;
+        if j > !jmax then jmax := j
+      end;
+      group_reads rcyc rest
+  in
+  (* A group's net sinks: its readers in order, each reader's cells in
+     reverse (the sink order the golden digests pin). *)
+  let count_sinks n u = n + Array.length arg_sinks.(u) in
+  let push_reader u =
+    let cells = arg_sinks.(u) in
+    for k = Array.length cells - 1 downto 0 do
+      push cells.(k)
+    done
+  in
+  let sink_array readers =
+    let a = Array.make (List.fold_left count_sinks 0 readers) 0 in
+    let fill k u =
+      let cells = arg_sinks.(u) in
+      let n = Array.length cells in
+      for i = 0 to n - 1 do
+        a.(k + i) <- cells.(n - 1 - i)
+      done;
+      k + n
+    in
+    ignore (List.fold_left fill 0 readers);
+    a
+  in
   (* Group each node's consumers by cycle distance. *)
   Dag.iter dag (fun v ->
-    match slots.(v).s_result with
-    | None -> ()
-    | Some rc ->
-      let rcyc = internal_done_cycle v in
-      (* One reverse walk over the read slots (one per read: multiplicity
-         matters for fanout) prepends each reader's cells reversed, so
-         every group lists consumers ascending. *)
-      let jmin = ref max_int and jmax = ref (-1) in
-      List.iter
-        (fun u ->
-          match slots.(u).s_arg_sinks with
-          | [] -> ()
-          | ucells ->
-            let j = max 0 (entries.(u).Schedule.e_cycle - rcyc) in
-            groups.(j) <- List.rev_append ucells groups.(j);
-            if j < !jmin then jmin := j;
-            if j > !jmax then jmax := j)
-        (Dag.consumer_slots dag v);
+    let rc = result.(v) in
+    if rc >= 0 then begin
+      jmin := max_int;
+      jmax := -1;
+      group_reads (internal_done_cycle v) (Dag.consumer_slots dag v);
       if !jmax >= 0 then begin
         let w = Dtype.width (Dag.dtype dag v) in
-        let vp = vname "v" v in
         (* Boundary register chain, extended lazily: [!reg] holds v's value
            [!hops] cycles after its result cycle. *)
         let hops = ref 0 and reg = ref rc in
         for j = !jmin to !jmax do
           match groups.(j) with
           | [] -> ()
-          | sinks ->
+          | readers ->
             groups.(j) <- [];
-            let n_sinks = List.length sinks in
+            let n_sinks = List.fold_left count_sinks 0 readers in
             let cls =
               if n_sinks >= big_fanout then Netlist.Data_broadcast
               else Netlist.Data
             in
-            if j = 0 then
+            if j = 0 then begin
               (* Consumers chained directly to the producer — under the
                  baseline flow this is the raw mid-chain broadcast of §3.1. *)
+              vpre "v" v;
+              List.iter push_reader readers;
               ignore
-                (Netlist.add_net nl ~cls ~name:(vp ^ "_c0") ~driver:rc ~sinks
+                (Netlist.add_net nl ~cls ~name:"_c0" ~driver:rc ~sinks:[]
                    ~width:w ())
+            end
             else if fanout_trees && n_sinks > 16 then begin
               registers_added := !registers_added + j;
               ignore
                 (Structs.add_fanout_tree nl
-                   ~name:(vp ^ "_ft" ^ string_of_int j)
-                   ~driver:rc ~sinks ~width:w ~levels:j ~leaf_fanout:8)
+                   ~name:(vname "v" v ^ "_ft" ^ string_of_int j)
+                   ~driver:rc ~sinks:(sink_array readers) ~width:w ~levels:j
+                   ~leaf_fanout:8)
             end
             else begin
               while !hops < j do
                 incr hops;
-                let r = new_reg (vp ^ "_s" ^ string_of_int !hops) w in
-                ignore
-                  (Netlist.add_net nl
-                     ~name:(vp ^ "_sn" ^ string_of_int !hops)
-                     ~driver:!reg ~sinks:[ r ] ~width:w ());
+                vpre_i "v" v "_s" !hops;
+                let r = new_reg w in
+                vpre_i "v" v "_sn" !hops;
+                ignore (Netlist.add_net nl ~driver:!reg ~sinks:[ r ] ~width:w ());
                 reg := r
               done;
-              ignore
-                (Netlist.add_net nl ~cls
-                   ~name:(vp ^ "_c" ^ string_of_int j)
-                   ~driver:!reg ~sinks ~width:w ())
+              vpre_i "v" v "_c" j;
+              List.iter push_reader readers;
+              ignore (Netlist.add_net nl ~cls ~driver:!reg ~sinks:[] ~width:w ())
             end
         done
-      end);
+      end
+    end);
   (* Iteration counter feeding the done flag: created before control
      generation so the stall net reaches it too. *)
-  let counter = new_reg (cname "iter_cnt") 16 in
+  pre "iter_cnt";
+  let counter = new_reg 16 in
   start_sinks := counter :: !start_sinks;
   (* ---- pass 3: pipeline control ---- *)
   let depth = sched.Schedule.depth in
@@ -399,23 +446,26 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
   (match pipe with
   | Style.Stall ->
     (* FIFO status -> stall logic -> every sequential element (Fig. 8). *)
+    pre "stall_logic";
     let stall =
-      Netlist.add_cell nl ~name:(cname "stall_logic") ~kind:Netlist.Comb
+      Netlist.add_cell nl ~kind:Netlist.Comb
         ~delay:(2. *. d.Device.t_lut)
         ~res:(Macro.logic (4 + List.length !fifo_rd + List.length !fifo_wr))
     in
     List.iter
       (fun (name, c, _) ->
+        pre "full_";
         ignore
-          (Netlist.add_net nl ~cls:Netlist.Ctrl_pipeline
-             ~name:(cname ("full_" ^ name))
-             ~driver:c ~sinks:[ stall ] ~width:1 ()))
+          (Netlist.add_net nl ~cls:Netlist.Ctrl_pipeline ~name ~driver:c
+             ~sinks:[ stall ] ~width:1 ()))
       !fifo_rd;
     let sinks = List.rev !seq_cells in
-    if sinks <> [] then
+    if sinks <> [] then begin
+      pre "stall";
       ignore
-        (Netlist.add_net nl ~cls:Netlist.Ctrl_pipeline ~name:(cname "stall")
-           ~driver:stall ~sinks ~width:1 ())
+        (Netlist.add_net nl ~cls:Netlist.Ctrl_pipeline ~driver:stall ~sinks
+           ~width:1 ())
+    end
   | Style.Skid { min_area } ->
     (* Valid-bit chain accompanying the data (always-flowing pipeline). *)
     let valids = Structs.add_reg_chain nl ~name:(cname "valid") ~width:1 ~length:(max 1 depth) in
@@ -435,10 +485,9 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
         (* a zero-width segment still carries its valid bit *)
         let width = max 1 width in
         let entries_total = depth_entries + ctrl_stages in
+        vpre "skid_" pos;
         let c =
-          Netlist.add_cell nl
-            ~name:(vname "skid_" pos)
-            ~kind:Netlist.Seq ~delay:0.2
+          Netlist.add_cell nl ~kind:Netlist.Seq ~delay:0.2
             ~res:(Macro.fifo ~width ~depth:entries_total)
         in
         add_seq c;
@@ -449,10 +498,8 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
           let idx = min (pos - 1) (List.length valids - 1) in
           List.nth valids idx
         in
-        ignore
-          (Netlist.add_net nl
-             ~name:(vname "skid_in_" pos)
-             ~driver:src ~sinks:[ c ] ~width ()))
+        vpre "skid_in_" pos;
+        ignore (Netlist.add_net nl ~driver:src ~sinks:[ c ] ~width ()))
       plan.Skid.depths;
     (* Occupancy of the first buffer gates upstream reads, through a short
        register pipeline (local nets only — no broadcast). *)
@@ -463,34 +510,38 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
       List.iter add_seq hops;
       (match hops with
       | first :: _ ->
+        pre "bp_src";
         ignore
-          (Netlist.add_net nl ~cls:Netlist.Ctrl_pipeline
-             ~name:(cname "bp_src")
-             ~driver:f ~sinks:[ first ] ~width:1 ())
+          (Netlist.add_net nl ~cls:Netlist.Ctrl_pipeline ~driver:f
+             ~sinks:[ first ] ~width:1 ())
       | [] -> ());
+      pre "read_gate";
       let gate =
-        Netlist.add_cell nl ~name:(cname "read_gate") ~kind:Netlist.Comb
+        Netlist.add_cell nl ~kind:Netlist.Comb
           ~delay:d.Device.t_lut ~res:(Macro.logic 4)
       in
       let last_hop = List.nth hops (List.length hops - 1) in
+      pre "bp_gate";
       ignore
-        (Netlist.add_net nl ~cls:Netlist.Ctrl_pipeline
-           ~name:(cname "bp_gate")
-           ~driver:last_hop ~sinks:[ gate ] ~width:1 ());
+        (Netlist.add_net nl ~cls:Netlist.Ctrl_pipeline ~driver:last_hop
+           ~sinks:[ gate ] ~width:1 ());
       let read_sinks = List.map (fun (_, c, _) -> c) !fifo_rd in
-      if read_sinks <> [] then
+      if read_sinks <> [] then begin
+        pre "read_en";
         ignore
-          (Netlist.add_net nl ~cls:Netlist.Ctrl_pipeline
-             ~name:(cname "read_en")
-             ~driver:gate ~sinks:read_sinks ~width:1 ())));
+          (Netlist.add_net nl ~cls:Netlist.Ctrl_pipeline ~driver:gate
+             ~sinks:read_sinks ~width:1 ())
+      end));
   (* ---- done flag ---- *)
+  pre "done";
   let done_cell =
-    Netlist.add_cell nl ~name:(cname "done") ~kind:Netlist.Comb
-      ~delay:(2. *. d.Device.t_lut) ~res:(Macro.logic 16)
+    Netlist.add_cell nl ~kind:Netlist.Comb ~delay:(2. *. d.Device.t_lut)
+      ~res:(Macro.logic 16)
   in
+  pre "cnt_q";
   ignore
-    (Netlist.add_net nl ~cls:Netlist.Ctrl_sync ~name:(cname "cnt_q")
-       ~driver:counter ~sinks:[ done_cell ] ~width:16 ());
+    (Netlist.add_net nl ~cls:Netlist.Ctrl_sync ~driver:counter
+       ~sinks:[ done_cell ] ~width:16 ());
   {
     lw_name = kname;
     lw_depth = depth;

@@ -45,6 +45,15 @@ let not_regular path =
   | _ -> true
   | exception Unix.Unix_error _ -> false
 
+(* The one call that moves bytes into a temp file; {!with_write} swaps it
+   for a test. *)
+let write_fn = ref Unix.write
+
+let with_write fn f =
+  let saved = !write_fn in
+  write_fn := fn;
+  Fun.protect ~finally:(fun () -> write_fn := saved) f
+
 let replace ~path contents =
   mkdir_p (Filename.dirname path);
   (* O_EXCL: a leftover temp file from a crashed writer with the same
@@ -70,10 +79,12 @@ let replace ~path contents =
         (fun () ->
           let b = Bytes.unsafe_of_string contents in
           let len = Bytes.length b in
+          (* A write that makes no progress is a failure, not a retry. *)
           let rec write_all off =
             if off >= len then Ok ()
             else
-              match Unix.write fd b off (len - off) with
+              match !write_fn fd b off (len - off) with
+              | 0 -> Error "short write: no bytes written"
               | n -> write_all (off + n)
               | exception Unix.Unix_error (e, _, _) ->
                 Error (Unix.error_message e)

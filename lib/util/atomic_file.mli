@@ -22,6 +22,13 @@ val write : path:string -> string -> (unit, string) result
     [path] that exists but is not a regular file (a device, a pipe, a
     directory) is an [Error], and is left as it is. *)
 
+val with_write :
+  (Unix.file_descr -> bytes -> int -> int -> int) -> (unit -> 'a) -> 'a
+(** Test only: run the thunk with the given function in place of
+    [Unix.write] for this module's writes, then restore it. A test stands
+    in for a full disk with a function that writes short and then fails;
+    a write that returns 0 counts as failed. *)
+
 val write_exn : path:string -> string -> unit
 (** [write], raising [Sys_error] on failure. *)
 

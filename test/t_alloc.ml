@@ -1,23 +1,27 @@
 (* Allocation budgets for the per-node, per-cell loops of the backend.
    Minor-heap allocation is deterministic for a given build and input, so
    the budgets are exact thresholds, not timing guesses: schedule is
-   charged per DAG node, lower and place per cell, over every Suite design
-   under both recipes. Calibration is warmed first so the schedule figure
-   measures scheduling, not curve characterization. When set, the worst
-   designs measured 57.5 words/node (schedule), 83.8 words/cell (lower)
-   and 0.3 words/cell (place); the tuple-, closure- and Printf-heavy loops
-   these replaced measured 165-267, 194-320 and 176-477. *)
+   charged per DAG node, lower, place and STA per cell, over every Suite
+   design under both recipes. Calibration is warmed first so the schedule
+   figure measures scheduling, not curve characterization. When set, the
+   worst designs measured 57.5 words/node (schedule), 19.2 words/cell
+   (lower), 0.3 words/cell (place) and 9.7 words/cell (STA). Lower
+   measured 55-84 before it wrote names into the netlist's arena and sinks
+   into its CSR, and 194-320 before that; STA measured 23-28 while the
+   jitter draw boxed its Int64s and floats. *)
 
 open Hlsb_ir
 module Style = Hlsb_ctrl.Style
 module Design = Hlsb_rtlgen.Design
 module Netlist = Hlsb_netlist.Netlist
 module Placement = Hlsb_physical.Placement
+module Timing = Hlsb_physical.Timing
 module Spec = Hlsb_designs.Spec
 
 let schedule_budget = 80.
-let lower_budget = 120.
+let lower_budget = 20.
 let place_budget = 16.
+let sta_budget = 12.
 
 let minor_words f =
   let before = Gc.minor_words () in
@@ -33,7 +37,7 @@ let dag_nodes df =
   done;
   !n
 
-(* (schedule words/node, lower words/cell, place words/cell) *)
+(* (schedule words/node, lower, place and STA words/cell) *)
 let measure (spec : Spec.t) recipe =
   let device = spec.Spec.sp_device in
   let df = spec.Spec.sp_build () in
@@ -47,20 +51,24 @@ let measure (spec : Spec.t) recipe =
   let lowered_cells = Netlist.n_cells dp.Design.dp_netlist in
   let design = Design.emit_sync ~device ~recipe df dp in
   let nl = design.Design.netlist in
-  let _, w_place = minor_words (fun () -> Placement.place device nl) in
+  let pl, w_place = minor_words (fun () -> Placement.place device nl) in
+  let _, w_sta = minor_words (fun () -> Timing.analyze device nl pl) in
+  let cells = float_of_int (Netlist.n_cells nl) in
   ( w_sched /. float_of_int (dag_nodes df),
     w_lower /. float_of_int lowered_cells,
-    w_place /. float_of_int (Netlist.n_cells nl) )
+    w_place /. cells,
+    w_sta /. cells )
 
 let test_budgets () =
   List.iter
     (fun (spec : Spec.t) ->
       List.iter
         (fun recipe ->
-          let s, l, p = measure spec recipe in
+          let s, l, p, t = measure spec recipe in
           let what = spec.Spec.sp_name ^ " [" ^ Style.label recipe ^ "]" in
-          Printf.printf "%s: schedule %.1f words/node, lower %.1f and place %.1f words/cell\n"
-            what s l p;
+          Printf.printf
+            "%s: schedule %.1f words/node, lower %.1f, place %.1f and sta %.1f words/cell\n"
+            what s l p t;
           let within name v budget =
             if v > budget then
               Alcotest.failf "%s: %s allocates %.1f words per unit, budget %.0f"
@@ -68,7 +76,8 @@ let test_budgets () =
           in
           within "schedule" s schedule_budget;
           within "lower" l lower_budget;
-          within "place" p place_budget)
+          within "place" p place_budget;
+          within "sta" t sta_budget)
         [ Style.original; Style.optimized ])
     Hlsb_designs.Suite.all
 

@@ -18,7 +18,7 @@ let test_add_cells_nets () =
   Alcotest.(check int) "cells" 2 (Netlist.n_cells nl);
   Alcotest.(check int) "nets" 1 (Netlist.n_nets nl);
   Alcotest.(check int) "fanout" 1 (Netlist.fanout nl n);
-  Alcotest.(check string) "net name" "ab" (Netlist.net nl n).Netlist.n_name
+  Alcotest.(check string) "net name" "ab" (Netlist.net_name nl n)
 
 let test_net_checks () =
   let nl = Netlist.create ~name:"t" in
@@ -46,10 +46,10 @@ let test_max_fanout_by_class () =
        ~sinks ~width:1 ());
   ignore (Netlist.add_net nl ~name:"d" ~driver:a ~sinks:[ List.hd sinks ] ~width:1 ());
   (match Netlist.max_fanout_net nl () with
-  | Some (_, n) -> Alcotest.(check int) "overall max" 10 (Array.length n.Netlist.n_sinks)
+  | Some n -> Alcotest.(check int) "overall max" 10 (Netlist.fanout nl n)
   | None -> Alcotest.fail "no nets");
   match Netlist.max_fanout_net nl ~cls:Netlist.Data () with
-  | Some (_, n) -> Alcotest.(check int) "data max" 1 (Array.length n.Netlist.n_sinks)
+  | Some n -> Alcotest.(check int) "data max" 1 (Netlist.fanout nl n)
   | None -> Alcotest.fail "no data nets"
 
 let test_resources_accumulate () =
@@ -103,15 +103,22 @@ let test_merge () =
   let a = Netlist.create ~name:"a" in
   let b = Netlist.create ~name:"b" in
   let r1 = reg a "r1" in
-  ignore r1;
   let r2 = reg b "r2" in
   let r3 = reg b "r3" in
   ignore (Netlist.add_net b ~name:"n" ~driver:r2 ~sinks:[ r3 ] ~width:32 ());
+  (* a net [a] is still writing keeps its pieces across the merge *)
+  Netlist.push_sink a r1;
+  Netlist.name_str a "p";
   let cell_map, net_map = Netlist.merge a b in
   Alcotest.(check int) "total cells" 3 (Netlist.n_cells a);
   Alcotest.(check int) "total nets" 1 (Netlist.n_nets a);
-  let n = Netlist.net a net_map.(0) in
-  Alcotest.(check int) "driver remapped" cell_map.(0) n.Netlist.n_driver
+  Alcotest.(check int) "driver remapped" cell_map.(0)
+    (Netlist.driver a net_map.(0));
+  Alcotest.(check string) "name carried" "r2" (Netlist.cell_name a cell_map.(0));
+  let n = Netlist.add_net a ~name:"q" ~driver:cell_map.(0) ~sinks:[] ~width:1 () in
+  Alcotest.(check string) "pending name" "pq" (Netlist.net_name a n);
+  Alcotest.(check (list int)) "pending sink" [ r1 ]
+    (List.init (Netlist.fanout a n) (Netlist.sink a n))
 
 (* ---- Arcs ---- *)
 
@@ -122,13 +129,14 @@ let test_merge () =
 let reference_arcs nl =
   let n = Netlist.n_cells nl in
   let fi = Array.make n [] and fo = Array.make n [] in
-  Netlist.iter_nets nl (fun nid net ->
-    let d = net.Netlist.n_driver in
-    Array.iter
-      (fun s ->
-        fi.(s) <- (d, nid) :: fi.(s);
-        fo.(d) <- s :: fo.(d))
-      net.Netlist.n_sinks);
+  for nid = 0 to Netlist.n_nets nl - 1 do
+    let d = Netlist.driver nl nid in
+    for k = 0 to Netlist.fanout nl nid - 1 do
+      let s = Netlist.sink nl nid k in
+      fi.(s) <- (d, nid) :: fi.(s);
+      fo.(d) <- s :: fo.(d)
+    done
+  done;
   let offsets lists =
     let off = Array.make (n + 1) 0 in
     Array.iteri (fun c l -> off.(c + 1) <- off.(c) + List.length l) lists;
@@ -161,10 +169,14 @@ let random_netlist rng name =
     if kind <> Netlist.Port_out then drivers := c :: !drivers
   done;
   let drivers = Array.of_list !drivers in
+  (* a random prefix of the sinks is pushed, the rest passed as a list *)
   let net sinks driver =
+    let k = Rng.int rng (List.length sinks + 1) in
+    List.iteri (fun i s -> if i < k then Netlist.push_sink nl s) sinks;
     ignore
       (Netlist.add_net nl ~name:(Printf.sprintf "n%d" (Netlist.n_nets nl)) ~driver
-         ~sinks ~width:1 ())
+         ~sinks:(List.filteri (fun i _ -> i >= k) sinks)
+         ~width:1 ())
   in
   net [] drivers.(0);
   for _ = 1 to Rng.int rng 16 do
@@ -187,6 +199,84 @@ let prop_arcs_order =
       let plain = Netlist.arcs a = reference_arcs a in
       ignore (Netlist.merge a (random_netlist rng "b"));
       plain && Netlist.arcs a = reference_arcs a)
+
+(* ---- Names ---- *)
+
+(* A netlist whose every cell and net is named by random pieces — empty,
+   long, shared prefixes, negative and extreme ints — plus an optional
+   tail, some written before an add that is rejected. Returns the netlist
+   and the eagerly concatenated names, cells and nets in id order. *)
+let named_netlist rng name =
+  let module Rng = Hlsb_util.Rng in
+  let nl = Netlist.create ~name in
+  let piece () =
+    match Rng.int rng 6 with
+    | 0 -> `S ""
+    | 1 -> `S (String.make (1 + Rng.int rng 300) 'x')
+    | 2 -> `S [| "k."; "k.v"; "k.v1_" |].(Rng.int rng 3)
+    | 3 -> `I (Rng.int rng 1000 - 500)
+    | 4 -> `I [| min_int; max_int; 0; -1; -10 |].(Rng.int rng 5)
+    | _ -> `S (String.init (Rng.int rng 5) (fun _ -> Char.chr (32 + Rng.int rng 95)))
+  in
+  (* write a random name, returning its expected spelling and the tail *)
+  let write () =
+    let pieces = List.init (Rng.int rng 5) (fun _ -> piece ()) in
+    List.iter
+      (function `S s -> Netlist.name_str nl s | `I i -> Netlist.name_int nl i)
+      pieces;
+    let tail = if Rng.int rng 2 = 0 then None else Some (String.make (Rng.int rng 3) 't') in
+    let spelled =
+      String.concat ""
+        (List.map (function `S s -> s | `I i -> string_of_int i) pieces)
+    in
+    (spelled ^ Option.value ~default:"" tail, tail)
+  in
+  let cells = ref [] and nets = ref [] in
+  let add_cell () =
+    let expected, name = write () in
+    ignore (Netlist.add_cell ?name nl ~kind:Netlist.Seq ~delay:0. ~res:Netlist.zero_res);
+    cells := expected :: !cells
+  in
+  add_cell ();
+  for _ = 1 to 1 + Rng.int rng 30 do
+    match Rng.int rng 3 with
+    | 0 -> add_cell ()
+    | 1 ->
+      let expected, name = write () in
+      let n = Netlist.n_cells nl in
+      ignore
+        (Netlist.add_net ?name nl ~driver:(Rng.int rng n)
+           ~sinks:(List.init (Rng.int rng 4) (fun _ -> Rng.int rng n))
+           ~width:1 ());
+      nets := expected :: !nets
+    | _ ->
+      (* a rejected add discards the pieces written for it *)
+      ignore (write ());
+      (try ignore (Netlist.add_cell nl ~kind:Netlist.Seq ~delay:(-1.) ~res:Netlist.zero_res)
+       with Invalid_argument _ -> ())
+  done;
+  (nl, List.rev !cells, List.rev !nets)
+
+let names_of nl =
+  ( List.init (Netlist.n_cells nl) (Netlist.cell_name nl),
+    List.init (Netlist.n_nets nl) (Netlist.net_name nl) )
+
+let prop_names_spelled =
+  QCheck.Test.make ~count:200 ~name:"names spell their pieces, merged too"
+    QCheck.small_nat
+    (fun seed ->
+      let rng = Hlsb_util.Rng.create seed in
+      let a, a_cells, a_nets = named_netlist rng "a" in
+      let b, b_cells, b_nets = named_netlist rng "b" in
+      let plain = names_of a = (a_cells, a_nets) in
+      (* a name still being written in [dst] stays pending across merge *)
+      Netlist.name_str a "pending.";
+      Netlist.name_int a (-7);
+      ignore (Netlist.merge a b);
+      ignore (Netlist.add_cell a ~name:"_end" ~kind:Netlist.Seq ~delay:0. ~res:Netlist.zero_res);
+      plain
+      && names_of a = (a_cells @ b_cells @ [ "pending.-7_end" ], a_nets @ b_nets)
+      && names_of b = (b_cells, b_nets))
 
 (* ---- Macro ---- *)
 
@@ -223,8 +313,7 @@ let test_membank_units () =
   (* each unit is exactly one BRAM18 *)
   Array.iter
     (fun u ->
-      Alcotest.(check int) "one bram each" 1
-        (Netlist.cell nl u).Netlist.c_res.Netlist.r_bram18)
+      Alcotest.(check int) "one bram each" 1 (Netlist.bram18 nl u))
     mb.Structs.mb_units;
   Alcotest.(check int) "comb read (no pipeline)" 0 mb.Structs.mb_read_latency
 
@@ -245,7 +334,7 @@ let test_membank_write_broadcast () =
   Alcotest.(check int) "write fanout = units" mb.Structs.mb_n_units
     (Netlist.fanout nl n);
   Alcotest.(check bool) "classed as data broadcast" true
-    ((Netlist.net nl n).Netlist.n_class = Netlist.Data_broadcast)
+    (Netlist.net_class nl n = Netlist.Data_broadcast)
 
 let test_and_tree_structure () =
   let nl = Netlist.create ~name:"t" in
@@ -270,17 +359,19 @@ let test_fanout_tree_reaches_all () =
   let src = Structs.add_register nl ~name:"src" ~width:16 in
   let sinks = List.init 100 (fun i -> Structs.add_register nl ~name:(Printf.sprintf "k%d" i) ~width:16) in
   let levels =
-    Structs.add_fanout_tree nl ~name:"ft" ~driver:src ~sinks ~width:16
+    Structs.add_fanout_tree nl ~name:"ft" ~driver:src ~sinks:(Array.of_list sinks) ~width:16
       ~levels:2 ~leaf_fanout:8
   in
   Alcotest.(check int) "levels" 2 levels;
   (* every sink is reachable from src through nets *)
   let n = Netlist.n_cells nl in
   let adj = Array.make n [] in
-  Netlist.iter_nets nl (fun _ net ->
-    Array.iter
-      (fun s -> adj.(net.Netlist.n_driver) <- s :: adj.(net.Netlist.n_driver))
-      net.Netlist.n_sinks);
+  for nid = 0 to Netlist.n_nets nl - 1 do
+    let d = Netlist.driver nl nid in
+    for k = 0 to Netlist.fanout nl nid - 1 do
+      adj.(d) <- Netlist.sink nl nid k :: adj.(d)
+    done
+  done;
   let seen = Array.make n false in
   let rec dfs v =
     if not seen.(v) then begin
@@ -293,9 +384,9 @@ let test_fanout_tree_reaches_all () =
     (fun s -> Alcotest.(check bool) "sink reached" true seen.(s))
     sinks;
   (* leaf fanout bound respected *)
-  Netlist.iter_nets nl (fun _ net ->
-    Alcotest.(check bool) "fanout bounded" true
-      (Array.length net.Netlist.n_sinks <= 13))
+  for nid = 0 to Netlist.n_nets nl - 1 do
+    Alcotest.(check bool) "fanout bounded" true (Netlist.fanout nl nid <= 13)
+  done
 
 let test_fanout_tree_bad_args () =
   let nl = Netlist.create ~name:"t" in
@@ -303,7 +394,7 @@ let test_fanout_tree_bad_args () =
   Alcotest.(check bool) "no sinks" true
     (try
        ignore
-         (Structs.add_fanout_tree nl ~name:"f" ~driver:src ~sinks:[] ~width:1
+         (Structs.add_fanout_tree nl ~name:"f" ~driver:src ~sinks:[||] ~width:1
             ~levels:1 ~leaf_fanout:4);
        false
      with Invalid_argument _ -> true)
@@ -330,4 +421,5 @@ let suite =
     Alcotest.test_case "fanout tree reaches all" `Quick test_fanout_tree_reaches_all;
     Alcotest.test_case "fanout tree bad args" `Quick test_fanout_tree_bad_args;
     QCheck_alcotest.to_alcotest prop_arcs_order;
+    QCheck_alcotest.to_alcotest prop_names_spelled;
   ]

@@ -114,14 +114,13 @@ let test_register_chain_waypoints () =
   Alcotest.(check bool) "waypoints split the route" true
     (!max_hop < total /. 2.)
 
-(* The wire-length queries were flattened to iterate sink arrays directly;
-   these pin them, bit for bit, to the straightforward list-based
+(* The wire-length queries index the netlist's sink CSR directly; these
+   pin them, bit for bit, to the straightforward list-based
    definitions they replaced (bbox over all pins; spread = mean cell radius
    over driver-then-sinks; star = farthest sink + spread). *)
 
-let ref_pins nl nid =
-  let net = Netlist.net nl nid in
-  net.Netlist.n_driver :: Array.to_list net.Netlist.n_sinks
+let ref_sinks nl nid = List.init (Netlist.fanout nl nid) (Netlist.sink nl nid)
+let ref_pins nl nid = Netlist.driver nl nid :: ref_sinks nl nid
 
 let ref_bbox pl nl nid =
   let pts = List.map (Placement.position pl) (ref_pins nl nid) in
@@ -139,24 +138,22 @@ let ref_spread pl nl nid =
   /. float_of_int (List.length pins)
 
 let ref_hpwl pl nl nid =
-  let net = Netlist.net nl nid in
-  if Array.length net.Netlist.n_sinks = 0 then 0.
+  if Netlist.fanout nl nid = 0 then 0.
   else begin
     let xmin, ymin, xmax, ymax = ref_bbox pl nl nid in
     xmax -. xmin +. (ymax -. ymin) +. ref_spread pl nl nid
   end
 
 let ref_star pl nl nid =
-  let net = Netlist.net nl nid in
-  if Array.length net.Netlist.n_sinks = 0 then 0.
+  if Netlist.fanout nl nid = 0 then 0.
   else begin
-    let dx, dy = Placement.position pl net.Netlist.n_driver in
+    let dx, dy = Placement.position pl (Netlist.driver nl nid) in
     let far =
-      Array.fold_left
+      List.fold_left
         (fun acc s ->
           let x, y = Placement.position pl s in
           max acc (abs_float (x -. dx) +. abs_float (y -. dy)))
-        0. net.Netlist.n_sinks
+        0. (ref_sinks nl nid)
     in
     far +. ref_spread pl nl nid
   end
@@ -324,9 +321,9 @@ let test_sta_deep_chain () =
   let pl = Placement.place dev nl in
   let r = Timing.analyze ~jitter:0. ~seed:0 dev nl pl in
   let nd = Timing.net_delay dev nl pl ~jitter:0. ~seed:0 in
-  let arr = ref (dev.Device.t_clk_q +. (Netlist.cell nl r1).Netlist.c_delay) in
+  let arr = ref (dev.Device.t_clk_q +. Netlist.delay nl r1) in
   for i = 0 to k - 1 do
-    arr := !arr +. nd nets.(i) +. (Netlist.cell nl cells.(i)).Netlist.c_delay
+    arr := !arr +. nd nets.(i) +. Netlist.delay nl cells.(i)
   done;
   let expected = !arr +. nd nets.(k) +. dev.Device.t_setup in
   Alcotest.(check (float 1e-9)) "critical = chain sum" expected

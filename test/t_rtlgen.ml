@@ -56,10 +56,10 @@ let test_stall_net_fanout () =
   (* the stall net reaches every sequential cell of the kernel (Fig. 8) *)
   match Netlist.max_fanout_net nl ~cls:Netlist.Ctrl_pipeline () with
   | None -> Alcotest.fail "no stall net"
-  | Some (_, n) ->
+  | Some n ->
     Alcotest.(check int) "stall fanout = all seq cells"
       (List.length lw.Lower.lw_seq_cells)
-      (Array.length n.Netlist.n_sinks)
+      (Netlist.fanout nl n)
 
 let test_skid_has_no_global_stall () =
   let nl, lw, _ =
@@ -71,9 +71,9 @@ let test_skid_has_no_global_stall () =
   let seq = List.length lw.Lower.lw_seq_cells in
   (match Netlist.max_fanout_net nl ~cls:Netlist.Ctrl_pipeline () with
   | None -> ()
-  | Some (_, n) ->
+  | Some n ->
     Alcotest.(check bool) "control nets local" true
-      (Array.length n.Netlist.n_sinks < max 4 (seq / 4)));
+      (Netlist.fanout nl n < max 4 (seq / 4)));
   Alcotest.(check bool) "skid buffer bits allocated" true (lw.Lower.lw_skid_bits > 0)
 
 let test_stall_has_no_skid () =
@@ -90,9 +90,9 @@ let test_baseline_raw_broadcast () =
   (* the fifo word feeds all 32 adders on one raw net *)
   match Netlist.max_fanout_net nl ~cls:Netlist.Data_broadcast () with
   | None -> Alcotest.fail "expected a data broadcast net"
-  | Some (_, n) ->
+  | Some n ->
     Alcotest.(check bool) "raw fanout ~ unroll" true
-      (Array.length n.Netlist.n_sinks >= 32)
+      (Netlist.fanout nl n >= 32)
 
 let test_aware_bounded_fanout () =
   let nl, _, _ =
@@ -104,9 +104,9 @@ let test_aware_bounded_fanout () =
   (* distribution trees cap every net's fanout *)
   match Netlist.max_fanout_net nl () with
   | None -> Alcotest.fail "no nets"
-  | Some (_, n) ->
+  | Some n ->
     Alcotest.(check bool) "fanout bounded by tree leaves" true
-      (Array.length n.Netlist.n_sinks <= 16)
+      (Netlist.fanout nl n <= 16)
 
 let test_registers_added_accounting () =
   let _, lw_base, _ =
@@ -183,8 +183,10 @@ let test_design_generate () =
 let test_design_channel_wired () =
   let des = design_of ~recipe:Style.original ~name:"two" (two_kernel_df ()) in
   let found = ref false in
-  Netlist.iter_nets des.Design.netlist (fun _ n ->
-    if n.Netlist.n_name = "chan_ka_out" then found := true);
+  let nl = des.Design.netlist in
+  for n = 0 to Netlist.n_nets nl - 1 do
+    if Netlist.net_name nl n = "chan_ka_out" then found := true
+  done;
   Alcotest.(check bool) "cross-kernel channel net" true !found
 
 let test_design_missing_fifo_rejected () =
@@ -212,8 +214,10 @@ let test_design_sync_pruned_uses_latency () =
   in
   let count_sync_nets (d : Design.t) =
     let c = ref 0 in
-    Netlist.iter_nets d.Design.netlist (fun _ n ->
-      if n.Netlist.n_class = Netlist.Ctrl_sync then incr c);
+    let nl = d.Design.netlist in
+    for n = 0 to Netlist.n_nets nl - 1 do
+      if Netlist.net_class nl n = Netlist.Ctrl_sync then incr c
+    done;
     !c
   in
   Alcotest.(check bool) "pruned has fewer sync nets" true
@@ -273,16 +277,17 @@ let test_lower_sink_order () =
   in
   let nl = Netlist.create ~name:"t" in
   ignore (Lower.lower dev nl ~pipe:Style.Stall ~fanout_trees:false sched);
-  let cell_name c = (Netlist.cell nl c).Netlist.c_name in
+  let cell_name = Netlist.cell_name nl in
   let value_nets = ref [] in
-  Netlist.iter_nets nl (fun _ n ->
-    let name = n.Netlist.n_name in
+  for n = 0 to Netlist.n_nets nl - 1 do
+    let name = Netlist.net_name nl n in
     if String.length name > 4 && String.sub name 0 4 = "so.v" then
       value_nets :=
         ( name,
-          cell_name n.Netlist.n_driver,
-          Array.to_list (Array.map cell_name n.Netlist.n_sinks) )
-        :: !value_nets);
+          cell_name (Netlist.driver nl n),
+          List.init (Netlist.fanout nl n) (fun k -> cell_name (Netlist.sink nl n k)) )
+        :: !value_nets
+  done;
   let units = [ "so.m_bk1_u1"; "so.m_bk1_u0"; "so.m_bk0_u1"; "so.m_bk0_u0" ] in
   Alcotest.(check (list (triple string string (list string))))
     "value nets: name, driver, sinks"

@@ -751,6 +751,43 @@ let test_atomic_file_refuses_special_files () =
     | Ok () -> ()
     | Error m -> Alcotest.fail m)
 
+(* A full disk: the writer lands part of the bytes and then fails. The
+   put is an [Error], leaves no entry and no temp file, and a later find
+   misses; a write that stops making progress fails the same way. *)
+let test_store_short_write () =
+  List.iter
+    (fun (what, fail) ->
+      with_temp_dir (fun root ->
+        let t = Store.open_ ~root () in
+        let key = Store.key ~parts:[ "short write"; what ] in
+        let calls = ref 0 in
+        let full_disk fd b off len =
+          incr calls;
+          if !calls = 1 then Unix.write fd b off (max 1 (len / 2)) else fail ()
+        in
+        let r =
+          Atomic_file.with_write full_disk (fun () ->
+            Store.put t ~ns:"n" ~key (String.make 4096 'x'))
+        in
+        Alcotest.(check bool) (what ^ ": put returns Error") true (Result.is_error r);
+        Alcotest.(check bool) (what ^ ": the disk was written") true (!calls >= 2);
+        let st = Store.stats t in
+        Alcotest.(check int) (what ^ ": no entry") 0 st.Store.st_entries;
+        Alcotest.(check int) (what ^ ": no put counted") 0 st.Store.st_puts;
+        let rec files dir =
+          Array.to_list (Sys.readdir dir)
+          |> List.concat_map (fun f ->
+               let p = Filename.concat dir f in
+               if Sys.is_directory p then files p else [ p ])
+        in
+        Alcotest.(check (list string)) (what ^ ": no temp file left") [] (files root);
+        Alcotest.(check (option string)) (what ^ ": find misses") None
+          (Store.find t ~ns:"n" ~key)))
+    [
+      ("ENOSPC", fun () -> raise (Unix.Unix_error (Unix.ENOSPC, "write", "")));
+      ("no progress", fun () -> 0);
+    ]
+
 let test_atomic_temp_suffix_unique () =
   let n = 64 in
   let seen = Hashtbl.create n in
@@ -803,6 +840,8 @@ let suite =
       test_atomic_file_concurrent_writers;
     Alcotest.test_case "atomic writer: refuses pipes and devices" `Quick
       test_atomic_file_refuses_special_files;
+    Alcotest.test_case "store: a short write leaves no entry" `Quick
+      test_store_short_write;
     Alcotest.test_case "atomic writer: unique temp suffixes" `Quick
       test_atomic_temp_suffix_unique;
   ]
