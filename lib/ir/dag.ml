@@ -141,6 +141,8 @@ let consumer_table t =
     t.consumers_cache <- Some table;
     table
 
+let index_consumers t = ignore (consumer_table t)
+
 let consumer_slots t v =
   check_node t v;
   (consumer_table t).(v)
@@ -151,6 +153,46 @@ let iter t f =
   for v = 0 to Vec.length t.nodes - 1 do
     f v
   done
+
+(* Exactly what [Schedule.run] reads of a DAG: per node the kind's variant,
+   the operator, a memory access's buffer dtype and depth, the node's dtype
+   and its arguments. Names, constant values, fifo declarations and
+   partition factors never reach the scheduler. *)
+let same_structure a b =
+  a == b
+  ||
+  let n = Vec.length a.nodes in
+  n = Vec.length b.nodes
+  &&
+  let same_buffer x y =
+    let x = Vec.get a.bufs x and y = Vec.get b.bufs y in
+    Dtype.equal x.b_dtype y.b_dtype && x.b_depth = y.b_depth
+  in
+  let same_kind ka kb =
+    match (ka, kb) with
+    | Input _, Input _
+    | Const _, Const _
+    | Fifo_read _, Fifo_read _
+    | Fifo_write _, Fifo_write _
+    | Output _, Output _ ->
+      true
+    | Operation o, Operation p -> Op.equal o p
+    | Load x, Load y | Store x, Store y -> same_buffer x y
+    | ( ( Input _ | Const _ | Operation _ | Load _ | Store _ | Fifo_read _
+        | Fifo_write _ | Output _ ),
+        _ ) ->
+      false
+  in
+  let rec go v =
+    v = n
+    ||
+    let x = Vec.get a.nodes v and y = Vec.get b.nodes v in
+    same_kind x.nd_kind y.nd_kind
+    && Dtype.equal x.nd_dtype y.nd_dtype
+    && x.nd_args = y.nd_args
+    && go (v + 1)
+  in
+  go 0
 
 let validate t =
   let errors = ref [] in

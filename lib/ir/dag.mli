@@ -76,6 +76,11 @@ val consumer_slots : t -> node -> node list
     that reads it, consumers in descending id order (a consumer reading the
     value twice appears twice, adjacently). Returned without copying. *)
 
+val index_consumers : t -> unit
+(** Build the consumer table now rather than on the first read, so its
+    cost lands where the DAG is finished ({!Kernel.create}) instead of in
+    whichever pass reads it first. A later node add discards it again. *)
+
 val broadcast_factor : t -> node -> int
 (** Number of argument slots in which this node's value is read — the "how
     many times a variable is read by later instructions" count of §4.1.
@@ -85,6 +90,15 @@ val broadcast_factor : t -> node -> int
 
 val iter : t -> (node -> unit) -> unit
 (** In topological (= id) order. *)
+
+val same_structure : t -> t -> bool
+(** True when the two DAGs look alike to the scheduler: the same node
+    count and, per node, the same kind variant, the same operator for an
+    [Operation], the same buffer dtype and depth for a [Load]/[Store], the
+    same dtype and the same argument array. Input, output, fifo and buffer
+    names, constant values, fifo declarations and partition factors are
+    ignored. An exact comparison with no hashing, so it never confuses
+    two DAGs. Replicated kernels built by one generator compare equal. *)
 
 val validate : t -> (unit, string) result
 (** Structural checks: arities, arg ranges, buffer/fifo ids, dtype of

@@ -19,11 +19,14 @@ type t = {
   procs : process Vec.t;
   chans : channel Vec.t;
   mutable groups : int list list; (* reversed *)
+  mutable classes_cache : int array option;
 }
 
-let create () = { procs = Vec.create (); chans = Vec.create (); groups = [] }
+let create () =
+  { procs = Vec.create (); chans = Vec.create (); groups = []; classes_cache = None }
 
 let add_process t ~name ?latency ?kernel () =
+  t.classes_cache <- None;
   Vec.push t.procs { p_name = name; p_latency = latency; p_kernel = kernel }
 
 let check_endpoint t p what =
@@ -57,6 +60,31 @@ let channel t c = Vec.get t.chans c
 let processes t = Vec.to_array t.procs
 let channels t = Vec.to_array t.chans
 let sync_groups t = List.rev t.groups
+
+(* [Dag.same_structure] is an equivalence, so at most one representative
+   matches, and it is the first process of its class. *)
+let kernel_classes t =
+  match t.classes_cache with
+  | Some c -> c
+  | None ->
+    let reps = ref [] in
+    let classes =
+      Array.init (Vec.length t.procs) (fun p ->
+        match (Vec.get t.procs p).p_kernel with
+        | None -> p
+        | Some k -> (
+          match
+            List.find_opt
+              (fun (_, (r : Kernel.t)) -> Dag.same_structure r.Kernel.dag k.Kernel.dag)
+              !reps
+          with
+          | Some (rep, _) -> rep
+          | None ->
+            reps := (p, k) :: !reps;
+            p))
+    in
+    t.classes_cache <- Some classes;
+    classes
 
 let connectivity_components t =
   let g = Intgraph.create (Vec.length t.procs) in

@@ -51,6 +51,14 @@ val processes : t -> process array
 val channels : t -> channel array
 val sync_groups : t -> int list list
 
+val kernel_classes : t -> int array
+(** Per process, the first process whose kernel has the same schedule
+    structure ({!Dag.same_structure}); a representative and a kernel-less
+    process map to themselves. Replicated PEs fall into one class, so the
+    compile schedules each class once. Computed on first call and cached
+    until the next {!add_process}; kernels must not change after their
+    process is added. *)
+
 val connectivity_components : t -> int array
 (** Component index per process, considering channel connectivity only
     (ignoring sync groups): the "elementary flow control units" view used by

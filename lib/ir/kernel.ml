@@ -11,6 +11,7 @@ let create ~name ?(ii = 1) ?(trip_count = 1024) dag =
   (match Dag.validate dag with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Kernel.create: invalid dag: " ^ msg));
+  Dag.index_consumers dag;
   { name; dag; ii; trip_count }
 
 let sum_width t pred =

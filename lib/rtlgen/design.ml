@@ -41,11 +41,20 @@ let schedule_mode device (recipe : Style.recipe) =
 let schedule_processes ?(target_mhz = Schedule.default_target_mhz) ?inject
     ~device ~recipe (df : Dataflow.t) =
   let mode = schedule_mode device recipe in
-  let n_procs = Dataflow.n_processes df in
-  Array.init n_procs (fun p ->
-    Option.map
-      (fun kernel -> Schedule.run ~target_mhz ?inject mode kernel)
-      (Dataflow.process df p).Dataflow.p_kernel)
+  let classes = Dataflow.kernel_classes df in
+  let scheds = Array.make (Dataflow.n_processes df) None in
+  (* A class representative precedes its members, so its schedule is
+     already there to share. *)
+  Array.iteri
+    (fun p rep ->
+      scheds.(p) <-
+        Option.map
+          (fun kernel ->
+            if rep = p then Schedule.run ~target_mhz ?inject mode kernel
+            else Schedule.rebind (Option.get scheds.(rep)) kernel)
+          (Dataflow.process df p).Dataflow.p_kernel)
+    classes;
+  scheds
 
 (* ---- stage: lower (kernels to macro cells, then channel wiring) ---- *)
 

@@ -45,6 +45,9 @@ val schedule_processes :
   Hlsb_ir.Dataflow.t ->
   Hlsb_sched.Schedule.t option array
 (** Schedule every kernel process ([None] for kernel-less processes).
+    Only the first kernel of each {!Hlsb_ir.Dataflow.kernel_classes} class
+    is scheduled; the rest share its schedule through
+    {!Hlsb_sched.Schedule.rebind}, each with its own kernel.
     Depends only on the recipe's [sched] mode (plus the target clock and
     any register injection), so the pipeline reuses the result across
     recipes that agree on them. *)

@@ -247,6 +247,23 @@ let label_of_mode = function
   | Baseline -> "baseline"
   | Broadcast_aware _ -> "broadcast-aware"
 
+(* One histogram sample per value, fed as (value, multiplicity) pairs:
+   the same histogram for a fraction of the registry traffic. Sorts
+   [vals] in place. *)
+let observe_all name vals =
+  Array.sort Int.compare vals;
+  let n = Array.length vals in
+  let i = ref 0 in
+  while !i < n do
+    let v = vals.(!i) in
+    let j = ref (!i + 1) in
+    while !j < n && vals.(!j) = v do
+      incr j
+    done;
+    Metrics.observe_int ~times:(!j - !i) name v;
+    i := !j
+  done
+
 (* Feed the telemetry registry (§4.1's quantities): the raw read count of
    every value and the input-side factor the schedule actually budgeted
    after distribution trees capped the leaf fanout. *)
@@ -255,12 +272,18 @@ let record_metrics t =
   | None -> ()
   | Some _ ->
     let dag = t.kernel.Kernel.dag in
+    let reads = Array.make (Dag.n_nodes dag) 0 and n_reads = ref 0 in
     Dag.iter dag (fun v ->
       if produces_value dag v then begin
-        let reads = Dag.broadcast_factor dag v in
-        if reads > 0 then Metrics.observe_int "sched.broadcast_factor" reads
-      end;
-      Metrics.observe_int "sched.fanout_after_split" t.entries.(v).e_factor);
+        let r = Dag.broadcast_factor dag v in
+        if r > 0 then begin
+          reads.(!n_reads) <- r;
+          incr n_reads
+        end
+      end);
+    observe_all "sched.broadcast_factor" (Array.sub reads 0 !n_reads);
+    observe_all "sched.fanout_after_split"
+      (Array.map (fun e -> e.e_factor) t.entries);
     let regs =
       Array.fold_left
         (fun acc e -> acc + e.e_added_pipe + e.e_bcast_levels)
@@ -358,16 +381,31 @@ let run_body ~target_mhz ~inject mode (k : Kernel.t) =
 
 let default_target_mhz = 300.
 
-let run ?(target_mhz = default_target_mhz) ?inject mode (k : Kernel.t) =
-  if not (Trace.enabled ()) then run_body ~target_mhz ~inject mode k
+(* One "schedule" span per kernel, scheduled or shared. *)
+let traced ?shared_with (k : Kernel.t) mode_label body =
+  if not (Trace.enabled ()) then body ()
   else
+    let str s = Hlsb_telemetry.Json.Str s in
+    let shared =
+      match shared_with with
+      | None -> []
+      | Some (r : Kernel.t) -> [ ("shared_with", str r.Kernel.name) ]
+    in
     Trace.with_span "schedule"
-      ~attrs:
-        [
-          ("kernel", Hlsb_telemetry.Json.Str k.Kernel.name);
-          ("mode", Hlsb_telemetry.Json.Str (label_of_mode mode));
-        ]
-      (fun () -> run_body ~target_mhz ~inject mode k)
+      ~attrs:(("kernel", str k.Kernel.name) :: ("mode", str mode_label) :: shared)
+      body
+
+let run ?(target_mhz = default_target_mhz) ?inject mode (k : Kernel.t) =
+  traced k (label_of_mode mode) (fun () -> run_body ~target_mhz ~inject mode k)
+
+let rebind t (k : Kernel.t) =
+  if Dag.n_nodes k.Kernel.dag <> Array.length t.entries then
+    invalid_arg "Schedule.rebind: kernel size differs";
+  traced ~shared_with:t.kernel k t.mode_label (fun () ->
+    let t = { t with kernel = k } in
+    record_metrics t;
+    Metrics.incr "sched.kernels_shared";
+    t)
 
 let finish_cycle t v = result_cycle t.entries v
 

@@ -76,6 +76,14 @@ val run : ?target_mhz:float -> ?inject:inject -> mode -> Kernel.t -> t
     [?inject] (default none) forces extra distribution stages on the
     widest-read values — see {!inject}. *)
 
+val rebind : t -> Kernel.t -> t
+(** [rebind t k] is [t] with [k] as its kernel, sharing [t]'s entries,
+    depth, target and mode: the schedule of a kernel whose structure
+    matches [t.kernel]'s ({!Dag.same_structure}), which a fresh {!run}
+    would reproduce exactly. Feeds the same [sched.*] metrics as {!run}
+    plus [sched.kernels_shared]. Raises [Invalid_argument] if [k]'s node
+    count differs from [t]'s. *)
+
 val finish_cycle : t -> Dag.node -> int
 (** First cycle in which the node's result is available to consumers. *)
 

@@ -108,12 +108,12 @@ let find_bucket buckets v =
   let rec go i = if i >= n then n else if v <= buckets.(i) then i else go (i + 1) in
   go 0
 
-let hist_observe h v =
+let hist_observe h ~times v =
   let i = find_bucket h.h_buckets v in
-  h.h_counts.(i) <- h.h_counts.(i) + 1;
-  h.h_count <- h.h_count + 1;
-  h.h_sum <- h.h_sum +. v;
-  if h.h_count = 1 then begin
+  h.h_counts.(i) <- h.h_counts.(i) + times;
+  h.h_count <- h.h_count + times;
+  h.h_sum <- h.h_sum +. (v *. float_of_int times);
+  if h.h_count = times then begin
     h.h_min <- v;
     h.h_max <- v
   end
@@ -122,13 +122,14 @@ let hist_observe h v =
     if v > h.h_max then h.h_max <- v
   end
 
-let observe ?buckets name v =
+let observe ?buckets ?(times = 1) name v =
+  if times < 1 then invalid_arg "Metrics.observe: times < 1";
   match Atomic.get current with
   | None -> ()
   | Some t -> (
     let sh = get_shard t in
     match Hashtbl.find_opt sh.hists name with
-    | Some h -> hist_observe h v
+    | Some h -> hist_observe h ~times v
     | None ->
       let buckets = match buckets with Some b -> b | None -> default_buckets in
       if Array.length buckets = 0 then
@@ -148,13 +149,13 @@ let observe ?buckets name v =
           h_max = nan;
         }
       in
-      hist_observe h v;
+      hist_observe h ~times v;
       Hashtbl.add sh.hists name h)
 
-let observe_int name v =
+let observe_int ?times name v =
   match Atomic.get current with
   | None -> ()  (* short-circuit before any float boxing *)
-  | Some _ -> observe name (float_of_int v)
+  | Some _ -> observe ?times name (float_of_int v)
 
 (* ---- merged reads ----
 

@@ -58,14 +58,15 @@ val incr : ?by:int -> string -> unit
 val set_gauge : string -> float -> unit
 val set_gauge_int : string -> int -> unit
 
-val observe : ?buckets:float array -> string -> float -> unit
-(** Record a histogram sample. [buckets] (upper bounds, ascending) only
+val observe : ?buckets:float array -> ?times:int -> string -> float -> unit
+(** Record a histogram sample, [times] times over (default 1; raises
+    [Invalid_argument] below 1). [buckets] (upper bounds, ascending) only
     takes effect on the sample that creates the histogram; later calls
     reuse the existing buckets. Default buckets are powers of two
     1,2,4,…,1024 — the natural grid for broadcast factors, fanouts and
     FIFO occupancies. *)
 
-val observe_int : string -> int -> unit
+val observe_int : ?times:int -> string -> int -> unit
 
 (** {1 Direct registry access} *)
 

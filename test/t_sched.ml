@@ -202,6 +202,136 @@ let test_lowers_same () =
   check "another kernel" false
     (Schedule.run (aware ()) (broadcast_kernel 64))
 
+(* ---- kernel classes: replicated kernels share one schedule ---- *)
+
+(* A kernel touching every node kind; each optional argument changes one
+   thing about it. *)
+let shape ?(prefix = "") ?(c = 7L) ?(partition = 1) ?(depth = 64)
+    ?(bdtype = i32) ?(op = Op.Add) ?(dtype = i32) ?(swap = false)
+    ?(src_input = false) ?(extra = false) () =
+  let dag = Dag.create () in
+  let name n = prefix ^ n in
+  let buf = Dag.add_buffer dag ~name:(name "buf") ~dtype:bdtype ~depth ~partition in
+  let fin = Dag.add_fifo dag ~name:(name "fin") ~dtype:i32 ~depth:2 in
+  let fout = Dag.add_fifo dag ~name:(name "fout") ~dtype:i32 ~depth:2 in
+  let a = Dag.input dag ~name:(name "a") ~dtype:i32 in
+  let k = Dag.const dag ~dtype:i32 c in
+  let idx =
+    if src_input then Dag.input dag ~name:(name "idx") ~dtype:i32
+    else Dag.fifo_read dag ~fifo:fin
+  in
+  let s = Dag.op dag op ~dtype (if swap then [ k; a ] else [ a; k ]) in
+  let l = Dag.load dag ~buffer:buf ~index:idx in
+  ignore (Dag.store dag ~buffer:buf ~index:s ~value:l);
+  ignore (Dag.fifo_write dag ~fifo:fout ~value:s);
+  let r = Dag.output dag ~name:(name "r") ~value:s in
+  if extra then ignore (Dag.output dag ~name:(name "r2") ~value:r);
+  dag
+
+let test_same_structure () =
+  let base = shape () in
+  let check name expect other =
+    Alcotest.(check bool) name expect (Dag.same_structure base other);
+    Alcotest.(check bool) (name ^ " (symmetric)") expect
+      (Dag.same_structure other base)
+  in
+  check "itself" true base;
+  check "a rebuild" true (shape ());
+  check "renamed inputs, fifos and buffers" true (shape ~prefix:"pe3_" ());
+  check "another const value" true (shape ~c:42L ());
+  check "another partition factor" true (shape ~partition:4 ());
+  check "another op" false (shape ~op:Op.Sub ());
+  check "another dtype" false (shape ~dtype:(Dtype.Int 16) ());
+  check "another buffer depth" false (shape ~depth:128 ());
+  check "another buffer dtype" false (shape ~bdtype:(Dtype.Uint 32) ());
+  check "another argument" false (shape ~swap:true ());
+  check "another kind" false (shape ~src_input:true ());
+  check "another node count" false (shape ~extra:true ())
+
+let test_kernel_classes_cache () =
+  let df = Dataflow.create () in
+  let add ?kernel name = ignore (Dataflow.add_process df ~name ?kernel ()) in
+  let kernel name dag = Kernel.create ~name dag in
+  add ~kernel:(kernel "pe0" (shape ())) "p0";
+  let c = Dataflow.kernel_classes df in
+  Alcotest.(check (array int)) "one process" [| 0 |] c;
+  Alcotest.(check bool) "cached" true (Dataflow.kernel_classes df == c);
+  add ~kernel:(kernel "pe1" (shape ~prefix:"pe1_" ~c:3L ())) "p1";
+  add "ctrl";
+  add ~kernel:(kernel "other" (shape ~op:Op.Mul ())) "p3";
+  add ~kernel:(kernel "pe4" (shape ~partition:2 ())) "p4";
+  Alcotest.(check (array int)) "add_process invalidates" [| 0; 0; 2; 3; 0 |]
+    (Dataflow.kernel_classes df)
+
+(* Every Suite design under both recipes at three target/injection points:
+   each process's schedule equals a fresh run on its own kernel, whether
+   it was scheduled or shared. *)
+let test_shared_equal_fresh () =
+  let points =
+    [
+      (300., None);
+      (417.3, Some { Schedule.inj_top = 2; inj_levels = 1 });
+      (250., Some { Schedule.inj_top = 4; inj_levels = 2 });
+    ]
+  in
+  let shared = ref 0 and total = ref 0 in
+  List.iter
+    (fun (spec : Hlsb_designs.Spec.t) ->
+      let device = spec.Hlsb_designs.Spec.sp_device in
+      let df = spec.Hlsb_designs.Spec.sp_build () in
+      List.iter
+        (fun (recipe : Hlsb_ctrl.Style.recipe) ->
+          let mode =
+            match recipe.Hlsb_ctrl.Style.sched with
+            | Hlsb_ctrl.Style.Sched_hls -> Schedule.Baseline
+            | Hlsb_ctrl.Style.Sched_aware ->
+              Schedule.Broadcast_aware (Calibrate.shared device)
+          in
+          List.iter
+            (fun (target_mhz, inject) ->
+              let scheds =
+                Hlsb_rtlgen.Design.schedule_processes ~target_mhz ?inject
+                  ~device ~recipe df
+              in
+              Array.iteri
+                (fun p s ->
+                  match (s, (Dataflow.process df p).Dataflow.p_kernel) with
+                  | None, None -> ()
+                  | Some (s : Schedule.t), Some k ->
+                    let what =
+                      Printf.sprintf "%s [%s] %g MHz, %s"
+                        spec.Hlsb_designs.Spec.sp_name
+                        (Hlsb_ctrl.Style.label recipe) target_mhz
+                        k.Kernel.name
+                    in
+                    let fresh = Schedule.run ~target_mhz ?inject mode k in
+                    incr total;
+                    if
+                      Array.exists
+                        (function
+                          | Some (q : Schedule.t) ->
+                            q != s && q.Schedule.entries == s.Schedule.entries
+                          | None -> false)
+                        (Array.sub scheds 0 p)
+                    then incr shared;
+                    Alcotest.(check bool) (what ^ ": own kernel") true
+                      (s.Schedule.kernel == k);
+                    Alcotest.(check bool) (what ^ ": entries") true
+                      (s.Schedule.entries = fresh.Schedule.entries);
+                    Alcotest.(check int) (what ^ ": depth") fresh.Schedule.depth
+                      s.Schedule.depth;
+                    Alcotest.(check (float 0.)) (what ^ ": target_ns")
+                      fresh.Schedule.target_ns s.Schedule.target_ns;
+                    Alcotest.(check string) (what ^ ": mode")
+                      fresh.Schedule.mode_label s.Schedule.mode_label
+                  | _ -> Alcotest.failf "process %d: schedule without kernel" p)
+                scheds)
+            points)
+        [ Hlsb_ctrl.Style.original; Hlsb_ctrl.Style.optimized ])
+    Hlsb_designs.Suite.all;
+  Alcotest.(check int) "kernels scheduled" 414 !total;
+  Alcotest.(check int) "schedules shared" 330 !shared
+
 let suite =
   [
     Alcotest.test_case "deps respected (baseline)" `Quick
@@ -232,4 +362,10 @@ let suite =
       test_violations_baseline_vs_aware;
     Alcotest.test_case "lowers_same reads only lowered fields" `Quick
       test_lowers_same;
+    Alcotest.test_case "same_structure: what splits and what joins" `Quick
+      test_same_structure;
+    Alcotest.test_case "kernel_classes: add_process invalidates" `Quick
+      test_kernel_classes_cache;
+    Alcotest.test_case "shape-shared schedules equal fresh ones" `Quick
+      test_shared_equal_fresh;
   ]

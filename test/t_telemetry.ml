@@ -215,6 +215,29 @@ let test_counters_gauges () =
   Alcotest.(check int) "absent counter" 0 (Metrics.counter_value m "nope");
   Alcotest.(check bool) "gauge last-wins" true (Metrics.gauge_value m "g" = Some 2.5)
 
+(* [~times:n] is n observations of one value: the same snapshot, first
+   sample included. *)
+let test_histogram_times () =
+  let snap f =
+    let m = Metrics.create () in
+    Metrics.with_registry m f;
+    Metrics.to_json (Metrics.snapshot m) |> Json.to_string
+  in
+  let values = [ (7, 3); (1, 1); (5000, 2); (2, 4); (7, 1) ] in
+  Alcotest.(check string) "times = repeated observes"
+    (snap (fun () ->
+       List.iter
+         (fun (v, n) ->
+           for _ = 1 to n do
+             Metrics.observe_int "h" v
+           done)
+         values))
+    (snap (fun () ->
+       List.iter (fun (v, n) -> Metrics.observe_int ~times:n "h" v) values));
+  Alcotest.check_raises "times < 1"
+    (Invalid_argument "Metrics.observe: times < 1") (fun () ->
+      Metrics.observe ~times:0 "h" 1.)
+
 let test_histogram_bucketing () =
   let m = Metrics.create () in
   Metrics.with_registry m (fun () ->
@@ -517,6 +540,7 @@ let suite =
     Alcotest.test_case "chrome export shape" `Quick test_chrome_export_shape;
     Alcotest.test_case "counters and gauges" `Quick test_counters_gauges;
     Alcotest.test_case "histogram bucketing" `Quick test_histogram_bucketing;
+    Alcotest.test_case "histogram ~times" `Quick test_histogram_times;
     Alcotest.test_case "snapshot diff" `Quick test_snapshot_diff;
     Alcotest.test_case "diff empty-interval min/max" `Quick
       test_diff_empty_interval_minmax;
