@@ -17,7 +17,7 @@ let () =
   let df = Hlsb_designs.Hbm_stencil.dataflow ~ports:28 () in
 
   print_endline "--- the glued network (one source loop) ---";
-  print_string (Core.Classify.to_string (Core.Classify.analyze ~device:Device.alveo_u50 df));
+  print_string (Core.Classify.to_string (Core.Classify.analyze df));
 
   (* 1. what the pruning pass does *)
   let pruned = Sync.split_independent df in

@@ -120,7 +120,7 @@ let compile_and_report label src =
   | Error e -> Format.printf "frontend error: %a@." Frontend.pp_error e
   | Ok df ->
     let device = Device.ultrascale_plus in
-    print_string (Core.Classify.to_string (Core.Classify.analyze ~device df));
+    print_string (Core.Classify.to_string (Core.Classify.analyze df));
     let session =
       Core.Pipeline.create ~device ~name:label ~build:(fun () -> df) ()
     in

@@ -57,7 +57,7 @@ let () =
   ignore
     (Dataflow.add_channel df ~name:"in" ~src:(-1) ~dst:p ~dtype:i32 ());
   ignore (Dataflow.add_channel df ~name:"out" ~src:p ~dst:(-1) ~dtype:i32 ());
-  print_string (Core.Classify.to_string (Core.Classify.analyze ~device df));
+  print_string (Core.Classify.to_string (Core.Classify.analyze df));
 
   (* 2. compile with the vendor-style flow and with the paper's flow *)
   print_endline "\n--- compilation: original vs broadcast-aware ---";

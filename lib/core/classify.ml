@@ -1,6 +1,5 @@
 open Hlsb_ir
 module Device = Hlsb_device.Device
-module Netlist = Hlsb_netlist.Netlist
 
 type source_broadcast = {
   b_kernel : string;
@@ -24,7 +23,7 @@ type report = {
 
 (* Sequential elements a stall net must reach: a structural estimate from
    the IR (operator pipeline registers + memory units + interface FIFOs). *)
-let stall_targets device (k : Kernel.t) =
+let stall_targets (k : Kernel.t) =
   let dag = k.Kernel.dag in
   let count = ref 0 in
   Dag.iter dag (fun v ->
@@ -41,10 +40,9 @@ let stall_targets device (k : Kernel.t) =
             ~width:(Dtype.width b.Dag.b_dtype)
             ~depth:b.Dag.b_depth)
     (Dag.buffers dag);
-  ignore device;
   !count
 
-let analyze ?(threshold = 8) ~device (df : Dataflow.t) =
+let analyze ?(threshold = 8) (df : Dataflow.t) =
   let data = ref [] and mem = ref [] and pipe = ref [] in
   Array.iter
     (fun (p : Dataflow.process) ->
@@ -75,7 +73,7 @@ let analyze ?(threshold = 8) ~device (df : Dataflow.t) =
                 { m_kernel = k.Kernel.name; m_buffer = b.Dag.b_name; m_units = units }
                 :: !mem)
           (Dag.buffers dag);
-        pipe := (k.Kernel.name, stall_targets device k) :: !pipe)
+        pipe := (k.Kernel.name, stall_targets k) :: !pipe)
     (Dataflow.processes df);
   let sync =
     List.map
@@ -91,22 +89,6 @@ let analyze ?(threshold = 8) ~device (df : Dataflow.t) =
     sync_domains = sync;
     pipeline_domains = List.rev !pipe;
   }
-
-let netlist_summary nl =
-  let classes =
-    [ Netlist.Data; Netlist.Data_broadcast; Netlist.Ctrl_sync; Netlist.Ctrl_pipeline ]
-  in
-  List.map
-    (fun cls ->
-      let count = ref 0 and max_fo = ref 0 in
-      for n = 0 to Netlist.n_nets nl - 1 do
-        if Netlist.net_class nl n = cls then begin
-          incr count;
-          max_fo := max !max_fo (Netlist.fanout nl n)
-        end
-      done;
-      (cls, !count, !max_fo))
-    classes
 
 let to_string r =
   let buf = Buffer.create 512 in

@@ -2,8 +2,8 @@
     report every timing-relevant broadcast structure it contains, sorted
     into the paper's taxonomy — data broadcasts (§3.1), synchronization
     broadcasts (§3.2) and pipeline-control broadcasts (§3.3) — before any
-    netlist is generated (source-level, from the IR) and after (netlist
-    nets by class). *)
+    netlist is generated (source-level, from the IR). After lowering, each
+    netlist net carries its class ({!Hlsb_netlist.Netlist.net_class}). *)
 
 open Hlsb_ir
 
@@ -29,12 +29,8 @@ type report = {
       (** per kernel: sequential elements a stall net would have to reach *)
 }
 
-val analyze : ?threshold:int -> device:Hlsb_device.Device.t -> Dataflow.t -> report
+val analyze : ?threshold:int -> Dataflow.t -> report
 (** [threshold] is the minimum read count to call something a broadcast
     (default 8). *)
-
-val netlist_summary :
-  Hlsb_netlist.Netlist.t -> (Hlsb_netlist.Netlist.net_class * int * int) list
-(** Per class: (class, net count, max fanout). *)
 
 val to_string : report -> string

@@ -419,7 +419,7 @@ let classify_report ?(plan = Plan.identity) t =
     let recipe = Style.original in
     let df = elaborate ~plan t ~recipe in
     exec t ~recipe Classify (fun () ->
-      let r = Classify.analyze ~device:t.ss_device df in
+      let r = Classify.analyze df in
       t.ss_classify <- (key, r) :: t.ss_classify;
       r)
 

@@ -42,37 +42,6 @@ type wait_set = {
   skipped : int list;
 }
 
-let longest_latency_wait (df : Dataflow.t) group =
-  if group = [] then invalid_arg "Sync.longest_latency_wait: empty group";
-  let static, dynamic =
-    List.partition
-      (fun p -> (Dataflow.process df p).Dataflow.p_latency <> None)
-      group
-  in
-  match static with
-  | [] -> { waited = group; skipped = [] }
-  | _ ->
-    let lat p =
-      match (Dataflow.process df p).Dataflow.p_latency with
-      | Some l -> l
-      | None -> assert false
-    in
-    let max_lat = List.fold_left (fun acc p -> max acc (lat p)) 0 static in
-    (* One representative with the maximal latency suffices. *)
-    let rep =
-      List.find (fun p -> lat p = max_lat) (List.sort compare static)
-    in
-    let skipped = List.filter (fun p -> p <> rep) static in
-    { waited = List.sort compare (rep :: dynamic); skipped }
-
-type cost = {
-  reduce_fanin : int;
-  start_fanout : int;
-}
-
-let group_cost ~wait ~started =
-  { reduce_fanin = List.length wait; start_fanout = List.length started }
-
 let total_sync_fanout (df : Dataflow.t) =
   List.fold_left
     (fun acc group -> acc + (2 * List.length group))

@@ -19,38 +19,27 @@ val split_independent : Dataflow.t -> Dataflow.t
     group per connected component of the channel graph restricted to that
     group. Processes and channels are unchanged. *)
 
-type wait_set = {
-  waited : int list;  (** processes whose done the controller observes *)
-  skipped : int list;  (** statically-dominated processes *)
-}
-
-val longest_latency_wait : Dataflow.t -> int list -> wait_set
-(** The §4.2 case-2 rule for one group of parallel modules: keep all
-    dynamic-latency members; among the static ones keep only those whose
-    latency equals the maximum (de-duplicated to one representative if it
-    also dominates the dynamic set... it never does — dynamic members are
-    always kept). Raises [Invalid_argument] on an empty group. *)
-
-type cost = {
-  reduce_fanin : int;  (** inputs of the done AND-tree *)
-  start_fanout : int;  (** sinks of the broadcast start signal *)
-}
-
-val group_cost : wait:int list -> started:int list -> cost
-(** Netlist-level cost of one synchronization domain. *)
-
 val total_sync_fanout : Dataflow.t -> int
 (** Sum over sync groups of reduce fan-in + start fan-out — the scalar the
     pruning drives down; reported in experiment tables. *)
 
-(** {2 Interval-latency pruning (the paper's §4.2 future work)}
+(** {2 Latency pruning (case 2)}
 
-    "Our method cannot handle modules with dynamic latency, but it is
-    possible to adopt symbolic execution to handle more situations, for
-    example loops with variable bounds." — a module whose trip count is
-    variable has a latency *interval* rather than a constant. A member can
-    still be pruned whenever some other waited member's lower bound
-    dominates its upper bound: the controller provably never waits on it. *)
+    One rule serves the compile path and the paper's future work. The
+    compile path gives each member of a parallel group an [Exact] bound
+    when the schedule fixes its latency and [Unknown] otherwise, so it
+    waits on one slowest static member plus every dynamic one. Intervals
+    extend the rule as §4.2 proposes: "Our method cannot handle modules
+    with dynamic latency, but it is possible to adopt symbolic execution
+    to handle more situations, for example loops with variable bounds."
+    A module whose trip count is variable has a latency {e interval}, and
+    it can still be pruned whenever the anchor's lower bound dominates its
+    upper bound: the controller provably never waits on it. *)
+
+type wait_set = {
+  waited : int list;  (** processes whose done the controller observes *)
+  skipped : int list;  (** statically-dominated processes *)
+}
 
 type latency_bound =
   | Exact of int  (** statically fixed latency *)
@@ -59,11 +48,12 @@ type latency_bound =
 
 val prune_with_bounds : (int * latency_bound) list -> wait_set
 (** [prune_with_bounds members] keeps every [Unknown] member plus an anchor
-    member with the greatest lower bound, and skips exactly those members
-    whose upper bound the anchor's lower bound dominates. With only [Exact]
-    bounds this coincides with {!longest_latency_wait}. Raises
-    [Invalid_argument] on an empty list, duplicate ids, or an inverted
-    interval. *)
+    member with the greatest lower bound (the smallest id on ties), and
+    skips exactly those members whose upper bound the anchor's lower bound
+    dominates. With only [Exact] and [Unknown] bounds it waits on the
+    anchor and every [Unknown] member and skips every other [Exact] one.
+    Both lists are sorted. Raises [Invalid_argument] on an empty list,
+    duplicate ids, a negative latency or an inverted interval. *)
 
 val bound_of_trip_count :
   ii:int -> depth:int -> trip_lo:int -> trip_hi:int -> latency_bound

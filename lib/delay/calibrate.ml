@@ -1,6 +1,5 @@
 open Hlsb_ir
 module Device = Hlsb_device.Device
-module Stats = Hlsb_util.Stats
 module Metrics = Hlsb_telemetry.Metrics
 module Store = Hlsb_util.Store
 module Diag = Hlsb_util.Diag
@@ -122,9 +121,20 @@ let raw_curve t ~name ~grid build =
       t.disk;
     raw
 
+let smooth_neighbors ~window xs =
+  if window < 0 then invalid_arg "Calibrate.smooth_neighbors: negative window";
+  let n = Array.length xs in
+  Array.init n (fun i ->
+    let lo = max 0 (i - window) and hi = min (n - 1) (i + window) in
+    let sum = ref 0. in
+    for j = lo to hi do
+      sum := !sum +. xs.(j)
+    done;
+    !sum /. float_of_int (hi - lo + 1))
+
 let load t ~name ~grid build =
   let raw = raw_curve t ~name ~grid build in
-  { raw; smoothed = Stats.smooth_neighbors ~window:t.window raw }
+  { raw; smoothed = smooth_neighbors ~window:t.window raw }
 
 let rec insert_op t key c =
   let tbl = Atomic.get t.ops in

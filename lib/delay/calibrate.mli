@@ -28,6 +28,13 @@ val create : ?window:int -> ?cache_dir:string -> Hlsb_device.Device.t -> t
     [warning[store]] line, and every one counts
     [calibrate.persist_errors]. *)
 
+val smooth_neighbors : window:int -> float array -> float array
+(** [smooth_neighbors ~window xs] averages each point with up to [window]
+    neighbours on each side (a centered moving average, truncated at the
+    boundaries): the smoothing {!create} applies to every raw curve.
+    [window = 0] is the identity. Raises [Invalid_argument] if
+    [window < 0]. *)
+
 val ambient_dir : unit -> string option
 (** [$HLSB_CACHE_DIR], else [$XDG_CACHE_HOME/hlsb], else
     [$HOME/.cache/hlsb]; [None] when [HLSB_CACHE_DIR] is the empty

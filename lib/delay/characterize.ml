@@ -91,9 +91,6 @@ let mem_skeleton (d : Device.t) ~units ~read =
   let report = Timing.run d nl in
   (comb_time d report, mb.Structs.mb_n_units)
 
-let mem_write d ~units = fst (mem_skeleton d ~units ~read:false)
-let mem_read d ~units = fst (mem_skeleton d ~units ~read:true)
-
 let mem_curve ?jobs d ~units ~read =
   Pool.map ?jobs
     (fun u ->

@@ -30,17 +30,13 @@ val arith_curve :
     {!Hlsb_util.Pool} (default job count); results are index-ordered, so the
     curve is identical for every job count. *)
 
-val mem_write : Hlsb_device.Device.t -> units:int -> float
-(** Measured delay of a register -> every-BRAM-unit store, for a buffer
+val mem_write_curve :
+  ?jobs:int -> Hlsb_device.Device.t -> units:int array -> point array
+(** Measured delay of a register -> every-BRAM-unit store, per buffer
     spanning that many physical BRAM18 units. The unit count — not the
     logical width/depth split — is what determines the broadcast cost, so
     curves are characterized once per device over unit counts. *)
 
-val mem_read : Hlsb_device.Device.t -> units:int -> float
-(** Measured delay of a BRAM-units -> cascade-mux -> register load. *)
-
-val mem_write_curve :
-  ?jobs:int -> Hlsb_device.Device.t -> units:int array -> point array
-
 val mem_read_curve :
   ?jobs:int -> Hlsb_device.Device.t -> units:int array -> point array
+(** Measured delay of a BRAM-units -> cascade-mux -> register load. *)

@@ -121,8 +121,6 @@ let all = [ ultrascale_plus; zynq_7z045; virtex7_690t; alveo_u50 ]
 
 let n_slices t = t.cols * t.rows
 
-let slices_for_luts t luts = (luts + t.lut_per_slice - 1) / t.lut_per_slice
-
 let bram18_bits = 18 * 1024
 
 let bram18_for ~width ~depth =

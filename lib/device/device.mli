@@ -43,8 +43,6 @@ val alveo_u50 : t
 val all : t list
 
 val n_slices : t -> int
-val slices_for_luts : t -> int -> int
-(** Slices needed to hold that many LUTs (ceiling). *)
 
 val bram18_for : width:int -> depth:int -> int
 (** BRAM18 units needed for a [width]-bit x [depth]-word memory, accounting

@@ -6,11 +6,6 @@ let arbitrary kind =
     ~shrink:(fun case -> QCheck.Iter.of_list (Shrink.candidates case))
     (fun st -> Gen.generate kind (Rng.create (Random.State.bits st)))
 
-let passes name case =
-  match Oracle.check name case with
-  | Oracle.Pass -> true
-  | Oracle.Fail _ -> false
-
 let oracle_test ?(count = 30) name =
   QCheck.Test.make ~count
     ~name:(Printf.sprintf "oracle:%s" (Oracle.to_string name))

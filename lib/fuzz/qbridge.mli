@@ -12,7 +12,3 @@ val arbitrary : Gen.kind -> Gen.t QCheck.arbitrary
 val oracle_test : ?count:int -> Oracle.name -> QCheck.Test.t
 (** A qcheck property asserting the oracle passes on every generated
     case of its kind. [count] defaults to 30. *)
-
-val passes : Oracle.name -> Gen.t -> bool
-(** [true] iff the oracle returns [Pass] — convenience for plain
-    asserts. *)

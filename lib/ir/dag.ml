@@ -238,26 +238,6 @@ let validate t =
   | [] -> Ok ()
   | es -> Error (String.concat "; " (List.rev es))
 
-let op_histogram t =
-  let table = Hashtbl.create 16 in
-  let bump key =
-    Hashtbl.replace table key (1 + Option.value ~default:0 (Hashtbl.find_opt table key))
-  in
-  Vec.iteri
-    (fun _ nd ->
-      match nd.nd_kind with
-      | Operation o -> bump (Op.to_string o)
-      | Input _ -> bump "input"
-      | Const _ -> bump "const"
-      | Load _ -> bump "load"
-      | Store _ -> bump "store"
-      | Fifo_read _ -> bump "fifo_read"
-      | Fifo_write _ -> bump "fifo_write"
-      | Output _ -> bump "output")
-    t.nodes;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) table []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
 let pp_node t fmt v =
   let nd = node_data t v in
   let args =

@@ -104,7 +104,4 @@ val validate : t -> (unit, string) result
 (** Structural checks: arities, arg ranges, buffer/fifo ids, dtype of
     comparison results, store value width matches buffer width. *)
 
-val op_histogram : t -> (string * int) list
-(** Operator name -> count, sorted by name; for reports. *)
-
 val pp : Format.formatter -> t -> unit

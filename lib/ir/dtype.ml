@@ -24,8 +24,6 @@ let to_string = function
   | Float32 -> "f32"
   | Float64 -> "f64"
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 let validate = function
   | Bool | Float32 | Float64 -> ()
   | Int w | Uint w ->

@@ -15,7 +15,6 @@ val width : t -> int
 val is_float : t -> bool
 val equal : t -> t -> bool
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 val validate : t -> unit
 (** Raises [Invalid_argument] on zero/negative/oversized integer widths. *)

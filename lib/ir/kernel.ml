@@ -26,10 +26,3 @@ let data_width_out t =
     | Dag.Input _ | Dag.Const _ | Dag.Operation _ | Dag.Load _ | Dag.Store _
     | Dag.Fifo_read _ ->
       false)
-
-let data_width_in t =
-  sum_width t (function
-    | Dag.Fifo_read _ | Dag.Input _ -> true
-    | Dag.Const _ | Dag.Operation _ | Dag.Load _ | Dag.Store _
-    | Dag.Fifo_write _ | Dag.Output _ ->
-      false)

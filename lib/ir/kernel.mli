@@ -16,6 +16,3 @@ val create : name:string -> ?ii:int -> ?trip_count:int -> Dag.t -> t
 
 val data_width_out : t -> int
 (** Total bit width of FIFO writes + outputs — the w_beta of §4.3. *)
-
-val data_width_in : t -> int
-(** Total bit width of FIFO reads + inputs. *)

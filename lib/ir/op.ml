@@ -39,12 +39,6 @@ let arity = function
   | Select -> 3
   | Concat -> -1
 
-let is_float = function
-  | Fadd | Fsub | Fmul | Fdiv | Fcmp _ -> true
-  | Add | Sub | Mul | Div | And_ | Or_ | Xor | Not | Shl | Shr | Icmp _
-  | Select | Min | Max | Abs | Log2 | Concat | Slice _ ->
-    false
-
 let result_is_bool = function
   | Icmp _ | Fcmp _ -> true
   | Add | Sub | Mul | Div | Fadd | Fsub | Fmul | Fdiv | And_ | Or_ | Xor | Not
@@ -99,5 +93,4 @@ let spell put put_int = function
     put "]"
   | o -> put (to_string o)
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 let equal a b = a = b

@@ -39,9 +39,6 @@ type t =
 val arity : t -> int
 (** Number of operands; [Concat] is variadic and reports [-1]. *)
 
-val is_float : t -> bool
-(** Operators implemented in floating-point units (DSP-heavy, deep). *)
-
 val result_is_bool : t -> bool
 (** Comparison operators produce [Bool] regardless of operand type. *)
 
@@ -51,5 +48,4 @@ val spell : (string -> unit) -> (int -> unit) -> t -> unit
 (** [to_string]'s spelling as pieces, without building it: literal parts
     go to the first function, bit indices to the second. *)
 
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

@@ -61,14 +61,5 @@ let fifo ~width ~depth =
     (* SRL/LUTRAM-based *)
     { zero_res with r_luts = (width * cdiv depth 16) + 20; r_ffs = width + 12 }
 
-let and_tree_levels n =
-  if n <= 1 then 0
-  else begin
-    let rec go remaining levels =
-      if remaining <= 1 then levels else go (cdiv remaining 6) (levels + 1)
-    in
-    go n 0
-  end
-
 let fsm ~states =
   { zero_res with r_ffs = states; r_luts = max 2 (states / 2) }

@@ -38,8 +38,5 @@ val fifo : width:int -> depth:int -> resources
     BRAM. The threshold (depth > 64 or width*depth > 1024 bits) follows the
     usual HLS implementation choice. *)
 
-val and_tree_levels : int -> int
-(** LUT levels of the reduction: ceil(log6 n), 0 for n <= 1. *)
-
 val fsm : states:int -> resources
 (** One-hot FSM state register + next-state logic. *)

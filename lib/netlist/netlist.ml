@@ -340,45 +340,3 @@ let validate t =
   match Intgraph.topological_order g with
   | Some _ -> Ok ()
   | None -> Error "combinational cycle detected"
-
-(* [src]'s arrays are appended to [dst]'s, with cell ids, sink offsets and
-   name offsets shifted by [dst]'s counts. The pieces of a net [dst] is
-   still writing move past [src]'s entries. *)
-let merge dst src =
-  let c0 = dst.n_cells and n0 = dst.n_nets and k0 = dst.sink_off.(dst.n_nets) in
-  let pending = Bytes.sub dst.names dst.sealed (dst.names_len - dst.sealed) in
-  let pending_sinks = Array.sub dst.sinks k0 (dst.sinks_len - k0) in
-  let b0 = dst.sealed in
-  dst.names_len <- b0;
-  reserve_names dst src.sealed;
-  Bytes.blit src.names 0 dst.names b0 src.sealed;
-  dst.names_len <- b0 + src.sealed;
-  dst.sealed <- dst.names_len;
-  name_str dst (Bytes.unsafe_to_string pending);
-  let append dst_a src_a base len stride fill shift =
-    let a = reserve dst_a (stride * (base + len)) fill in
-    for i = 0 to (stride * len) - 1 do
-      a.((stride * base) + i) <- shift src_a.(i)
-    done;
-    a
-  in
-  let nc = src.n_cells and nn = src.n_nets and nk = src.sink_off.(src.n_nets) in
-  let id x = x and by d x = x + d in
-  dst.kinds <- append dst.kinds src.kinds c0 nc 1 Comb id;
-  dst.delays <- append dst.delays src.delays c0 nc 1 0. id;
-  dst.res <- append dst.res src.res c0 nc 4 0 id;
-  dst.cell_names <- append dst.cell_names src.cell_names c0 nc 2 0 (by b0);
-  dst.drivers <- append dst.drivers src.drivers n0 nn 1 0 (by c0);
-  dst.widths <- append dst.widths src.widths n0 nn 1 0 id;
-  dst.classes <- append dst.classes src.classes n0 nn 1 Data id;
-  dst.net_names <- append dst.net_names src.net_names n0 nn 2 0 (by b0);
-  dst.sinks <- append dst.sinks src.sinks k0 nk 1 0 (by c0);
-  dst.sink_off <- reserve dst.sink_off (n0 + nn + 1) 0;
-  for i = 1 to nn do
-    dst.sink_off.(n0 + i) <- k0 + src.sink_off.(i)
-  done;
-  dst.n_cells <- c0 + nc;
-  dst.n_nets <- n0 + nn;
-  dst.sinks_len <- k0 + nk;
-  Array.iter (push_sink dst) pending_sinks;
-  (Array.init nc (fun i -> c0 + i), Array.init nn (fun i -> n0 + i))

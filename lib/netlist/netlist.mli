@@ -170,11 +170,6 @@ val arcs : t -> arcs
 
 val validate : t -> (unit, string) result
 (** Checks that no combinational cycle exists (walking Comb cells through
-    their Comb fanin arcs). Net endpoints need no check: {!add_net} and
-    {!merge} only ever record cells that exist. *)
+    their Comb fanin arcs). Net endpoints need no check: {!add_net} only
+    ever records cells that exist. *)
 
-val merge : t -> t -> int array * int array
-(** [merge dst src] appends all cells/nets of [src] into [dst], names
-    included; returns the (cell, net) id translation arrays. A name [dst]
-    is still writing stays pending. Used to stitch per-kernel netlists
-    into a top-level design. *)

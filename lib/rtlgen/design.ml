@@ -146,7 +146,12 @@ let emit_sync ~device ~recipe (df : Dataflow.t) (dp : datapath) =
           match recipe.Style.sync with
           | Style.Sync_naive -> List.map fst members
           | Style.Sync_pruned ->
-            (Sync.longest_latency_wait df_sync (List.map fst members)).Sync.waited
+            let bound (p, _) =
+              match (Dataflow.process df_sync p).Dataflow.p_latency with
+              | Some l -> (p, Sync.Exact l)
+              | None -> (p, Sync.Unknown)
+            in
+            (Sync.prune_with_bounds (List.map bound members)).Sync.waited
         in
         Metrics.incr
           ~by:(max 0 (List.length members - List.length wait_procs))

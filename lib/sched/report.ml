@@ -28,8 +28,6 @@ let to_string (s : Schedule.t) =
   done;
   Buffer.contents buf
 
-let latency (s : Schedule.t) = s.Schedule.depth
-
 let stage_widths (s : Schedule.t) =
   let dag = s.Schedule.kernel.Kernel.dag in
   let nb = max 0 (s.Schedule.depth - 1) in

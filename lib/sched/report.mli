@@ -5,7 +5,6 @@
     kernel latencies, and the min-area skid-buffer DP reads the per-stage
     live data widths. *)
 
-
 val to_string : Schedule.t -> string
 (** Human-readable per-cycle listing: node, op, delay, broadcast factor. *)
 
@@ -14,10 +13,6 @@ val stage_widths : Schedule.t -> int array
     boundary after cycle [b] (length = depth - 1). This is the w_alpha /
     w_beta profile of §4.3 (Fig. 17), extracted exactly as the paper does:
     from each value's definition and last-use cycles in the schedule. *)
-
-val latency : Schedule.t -> int
-(** Pipeline depth in cycles — what §4.2's pruning compares across parallel
-    modules and §4.3's N. *)
 
 val chain_delays : Schedule.t -> float array
 (** Worst chained delay per cycle (ns); max over this array is the

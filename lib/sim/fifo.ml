@@ -22,7 +22,5 @@ let push t x =
   end
 
 let pop t = Queue.take_opt t.q
-let peek t = Queue.peek_opt t.q
 let overflowed t = t.overflow
 let max_occupancy t = t.high_water
-let to_list t = List.of_seq (Queue.to_seq t.q)

@@ -17,11 +17,7 @@ val push : 'a t -> 'a -> unit
     set. *)
 
 val pop : 'a t -> 'a option
-val peek : 'a t -> 'a option
 
 val overflowed : 'a t -> bool
 val max_occupancy : 'a t -> int
 (** High-water mark over the FIFO's lifetime. *)
-
-val to_list : 'a t -> 'a list
-(** Front first. *)

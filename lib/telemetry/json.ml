@@ -78,8 +78,6 @@ let to_string ?(minify = true) v =
   go 0 v;
   Buffer.contents buf
 
-let pp fmt v = Format.pp_print_string fmt (to_string ~minify:false v)
-
 exception Parse of string
 
 let of_string s =

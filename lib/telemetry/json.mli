@@ -18,9 +18,6 @@ val to_string : ?minify:bool -> t -> string
 (** [minify] defaults to [true]; when [false], pretty-prints with
     2-space indentation. *)
 
-val pp : Format.formatter -> t -> unit
-(** Pretty-printing (non-minified) on a formatter. *)
-
 val of_string : string -> (t, string) result
 (** Parse a JSON document. Numbers with a ['.'], exponent, or out of
     [int] range become [Float]; everything else integral becomes

@@ -264,40 +264,6 @@ let snapshot t =
     sn_hists = sorted_bindings hists Fun.id;
   }
 
-let diff ~before ~after =
-  let counters =
-    List.map
-      (fun (k, v) ->
-        match List.assoc_opt k before.sn_counters with
-        | Some v0 -> (k, v - v0)
-        | None -> (k, v))
-      after.sn_counters
-  in
-  let hists =
-    List.map
-      (fun (k, (h : hist_snap)) ->
-        match List.assoc_opt k before.sn_hists with
-        | Some h0 when Array.length h0.hs_buckets = Array.length h.hs_buckets ->
-          let count = h.hs_count - h0.hs_count in
-          (* min/max are running extrema, not interval data: when the
-             interval added no samples they are whatever [before] left
-             behind, so report the interval's (empty) extrema instead of
-             stale values masquerading as fresh ones. *)
-          let mn, mx = if count = 0 then (nan, nan) else (h.hs_min, h.hs_max) in
-          ( k,
-            {
-              h with
-              hs_counts = Array.mapi (fun i c -> c - h0.hs_counts.(i)) h.hs_counts;
-              hs_count = count;
-              hs_sum = h.hs_sum -. h0.hs_sum;
-              hs_min = mn;
-              hs_max = mx;
-            } )
-        | _ -> (k, h))
-      after.sn_hists
-  in
-  { sn_counters = counters; sn_gauges = after.sn_gauges; sn_hists = hists }
-
 let hist_mean h = if h.hs_count = 0 then nan else h.hs_sum /. float_of_int h.hs_count
 
 (* Quantile estimation from bucket counts: find the bucket holding the

@@ -1,5 +1,5 @@
 (** Metrics registry: named counters, gauges, and fixed-bucket
-    histograms, with a snapshot/diff API and JSON export.
+    histograms, with snapshots and JSON export.
 
     Instrumentation sites call the global no-argument-registry functions
     ({!incr}, {!set_gauge}, {!observe_int}, …); they act on the
@@ -94,15 +94,6 @@ type snapshot = {
 
 val snapshot : t -> snapshot
 
-val diff : before:snapshot -> after:snapshot -> snapshot
-(** Counters and histogram counts/sums subtract; gauges are taken from
-    [after]. Histogram min/max are taken from [after] when the interval
-    added at least one sample — they are running extrema, so they may
-    still predate the interval — and are [nan] when the count delta is
-    zero (no samples in the interval means no extrema, not stale ones).
-    Entries only in [after] pass through; entries only in [before] are
-    dropped. *)
-
 val quantile : hist_snap -> float -> float
 (** [quantile h p] estimates the [p]-quantile ([0. <= p <= 1.]) from the
     bucket counts: the bucket containing rank [p * count] is found and
@@ -118,7 +109,7 @@ val to_json : snapshot -> Json.t
 val of_json : Json.t -> snapshot
 (** The inverse of {!to_json}, so quantiles and Prometheus exposition
     work on a snapshot loaded back from disk. Malformed entries are
-    dropped; a histogram's [null] min or max (an empty interval's nan)
+    dropped; a histogram's [null] min or max (an empty histogram's nan)
     reads back as nan. *)
 
 val render : snapshot -> string

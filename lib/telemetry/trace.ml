@@ -16,7 +16,7 @@ type span = {
 type open_span = {
   os_id : int;
   os_name : string;
-  mutable os_attrs : (string * value) list;
+  os_attrs : (string * value) list;
   os_parent : int;
   os_depth : int;
   os_start_ns : int64;
@@ -143,15 +143,6 @@ let with_span ?attrs name f =
     in
     Fun.protect ~finally:close f
 
-let add_attr key v =
-  match Atomic.get current with
-  | None -> ()
-  | Some t -> (
-    let sh = get_shard t in
-    match sh.sh_stack with
-    | [] -> ()
-    | top :: _ -> top.os_attrs <- (key, v) :: top.os_attrs)
-
 let current_span_id () =
   match Atomic.get current with
   | None -> None
@@ -172,20 +163,8 @@ let spans t =
     (fun a b -> compare (a.sp_start_ns, a.sp_id) (b.sp_start_ns, b.sp_id))
     (all_done t)
 
-let find t name = List.filter (fun s -> s.sp_name = name) (spans t)
-
 let duration_ns s = Int64.sub s.sp_stop_ns s.sp_start_ns
 let duration_ms s = Clock.ns_to_ms (duration_ns s)
-
-(* Only the owning domain's roots: worker-side spans overlap the owner's
-   enclosing region, so adding them would double-count wall-clock. *)
-let total_ns t =
-  List.fold_left
-    (fun acc s ->
-      if s.sp_parent = -1 && s.sp_tid = t.tr_owner then
-        Int64.add acc (duration_ns s)
-      else acc)
-    0L (spans t)
 
 let epoch t =
   List.fold_left

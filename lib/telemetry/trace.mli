@@ -9,7 +9,7 @@
     shard — no lock on the recording path, no cross-domain races on the
     span stack — and carry the recording domain's id in {!span.sp_tid}.
     Parentage is per-domain: a span opened on a worker domain is a root
-    of that worker's track. Reads ({!spans}, {!find}, exports) merge the
+    of that worker's track. Reads ({!spans}, exports) merge the
     shards; every [Pool.map] joins its workers before returning, so a
     quiescent-point read sees every span.
 
@@ -53,10 +53,6 @@ val with_span : ?attrs:(string * value) list -> string -> (unit -> 'a) -> 'a
 (** Run the thunk inside a named span. Nested calls on the same domain
     record parentage. The span is closed even if the thunk raises. *)
 
-val add_attr : string -> value -> unit
-(** Attach an attribute to the innermost open span of the calling
-    domain; no-op when disabled or outside any span. *)
-
 val current_span_id : unit -> int option
 (** [sp_id] of the calling domain's innermost open span — the
     correlation key structured log records carry — or [None] when
@@ -68,16 +64,8 @@ val spans : t -> span list
 (** Completed spans from every domain, in start order. Spans still open
     are not listed. *)
 
-val find : t -> string -> span list
-(** Completed spans with the given name, in start order. *)
-
 val duration_ns : span -> int64
 val duration_ms : span -> float
-
-val total_ns : t -> int64
-(** Sum of root-span durations recorded by the domain that created the
-    collector. Worker-side roots overlap those regions and are excluded
-    so wall-clock is not double-counted. *)
 
 val to_chrome_json : ?process_name:string -> t -> Json.t
 (** Chrome [trace_event] "JSON object format": [{"traceEvents": [...]}]

@@ -251,9 +251,6 @@ let map ?jobs f arr =
             | None ->
               Array.map (function Some v -> v | None -> assert false) results))
 
-let mapi ?jobs f arr =
-  map ?jobs (fun (i, x) -> f i x) (Array.mapi (fun i x -> (i, x)) arr)
-
 let map_list ?jobs f xs = Array.to_list (map ?jobs f (Array.of_list xs))
 
 let iter ?jobs f arr = ignore (map ?jobs (fun x -> f x) arr)

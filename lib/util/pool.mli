@@ -44,8 +44,6 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
     the call is nested inside another pool task. If any task raises, one of
     the raised exceptions is re-raised after all domains join. *)
 
-val mapi : ?jobs:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
-
 val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
 val iter : ?jobs:int -> ('a -> unit) -> 'a array -> unit

@@ -17,10 +17,12 @@ type t = {
   mutable t_misses : int;
   mutable t_puts : int;
   mutable t_evictions : int;
-  mutable t_approx_bytes : int;
-      (** running estimate maintained by put/evict; rescanned whenever an
-          eviction decision is actually taken, so drift from other
-          processes only costs a scan, never a wrong eviction *)
+  mutable t_approx_bytes : int option;
+      (** running estimate maintained by put/evict; [None] until the
+          first put reads the disk, so opening a store costs no scan.
+          Rescanned whenever an eviction decision is actually taken, so
+          drift from other processes only costs a scan, never a wrong
+          eviction *)
 }
 
 type stats = {
@@ -113,7 +115,6 @@ let disk_usage ~root =
 
 let open_ ?(budget_bytes = default_budget_bytes) ~root () =
   Atomic_file.mkdir_p root;
-  let _, bytes = disk_usage ~root in
   {
     t_root = root;
     t_budget = budget_bytes;
@@ -122,7 +123,7 @@ let open_ ?(budget_bytes = default_budget_bytes) ~root () =
     t_misses = 0;
     t_puts = 0;
     t_evictions = 0;
-    t_approx_bytes = bytes;
+    t_approx_bytes = None;
   }
 
 let count t f = Mutex.protect t.t_mutex (fun () -> f t)
@@ -158,7 +159,7 @@ let evict_to_budget ?keep t =
     scan t.t_root |> List.sort (fun (_, a, _) (_, b, _) -> compare a b)
   in
   let total = List.fold_left (fun a (_, _, b) -> a + b) 0 entries in
-  count t (fun t -> t.t_approx_bytes <- total);
+  count t (fun t -> t.t_approx_bytes <- Some total);
   let evicted = ref 0 in
   let remaining = ref total in
   List.iter
@@ -170,7 +171,7 @@ let evict_to_budget ?keep t =
           incr evicted;
           count t (fun t ->
             t.t_evictions <- t.t_evictions + 1;
-            t.t_approx_bytes <- t.t_approx_bytes - bytes)
+            t.t_approx_bytes <- Option.map (fun b -> b - bytes) t.t_approx_bytes)
         | exception Sys_error _ -> () (* another process got there first *)))
     entries;
   !evicted
@@ -180,11 +181,23 @@ let put t ~ns ~key bytes =
   match Atomic_file.write ~path (header (Digest.string bytes) ^ bytes) with
   | Error _ as e -> e
   | Ok () ->
-    count t (fun t ->
-      t.t_puts <- t.t_puts + 1;
-      t.t_approx_bytes <- t.t_approx_bytes + String.length bytes);
-    if t.t_approx_bytes > t.t_budget then
-      ignore (evict_to_budget ~keep:path t);
+    let total =
+      count t (fun t ->
+        t.t_puts <- t.t_puts + 1;
+        t.t_approx_bytes <-
+          Option.map (fun b -> b + String.length bytes) t.t_approx_bytes;
+        t.t_approx_bytes)
+    in
+    let total =
+      match total with
+      | Some b -> b
+      | None ->
+        (* the first put reads the disk, the entry just written included *)
+        let _, b = disk_usage ~root:t.t_root in
+        count t (fun t -> t.t_approx_bytes <- Some b);
+        b
+    in
+    if total > t.t_budget then ignore (evict_to_budget ~keep:path t);
     Ok ()
 
 let gc t = evict_to_budget t
@@ -194,7 +207,7 @@ let clear t =
   List.iter
     (fun (path, _, _) -> try Sys.remove path with Sys_error _ -> ())
     entries;
-  count t (fun t -> t.t_approx_bytes <- 0);
+  count t (fun t -> t.t_approx_bytes <- Some 0);
   List.length entries
 
 let hit_rate t =
@@ -204,7 +217,7 @@ let hit_rate t =
 
 let stats t =
   let entries, bytes = disk_usage ~root:t.t_root in
-  count t (fun t -> t.t_approx_bytes <- bytes);
+  count t (fun t -> t.t_approx_bytes <- Some bytes);
   Mutex.protect t.t_mutex (fun () ->
     {
       st_entries = entries;

@@ -55,9 +55,10 @@ val default_budget_bytes : int
 (** 256 MiB. *)
 
 val open_ : ?budget_bytes:int -> root:string -> unit -> t
-(** Open (creating as needed) a store rooted at [root]. The budget is
-    the eviction target, not a hard cap: a put may briefly exceed it
-    until the put's own eviction pass runs. *)
+(** Open (creating as needed) a store rooted at [root]. Opening reads no
+    entries: the byte total is scanned on the first {!put} (or {!gc}).
+    The budget is the eviction target, not a hard cap: a put may briefly
+    exceed it until the put's own eviction pass runs. *)
 
 val root : t -> string
 val budget_bytes : t -> int

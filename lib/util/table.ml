@@ -64,5 +64,3 @@ let render t =
     (List.rev t.rows);
   emit_rule ();
   Buffer.contents buf
-
-let pp fmt t = Format.pp_print_string fmt (render t)

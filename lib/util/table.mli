@@ -18,5 +18,3 @@ val add_rule : t -> unit
 
 val render : t -> string
 (** Render with box-drawing separators, columns padded to content width. *)
-
-val pp : Format.formatter -> t -> unit

@@ -25,20 +25,9 @@ let get t i =
   check t i;
   t.data.(i)
 
-let set t i x =
-  check t i;
-  t.data.(i) <- x
-
 let to_array t = Array.sub t.data 0 t.len
 
 let iteri f t =
   for i = 0 to t.len - 1 do
     f i t.data.(i)
   done
-
-let fold_left f acc t =
-  let acc = ref acc in
-  for i = 0 to t.len - 1 do
-    acc := f !acc t.data.(i)
-  done;
-  !acc

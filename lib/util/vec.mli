@@ -8,7 +8,5 @@ val push : 'a t -> 'a -> int
 (** Appends and returns the index of the new element. *)
 
 val get : 'a t -> int -> 'a
-val set : 'a t -> int -> 'a -> unit
 val to_array : 'a t -> 'a array
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
-val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc

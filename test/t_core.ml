@@ -50,7 +50,7 @@ let test_optimization_improves_every_benchmark () =
 
 let test_classify_genome () =
   let df = Hlsb_designs.Genome.dataflow ~lanes:2 () in
-  let r = Classify.analyze ~device:Device.ultrascale_plus df in
+  let r = Classify.analyze df in
   Alcotest.(check bool) "sees data broadcasts" true
     (List.length r.Classify.data_broadcasts > 0);
   let top = List.hd r.Classify.data_broadcasts in
@@ -60,27 +60,23 @@ let test_classify_genome () =
 
 let test_classify_hbm_sync () =
   let df = Hlsb_designs.Hbm_stencil.dataflow ~ports:8 () in
-  let r = Classify.analyze ~device:Device.alveo_u50 df in
+  let r = Classify.analyze df in
   (match r.Classify.sync_domains with
   | [ (members, _) ] -> Alcotest.(check int) "glued domain" 8 members
   | _ -> Alcotest.fail "expected one sync domain");
   Alcotest.(check bool) "report renders" true
     (String.length (Classify.to_string r) > 100)
 
-let test_classify_netlist_summary () =
+let test_classify_netlist () =
   let r =
     Pipeline.run_exn
       (Pipeline.of_spec (Option.get (Hlsb_designs.Suite.find "Stream Buffer")))
       ~recipe:Style.original
   in
-  let summary =
-    Classify.netlist_summary r.Pipeline.fr_design.Hlsb_rtlgen.Design.netlist
-  in
+  let nl = r.Pipeline.fr_design.Hlsb_rtlgen.Design.netlist in
   let ctrl_pipe =
-    List.find_map
-      (fun (cls, _, max_fo) ->
-        if cls = Netlist.Ctrl_pipeline then Some max_fo else None)
-      summary
+    Option.map (Netlist.fanout nl)
+      (Netlist.max_fanout_net nl ~cls:Netlist.Ctrl_pipeline ())
   in
   (* the stall broadcast is present and huge under the original recipe *)
   Alcotest.(check bool) "stall net dominates" true
@@ -231,7 +227,7 @@ let suite =
     Alcotest.test_case "compile small kernel" `Quick test_compile_small_kernel;
     Alcotest.test_case "classification genome" `Quick test_classify_genome;
     Alcotest.test_case "classification hbm" `Quick test_classify_hbm_sync;
-    Alcotest.test_case "classification netlist" `Quick test_classify_netlist_summary;
+    Alcotest.test_case "classification netlist" `Quick test_classify_netlist;
     Alcotest.test_case "fig9 driver" `Quick test_fig9_driver;
     Alcotest.test_case "fig17 driver" `Quick test_fig17_driver;
     Alcotest.test_case "fig16 driver" `Slow test_fig16_driver_small;

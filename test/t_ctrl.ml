@@ -152,17 +152,27 @@ let latency_network () =
   let d = mk "d" None in
   (df, a, b, c, d)
 
+(* The compile path's wait set: a member the schedule fixes is [Exact],
+   any other is [Unknown] (as [Design.emit_sync] builds it). *)
+let compile_path_wait df group =
+  Sync.prune_with_bounds
+    (List.map
+       (fun p ->
+         match (Dataflow.process df p).Dataflow.p_latency with
+         | Some l -> (p, Sync.Exact l)
+         | None -> (p, Sync.Unknown))
+       group)
+
 let test_longest_latency_wait () =
   let df, a, b, c, _ = latency_network () in
-  let w = Sync.longest_latency_wait df [ a; b; c ] in
+  let w = compile_path_wait df [ a; b; c ] in
   (* waits on exactly one representative of the max latency *)
   Alcotest.(check (list int)) "wait only the slowest" [ b ] w.Sync.waited;
-  Alcotest.(check (list int)) "skip the dominated" [ a; c ]
-    (List.sort compare w.Sync.skipped)
+  Alcotest.(check (list int)) "skip the dominated" [ a; c ] w.Sync.skipped
 
 let test_longest_latency_keeps_dynamic () =
   let df, a, b, _, d = latency_network () in
-  let w = Sync.longest_latency_wait df [ a; b; d ] in
+  let w = compile_path_wait df [ a; b; d ] in
   (* the paper's limitation: dynamic-latency modules cannot be pruned *)
   Alcotest.(check bool) "dynamic kept" true (List.mem d w.Sync.waited);
   Alcotest.(check bool) "slowest static kept" true (List.mem b w.Sync.waited);
@@ -171,13 +181,8 @@ let test_longest_latency_keeps_dynamic () =
 let test_longest_latency_empty () =
   let df, _, _, _, _ = latency_network () in
   Alcotest.check_raises "empty"
-    (Invalid_argument "Sync.longest_latency_wait: empty group") (fun () ->
-      ignore (Sync.longest_latency_wait df []))
-
-let test_group_cost () =
-  let c = Sync.group_cost ~wait:[ 1; 2; 3 ] ~started:[ 1; 2; 3; 4 ] in
-  Alcotest.(check int) "fanin" 3 c.Sync.reduce_fanin;
-  Alcotest.(check int) "fanout" 4 c.Sync.start_fanout
+    (Invalid_argument "Sync.prune_with_bounds: empty group") (fun () ->
+      ignore (compile_path_wait df []))
 
 (* ---- Style ---- *)
 
@@ -232,7 +237,6 @@ let suite =
     Alcotest.test_case "longest latency wait" `Quick test_longest_latency_wait;
     Alcotest.test_case "dynamic kept" `Quick test_longest_latency_keeps_dynamic;
     Alcotest.test_case "empty group" `Quick test_longest_latency_empty;
-    Alcotest.test_case "group cost" `Quick test_group_cost;
     Alcotest.test_case "style labels" `Quick test_style_labels;
   ]
   @ List.map QCheck_alcotest.to_alcotest
@@ -314,6 +318,42 @@ let prop_bounds_sound =
             w.Sync.waited)
         w.Sync.skipped)
 
+let prop_compile_path_wait =
+  QCheck.Test.make ~count:200
+    ~name:"compile-path wait set: every Unknown plus one slowest Exact"
+    QCheck.(list_of_size (Gen.int_range 1 8) (option (int_range 0 30)))
+    (fun raw ->
+      let members =
+        List.mapi
+          (fun i l ->
+            (i, match l with Some l -> Sync.Exact l | None -> Sync.Unknown))
+          raw
+      in
+      let w = Sync.prune_with_bounds members in
+      let unknown =
+        List.filter_map
+          (fun (i, b) -> if b = Sync.Unknown then Some i else None)
+          members
+      and exact =
+        List.filter_map
+          (fun (i, b) -> match b with Sync.Exact l -> Some (i, l) | _ -> None)
+          members
+      in
+      let anchor =
+        List.fold_left
+          (fun acc (i, l) ->
+            match acc with
+            | Some (_, best) when best >= l -> acc
+            | _ -> Some (i, l))
+          None exact
+        |> Option.map fst
+      in
+      w.Sync.waited = List.sort compare (Option.to_list anchor @ unknown)
+      && w.Sync.skipped
+         = List.filter_map
+             (fun (i, _) -> if Some i = anchor then None else Some i)
+             exact)
+
 let interval_suite =
   [
     Alcotest.test_case "bounds exact = classic" `Quick test_bounds_exact_matches_classic;
@@ -323,6 +363,7 @@ let interval_suite =
     Alcotest.test_case "bounds errors" `Quick test_bounds_errors;
     Alcotest.test_case "bound of trip count" `Quick test_bound_of_trip_count;
     QCheck_alcotest.to_alcotest prop_bounds_sound;
+    QCheck_alcotest.to_alcotest prop_compile_path_wait;
   ]
 
 let suite = suite @ interval_suite

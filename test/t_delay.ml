@@ -73,14 +73,18 @@ let test_stage_delay_divides () =
     stage
 
 let test_mem_measured_grows_with_units () =
-  let m1 = Characterize.mem_write dev ~units:1 in
-  let m256 = Characterize.mem_write dev ~units:256 in
-  Alcotest.(check bool) "grows" true (m256 > m1 *. 2.)
+  match Characterize.mem_write_curve ~jobs:1 dev ~units:[| 1; 256 |] with
+  | [| m1; m256 |] ->
+    Alcotest.(check bool) "grows" true
+      (m256.Characterize.measured > m1.Characterize.measured *. 2.)
+  | _ -> Alcotest.fail "one point per unit count"
 
 let test_mem_read_grows () =
-  let r1 = Characterize.mem_read dev ~units:1 in
-  let r256 = Characterize.mem_read dev ~units:256 in
-  Alcotest.(check bool) "grows" true (r256 > r1)
+  match Characterize.mem_read_curve ~jobs:1 dev ~units:[| 1; 256 |] with
+  | [| r1; r256 |] ->
+    Alcotest.(check bool) "grows" true
+      (r256.Characterize.measured > r1.Characterize.measured)
+  | _ -> Alcotest.fail "one point per unit count"
 
 let test_calibrated_at_least_predicted () =
   let cal = Calibrate.create dev in

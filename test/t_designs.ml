@@ -94,7 +94,7 @@ let test_vector_sync_connected () =
     (List.length (Dataflow.sync_groups pruned));
   match Dataflow.sync_groups df with
   | [ g ] ->
-    let w = Hlsb_ctrl.Sync.longest_latency_wait df g in
+    let w = T_ctrl.compile_path_wait df g in
     Alcotest.(check bool) "latency pruning drops members" true
       (List.length w.Hlsb_ctrl.Sync.skipped > 0)
   | _ -> Alcotest.fail "expected one group"

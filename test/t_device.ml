@@ -24,12 +24,6 @@ let test_vu9p_magnitudes () =
   Alcotest.(check int) "bram18" 4_320 d.Device.bram18;
   Alcotest.(check int) "dsps" 6_840 d.Device.dsps
 
-let test_slices_for_luts () =
-  let d = Device.ultrascale_plus in
-  Alcotest.(check int) "exact" 1 (Device.slices_for_luts d 8);
-  Alcotest.(check int) "round up" 2 (Device.slices_for_luts d 9);
-  Alcotest.(check int) "zero" 0 (Device.slices_for_luts d 0)
-
 let test_bram18_for_bits () =
   (* 32 x 512 = 16 kbit fits one unit *)
   Alcotest.(check int) "one unit" 1 (Device.bram18_for ~width:32 ~depth:512);
@@ -87,7 +81,6 @@ let suite =
     Alcotest.test_case "known devices" `Quick test_known_devices;
     Alcotest.test_case "find" `Quick test_find;
     Alcotest.test_case "vu9p magnitudes" `Quick test_vu9p_magnitudes;
-    Alcotest.test_case "slices for luts" `Quick test_slices_for_luts;
     Alcotest.test_case "bram by bits" `Quick test_bram18_for_bits;
     Alcotest.test_case "bram by width" `Quick test_bram18_for_width;
     Alcotest.test_case "bram invalid" `Quick test_bram18_invalid;

@@ -99,27 +99,6 @@ let test_validate_seq_feedback_ok () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
-let test_merge () =
-  let a = Netlist.create ~name:"a" in
-  let b = Netlist.create ~name:"b" in
-  let r1 = reg a "r1" in
-  let r2 = reg b "r2" in
-  let r3 = reg b "r3" in
-  ignore (Netlist.add_net b ~name:"n" ~driver:r2 ~sinks:[ r3 ] ~width:32 ());
-  (* a net [a] is still writing keeps its pieces across the merge *)
-  Netlist.push_sink a r1;
-  Netlist.name_str a "p";
-  let cell_map, net_map = Netlist.merge a b in
-  Alcotest.(check int) "total cells" 3 (Netlist.n_cells a);
-  Alcotest.(check int) "total nets" 1 (Netlist.n_nets a);
-  Alcotest.(check int) "driver remapped" cell_map.(0)
-    (Netlist.driver a net_map.(0));
-  Alcotest.(check string) "name carried" "r2" (Netlist.cell_name a cell_map.(0));
-  let n = Netlist.add_net a ~name:"q" ~driver:cell_map.(0) ~sinks:[] ~width:1 () in
-  Alcotest.(check string) "pending name" "pq" (Netlist.net_name a n);
-  Alcotest.(check (list int)) "pending sink" [ r1 ]
-    (List.init (Netlist.fanout a n) (Netlist.sink a n))
-
 (* ---- Arcs ---- *)
 
 (* The order invariant, restated with per-cell cons lists: walking nets
@@ -196,9 +175,7 @@ let prop_arcs_order =
     (fun seed ->
       let rng = Hlsb_util.Rng.create seed in
       let a = random_netlist rng "a" in
-      let plain = Netlist.arcs a = reference_arcs a in
-      ignore (Netlist.merge a (random_netlist rng "b"));
-      plain && Netlist.arcs a = reference_arcs a)
+      Netlist.arcs a = reference_arcs a)
 
 (* ---- Names ---- *)
 
@@ -262,21 +239,17 @@ let names_of nl =
     List.init (Netlist.n_nets nl) (Netlist.net_name nl) )
 
 let prop_names_spelled =
-  QCheck.Test.make ~count:200 ~name:"names spell their pieces, merged too"
+  QCheck.Test.make ~count:200 ~name:"names spell their pieces"
     QCheck.small_nat
     (fun seed ->
       let rng = Hlsb_util.Rng.create seed in
       let a, a_cells, a_nets = named_netlist rng "a" in
-      let b, b_cells, b_nets = named_netlist rng "b" in
       let plain = names_of a = (a_cells, a_nets) in
-      (* a name still being written in [dst] stays pending across merge *)
+      (* pieces written ahead of an add name the element added next *)
       Netlist.name_str a "pending.";
       Netlist.name_int a (-7);
-      ignore (Netlist.merge a b);
       ignore (Netlist.add_cell a ~name:"_end" ~kind:Netlist.Seq ~delay:0. ~res:Netlist.zero_res);
-      plain
-      && names_of a = (a_cells @ b_cells @ [ "pending.-7_end" ], a_nets @ b_nets)
-      && names_of b = (b_cells, b_nets))
+      plain && names_of a = (a_cells @ [ "pending.-7_end" ], a_nets))
 
 (* ---- Macro ---- *)
 
@@ -291,13 +264,6 @@ let test_macro_fifo_mapping () =
   Alcotest.(check int) "small fifo uses no bram" 0 small.Netlist.r_bram18;
   let big = Macro.fifo ~width:512 ~depth:128 in
   Alcotest.(check bool) "big fifo uses bram" true (big.Netlist.r_bram18 > 0)
-
-let test_macro_and_tree_levels () =
-  Alcotest.(check int) "1 input" 0 (Macro.and_tree_levels 1);
-  Alcotest.(check int) "6 inputs" 1 (Macro.and_tree_levels 6);
-  Alcotest.(check int) "7 inputs" 2 (Macro.and_tree_levels 7);
-  Alcotest.(check int) "36 inputs" 2 (Macro.and_tree_levels 36);
-  Alcotest.(check int) "216" 3 (Macro.and_tree_levels 216)
 
 let test_macro_register () =
   Alcotest.(check int) "ffs" 48 (Macro.register 48).Netlist.r_ffs
@@ -408,10 +374,8 @@ let suite =
     Alcotest.test_case "utilization" `Quick test_utilization;
     Alcotest.test_case "comb cycle flagged" `Quick test_validate_comb_cycle;
     Alcotest.test_case "seq feedback legal" `Quick test_validate_seq_feedback_ok;
-    Alcotest.test_case "merge" `Quick test_merge;
     Alcotest.test_case "macro int mul" `Quick test_macro_int_mul;
     Alcotest.test_case "macro fifo mapping" `Quick test_macro_fifo_mapping;
-    Alcotest.test_case "macro and-tree levels" `Quick test_macro_and_tree_levels;
     Alcotest.test_case "macro register" `Quick test_macro_register;
     Alcotest.test_case "membank units" `Quick test_membank_units;
     Alcotest.test_case "membank read pipeline" `Quick test_membank_read_pipeline;

@@ -130,10 +130,6 @@ let test_report_text () =
   let text = Report.to_string s in
   Alcotest.(check bool) "mentions kernel" true (String.length text > 40)
 
-let test_report_latency () =
-  let s = Schedule.run Schedule.Baseline (chain_kernel 5) in
-  Alcotest.(check int) "latency = depth" s.Schedule.depth (Report.latency s)
-
 let test_stage_widths_spindle () =
   (* a dot-product + scalar-broadcast kernel narrows to one value in the
      middle: the Fig. 17 spindle *)
@@ -355,7 +351,6 @@ let suite =
     Alcotest.test_case "target respected" `Quick test_target_respected;
     Alcotest.test_case "bad target" `Quick test_bad_target;
     Alcotest.test_case "report text" `Quick test_report_text;
-    Alcotest.test_case "report latency" `Quick test_report_latency;
     Alcotest.test_case "stage widths spindle" `Quick test_stage_widths_spindle;
     Alcotest.test_case "chain delays bounded" `Quick test_chain_delays_bounded;
     Alcotest.test_case "violations baseline vs aware" `Quick

@@ -272,6 +272,29 @@ let test_store_lru_eviction () =
             (Some (payload i)) got)
       keys)
 
+(* Opening reads no entries; the byte total is read on the first put, so
+   a second handle on a populated root still evicts to its budget. *)
+let test_store_second_handle_evicts () =
+  with_temp_dir (fun root ->
+    let payload i = Printf.sprintf "payload-%d-%s" i (String.make 100 'x') in
+    let bytes = String.length (payload 0) in
+    let key i = Store.key ~parts:[ "e"; string_of_int i ] in
+    let put t i =
+      match Store.put t ~ns:"n" ~key:(key i) (payload i) with
+      | Ok () -> ()
+      | Error m -> Alcotest.fail m
+    in
+    let first = Store.open_ ~root () in
+    List.iter (put first) [ 0; 1; 2; 3 ];
+    let second = Store.open_ ~budget_bytes:(2 * bytes) ~root () in
+    put second 4;
+    let st = Store.stats second in
+    Alcotest.(check bool) "within budget after the first put" true
+      (st.Store.st_bytes <= 2 * bytes);
+    Alcotest.(check int) "evicted the older entries" 3 st.Store.st_evictions;
+    Alcotest.(check (option string)) "the new entry survives" (Some (payload 4))
+      (Store.find second ~ns:"n" ~key:(key 4)))
+
 let test_sanitize_ns () =
   Alcotest.(check string) "passthrough" "uid1000" (Store.sanitize_ns "uid1000");
   Alcotest.(check string) "lowered and stripped" "alicehost"
@@ -815,6 +838,8 @@ let suite =
     Alcotest.test_case "store: root is a file; calibration still answers"
       `Quick test_store_root_is_a_file;
     Alcotest.test_case "store: namespace sanitization" `Quick test_sanitize_ns;
+    Alcotest.test_case "store: a second handle evicts on its first put" `Quick
+      test_store_second_handle_evicts;
     Alcotest.test_case "cross-process: concurrent writers leave whole files"
       `Slow test_multiprocess_writers;
     Alcotest.test_case "protocol: request round-trip" `Quick

@@ -15,7 +15,6 @@ let test_fifo_order () =
   Fifo.push f 1;
   Fifo.push f 2;
   Fifo.push f 3;
-  Alcotest.(check (option int)) "peek" (Some 1) (Fifo.peek f);
   Alcotest.(check (option int)) "pop 1" (Some 1) (Fifo.pop f);
   Alcotest.(check (option int)) "pop 2" (Some 2) (Fifo.pop f);
   Alcotest.(check int) "length" 1 (Fifo.length f)

@@ -1,67 +1,39 @@
-(* Unit + property tests for the utility library. *)
+(* Unit + property tests for the utility library, plus the neighbour
+   smoothing the delay calibration applies to its curves. *)
 
-module Stats = Hlsb_util.Stats
+module Calibrate = Hlsb_delay.Calibrate
 module Rng = Hlsb_util.Rng
 module Intgraph = Hlsb_util.Intgraph
 module Vec = Hlsb_util.Vec
 module Table = Hlsb_util.Table
 module Pool = Hlsb_util.Pool
 
-let feq ?(eps = 1e-9) a b = abs_float (a -. b) < eps
-
 let check_float name expected got =
   Alcotest.(check (float 1e-9)) name expected got
 
-(* ---- Stats ---- *)
-
-let test_mean () =
-  check_float "mean" 2. (Stats.mean [ 1.; 2.; 3. ]);
-  check_float "singleton" 5. (Stats.mean [ 5. ])
-
-let test_mean_empty () =
-  Alcotest.check_raises "empty mean" (Invalid_argument "Stats.mean: empty")
-    (fun () -> ignore (Stats.mean []))
-
-let test_stddev () =
-  check_float "constant" 0. (Stats.stddev [ 4.; 4.; 4. ]);
-  Alcotest.(check bool) "two-point" true (feq (Stats.stddev [ 0.; 2. ]) 1.)
-
-let test_percentile () =
-  let xs = [ 1.; 2.; 3.; 4.; 5. ] in
-  check_float "p0" 1. (Stats.percentile 0. xs);
-  check_float "p50" 3. (Stats.percentile 50. xs);
-  check_float "p100" 5. (Stats.percentile 100. xs);
-  check_float "p25" 2. (Stats.percentile 25. xs)
-
-let test_percentile_range () =
-  Alcotest.check_raises "p out of range"
-    (Invalid_argument "Stats.percentile: p out of range") (fun () ->
-      ignore (Stats.percentile 150. [ 1. ]))
+(* ---- Smoothing (Calibrate.smooth_neighbors) ---- *)
 
 let test_smooth_identity () =
   let xs = [| 1.; 5.; 2.; 8. |] in
-  let s = Stats.smooth_neighbors ~window:0 xs in
+  let s = Calibrate.smooth_neighbors ~window:0 xs in
   Alcotest.(check (array (float 1e-9))) "window 0 is identity" xs s
 
 let test_smooth_window1 () =
-  let s = Stats.smooth_neighbors ~window:1 [| 0.; 3.; 6. |] in
+  let s = Calibrate.smooth_neighbors ~window:1 [| 0.; 3.; 6. |] in
   check_float "left edge" 1.5 s.(0);
   check_float "middle" 3. s.(1);
   check_float "right edge" 4.5 s.(2)
 
 let test_smooth_preserves_constant () =
-  let s = Stats.smooth_neighbors ~window:3 (Array.make 10 7.) in
+  let s = Calibrate.smooth_neighbors ~window:3 (Array.make 10 7.) in
   Array.iter (fun v -> check_float "constant" 7. v) s
 
-let test_total_variation () =
-  check_float "tv" 6. (Stats.total_variation [| 0.; 3.; 0.; 3. |] -. 3.);
-  check_float "tv empty" 0. (Stats.total_variation [||])
-
-let test_geometric_mean () =
-  check_float "gm" 2. (Stats.geometric_mean [ 1.; 4. ]);
-  Alcotest.check_raises "non-positive"
-    (Invalid_argument "Stats.geometric_mean: non-positive") (fun () ->
-      ignore (Stats.geometric_mean [ 1.; 0. ]))
+let total_variation xs =
+  let acc = ref 0. in
+  for i = 1 to Array.length xs - 1 do
+    acc := !acc +. abs_float (xs.(i) -. xs.(i - 1))
+  done;
+  !acc
 
 let prop_smoothing_reduces_variation =
   QCheck.Test.make ~count:200
@@ -69,20 +41,8 @@ let prop_smoothing_reduces_variation =
     QCheck.(list_of_size (Gen.int_range 2 40) (float_bound_exclusive 100.))
     (fun xs ->
       let arr = Array.of_list xs in
-      let s = Stats.smooth_neighbors ~window:1 arr in
-      Stats.total_variation s <= Stats.total_variation arr +. 1e-9)
-
-let prop_percentile_bounds =
-  QCheck.Test.make ~count:200 ~name:"percentile within min/max"
-    QCheck.(
-      pair
-        (list_of_size (Gen.int_range 1 30) (float_bound_exclusive 100.))
-        (float_bound_inclusive 100.))
-    (fun (xs, p) ->
-      let v = Stats.percentile p xs in
-      let lo = List.fold_left min infinity xs in
-      let hi = List.fold_left max neg_infinity xs in
-      v >= lo -. 1e-9 && v <= hi +. 1e-9)
+      let s = Calibrate.smooth_neighbors ~window:1 arr in
+      total_variation s <= total_variation arr +. 1e-9)
 
 (* ---- Rng ---- *)
 
@@ -121,8 +81,9 @@ let test_rng_gaussian_moments () =
   let rng = Rng.create 11 in
   let n = 20000 in
   let xs = List.init n (fun _ -> Rng.gaussian rng ~mu:2. ~sigma:0.5) in
-  let m = Stats.mean xs in
-  let s = Stats.stddev xs in
+  let mean xs = List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs) in
+  let m = mean xs in
+  let s = sqrt (mean (List.map (fun x -> (x -. m) ** 2.) xs)) in
   Alcotest.(check bool) "mean ~ 2" true (abs_float (m -. 2.) < 0.02);
   Alcotest.(check bool) "sigma ~ 0.5" true (abs_float (s -. 0.5) < 0.02)
 
@@ -202,12 +163,6 @@ let test_vec_push_get () =
   Alcotest.(check int) "length" 100 (Vec.length v);
   Alcotest.(check int) "get" 84 (Vec.get v 42)
 
-let test_vec_set () =
-  let v = Vec.create () in
-  ignore (Vec.push v 1);
-  Vec.set v 0 9;
-  Alcotest.(check int) "set" 9 (Vec.get v 0)
-
 let test_vec_bounds () =
   let v = Vec.create () in
   ignore (Vec.push v 1);
@@ -217,7 +172,9 @@ let test_vec_bounds () =
 let test_vec_fold () =
   let v = Vec.create () in
   List.iter (fun x -> ignore (Vec.push v x)) [ 1; 2; 3 ];
-  Alcotest.(check int) "fold" 6 (Vec.fold_left ( + ) 0 v);
+  let sum = ref 0 in
+  Vec.iteri (fun _ x -> sum := !sum + x) v;
+  Alcotest.(check int) "iteri visits all" 6 !sum;
   Alcotest.(check (array int)) "to_array" [| 1; 2; 3 |] (Vec.to_array v)
 
 (* ---- Table ---- *)
@@ -259,13 +216,6 @@ let test_pool_matches_sequential () =
         expected
         (Pool.map ~jobs f arr))
     [ 1; 2; 3; 4; 8 ]
-
-let test_pool_mapi () =
-  let arr = Array.make 50 10 in
-  Alcotest.(check (array int))
-    "mapi"
-    (Array.mapi (fun i x -> i + x) arr)
-    (Pool.mapi ~jobs:4 (fun i x -> i + x) arr)
 
 let test_pool_map_list () =
   let xs = List.init 33 string_of_int in
@@ -368,16 +318,9 @@ let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
   [
-    Alcotest.test_case "stats mean" `Quick test_mean;
-    Alcotest.test_case "stats mean empty" `Quick test_mean_empty;
-    Alcotest.test_case "stats stddev" `Quick test_stddev;
-    Alcotest.test_case "stats percentile" `Quick test_percentile;
-    Alcotest.test_case "stats percentile range" `Quick test_percentile_range;
     Alcotest.test_case "smooth identity" `Quick test_smooth_identity;
     Alcotest.test_case "smooth window 1" `Quick test_smooth_window1;
     Alcotest.test_case "smooth constant" `Quick test_smooth_preserves_constant;
-    Alcotest.test_case "total variation" `Quick test_total_variation;
-    Alcotest.test_case "geometric mean" `Quick test_geometric_mean;
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng bad bound" `Quick test_rng_bad_bound;
@@ -389,13 +332,11 @@ let suite =
     Alcotest.test_case "graph components" `Quick test_graph_components;
     Alcotest.test_case "graph bad edge" `Quick test_graph_bad_edge;
     Alcotest.test_case "vec push/get" `Quick test_vec_push_get;
-    Alcotest.test_case "vec set" `Quick test_vec_set;
     Alcotest.test_case "vec bounds" `Quick test_vec_bounds;
     Alcotest.test_case "vec fold" `Quick test_vec_fold;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table arity" `Quick test_table_arity;
     Alcotest.test_case "pool matches sequential" `Quick test_pool_matches_sequential;
-    Alcotest.test_case "pool mapi" `Quick test_pool_mapi;
     Alcotest.test_case "pool map_list" `Quick test_pool_map_list;
     Alcotest.test_case "pool iter" `Quick test_pool_iter;
     Alcotest.test_case "pool exception" `Quick test_pool_exception;
@@ -409,7 +350,6 @@ let suite =
   @ qsuite
       [
         prop_smoothing_reduces_variation;
-        prop_percentile_bounds;
         prop_topo_respects_edges;
         prop_pool_matches_map;
       ]
