@@ -21,7 +21,6 @@
 module Experiments = Core.Experiments
 module Pipeline = Core.Pipeline
 module Explore = Hlsb_explore.Explore
-module Explore_driver = Hlsb_explore.Experiments
 module Diag = Hlsb_util.Diag
 module Pool = Hlsb_util.Pool
 module Calibrate = Hlsb_delay.Calibrate
@@ -754,6 +753,7 @@ let cmd_fuzz =
   let module Campaign = Hlsb_fuzz.Campaign in
   let module Oracle = Hlsb_fuzz.Oracle in
   let module Gen = Hlsb_fuzz.Gen in
+  let oracle_names sep = String.concat sep (List.map Oracle.to_string Oracle.all) in
   let parse_oracles = function
     | None -> Oracle.all
     | Some spec ->
@@ -766,7 +766,7 @@ let cmd_fuzz =
            | Some o -> o
            | None ->
              Printf.eprintf "unknown oracle %S (%s)\n" s
-               (String.concat " | " (List.map Oracle.to_string Oracle.all));
+               (oracle_names " | ");
              exit 1)
   in
   let replay path =
@@ -837,8 +837,8 @@ let cmd_fuzz =
       & opt (some string) None
       & info [ "oracle" ] ~docv:"NAMES"
           ~doc:
-            "Comma-separated oracle subset: stall-skid | network | cache | \
-             jobs (default: all).")
+            ("Comma-separated oracle subset: " ^ oracle_names " | "
+           ^ " (default: all)."))
   in
   let out_arg =
     Arg.(
@@ -856,9 +856,9 @@ let cmd_fuzz =
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:
-         "Differential fuzzing: random designs checked by cross-layer oracles \
-          (stall vs skid, network conservation, compile cache, job-count \
-          invariance), with greedy shrinking of failures")
+         ("Differential fuzzing: random designs checked by cross-layer \
+           oracles (" ^ oracle_names ", "
+        ^ "), with greedy shrinking of failures"))
     Term.(
       const run $ common_term $ seed_arg $ runs_arg $ oracle_arg $ out_arg
       $ replay_arg)
@@ -920,22 +920,26 @@ let cmd_explore =
           | rp -> [ rp ]
           | exception Diag.Diagnostic d -> fail_diag d)
         | None -> (
-          let subset =
+          let specs =
             match designs with
-            | None -> None
+            | None -> Hlsb_designs.Suite.all
             | Some s ->
-              Some
-                (String.split_on_char ',' s
-                |> List.filter_map (fun n ->
-                     let n = String.trim n in
-                     if n = "" then None
-                     else Some (find_design n).Spec.sp_name))
+              String.split_on_char ',' s
+              |> List.filter_map (fun n ->
+                   let n = String.trim n in
+                   if n = "" then None else Some (find_design n))
           in
-          match Explore_driver.run_explore ?subset ~budget ~t0 ~tol ~max_probes () with
+          match
+            Pool.map_list
+              (fun (s : Spec.t) ->
+                Explore.run_design ~budget ~t0 ~tol ~max_probes
+                  (Pipeline.of_spec s) ~name:s.Spec.sp_name)
+              specs
+          with
           | rps -> rps
           | exception Diag.Diagnostic d -> fail_diag d))
     in
-    print_string (Explore_driver.render_explore reports);
+    print_string (Explore.table reports);
     List.iter
       (fun rp ->
         print_newline ();

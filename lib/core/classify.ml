@@ -42,7 +42,10 @@ let stall_targets (k : Kernel.t) =
     (Dag.buffers dag);
   !count
 
-let analyze ?(threshold = 8) (df : Dataflow.t) =
+(* The minimum read count (or BRAM unit count) that makes a broadcast. *)
+let threshold = 8
+
+let analyze (df : Dataflow.t) =
   let data = ref [] and mem = ref [] and pipe = ref [] in
   Array.iter
     (fun (p : Dataflow.process) ->

@@ -21,16 +21,16 @@ type mem_broadcast = {
 }
 
 type report = {
-  data_broadcasts : source_broadcast list;  (** reads >= threshold, desc *)
-  mem_broadcasts : mem_broadcast list;
+  data_broadcasts : source_broadcast list;  (** reads >= 8, desc *)
+  mem_broadcasts : mem_broadcast list;  (** units >= 8, desc *)
   sync_domains : (int * int) list;
       (** per sync group: (members, reduce+broadcast fanout) *)
   pipeline_domains : (string * int) list;
       (** per kernel: sequential elements a stall net would have to reach *)
 }
 
-val analyze : ?threshold:int -> Dataflow.t -> report
-(** [threshold] is the minimum read count to call something a broadcast
-    (default 8). *)
+val analyze : Dataflow.t -> report
+(** A value read by at least 8 instructions is a data broadcast, and a
+    buffer spanning at least 8 BRAM units a memory broadcast. *)
 
 val to_string : report -> string

@@ -214,11 +214,11 @@ type fig9_series = {
   f9_rows : Calibrate.curve_row list;
 }
 
-let run_fig9 ?(device = Device.ultrascale_plus) ?jobs () =
-  let cal = Calibrate.shared device in
+let run_fig9 () =
+  let cal = Calibrate.shared Device.ultrascale_plus in
   (* The three curve families are distinct calibration keys, so they
      characterize concurrently on the shared instance. *)
-  Pool.map_list ?jobs
+  Pool.map_list
     (fun (label, build) -> { f9_label = label; f9_rows = build () })
     [
       ("add (int32)", fun () -> Calibrate.op_curve cal Op.Add (Dtype.Int 32));
@@ -266,12 +266,12 @@ type fig15_row = {
 
 let array_max a = Array.fold_left max 0. a
 
-let run_fig15 ?(factors = [ 8; 16; 32; 64; 128 ]) ?jobs () =
+let run_fig15 ?(factors = [ 8; 16; 32; 64; 128 ]) () =
   let dev = Device.ultrascale_plus in
   let cal = Calibrate.shared dev in
   (* Shared calibrate is warmed by the first unroll point; the per-factor
      schedule + compile pairs are independent. *)
-  Pool.map_list ?jobs
+  Pool.map_list
     (fun unroll ->
       let kernel () =
         Hlsb_designs.Genome.kernel ~back_search_count:unroll ~lane:0 ()
@@ -339,9 +339,9 @@ type fig16_row = {
   f16_skid_mhz : float;
 }
 
-let run_fig16 ?(iterations = [ 1; 2; 4; 8 ]) ?jobs () =
+let run_fig16 ?(iterations = [ 1; 2; 4; 8 ]) () =
   let dev = Device.ultrascale_plus in
-  Pool.map_list ?jobs
+  Pool.map_list
     (fun iters ->
       (* stall and skid agree on Sched_aware, so the session reuses both
          the elaborated network and the schedule between them *)
@@ -457,9 +457,9 @@ type fig19_row = {
   f19_full_opt_mhz : float;
 }
 
-let run_fig19 ?(sizes = [ 8192; 16384; 32768; 65536; 131072 ]) ?jobs () =
+let run_fig19 ?(sizes = [ 8192; 16384; 32768; 65536; 131072 ]) () =
   let dev = Device.ultrascale_plus in
-  Pool.map_list ?jobs
+  Pool.map_list
     (fun words ->
       let session =
         Pipeline.create ~device:dev

@@ -38,9 +38,9 @@ type fig9_series = {
   f9_rows : Hlsb_delay.Calibrate.curve_row list;
 }
 
-val run_fig9 :
-  ?device:Hlsb_device.Device.t -> ?jobs:int -> unit -> fig9_series list
-(** Delay vs broadcast factor: int add, BRAM write (by depth), float mul. *)
+val run_fig9 : unit -> fig9_series list
+(** Delay vs broadcast factor on UltraScale+: int add, BRAM write (by
+    depth), float mul. *)
 
 type fig15_row = {
   f15_unroll : int;
@@ -51,7 +51,7 @@ type fig15_row = {
   f15_opt_mhz : float;  (** Fig. 15b: broadcast-aware schedule *)
 }
 
-val run_fig15 : ?factors:int list -> ?jobs:int -> unit -> fig15_row list
+val run_fig15 : ?factors:int list -> unit -> fig15_row list
 
 type fig16_row = {
   f16_iterations : int;
@@ -60,7 +60,7 @@ type fig16_row = {
   f16_skid_mhz : float;
 }
 
-val run_fig16 : ?iterations:int list -> ?jobs:int -> unit -> fig16_row list
+val run_fig16 : ?iterations:int list -> unit -> fig16_row list
 
 type fig17_result = {
   f17_widths : int array;  (** live bits at each stage boundary *)
@@ -80,7 +80,7 @@ type fig19_row = {
   f19_full_opt_mhz : float;
 }
 
-val run_fig19 : ?sizes:int list -> ?jobs:int -> unit -> fig19_row list
+val run_fig19 : ?sizes:int list -> unit -> fig19_row list
 
 (** {1 Sections}
 

@@ -176,12 +176,10 @@ type artifact = {
 type session = {
   ss_device : Device.t;
   ss_name : string;
-  ss_target_mhz : float option;
   ss_kernel_naming : bool;
   ss_build : unit -> Dataflow.t;
   ss_program : Ast.program option;
       (** source program (cc sessions); [None] for IR-level sessions *)
-  ss_top : string option;
   mutable ss_transformed : (string * Ast.program) list;
       (** plan key -> transformed program *)
   mutable ss_dfs : (string * Dataflow.t) list;  (** plan key -> network *)
@@ -197,15 +195,13 @@ type session = {
   mutable ss_diags : Diag.t list;  (** reversed *)
 }
 
-let create ?target_mhz ~device ~name ~build () =
+let create ~device ~name ~build () =
   {
     ss_device = device;
     ss_name = name;
-    ss_target_mhz = target_mhz;
     ss_kernel_naming = false;
     ss_build = build;
     ss_program = None;
-    ss_top = None;
     ss_transformed = [];
     ss_dfs = [];
     ss_classify = [];
@@ -216,23 +212,22 @@ let create ?target_mhz ~device ~name ~build () =
     ss_diags = [];
   }
 
-let of_program ?target_mhz ?top ~device ~name program =
+let of_program ~device ~name program =
   {
-    (create ?target_mhz ~device ~name
+    (create ~device ~name
        ~build:(fun () -> invalid_arg "program session has no IR build")
        ())
     with
     ss_program = Some program;
-    ss_top = top;
   }
 
-let of_spec ?target_mhz (spec : Spec.t) =
-  create ?target_mhz ~device:spec.Spec.sp_device ~name:spec.Spec.sp_name
+let of_spec (spec : Spec.t) =
+  create ~device:spec.Spec.sp_device ~name:spec.Spec.sp_name
     ~build:spec.Spec.sp_build ()
 
-let of_kernel ?target_mhz ~device kernel =
+let of_kernel ~device kernel =
   {
-    (create ?target_mhz ~device ~name:kernel.Kernel.name
+    (create ~device ~name:kernel.Kernel.name
        ~build:(fun () -> Design.kernel_dataflow kernel)
        ())
     with
@@ -362,7 +357,7 @@ let elaborate ?(plan = Plan.identity) t ~recipe =
         match prog with
         | None -> t.ss_build ()
         | Some p -> (
-          match Frontend.design_of_program ?top:t.ss_top p with
+          match Frontend.design_of_program p with
           | Ok df -> df
           | Error e ->
             raise
@@ -386,15 +381,11 @@ let elaborate ?(plan = Plan.identity) t ~recipe =
       t.ss_dfs <- (key, df) :: t.ss_dfs;
       df)
 
-(* Schedules are keyed on the effective target — the override, else the
-   session's, else [Schedule.default_target_mhz] — so the explorer's
-   first probe at 300 MHz shares the untuned compile's schedule. *)
+(* Schedules are keyed on the effective target — the run's override,
+   else [Schedule.default_target_mhz] — so the explorer's first probe at
+   300 MHz shares the untuned compile's schedule. *)
 let scheduled ?(plan = Plan.identity) ?target_mhz ?inject t ~recipe df =
-  let target =
-    match (target_mhz, t.ss_target_mhz) with
-    | Some m, _ | None, Some m -> m
-    | None, None -> Schedule.default_target_mhz
-  in
+  let target = Option.value target_mhz ~default:Schedule.default_target_mhz in
   let key = (plan_key plan, target, inject, recipe.Style.sched) in
   match List.assoc_opt key t.ss_scheds with
   | Some scheds ->
@@ -687,7 +678,7 @@ let timing_to_json (r : Timing.report) =
              r.Timing.path) );
     ]
 
-let dump_after ?name ?(plan = Plan.identity) t ~recipe stage =
+let dump_after ?(plan = Plan.identity) t ~recipe stage =
   let render () =
     match stage with
     | Transform -> (
@@ -720,7 +711,7 @@ let dump_after ?name ?(plan = Plan.identity) t ~recipe stage =
          sync controllers, and this dump is specifically the pre-sync view *)
       let df = elaborate ~plan t ~recipe in
       let scheds = scheduled ~plan t ~recipe df in
-      let _, netlist_name = effective_names ?name t ~recipe in
+      let _, netlist_name = effective_names t ~recipe in
       let dp =
         exec t ~recipe Lower (fun () ->
           Design.lower_processes ~device:t.ss_device ~recipe ~name:netlist_name
@@ -728,10 +719,10 @@ let dump_after ?name ?(plan = Plan.identity) t ~recipe stage =
       in
       Export.to_dot dp.Design.dp_netlist
     | Sync ->
-      let c = compiled_exn ?name ~plan t ~recipe in
+      let c = compiled_exn ~plan t ~recipe in
       Export.to_dot c.co_design.Design.netlist
     | Place ->
-      let c = compiled_exn ?name ~plan t ~recipe in
+      let c = compiled_exn ~plan t ~recipe in
       Json.to_string ~minify:false
         (Json.Obj
            [
@@ -741,10 +732,10 @@ let dump_after ?name ?(plan = Plan.identity) t ~recipe stage =
            ])
       ^ "\n"
     | Sta ->
-      let c = compiled_exn ?name ~plan t ~recipe in
+      let c = compiled_exn ~plan t ~recipe in
       Json.to_string ~minify:false (timing_to_json c.co_timing) ^ "\n"
     | Report ->
-      let c = compiled_exn ?name ~plan t ~recipe in
+      let c = compiled_exn ~plan t ~recipe in
       Json.to_string ~minify:false (result_to_json c.co_result) ^ "\n"
   in
   match render () with

@@ -79,7 +79,6 @@ val finish :
 type session
 
 val create :
-  ?target_mhz:float ->
   device:Hlsb_device.Device.t ->
   name:string ->
   build:(unit -> Hlsb_ir.Dataflow.t) ->
@@ -87,8 +86,6 @@ val create :
   session
 
 val of_program :
-  ?target_mhz:float ->
-  ?top:string ->
   device:Hlsb_device.Device.t ->
   name:string ->
   Hlsb_frontend.Ast.program ->
@@ -101,11 +98,10 @@ val of_program :
     plan asks for it). The identity plan compiles exactly what
     [Frontend.design_of_string] would. *)
 
-val of_spec : ?target_mhz:float -> Hlsb_designs.Spec.t -> session
+val of_spec : Hlsb_designs.Spec.t -> session
 (** Session elaborating the benchmark on its paper-designated device. *)
 
-val of_kernel :
-  ?target_mhz:float -> device:Hlsb_device.Device.t -> Hlsb_ir.Kernel.t -> session
+val of_kernel : device:Hlsb_device.Device.t -> Hlsb_ir.Kernel.t -> session
 (** Single-kernel session over {!Hlsb_rtlgen.Design.kernel_dataflow}:
     the netlist is named [<kernel>_<recipe label>] per run (the name
     seeds the timing model's net-delay jitter), the result label after
@@ -129,11 +125,10 @@ val run :
     downstream of the source. A plan with source items on an IR-level
     session fails with a stage-["transform"] diagnostic.
 
-    [?target_mhz] overrides the session's schedule target for this run
-    only and [?inject] forces extra distribution registers on the
+    [?target_mhz] sets the schedule target for this run and [?inject] forces extra distribution registers on the
     widest-read values ({!Hlsb_sched.Schedule.inject}) — the explorer's
     two tuning axes. Both key the schedule cache, the target as its
-    effective value (override, else session target, else
+    effective value (the override, else
     {!Hlsb_sched.Schedule.default_target_mhz}), so an explicit 300 MHz
     reuses an untuned run's schedules. Lower..report are then reused
     whenever the schedules lower alike
@@ -199,7 +194,6 @@ val dump_extension : stage -> string
     artifact dump. *)
 
 val dump_after :
-  ?name:string ->
   ?plan:Hlsb_transform.Plan.t ->
   session ->
   recipe:Hlsb_ctrl.Style.recipe ->

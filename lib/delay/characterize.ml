@@ -62,8 +62,8 @@ let arith (d : Device.t) op dt ~factor =
 (* Every grid point is an independent netlist build + placement + STA run,
    so curves fan the points out across the Pool; ordering (and therefore
    the result) is identical at any job count. *)
-let arith_curve ?jobs d op dt ~factors =
-  Pool.map ?jobs
+let arith_curve d op dt ~factors =
+  Pool.map
     (fun f -> { factor = f; measured = arith d op dt ~factor:f })
     factors
 
@@ -91,12 +91,12 @@ let mem_skeleton (d : Device.t) ~units ~read =
   let report = Timing.run d nl in
   (comb_time d report, mb.Structs.mb_n_units)
 
-let mem_curve ?jobs d ~units ~read =
-  Pool.map ?jobs
+let mem_curve d ~units ~read =
+  Pool.map
     (fun u ->
       let measured, n = mem_skeleton d ~units:u ~read in
       { factor = n; measured })
     units
 
-let mem_write_curve ?jobs d ~units = mem_curve ?jobs d ~units ~read:false
-let mem_read_curve ?jobs d ~units = mem_curve ?jobs d ~units ~read:true
+let mem_write_curve d ~units = mem_curve d ~units ~read:false
+let mem_read_curve d ~units = mem_curve d ~units ~read:true

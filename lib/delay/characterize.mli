@@ -20,7 +20,6 @@ val arith : Hlsb_device.Device.t -> Op.t -> Dtype.t -> factor:int -> float
 (** Measured delay of one operator at the given broadcast factor. *)
 
 val arith_curve :
-  ?jobs:int ->
   Hlsb_device.Device.t ->
   Op.t ->
   Dtype.t ->
@@ -30,13 +29,11 @@ val arith_curve :
     {!Hlsb_util.Pool} (default job count); results are index-ordered, so the
     curve is identical for every job count. *)
 
-val mem_write_curve :
-  ?jobs:int -> Hlsb_device.Device.t -> units:int array -> point array
+val mem_write_curve : Hlsb_device.Device.t -> units:int array -> point array
 (** Measured delay of a register -> every-BRAM-unit store, per buffer
     spanning that many physical BRAM18 units. The unit count — not the
     logical width/depth split — is what determines the broadcast cost, so
     curves are characterized once per device over unit counts. *)
 
-val mem_read_curve :
-  ?jobs:int -> Hlsb_device.Device.t -> units:int array -> point array
+val mem_read_curve : Hlsb_device.Device.t -> units:int array -> point array
 (** Measured delay of a BRAM-units -> cascade-mux -> register load. *)

@@ -64,10 +64,10 @@ let kernel ?(back_search_count = 64) ~lane () =
   ignore (Dag.fifo_write dag ~fifo:out_fifo ~value:best);
   Kernel.create ~name:(Printf.sprintf "genome_lane%d" lane) ~trip_count:4096 dag
 
-let dataflow ?(back_search_count = 64) ?(lanes = 4) () =
+let dataflow ?(lanes = 4) () =
   let df = Dataflow.create () in
   for lane = 0 to lanes - 1 do
-    let k = kernel ~back_search_count ~lane () in
+    let k = kernel ~lane () in
     let p = Dataflow.add_process df ~name:k.Kernel.name ~kernel:k () in
     ignore
       (Dataflow.add_channel df

@@ -10,7 +10,8 @@ open Hlsb_ir
 val kernel : ?back_search_count:int -> lane:int -> unit -> Kernel.t
 (** One chaining lane (default unroll factor 64, the paper's setting). *)
 
-val dataflow : ?back_search_count:int -> ?lanes:int -> unit -> Dataflow.t
-(** [lanes] independent chaining lanes (default 4). *)
+val dataflow : ?lanes:int -> unit -> Dataflow.t
+(** [lanes] independent chaining lanes (default 4), each unrolled 64
+    times. *)
 
 val spec : Spec.t

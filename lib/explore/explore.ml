@@ -4,6 +4,7 @@ module Schedule = Hlsb_sched.Schedule
 module Plan = Hlsb_transform.Plan
 module Diag = Hlsb_util.Diag
 module Atomic_file = Hlsb_util.Atomic_file
+module Table = Hlsb_util.Table
 module Metrics = Hlsb_telemetry.Metrics
 module Clock = Hlsb_telemetry.Clock
 module Json = Hlsb_telemetry.Json
@@ -272,6 +273,45 @@ let summary rp =
            (if r.cr_label = w.cr_label then "  <- winner" else "")))
     rp.ep_front;
   Buffer.contents buf
+
+let table reports =
+  let tbl =
+    Table.create
+      ~headers:
+        [
+          ("design", Table.Left);
+          ("static", Table.Right);
+          ("best", Table.Right);
+          ("gain", Table.Right);
+          ("winner", Table.Left);
+          ("cfgs", Table.Right);
+          ("probes", Table.Right);
+          ("ms", Table.Right);
+          ("elab", Table.Right);
+          ("hit%", Table.Right);
+        ]
+  in
+  List.iter
+    (fun rp ->
+      let static = rp.ep_static.Pipeline.fr_fmax_mhz in
+      let w = rp.ep_winner in
+      Table.add_row tbl
+        [
+          rp.ep_design;
+          Printf.sprintf "%.1f" static;
+          Printf.sprintf "%.1f" w.cr_fmax;
+          Printf.sprintf "%+.1f%%" (100. *. (w.cr_fmax -. static) /. static);
+          w.cr_label;
+          string_of_int (List.length rp.ep_configs);
+          string_of_int rp.ep_probes;
+          Printf.sprintf "%.0f" rp.ep_ms;
+          string_of_int
+            (Option.value ~default:0
+               (List.assoc_opt "elaborate" rp.ep_stage_runs));
+          Printf.sprintf "%.0f" (100. *. rp.ep_hit_rate);
+        ])
+    reports;
+  Table.render tbl
 
 let config_result_to_json r =
   Json.Obj

@@ -112,6 +112,12 @@ val summary : report -> string
 (** Human-readable per-design summary: winner vs static, the front, and
     the session-reuse counters. *)
 
+val table : report list -> string
+(** The winners table, one row per design: static vs searched-best Fmax,
+    the winning configuration, and the search cost (configs, probes, wall
+    ms, elaborate runs, cache-hit rate) — what [hlsbc explore] prints
+    first. *)
+
 val report_to_json : report -> Hlsb_telemetry.Json.t
 
 val write_logs : dir:string -> report -> string list

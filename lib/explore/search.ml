@@ -11,7 +11,10 @@ type outcome = {
   o_converged : bool;
 }
 
-let run ?(t0 = 300.) ?(tol = 0.02) ?(max_probes = 5) ?(hi_cap = 1200.) oracle =
+(* Stop raising targets past any device's reach. *)
+let hi_cap = 1200.
+
+let run ?(t0 = 300.) ?(tol = 0.02) ?(max_probes = 5) oracle =
   if t0 <= 0. then invalid_arg "Search.run: t0 <= 0";
   if tol <= 0. then invalid_arg "Search.run: tol <= 0";
   if max_probes < 1 then invalid_arg "Search.run: max_probes < 1";

@@ -37,12 +37,11 @@ val run :
   ?t0:float ->
   ?tol:float ->
   ?max_probes:int ->
-  ?hi_cap:float ->
   (float -> float) ->
   outcome
 (** [run oracle] searches the target bracket. Defaults: [t0] = 300 MHz
     (the pipeline's schedule default, so the first probe of an untuned
     configuration reproduces the static compile), [tol] = 0.02,
-    [max_probes] = 5, [hi_cap] = 1200 MHz (stop raising targets past
-    any device's reach). The oracle is called between 1 and
+    [max_probes] = 5. The bracket phase stops raising targets past
+    1200 MHz, beyond any device's reach. The oracle is called between 1 and
     [max_probes] times. Deterministic: same oracle, same sequence. *)

@@ -27,30 +27,23 @@ let has_dataflow_pragma (f : Ast.func) =
       | _ -> false)
     f.Ast.f_body
 
-let kernel_of_program ?name program =
+let kernel_of_program program =
   wrap (fun () ->
     let f =
-      match name with
-      | Some n -> (
-        match List.find_opt (fun f -> f.Ast.f_name = n) program with
-        | Some f -> f
-        | None -> raise (Elab.Error (Printf.sprintf "no function named %s" n)))
-      | None -> (
-        match List.filter (fun f -> not (has_dataflow_pragma f)) program with
-        | [ f ] -> f
-        | [] -> raise (Elab.Error "no kernel function found")
-        | fs ->
-          raise
-            (Elab.Error
-               (Printf.sprintf "%d kernel functions found; pass ~name"
-                  (List.length fs))))
+      match List.filter (fun f -> not (has_dataflow_pragma f)) program with
+      | [ f ] -> f
+      | [] -> raise (Elab.Error "no kernel function found")
+      | fs ->
+        raise
+          (Elab.Error
+             (Printf.sprintf "%d kernel functions found" (List.length fs)))
     in
     Elab.kernel_of_func program f)
 
-let kernel_of_string ?name src =
+let kernel_of_string src =
   match parse src with
   | Error e -> Error e
-  | Ok program -> kernel_of_program ?name program
+  | Ok program -> kernel_of_program program
 
 (* Elaborate a chosen top function into a dataflow network; raises the
    Elab/parser exceptions, [wrap] at the callers turns them into errors. *)
@@ -87,26 +80,20 @@ let design_of_top program top_f =
       df
     end
 
-let design_of_program ?top program =
+let design_of_program program =
   wrap (fun () ->
     let top_f =
-      match top with
-      | Some n -> (
-        match List.find_opt (fun f -> f.Ast.f_name = n) program with
-        | Some f -> f
-        | None -> raise (Elab.Error (Printf.sprintf "no function named %s" n)))
-      | None -> (
-        match List.filter has_dataflow_pragma program with
-        | [ f ] -> f
-        | [] -> (
-          match List.rev program with
-          | f :: _ -> f
-          | [] -> raise (Elab.Error "empty program"))
-        | _ -> raise (Elab.Error "several dataflow regions; pass ~top"))
+      match List.filter has_dataflow_pragma program with
+      | [ f ] -> f
+      | [] -> (
+        match List.rev program with
+        | f :: _ -> f
+        | [] -> raise (Elab.Error "empty program"))
+      | _ -> raise (Elab.Error "several dataflow regions")
     in
     design_of_top program top_f)
 
-let design_of_string ?top src =
+let design_of_string src =
   match parse src with
   | Error e -> Error e
-  | Ok program -> design_of_program ?top program
+  | Ok program -> design_of_program program

@@ -37,24 +37,21 @@ val pp_error : Format.formatter -> error -> unit
 val parse : string -> (Ast.program, error) result
 (** Lex + parse. *)
 
-val kernel_of_program :
-  ?name:string -> Ast.program -> (Hlsb_ir.Kernel.t, error) result
+val kernel_of_program : Ast.program -> (Hlsb_ir.Kernel.t, error) result
 (** Elaborate an already-parsed program containing exactly one kernel
-    function (or, with [name], the named function) to a kernel. Programs
-    produced by {!Hlsb_transform} plans flow through here unchanged. *)
+    function (one without [#pragma HLS dataflow]) to a kernel; any other
+    count is an error. Programs produced by {!Hlsb_transform} plans flow
+    through here unchanged. *)
 
-val kernel_of_string :
-  ?name:string -> string -> (Hlsb_ir.Kernel.t, error) result
-(** Compile source text containing exactly one kernel function (or, with
-    [name], the named function) to a kernel. *)
+val kernel_of_string : string -> (Hlsb_ir.Kernel.t, error) result
+(** [parse] + {!kernel_of_program}. *)
 
-val design_of_program :
-  ?top:string -> Ast.program -> (Hlsb_ir.Dataflow.t, error) result
+val design_of_program : Ast.program -> (Hlsb_ir.Dataflow.t, error) result
 (** Elaborate an already-parsed (and possibly transformed) program whose
-    [top] function (default: the last function, or the only
-    [#pragma HLS dataflow] function) describes a dataflow network; a
-    single kernel function is wrapped into a one-process network. *)
+    top function describes a dataflow network. The top is the one
+    [#pragma HLS dataflow] function, else the last function (a single
+    kernel function is wrapped into a one-process network); several
+    dataflow functions are an error. *)
 
-val design_of_string :
-  ?top:string -> string -> (Hlsb_ir.Dataflow.t, error) result
+val design_of_string : string -> (Hlsb_ir.Dataflow.t, error) result
 (** [parse] + {!design_of_program}. *)

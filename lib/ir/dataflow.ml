@@ -125,8 +125,3 @@ let problems t =
       if not ok then err (`Process name) "process %d (%s): no channels" p name)
     touched;
   List.rev !errors
-
-let validate t =
-  match problems t with
-  | [] -> Ok ()
-  | ps -> Error (String.concat "; " (List.map (fun p -> p.pb_message) ps))

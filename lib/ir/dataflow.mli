@@ -73,6 +73,4 @@ val problems : t -> problem list
 (** Structural well-formedness issues, one per offending entity: channels
     dangling at both ends, processes touching no channel. Empty for a
     valid network. The compile pipeline turns each into a structured
-    diagnostic; {!validate} joins them into one legacy error string. *)
-
-val validate : t -> (unit, string) result
+    diagnostic. *)

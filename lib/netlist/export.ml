@@ -19,7 +19,10 @@ let class_color = function
   | Netlist.Ctrl_sync -> "darkgreen"
   | Netlist.Ctrl_pipeline -> "orange"
 
-let to_dot ?(max_fanout_highlight = 16) nl =
+(* Nets with at least this fanout are drawn as broadcasts. *)
+let max_fanout_highlight = 16
+
+let to_dot nl =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Printf.sprintf "digraph %s {\n  rankdir=LR;\n  node [fontsize=9];\n"

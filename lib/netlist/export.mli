@@ -5,11 +5,10 @@
     netlist — each macro cell becomes an opaque instance — rather than a
     synthesizable implementation of the operators themselves. *)
 
-val to_dot :
-  ?max_fanout_highlight:int -> Netlist.t -> string
+val to_dot : Netlist.t -> string
 (** GraphViz digraph: cells as nodes (shape by kind), nets as edges
-    (colored by class); nets with fanout >= [max_fanout_highlight]
-    (default 16) are drawn bold red so broadcast structures stand out. *)
+    (colored by class); nets with fanout >= 16 are drawn bold red so
+    broadcast structures stand out. *)
 
 val to_verilog : Netlist.t -> string
 (** One flat Verilog module named after the netlist. Sequential cells

@@ -78,9 +78,9 @@ let add_membank (d : Device.t) nl ?(read_pipeline = false) ~name ~width ~depth
     mb_read_latency = (if read_pipeline then !levels else 0);
   }
 
-let connect_write nl ?(cls = Netlist.Data_broadcast) ~name ~driver mb ~width =
+let connect_write nl ~name ~driver mb ~width =
   Array.iter (Netlist.push_sink nl) mb.mb_units;
-  Netlist.add_net nl ~cls ~name ~driver ~sinks:[] ~width ()
+  Netlist.add_net nl ~cls:Netlist.Data_broadcast ~name ~driver ~sinks:[] ~width ()
 
 let add_and_tree (d : Device.t) nl ~name ~inputs =
   if inputs = [] then invalid_arg "Structs.add_and_tree: empty";

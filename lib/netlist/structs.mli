@@ -31,15 +31,8 @@ val add_membank :
     all of them, class [Data_broadcast]) and reads from [mb_read_out]. *)
 
 val connect_write :
-  Netlist.t ->
-  ?cls:Netlist.net_class ->
-  name:string ->
-  driver:int ->
-  membank ->
-  width:int ->
-  int
-(** One net from [driver] to every memory unit. Default class
-    [Data_broadcast]. *)
+  Netlist.t -> name:string -> driver:int -> membank -> width:int -> int
+(** One [Data_broadcast] net from [driver] to every memory unit. *)
 
 val add_and_tree :
   Hlsb_device.Device.t ->

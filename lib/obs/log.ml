@@ -121,6 +121,6 @@ let logf level ?(attrs = []) f =
   else Printf.ikfprintf (fun () -> ()) () f
 
 let debug ?attrs f = logf Debug ?attrs f
-let info ?attrs f = logf Info ?attrs f
-let warn ?attrs f = logf Warn ?attrs f
+let info f = logf Info f
+let warn f = logf Warn f
 let error ?attrs f = logf Error ?attrs f

@@ -46,9 +46,11 @@ val would_log : level -> bool
 (** {1 Emission} *)
 
 val debug : ?attrs:(string * Hlsb_telemetry.Json.t) list -> ('a, unit, string, unit) format4 -> 'a
-val info : ?attrs:(string * Hlsb_telemetry.Json.t) list -> ('a, unit, string, unit) format4 -> 'a
-val warn : ?attrs:(string * Hlsb_telemetry.Json.t) list -> ('a, unit, string, unit) format4 -> 'a
+val info : ('a, unit, string, unit) format4 -> 'a
+val warn : ('a, unit, string, unit) format4 -> 'a
 val error : ?attrs:(string * Hlsb_telemetry.Json.t) list -> ('a, unit, string, unit) format4 -> 'a
+(** [attrs] are extra fields on the record; the debug and error levels
+    carry them. *)
 
 val parse_spec : string -> (level option * format option, string) result
 (** Parse an [HLSB_LOG]-style spec ("debug", "info,json", "json", ...).

@@ -1,6 +1,6 @@
 module Metrics = Hlsb_telemetry.Metrics
 
-let metric_name ?(prefix = "hlsb_") name =
+let metric_name name =
   let sane =
     String.map
       (fun c ->
@@ -9,7 +9,7 @@ let metric_name ?(prefix = "hlsb_") name =
         | _ -> '_')
       name
   in
-  prefix ^ sane
+  "hlsb_" ^ sane
 
 (* Prometheus accepts Go-style float literals; "NaN"/"+Inf" are the
    spec's spellings for the non-finite cases. *)
@@ -21,24 +21,24 @@ let float_str v =
     Printf.sprintf "%.0f" v
   else Printf.sprintf "%.17g" v
 
-let of_snapshot ?prefix (s : Metrics.snapshot) =
+let of_snapshot (s : Metrics.snapshot) =
   let buf = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun l -> Buffer.add_string buf (l ^ "\n")) fmt in
   List.iter
     (fun (k, v) ->
-      let n = metric_name ?prefix k in
+      let n = metric_name k in
       line "# TYPE %s counter" n;
       line "%s %d" n v)
     s.Metrics.sn_counters;
   List.iter
     (fun (k, v) ->
-      let n = metric_name ?prefix k in
+      let n = metric_name k in
       line "# TYPE %s gauge" n;
       line "%s %s" n (float_str v))
     s.Metrics.sn_gauges;
   List.iter
     (fun (k, (h : Metrics.hist_snap)) ->
-      let n = metric_name ?prefix k in
+      let n = metric_name k in
       line "# TYPE %s histogram" n;
       let cum = ref 0 in
       Array.iteri

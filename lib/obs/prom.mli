@@ -5,12 +5,12 @@
     [_count]. Metric names are sanitized ([sched.broadcast_factor] ->
     [hlsb_sched_broadcast_factor]). *)
 
-val metric_name : ?prefix:string -> string -> string
+val metric_name : string -> string
 (** Sanitize a registry name into a legal Prometheus metric name:
-    characters outside [[a-zA-Z0-9_:]] become ['_'], and [?prefix]
-    (default ["hlsb_"]) is prepended. *)
+    characters outside [[a-zA-Z0-9_:]] become ['_'], and ["hlsb_"] is
+    prepended. *)
 
-val of_snapshot : ?prefix:string -> Hlsb_telemetry.Metrics.snapshot -> string
+val of_snapshot : Hlsb_telemetry.Metrics.snapshot -> string
 (** The full exposition: one [# TYPE] line per family, samples in
     snapshot (alphabetical) order, histograms with cumulative buckets
     ending at [le="+Inf"]. Non-finite values render as Prometheus'

@@ -66,7 +66,10 @@ let cls_fixed = 0
 let cls_movable = 1  (* light Seq with both fanin and fanout *)
 let cls_light_comb = 2
 
-let place ?(max_sweeps = 24) ?(early_exit = true) (d : Device.t) nl =
+(* Refinement sweeps run when the placement never settles. *)
+let max_sweeps = 24
+
+let place ?(early_exit = true) (d : Device.t) nl =
   let n = Netlist.n_cells nl in
   let xs = Array.make n 0. in
   let ys = Array.make n 0. in

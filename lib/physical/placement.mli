@@ -20,12 +20,8 @@
 type t
 
 val place :
-  ?max_sweeps:int ->
-  ?early_exit:bool ->
-  Hlsb_device.Device.t ->
-  Hlsb_netlist.Netlist.t ->
-  t
-(** Pack, then refine with up to [max_sweeps] (default 24) alternating
+  ?early_exit:bool -> Hlsb_device.Device.t -> Hlsb_netlist.Netlist.t -> t
+(** Pack, then refine with up to 24 alternating
     relax sweeps. With [early_exit] (default [true]) the refinement stops
     at the first sweep whose largest position update is exactly zero — a
     fixpoint, so the result is bit-identical to running every sweep;

@@ -1,5 +1,4 @@
 open Hlsb_ir
-module Calibrate = Hlsb_delay.Calibrate
 
 let to_string (s : Schedule.t) =
   let dag = s.Schedule.kernel.Kernel.dag in
@@ -66,6 +65,7 @@ let chain_delays_calibrated cal (s : Schedule.t) =
   let n = Dag.n_nodes dag in
   let finish = Array.make n 0. in
   let delays = Array.make s.Schedule.depth 0. in
+  let delay = Schedule.node_delays (Schedule.Broadcast_aware cal) dag in
   (* Input-side factor, mirroring the scheduler: the operator reading a
      broadcast variable is the one whose input net pays for it. *)
   let out_factor = Array.make n 1 in
@@ -81,25 +81,8 @@ let chain_delays_calibrated cal (s : Schedule.t) =
     let factor =
       List.fold_left (fun acc a -> max acc out_factor.(a)) 1 (Dag.args dag v)
     in
-    let d =
-      match Dag.kind dag v with
-      | Dag.Input _ | Dag.Const _ -> 0.
-      | Dag.Fifo_read _ | Dag.Fifo_write _ -> 0.55
-      | Dag.Output _ -> 0.05
-      | Dag.Operation o -> Calibrate.op_delay cal o (Dag.dtype dag v) ~factor
-      | Dag.Load b ->
-        let buf = Dag.buffer dag b in
-        Calibrate.mem_read_delay cal
-          ~width:(Dtype.width buf.Dag.b_dtype)
-          ~depth:buf.Dag.b_depth
-      | Dag.Store b ->
-        let buf = Dag.buffer dag b in
-        Calibrate.mem_write_delay cal
-          ~width:(Dtype.width buf.Dag.b_dtype)
-          ~depth:buf.Dag.b_depth
-    in
     (* Delay spreads over added pipeline stages if the schedule has them. *)
-    let d = d /. float_of_int (e.Schedule.e_added_pipe + 1) in
+    let d = delay v ~factor /. float_of_int (e.Schedule.e_added_pipe + 1) in
     let start =
       List.fold_left
         (fun acc a ->

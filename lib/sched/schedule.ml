@@ -111,6 +111,10 @@ let node_delay mode curves dag v ~factor =
         ~width:(Dtype.width buf.Dag.b_dtype)
         ~depth:buf.Dag.b_depth)
 
+let node_delays mode dag =
+  let curves = op_curves mode dag in
+  fun v ~factor -> node_delay mode curves dag v ~factor
+
 (* One ASAP pass. [reads.(a)] is the read count used both for the delay
    factor of consumers of [a] and for deciding whether [a]'s value gets
    broadcast-distribution stages. *)

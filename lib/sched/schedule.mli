@@ -84,6 +84,14 @@ val rebind : t -> Kernel.t -> t
     plus [sched.kernels_shared]. Raises [Invalid_argument] if [k]'s node
     count differs from [t]'s. *)
 
+val node_delays : mode -> Dag.t -> Dag.node -> factor:int -> float
+(** [node_delays mode dag] is the scheduler's per-node delay rule (ns)
+    over [dag], with each operator's curve resolved once: a node's delay
+    at the given input-side broadcast factor. Interface FIFOs cost 0.55,
+    outputs 0.05, inputs and constants nothing; operators and memory
+    accesses use the fanout-blind HLS library under [Baseline] and the
+    calibrated curves under [Broadcast_aware]. *)
+
 val finish_cycle : t -> Dag.node -> int
 (** First cycle in which the node's result is available to consumers. *)
 

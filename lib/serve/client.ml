@@ -39,9 +39,9 @@ let request ?socket (req : Protocol.request) =
                resp.Protocol.p_id req.Protocol.q_id)
         else Ok resp)
 
-let call ?socket ?ns verb =
-  let ns = match ns with Some ns -> ns | None -> default_ns () in
-  request ?socket { Protocol.q_id = fresh_id (); q_ns = ns; q_verb = verb }
+let call ?socket verb =
+  request ?socket
+    { Protocol.q_id = fresh_id (); q_ns = default_ns (); q_verb = verb }
 
 let available ?socket () =
   match call ?socket Protocol.Status with

@@ -20,11 +20,7 @@ val request :
     id. [Error] covers no-daemon (connect refused / missing socket),
     framing failures, and id mismatches — never raises. *)
 
-val call :
-  ?socket:string ->
-  ?ns:string ->
-  Protocol.verb ->
-  (Protocol.response, string) result
+val call : ?socket:string -> Protocol.verb -> (Protocol.response, string) result
 (** {!request} with a {!fresh_id} and the ambient namespace. *)
 
 val available : ?socket:string -> unit -> bool

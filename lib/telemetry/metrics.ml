@@ -1,5 +1,5 @@
+(* Every histogram buckets on [default_buckets]. *)
 type hist = {
-  h_buckets : float array;
   h_counts : int array;  (* length = buckets + 1, last is overflow *)
   mutable h_count : int;
   mutable h_sum : float;
@@ -101,15 +101,17 @@ let set_gauge name v =
 
 let set_gauge_int name v = set_gauge name (float_of_int v)
 
-let find_bucket buckets v =
-  (* buckets are upper bounds, ascending; index of first bound >= v,
-     or [length] for the overflow bucket. *)
-  let n = Array.length buckets in
-  let rec go i = if i >= n then n else if v <= buckets.(i) then i else go (i + 1) in
+(* Index of the first bucket bound >= v, or [length] for the overflow
+   bucket. *)
+let find_bucket v =
+  let n = Array.length default_buckets in
+  let rec go i =
+    if i >= n then n else if v <= default_buckets.(i) then i else go (i + 1)
+  in
   go 0
 
 let hist_observe h ~times v =
-  let i = find_bucket h.h_buckets v in
+  let i = find_bucket v in
   h.h_counts.(i) <- h.h_counts.(i) + times;
   h.h_count <- h.h_count + times;
   h.h_sum <- h.h_sum +. (v *. float_of_int times);
@@ -122,7 +124,7 @@ let hist_observe h ~times v =
     if v > h.h_max then h.h_max <- v
   end
 
-let observe ?buckets ?(times = 1) name v =
+let observe ?(times = 1) name v =
   if times < 1 then invalid_arg "Metrics.observe: times < 1";
   match Atomic.get current with
   | None -> ()
@@ -131,18 +133,9 @@ let observe ?buckets ?(times = 1) name v =
     match Hashtbl.find_opt sh.hists name with
     | Some h -> hist_observe h ~times v
     | None ->
-      let buckets = match buckets with Some b -> b | None -> default_buckets in
-      if Array.length buckets = 0 then
-        invalid_arg "Metrics.observe: empty buckets";
-      Array.iteri
-        (fun i b ->
-          if i > 0 && b <= buckets.(i - 1) then
-            invalid_arg "Metrics.observe: buckets not ascending")
-        buckets;
       let h =
         {
-          h_buckets = Array.copy buckets;
-          h_counts = Array.make (Array.length buckets + 1) 0;
+          h_counts = Array.make (Array.length default_buckets + 1) 0;
           h_count = 0;
           h_sum = 0.;
           h_min = nan;
@@ -162,10 +155,9 @@ let observe_int ?times name v =
    Counters sum across shards. A gauge present in several shards keeps the
    value from the earliest-created shard holding it (the main domain
    installs and records first, so sequential behavior is unchanged; gauges
-   set inside parallel regions are last-writer-wins anyway). Histograms
-   with identical buckets merge counts/sums/extrema; on a bucket mismatch
-   (only possible via explicit per-site [?buckets] disagreement) the
-   earliest shard wins. Reads merge under the shard lock, and every
+   set inside parallel regions are last-writer-wins anyway). Every
+   histogram has the default buckets, so shards merge counts, sums and
+   extrema bucket by bucket. Reads merge under the shard lock, and every
    [Pool.map] joins its workers before returning, so a quiescent-point read
    sees every observation. *)
 
@@ -180,7 +172,7 @@ type hist_snap = {
 
 let snap_of_hist h =
   {
-    hs_buckets = Array.copy h.h_buckets;
+    hs_buckets = Array.copy default_buckets;
     hs_counts = Array.copy h.h_counts;
     hs_count = h.h_count;
     hs_sum = h.h_sum;
@@ -189,18 +181,16 @@ let snap_of_hist h =
   }
 
 let merge_hist a b =
-  if a.hs_buckets <> b.hs_buckets then a
-  else
-    let nan_min x y = if Float.is_nan x then y else if Float.is_nan y then x else Float.min x y in
-    let nan_max x y = if Float.is_nan x then y else if Float.is_nan y then x else Float.max x y in
-    {
-      hs_buckets = a.hs_buckets;
-      hs_counts = Array.mapi (fun i c -> c + b.hs_counts.(i)) a.hs_counts;
-      hs_count = a.hs_count + b.hs_count;
-      hs_sum = a.hs_sum +. b.hs_sum;
-      hs_min = nan_min a.hs_min b.hs_min;
-      hs_max = nan_max a.hs_max b.hs_max;
-    }
+  let nan_min x y = if Float.is_nan x then y else if Float.is_nan y then x else Float.min x y in
+  let nan_max x y = if Float.is_nan x then y else if Float.is_nan y then x else Float.max x y in
+  {
+    hs_buckets = a.hs_buckets;
+    hs_counts = Array.mapi (fun i c -> c + b.hs_counts.(i)) a.hs_counts;
+    hs_count = a.hs_count + b.hs_count;
+    hs_sum = a.hs_sum +. b.hs_sum;
+    hs_min = nan_min a.hs_min b.hs_min;
+    hs_max = nan_max a.hs_max b.hs_max;
+  }
 
 (* Call with [t.sh_lock] held. *)
 let merged t =

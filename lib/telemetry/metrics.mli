@@ -58,13 +58,11 @@ val incr : ?by:int -> string -> unit
 val set_gauge : string -> float -> unit
 val set_gauge_int : string -> int -> unit
 
-val observe : ?buckets:float array -> ?times:int -> string -> float -> unit
+val observe : ?times:int -> string -> float -> unit
 (** Record a histogram sample, [times] times over (default 1; raises
-    [Invalid_argument] below 1). [buckets] (upper bounds, ascending) only
-    takes effect on the sample that creates the histogram; later calls
-    reuse the existing buckets. Default buckets are powers of two
-    1,2,4,…,1024 — the natural grid for broadcast factors, fanouts and
-    FIFO occupancies. *)
+    [Invalid_argument] below 1). Every histogram has the same buckets,
+    powers of two 1,2,4,…,1024 — the natural grid for broadcast factors,
+    fanouts and FIFO occupancies. *)
 
 val observe_int : ?times:int -> string -> int -> unit
 

@@ -19,11 +19,11 @@ exception Diagnostic of t
 let error ?entity ~stage message =
   { d_stage = stage; d_severity = Error; d_entity = entity; d_message = message }
 
-let warning ?entity ~stage message =
+let warning ~stage message =
   {
     d_stage = stage;
     d_severity = Warning;
-    d_entity = entity;
+    d_entity = None;
     d_message = message;
   }
 

@@ -30,7 +30,7 @@ exception Diagnostic of t
     {!fail}; stage runners catch it and surface the payload. *)
 
 val error : ?entity:entity -> stage:string -> string -> t
-val warning : ?entity:entity -> stage:string -> string -> t
+val warning : stage:string -> string -> t
 
 val fail : ?entity:entity -> stage:string -> ('a, unit, string, 'b) format4 -> 'a
 (** [fail ~stage fmt ...] raises {!Diagnostic} with an [Error] payload. *)

@@ -73,14 +73,14 @@ let test_stage_delay_divides () =
     stage
 
 let test_mem_measured_grows_with_units () =
-  match Characterize.mem_write_curve ~jobs:1 dev ~units:[| 1; 256 |] with
+  match Characterize.mem_write_curve dev ~units:[| 1; 256 |] with
   | [| m1; m256 |] ->
     Alcotest.(check bool) "grows" true
       (m256.Characterize.measured > m1.Characterize.measured *. 2.)
   | _ -> Alcotest.fail "one point per unit count"
 
 let test_mem_read_grows () =
-  match Characterize.mem_read_curve ~jobs:1 dev ~units:[| 1; 256 |] with
+  match Characterize.mem_read_curve dev ~units:[| 1; 256 |] with
   | [| r1; r256 |] ->
     Alcotest.(check bool) "grows" true
       (r256.Characterize.measured > r1.Characterize.measured)
@@ -276,13 +276,32 @@ let test_cache_bytes_order_independent () =
           Alcotest.(check (list string)) "curve entries byte-identical" seq par))
 
 let test_jobs_deterministic () =
-  (* the acceptance bar: curves bit-identical at any job count *)
-  let seq = Characterize.arith_curve ~jobs:1 dev Op.Add i32 ~factors:Calibrate.factor_grid in
-  let par = Characterize.arith_curve ~jobs:4 dev Op.Add i32 ~factors:Calibrate.factor_grid in
+  (* the acceptance bar: curves bit-identical at any job count, and equal
+     to their points measured one at a time *)
+  let at jobs f =
+    let saved = Hlsb_util.Pool.default_jobs () in
+    Hlsb_util.Pool.set_default_jobs jobs;
+    Fun.protect ~finally:(fun () -> Hlsb_util.Pool.set_default_jobs saved) f
+  in
+  let arith () =
+    Characterize.arith_curve dev Op.Add i32 ~factors:Calibrate.factor_grid
+  in
+  let seq = at 1 arith and par = at 4 arith in
   Alcotest.(check bool) "arith curve bit-identical" true (seq = par);
-  let mseq = Characterize.mem_write_curve ~jobs:1 dev ~units:Calibrate.unit_grid in
-  let mpar = Characterize.mem_write_curve ~jobs:4 dev ~units:Calibrate.unit_grid in
-  Alcotest.(check bool) "mem curve bit-identical" true (mseq = mpar)
+  Alcotest.(check bool) "arith curve = its points" true
+    (seq
+    = Array.map
+        (fun f ->
+          { Characterize.factor = f; measured = Characterize.arith dev Op.Add i32 ~factor:f })
+        Calibrate.factor_grid);
+  let mem () = Characterize.mem_write_curve dev ~units:Calibrate.unit_grid in
+  let mseq = at 1 mem and mpar = at 4 mem in
+  Alcotest.(check bool) "mem curve bit-identical" true (mseq = mpar);
+  Alcotest.(check bool) "mem curve = its points" true
+    (mseq
+    = Array.map
+        (fun u -> (Characterize.mem_write_curve dev ~units:[| u |]).(0))
+        Calibrate.unit_grid)
 
 let suite =
   [

@@ -30,9 +30,9 @@ let test_find () =
 let test_all_networks_validate () =
   List.iter
     (fun (s : Spec.t) ->
-      match Dataflow.validate (s.Spec.sp_build ()) with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail (s.Spec.sp_name ^ ": " ^ e))
+      match Dataflow.problems (s.Spec.sp_build ()) with
+      | [] -> ()
+      | p :: _ -> Alcotest.fail (s.Spec.sp_name ^ ": " ^ p.Dataflow.pb_message))
     Suite.all
 
 let test_paper_rows_sane () =

@@ -10,7 +10,6 @@
 
 module Search = Hlsb_explore.Search
 module Explore = Hlsb_explore.Explore
-module Experiments = Hlsb_explore.Experiments
 module Pipeline = Core.Pipeline
 module Suite = Hlsb_designs.Suite
 module Spec = Hlsb_designs.Spec
@@ -37,6 +36,17 @@ let test_search_below_t0 () =
     (fun (p : Search.probe) ->
       Alcotest.(check bool) "never probes above t0" true (p.p_target <= 300.))
     out.Search.o_probes
+
+(* A design that meets every target: the bracket walk stops raising
+   past 1200 MHz, well inside the probe budget. *)
+let test_search_hi_cap () =
+  let out = Search.run ~t0:300. ~max_probes:20 Fun.id in
+  Alcotest.(check (list (float 1e-9))) "targets 300 -> 480 -> 768, then capped"
+    [ 300.; 480.; 768. ]
+    (List.map (fun (p : Search.probe) -> p.Search.p_target) out.Search.o_probes);
+  Alcotest.(check (float 1e-9)) "best is the last target under the cap" 768.
+    out.Search.o_best_achieved;
+  Alcotest.(check bool) "converged" true out.Search.o_converged
 
 let synthetic_oracles =
   [
@@ -200,10 +210,16 @@ let test_probes_share_lowering () =
     true
     (runs "lower" < runs "schedule")
 
+(* [hlsbc explore]'s suite fan-out: one session per design across the
+   pool, so each design's search is the same at any job count. *)
 let test_jobs_deterministic () =
-  let subset = [ vec; "Stream Buffer" ] in
+  let specs = [ spec_exn vec; spec_exn "Stream Buffer" ] in
   let run jobs =
-    Experiments.run_explore ~subset ~jobs ~budget:3 ~max_probes:2 ()
+    Hlsb_util.Pool.map_list ~jobs
+      (fun (s : Spec.t) ->
+        Explore.run_design ~budget:3 ~max_probes:2 (Pipeline.of_spec s)
+          ~name:s.Spec.sp_name)
+      specs
     |> List.map (fun (rp : Explore.report) ->
          ( rp.Explore.ep_design,
            rp.Explore.ep_winner.Explore.cr_label,
@@ -226,6 +242,8 @@ let suite =
       test_search_converges;
     Alcotest.test_case "search walks down when t0 missed" `Quick
       test_search_below_t0;
+    Alcotest.test_case "search stops raising at 1200 MHz" `Quick
+      test_search_hi_cap;
     Alcotest.test_case "brackets monotone" `Quick test_bracket_monotone;
     Alcotest.test_case "best is max achieved probe" `Quick
       test_best_is_max_probe;

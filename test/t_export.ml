@@ -38,9 +38,22 @@ let test_dot_shape () =
   in
   Alcotest.(check int) "edges" 21 edges
 
+(* The highlight starts at fanout 16: one net of each side of it. *)
 let test_dot_threshold () =
-  let dot = Export.to_dot ~max_fanout_highlight:100 (sample ()) in
-  Alcotest.(check bool) "nothing highlighted" false (contains ~needle:"color=red" dot)
+  let net fanout =
+    let nl = Netlist.create ~name:"fo" in
+    let src = Structs.add_register nl ~name:"src" ~width:8 in
+    let sinks =
+      List.init fanout (fun i ->
+        Structs.add_register nl ~name:(Printf.sprintf "s%d" i) ~width:8)
+    in
+    ignore (Netlist.add_net nl ~name:"n" ~driver:src ~sinks ~width:8 ());
+    Export.to_dot nl
+  in
+  Alcotest.(check bool) "fanout 16 red" true
+    (contains ~needle:"color=red, penwidth=2.0, label=\"n (fo 16)\"" (net 16));
+  Alcotest.(check bool) "fanout 15 uncoloured" false
+    (contains ~needle:"color=red" (net 15))
 
 let test_verilog_shape () =
   let v = Export.to_verilog (sample ()) in

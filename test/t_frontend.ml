@@ -13,7 +13,7 @@ let ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "%a" Frontend.pp_error e
 
-let kernel ?name src = ok (Frontend.kernel_of_string ?name src)
+let kernel src = ok (Frontend.kernel_of_string src)
 
 (* ---- lexer ---- *)
 
@@ -301,6 +301,35 @@ let test_single_kernel_design () =
   Alcotest.(check int) "one process" 1 (Dataflow.n_processes df);
   Alcotest.(check int) "two channels" 2 (Dataflow.n_channels df)
 
+(* The front end picks the top and the kernel itself: an ambiguous
+   program is an error naming the ambiguity. *)
+let error_message = function
+  | Ok _ -> Alcotest.fail "ambiguous program accepted"
+  | Error e -> e.Frontend.err_message
+
+let test_several_dataflow_regions () =
+  let src =
+    fig5a_src
+    ^ {|
+void top2(stream<int> &a, stream<int> &x) {
+#pragma HLS dataflow
+  fa(a, x);
+}
+|}
+  in
+  Alcotest.(check string) "error" "several dataflow regions"
+    (error_message (Frontend.design_of_string src))
+
+let test_several_kernels () =
+  let src =
+    {|
+void k1(stream<int> &q, stream<int> &o) { o.write(q.read()); }
+void k2(stream<int> &q, stream<int> &o) { o.write(q.read() + 1); }
+|}
+  in
+  Alcotest.(check string) "error" "2 kernel functions found"
+    (error_message (Frontend.kernel_of_string src))
+
 let suite =
   [
     Alcotest.test_case "lex basic" `Quick test_lex_basic;
@@ -324,4 +353,7 @@ let suite =
     Alcotest.test_case "dataflow region" `Quick test_dataflow_region;
     Alcotest.test_case "dataflow compiles" `Quick test_dataflow_compiles;
     Alcotest.test_case "single-kernel design" `Quick test_single_kernel_design;
+    Alcotest.test_case "several dataflow regions" `Quick
+      test_several_dataflow_regions;
+    Alcotest.test_case "several kernels" `Quick test_several_kernels;
   ]

@@ -213,13 +213,13 @@ let test_dataflow_components () =
 
 let test_dataflow_validate () =
   let df = two_flow_network () in
-  (match Dataflow.validate df with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
+  Alcotest.(check int) "no problems" 0 (List.length (Dataflow.problems df));
   let df2 = Dataflow.create () in
   ignore (Dataflow.add_process df2 ~name:"orphan" ());
   Alcotest.(check bool) "orphan process flagged" true
-    (match Dataflow.validate df2 with Error _ -> true | Ok () -> false)
+    (match Dataflow.problems df2 with
+    | [ { Dataflow.pb_entity = `Process "orphan"; _ } ] -> true
+    | _ -> false)
 
 let test_dataflow_group_dup () =
   let df = Dataflow.create () in

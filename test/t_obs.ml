@@ -24,17 +24,31 @@ let with_registry f =
 
 (* ---- Metrics.quantile ---- *)
 
+(* A histogram snapshot of [samples] over a chosen bucket layout (the
+   registry always uses its default buckets). *)
+let hist ~buckets samples =
+  let n = Array.length buckets in
+  let counts = Array.make (n + 1) 0 in
+  List.iter
+    (fun v ->
+      let rec go i = if i < n && v > buckets.(i) then go (i + 1) else i in
+      let i = go 0 in
+      counts.(i) <- counts.(i) + 1)
+    samples;
+  {
+    Metrics.hs_buckets = buckets;
+    hs_counts = counts;
+    hs_count = List.length samples;
+    hs_sum = List.fold_left ( +. ) 0. samples;
+    hs_min = List.fold_left Float.min infinity samples;
+    hs_max = List.fold_left Float.max neg_infinity samples;
+  }
+
 let test_quantile_uniform () =
   (* 100 samples 1..100 over decade buckets: samples are uniform inside
      every bucket, so linear interpolation is exact. *)
   let buckets = Array.init 10 (fun i -> 10. *. float_of_int (i + 1)) in
-  let m =
-    with_registry (fun () ->
-      for v = 1 to 100 do
-        Metrics.observe ~buckets "u" (float_of_int v)
-      done)
-  in
-  let h = List.assoc "u" (Metrics.snapshot m).Metrics.sn_hists in
+  let h = hist ~buckets (List.init 100 (fun i -> float_of_int (i + 1))) in
   Alcotest.(check (float 1e-9)) "p50" 50. (Metrics.quantile h 0.50);
   Alcotest.(check (float 1e-9)) "p95" 95. (Metrics.quantile h 0.95);
   Alcotest.(check (float 1e-9)) "p99" 99. (Metrics.quantile h 0.99);
@@ -46,11 +60,7 @@ let test_quantile_overflow_bucket () =
      edge land in the overflow bucket, whose upper edge clamps to
      hs_max. p=0.9 -> target rank 2.7, 1.7 of the overflow bucket's 2
      samples: 10 + 0.85 * (20 - 10) = 18.5. *)
-  let m =
-    with_registry (fun () ->
-      List.iter (Metrics.observe ~buckets:[| 10. |] "o") [ 5.; 15.; 20. ])
-  in
-  let h = List.assoc "o" (Metrics.snapshot m).Metrics.sn_hists in
+  let h = hist ~buckets:[| 10. |] [ 5.; 15.; 20. ] in
   Alcotest.(check (float 1e-9)) "p90 in overflow bucket" 18.5
     (Metrics.quantile h 0.9);
   Alcotest.(check (float 0.)) "p100 clamps to observed max" 20.
@@ -71,7 +81,7 @@ let test_quantile_degenerate () =
   in
   Alcotest.(check bool) "empty is nan" true
     (Float.is_nan (Metrics.quantile empty 0.5));
-  let m = with_registry (fun () -> Metrics.observe ~buckets:[| 8. |] "s" 3.) in
+  let m = with_registry (fun () -> Metrics.observe "s" 3.) in
   let h = List.assoc "s" (Metrics.snapshot m).Metrics.sn_hists in
   Alcotest.(check bool) "nan p is nan" true
     (Float.is_nan (Metrics.quantile h nan));
@@ -85,7 +95,7 @@ let test_prom_exposition () =
     with_registry (fun () ->
       Metrics.incr ~by:3 "sched.registers_inserted";
       Metrics.set_gauge "flow.fmax-mhz" 2.5;
-      List.iter (Metrics.observe ~buckets:[| 1.; 2. |] "h.ms") [ 0.5; 1.5; 5. ])
+      List.iter (Metrics.observe "h.ms") [ 0.5; 1.5; 5. ])
   in
   let text = Prom.of_snapshot (Metrics.snapshot m) in
   List.iter
@@ -146,14 +156,14 @@ let test_log_jsonl_shape () =
   with_captured_log (fun lines ->
     Log.set_level Log.Info;
     Log.set_format Log.Jsonl;
-    Log.info ~attrs:[ ("stage", Json.Str "sta") ] "stage %s done" "sta";
+    Log.error ~attrs:[ ("stage", Json.Str "sta") ] "stage %s done" "sta";
     match !lines with
     | [ line ] -> (
       match Json.of_string line with
       | Error e -> Alcotest.fail e
       | Ok j ->
         Alcotest.(check bool) "level" true
-          (Json.member "level" j = Some (Json.Str "info"));
+          (Json.member "level" j = Some (Json.Str "error"));
         Alcotest.(check bool) "formatted msg" true
           (Json.member "msg" j = Some (Json.Str "stage sta done"));
         Alcotest.(check bool) "attr merged" true

@@ -696,7 +696,7 @@ let test_daemon_over_socket () =
     in
     await 100;
     let call verb =
-      match Client.call ~socket:sock ~ns:"t" verb with
+      match Client.call ~socket:sock verb with
       | Ok resp -> check_ok resp
       | Error m -> Alcotest.failf "client: %s" m
     in

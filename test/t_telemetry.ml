@@ -298,10 +298,10 @@ let test_metrics_json_roundtrip () =
     Metrics.set_gauge "g" 0.25;
     Metrics.set_gauge "g.int" 7.;
     List.iter (Metrics.observe_int "h") [ 1; 3; 3; 900; 5000 ];
-    Metrics.observe ~buckets:[| 0.5; 1.5 |] "idle" 1.);
+    Metrics.observe "idle" 1.);
   let after = Metrics.snapshot m in
-  (* an empty histogram: no samples, so nan extrema *)
-  let idle = List.assoc "idle" after.Metrics.sn_hists in
+  (* an empty histogram on its own bucket layout: no samples, so nan
+     extrema *)
   let empty =
     {
       after with
@@ -309,8 +309,8 @@ let test_metrics_json_roundtrip () =
         [
           ( "idle",
             {
-              idle with
-              Metrics.hs_counts = [| 0; 0; 0 |];
+              Metrics.hs_buckets = [| 0.5; 1.5 |];
+              hs_counts = [| 0; 0; 0 |];
               hs_count = 0;
               hs_sum = 0.;
               hs_min = nan;
