@@ -97,7 +97,7 @@ let to_string r =
   let buf = Buffer.create 512 in
   Buffer.add_string buf "Broadcast classification (paper section 3):\n";
   Buffer.add_string buf
-    (Printf.sprintf "  data broadcasts (>= threshold reads): %d\n"
+    (Printf.sprintf "  data broadcasts (>= %d reads): %d\n" threshold
        (List.length r.data_broadcasts));
   List.iteri
     (fun i b ->

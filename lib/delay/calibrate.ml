@@ -199,12 +199,9 @@ let resolve t op dt =
   { r_predicted = Oplib.predicted op dt; r_smoothed = c.smoothed }
 
 let resolved_delay r ~factor =
-  if factor < 1 then invalid_arg "Calibrate.op_delay: factor < 1";
+  if factor < 1 then invalid_arg "Calibrate.resolved_delay: factor < 1";
   Metrics.incr "calibrate.lookups";
   fmax r.r_predicted (interp factor_grid r.r_smoothed factor)
-
-let op_delay t op dt ~factor =
-  resolved_delay (resolve t op dt) ~factor
 
 let units_of ~width ~depth = Device.bram18_for ~width ~depth
 

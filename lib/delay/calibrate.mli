@@ -49,19 +49,16 @@ val unit_grid : int array
 (** BRAM18 unit counts at which memory curves are sampled (once per device
     — the unit count, not the width/depth split, sets the broadcast cost). *)
 
-val op_delay : t -> Op.t -> Dtype.t -> factor:int -> float
-(** Calibrated delay at any factor >= 1 (log-interpolated between grid
-    points, clamped beyond). *)
-
 type resolved
 (** One (op, dtype) curve, looked up once: for schedulers that read the
     same operator's delay at many factors. *)
 
 val resolve : t -> Op.t -> Dtype.t -> resolved
-(** Find (building or loading on first use) the curve {!op_delay} reads. *)
+(** Find (building or loading on first use) the (op, dtype) curve. *)
 
 val resolved_delay : resolved -> factor:int -> float
-(** [resolved_delay (resolve t op dt) ~factor = op_delay t op dt ~factor]. *)
+(** Calibrated delay at any factor >= 1 (log-interpolated between grid
+    points, clamped beyond). Raises [Invalid_argument] on [factor < 1]. *)
 
 val mem_write_delay : t -> width:int -> depth:int -> float
 (** Calibrated store delay for a buffer of the given geometry. *)

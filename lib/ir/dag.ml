@@ -154,10 +154,10 @@ let iter t f =
     f v
   done
 
-(* Exactly what [Schedule.run] reads of a DAG: per node the kind's variant,
-   the operator, a memory access's buffer dtype and depth, the node's dtype
-   and its arguments. Names, constant values, fifo declarations and
-   partition factors never reach the scheduler. *)
+(* Exactly what [Schedule.run] and [Lower] read of a DAG, names and
+   constant values aside: per node the kind's variant, the operator, a
+   memory access's buffer (id, dtype, depth and partition factor), a fifo
+   access's fifo (id and depth), the node's dtype and its arguments. *)
 let same_structure a b =
   a == b
   ||
@@ -165,17 +165,20 @@ let same_structure a b =
   n = Vec.length b.nodes
   &&
   let same_buffer x y =
+    x = y
+    &&
     let x = Vec.get a.bufs x and y = Vec.get b.bufs y in
-    Dtype.equal x.b_dtype y.b_dtype && x.b_depth = y.b_depth
+    Dtype.equal x.b_dtype y.b_dtype
+    && x.b_depth = y.b_depth
+    && x.b_partition = y.b_partition
+  in
+  let same_fifo x y =
+    x = y && (Vec.get a.fifo_decls x).f_depth = (Vec.get b.fifo_decls y).f_depth
   in
   let same_kind ka kb =
     match (ka, kb) with
-    | Input _, Input _
-    | Const _, Const _
-    | Fifo_read _, Fifo_read _
-    | Fifo_write _, Fifo_write _
-    | Output _, Output _ ->
-      true
+    | Input _, Input _ | Const _, Const _ | Output _, Output _ -> true
+    | Fifo_read x, Fifo_read y | Fifo_write x, Fifo_write y -> same_fifo x y
     | Operation o, Operation p -> Op.equal o p
     | Load x, Load y | Store x, Store y -> same_buffer x y
     | ( ( Input _ | Const _ | Operation _ | Load _ | Store _ | Fifo_read _

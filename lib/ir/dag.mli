@@ -92,13 +92,15 @@ val iter : t -> (node -> unit) -> unit
 (** In topological (= id) order. *)
 
 val same_structure : t -> t -> bool
-(** True when the two DAGs look alike to the scheduler: the same node
-    count and, per node, the same kind variant, the same operator for an
-    [Operation], the same buffer dtype and depth for a [Load]/[Store], the
-    same dtype and the same argument array. Input, output, fifo and buffer
-    names, constant values, fifo declarations and partition factors are
-    ignored. An exact comparison with no hashing, so it never confuses
-    two DAGs. Replicated kernels built by one generator compare equal. *)
+(** True when the two DAGs look alike to the scheduler and to lowering:
+    the same node count and, per node, the same kind variant, the same
+    operator for an [Operation], the same buffer (id, dtype, depth and
+    partition factor) for a [Load]/[Store], the same fifo (id and depth)
+    for a fifo access, the same dtype and the same argument array. Input,
+    output, fifo and buffer names and constant values are ignored, and so
+    are declarations no node accesses. An exact comparison with no
+    hashing, so it never confuses two DAGs. Replicated kernels built by
+    one generator compare equal. *)
 
 val validate : t -> (unit, string) result
 (** Structural checks: arities, arg ranges, buffer/fifo ids, dtype of

@@ -78,11 +78,14 @@ let create ~name =
 
 let name t = t.nl_name
 
-(* [a] with room for [need] elements, doubled when it grows. *)
-let reserve a need fill =
+(* [a] with room for [need] elements. A buffer that grows at least
+   doubles, and takes a quarter more than a large [need] (a reservation),
+   so the few appends after a reservation still fit. *)
+let grow a need fill =
   if need <= Array.length a then a
   else begin
-    let b = Array.make (max need (max 16 (2 * Array.length a))) fill in
+    let len = max (need + (need / 4)) (max 16 (2 * Array.length a)) in
+    let b = Array.make len fill in
     Array.blit a 0 b 0 (Array.length a);
     b
   end
@@ -92,10 +95,25 @@ let reserve a need fill =
 let reserve_names t n =
   let need = t.names_len + n in
   if need > Bytes.length t.names then begin
-    let b = Bytes.create (max need (max 256 (2 * Bytes.length t.names))) in
+    let len = max (need + (need / 4)) (max 256 (2 * Bytes.length t.names)) in
+    let b = Bytes.create len in
     Bytes.blit t.names 0 b 0 t.names_len;
     t.names <- b
   end
+
+let reserve t ~cells ~nets ~sinks ~name_bytes =
+  let c = t.n_cells + cells and n = t.n_nets + nets in
+  t.kinds <- grow t.kinds c Comb;
+  t.delays <- grow t.delays c 0.;
+  t.res <- grow t.res (4 * c) 0;
+  t.cell_names <- grow t.cell_names (2 * c) 0;
+  t.drivers <- grow t.drivers n 0;
+  t.widths <- grow t.widths n 0;
+  t.classes <- grow t.classes n Data;
+  t.net_names <- grow t.net_names (2 * n) 0;
+  t.sink_off <- grow t.sink_off (n + 1) 0;
+  t.sinks <- grow t.sinks (t.sinks_len + sinks) 0;
+  reserve_names t name_bytes
 
 let name_str t s =
   let n = String.length s in
@@ -145,10 +163,10 @@ let spell t offs i =
 let add_cell ?name t ~kind ~delay ~res =
   if delay < 0. then reject t "Netlist.add_cell: negative delay";
   let c = t.n_cells in
-  t.kinds <- reserve t.kinds (c + 1) Comb;
-  t.delays <- reserve t.delays (c + 1) 0.;
-  t.res <- reserve t.res (4 * (c + 1)) 0;
-  t.cell_names <- reserve t.cell_names (2 * (c + 1)) 0;
+  t.kinds <- grow t.kinds (c + 1) Comb;
+  t.delays <- grow t.delays (c + 1) 0.;
+  t.res <- grow t.res (4 * (c + 1)) 0;
+  t.cell_names <- grow t.cell_names (2 * (c + 1)) 0;
   t.kinds.(c) <- kind;
   t.delays.(c) <- delay;
   let r = 4 * c in
@@ -170,7 +188,7 @@ let check_net t n =
    live when [add_net] sets the net's end offset. *)
 let push_sink t s =
   if s < 0 || s >= t.n_cells then reject t "Netlist: cell id out of range";
-  t.sinks <- reserve t.sinks (t.sinks_len + 1) 0;
+  t.sinks <- grow t.sinks (t.sinks_len + 1) 0;
   t.sinks.(t.sinks_len) <- s;
   t.sinks_len <- t.sinks_len + 1
 
@@ -188,11 +206,11 @@ let add_net ?(cls = Data) ?name t ~driver ~sinks ~width () =
   (match t.kinds.(driver) with
   | Port_out -> reject t "Netlist.add_net: output port cannot drive"
   | Comb | Seq | Mem | Port_in -> ());
-  t.drivers <- reserve t.drivers (n + 1) 0;
-  t.widths <- reserve t.widths (n + 1) 0;
-  t.classes <- reserve t.classes (n + 1) Data;
-  t.net_names <- reserve t.net_names (2 * (n + 1)) 0;
-  t.sink_off <- reserve t.sink_off (n + 2) 0;
+  t.drivers <- grow t.drivers (n + 1) 0;
+  t.widths <- grow t.widths (n + 1) 0;
+  t.classes <- grow t.classes (n + 1) Data;
+  t.net_names <- grow t.net_names (2 * (n + 1)) 0;
+  t.sink_off <- grow t.sink_off (n + 2) 0;
   t.drivers.(n) <- driver;
   t.widths.(n) <- width;
   t.classes.(n) <- cls;
@@ -200,6 +218,124 @@ let add_net ?(cls = Data) ?name t ~driver ~sinks ~width () =
   seal t t.net_names n name;
   t.n_nets <- n + 1;
   n
+
+(* ---- slices ---- *)
+
+type mark = {
+  m_cells : int;
+  m_nets : int;
+  m_sinks : int;
+  m_names : int;
+}
+
+let mark t =
+  {
+    m_cells = t.n_cells;
+    m_nets = t.n_nets;
+    m_sinks = t.sink_off.(t.n_nets);
+    m_names = t.sealed;
+  }
+
+type splice = {
+  sp_net : bool;
+  sp_lo : int;
+  sp_hi : int;
+  sp_tail : bool;
+  sp_len : int;
+  sp_with : string;
+}
+
+(* [sps] (sorted, disjoint) without the splices that end before entity
+   [i]: the first one left applies to [i] if it starts by [i]. *)
+let rec splices_from i = function
+  | sp :: rest when sp.sp_hi <= i -> splices_from i rest
+  | sps -> sps
+
+let copy_name_bytes ~from ~upto ~drop ~prefix ~splices =
+  let n_names = upto.m_cells - from.m_cells + upto.m_nets - from.m_nets in
+  List.fold_left
+    (fun acc sp ->
+      acc + ((sp.sp_hi - sp.sp_lo) * (String.length sp.sp_with - sp.sp_len)))
+    (upto.m_names - from.m_names + (n_names * (String.length prefix - drop)))
+    splices
+
+let copy_slice t ~from ~upto ~drop ~prefix ~splices =
+  if t.names_len <> t.sealed || t.sinks_len <> t.sink_off.(t.n_nets) then
+    invalid_arg "Netlist.copy_slice: a name or net is being written";
+  if from.m_cells < 0 || from.m_cells > upto.m_cells || upto.m_cells > t.n_cells
+     || from.m_nets < 0 || from.m_nets > upto.m_nets || upto.m_nets > t.n_nets
+     || from.m_sinks <> t.sink_off.(from.m_nets)
+     || upto.m_sinks <> t.sink_off.(upto.m_nets)
+  then invalid_arg "Netlist.copy_slice: not a slice of this netlist";
+  let nc = upto.m_cells - from.m_cells and nn = upto.m_nets - from.m_nets in
+  let s0 = from.m_sinks and ns = upto.m_sinks - from.m_sinks in
+  reserve t ~cells:nc ~nets:nn ~sinks:ns
+    ~name_bytes:(copy_name_bytes ~from ~upto ~drop ~prefix ~splices);
+  let c0 = t.n_cells and n0 = t.n_nets in
+  let shift = c0 - from.m_cells in
+  let moved c =
+    if c < from.m_cells || c >= upto.m_cells then
+      invalid_arg "Netlist.copy_slice: a net leaves the slice";
+    c + shift
+  in
+  Array.blit t.kinds from.m_cells t.kinds c0 nc;
+  Array.blit t.delays from.m_cells t.delays c0 nc;
+  Array.blit t.res (4 * from.m_cells) t.res (4 * c0) (4 * nc);
+  for i = 0 to nn - 1 do
+    t.drivers.(n0 + i) <- moved t.drivers.(from.m_nets + i)
+  done;
+  Array.blit t.widths from.m_nets t.widths n0 nn;
+  Array.blit t.classes from.m_nets t.classes n0 nn;
+  let s_shift = t.sinks_len - s0 in
+  for i = 1 to nn do
+    t.sink_off.(n0 + i) <- t.sink_off.(from.m_nets + i) + s_shift
+  done;
+  for k = s0 to s0 + ns - 1 do
+    t.sinks.(k + s_shift) <- moved t.sinks.(k)
+  done;
+  (* Names: [prefix], then the bytes past the first [drop], with the
+     entity's splice applied; the cells' names first, then the nets'. *)
+  let p = ref t.names_len in
+  let put_bytes src len =
+    Bytes.blit t.names src t.names !p len;
+    p := !p + len
+  in
+  let put_string s =
+    Bytes.blit_string s 0 t.names !p (String.length s);
+    p := !p + String.length s
+  in
+  let copy_names offs ~src ~dst ~count ~net =
+    let sps = ref (List.filter (fun sp -> sp.sp_net = net) splices) in
+    for i = 0 to count - 1 do
+      sps := splices_from i !sps;
+      let s = offs.(2 * (src + i)) + drop and e = offs.((2 * (src + i)) + 1) in
+      offs.(2 * (dst + i)) <- !p;
+      put_string prefix;
+      (match !sps with
+      | sp :: _ when sp.sp_lo <= i ->
+        let keep = e - s - sp.sp_len in
+        if keep < 0 then invalid_arg "Netlist.copy_slice: a name is too short";
+        if sp.sp_tail then begin
+          put_bytes s keep;
+          put_string sp.sp_with
+        end
+        else begin
+          put_string sp.sp_with;
+          put_bytes (s + sp.sp_len) keep
+        end
+      | _ ->
+        if e < s then invalid_arg "Netlist.copy_slice: a name is too short";
+        put_bytes s (e - s));
+      offs.((2 * (dst + i)) + 1) <- !p
+    done
+  in
+  copy_names t.cell_names ~src:from.m_cells ~dst:c0 ~count:nc ~net:false;
+  copy_names t.net_names ~src:from.m_nets ~dst:n0 ~count:nn ~net:true;
+  t.names_len <- !p;
+  t.sealed <- !p;
+  t.sinks_len <- t.sinks_len + ns;
+  t.n_cells <- c0 + nc;
+  t.n_nets <- n0 + nn
 
 let n_cells t = t.n_cells
 let n_nets t = t.n_nets

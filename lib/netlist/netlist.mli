@@ -94,6 +94,71 @@ val add_net :
     Empty sink lists are allowed (dangling nets are legal RTL and are
     ignored by timing). *)
 
+val reserve : t -> cells:int -> nets:int -> sinks:int -> name_bytes:int -> unit
+(** Make room for that many more cells, nets, sinks and name bytes, so the
+    appends that follow grow no buffer. A buffer that must grow at least
+    doubles, and takes a quarter more than it needs, so that a few appends
+    past the reservation (channel wiring, controllers) still fit. *)
+
+(** {2 Slices}
+
+    A run of appends can be appended again as a shifted copy ("stamp"):
+    this is how a replicated kernel is lowered once and copied for each
+    other member of its class. *)
+
+type mark = {
+  m_cells : int;  (** cells added so far *)
+  m_nets : int;  (** nets added so far *)
+  m_sinks : int;  (** their sinks *)
+  m_names : int;  (** the end of their names in the arena *)
+}
+(** The store's ends at one moment. Between two marks lie a slice's
+    [upto.m_cells - from.m_cells] cells, and so on for nets, sinks and
+    name bytes. *)
+
+val mark : t -> mark
+
+type splice = {
+  sp_net : bool;  (** the names of nets, else of cells *)
+  sp_lo : int;
+  sp_hi : int;
+      (** entities [sp_lo .. sp_hi - 1], counted from the slice's start *)
+  sp_tail : bool;
+      (** replace the name's last [sp_len] bytes, else the [sp_len] bytes
+          right after the dropped prefix *)
+  sp_len : int;
+  sp_with : string;
+}
+(** One byte range of a name to replace in the copy. *)
+
+val copy_name_bytes :
+  from:mark -> upto:mark -> drop:int -> prefix:string -> splices:splice list -> int
+(** The name bytes {!copy_slice} appends for these arguments. *)
+
+val copy_slice :
+  t ->
+  from:mark ->
+  upto:mark ->
+  drop:int ->
+  prefix:string ->
+  splices:splice list ->
+  unit
+(** [copy_slice t ~from ~upto ~drop ~prefix ~splices] appends a copy of
+    the cells and nets added between the two marks. The copy's cells come
+    in the same order, with the same kinds, delays and resources. Its nets
+    come in the same order, with the same widths, classes and sink order;
+    each driver and sink is shifted by the id offset from the slice's
+    first cell to the copy's. Each name loses its first [drop] bytes and
+    gains [prefix], and an entity inside a splice's range gets that splice
+    applied. The bytes are copied, never searched.
+
+    Each buffer is reserved once for the whole copy. The splices of one
+    kind must be sorted by [sp_lo] and disjoint; a name takes at most one.
+    Raises [Invalid_argument], leaving [t] unchanged, when a name or net is
+    being written (pending pieces), when the marks do not bound a slice of
+    [t], when a net of the slice reaches a cell outside it, or when a name
+    is shorter than [drop] plus its splice's [sp_len]. *)
+
 val n_cells : t -> int
 val n_nets : t -> int
 

@@ -50,7 +50,9 @@ val add_register : ?name:string -> Netlist.t -> width:int -> int
 val add_reg_chain :
   Netlist.t -> name:string -> width:int -> length:int -> int list
 (** [length] registers connected in series; returns the cell ids in order.
-    Used for balancing/pipelining delays. *)
+    Used for balancing/pipelining delays. The registers are named
+    [name ^ "_" ^ i]; the link out of a register is named [name ^ "_link"]
+    followed by that register's cell id. *)
 
 val add_fanout_tree :
   Netlist.t ->

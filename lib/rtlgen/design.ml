@@ -64,13 +64,42 @@ let lower_processes ~device ~recipe ~name (df : Dataflow.t)
   let fanout_trees = recipe.Style.sched = Style.Sched_aware in
   let n_procs = Dataflow.n_processes df in
   let lowered = Array.make n_procs None in
-  (* Lower kernels process-by-process so placement clusters each process. *)
+  let classes = Dataflow.kernel_classes df in
+  let templates = Array.make n_procs None in
+  let shares q (sched : Schedule.t) =
+    match scheds.(q) with
+    | Some s -> s.Schedule.entries == sched.Schedule.entries
+    | None -> false
+  in
+  (* Lower kernels process-by-process so placement clusters each process.
+     A class representative is lowered; each later member sharing its
+     schedule is stamped from it in the member's own turn, into room
+     reserved for them all at once. *)
   for p = 0 to n_procs - 1 do
     match scheds.(p) with
     | None -> ()
     | Some sched ->
-      lowered.(p) <-
-        Some (Lower.lower device nl ~pipe:recipe.Style.pipe ~fanout_trees sched)
+      let rep = classes.(p) in
+      let lw =
+        match templates.(rep) with
+        | Some tp when shares rep sched -> Lower.stamp nl tp sched
+        | Some _ | None ->
+          let lw, tp =
+            Lower.lower device nl ~pipe:recipe.Style.pipe ~fanout_trees sched
+          in
+          let members = ref [] in
+          for q = n_procs - 1 downto p + 1 do
+            match scheds.(q) with
+            | Some s when classes.(q) = p && shares p s -> members := s :: !members
+            | Some _ | None -> ()
+          done;
+          if !members <> [] then begin
+            templates.(p) <- Some tp;
+            Lower.reserve_stamps nl tp !members
+          end;
+          lw
+      in
+      lowered.(p) <- Some lw
   done;
   (* Wire channels: writer interface -> reader FIFO cell, matched by name. *)
   Trace.with_span "wire_channels" (fun () ->
@@ -191,11 +220,13 @@ let emit_sync ~device ~recipe (df : Dataflow.t) (dp : datapath) =
           ignore
             (Netlist.add_net nl ~cls:Netlist.Ctrl_sync ~name:"_cond"
                ~driver:root_cell ~sinks:[ fsm ] ~width:1 ());
-          let start_sinks =
-            List.concat_map (fun (_, lw) -> lw.Lower.lw_start_sinks) members
+          let n_start =
+            List.fold_left
+              (fun n (_, lw) -> n + List.length lw.Lower.lw_start_sinks)
+              0 members
           in
-          max_fanout := max !max_fanout (List.length start_sinks);
-          if start_sinks <> [] then begin
+          max_fanout := max !max_fanout n_start;
+          if n_start > 0 then begin
             (* each member kernel registers the incoming start in its own
                controller, so the broadcast takes two registered hops *)
             group ();
@@ -205,9 +236,12 @@ let emit_sync ~device ~recipe (df : Dataflow.t) (dp : datapath) =
               (Netlist.add_net nl ~cls:Netlist.Ctrl_sync ~name:"_s0"
                  ~driver:fsm ~sinks:[ hop ] ~width:1 ());
             group ();
+            List.iter
+              (fun (_, lw) -> List.iter (Netlist.push_sink nl) lw.Lower.lw_start_sinks)
+              members;
             ignore
               (Netlist.add_net nl ~cls:Netlist.Ctrl_sync ~name:"_start"
-                 ~driver:hop ~sinks:start_sinks ~width:1 ())
+                 ~driver:hop ~sinks:[] ~width:1 ())
           end
       end)
     (Dataflow.sync_groups df_sync));

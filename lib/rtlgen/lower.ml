@@ -21,6 +21,47 @@ type t = {
   lw_registers_added : int;
 }
 
+(* What a kernel's names spell that differs between members of a class:
+   a symbol, looked up by node or by id (which [Dag.same_structure] keeps
+   equal across a class), or a cell id (a register chain's link names),
+   which a stamp shifts like the cell. *)
+type symbol =
+  | Input_name of Dag.node
+  | Output_name of Dag.node
+  | Fifo_name of int
+  | Buffer_name of int
+  | Cell_id of int
+
+let spell dag ~shift = function
+  | Input_name v | Output_name v -> (
+    match Dag.kind dag v with
+    | Dag.Input s | Dag.Output s -> s
+    | _ -> invalid_arg "Lower: not a port node")
+  | Fifo_name f -> (Dag.fifo dag f).Dag.f_name
+  | Buffer_name b -> (Dag.buffer dag b).Dag.b_name
+  | Cell_id c -> string_of_int (c + shift)
+
+(* The names of cells (or nets) [lo .. hi - 1], counted from the kernel's
+   first, spell [sym] at their tail or right after the prefix. *)
+type spot = {
+  sym : symbol;
+  net : bool;
+  lo : int;
+  hi : int;
+  tail : bool;
+}
+
+type template = {
+  tp_kernel : Kernel.t;
+  tp_entries : Schedule.entry array;
+  tp_from : Netlist.mark;
+  tp_upto : Netlist.mark;
+  tp_spots : spot list;  (* in the order recorded: each kind sorted by id *)
+  tp_fifo_wr : int list;  (* the fifo of each write interface *)
+  tp_fifo_rd : int list;
+  tp_lowered : t;
+}
+
 let big_fanout = 8
 
 let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
@@ -29,6 +70,16 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
   let kname = k.Kernel.name in
   let n = Dag.n_nodes dag in
   let entries = sched.Schedule.entries in
+  let from = Netlist.mark nl in
+  (* Where a name spells a symbol: at its tail, or (a memory bank's
+     cells and nets) right after the prefix. *)
+  let spots = ref [] in
+  let splice ~net ~lo ~hi ~tail sym =
+    let base = if net then from.Netlist.m_nets else from.Netlist.m_cells in
+    spots := { sym; net; lo = lo - base; hi = hi - base; tail } :: !spots
+  in
+  let tail_cell c sym = splice ~net:false ~lo:c ~hi:(c + 1) ~tail:true sym in
+  let tail_net n sym = splice ~net:true ~lo:n ~hi:(n + 1) ~tail:true sym in
   (* Names are written piece by piece into the netlist's arena, and the
      add that follows seals them ({!Netlist.add_cell}): [pre s] writes
      ["<kernel>.<s>"], [vpre stem v] writes ["<kernel>.<stem><v>"] and
@@ -95,6 +146,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
     | None ->
       let buf = Dag.buffer dag b in
       let p = buf.Dag.b_partition in
+      let c0 = Netlist.n_cells nl and n0 = Netlist.n_nets nl in
       let mbs =
         if p <= 1 then begin
           let units =
@@ -126,6 +178,8 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
               ~width:(Dtype.width buf.Dag.b_dtype)
               ~depth ())
       in
+      splice ~net:false ~lo:c0 ~hi:(Netlist.n_cells nl) ~tail:false (Buffer_name b);
+      splice ~net:true ~lo:n0 ~hi:(Netlist.n_nets nl) ~tail:false (Buffer_name b);
       Array.iter (fun mb -> Array.iter add_seq mb.Structs.mb_units) mbs;
       Hashtbl.add banks b mbs;
       mbs
@@ -143,6 +197,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
            controller's start. *)
         pre "in_";
         let c = new_reg ~name w in
+        tail_cell c (Input_name v);
         slot v c [||]
       | Dag.Operation o ->
         (* Internal stages: intrinsic pipelining + §4.1 split stages. The
@@ -305,9 +360,10 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
           Netlist.add_cell nl ~name:fd.Dag.f_name ~kind:Netlist.Seq ~delay:0.2
             ~res:(Macro.fifo ~width:w ~depth:fd.Dag.f_depth)
         in
+        tail_cell c (Fifo_name f);
         add_seq c;
         start_sinks := c :: !start_sinks;
-        fifo_rd := (fd.Dag.f_name, c, w) :: !fifo_rd;
+        fifo_rd := (f, c, w) :: !fifo_rd;
         slot v c [||]
       | Dag.Fifo_write f ->
         (* The FIFO write interface is registered (the macro's input
@@ -319,8 +375,9 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
           Netlist.add_cell nl ~name:fd.Dag.f_name ~kind:Netlist.Seq ~delay:0.2
             ~res:(Netlist.add_res (Macro.logic w) (Macro.register w))
         in
+        tail_cell c (Fifo_name f);
         add_seq c;
-        fifo_wr := (fd.Dag.f_name, c, w) :: !fifo_wr;
+        fifo_wr := (f, c, w) :: !fifo_wr;
         slot v (-1) [| c |]
       | Dag.Output name ->
         pre "out_";
@@ -328,6 +385,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
           Netlist.add_cell nl ~name ~kind:Netlist.Port_out ~delay:0.
             ~res:Netlist.zero_res
         in
+        tail_cell c (Output_name v);
         slot v (-1) [| c |]);
   (* ---- pass 2: nets (args -> consumers), with cross-cycle registers ---- *)
   (* Cycle at which v's value leaves its internal pipeline; the remaining
@@ -440,6 +498,16 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
   pre "iter_cnt";
   let counter = new_reg 16 in
   start_sinks := counter :: !start_sinks;
+  (* Link [k] of a register chain is named after register [k]'s cell id. *)
+  let reg_chain stem length =
+    let n0 = Netlist.n_nets nl in
+    let regs = Structs.add_reg_chain nl ~name:(cname stem) ~width:1 ~length in
+    List.iteri
+      (fun k c -> if n0 + k < Netlist.n_nets nl then tail_net (n0 + k) (Cell_id c))
+      regs;
+    List.iter add_seq regs;
+    regs
+  in
   (* ---- pass 3: pipeline control ---- *)
   let depth = sched.Schedule.depth in
   let skid_bits = ref 0 in
@@ -453,11 +521,14 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
         ~res:(Macro.logic (4 + List.length !fifo_rd + List.length !fifo_wr))
     in
     List.iter
-      (fun (name, c, _) ->
+      (fun (f, c, _) ->
         pre "full_";
-        ignore
-          (Netlist.add_net nl ~cls:Netlist.Ctrl_pipeline ~name ~driver:c
-             ~sinks:[ stall ] ~width:1 ()))
+        let net =
+          Netlist.add_net nl ~cls:Netlist.Ctrl_pipeline
+            ~name:(Dag.fifo dag f).Dag.f_name ~driver:c ~sinks:[ stall ]
+            ~width:1 ()
+        in
+        tail_net net (Fifo_name f))
       !fifo_rd;
     let sinks = List.rev !seq_cells in
     if sinks <> [] then begin
@@ -468,8 +539,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
     end
   | Style.Skid { min_area } ->
     (* Valid-bit chain accompanying the data (always-flowing pipeline). *)
-    let valids = Structs.add_reg_chain nl ~name:(cname "valid") ~width:1 ~length:(max 1 depth) in
-    List.iter add_seq valids;
+    let valids = reg_chain "valid" (max 1 depth) in
     let widths = Sched_report.stage_widths sched in
     let out_width = max 1 (Kernel.data_width_out k) in
     let plan =
@@ -506,8 +576,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
     (match !first_fifo with
     | None -> ()
     | Some f ->
-      let hops = Structs.add_reg_chain nl ~name:(cname "bp") ~width:1 ~length:ctrl_stages in
-      List.iter add_seq hops;
+      let hops = reg_chain "bp" ctrl_stages in
       (match hops with
       | first :: _ ->
         pre "bp_src";
@@ -542,27 +611,119 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
   ignore
     (Netlist.add_net nl ~cls:Netlist.Ctrl_sync ~driver:counter
        ~sinks:[ done_cell ] ~width:16 ());
-  {
-    lw_name = kname;
-    lw_depth = depth;
-    lw_done = done_cell;
-    lw_start_sinks = List.rev !start_sinks;
-    lw_fifo_write_ifaces = List.rev !fifo_wr;
-    lw_fifo_read_ifaces = List.rev !fifo_rd;
-    lw_seq_cells = List.rev !seq_cells;
-    lw_skid_bits = !skid_bits;
-    lw_registers_added = !registers_added;
-  }
+  let ifaces l = List.rev_map (fun (f, c, w) -> ((Dag.fifo dag f).Dag.f_name, c, w)) l in
+  let lw =
+    {
+      lw_name = kname;
+      lw_depth = depth;
+      lw_done = done_cell;
+      lw_start_sinks = List.rev !start_sinks;
+      lw_fifo_write_ifaces = ifaces !fifo_wr;
+      lw_fifo_read_ifaces = ifaces !fifo_rd;
+      lw_seq_cells = List.rev !seq_cells;
+      lw_skid_bits = !skid_bits;
+      lw_registers_added = !registers_added;
+    }
+  in
+  let fifo_ids l = List.rev_map (fun (f, _, _) -> f) l in
+  ( lw,
+    {
+      tp_kernel = k;
+      tp_entries = entries;
+      tp_from = from;
+      tp_upto = Netlist.mark nl;
+      tp_spots = List.rev !spots;
+      tp_fifo_wr = fifo_ids !fifo_wr;
+      tp_fifo_rd = fifo_ids !fifo_rd;
+      tp_lowered = lw;
+    } )
 
-let lower d nl ~pipe ~fanout_trees (sched : Schedule.t) =
-  let module Trace = Hlsb_telemetry.Trace in
-  if not (Trace.enabled ()) then lower_body d nl ~pipe ~fanout_trees sched
+module Trace = Hlsb_telemetry.Trace
+module Json = Hlsb_telemetry.Json
+
+let traced ?stamped_from (sched : Schedule.t) body =
+  if not (Trace.enabled ()) then body ()
   else
+    let from =
+      match stamped_from with
+      | None -> []
+      | Some (r : Kernel.t) -> [ ("stamped_from", Json.Str r.Kernel.name) ]
+    in
     Trace.with_span "lower"
       ~attrs:
-        [
-          ( "kernel",
-            Hlsb_telemetry.Json.Str sched.Schedule.kernel.Hlsb_ir.Kernel.name );
-          ("depth", Hlsb_telemetry.Json.Int sched.Schedule.depth);
-        ]
-      (fun () -> lower_body d nl ~pipe ~fanout_trees sched)
+        (("kernel", Json.Str sched.Schedule.kernel.Kernel.name)
+        :: ("depth", Json.Int sched.Schedule.depth)
+        :: from)
+      body
+
+let lower d nl ~pipe ~fanout_trees sched =
+  traced sched (fun () -> lower_body d nl ~pipe ~fanout_trees sched)
+
+(* [Netlist.copy_slice]'s name arguments for a copy of [tp]'s slice
+   [shift] cells further on, for kernel [k]. *)
+let copy_args tp (k : Kernel.t) ~shift =
+  let rep = tp.tp_kernel in
+  ( String.length rep.Kernel.name + 1,
+    k.Kernel.name ^ ".",
+    List.map
+      (fun s ->
+        {
+          Netlist.sp_net = s.net;
+          sp_lo = s.lo;
+          sp_hi = s.hi;
+          sp_tail = s.tail;
+          sp_len = String.length (spell rep.Kernel.dag ~shift:0 s.sym);
+          sp_with = spell k.Kernel.dag ~shift s.sym;
+        })
+      tp.tp_spots )
+
+let check_shared tp (sched : Schedule.t) =
+  if sched.Schedule.entries != tp.tp_entries then
+    invalid_arg "Lower.stamp: the schedule is not the representative's"
+
+let stamp nl tp (sched : Schedule.t) =
+  check_shared tp sched;
+  traced ~stamped_from:tp.tp_kernel sched (fun () ->
+    let k = sched.Schedule.kernel in
+    let shift = Netlist.n_cells nl - tp.tp_from.Netlist.m_cells in
+    let drop, prefix, splices = copy_args tp k ~shift in
+    Netlist.copy_slice nl ~from:tp.tp_from ~upto:tp.tp_upto ~drop ~prefix ~splices;
+    Hlsb_telemetry.Metrics.incr "lower.kernels_stamped";
+    let mv c = c + shift in
+    let ifaces ids l =
+      List.map2
+        (fun f (_, c, w) -> ((Dag.fifo k.Kernel.dag f).Dag.f_name, mv c, w))
+        ids l
+    in
+    let lw = tp.tp_lowered in
+    {
+      lw with
+      lw_name = k.Kernel.name;
+      lw_done = mv lw.lw_done;
+      lw_start_sinks = List.map mv lw.lw_start_sinks;
+      lw_fifo_write_ifaces = ifaces tp.tp_fifo_wr lw.lw_fifo_write_ifaces;
+      lw_fifo_read_ifaces = ifaces tp.tp_fifo_rd lw.lw_fifo_read_ifaces;
+      lw_seq_cells = List.map mv lw.lw_seq_cells;
+    })
+
+let reserve_stamps nl tp scheds =
+  let from = tp.tp_from and upto = tp.tp_upto in
+  let copies = List.length scheds in
+  let slice_cells = upto.Netlist.m_cells - from.Netlist.m_cells in
+  (* Name bytes as if the stamps came back to back: the cell ids in link
+     names are then exact. *)
+  let name_bytes, _ =
+    List.fold_left
+      (fun (acc, shift) (sched : Schedule.t) ->
+        check_shared tp sched;
+        let drop, prefix, splices = copy_args tp sched.Schedule.kernel ~shift in
+        ( acc + Netlist.copy_name_bytes ~from ~upto ~drop ~prefix ~splices,
+          shift + slice_cells ))
+      (0, Netlist.n_cells nl - from.Netlist.m_cells)
+      scheds
+  in
+  Netlist.reserve nl
+    ~cells:(copies * slice_cells)
+    ~nets:(copies * (upto.Netlist.m_nets - from.Netlist.m_nets))
+    ~sinks:(copies * (upto.Netlist.m_sinks - from.Netlist.m_sinks))
+    ~name_bytes

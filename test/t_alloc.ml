@@ -7,11 +7,16 @@
    Calibration is warmed first so the schedule figure measures
    scheduling, not curve characterization. When set, the worst designs
    measured 64.5 words/scheduled node (schedule; 57.5 per DAG node
-   before replicated kernels shared one schedule), 19.2 words/cell
-   (lower), 0.3 words/cell (place) and 7.7 words/cell (STA). Lower
-   measured 55-84 before it wrote names into the netlist's arena and sinks
-   into its CSR, and 194-320 before that; STA measured 23-28 while the
-   jitter draw boxed its Int64s and floats. *)
+   before replicated kernels shared one schedule), 19.4 words/cell
+   (lower), 0.3 words/cell (place) and 7.7 words/cell (STA). Lower is
+   charged per cell it emits, stamped cells included. Its worst case is
+   Face Detection, which replicates no kernel, so the budget stays at
+   20; the replicated designs fell when members were stamped from their
+   class representative instead of lowered (Pattern Matching 14.9 ->
+   4.1, HBM-Based Stencil 14.8 -> 5.1, Vector Arithmetic 14.0 -> 11.5).
+   Lower measured 55-84 before it wrote names into the netlist's arena
+   and sinks into its CSR, and 194-320 before that; STA measured 23-28
+   while the jitter draw boxed its Int64s and floats. *)
 
 open Hlsb_ir
 module Style = Hlsb_ctrl.Style

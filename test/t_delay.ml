@@ -86,11 +86,15 @@ let test_mem_read_grows () =
       (r256.Characterize.measured > r1.Characterize.measured)
   | _ -> Alcotest.fail "one point per unit count"
 
+(* The calibrated delay of a 32-bit add at a broadcast factor. *)
+let add_delay cal ~factor =
+  Calibrate.resolved_delay (Calibrate.resolve cal Op.Add i32) ~factor
+
 let test_calibrated_at_least_predicted () =
   let cal = Calibrate.create dev in
   List.iter
     (fun factor ->
-      let c = Calibrate.op_delay cal Op.Add i32 ~factor in
+      let c = add_delay cal ~factor in
       Alcotest.(check bool)
         (Printf.sprintf "factor %d" factor)
         true
@@ -99,23 +103,23 @@ let test_calibrated_at_least_predicted () =
 
 let test_calibrated_monotone_smoothed () =
   let cal = Calibrate.create dev in
-  let big = Calibrate.op_delay cal Op.Add i32 ~factor:512 in
-  let small = Calibrate.op_delay cal Op.Add i32 ~factor:1 in
+  let big = add_delay cal ~factor:512 in
+  let small = add_delay cal ~factor:1 in
   Alcotest.(check bool) "more broadcast, more delay" true (big > small)
 
 let test_calibrated_interpolation () =
   (* a factor between grid points must land between the grid values *)
   let cal = Calibrate.create dev in
-  let f32v = Calibrate.op_delay cal Op.Add i32 ~factor:32 in
-  let f64v = Calibrate.op_delay cal Op.Add i32 ~factor:64 in
-  let f48 = Calibrate.op_delay cal Op.Add i32 ~factor:48 in
+  let f32v = add_delay cal ~factor:32 in
+  let f64v = add_delay cal ~factor:64 in
+  let f48 = add_delay cal ~factor:48 in
   let lo = min f32v f64v -. 1e-9 and hi = max f32v f64v +. 1e-9 in
   Alcotest.(check bool) "between neighbours" true (f48 >= lo && f48 <= hi)
 
 let test_calibrated_clamps () =
   let cal = Calibrate.create dev in
-  let at_max = Calibrate.op_delay cal Op.Add i32 ~factor:512 in
-  let beyond = Calibrate.op_delay cal Op.Add i32 ~factor:100000 in
+  let at_max = add_delay cal ~factor:512 in
+  let beyond = add_delay cal ~factor:100000 in
   Alcotest.(check (float 1e-9)) "clamped beyond grid" at_max beyond
 
 let test_mem_calibrated_floor () =
@@ -150,8 +154,8 @@ let test_shared_cache () =
 let test_invalid_factor () =
   let cal = Calibrate.create dev in
   Alcotest.check_raises "factor 0"
-    (Invalid_argument "Calibrate.op_delay: factor < 1") (fun () ->
-      ignore (Calibrate.op_delay cal Op.Add i32 ~factor:0))
+    (Invalid_argument "Calibrate.resolved_delay: factor < 1") (fun () ->
+      ignore (add_delay cal ~factor:0))
 
 let test_device_scaling () =
   (* the same op is slower on the older, slower fabric *)
@@ -256,7 +260,8 @@ let test_cache_bytes_order_independent () =
   let warm_in dir order ~jobs =
     let cal = Calibrate.create ~cache_dir:dir dev in
     Pool.iter ~jobs
-      (fun (op, dt) -> ignore (Calibrate.op_delay cal op dt ~factor:4))
+      (fun (op, dt) ->
+        ignore (Calibrate.resolved_delay (Calibrate.resolve cal op dt) ~factor:4))
       (Array.of_list order);
     List.map
       (fun (op, dt) ->

@@ -64,4 +64,62 @@ let test_golden () =
   Alcotest.(check int) "entries" 63 (List.length got);
   Alcotest.(check (list string)) "digests" want got
 
-let suite = [ Alcotest.test_case "Table-1 + bm420x2 output digests" `Slow test_golden ]
+(* Stamping replicated kernels writes the netlist that lowering each
+   kernel writes: the Verilog (every cell, net, name and port) of the 20
+   Suite compiles and of bm420x2 under both recipes equals a reference
+   whose schedules share no entries, so that it lowers every kernel with
+   [Lower.lower]. *)
+let test_stamped_verilog () =
+  let module Schedule = Hlsb_sched.Schedule in
+  let module Metrics = Hlsb_telemetry.Metrics in
+  let verilog (spec : Spec.t) recipe ~unshare =
+    let device = spec.Spec.sp_device in
+    let df = spec.Spec.sp_build () in
+    let reg = Metrics.create () in
+    let v =
+      Metrics.with_registry reg (fun () ->
+        let scheds = Design.schedule_processes ~device ~recipe df in
+        let scheds =
+          if not unshare then scheds
+          else
+            Array.map
+              (Option.map (fun (s : Schedule.t) ->
+                 { s with Schedule.entries = Array.copy s.Schedule.entries }))
+              scheds
+        in
+        let dp = Design.lower_processes ~device ~recipe ~name:spec.Spec.sp_name df scheds in
+        Export.to_verilog (Design.emit_sync ~device ~recipe df dp).Design.netlist)
+    in
+    let count = Metrics.counter_value reg in
+    (v, count "sched.kernels_shared", count "lower.kernels_stamped")
+  in
+  let first_diff a b =
+    let rec go i = function
+      | x :: xs, y :: ys ->
+        if x = y then go (i + 1) (xs, ys) else Printf.sprintf "line %d: %S vs %S" i x y
+      | [], [] -> "no line"
+      | _ -> Printf.sprintf "line %d: one export is longer" i
+    in
+    go 1 (String.split_on_char '\n' a, String.split_on_char '\n' b)
+  in
+  List.iter
+    (fun (spec : Spec.t) ->
+      List.iter
+        (fun recipe ->
+          let what = spec.Spec.sp_name ^ " [" ^ Style.label recipe ^ "]" in
+          let got, shared, stamped = verilog spec recipe ~unshare:false in
+          let want, _, unstamped = verilog spec recipe ~unshare:true in
+          Alcotest.(check int) (what ^ ": one stamp per shared schedule") shared stamped;
+          Alcotest.(check int) (what ^ ": the reference stamps nothing") 0 unstamped;
+          if got <> want then
+            Alcotest.failf "%s: Verilog differs from per-kernel lowering at %s" what
+              (first_diff got want))
+        [ Style.original; Style.optimized ])
+    (Hlsb_designs.Suite.all @ [ bm420x2 () ])
+
+let suite =
+  [
+    Alcotest.test_case "Table-1 + bm420x2 output digests" `Slow test_golden;
+    Alcotest.test_case "stamped Verilog equals per-kernel lowering" `Slow
+      test_stamped_verilog;
+  ]

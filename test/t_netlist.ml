@@ -365,9 +365,67 @@ let test_fanout_tree_bad_args () =
        false
      with Invalid_argument _ -> true)
 
+(* A slice copy: shifted ids, the same fields, renamed names with a tail
+   and a head splice; and the copies it refuses, leaving the netlist as it
+   was. *)
+let test_copy_slice () =
+  let nl = Netlist.create ~name:"t" in
+  let outside = reg nl "outside" in
+  let from = Netlist.mark nl in
+  let a = reg nl "k.in_x" in
+  let res = { Netlist.zero_res with Netlist.r_bram18 = 1 } in
+  let b = Netlist.add_cell nl ~name:"k.buf_u0" ~kind:Netlist.Mem ~delay:0.9 ~res in
+  ignore
+    (Netlist.add_net nl ~cls:Netlist.Data_broadcast ~name:"k.n" ~driver:a
+       ~sinks:[ b; b ] ~width:3 ());
+  let upto = Netlist.mark nl in
+  let splice ~lo ~tail ~len w =
+    {
+      Netlist.sp_net = false;
+      sp_lo = lo;
+      sp_hi = lo + 1;
+      sp_tail = tail;
+      sp_len = len;
+      sp_with = w;
+    }
+  in
+  Netlist.copy_slice nl ~from ~upto ~drop:2 ~prefix:"pe12."
+    ~splices:[ splice ~lo:0 ~tail:true ~len:1 "long_x"; splice ~lo:1 ~tail:false ~len:3 "m" ];
+  Alcotest.(check int) "cells" 5 (Netlist.n_cells nl);
+  Alcotest.(check (list string)) "cell names"
+    [ "outside"; "k.in_x"; "k.buf_u0"; "pe12.in_long_x"; "pe12.m_u0" ]
+    (List.init 5 (Netlist.cell_name nl));
+  Alcotest.(check string) "net name" "pe12.n" (Netlist.net_name nl 1);
+  Alcotest.(check int) "driver shifted" (a + 2) (Netlist.driver nl 1);
+  Alcotest.(check (list int)) "sinks shifted" [ b + 2; b + 2 ]
+    (List.init (Netlist.fanout nl 1) (Netlist.sink nl 1));
+  Alcotest.(check int) "width" 3 (Netlist.width nl 1);
+  Alcotest.(check bool) "class" true (Netlist.net_class nl 1 = Netlist.Data_broadcast);
+  Alcotest.(check bool) "kind" true (Netlist.kind nl (b + 2) = Netlist.Mem);
+  Alcotest.(check (float 0.)) "delay" 0.9 (Netlist.delay nl (b + 2));
+  Alcotest.(check int) "resources" 1 (Netlist.bram18 nl (b + 2));
+  let refused what f =
+    let cells = Netlist.n_cells nl and nets = Netlist.n_nets nl in
+    Alcotest.(check bool) what true
+      (try f (); false with Invalid_argument _ -> true);
+    Alcotest.(check (pair int int)) (what ^ ": unchanged") (cells, nets)
+      (Netlist.n_cells nl, Netlist.n_nets nl)
+  in
+  let from2 = Netlist.mark nl in
+  ignore (Netlist.add_net nl ~name:"k.o" ~driver:outside ~sinks:[ a ] ~width:1 ());
+  let upto2 = Netlist.mark nl in
+  refused "a net leaving the slice" (fun () ->
+    Netlist.copy_slice nl ~from:from2 ~upto:upto2 ~drop:0 ~prefix:"" ~splices:[]);
+  refused "a name shorter than the prefix" (fun () ->
+    Netlist.copy_slice nl ~from ~upto ~drop:20 ~prefix:"" ~splices:[]);
+  Netlist.name_str nl "pending.";
+  refused "pending pieces" (fun () ->
+    Netlist.copy_slice nl ~from ~upto ~drop:0 ~prefix:"" ~splices:[])
+
 let suite =
   [
     Alcotest.test_case "cells and nets" `Quick test_add_cells_nets;
+    Alcotest.test_case "slice copy" `Quick test_copy_slice;
     Alcotest.test_case "net checks" `Quick test_net_checks;
     Alcotest.test_case "max fanout by class" `Quick test_max_fanout_by_class;
     Alcotest.test_case "resources accumulate" `Quick test_resources_accumulate;

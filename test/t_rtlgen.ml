@@ -33,7 +33,7 @@ let lower_one ~pipe ~fanout_trees kernel =
     else Schedule.Baseline
   in
   let sched = Schedule.run mode kernel in
-  let lw = Lower.lower dev nl ~pipe ~fanout_trees sched in
+  let lw, _ = Lower.lower dev nl ~pipe ~fanout_trees sched in
   (nl, lw, sched)
 
 let test_lower_valid_netlist () =
@@ -308,6 +308,139 @@ let test_lower_sink_order () =
     ]
     (List.rev !value_nets)
 
+(* ---- stamping: a member copied from its representative equals its own
+   lowering ---- *)
+
+(* One random kernel shape per seed, spelled with [pre]'s symbol names:
+   calls with one seed build kernels of one class, whatever [pre] is. It
+   reaches every lowering path that writes a symbol into a name: inputs,
+   outputs, FIFO reads and writes (and their stall nets), monolithic and
+   partitioned buffers (some large enough for read pipelines and address
+   trees). *)
+let named_kernel ~seed ~name ~pre =
+  let module Rng = Hlsb_util.Rng in
+  let rng = Rng.create seed in
+  let dag = Dag.create () in
+  let sym s i = Printf.sprintf "%s%s%d" pre s i in
+  let fifo s i = Dag.add_fifo dag ~name:(sym s i) ~dtype:i32 ~depth:(1 + Rng.int rng 16) in
+  let fins = Array.init (1 + Rng.int rng 2) (fifo "in") in
+  let fout = fifo "out" 0 in
+  let bufs =
+    Array.init (Rng.int rng 3) (fun i ->
+      Dag.add_buffer dag ~name:(sym "buf" i) ~dtype:i32
+        ~depth:(64 lsl Rng.int rng 11)
+        ~partition:(1 + Rng.int rng 3))
+  in
+  let pool = ref (Array.to_list (Array.map (fun f -> Dag.fifo_read dag ~fifo:f) fins)) in
+  let pick () = List.nth !pool (Rng.int rng (List.length !pool)) in
+  for i = 0 to 5 + Rng.int rng 40 do
+    let node =
+      match Rng.int rng 8 with
+      | 0 | 1 | 2 ->
+        Dag.op dag (if Rng.bool rng then Op.Add else Op.Mul) ~dtype:i32 [ pick (); pick () ]
+      | 3 -> Dag.input dag ~name:(sym "x" i) ~dtype:i32
+      | 4 when Array.length bufs > 0 ->
+        Dag.load dag ~buffer:bufs.(Rng.int rng (Array.length bufs)) ~index:(pick ())
+      | 5 when Array.length bufs > 0 ->
+        ignore
+          (Dag.store dag ~buffer:bufs.(Rng.int rng (Array.length bufs))
+             ~index:(pick ()) ~value:(pick ()));
+        pick ()
+      | 6 ->
+        ignore (Dag.output dag ~name:(sym "o" i) ~value:(pick ()));
+        pick ()
+      | _ -> Dag.fifo_read dag ~fifo:fins.(Rng.int rng (Array.length fins))
+    in
+    pool := node :: !pool
+  done;
+  ignore (Dag.fifo_write dag ~fifo:fout ~value:(pick ()));
+  Kernel.create ~name dag
+
+(* Every field of every cell and net, names and sinks included. *)
+let netlist_dump nl =
+  let cells =
+    List.init (Netlist.n_cells nl) (fun c ->
+      Printf.sprintf "c %s %h %d %d %d %d %s" (Netlist.cell_name nl c)
+        (Netlist.delay nl c) (Netlist.luts nl c) (Netlist.ffs nl c)
+        (Netlist.bram18 nl c) (Netlist.dsps nl c)
+        (match Netlist.kind nl c with
+        | Netlist.Comb -> "comb"
+        | Netlist.Seq -> "seq"
+        | Netlist.Mem -> "mem"
+        | Netlist.Port_in -> "in"
+        | Netlist.Port_out -> "out"))
+  in
+  let nets =
+    List.init (Netlist.n_nets nl) (fun n ->
+      Printf.sprintf "n %s %d %d %s [%s]" (Netlist.net_name nl n)
+        (Netlist.driver nl n) (Netlist.width nl n)
+        (match Netlist.net_class nl n with
+        | Netlist.Data -> "data"
+        | Netlist.Data_broadcast -> "bcast"
+        | Netlist.Ctrl_sync -> "sync"
+        | Netlist.Ctrl_pipeline -> "pipe")
+        (String.concat ","
+           (List.init (Netlist.fanout nl n) (fun k ->
+              string_of_int (Netlist.sink nl n k)))))
+  in
+  cells @ nets
+
+let prop_stamp_equals_lower =
+  QCheck.Test.make ~count:60
+    ~name:"stamped member equals its own lowering, names included"
+    QCheck.(triple small_nat (int_bound 2) bool)
+    (fun (seed, pipe_i, aware) ->
+      let pipe =
+        match pipe_i with
+        | 0 -> Style.Stall
+        | 1 -> Style.Skid { min_area = false }
+        | _ -> Style.Skid { min_area = true }
+      in
+      let mode =
+        if aware then Schedule.Broadcast_aware (Calibrate.shared dev)
+        else Schedule.Baseline
+      in
+      (* symbol and kernel names of different lengths, the member's
+         containing the representative's *)
+      let rep = named_kernel ~seed ~name:"k" ~pre:"p" in
+      let member = named_kernel ~seed ~name:"pe_k12" ~pre:"lane_p7_" in
+      if not (Dag.same_structure rep.Kernel.dag member.Kernel.dag) then
+        QCheck.Test.fail_report "the two spellings fall into different classes";
+      let rep_sched = Schedule.run mode rep in
+      let member_sched = Schedule.rebind rep_sched member in
+      (* an unrelated kernel first, so the slices start past cell 0 *)
+      let head = streaming_kernel ~unroll:2 "head" in
+      let build lower_member =
+        let nl = Netlist.create ~name:"t" in
+        ignore (Lower.lower dev nl ~pipe ~fanout_trees:aware (Schedule.run mode head));
+        let _, tp = Lower.lower dev nl ~pipe ~fanout_trees:aware rep_sched in
+        let lw = lower_member nl tp in
+        (netlist_dump nl, lw)
+      in
+      let got, got_lw = build (fun nl tp -> Lower.stamp nl tp member_sched) in
+      let want, want_lw =
+        build (fun nl _ ->
+          fst (Lower.lower dev nl ~pipe ~fanout_trees:aware member_sched))
+      in
+      if got <> want then
+        QCheck.Test.fail_reportf "netlists differ:\n%s"
+          (String.concat "\n"
+             (List.filteri (fun i _ -> i < 10)
+                (List.filter (fun l -> not (List.mem l want)) got)));
+      got_lw = want_lw)
+
+(* A stamp reserves its whole slice up front, and a stamp of a kernel from
+   another class's template is refused. *)
+let test_stamp_rejects_unshared () =
+  let k = streaming_kernel "a" in
+  let sched = Schedule.run Schedule.Baseline k in
+  let nl = Netlist.create ~name:"t" in
+  let _, tp = Lower.lower dev nl ~pipe:Style.Stall ~fanout_trees:false sched in
+  let fresh = Schedule.run Schedule.Baseline (streaming_kernel "b") in
+  Alcotest.check_raises "a schedule of its own"
+    (Invalid_argument "Lower.stamp: the schedule is not the representative's")
+    (fun () -> ignore (Lower.stamp nl tp fresh))
+
 let suite =
   [
     Alcotest.test_case "lowered netlists validate" `Quick test_lower_valid_netlist;
@@ -326,6 +459,9 @@ let suite =
     Alcotest.test_case "sync pruned smaller" `Quick test_design_sync_pruned_uses_latency;
     Alcotest.test_case "single kernel wrapper" `Quick test_single_kernel_wrapper;
     Alcotest.test_case "value-net sink order" `Quick test_lower_sink_order;
+    Alcotest.test_case "stamp refuses an unshared schedule" `Quick
+      test_stamp_rejects_unshared;
+    QCheck_alcotest.to_alcotest prop_stamp_equals_lower;
   ]
 
 (* ---- end-to-end fuzz: random kernels survive the whole flow ---- *)

@@ -203,12 +203,15 @@ let test_lowers_same () =
 (* A kernel touching every node kind; each optional argument changes one
    thing about it. *)
 let shape ?(prefix = "") ?(c = 7L) ?(partition = 1) ?(depth = 64)
-    ?(bdtype = i32) ?(op = Op.Add) ?(dtype = i32) ?(swap = false)
-    ?(src_input = false) ?(extra = false) () =
+    ?(bdtype = i32) ?(fdepth = 2) ?(spare_buffer = false) ?(spare_fifo = false)
+    ?(op = Op.Add) ?(dtype = i32) ?(swap = false) ?(src_input = false)
+    ?(extra = false) () =
   let dag = Dag.create () in
   let name n = prefix ^ n in
+  if spare_buffer then
+    ignore (Dag.add_buffer dag ~name:(name "spare") ~dtype:i32 ~depth:8 ~partition:1);
   let buf = Dag.add_buffer dag ~name:(name "buf") ~dtype:bdtype ~depth ~partition in
-  let fin = Dag.add_fifo dag ~name:(name "fin") ~dtype:i32 ~depth:2 in
+  let fin = Dag.add_fifo dag ~name:(name "fin") ~dtype:i32 ~depth:fdepth in
   let fout = Dag.add_fifo dag ~name:(name "fout") ~dtype:i32 ~depth:2 in
   let a = Dag.input dag ~name:(name "a") ~dtype:i32 in
   let k = Dag.const dag ~dtype:i32 c in
@@ -220,6 +223,7 @@ let shape ?(prefix = "") ?(c = 7L) ?(partition = 1) ?(depth = 64)
   let l = Dag.load dag ~buffer:buf ~index:idx in
   ignore (Dag.store dag ~buffer:buf ~index:s ~value:l);
   ignore (Dag.fifo_write dag ~fifo:fout ~value:s);
+  if spare_fifo then ignore (Dag.add_fifo dag ~name:(name "spare") ~dtype:i32 ~depth:4);
   let r = Dag.output dag ~name:(name "r") ~value:s in
   if extra then ignore (Dag.output dag ~name:(name "r2") ~value:r);
   dag
@@ -235,7 +239,10 @@ let test_same_structure () =
   check "a rebuild" true (shape ());
   check "renamed inputs, fifos and buffers" true (shape ~prefix:"pe3_" ());
   check "another const value" true (shape ~c:42L ());
-  check "another partition factor" true (shape ~partition:4 ());
+  check "an unaccessed fifo" true (shape ~spare_fifo:true ());
+  check "another partition factor" false (shape ~partition:4 ());
+  check "another fifo depth" false (shape ~fdepth:4 ());
+  check "another buffer id" false (shape ~spare_buffer:true ());
   check "another op" false (shape ~op:Op.Sub ());
   check "another dtype" false (shape ~dtype:(Dtype.Int 16) ());
   check "another buffer depth" false (shape ~depth:128 ());
@@ -255,8 +262,12 @@ let test_kernel_classes_cache () =
   add ~kernel:(kernel "pe1" (shape ~prefix:"pe1_" ~c:3L ())) "p1";
   add "ctrl";
   add ~kernel:(kernel "other" (shape ~op:Op.Mul ())) "p3";
+  (* lowering reads a buffer's partition factor and a FIFO's depth, so a
+     kernel differing only in one of them is its own representative *)
   add ~kernel:(kernel "pe4" (shape ~partition:2 ())) "p4";
-  Alcotest.(check (array int)) "add_process invalidates" [| 0; 0; 2; 3; 0 |]
+  add ~kernel:(kernel "pe5" (shape ~prefix:"pe5_" ~fdepth:16 ())) "p5";
+  add ~kernel:(kernel "pe6" (shape ~prefix:"pe6_" ())) "p6";
+  Alcotest.(check (array int)) "add_process invalidates" [| 0; 0; 2; 3; 4; 5; 0 |]
     (Dataflow.kernel_classes df)
 
 (* Every Suite design under both recipes at three target/injection points:

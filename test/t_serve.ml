@@ -206,14 +206,16 @@ let test_store_root_is_a_file () =
       let d, lines =
         capture_stderr (fun () ->
           Metrics.with_registry reg (fun () ->
-            Calibrate.op_delay cal Hlsb_ir.Op.Add i32 ~factor))
+            Calibrate.resolved_delay (Calibrate.resolve cal Hlsb_ir.Op.Add i32) ~factor))
       in
       (d, lines, reg)
     in
     let cal = Calibrate.create ~cache_dir:root Device.ultrascale_plus in
     let d, lines, reg = lookup cal 64 in
     Alcotest.(check (float 0.)) "same delay as an uncached calibrator"
-      (Calibrate.op_delay (Calibrate.create Device.ultrascale_plus) Hlsb_ir.Op.Add i32 ~factor:64)
+      (Calibrate.resolved_delay
+         (Calibrate.resolve (Calibrate.create Device.ultrascale_plus) Hlsb_ir.Op.Add i32)
+         ~factor:64)
       d;
     Alcotest.(check int) "one warning line" 1 (List.length lines);
     Alcotest.(check bool) "warning is a store diagnostic" true
