@@ -499,7 +499,9 @@ let compiled_exn ?name ?(plan = Plan.identity) ?target_mhz ?inject t ~recipe =
       in
       let placement =
         exec t ~recipe Place (fun () ->
-          Placement.place t.ss_device design.Design.netlist)
+          let pl = Placement.place t.ss_device design.Design.netlist in
+          Metrics.incr ~by:(Placement.relaxes pl) "place.relaxes";
+          pl)
       in
       let timing =
         exec t ~recipe Sta (fun () ->

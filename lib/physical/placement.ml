@@ -16,6 +16,7 @@ type t = {
       (* sqrt (float fp) per cell: the spread radius folded into every
          wire-length query, precomputed once instead of per net per STA *)
   max_extent : float;  (* largest slice coordinate the packer claimed *)
+  relaxes : int;  (* movable cells x sweeps run *)
 }
 
 (* Hilbert curve index -> point on a 2^k x 2^k grid, packed as [x * n + y];
@@ -60,16 +61,35 @@ let footprint (d : Device.t) nl c =
   let extra = (Netlist.dsps nl c * 3) + (Netlist.bram18 nl c * 5) in
   imax 1 (slices + extra)
 
-(* Cell classification for the refinement sweeps, precomputed once instead
-   of re-deriving kind + degree checks n times per sweep. *)
-let cls_fixed = 0
-let cls_movable = 1  (* light Seq with both fanin and fanout *)
-let cls_light_comb = 2
+(* Relax rule per cell, one byte each, fixed once before the sweeps: every
+   movable cell (light, with fanin and fanout) runs the cheapest arithmetic
+   that gives the general formula's bits. Dividing by 2^j and multiplying
+   by 2^-j round the same real number, so power-of-two degrees multiply by
+   [recip] instead of dividing; with both degrees 1 the register weights
+   are 1 and the divisor 2, so the rule is a halved sum. *)
+let m_fixed = 0
+let m_reg11 = 1  (* Seq, one driver and one sink *)
+let m_reg_pow2 = 2  (* Seq, both degrees powers of two <= 64 *)
+let m_reg = 3
+let m_comb_pow2 = 4  (* Comb, both degrees powers of two <= 64 *)
+let m_comb = 5
+
+(* [recip.(k)] is read for powers of two only; [sqrt_deg.(k)] holds the
+   same [sqrt] the general register rule computes. *)
+let recip = Array.init 65 (fun k -> 1. /. float_of_int k)
+let sqrt_deg = Array.init 65 (fun k -> sqrt (float_of_int k))
+let pow2_deg k = k <= 64 && k land (k - 1) = 0
+
+(* Unchecked reads for the sweeps, monomorphic so they stay unboxed: every
+   index there is a cell id, an arc offset of {!Netlist.arcs}' CSR, or a
+   power-of-two degree of at most 64, all in range by construction. *)
+let fget (a : float array) i = Array.unsafe_get a i
+let iget (a : int array) i = Array.unsafe_get a i
 
 (* Refinement sweeps run when the placement never settles. *)
 let max_sweeps = 24
 
-let place ?(early_exit = true) (d : Device.t) nl =
+let place (d : Device.t) nl =
   let n = Netlist.n_cells nl in
   let xs = Array.make n 0. in
   let ys = Array.make n 0. in
@@ -178,18 +198,25 @@ let place ?(early_exit = true) (d : Device.t) nl =
      keeps float summation, and hence every position, bit-identical. *)
   let { Netlist.fanin; out_off; out_sink } = Netlist.arcs nl in
   let { Netlist.in_off; in_driver; _ } = fanin in
-  let cls = Bytes.make n (Char.chr cls_fixed) in
+  let mode = Bytes.make n (Char.chr m_fixed) in
+  let movable = ref 0 in
   for id = 0 to n - 1 do
-    if fp.(id) <= 64 && in_off.(id + 1) > in_off.(id)
-       && out_off.(id + 1) > out_off.(id)
-    then
-      match Netlist.kind nl id with
-      | Netlist.Seq -> Bytes.unsafe_set cls id (Char.chr cls_movable)
-      | Netlist.Comb -> Bytes.unsafe_set cls id (Char.chr cls_light_comb)
-      | _ -> ()
+    let ki = in_off.(id + 1) - in_off.(id) and ko = out_off.(id + 1) - out_off.(id) in
+    if fp.(id) <= 64 && ki > 0 && ko > 0 then begin
+      let pow2 = pow2_deg ki && pow2_deg ko in
+      let m =
+        match Netlist.kind nl id with
+        | Netlist.Seq ->
+          if ki = 1 && ko = 1 then m_reg11 else if pow2 then m_reg_pow2 else m_reg
+        | Netlist.Comb -> if pow2 then m_comb_pow2 else m_comb
+        | _ -> m_fixed
+      in
+      if m <> m_fixed then incr movable;
+      Bytes.unsafe_set mode id (Char.unsafe_chr m)
+    end
   done;
   (* Light combinational cells (muxes, reduce-tree nodes) are likewise
-     pulled toward their pin centroid but stay 25% anchored to their packed
+     pulled toward their pin centroid but stay 10% anchored to their packed
      slot, so gather structures sit near their operands without collapsing
      the global spread that the broadcast wire model depends on. The two
      rules interleave until positions settle. *)
@@ -197,78 +224,88 @@ let place ?(early_exit = true) (d : Device.t) nl =
   let slot_y = Array.copy ys in
   (* Sweeps alternate direction (Gauss-Seidel): long register chains relax
      to evenly spaced waypoints in a few passes instead of diffusing one
-     hop per pass. [delta.(0)] tracks the sweep's largest update (a float
-     array cell, so the running maximum is never boxed). *)
-  let relax delta id =
-    let c = Char.code (Bytes.unsafe_get cls id) in
-    if c <> cls_fixed then begin
-      let isx = ref 0. and isy = ref 0. in
-      for k = in_off.(id) to in_off.(id + 1) - 1 do
-        let p = in_driver.(k) in
-        isx := !isx +. xs.(p);
-        isy := !isy +. ys.(p)
-      done;
-      let osx = ref 0. and osy = ref 0. in
-      for k = out_off.(id) to out_off.(id + 1) - 1 do
-        let p = out_sink.(k) in
-        osx := !osx +. xs.(p);
-        osy := !osy +. ys.(p)
-      done;
-      let ki = float_of_int (in_off.(id + 1) - in_off.(id))
-      and ko = float_of_int (out_off.(id + 1) - out_off.(id)) in
-      let ix = !isx /. ki and iy = !isy /. ki in
-      let ox = !osx /. ko and oy = !osy /. ko in
-      if c = cls_movable then begin
-        (* star-model equilibrium: the register settles at the pin-count
-           weighted centroid, so a fanout-tree leaf sits with its sinks
-           while a 1-in/1-out chain register sits at the midpoint *)
-        (* sqrt weighting: balances hop delays along pipelined chains while
-           still pulling multi-sink leaves toward their cluster *)
-        let wi = sqrt ki in
-        let wo = sqrt ko in
-        let nx = ((ix *. wi) +. (ox *. wo)) /. (wi +. wo)
-        and ny = ((iy *. wi) +. (oy *. wo)) /. (wi +. wo) in
-        delta.(0) <-
-          fmax delta.(0) (fmax (abs_float (nx -. xs.(id))) (abs_float (ny -. ys.(id))));
-        xs.(id) <- nx;
-        ys.(id) <- ny
-      end
-      else begin
-        (* Combinational cells hug their *sources* (gather trees sit at
-           their operand clusters; downstream registers carry the
-           distance), with a slight slot anchor so packed structure is not
-           fully erased. *)
-        let cx = (0.65 *. ix) +. (0.35 *. ox)
-        and cy = (0.65 *. iy) +. (0.35 *. oy) in
-        let nx = (0.1 *. slot_x.(id)) +. (0.9 *. cx)
-        and ny = (0.1 *. slot_y.(id)) +. (0.9 *. cy) in
-        delta.(0) <-
-          fmax delta.(0) (fmax (abs_float (nx -. xs.(id))) (abs_float (ny -. ys.(id))));
-        xs.(id) <- nx;
-        ys.(id) <- ny
-      end
-    end
-  in
-  (* Convergence gate: a sweep whose largest position update is exactly
-     zero is a fixpoint — every later sweep would recompute the same
-     centroids from the same positions — so stopping there is provably
-     equivalent to running all [max_sweeps]. Designs that settle early
+     hop per pass.
+
+     Convergence gate: a sweep that changes no coordinate (positions are
+     finite, so this is the sweep whose largest update is exactly zero) is
+     a fixpoint — every later sweep would recompute the same centroids
+     from the same positions — so stopping there is provably equivalent
+     to running all [max_sweeps]. Designs that settle early
      (the characterize skeletons settle in 2-3 sweeps; 100k-cell bigmul
      netlists in far fewer than 24) skip the dead sweeps; designs that
      never settle run exactly the historical count, bit-identically. *)
   let sweep = ref 1 in
   let settled = ref false in
   while !sweep <= max_sweeps && not !settled do
-    let delta = [| 0. |] in
-    if !sweep mod 2 = 1 then
-      for id = 0 to n - 1 do
-        relax delta id
-      done
-    else
-      for id = n - 1 downto 0 do
-        relax delta id
-      done;
-    if early_exit && delta.(0) = 0. then settled := true;
+    let moved = ref false in
+    let forward = !sweep mod 2 = 1 in
+    for j = 0 to n - 1 do
+      let id = if forward then j else n - 1 - j in
+      let m = Char.code (Bytes.unsafe_get mode id) in
+      if m <> m_fixed then begin
+        let nx = ref 0. and ny = ref 0. in
+        if m = m_reg11 then begin
+          let p = iget in_driver (iget in_off id) and q = iget out_sink (iget out_off id) in
+          nx := (0. +. fget xs p +. (0. +. fget xs q)) *. 0.5;
+          ny := (0. +. fget ys p +. (0. +. fget ys q)) *. 0.5
+        end
+        else begin
+          let isx = ref 0. and isy = ref 0. in
+          for k = iget in_off id to iget in_off (id + 1) - 1 do
+            let p = iget in_driver k in
+            isx := !isx +. fget xs p;
+            isy := !isy +. fget ys p
+          done;
+          let osx = ref 0. and osy = ref 0. in
+          for k = iget out_off id to iget out_off (id + 1) - 1 do
+            let p = iget out_sink k in
+            osx := !osx +. fget xs p;
+            osy := !osy +. fget ys p
+          done;
+          let ki = iget in_off (id + 1) - iget in_off id
+          and ko = iget out_off (id + 1) - iget out_off id in
+          (* star-model equilibrium: a register settles at the pin-count
+             weighted centroid, so a fanout-tree leaf sits with its sinks
+             while a 1-in/1-out chain register sits at the midpoint; sqrt
+             weighting balances hop delays along pipelined chains while
+             still pulling multi-sink leaves toward their cluster.
+             Combinational cells hug their *sources* (gather trees sit at
+             their operand clusters; downstream registers carry the
+             distance), with a slight slot anchor so packed structure is
+             not fully erased. *)
+          if m = m_reg_pow2 then begin
+            let ri = fget recip ki and ro = fget recip ko in
+            let wi = fget sqrt_deg ki and wo = fget sqrt_deg ko in
+            nx := ((!isx *. ri *. wi) +. (!osx *. ro *. wo)) /. (wi +. wo);
+            ny := ((!isy *. ri *. wi) +. (!osy *. ro *. wo)) /. (wi +. wo)
+          end
+          else if m = m_comb_pow2 then begin
+            let ri = fget recip ki and ro = fget recip ko in
+            let cx = (0.65 *. (!isx *. ri)) +. (0.35 *. (!osx *. ro))
+            and cy = (0.65 *. (!isy *. ri)) +. (0.35 *. (!osy *. ro)) in
+            nx := (0.1 *. fget slot_x id) +. (0.9 *. cx);
+            ny := (0.1 *. fget slot_y id) +. (0.9 *. cy)
+          end
+          else if m = m_reg then begin
+            let fi = float_of_int ki and fo = float_of_int ko in
+            let wi = sqrt fi and wo = sqrt fo in
+            nx := ((!isx /. fi *. wi) +. (!osx /. fo *. wo)) /. (wi +. wo);
+            ny := ((!isy /. fi *. wi) +. (!osy /. fo *. wo)) /. (wi +. wo)
+          end
+          else begin
+            let fi = float_of_int ki and fo = float_of_int ko in
+            let cx = (0.65 *. (!isx /. fi)) +. (0.35 *. (!osx /. fo))
+            and cy = (0.65 *. (!isy /. fi)) +. (0.35 *. (!osy /. fo)) in
+            nx := (0.1 *. fget slot_x id) +. (0.9 *. cx);
+            ny := (0.1 *. fget slot_y id) +. (0.9 *. cy)
+          end
+        end;
+        if !nx <> fget xs id || !ny <> fget ys id then moved := true;
+        xs.(id) <- !nx;
+        ys.(id) <- !ny
+      end
+    done;
+    if not !moved then settled := true;
     incr sweep
   done;
   let sq = Array.make n 0. in
@@ -276,7 +313,8 @@ let place ?(early_exit = true) (d : Device.t) nl =
     sq.(i) <- sqrt (float_of_int fp.(i))
   done;
   let max_extent = float_of_int !extent in
-  { netlist = nl; fanin; xs; ys; fp; sq; max_extent }
+  let relaxes = !movable * (!sweep - 1) in
+  { netlist = nl; fanin; xs; ys; fp; sq; max_extent; relaxes }
 
 let fanin t = t.fanin
 let coords t = (t.xs, t.ys)
@@ -339,3 +377,4 @@ let star_length t nid =
   end
 
 let max_extent t = t.max_extent
+let relaxes t = t.relaxes

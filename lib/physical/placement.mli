@@ -19,16 +19,16 @@
 
 type t
 
-val place :
-  ?early_exit:bool -> Hlsb_device.Device.t -> Hlsb_netlist.Netlist.t -> t
-(** Pack, then refine with up to 24 alternating
-    relax sweeps. With [early_exit] (default [true]) the refinement stops
-    at the first sweep whose largest position update is exactly zero — a
-    fixpoint, so the result is bit-identical to running every sweep;
-    [~early_exit:false] forces the historical fixed-count behaviour (for
-    equivalence tests). Raises [Hlsb_util.Diag.Diagnostic] (stage
-    ["place"], entity [Design]) naming the device and the capacity
-    constraint if the design does not fit. *)
+val place : Hlsb_device.Device.t -> Hlsb_netlist.Netlist.t -> t
+(** Pack, then refine with up to 24 alternating relax sweeps, stopping at
+    the first sweep whose largest position update is exactly zero (a
+    fixpoint, so the result is bit-identical to running every sweep).
+    Raises [Hlsb_util.Diag.Diagnostic] (stage ["place"], entity [Design])
+    naming the device and the capacity constraint if the design does not
+    fit. *)
+
+val relaxes : t -> int
+(** Relax steps {!place} ran: movable cells times sweeps run. *)
 
 val hilbert_d2xy : int -> int -> int
 (** [hilbert_d2xy n d] is the point at index [d] of the Hilbert curve over

@@ -16,7 +16,6 @@ type t = {
   lw_start_sinks : int list;
   lw_fifo_write_ifaces : (string * int * int) list;
   lw_fifo_read_ifaces : (string * int * int) list;
-  lw_seq_cells : int list;
   lw_skid_bits : int;
   lw_registers_added : int;
 }
@@ -620,7 +619,6 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
       lw_start_sinks = List.rev !start_sinks;
       lw_fifo_write_ifaces = ifaces !fifo_wr;
       lw_fifo_read_ifaces = ifaces !fifo_rd;
-      lw_seq_cells = List.rev !seq_cells;
       lw_skid_bits = !skid_bits;
       lw_registers_added = !registers_added;
     }
@@ -703,7 +701,6 @@ let stamp nl tp (sched : Schedule.t) =
       lw_start_sinks = List.map mv lw.lw_start_sinks;
       lw_fifo_write_ifaces = ifaces tp.tp_fifo_wr lw.lw_fifo_write_ifaces;
       lw_fifo_read_ifaces = ifaces tp.tp_fifo_rd lw.lw_fifo_read_ifaces;
-      lw_seq_cells = List.map mv lw.lw_seq_cells;
     })
 
 let reserve_stamps nl tp scheds =

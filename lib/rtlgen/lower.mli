@@ -25,7 +25,6 @@ type t = {
   lw_fifo_write_ifaces : (string * int * int) list;
       (** (fifo name, interface cell, width) for cross-kernel channels *)
   lw_fifo_read_ifaces : (string * int * int) list;
-  lw_seq_cells : int list;  (** every sequential cell (stall-net sinks) *)
   lw_skid_bits : int;  (** bits of skid buffering added (0 under stall) *)
   lw_registers_added : int;  (** §4.1 register modules inserted *)
 }

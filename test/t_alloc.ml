@@ -7,8 +7,11 @@
    Calibration is warmed first so the schedule figure measures
    scheduling, not curve characterization. When set, the worst designs
    measured 64.5 words/scheduled node (schedule; 57.5 per DAG node
-   before replicated kernels shared one schedule), 19.4 words/cell
-   (lower), 0.3 words/cell (place) and 7.7 words/cell (STA). Lower is
+   before replicated kernels shared one schedule), 18.3 words/cell
+   (lower; 19.4 while it returned every kernel's register list), 0.2
+   words/cell (place) and 7.7 words/cell (STA). Place allocates its
+   per-cell arrays on the major heap and nothing per relax, so its budget
+   of 2 fails on one float boxed per cell. Lower is
    charged per cell it emits, stamped cells included. Its worst case is
    Face Detection, which replicates no kernel, so the budget stays at
    20; the replicated designs fell when members were stamped from their
@@ -28,7 +31,7 @@ module Spec = Hlsb_designs.Spec
 
 let schedule_budget = 80.
 let lower_budget = 20.
-let place_budget = 16.
+let place_budget = 2.
 let sta_budget = 12.
 
 let minor_words f =

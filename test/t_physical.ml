@@ -8,6 +8,9 @@ module Placement = Hlsb_physical.Placement
 module Timing = Hlsb_physical.Timing
 module Device = Hlsb_device.Device
 module Rng = Hlsb_util.Rng
+module Design = Hlsb_rtlgen.Design
+module Style = Hlsb_ctrl.Style
+module Spec = Hlsb_designs.Spec
 
 let dev = Device.ultrascale_plus
 
@@ -371,46 +374,6 @@ let test_net_delay_monotone_fanout () =
   let d2 = Timing.net_delay dev nl pl ~jitter:0. ~seed:0 n2 in
   Alcotest.(check bool) "more sinks, more delay" true (d2 > d1)
 
-let test_place_early_exit_equivalence () =
-  (* characterize-style skeleton: movable registers between fixed ports
-     settle after one sweep, so the convergence gate fires well before
-     24 sweeps — and must produce bit-identical positions to the full
-     fixed-count run *)
-  let build () =
-    let nl = Netlist.create ~name:"skel" in
-    for i = 0 to 99 do
-      let p_in =
-        Netlist.add_cell nl ~name:(Printf.sprintf "i%d" i)
-          ~kind:Netlist.Port_in ~delay:0. ~res:Netlist.zero_res
-      in
-      let r = reg nl (Printf.sprintf "r%d" i) in
-      let p_out =
-        Netlist.add_cell nl ~name:(Printf.sprintf "o%d" i)
-          ~kind:Netlist.Port_out ~delay:0. ~res:Netlist.zero_res
-      in
-      ignore
-        (Netlist.add_net nl ~name:(Printf.sprintf "a%d" i) ~driver:p_in
-           ~sinks:[ r ] ~width:32 ());
-      ignore
-        (Netlist.add_net nl ~name:(Printf.sprintf "b%d" i) ~driver:r
-           ~sinks:[ p_out ] ~width:32 ())
-    done;
-    nl
-  in
-  let nl = build () in
-  let gated = Placement.place dev nl in
-  let full = Placement.place ~early_exit:false dev nl in
-  for c = 0 to Netlist.n_cells nl - 1 do
-    let gx, gy = Placement.position gated c in
-    let fx, fy = Placement.position full c in
-    if
-      Int64.bits_of_float gx <> Int64.bits_of_float fx
-      || Int64.bits_of_float gy <> Int64.bits_of_float fy
-    then
-      Alcotest.failf "cell %d: early-exit position (%h,%h) <> full (%h,%h)" c
-        gx gy fx fy
-  done
-
 (* Test-local per-slice reference packer, built on [Placement.hilbert_d2xy]:
    cell k takes the next [fp.(k)] on-die points of the curve and sits at
    their float-accumulated mean; also returns the largest coordinate used.
@@ -442,6 +405,219 @@ let ref_pack (d : Device.t) fp =
       fp
   in
   (pos, float_of_int !ext)
+
+(* Test-local reference refinement: one general formula per movable cell
+   (degree divisions, [sqrt] weights), all 24 sweeps with no convergence
+   gate, from [ref_pack]'s packing. [Placement.place] picks cheaper exact
+   arithmetic per cell and stops at a fixpoint; it must agree bit for bit. *)
+let ref_relax (d : Device.t) nl fp =
+  let pos, _ = ref_pack d fp in
+  let xs = Array.map fst pos and ys = Array.map snd pos in
+  let slot_x = Array.copy xs and slot_y = Array.copy ys in
+  let { Netlist.fanin = { Netlist.in_off; in_driver; _ }; out_off; out_sink } =
+    Netlist.arcs nl
+  in
+  let relax id =
+    let ki = in_off.(id + 1) - in_off.(id) and ko = out_off.(id + 1) - out_off.(id) in
+    let kind = Netlist.kind nl id in
+    if fp.(id) <= 64 && ki > 0 && ko > 0 && (kind = Netlist.Seq || kind = Netlist.Comb)
+    then begin
+      let isx = ref 0. and isy = ref 0. and osx = ref 0. and osy = ref 0. in
+      for k = in_off.(id) to in_off.(id + 1) - 1 do
+        isx := !isx +. xs.(in_driver.(k));
+        isy := !isy +. ys.(in_driver.(k))
+      done;
+      for k = out_off.(id) to out_off.(id + 1) - 1 do
+        osx := !osx +. xs.(out_sink.(k));
+        osy := !osy +. ys.(out_sink.(k))
+      done;
+      let ki = float_of_int ki and ko = float_of_int ko in
+      let ix = !isx /. ki and iy = !isy /. ki in
+      let ox = !osx /. ko and oy = !osy /. ko in
+      if kind = Netlist.Seq then begin
+        let wi = sqrt ki and wo = sqrt ko in
+        xs.(id) <- ((ix *. wi) +. (ox *. wo)) /. (wi +. wo);
+        ys.(id) <- ((iy *. wi) +. (oy *. wo)) /. (wi +. wo)
+      end
+      else begin
+        let cx = (0.65 *. ix) +. (0.35 *. ox) and cy = (0.65 *. iy) +. (0.35 *. oy) in
+        xs.(id) <- (0.1 *. slot_x.(id)) +. (0.9 *. cx);
+        ys.(id) <- (0.1 *. slot_y.(id)) +. (0.9 *. cy)
+      end
+    end
+  in
+  let n = Netlist.n_cells nl in
+  for sweep = 1 to 24 do
+    if sweep mod 2 = 1 then for id = 0 to n - 1 do relax id done
+    else for id = n - 1 downto 0 do relax id done
+  done;
+  (xs, ys)
+
+(* [place] against [ref_relax], by the bits of every coordinate. *)
+let check_matches_relax (d : Device.t) nl =
+  let pl = Placement.place d nl in
+  let fp = Array.init (Netlist.n_cells nl) (Placement.footprint_slices pl) in
+  let rx, ry = ref_relax d nl fp in
+  let xs, ys = Placement.coords pl in
+  let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
+  Array.iteri
+    (fun c x ->
+      if not (same x rx.(c) && same ys.(c) ry.(c)) then
+        Alcotest.failf "%s cell %d: placed (%h,%h) <> reference relax (%h,%h)"
+          (Netlist.name nl) c x ys.(c) rx.(c) ry.(c))
+    xs;
+  pl
+
+let test_place_early_exit_equivalence () =
+  (* characterize-style skeleton: movable registers between fixed ports
+     settle after one sweep, so the convergence gate fires well before
+     24 sweeps — and must produce bit-identical positions to the full
+     fixed-count reference *)
+  let build () =
+    let nl = Netlist.create ~name:"skel" in
+    for i = 0 to 99 do
+      let p_in =
+        Netlist.add_cell nl ~name:(Printf.sprintf "i%d" i)
+          ~kind:Netlist.Port_in ~delay:0. ~res:Netlist.zero_res
+      in
+      let r = reg nl (Printf.sprintf "r%d" i) in
+      let p_out =
+        Netlist.add_cell nl ~name:(Printf.sprintf "o%d" i)
+          ~kind:Netlist.Port_out ~delay:0. ~res:Netlist.zero_res
+      in
+      ignore
+        (Netlist.add_net nl ~name:(Printf.sprintf "a%d" i) ~driver:p_in
+           ~sinks:[ r ] ~width:32 ());
+      ignore
+        (Netlist.add_net nl ~name:(Printf.sprintf "b%d" i) ~driver:r
+           ~sinks:[ p_out ] ~width:32 ())
+    done;
+    nl
+  in
+  let pl = check_matches_relax dev (build ()) in
+  Alcotest.(check bool) "gate fired" true (Placement.relaxes pl < 100 * 24);
+  (* one cell of each relax rule, whatever the random netlists below draw:
+     registers of degree (in/out) 1/1, 1/2, 2/4, 2/3 and 3/1, comb cells
+     of 2/1, 2/3 and 3/2, and fixed cells (Mem, ports, a register over 64
+     slices, a comb cell with no fanout, a register with no fanin) *)
+  let nl = Netlist.create ~name:"modes" in
+  let cell kind luts name =
+    Netlist.add_cell nl ~name ~kind ~delay:0.1
+      ~res:{ Netlist.zero_res with Netlist.r_luts = luts }
+  in
+  (* unconnected padding moves the ports off the curve's first few
+     slices, so pin sums are not small integers that every rounding of a
+     division by 3 agrees on *)
+  for k = 0 to 36 do
+    ignore (cell Netlist.Comb 8 (Printf.sprintf "pad%d" k))
+  done;
+  let i = Array.init 3 (fun k -> cell Netlist.Port_in 0 (Printf.sprintf "i%d" k)) in
+  let o = Array.init 4 (fun k -> cell Netlist.Port_out 0 (Printf.sprintf "o%d" k)) in
+  let mem = cell Netlist.Mem 0 "mem" and c_end = cell Netlist.Comb 8 "c_end" in
+  let big = reg ~w:(65 * dev.Device.ff_per_slice) nl "big" and r_src = reg nl "r_src" in
+  let r11 = reg nl "r11" and r12 = reg nl "r12" in
+  let r24 = reg nl "r24" and r31 = reg nl "r31" and r23 = reg nl "r23" in
+  let c21 = cell Netlist.Comb 8 "c21" and c32 = cell Netlist.Comb 8 "c32" in
+  let c23 = cell Netlist.Comb 8 "c23" in
+  let net driver sinks = ignore (Netlist.add_net nl ~driver ~sinks ~width:8 ()) in
+  net i.(0) [ r11; r24; r31; c32; big; r23 ];
+  net i.(1) [ r24; r31; c21; r12; c23 ];
+  net i.(2) [ r31; c21; mem; r23; c23 ];
+  net r11 [ c32 ];
+  net r24 [ o.(0); o.(1); o.(2); mem ];
+  net r31 [ o.(3) ];
+  net r12 [ o.(3); c_end ];
+  net c21 [ c32 ];
+  net c32 [ mem; o.(0) ];
+  net mem [ o.(1) ];
+  net big [ o.(2) ];
+  net r_src [ o.(3) ];
+  net r23 [ o.(0); o.(1); o.(2) ];
+  net c23 [ o.(1); o.(2); o.(3) ];
+  let pl = check_matches_relax dev nl in
+  (* the eight movable cells, sweep after sweep *)
+  Alcotest.(check int) "relaxes" 0 (Placement.relaxes pl mod 8)
+
+(* Random netlists that reach every relax rule: registers and light comb
+   cells of small in/out degree (1 to 5 and over), fixed cells (Mem,
+   ports, macros over 64 slices), cells with no fanin or no fanout, and
+   two hubs whose fanin and fanout exceed 64. The hub nets stay among
+   cells 0-3, so they leave the other cells' degrees alone. *)
+let prop_place_matches_relax =
+  let gen =
+    QCheck.Gen.(
+      let* kinds =
+        list_size (int_range 2 60)
+          (frequencyl
+             [ (4, `Reg); (4, `Comb); (1, `Mem); (1, `In); (1, `Out); (1, `Macro); (1, `Big_reg) ])
+      in
+      let n = List.length kinds + 2 in
+      let sinks =
+        list_size (frequency [ (3, return 1); (1, int_range 2 5) ]) (int_bound (n - 1))
+      in
+      let* nets = list_size (int_range 1 80) (pair (int_bound (n - 1)) sinks) in
+      let* hub = list_size (int_range 65 70) (int_bound 3) in
+      return (kinds, nets, hub))
+  in
+  let print (kinds, nets, hub) =
+    Printf.sprintf "%d cells, %d nets, hub degree %d" (List.length kinds + 2)
+      (List.length nets) (List.length hub)
+  in
+  QCheck.Test.make ~count:100 ~name:"place = reference relax"
+    (QCheck.make ~print gen)
+    (fun (kinds, nets, hub) ->
+      let nl = Netlist.create ~name:"relax" in
+      let cell kind luts =
+        Netlist.add_cell nl ~kind ~delay:0.1
+          ~res:{ Netlist.zero_res with Netlist.r_luts = luts }
+      in
+      (* cells 0 and 1: the hubs, a register and a comb cell *)
+      ignore (reg nl "hub_r");
+      ignore (cell Netlist.Comb 8);
+      List.iter
+        (fun k ->
+          ignore
+            (match k with
+            | `Reg -> reg nl "r"
+            | `Comb -> cell Netlist.Comb 8
+            | `Mem -> cell Netlist.Mem 0
+            | `In -> cell Netlist.Port_in 0
+            | `Out -> cell Netlist.Port_out 0
+            | `Macro -> cell Netlist.Comb (65 * dev.Device.lut_per_slice)
+            | `Big_reg -> reg ~w:(65 * dev.Device.ff_per_slice) nl "big"))
+        kinds;
+      let net driver sinks =
+        let driver = if Netlist.kind nl driver = Netlist.Port_out then 0 else driver in
+        ignore (Netlist.add_net nl ~driver ~sinks ~width:8 ())
+      in
+      List.iter (fun (drv, sinks) -> net drv sinks) nets;
+      List.iter (fun drv -> net drv [ 0; 1 ]) hub;
+      net 0 hub;
+      net 1 hub;
+      ignore (check_matches_relax dev nl);
+      true)
+
+(* The same comparison on every Suite design under both recipes and on the
+   ~104k-cell bm420x2 point. *)
+let test_place_matches_relax_designs () =
+  let check name (device : Device.t) build recipes =
+    List.iter
+      (fun recipe ->
+        let df = build () in
+        let scheds = Design.schedule_processes ~device ~recipe df in
+        let dp = Design.lower_processes ~device ~recipe ~name df scheds in
+        let nl = (Design.emit_sync ~device ~recipe df dp).Design.netlist in
+        ignore (check_matches_relax device nl))
+      recipes
+  in
+  List.iter
+    (fun (spec : Spec.t) ->
+      check spec.Spec.sp_name spec.Spec.sp_device spec.Spec.sp_build
+        [ Style.original; Style.optimized ])
+    Hlsb_designs.Suite.all;
+  check "bm420x2" Device.ultrascale_plus
+    (Hlsb_designs.Bigmul.build_point ~bits:420 ~limb:7 ~lanes:2)
+    [ Style.original; Style.optimized ]
 
 (* Unconnected cells of the given slice footprints: every cell is fixed, so
    [place]'s result is the packing alone. *)
@@ -637,10 +813,12 @@ let suite =
     Alcotest.test_case "net delay monotone" `Quick test_net_delay_monotone_fanout;
     Alcotest.test_case "place early-exit equivalence" `Quick
       test_place_early_exit_equivalence;
+    Alcotest.test_case "place = reference relax on designs" `Slow
+      test_place_matches_relax_designs;
     Alcotest.test_case "jitter matches rng reference" `Quick
       test_jitter_matches_rng_reference;
     Alcotest.test_case "incremental sta equivalence" `Quick
       test_incremental_sta_equivalence;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_sta_monotone_in_cell_delay; prop_pack_matches_reference ]
+      [ prop_sta_monotone_in_cell_delay; prop_pack_matches_reference; prop_place_matches_relax ]
