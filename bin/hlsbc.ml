@@ -710,7 +710,7 @@ let cmd_calibrate =
             let cal = Calibrate.create ~cache_dir:dir d in
             Printf.printf "warming %s (%d ops + mem curves)...%!"
               d.Hlsb_device.Device.name (List.length warm_ops);
-            Calibrate.warm ~ops:warm_ops ~mem:true cal;
+            Calibrate.warm cal ~ops:warm_ops;
             Printf.printf " done\n%!")
           (devices_of device);
       if not (warm || clear) then inspect dir

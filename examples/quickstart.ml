@@ -24,7 +24,7 @@ let build_kernel () =
   let source = Dag.fifo_read dag ~fifo:in_fifo in
   let results = ref [] in
   (* #pragma HLS unroll, factor 512: Fig. 1 line 4 *)
-  Transform.unrolled dag ~factor:512 (fun j ->
+  for j = 0 to 511 do
     let foo = Dag.input dag ~name:(Printf.sprintf "foo%d" j) ~dtype:i32 in
     let bar = Dag.input dag ~name:(Printf.sprintf "bar%d" j) ~dtype:i32 in
     (* a[j] = source + foo[j]; b[j] = a[j] - bar[j], then a little more
@@ -33,14 +33,15 @@ let build_kernel () =
        add+sub chain behind the broadcast *)
     let a = Dag.op dag Op.Add ~dtype:i32 [ source; foo ] in
     let b = Dag.op dag Op.Sub ~dtype:i32 [ a; bar ] in
-    results := b :: !results);
+    results := b :: !results
+  done;
   (* Fig. 1 stores b[i]; we stream the lane results out in eight packed
      group words (real designs write the array back, they do not reduce) *)
   let lanes = Array.of_list (List.rev !results) in
   let groups =
     List.init 8 (fun g ->
       let members = Array.to_list (Array.sub lanes (g * 64) 64) in
-      Transform.reduce_tree dag ~op:Op.Xor ~dtype:i32 members)
+      Hlsb_designs.Builders.reduce_tree dag ~op:Op.Xor ~dtype:i32 members)
   in
   let packed = Dag.op dag Op.Concat ~dtype:(Dtype.Uint 256) groups in
   ignore (Dag.fifo_write dag ~fifo:out_fifo ~value:packed);

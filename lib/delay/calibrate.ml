@@ -253,12 +253,10 @@ let mem_curve t ~width =
        depth_grid)
 
 (* Build (or load) every curve a set of designs is likely to touch. *)
-let warm ?(ops = []) ?(mem = true) t =
+let warm t ~ops =
   List.iter (fun (op, dt) -> ignore (op_curves t op dt)) ops;
-  if mem then begin
-    ignore (mem_curves t ~read:false);
-    ignore (mem_curves t ~read:true)
-  end
+  ignore (mem_curves t ~read:false);
+  ignore (mem_curves t ~read:true)
 
 let shared_table : (string * int, t) Hashtbl.t = Hashtbl.create 4
 let shared_lock = Mutex.create ()

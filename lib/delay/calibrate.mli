@@ -43,11 +43,14 @@ val ambient_dir : unit -> string option
 val device : t -> Hlsb_device.Device.t
 
 val factor_grid : int array
-(** The log-spaced broadcast factors at which curves are sampled. *)
+(** The log-spaced broadcast factors at which curves are sampled. Exported
+    as a test instrument: tests rebuild a curve's store key and its raw
+    characterization from it. *)
 
 val unit_grid : int array
 (** BRAM18 unit counts at which memory curves are sampled (once per device
-    — the unit count, not the width/depth split, sets the broadcast cost). *)
+    — the unit count, not the width/depth split, sets the broadcast cost).
+    Exported as a test instrument, like {!factor_grid}. *)
 
 type resolved
 (** One (op, dtype) curve, looked up once: for schedulers that read the
@@ -79,11 +82,10 @@ val mem_curve : t -> width:int -> curve_row list
 (** The Fig. 9 BRAM-access series; [cr_factor] is the equivalent 36-bit
     buffer depth in words. Uses the write path (the harsher of the two). *)
 
-val warm : ?ops:(Op.t * Dtype.t) list -> ?mem:bool -> t -> unit
-(** Force characterization (or cache load) of the given operator curves and,
-    when [mem] is true (default), the memory curves — used by
-    [hlsbc calibrate --warm] to populate the persistent cache ahead of
-    time. *)
+val warm : t -> ops:(Op.t * Dtype.t) list -> unit
+(** Force characterization (or cache load) of the given operator curves
+    and of both memory curves — used by [hlsbc calibrate --warm] to
+    populate the persistent cache ahead of time. *)
 
 val shared : ?window:int -> Hlsb_device.Device.t -> t
 (** A process-wide memoized instance per (device, window): characterization

@@ -10,8 +10,19 @@ let dot_lanes dag ~prefix ~lanes ~dtype ~shared =
     in
     Dag.op dag (mul_op dtype) ~dtype [ shared; priv ])
 
-let reduce_sum dag ~dtype nodes =
-  Transform.reduce_tree dag ~op:(add_op dtype) ~dtype nodes
+let rec reduce_tree dag ~op ~dtype nodes =
+  match nodes with
+  | [] -> invalid_arg "Builders.reduce_tree: empty"
+  | [ x ] -> x
+  | _ ->
+    let rec pair = function
+      | [] -> []
+      | [ x ] -> [ x ]
+      | a :: b :: rest -> Dag.op dag op ~dtype [ a; b ] :: pair rest
+    in
+    reduce_tree dag ~op ~dtype (pair nodes)
+
+let reduce_sum dag ~dtype nodes = reduce_tree dag ~op:(add_op dtype) ~dtype nodes
 
 let line_buffer dag ~name ~dtype ~depth ~write ~index =
   let buf = Dag.add_buffer dag ~name ~dtype ~depth ~partition:1 in

@@ -14,8 +14,14 @@ val dot_lanes :
 (** [lanes] multipliers, each taking [shared] (the broadcast source) and a
     private input; float dtypes use [Fmul], integers [Mul]. *)
 
+val reduce_tree :
+  Dag.t -> op:Op.t -> dtype:Dtype.t -> Dag.node list -> Dag.node
+(** Balanced binary reduction (the adder tree HLS infers for dot products,
+    Fig. 17): the copies of an unrolled body join in it. Raises
+    [Invalid_argument] on the empty list. *)
+
 val reduce_sum : Dag.t -> dtype:Dtype.t -> Dag.node list -> Dag.node
-(** Balanced adder tree ([Fadd] for floats, [Add] for integers). *)
+(** [reduce_tree] with [Fadd] for floats, [Add] for integers. *)
 
 val line_buffer :
   Dag.t ->

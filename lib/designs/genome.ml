@@ -26,7 +26,7 @@ let kernel ?(back_search_count = 64) ~lane () =
   let widx = Dag.input dag ~name:(Printf.sprintf "widx%d" lane) ~dtype:i32 in
   ignore (Dag.store dag ~buffer:window_buf ~index:widx ~value:anchor);
   let scores = ref [] in
-  Transform.unrolled dag ~factor:back_search_count (fun j ->
+  for j = 0 to back_search_count - 1 do
     let prev_x = Dag.input dag ~name:(Printf.sprintf "prev%d_x%d" lane j) ~dtype:i32 in
     let prev_y = Dag.input dag ~name:(Printf.sprintf "prev%d_y%d" lane j) ~dtype:i32 in
     let prev_w = Dag.input dag ~name:(Printf.sprintf "prev%d_w%d" lane j) ~dtype:i16 in
@@ -59,8 +59,9 @@ let kernel ?(back_search_count = 64) ~lane () =
     let or4 = Dag.op dag Op.Or_ ~dtype:Dtype.Bool [ or1; or2 ] in
     let guard = Dag.op dag Op.Or_ ~dtype:Dtype.Bool [ or4; or3 ] in
     let final = Dag.op dag Op.Select ~dtype:i32 [ guard; neg_inf; score ] in
-    scores := final :: !scores);
-  let best = Transform.reduce_tree dag ~op:Op.Max ~dtype:i32 !scores in
+    scores := final :: !scores
+  done;
+  let best = Builders.reduce_tree dag ~op:Op.Max ~dtype:i32 !scores in
   ignore (Dag.fifo_write dag ~fifo:out_fifo ~value:best);
   Kernel.create ~name:(Printf.sprintf "genome_lane%d" lane) ~trip_count:4096 dag
 

@@ -53,7 +53,7 @@ let combine_kernel ~pes =
       Dag.fifo_read dag
         ~fifo:(Dag.add_fifo dag ~name:(Printf.sprintf "pm_s%d" pe) ~dtype:i32 ~depth:16))
   in
-  let best = Transform.reduce_tree dag ~op:Op.Max ~dtype:i32 scores in
+  let best = Builders.reduce_tree dag ~op:Op.Max ~dtype:i32 scores in
   let out = Dag.add_fifo dag ~name:"pm_out" ~dtype:i32 ~depth:16 in
   ignore (Dag.fifo_write dag ~fifo:out ~value:best);
   Kernel.create ~name:"pm_combine" ~trip_count:65536 dag

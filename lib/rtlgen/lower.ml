@@ -115,7 +115,12 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
   let start_sinks = ref [] in
   let fifo_rd = ref [] and fifo_wr = ref [] in
   let registers_added = ref 0 in
-  let add_seq c = seq_cells := c :: !seq_cells in
+  (* Only the stall net reads the sequential cells (its sinks). *)
+  let add_seq =
+    match pipe with
+    | Style.Stall -> fun c -> seq_cells := c :: !seq_cells
+    | Style.Skid _ -> ignore
+  in
   let new_reg ?name width =
     let c = Structs.add_register ?name nl ~width in
     add_seq c;

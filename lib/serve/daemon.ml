@@ -11,7 +11,6 @@ module Style = Hlsb_ctrl.Style
 module Suite = Hlsb_designs.Suite
 module Spec = Hlsb_designs.Spec
 module Device = Hlsb_device.Device
-module Calibrate = Hlsb_delay.Calibrate
 
 let socket_env_var = "HLSBD_SOCKET"
 let default_socket = Filename.concat ".hlsb" "hlsbd.sock"
@@ -63,7 +62,7 @@ let session_for t ~key mk =
 let artifact_of_result r =
   Json.to_string ~minify:false (Pipeline.result_to_json r) ^ "\n"
 
-(* The store key of a compile-flavoured verb: the device's fingerprint
+(* The store key of a [compile] or [cc] verb: the device's fingerprint
    and the verb's own wire encoding, its names already resolved. The
    encoding carries every input the artifact depends on (recipe, target,
    injection, plan, cc source), and Json spells each float so that it
@@ -73,10 +72,10 @@ let store_key ~device verb =
     ~parts:
       [ Device.fingerprint device; Json.to_string (Protocol.verb_to_json verb) ]
 
-(* The store-backed serving discipline shared by every compile-flavoured
-   verb: look the key up in the client's namespace; on miss run the
-   compile thunk, publish the bytes, and answer with exactly the bytes
-   the store now holds — so hit and miss responses are byte-identical.
+(* The store-backed serving discipline shared by [compile] and [cc]:
+   look the key up in the client's namespace; on miss run the compile
+   thunk, publish the bytes, and answer with exactly the bytes the store
+   now holds — so hit and miss responses are byte-identical.
    This is the daemon's only store lookup, so the store's own hit and
    miss counters are exactly these verbs'. *)
 let serve_artifact t ~id ~ns ~device verb compile =
@@ -90,26 +89,25 @@ let serve_artifact t ~id ~ns ~device verb compile =
     | Error msg -> Log.warn "artifact store put %s: %s" key msg);
     Protocol.ok ~hit:false ~key ~id bytes
 
-let unknown_design name =
-  Diag.error ~stage:"serve"
-    ~entity:(Diag.Design name)
-    (Printf.sprintf "unknown design %S (hlsbc list names them)" name)
-
 let run_artifact slot run =
   Mutex.protect slot.sl_mutex (fun () ->
     match run slot.sl_session with
     | Ok r -> artifact_of_result r
     | Error d -> raise (Diag.Diagnostic d))
 
-let design_slot t spec =
-  session_for t ~key:("design:" ^ spec.Spec.sp_name) (fun () ->
-    Pipeline.of_spec spec)
-
 let handle_compile t ~id ~ns (c : Protocol.compile_req) =
   match Suite.resolve c.cp_design with
-  | None -> Protocol.fail ~id (unknown_design c.cp_design)
+  | None ->
+    Protocol.fail ~id
+      (Diag.error ~stage:"serve"
+         ~entity:(Diag.Design c.cp_design)
+         (Printf.sprintf "unknown design %S (hlsbc list names them)"
+            c.cp_design))
   | Some spec ->
-    let slot = design_slot t spec in
+    let slot =
+      session_for t ~key:("design:" ^ spec.Spec.sp_name) (fun () ->
+        Pipeline.of_spec spec)
+    in
     serve_artifact t ~id ~ns ~device:spec.Spec.sp_device
       (Protocol.Compile { c with cp_design = spec.Spec.sp_name })
       (fun () ->
@@ -133,53 +131,6 @@ let handle_cc t ~id ~ns (c : Protocol.cc_req) =
     in
     serve_artifact t ~id ~ns ~device (Protocol.Cc c) (fun () ->
       run_artifact slot (Pipeline.run ~plan:c.cc_plan ~recipe:c.cc_recipe))
-
-let handle_characterize t ~id ~ns dev_name =
-  match Device.find dev_name with
-  | None ->
-    Protocol.fail ~id
-      (Diag.error ~stage:"serve"
-         ~entity:(Diag.Design dev_name)
-         (Printf.sprintf "unknown device %S" dev_name))
-  | Some device ->
-    serve_artifact t ~id ~ns ~device (Protocol.Characterize device.Device.name)
-      (fun () ->
-      let cal = Calibrate.shared device in
-      Calibrate.warm ~mem:true cal;
-      Json.to_string ~minify:false
-        (Json.Obj
-           [
-             ("schema", Json.Str "hlsbd-characterize/1");
-             ("device", Json.Str device.Device.name);
-             ("fingerprint", Json.Str (Device.fingerprint device));
-             ( "factor_grid",
-               Json.List
-                 (Array.to_list
-                    (Array.map (fun n -> Json.Int n) Calibrate.factor_grid)) );
-             ( "unit_grid",
-               Json.List
-                 (Array.to_list
-                    (Array.map (fun n -> Json.Int n) Calibrate.unit_grid)) );
-           ])
-      ^ "\n")
-
-let handle_explore t ~id ~ns (e : Protocol.explore_req) =
-  match Suite.resolve e.ex_design with
-  | None -> Protocol.fail ~id (unknown_design e.ex_design)
-  | Some spec ->
-    let slot = design_slot t spec in
-    serve_artifact t ~id ~ns ~device:spec.Spec.sp_device
-      (Protocol.Explore { e with ex_design = spec.Spec.sp_name })
-      (fun () ->
-        let report =
-          Mutex.protect slot.sl_mutex (fun () ->
-            Hlsb_explore.Explore.run_design ~budget:e.ex_budget
-              ~max_probes:e.ex_max_probes slot.sl_session
-              ~name:spec.Spec.sp_name)
-        in
-        Json.to_string ~minify:false
-          (Hlsb_explore.Explore.report_to_json report)
-        ^ "\n")
 
 let status_json t =
   let st = Store.stats t.d_store in
@@ -214,8 +165,6 @@ let record_request t (req : Protocol.request) (resp : Protocol.response) ms =
         (match req.Protocol.q_verb with
         | Protocol.Compile c -> c.Protocol.cp_design
         | Protocol.Cc c -> c.Protocol.cc_name
-        | Protocol.Characterize d -> d
-        | Protocol.Explore e -> e.Protocol.ex_design
         | Protocol.Status | Protocol.Gc | Protocol.Shutdown -> "-")
     in
     let recipe =
@@ -263,8 +212,6 @@ let handle t (req : Protocol.request) =
           match req.Protocol.q_verb with
           | Protocol.Compile c -> handle_compile t ~id ~ns c
           | Protocol.Cc c -> handle_cc t ~id ~ns c
-          | Protocol.Characterize d -> handle_characterize t ~id ~ns d
-          | Protocol.Explore e -> handle_explore t ~id ~ns e
           | Protocol.Status ->
             Protocol.ok ~id
               (Json.to_string ~minify:false (status_json t) ^ "\n")

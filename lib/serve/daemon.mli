@@ -1,9 +1,10 @@
 (** The hlsbd compile daemon: a long-running process that owns the
     persistent worker {!Hlsb_util.Pool}, keeps one warm
     [Core.Pipeline.session] per (design, device) input, and backs every
-    compile-flavoured request with the content-addressed artifact
+    [compile] and [cc] request with the content-addressed artifact
     {!Store} — so a repeat compile from any client process is a store
-    hit returning byte-identical artifact bytes.
+    hit returning byte-identical artifact bytes. The other three verbs
+    ([status], [gc], [shutdown]) are the daemon's own controls.
 
     Requests arrive one per connection over a Unix-domain socket in the
     {!Protocol} framing. The accept loop drains every connection already
@@ -39,7 +40,7 @@ val create :
 val store : t -> Store.t
 
 val store_key : device:Hlsb_device.Device.t -> Protocol.verb -> string
-(** The store key a compile-flavoured verb is filed under: the device
+(** The store key a [compile] or [cc] verb is filed under: the device
     fingerprint plus {!Protocol.verb_to_json} of the verb. {!handle}
     first resolves the verb's names (a relaxed design name to its suite
     name), so every spelling of one request shares one entry. *)

@@ -21,13 +21,9 @@ type cc_req = {
   cc_plan : Plan.t;
 }
 
-type explore_req = { ex_design : string; ex_budget : int; ex_max_probes : int }
-
 type verb =
   | Compile of compile_req
   | Cc of cc_req
-  | Characterize of string
-  | Explore of explore_req
   | Status
   | Gc
   | Shutdown
@@ -51,8 +47,6 @@ let fail ~id d =
 let verb_name = function
   | Compile _ -> "compile"
   | Cc _ -> "cc"
-  | Characterize _ -> "characterize"
-  | Explore _ -> "explore"
   | Status -> "status"
   | Gc -> "gc"
   | Shutdown -> "shutdown"
@@ -144,43 +138,33 @@ let inject_of_json j =
   let* levels = Json.int_field "levels" j in
   Ok { Schedule.inj_top = top; inj_levels = levels }
 
-let verb_to_json = function
+(* A verb's fields, in wire order: its name, then its arguments. A
+   request prefixes them with its own header fields. *)
+let verb_fields v =
+  ("verb", Json.Str (verb_name v))
+  ::
+  (match v with
   | Compile c ->
-    Json.Obj
-      ([
-         ("verb", Json.Str "compile");
-         ("design", Json.Str c.cp_design);
-         ("recipe", Json.Str (Style.to_string c.cp_recipe));
-       ]
-      @ (match c.cp_target_mhz with
-        | None -> []
-        | Some f -> [ ("target_mhz", Json.Float f) ])
-      @
-      match c.cp_inject with
+    [
+      ("design", Json.Str c.cp_design);
+      ("recipe", Json.Str (Style.to_string c.cp_recipe));
+    ]
+    @ (match c.cp_target_mhz with
+      | None -> []
+      | Some f -> [ ("target_mhz", Json.Float f) ])
+    @ (match c.cp_inject with
       | None -> []
       | Some i -> [ ("inject", inject_to_json i) ])
   | Cc c ->
-    Json.Obj
-      [
-        ("verb", Json.Str "cc");
-        ("name", Json.Str c.cc_name);
-        ("source", Json.Str c.cc_source);
-        ("recipe", Json.Str (Style.to_string c.cc_recipe));
-        ("plan", Json.Str (Plan.to_string c.cc_plan));
-      ]
-  | Characterize dev ->
-    Json.Obj [ ("verb", Json.Str "characterize"); ("device", Json.Str dev) ]
-  | Explore e ->
-    Json.Obj
-      [
-        ("verb", Json.Str "explore");
-        ("design", Json.Str e.ex_design);
-        ("budget", Json.Int e.ex_budget);
-        ("max_probes", Json.Int e.ex_max_probes);
-      ]
-  | Status -> Json.Obj [ ("verb", Json.Str "status") ]
-  | Gc -> Json.Obj [ ("verb", Json.Str "gc") ]
-  | Shutdown -> Json.Obj [ ("verb", Json.Str "shutdown") ]
+    [
+      ("name", Json.Str c.cc_name);
+      ("source", Json.Str c.cc_source);
+      ("recipe", Json.Str (Style.to_string c.cc_recipe));
+      ("plan", Json.Str (Plan.to_string c.cc_plan));
+    ]
+  | Status | Gc | Shutdown -> [])
+
+let verb_to_json v = Json.Obj (verb_fields v)
 
 let verb_of_json j =
   let* v = Json.str_field "verb" j in
@@ -212,16 +196,6 @@ let verb_of_json j =
     let* plan = Plan.of_string plan_s in
     Ok { cc_name = name; cc_source = source; cc_recipe = recipe; cc_plan = plan }
     |> Result.map (fun c -> Cc c)
-  | "characterize" ->
-    let* dev = Json.str_field "device" j in
-    Ok (Characterize dev)
-  | "explore" ->
-    let* design = Json.str_field "design" j in
-    let* budget = Json.int_field "budget" j in
-    let* max_probes = Json.int_field "max_probes" j in
-    Ok
-      (Explore
-         { ex_design = design; ex_budget = budget; ex_max_probes = max_probes })
   | "status" -> Ok Status
   | "gc" -> Ok Gc
   | "shutdown" -> Ok Shutdown
@@ -230,14 +204,11 @@ let verb_of_json j =
 (* ---- request / response -------------------------------------------- *)
 
 let request_to_json r =
-  match verb_to_json r.q_verb with
-  | Json.Obj fields ->
-    Json.Obj
-      (("schema", Json.Str schema)
-       :: ("id", Json.Str r.q_id)
-       :: ("ns", Json.Str r.q_ns)
-       :: fields)
-  | _ -> assert false
+  Json.Obj
+    (("schema", Json.Str schema)
+     :: ("id", Json.Str r.q_id)
+     :: ("ns", Json.Str r.q_ns)
+     :: verb_fields r.q_verb)
 
 let request_of_json j =
   let* () = expect_schema j in

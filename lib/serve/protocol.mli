@@ -3,12 +3,14 @@
     connection.
 
     Every request carries the schema tag, a client-chosen id (echoed
-    back), a namespace (store isolation), and a verb. Compile-flavoured
-    responses carry the artifact bytes verbatim as a JSON string plus
-    the store key and whether the bytes came from the store — the
-    byte-identity contract is that [p_artifact] for a hit equals the
-    [p_artifact] that populated the store. Failures carry the full
-    structured diagnostic ({!Hlsb_util.Diag.t}) as data: stage,
+    back), a namespace (store isolation), and a verb: [compile] and [cc]
+    ask for an artifact, [status], [gc] and [shutdown] control the
+    daemon. A frame naming any other verb is refused with a [protocol]
+    diagnostic. Artifact responses carry the artifact bytes verbatim as
+    a JSON string plus the store key and whether the bytes came from the
+    store — the byte-identity contract is that [p_artifact] for a hit
+    equals the [p_artifact] that populated the store. Failures carry the
+    full structured diagnostic ({!Hlsb_util.Diag.t}) as data: stage,
     severity, offending entity, message — exactly what [Pipeline.run]
     returns on failure. *)
 
@@ -33,17 +35,9 @@ type cc_req = {
   cc_plan : Hlsb_transform.Plan.t;
 }
 
-type explore_req = {
-  ex_design : string;
-  ex_budget : int;
-  ex_max_probes : int;
-}
-
 type verb =
   | Compile of compile_req
   | Cc of cc_req
-  | Characterize of string  (** device name *)
-  | Explore of explore_req
   | Status
   | Gc
   | Shutdown
@@ -62,8 +56,8 @@ val ok : ?hit:bool -> ?key:string -> id:string -> string -> response
 val fail : id:string -> Diag.t -> response
 
 val verb_name : verb -> string
-(** ["compile"] | ["cc"] | ["characterize"] | ["explore"] | ["status"]
-    | ["gc"] | ["shutdown"] — used in spans, gauges, and ledger labels. *)
+(** ["compile"] | ["cc"] | ["status"] | ["gc"] | ["shutdown"] — used in
+    spans, gauges, and ledger labels. *)
 
 (** {1 Codec} *)
 

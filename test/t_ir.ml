@@ -1,7 +1,8 @@
-(* Tests for the IR: dtypes, ops, the operation DAG, dataflow networks and
-   the broadcast-creating transforms. *)
+(* Tests for the IR: dtypes, ops, the operation DAG, dataflow networks,
+   and the broadcast an unrolled loop creates. *)
 
 open Hlsb_ir
+module Builders = Hlsb_designs.Builders
 
 let i32 = Dtype.Int 32
 
@@ -133,29 +134,24 @@ let test_broadcast_factor_multiplicity () =
   Alcotest.(check int) "a read twice" 2 (Dag.broadcast_factor dag a);
   Alcotest.(check (list int)) "one consumer node" [ 1; 1 ] (Dag.consumer_slots dag a)
 
-(* ---- Transform ---- *)
+(* ---- unrolling and reduction ---- *)
 
 let test_unrolled_broadcast () =
   let dag = Dag.create () in
   let shared = Dag.input dag ~name:"src" ~dtype:i32 in
-  Transform.unrolled dag ~factor:16 (fun j ->
+  for j = 0 to 15 do
     let p = Dag.input dag ~name:(Printf.sprintf "p%d" j) ~dtype:i32 in
-    ignore (Dag.op dag Op.Add ~dtype:i32 [ shared; p ]));
+    ignore (Dag.op dag Op.Add ~dtype:i32 [ shared; p ])
+  done;
   (* the Fig. 1 pattern: the shared value is read by every body instance *)
   Alcotest.(check int) "fig.1 broadcast" 16 (Dag.broadcast_factor dag shared)
-
-let test_unrolled_bad_factor () =
-  let dag = Dag.create () in
-  Alcotest.check_raises "factor < 1"
-    (Invalid_argument "Transform.unrolled: factor < 1") (fun () ->
-      Transform.unrolled dag ~factor:0 (fun _ -> ()))
 
 let test_reduce_tree_depth () =
   let dag = Dag.create () in
   let leaves =
     List.init 8 (fun i -> Dag.input dag ~name:(Printf.sprintf "x%d" i) ~dtype:i32)
   in
-  let root = Transform.reduce_tree dag ~op:Op.Add ~dtype:i32 leaves in
+  let root = Builders.reduce_tree dag ~op:Op.Add ~dtype:i32 leaves in
   (* 8 leaves -> 7 internal adds, root last *)
   Alcotest.(check int) "nodes" 15 (Dag.n_nodes dag);
   Alcotest.(check int) "root id" 14 root;
@@ -170,7 +166,7 @@ let test_reduce_tree_single () =
   let dag = Dag.create () in
   let x = Dag.input dag ~name:"x" ~dtype:i32 in
   Alcotest.(check int) "singleton is identity" x
-    (Transform.reduce_tree dag ~op:Op.Add ~dtype:i32 [ x ])
+    (Builders.reduce_tree dag ~op:Op.Add ~dtype:i32 [ x ])
 
 (* ---- Kernel ---- *)
 
@@ -247,7 +243,6 @@ let suite =
     Alcotest.test_case "dag bad buffer" `Quick test_dag_bad_buffer_params;
     Alcotest.test_case "dag read multiplicity" `Quick test_broadcast_factor_multiplicity;
     Alcotest.test_case "unroll creates broadcast" `Quick test_unrolled_broadcast;
-    Alcotest.test_case "unroll bad factor" `Quick test_unrolled_bad_factor;
     Alcotest.test_case "reduce tree shape" `Quick test_reduce_tree_depth;
     Alcotest.test_case "reduce tree single" `Quick test_reduce_tree_single;
     Alcotest.test_case "kernel create" `Quick test_kernel_create;

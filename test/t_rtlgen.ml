@@ -19,10 +19,11 @@ let streaming_kernel ?(unroll = 8) name =
   let fout = Dag.add_fifo dag ~name:(name ^ "_out") ~dtype:i32 ~depth:8 in
   let x = Dag.fifo_read dag ~fifo:fin in
   let acc = ref [] in
-  Transform.unrolled dag ~factor:unroll (fun j ->
+  for j = 0 to unroll - 1 do
     let p = Dag.input dag ~name:(Printf.sprintf "%s_p%d" name j) ~dtype:i32 in
-    acc := Dag.op dag Op.Add ~dtype:i32 [ x; p ] :: !acc);
-  let sum = Transform.reduce_tree dag ~op:Op.Add ~dtype:i32 !acc in
+    acc := Dag.op dag Op.Add ~dtype:i32 [ x; p ] :: !acc
+  done;
+  let sum = Hlsb_designs.Builders.reduce_tree dag ~op:Op.Add ~dtype:i32 !acc in
   ignore (Dag.fifo_write dag ~fifo:fout ~value:sum);
   Kernel.create ~name dag
 

@@ -29,12 +29,13 @@ let chain_kernel n =
 let broadcast_kernel factor =
   let dag = Dag.create () in
   let src = Dag.input dag ~name:"src" ~dtype:i32 in
-  Transform.unrolled dag ~factor (fun j ->
+  for j = 0 to factor - 1 do
     let p = Dag.input dag ~name:(Printf.sprintf "p%d" j) ~dtype:i32 in
     let s = Dag.op dag Op.Add ~dtype:i32 [ src; p ] in
     let t = Dag.op dag Op.Sub ~dtype:i32 [ s; p ] in
     let u = Dag.op dag Op.Abs ~dtype:i32 [ t ] in
-    ignore (Dag.output dag ~name:(Printf.sprintf "o%d" j) ~value:u));
+    ignore (Dag.output dag ~name:(Printf.sprintf "o%d" j) ~value:u)
+  done;
   Kernel.create ~name:(Printf.sprintf "bcast%d" factor) dag
 
 let test_deps_respected mode () =

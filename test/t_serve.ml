@@ -400,17 +400,9 @@ let sample_requests =
               | Error _ -> assert false);
           };
     };
-    { Protocol.q_id = "3"; q_ns = "c"; q_verb = Protocol.Characterize "zynq" };
-    {
-      Protocol.q_id = "4";
-      q_ns = "d";
-      q_verb =
-        Protocol.Explore
-          { Protocol.ex_design = "LSTM"; ex_budget = 4; ex_max_probes = 3 };
-    };
-    { Protocol.q_id = "5"; q_ns = "e"; q_verb = Protocol.Status };
-    { Protocol.q_id = "6"; q_ns = "f"; q_verb = Protocol.Gc };
-    { Protocol.q_id = "7"; q_ns = "g"; q_verb = Protocol.Shutdown };
+    { Protocol.q_id = "3"; q_ns = "c"; q_verb = Protocol.Status };
+    { Protocol.q_id = "4"; q_ns = "d"; q_verb = Protocol.Gc };
+    { Protocol.q_id = "5"; q_ns = "e"; q_verb = Protocol.Shutdown };
   ]
 
 let test_protocol_request_roundtrip () =
@@ -709,6 +701,42 @@ let test_daemon_over_socket () =
     Alcotest.(check bool) "second socket compile hits" true r2.Protocol.p_hit;
     Alcotest.(check string) "byte-identical over the socket"
       r1.Protocol.p_artifact r2.Protocol.p_artifact;
+    (* A frame naming a verb the protocol does not serve gets a
+       structured refusal, and the daemon answers the next request. *)
+    List.iter
+      (fun verb ->
+        let frame =
+          Json.Obj
+            [
+              ("schema", Json.Str Protocol.schema);
+              ("id", Json.Str "raw");
+              ("ns", Json.Str "t");
+              ("verb", Json.Str verb);
+            ]
+        in
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        let resp =
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              Unix.connect fd (Unix.ADDR_UNIX sock);
+              Result.bind (Protocol.write_frame fd frame) (fun () ->
+                Result.bind (Protocol.read_frame fd) Protocol.response_of_json))
+        in
+        match resp with
+        | Error m -> Alcotest.failf "%s frame: %s" verb m
+        | Ok { Protocol.p_error = None; _ } ->
+          Alcotest.failf "verb %S must be refused" verb
+        | Ok { Protocol.p_error = Some d; _ } ->
+          Alcotest.(check string) (verb ^ ": protocol stage") "protocol"
+            d.Diag.d_stage;
+          Alcotest.(check string) (verb ^ ": names the verb")
+            (Printf.sprintf "unknown verb %S" verb)
+            d.Diag.d_message)
+      [ "explore"; "characterize" ];
+    let r3 = call compile_verb in
+    Alcotest.(check bool) "compile answered after refusals" true
+      r3.Protocol.p_hit;
     ignore (call Protocol.Shutdown);
     (match Domain.join server with
     | Ok () -> ()
