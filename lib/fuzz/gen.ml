@@ -233,17 +233,14 @@ let build_dag (c : kern_case) =
   done;
   (* every value nobody reads leaves through an output FIFO, so the DAG
      has no dangling datapath and at least one output *)
-  let n_out = ref 0 in
-  List.iter
-    (fun node ->
-      if Dag.consumer_slots dag node = [] then begin
-        let f =
-          Dag.add_fifo dag ~name:(Printf.sprintf "o%d" !n_out) ~dtype:dt ~depth:8
-        in
-        ignore (Dag.fifo_write dag ~fifo:f ~value:node);
-        incr n_out
-      end)
-    (List.rev !values);
+  let unread =
+    List.filter (fun node -> Dag.broadcast_factor dag node = 0) (List.rev !values)
+  in
+  List.iteri
+    (fun i node ->
+      let f = Dag.add_fifo dag ~name:(Printf.sprintf "o%d" i) ~dtype:dt ~depth:8 in
+      ignore (Dag.fifo_write dag ~fifo:f ~value:node))
+    unread;
   Kernel.create ~name:(Printf.sprintf "fz%d" c.kc_seed) dag
 
 let build_kernel (c : kern_case) =

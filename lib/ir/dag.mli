@@ -55,26 +55,43 @@ val fifo_read : t -> fifo:int -> node
 val fifo_write : t -> fifo:int -> value:node -> node
 val output : t -> name:string -> value:node -> node
 
-(** {2 Accessors} *)
+(** {2 Accessors}
+
+    Nodes are stored as flat arrays: per node one int packing an interned
+    kind and a dtype code, arguments in one CSR (compressed sparse rows:
+    every node's arguments back to back in one int array, with per-node
+    offsets) and, once {!index_consumers} has run, the read slots in
+    another. No per-node accessor allocates unless it says so. *)
 
 val n_nodes : t -> int
+
 val kind : t -> node -> kind
+(** Interned, so it does not allocate: the nodes of one operator other
+    than [Slice] share one value across all DAGs, and the accesses to one
+    buffer or fifo share one value per DAG. *)
+
 val dtype : t -> node -> Dtype.t
+
+val n_args : t -> node -> int
+val arg : t -> node -> int -> node
+(** [arg t v i] is [v]'s [i]-th argument, [0 <= i < n_args t v]. *)
+
 val args : t -> node -> node list
-val args_array : t -> node -> node array
-(** The node's argument array itself, not a copy — for per-node loops.
-    Read-only: writing to it corrupts the DAG. *)
+(** All of [v]'s arguments, in order — allocates the list. *)
 
 val node_name : t -> node -> string
+(** Spelled on each call (allocates): an input's or output's name, a
+    constant's value, the operator, or ["<buffer>.load"],
+    ["<buffer>.store"], ["<fifo>.read"], ["<fifo>.write"]. *)
+
 val buffers : t -> buffer array
+(** A fresh array of the declarations, by id. *)
+
 val fifos : t -> fifo array
+(** A fresh array of the declarations, by id. *)
+
 val buffer : t -> int -> buffer
 val fifo : t -> int -> fifo
-
-val consumer_slots : t -> node -> node list
-(** The cached read slots of this node's value: one entry per argument slot
-    that reads it, consumers in descending id order (a consumer reading the
-    value twice appears twice, adjacently). Returned without copying. *)
 
 val index_consumers : t -> unit
 (** Build the consumer table now rather than on the first read, so its
@@ -86,7 +103,14 @@ val broadcast_factor : t -> node -> int
     many times a variable is read by later instructions" count of §4.1.
     A [Store] to a partitioned/multi-BRAM buffer additionally multiplies
     the *value* operand's physical fanout; that physical effect is accounted
-    for in netlist generation, not here. *)
+    for in netlist generation, not here. O(1) once the consumer table is
+    built. *)
+
+val consumer : t -> node -> int -> node
+(** [consumer t v i], [0 <= i < broadcast_factor t v]: the consumer in
+    [v]'s [i]-th read slot. One slot per argument slot that reads [v],
+    consumers in descending id order (a consumer reading the value twice
+    fills two adjacent slots). *)
 
 val iter : t -> (node -> unit) -> unit
 (** In topological (= id) order. *)
@@ -96,11 +120,12 @@ val same_structure : t -> t -> bool
     the same node count and, per node, the same kind variant, the same
     operator for an [Operation], the same buffer (id, dtype, depth and
     partition factor) for a [Load]/[Store], the same fifo (id and depth)
-    for a fifo access, the same dtype and the same argument array. Input,
+    for a fifo access, the same dtype and the same arguments. Input,
     output, fifo and buffer names and constant values are ignored, and so
     are declarations no node accesses. An exact comparison with no
-    hashing, so it never confuses two DAGs. Replicated kernels built by
-    one generator compare equal. *)
+    hashing, so it never confuses two DAGs: the argument CSRs compare as
+    int arrays, dtype codes as ints and kinds per node. Replicated kernels
+    built by one generator compare equal. *)
 
 val validate : t -> (unit, string) result
 (** Structural checks: arities, arg ranges, buffer/fifo ids, dtype of

@@ -14,6 +14,13 @@ val width : t -> int
 
 val is_float : t -> bool
 val equal : t -> t -> bool
+
+val code : t -> int
+(** A distinct small code per valid dtype ({!validate}): at most 1026. *)
+
+val of_code : int -> t
+(** The valid dtype with this {!code}, shared: it does not allocate. *)
+
 val to_string : t -> string
 
 val validate : t -> unit

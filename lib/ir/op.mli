@@ -48,4 +48,13 @@ val spell : (string -> unit) -> (int -> unit) -> t -> unit
 (** [to_string]'s spelling as pieces, without building it: literal parts
     go to the first function, bit indices to the second. *)
 
+val code : t -> int
+(** A distinct code in [\[0, n_codes)] per operator, or [-1] for a
+    [Slice], whose bounds no small code holds. *)
+
+val n_codes : int
+
+val of_code : int -> t
+(** The operator with this {!code}, [0 <= c < n_codes]. *)
+
 val equal : t -> t -> bool

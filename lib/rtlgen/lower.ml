@@ -409,16 +409,16 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
   (* One walk over a value's read slots files each reader under its
      distance; [jmin] and [jmax] bound the groups it filled. *)
   let jmin = ref max_int and jmax = ref (-1) in
-  let rec group_reads rcyc = function
-    | [] -> ()
-    | u :: rest ->
+  let group_reads rcyc v =
+    for i = 0 to Dag.broadcast_factor dag v - 1 do
+      let u = Dag.consumer dag v i in
       if Array.length arg_sinks.(u) > 0 then begin
         let j = max 0 (entries.(u).Schedule.e_cycle - rcyc) in
         groups.(j) <- u :: groups.(j);
         if j < !jmin then jmin := j;
         if j > !jmax then jmax := j
-      end;
-      group_reads rcyc rest
+      end
+    done
   in
   (* A group's net sinks: its readers in order, each reader's cells in
      reverse (the sink order the golden digests pin). *)
@@ -448,7 +448,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
     if rc >= 0 then begin
       jmin := max_int;
       jmax := -1;
-      group_reads (internal_done_cycle v) (Dag.consumer_slots dag v);
+      group_reads (internal_done_cycle v) v;
       if !jmax >= 0 then begin
         let w = Dtype.width (Dag.dtype dag v) in
         (* Boundary register chain, extended lazily: [!reg] holds v's value

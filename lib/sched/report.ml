@@ -32,15 +32,14 @@ let stage_widths (s : Schedule.t) =
   let nb = max 0 (s.Schedule.depth - 1) in
   let widths = Array.make nb 0 in
   let entries = s.Schedule.entries in
-  let rec latest acc = function
-    | [] -> acc
-    | u :: rest ->
-      let c = entries.(u).Schedule.e_cycle in
-      latest (if acc >= c then acc else c) rest
-  in
   Dag.iter dag (fun v ->
     let def = entries.(v).Schedule.e_cycle in
-    let last_use = latest def (Dag.consumer_slots dag v) in
+    let last_use = ref def in
+    for i = 0 to Dag.broadcast_factor dag v - 1 do
+      let c = entries.(Dag.consumer dag v i).Schedule.e_cycle in
+      if c > !last_use then last_use := c
+    done;
+    let last_use = !last_use in
     let w = Dtype.width (Dag.dtype dag v) in
     (* value occupies pipeline storage across boundaries def..last_use-1
        (including the operator's own internal stages) *)
@@ -78,23 +77,17 @@ let chain_delays_calibrated cal (s : Schedule.t) =
     out_factor.(v) <- f);
   Dag.iter dag (fun v ->
     let e = entries.(v) in
-    let factor =
-      List.fold_left (fun acc a -> max acc out_factor.(a)) 1 (Dag.args dag v)
-    in
+    let factor = ref 1 and start = ref 0. in
+    for i = 0 to Dag.n_args dag v - 1 do
+      let a = Dag.arg dag v i in
+      let ea = entries.(a) in
+      factor := max !factor out_factor.(a);
+      if ea.Schedule.e_latency = 0 && ea.Schedule.e_cycle = e.Schedule.e_cycle then
+        if finish.(a) > !start then start := finish.(a)
+    done;
     (* Delay spreads over added pipeline stages if the schedule has them. *)
-    let d = delay v ~factor /. float_of_int (e.Schedule.e_added_pipe + 1) in
-    let start =
-      List.fold_left
-        (fun acc a ->
-          let ea = entries.(a) in
-          if
-            ea.Schedule.e_latency = 0
-            && ea.Schedule.e_cycle = e.Schedule.e_cycle
-          then max acc finish.(a)
-          else acc)
-        0. (Dag.args dag v)
-    in
-    finish.(v) <- start +. d;
+    let d = delay v ~factor:!factor /. float_of_int (e.Schedule.e_added_pipe + 1) in
+    finish.(v) <- !start +. d;
     if e.Schedule.e_cycle < s.Schedule.depth then
       delays.(e.Schedule.e_cycle) <-
         max delays.(e.Schedule.e_cycle) finish.(v));

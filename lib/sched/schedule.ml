@@ -23,12 +23,19 @@ type entry = {
   e_factor : int;
 }
 
+type samples = {
+  sm_reads : (int * int) list;
+  sm_factors : (int * int) list;
+  sm_registers : int;
+}
+
 type t = {
   kernel : Kernel.t;
   mode_label : string;
   target_ns : float;
   entries : entry array;
   depth : int;
+  samples : samples option;
 }
 
 let eps = 1e-9
@@ -142,10 +149,10 @@ let pass ~mode ~curves ~target ~extra (k : Kernel.t) reads =
     (* Input-side broadcast factor: the largest fanout among this node's
        argument nets; tree-distributed arguments arrive from a leaf register
        driving at most [leaf_fanout] readers. *)
-    let args = Dag.args_array dag v in
+    let n_args = Dag.n_args dag v in
     let factor = ref 1 in
-    for i = 0 to Array.length args - 1 do
-      let a = args.(i) in
+    for i = 0 to n_args - 1 do
+      let a = Dag.arg dag v i in
       factor := imax !factor (if tree'd a then imin reads.(a) leaf_fanout else reads.(a))
     done;
     let factor = !factor in
@@ -189,8 +196,8 @@ let pass ~mode ~curves ~target ~extra (k : Kernel.t) reads =
     let delay = raw_delay /. float_of_int (added_split + 1) in
     let latency = intrinsic + added_split + added_bcast in
     let ready = ref 0. in
-    for i = 0 to Array.length args - 1 do
-      let ea = entries.(args.(i)) in
+    for i = 0 to n_args - 1 do
+      let ea = entries.(Dag.arg dag v i) in
       let t_avail =
         if ea.e_latency > 0 then float_of_int (ea.e_cycle + ea.e_latency) *. target
         else (float_of_int ea.e_cycle *. target) +. ea.e_start +. ea.e_delay
@@ -225,23 +232,26 @@ let same_cycle_reads entries dag =
   let n = Dag.n_nodes dag in
   let counts = Array.make n 0 in
   Dag.iter dag (fun u ->
-    let args = Dag.args_array dag u in
-    for i = 0 to Array.length args - 1 do
-      let a = args.(i) in
+    for i = 0 to Dag.n_args dag u - 1 do
+      let a = Dag.arg dag u i in
       if entries.(u).e_cycle = result_cycle entries a then
         counts.(a) <- counts.(a) + 1
     done);
   counts
 
-(* Whether any read slot is scheduled after cycle [rc] / the earliest cycle
-   of any read slot (at most [acc]). *)
-let rec read_after entries rc = function
-  | [] -> false
-  | u :: rest -> entries.(u).e_cycle > rc || read_after entries rc rest
+(* Whether any of [v]'s read slots is scheduled after cycle [rc] / the
+   earliest cycle of any of them (at most [acc]). *)
+let read_after entries dag v rc =
+  let n = Dag.broadcast_factor dag v in
+  let rec from i = i < n && (entries.(Dag.consumer dag v i).e_cycle > rc || from (i + 1)) in
+  from 0
 
-let rec first_read entries acc = function
-  | [] -> acc
-  | u :: rest -> first_read entries (imin acc entries.(u).e_cycle) rest
+let first_read entries dag v acc =
+  let acc = ref acc in
+  for i = 0 to Dag.broadcast_factor dag v - 1 do
+    acc := imin !acc entries.(Dag.consumer dag v i).e_cycle
+  done;
+  !acc
 
 (* The scheduler budgets chains against the target minus a clock
    uncertainty margin, like the commercial tool's default. *)
@@ -251,50 +261,56 @@ let label_of_mode = function
   | Baseline -> "baseline"
   | Broadcast_aware _ -> "broadcast-aware"
 
-(* One histogram sample per value, fed as (value, multiplicity) pairs:
-   the same histogram for a fraction of the registry traffic. Sorts
-   [vals] in place. *)
-let observe_all name vals =
-  Array.sort Int.compare vals;
-  let n = Array.length vals in
-  let i = ref 0 in
-  while !i < n do
-    let v = vals.(!i) in
-    let j = ref (!i + 1) in
-    while !j < n && vals.(!j) = v do
-      incr j
-    done;
-    Metrics.observe_int ~times:(!j - !i) name v;
-    i := !j
-  done
+(* The distinct values among [value i] for [i < n], ascending, each with
+   its multiplicity, counted in one pass; negative values are left out. *)
+let histogram n value =
+  let top = ref (-1) in
+  for i = 0 to n - 1 do
+    top := imax !top (value i)
+  done;
+  let counts = Array.make (!top + 1) 0 in
+  for i = 0 to n - 1 do
+    let x = value i in
+    if x >= 0 then counts.(x) <- counts.(x) + 1
+  done;
+  let h = ref [] in
+  for x = !top downto 0 do
+    if counts.(x) > 0 then h := (x, counts.(x)) :: !h
+  done;
+  !h
 
-(* Feed the telemetry registry (§4.1's quantities): the raw read count of
-   every value and the input-side factor the schedule actually budgeted
-   after distribution trees capped the leaf fanout. *)
-let record_metrics t =
-  match Metrics.installed () with
-  | None -> ()
-  | Some _ ->
-    let dag = t.kernel.Kernel.dag in
-    let reads = Array.make (Dag.n_nodes dag) 0 and n_reads = ref 0 in
-    Dag.iter dag (fun v ->
-      if produces_value dag v then begin
-        let r = Dag.broadcast_factor dag v in
-        if r > 0 then begin
-          reads.(!n_reads) <- r;
-          incr n_reads
-        end
-      end);
-    observe_all "sched.broadcast_factor" (Array.sub reads 0 !n_reads);
-    observe_all "sched.fanout_after_split"
-      (Array.map (fun e -> e.e_factor) t.entries);
-    let regs =
+(* §4.1's quantities: the raw read count of every value and the
+   input-side factor the schedule actually budgeted after distribution
+   trees capped the leaf fanout. *)
+let samples_of dag entries =
+  let reads v =
+    let r = Dag.broadcast_factor dag v in
+    if r > 0 && produces_value dag v then r else -1
+  in
+  {
+    sm_reads = histogram (Dag.n_nodes dag) reads;
+    sm_factors = histogram (Array.length entries) (fun v -> entries.(v).e_factor);
+    sm_registers =
       Array.fold_left
         (fun acc e -> acc + e.e_added_pipe + e.e_bcast_levels)
-        0 t.entries
-    in
+        0 entries;
+  }
+
+(* Feed the installed telemetry registry, if any, one sample per value
+   as (value, multiplicity) pairs: the same histograms for a fraction of
+   the registry traffic. The samples are [known] ones when given, else
+   counted now; the result is what was fed. *)
+let record_samples dag entries known =
+  match Metrics.installed () with
+  | None -> known
+  | Some _ ->
+    let s = match known with Some s -> s | None -> samples_of dag entries in
+    let observe name = List.iter (fun (x, times) -> Metrics.observe_int ~times name x) in
+    observe "sched.broadcast_factor" s.sm_reads;
+    observe "sched.fanout_after_split" s.sm_factors;
     Metrics.incr "sched.kernels";
-    Metrics.incr ~by:regs "sched.registers_inserted"
+    Metrics.incr ~by:s.sm_registers "sched.registers_inserted";
+    Some s
 
 (* The injection set: the [inj_top] widest-read value-producing nodes,
    ties broken by node id so the choice is deterministic. Each selected
@@ -340,9 +356,7 @@ let run_body ~target_mhz ~inject mode (k : Kernel.t) =
       let refined =
         Array.mapi
           (fun v c ->
-            let later =
-              read_after e1 (result_cycle e1 v) (Dag.consumer_slots dag v)
-            in
+            let later = read_after e1 dag v (result_cycle e1 v) in
             (* Values that were given distribution stages keep their full
                read count: the tree still has to reach every reader. *)
             if
@@ -362,9 +376,8 @@ let run_body ~target_mhz ~inject mode (k : Kernel.t) =
   Dag.iter dag (fun v ->
     match Dag.kind dag v with
     | Dag.Input _ | Dag.Const _ | Dag.Fifo_read _ ->
-      let slots = Dag.consumer_slots dag v in
-      if slots <> [] then begin
-        let first_use = first_read entries max_int slots in
+      if Dag.broadcast_factor dag v > 0 then begin
+        let first_use = first_read entries dag v max_int in
         let e = entries.(v) in
         let late = imax e.e_cycle (first_use - 1 - e.e_latency) in
         entries.(v) <- { e with e_cycle = late; e_start = 0. }
@@ -377,11 +390,8 @@ let run_body ~target_mhz ~inject mode (k : Kernel.t) =
     Dag.iter dag (fun v -> m := imax !m (result_cycle entries v));
     !m + 1
   in
-  let t =
-    { kernel = k; mode_label = label_of_mode mode; target_ns = target; entries; depth }
-  in
-  record_metrics t;
-  t
+  let samples = record_samples dag entries None in
+  { kernel = k; mode_label = label_of_mode mode; target_ns = target; entries; depth; samples }
 
 let default_target_mhz = 300.
 
@@ -406,10 +416,9 @@ let rebind t (k : Kernel.t) =
   if Dag.n_nodes k.Kernel.dag <> Array.length t.entries then
     invalid_arg "Schedule.rebind: kernel size differs";
   traced ~shared_with:t.kernel k t.mode_label (fun () ->
-    let t = { t with kernel = k } in
-    record_metrics t;
+    let samples = record_samples t.kernel.Kernel.dag t.entries t.samples in
     Metrics.incr "sched.kernels_shared";
-    t)
+    { t with kernel = k; samples })
 
 let finish_cycle t v = result_cycle t.entries v
 
@@ -419,10 +428,13 @@ let chain_ok t =
     t.entries
 
 let same_cycle_factor t v =
+  let dag = t.kernel.Kernel.dag in
   let rc = result_cycle t.entries v in
-  List.fold_left
-    (fun acc u -> if t.entries.(u).e_cycle = rc then acc + 1 else acc)
-    0 (Dag.consumer_slots t.kernel.Kernel.dag v)
+  let count = ref 0 in
+  for i = 0 to Dag.broadcast_factor dag v - 1 do
+    if t.entries.(Dag.consumer dag v i).e_cycle = rc then incr count
+  done;
+  !count
 
 let registers_inserted t =
   Array.fold_left

@@ -50,12 +50,20 @@ type entry = {
   e_factor : int;  (** input-side broadcast factor used for the delay lookup *)
 }
 
+type samples
+(** The [sched.*] metric samples of one schedule: its histograms as
+    (value, multiplicity) pairs and its register count. *)
+
 type t = {
   kernel : Kernel.t;
   mode_label : string;
   target_ns : float;
   entries : entry array;  (** indexed by DAG node id *)
   depth : int;  (** pipeline depth in cycles (latest finish, exclusive) *)
+  samples : samples option;
+      (** what {!run} fed the metrics registry installed at the time
+          ([None] when there was none), so {!rebind} replays it without
+          walking the DAG *)
 }
 
 val lowers_same : t -> t -> bool
@@ -81,7 +89,9 @@ val rebind : t -> Kernel.t -> t
     depth, target and mode: the schedule of a kernel whose structure
     matches [t.kernel]'s ({!Dag.same_structure}), which a fresh {!run}
     would reproduce exactly. Feeds the same [sched.*] metrics as {!run}
-    plus [sched.kernels_shared]. Raises [Invalid_argument] if [k]'s node
+    plus [sched.kernels_shared], replaying [t.samples] without reading
+    the DAG (they are counted from [t]'s DAG only if [t] was scheduled
+    with no registry installed). Raises [Invalid_argument] if [k]'s node
     count differs from [t]'s. *)
 
 val node_delays : mode -> Dag.t -> Dag.node -> factor:int -> float

@@ -251,8 +251,10 @@ let serve_conn t conn =
           match Protocol.request_of_json j with
           | Ok req -> handle t req
           | Error msg ->
-            Protocol.fail ~id:""
-              (Diag.error ~stage:"protocol" msg)
+            (* Echo the frame's id when it has one, so the client reports
+               this diagnostic rather than an id mismatch. *)
+            let id = Result.value ~default:"" (Json.str_field "id" j) in
+            Protocol.fail ~id (Diag.error ~stage:"protocol" msg)
         in
         match Protocol.write_frame conn (Protocol.response_to_json resp) with
         | Ok () -> ()

@@ -19,7 +19,21 @@
    4.1, HBM-Based Stencil 14.8 -> 5.1, Vector Arithmetic 14.0 -> 11.5).
    Lower measured 55-84 before it wrote names into the netlist's arena
    and sinks into its CSR, and 194-320 before that; STA measured 23-28
-   while the jitter draw boxed its Int64s and floats. *)
+   while the jitter draw boxed its Int64s and floats.
+
+   Elaborate (the design generator, [Kernel.create]'s validation and
+   consumer index included) is charged per DAG node it builds, over every
+   Suite design and the bm420x2 scale point. The budget is half the worst
+   figure measured while the DAG kept one record, one argument array and
+   one name string per node and a list per consumer table entry; after
+   the DAG became flat arrays (words/DAG node, before -> after):
+   bm420x2 51.3 -> 15.0, Genome Sequencing 51.0 -> 14.4, LSTM Network
+   65.7 -> 29.7, Face Detection 44.2 -> 11.9, Matrix Multiply 66.2 ->
+   23.1, Stream Buffer 54.8 -> 34.0, Stencil 75.2 -> 9.1, Vector
+   Arithmetic 54.1 -> 25.9, HBM-Based Stencil 80.3 -> 38.3, Pattern
+   Matching 48.3 -> 15.7, Modular Squaring 51.7 -> 15.3. What is left is
+   mostly the generators' own work (argument lists, [sprintf]'d names)
+   and, on the smallest DAGs, the store's fixed cost. *)
 
 open Hlsb_ir
 module Style = Hlsb_ctrl.Style
@@ -33,6 +47,7 @@ let schedule_budget = 80.
 let lower_budget = 20.
 let place_budget = 2.
 let sta_budget = 12.
+let elaborate_budget = 40.
 
 let minor_words f =
   let before = Gc.minor_words () in
@@ -95,4 +110,32 @@ let test_budgets () =
         [ Style.original; Style.optimized ])
     Hlsb_designs.Suite.all
 
-let suite = [ Alcotest.test_case "schedule/lower/place minor words" `Quick test_budgets ]
+let dag_nodes df =
+  Array.fold_left
+    (fun n (p : Dataflow.process) ->
+      match p.Dataflow.p_kernel with
+      | Some k -> n + Dag.n_nodes k.Kernel.dag
+      | None -> n)
+    0 (Dataflow.processes df)
+
+(* Elaborate is charged per DAG node it builds, over every Suite design
+   and the bm420x2 scale point; each build runs once first so one-time
+   initialization is not charged. *)
+let test_elaborate_budget () =
+  List.iter
+    (fun (name, build) ->
+      ignore (build ());
+      let df, words = minor_words build in
+      let per_node = words /. float_of_int (dag_nodes df) in
+      Printf.printf "%s: elaborate %.1f words/DAG node\n" name per_node;
+      if per_node > elaborate_budget then
+        Alcotest.failf "%s: elaborate allocates %.1f words per DAG node, budget %.0f"
+          name per_node elaborate_budget)
+    (("bm420x2", Hlsb_designs.Bigmul.build_point ~bits:420 ~limb:7 ~lanes:2)
+    :: List.map (fun (s : Spec.t) -> (s.Spec.sp_name, s.Spec.sp_build)) Hlsb_designs.Suite.all)
+
+let suite =
+  [
+    Alcotest.test_case "schedule/lower/place minor words" `Quick test_budgets;
+    Alcotest.test_case "elaborate minor words" `Quick test_elaborate_budget;
+  ]

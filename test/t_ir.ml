@@ -41,6 +41,25 @@ let test_op_classes () =
   Alcotest.(check bool) "icmp bool" true (Op.result_is_bool (Op.Icmp Op.Lt));
   Alcotest.(check bool) "add not bool" false (Op.result_is_bool Op.Add)
 
+(* The DAG stores operators and dtypes by code: each code must name
+   exactly one value. *)
+let test_codes_round_trip () =
+  for c = 0 to Op.n_codes - 1 do
+    Alcotest.(check int) "op code" c (Op.code (Op.of_code c))
+  done;
+  Alcotest.(check int) "slice has no code" (-1) (Op.code (Op.Slice (7, 0)));
+  let dtypes =
+    Dtype.[ Bool; Float32; Float64 ]
+    @ List.concat_map (fun w -> Dtype.[ Int w; Uint w ]) (List.init 512 succ)
+  in
+  List.iter
+    (fun dt ->
+      Alcotest.(check bool) (Dtype.to_string dt) true
+        (Dtype.of_code (Dtype.code dt) = dt))
+    dtypes;
+  Alcotest.(check int) "codes distinct" (List.length dtypes)
+    (List.length (List.sort_uniq compare (List.map Dtype.code dtypes)))
+
 (* ---- Dag ---- *)
 
 let small_dag () =
@@ -52,12 +71,17 @@ let small_dag () =
   ignore (Dag.output dag ~name:"r" ~value:d);
   (dag, a, b, s, d)
 
+(* [v]'s read slots, in the order the consumer accessor numbers them. *)
+let consumers dag v = List.init (Dag.broadcast_factor dag v) (Dag.consumer dag v)
+
 let test_dag_basic () =
   let dag, a, _, s, _ = small_dag () in
   Alcotest.(check int) "nodes" 5 (Dag.n_nodes dag);
   Alcotest.(check (list int)) "args of add" [ 0; 1 ] (Dag.args dag s);
+  Alcotest.(check (list int)) "indexed args of add" [ 0; 1 ]
+    (List.init (Dag.n_args dag s) (Dag.arg dag s));
   Alcotest.(check bool) "a consumed twice" true (Dag.broadcast_factor dag a = 2);
-  Alcotest.(check (list int)) "consumers of a" [ 3; 2 ] (Dag.consumer_slots dag a)
+  Alcotest.(check (list int)) "consumers of a" [ 3; 2 ] (consumers dag a)
 
 let test_dag_validate_ok () =
   let dag, _, _, _, _ = small_dag () in
@@ -80,7 +104,11 @@ let test_dag_forward_ref () =
     (try
        ignore (Dag.op dag Op.Not ~dtype:i32 [ 5 ]);
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* a rejected add leaves no trace: the next node takes id 0, argless *)
+  let a = Dag.input dag ~name:"a" ~dtype:i32 in
+  Alcotest.(check int) "id reused" 0 a;
+  Alcotest.(check int) "no stray args" 0 (Dag.n_args dag a)
 
 let test_dag_cmp_forced_bool () =
   let dag = Dag.create () in
@@ -132,7 +160,7 @@ let test_broadcast_factor_multiplicity () =
   (* a used as both operands: two reads *)
   ignore (Dag.op dag Op.Add ~dtype:i32 [ a; a ]);
   Alcotest.(check int) "a read twice" 2 (Dag.broadcast_factor dag a);
-  Alcotest.(check (list int)) "one consumer node" [ 1; 1 ] (Dag.consumer_slots dag a)
+  Alcotest.(check (list int)) "one consumer node" [ 1; 1 ] (consumers dag a)
 
 (* ---- unrolling and reduction ---- *)
 
@@ -232,6 +260,7 @@ let suite =
     Alcotest.test_case "dtype to_string" `Quick test_dtype_string;
     Alcotest.test_case "op arity" `Quick test_op_arity;
     Alcotest.test_case "op classes" `Quick test_op_classes;
+    Alcotest.test_case "op and dtype codes round-trip" `Quick test_codes_round_trip;
     Alcotest.test_case "dag basic" `Quick test_dag_basic;
     Alcotest.test_case "dag validate ok" `Quick test_dag_validate_ok;
     Alcotest.test_case "dag arity check" `Quick test_dag_arity_check;

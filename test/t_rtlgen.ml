@@ -282,6 +282,7 @@ let test_lower_sink_order () =
           entry 0 0; entry 0 0; entry 0 0; entry 1 0; entry 2 1; entry 3 0; entry 3 0;
         |];
       depth = 4;
+      samples = None;
     }
   in
   let nl = Netlist.create ~name:"t" in

@@ -252,6 +252,66 @@ let test_same_structure () =
   check "another kind" false (shape ~src_input:true ());
   check "another node count" false (shape ~extra:true ())
 
+(* [Dag.same_structure]'s contract, written through the public
+   accessors only. *)
+let reference_same_structure a b =
+  let same_buffer x y =
+    x = y
+    &&
+    let x = Dag.buffer a x and y = Dag.buffer b y in
+    x.Dag.b_dtype = y.Dag.b_dtype
+    && x.Dag.b_depth = y.Dag.b_depth
+    && x.Dag.b_partition = y.Dag.b_partition
+  in
+  let same_fifo x y = x = y && (Dag.fifo a x).Dag.f_depth = (Dag.fifo b y).Dag.f_depth in
+  let same_kind v =
+    match (Dag.kind a v, Dag.kind b v) with
+    | Dag.Input _, Dag.Input _ | Dag.Const _, Dag.Const _ | Dag.Output _, Dag.Output _ ->
+      true
+    | Dag.Operation o, Dag.Operation p -> o = p
+    | Dag.Load x, Dag.Load y | Dag.Store x, Dag.Store y -> same_buffer x y
+    | Dag.Fifo_read x, Dag.Fifo_read y | Dag.Fifo_write x, Dag.Fifo_write y ->
+      same_fifo x y
+    | _ -> false
+  in
+  Dag.n_nodes a = Dag.n_nodes b
+  && List.for_all
+       (fun v -> same_kind v && Dag.dtype a v = Dag.dtype b v && Dag.args a v = Dag.args b v)
+       (List.init (Dag.n_nodes a) Fun.id)
+
+(* A [shape] per 13-bit word: bit [i] picks the alternative of its [i]-th
+   optional argument. *)
+let shape_of bits =
+  let on i = bits land (1 lsl i) <> 0 in
+  shape
+    ~prefix:(if on 0 then "pe3_" else "")
+    ~c:(if on 1 then 42L else 7L)
+    ~partition:(if on 2 then 4 else 1)
+    ~depth:(if on 3 then 128 else 64)
+    ~bdtype:(if on 4 then Dtype.Uint 32 else i32)
+    ~fdepth:(if on 5 then 4 else 2)
+    ~spare_buffer:(on 6) ~spare_fifo:(on 7)
+    ~op:(if on 8 then Op.Sub else Op.Add)
+    ~dtype:(if on 9 then Dtype.Int 16 else i32)
+    ~swap:(on 10) ~src_input:(on 11) ~extra:(on 12) ()
+
+(* Pairs of shapes at most two choices apart, so both answers occur: a
+   partition factor (bit 2), a fifo depth (bit 5) or the argument order
+   (bit 10) alone splits a pair. *)
+let prop_same_structure_reference =
+  let pair =
+    QCheck.Gen.(
+      int_bound 8191 >>= fun a ->
+      list_size (int_bound 2) (int_bound 12) >|= fun flips ->
+      (a, List.fold_left (fun b i -> b lxor (1 lsl i)) a flips))
+  in
+  QCheck.Test.make ~count:400 ~name:"same_structure agrees with the accessor reference"
+    (QCheck.make ~print:(fun (a, b) -> Printf.sprintf "shape %#x vs %#x" a b) pair)
+    (fun (x, y) ->
+      let a = shape_of x and b = shape_of y in
+      Dag.same_structure a b = reference_same_structure a b
+      && Dag.same_structure b a = reference_same_structure a b)
+
 let test_kernel_classes_cache () =
   let df = Dataflow.create () in
   let add ?kernel name = ignore (Dataflow.add_process df ~name ?kernel ()) in
@@ -371,6 +431,7 @@ let suite =
       test_lowers_same;
     Alcotest.test_case "same_structure: what splits and what joins" `Quick
       test_same_structure;
+    QCheck_alcotest.to_alcotest prop_same_structure_reference;
     Alcotest.test_case "kernel_classes: add_process invalidates" `Quick
       test_kernel_classes_cache;
     Alcotest.test_case "shape-shared schedules equal fresh ones" `Quick

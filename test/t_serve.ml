@@ -727,7 +727,8 @@ let test_daemon_over_socket () =
         | Error m -> Alcotest.failf "%s frame: %s" verb m
         | Ok { Protocol.p_error = None; _ } ->
           Alcotest.failf "verb %S must be refused" verb
-        | Ok { Protocol.p_error = Some d; _ } ->
+        | Ok { Protocol.p_error = Some d; p_id; _ } ->
+          Alcotest.(check string) (verb ^ ": echoes the frame's id") "raw" p_id;
           Alcotest.(check string) (verb ^ ": protocol stage") "protocol"
             d.Diag.d_stage;
           Alcotest.(check string) (verb ^ ": names the verb")
