@@ -151,6 +151,7 @@ type stage_record = {
   sr_status : status;
   sr_ms : float;
   sr_minor_words : float;
+  sr_major_words : float;
 }
 
 type compiled = {
@@ -236,10 +237,22 @@ let of_kernel ~device kernel =
 
 (* ---------------- stage execution machinery ---------------- *)
 
-let record t stage status ms words =
+let record t stage status ms minor major =
   t.ss_last <-
-    { sr_stage = stage; sr_status = status; sr_ms = ms; sr_minor_words = words }
+    {
+      sr_stage = stage;
+      sr_status = status;
+      sr_ms = ms;
+      sr_minor_words = minor;
+      sr_major_words = major;
+    }
     :: t.ss_last
+
+(* Words allocated directly in the major heap so far: major minus
+   promoted, so a block a minor collection moved is not counted twice. *)
+let direct_major_words () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
 
 (* Run one stage body: telemetry span + run counters around it, stray
    [Invalid_argument]/[Failure] from deep inside the pass promoted to a
@@ -253,13 +266,17 @@ let exec t ~recipe stage f =
     Metrics.incr ("pipeline.stage_runs." ^ name)
   in
   let body () =
+    (* [Gc.counters] allocates its result, so it is read outside the
+       minor-word window *)
+    let m0 = direct_major_words () in
     let t0 = Clock.now_ns () and w0 = Gc.minor_words () in
     let elapsed () = Clock.ns_to_ms (Int64.sub (Clock.now_ns ()) t0) in
     match f () with
     | v ->
       count ();
       let ms = elapsed () in
-      record t stage Ran ms (Gc.minor_words () -. w0);
+      let minor = Gc.minor_words () -. w0 in
+      record t stage Ran ms minor (direct_major_words () -. m0);
       Log.debug
         ~attrs:
           [ ("stage", Json.Str name); ("design", Json.Str t.ss_name) ]
@@ -267,7 +284,8 @@ let exec t ~recipe stage f =
       v
     | exception e ->
       count ();
-      record t stage Failed (elapsed ()) (Gc.minor_words () -. w0);
+      let minor = Gc.minor_words () -. w0 in
+      record t stage Failed (elapsed ()) minor (direct_major_words () -. m0);
       let d =
         match e with
         | Diag.Diagnostic d -> d
@@ -299,7 +317,7 @@ let cached t stage =
         ("stage", Json.Str (stage_name stage)); ("design", Json.Str t.ss_name);
       ]
     "stage %s: cache hit" (stage_name stage);
-  record t stage Cached 0. 0.
+  record t stage Cached 0. 0. 0.
 
 (* ---------------- cached upstream artifacts ---------------- *)
 
@@ -562,7 +580,13 @@ let last_run t =
       match List.find_opt (fun r -> r.sr_stage = s) recorded with
       | Some r -> r
       | None ->
-        { sr_stage = s; sr_status = Skipped; sr_ms = 0.; sr_minor_words = 0. })
+        {
+          sr_stage = s;
+          sr_status = Skipped;
+          sr_ms = 0.;
+          sr_minor_words = 0.;
+          sr_major_words = 0.;
+        })
     stages
 
 let diagnostics t = List.rev t.ss_diags
@@ -581,7 +605,8 @@ let explain t =
           ("stage", Table.Left);
           ("status", Table.Left);
           ("time", Table.Right);
-          ("alloc", Table.Right);
+          ("minor", Table.Right);
+          ("major", Table.Right);
           ("what", Table.Left);
         ]
   in
@@ -599,6 +624,7 @@ let explain t =
           status_label r.sr_status;
           (if ran then Printf.sprintf "%.1f ms" r.sr_ms else "-");
           (if ran then words r.sr_minor_words else "-");
+          (if ran then words r.sr_major_words else "-");
           describe r.sr_stage;
         ])
     (last_run t);

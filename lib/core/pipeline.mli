@@ -168,6 +168,10 @@ type stage_record = {
   sr_minor_words : float;
       (** [Gc.minor_words] allocated by the stage body in the calling
           domain; 0 unless [Ran] *)
+  sr_major_words : float;
+      (** words the stage body allocated directly in the major heap
+          (blocks too large for the minor heap: [Gc.counters]' major minus
+          promoted words), in the calling domain; 0 unless [Ran] *)
 }
 
 val status_label : status -> string
@@ -180,7 +184,8 @@ val last_run : session -> stage_record list
     reported [Skipped]. *)
 
 val explain : session -> string
-(** Per-stage table of the last run (status, time and minor-heap words)
+(** Per-stage table of the last run (status, time, minor-heap words and
+    words allocated directly in the major heap)
     followed by any diagnostics collected — the payload of [hlsbc compile
     --explain]. *)
 

@@ -11,16 +11,16 @@ let port_kernel ~port =
   let f32 = Dtype.Float32 in
   let word_t = Dtype.Uint 512 in
   let in_fifo =
-    Dag.add_fifo dag ~name:(Printf.sprintf "hbm%d" port) ~dtype:word_t ~depth:16
+    Dag.add_fifo dag ~name:("hbm" ^ string_of_int port) ~dtype:word_t ~depth:16
   in
   let word = Dag.fifo_read dag ~fifo:in_fifo in
   (* per-port reorder buffer *)
   let buf =
     Dag.add_buffer dag
-      ~name:(Printf.sprintf "reorder%d" port)
+      ~name:("reorder" ^ string_of_int port)
       ~dtype:word_t ~depth:1024 ~partition:1
   in
-  let idx = Dag.input dag ~name:(Printf.sprintf "ridx%d" port) ~dtype:(Dtype.Int 32) in
+  let idx = Dag.input dag ~name:("ridx" ^ string_of_int port) ~dtype:(Dtype.Int 32) in
   ignore (Dag.store dag ~buffer:buf ~index:idx ~value:word);
   let delayed = Dag.load dag ~buffer:buf ~index:idx in
   let lanes = Builders.scatter_word dag ~word:delayed ~parts:8 in
@@ -38,12 +38,12 @@ let port_kernel ~port =
       let s3 = Dag.op dag Op.Fadd ~dtype:f32 [ s2; hi ] in
       let f =
         Dag.add_fifo dag
-          ~name:(Printf.sprintf "flow%d_%d" port lane)
+          ~name:("flow" ^ string_of_int port ^ "_" ^ string_of_int lane)
           ~dtype:f32 ~depth:16
       in
       ignore (Dag.fifo_write dag ~fifo:f ~value:s3))
     lanes;
-  Kernel.create ~name:(Printf.sprintf "hbm_port%d" port) ~trip_count:65536 dag
+  Kernel.create ~name:("hbm_port" ^ string_of_int port) ~trip_count:65536 dag
 
 let dataflow ?(ports = 28) () =
   let df = Dataflow.create () in
@@ -53,12 +53,12 @@ let dataflow ?(ports = 28) () =
       let p = Dataflow.add_process df ~name:k.Kernel.name ~kernel:k ~latency:(6 + (port mod 3)) () in
       ignore
         (Dataflow.add_channel df
-           ~name:(Printf.sprintf "hbm%d" port)
+           ~name:("hbm" ^ string_of_int port)
            ~src:(-1) ~dst:p ~dtype:(Dtype.Uint 512) ~depth:16 ());
       for lane = 0 to 7 do
         ignore
           (Dataflow.add_channel df
-             ~name:(Printf.sprintf "flow%d_%d" port lane)
+             ~name:("flow" ^ string_of_int port ^ "_" ^ string_of_int lane)
              ~src:p ~dst:(-1) ~dtype:Dtype.Float32 ~depth:16 ())
       done;
       p)

@@ -31,95 +31,230 @@ type net_class =
   | Ctrl_sync
   | Ctrl_pipeline
 
-(* Struct-of-arrays store. Every array is a growable buffer: only the first
-   [n_cells] (cells), [n_nets] (nets) or [sink_off.(n_nets)] (sinks) slots
-   are live, scaled by the per-entry stride ([res]: 4, names: 2). Past the
-   live ends sit the pieces of the next net's name and sinks. *)
+(* Byte columns. Cell kinds and net classes take one byte per entry; every
+   other int (resources, name offsets, drivers, widths, sink offsets and
+   sinks) is a 32-bit entry, checked on its add; delays sit in a flat
+   float array. Only the first [n_cells] (cells), [n_nets] (nets) or
+   [get sink_off n_nets] (sinks) entries are live, scaled by the
+   per-entry stride ([res]: 4, name offsets: 2). Past the live ends sit
+   the pieces of the next net's name and sinks. A column grows by a fresh
+   uninitialized block and a memcpy of its live prefix: no fill pass, and
+   no write barrier per element, which an [int array] blit into the major
+   heap pays. *)
 type t = {
   nl_name : string;
   mutable n_cells : int;
-  mutable kinds : cell_kind array;
+  mutable cell_cap : int;  (* cells the cell columns hold *)
+  mutable kinds : Bytes.t;
   mutable delays : float array;
-  mutable res : int array;  (* luts, ffs, bram18, dsps *)
-  mutable cell_names : int array;  (* start, stop in [names] *)
+  mutable res : Bytes.t;  (* luts, ffs, bram18, dsps *)
+  mutable cell_names : Bytes.t;  (* start, stop in [names] *)
   mutable n_nets : int;
-  mutable drivers : int array;
-  mutable widths : int array;
-  mutable classes : net_class array;
-  mutable net_names : int array;
-  mutable sink_off : int array;  (* [n_nets + 1] live offsets into [sinks] *)
-  mutable sinks : int array;
+  mutable net_cap : int;  (* nets the net columns hold *)
+  mutable drivers : Bytes.t;
+  mutable widths : Bytes.t;
+  mutable classes : Bytes.t;
+  mutable net_names : Bytes.t;
+  mutable sink_off : Bytes.t;  (* [n_nets + 1] live offsets into [sinks] *)
+  mutable sinks : Bytes.t;
   mutable sinks_len : int;  (* end of the pushed sinks *)
-  mutable names : Bytes.t;
+  mutable chunks : Bytes.t array;  (* the name arena *)
+  mutable names_cap : int;  (* bytes the chunks hold *)
   mutable names_len : int;
   mutable sealed : int;  (* end of the last sealed name: pieces follow it *)
 }
+
+(* Entry [i] of a 32-bit column. Every index is below a capacity the
+   caller grew to, or below a live end it checked, so the reads and
+   writes skip the bounds check. *)
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let[@inline] get col i = Int32.to_int (get32u col (4 * i))
+let[@inline] set col i v = set32u col (4 * i) (Int32.of_int v)
+
+(* The 32-bit range, checked on every add. *)
+let max32 = 0x7fff_ffff
+let[@inline] fits v = v >= -max32 - 1 && v <= max32
+
+let kind_code = function
+  | Comb -> 0
+  | Seq -> 1
+  | Mem -> 2
+  | Port_in -> 3
+  | Port_out -> 4
+
+let kind_of_code = function
+  | 0 -> Comb
+  | 1 -> Seq
+  | 2 -> Mem
+  | 3 -> Port_in
+  | _ -> Port_out
+
+let class_code = function
+  | Data -> 0
+  | Data_broadcast -> 1
+  | Ctrl_sync -> 2
+  | Ctrl_pipeline -> 3
+
+let class_of_code = function
+  | 0 -> Data
+  | 1 -> Data_broadcast
+  | 2 -> Ctrl_sync
+  | _ -> Ctrl_pipeline
+
+let[@inline] get8 col i = Char.code (Bytes.unsafe_get col i)
+let[@inline] set8 col i v = Bytes.unsafe_set col i (Char.unsafe_chr v)
 
 let create ~name =
   {
     nl_name = name;
     n_cells = 0;
-    kinds = [||];
+    cell_cap = 0;
+    kinds = Bytes.empty;
     delays = [||];
-    res = [||];
-    cell_names = [||];
+    res = Bytes.empty;
+    cell_names = Bytes.empty;
     n_nets = 0;
-    drivers = [||];
-    widths = [||];
-    classes = [||];
-    net_names = [||];
-    sink_off = [| 0 |];
-    sinks = [||];
+    net_cap = 0;
+    drivers = Bytes.empty;
+    widths = Bytes.empty;
+    classes = Bytes.empty;
+    net_names = Bytes.empty;
+    sink_off = Bytes.make 4 '\000';
+    sinks = Bytes.empty;
     sinks_len = 0;
-    names = Bytes.empty;
+    chunks = [| Bytes.empty |];
+    names_cap = 0;
     names_len = 0;
     sealed = 0;
   }
 
 let name t = t.nl_name
 
-(* [a] with room for [need] elements. A buffer that grows at least
-   doubles, and takes a quarter more than a large [need] (a reservation),
-   so the few appends after a reservation still fit. *)
-let grow a need fill =
-  if need <= Array.length a then a
-  else begin
-    let len = max (need + (need / 4)) (max 16 (2 * Array.length a)) in
-    let b = Array.make len fill in
-    Array.blit a 0 b 0 (Array.length a);
-    b
+(* The capacity a column grows to for [need] entries. A column that grows
+   at least doubles, and takes a quarter more than a large [need] (a
+   reservation), so the few appends after a reservation still fit. *)
+let capacity cap need = max (need + (need / 4)) (max 16 (2 * cap))
+
+(* [len] bytes holding [col]'s first [live] bytes; the rest is left
+   unwritten for the appends. *)
+let regrow col ~live len =
+  let b = Bytes.create len in
+  Bytes.blit col 0 b 0 live;
+  b
+
+let grow_cells t need =
+  if need > t.cell_cap then begin
+    let cap = capacity t.cell_cap need and live = t.n_cells in
+    t.kinds <- regrow t.kinds ~live cap;
+    let d = Array.create_float cap in
+    Array.blit t.delays 0 d 0 live;
+    t.delays <- d;
+    t.res <- regrow t.res ~live:(16 * live) (16 * cap);
+    t.cell_names <- regrow t.cell_names ~live:(8 * live) (8 * cap);
+    t.cell_cap <- cap
   end
+
+let grow_nets t need =
+  if need > t.net_cap then begin
+    let cap = capacity t.net_cap need and live = t.n_nets in
+    t.drivers <- regrow t.drivers ~live:(4 * live) (4 * cap);
+    t.widths <- regrow t.widths ~live:(4 * live) (4 * cap);
+    t.classes <- regrow t.classes ~live cap;
+    t.net_names <- regrow t.net_names ~live:(8 * live) (8 * cap);
+    t.sink_off <- regrow t.sink_off ~live:(4 * (live + 1)) (4 * (cap + 1));
+    t.net_cap <- cap
+  end
+
+let grow_sinks t need =
+  let cap = Bytes.length t.sinks / 4 in
+  if need > cap then
+    t.sinks <- regrow t.sinks ~live:(4 * t.sinks_len) (4 * capacity cap need)
 
 (* ---- the name arena ---- *)
 
-let reserve_names t n =
-  let need = t.names_len + n in
-  if need > Bytes.length t.names then begin
-    let len = max (need + (need / 4)) (max 256 (2 * Bytes.length t.names)) in
-    let b = Bytes.create len in
-    Bytes.blit t.names 0 b 0 t.names_len;
-    t.names <- b
+(* Names are bytes in fixed-size chunks: arena position [p] is byte
+   [p land chunk_mask] of chunk [p lsr chunk_bits], and a name may run on
+   from one chunk into the next. The first chunk grows by doubling up to
+   the chunk size, so a small netlist's arena stays small; past that the
+   arena gains whole chunks and never copies a byte it holds. *)
+let chunk_bits = 14
+let chunk_size = 1 lsl chunk_bits
+let chunk_mask = chunk_size - 1
+
+let grow_names t need =
+  while need > t.names_cap do
+    if t.names_cap < chunk_size then begin
+      let len = min chunk_size (capacity t.names_cap need) in
+      t.chunks.(0) <- regrow t.chunks.(0) ~live:t.names_len len;
+      t.names_cap <- len
+    end
+    else begin
+      let k = t.names_cap lsr chunk_bits in
+      if k = Array.length t.chunks then begin
+        let a = Array.make (2 * k) Bytes.empty in
+        Array.blit t.chunks 0 a 0 k;
+        t.chunks <- a
+      end;
+      t.chunks.(k) <- Bytes.create chunk_size;
+      t.names_cap <- t.names_cap + chunk_size
+    end
+  done
+
+let[@inline] reserve_names t n =
+  if t.names_len + n > t.names_cap then grow_names t (t.names_len + n)
+
+let[@inline] set_name_byte t p c =
+  Bytes.unsafe_set t.chunks.(p lsr chunk_bits) (p land chunk_mask) c
+
+(* Copy [len] bytes of [src] from [off] into the reserved arena from
+   position [p]. *)
+let rec put t src off p len =
+  if len > 0 then begin
+    let o = p land chunk_mask in
+    let k = min len (chunk_size - o) in
+    Bytes.blit src off t.chunks.(p lsr chunk_bits) o k;
+    put t src (off + k) (p + k) (len - k)
+  end
+
+(* Copy the arena's [len] bytes from position [src] to [p]. *)
+let rec move t src p len =
+  if len > 0 then begin
+    let o = src land chunk_mask in
+    let k = min len (chunk_size - o) in
+    put t t.chunks.(src lsr chunk_bits) o p k;
+    move t (src + k) (p + k) (len - k)
+  end
+
+(* Copy the arena's [len] bytes from position [p] into [dst] from [off]. *)
+let rec move_out t p dst off len =
+  if len > 0 then begin
+    let o = p land chunk_mask in
+    let k = min len (chunk_size - o) in
+    Bytes.blit t.chunks.(p lsr chunk_bits) o dst off k;
+    move_out t (p + k) dst (off + k) (len - k)
   end
 
 let reserve t ~cells ~nets ~sinks ~name_bytes =
-  let c = t.n_cells + cells and n = t.n_nets + nets in
-  t.kinds <- grow t.kinds c Comb;
-  t.delays <- grow t.delays c 0.;
-  t.res <- grow t.res (4 * c) 0;
-  t.cell_names <- grow t.cell_names (2 * c) 0;
-  t.drivers <- grow t.drivers n 0;
-  t.widths <- grow t.widths n 0;
-  t.classes <- grow t.classes n Data;
-  t.net_names <- grow t.net_names (2 * n) 0;
-  t.sink_off <- grow t.sink_off (n + 1) 0;
-  t.sinks <- grow t.sinks (t.sinks_len + sinks) 0;
+  grow_cells t (t.n_cells + cells);
+  grow_nets t (t.n_nets + nets);
+  grow_sinks t (t.sinks_len + sinks);
   reserve_names t name_bytes
 
+(* An empty piece touches no chunk: at a full arena's end, the chunk its
+   position names does not exist yet. *)
 let name_str t s =
   let n = String.length s in
-  reserve_names t n;
-  Bytes.blit_string s 0 t.names t.names_len n;
-  t.names_len <- t.names_len + n
+  if n > 0 then begin
+    reserve_names t n;
+    let p = t.names_len in
+    let o = p land chunk_mask in
+    if o + n <= chunk_size then
+      Bytes.unsafe_blit_string s 0 t.chunks.(p lsr chunk_bits) o n
+    else put t (Bytes.unsafe_of_string s) 0 p n;
+    t.names_len <- p + n
+  end
 
 (* Digits are produced in the non-positive range, so [min_int] spells
    exactly as [string_of_int] spells it. *)
@@ -133,48 +268,56 @@ let name_int t i =
   let len = !digits + if i < 0 then 1 else 0 in
   reserve_names t len;
   let p = t.names_len in
-  if i < 0 then Bytes.unsafe_set t.names p '-';
+  if i < 0 then set_name_byte t p '-';
   let m = ref neg in
   for k = p + len - 1 downto p + len - !digits do
-    Bytes.unsafe_set t.names k (Char.unsafe_chr (48 - (!m mod 10)));
+    set_name_byte t k (Char.unsafe_chr (48 - (!m mod 10)));
     m := !m / 10
   done;
   t.names_len <- p + len
 
-(* Seal the pending pieces, followed by [tail], as entry [i] of [offs]. *)
-let seal t offs i tail =
-  (match tail with Some s -> name_str t s | None -> ());
-  offs.(2 * i) <- t.sealed;
-  offs.((2 * i) + 1) <- t.names_len;
-  t.sealed <- t.names_len
-
 (* A rejected add leaves no pending pieces behind for the next one. *)
 let reject t msg =
   t.names_len <- t.sealed;
-  t.sinks_len <- t.sink_off.(t.n_nets);
+  t.sinks_len <- get t.sink_off t.n_nets;
   invalid_arg msg
 
+(* Append [tail] to the pending pieces; rejects a name whose end would
+   not fit a 32-bit offset. *)
+let finish_name t tail =
+  (match tail with Some s -> name_str t s | None -> ());
+  if t.names_len > max32 then reject t "Netlist: name arena exceeds 32 bits"
+
+(* Seal the finished name as entry [i] of [offs]. *)
+let seal t offs i =
+  set offs (2 * i) t.sealed;
+  set offs ((2 * i) + 1) t.names_len;
+  t.sealed <- t.names_len
+
 let spell t offs i =
-  let start = offs.(2 * i) in
-  Bytes.sub_string t.names start (offs.((2 * i) + 1) - start)
+  let start = get offs (2 * i) in
+  let b = Bytes.create (get offs ((2 * i) + 1) - start) in
+  move_out t start b 0 (Bytes.length b);
+  Bytes.unsafe_to_string b
 
 (* ---- cells and nets ---- *)
 
 let add_cell ?name t ~kind ~delay ~res =
   if delay < 0. then reject t "Netlist.add_cell: negative delay";
+  if not (fits res.r_luts && fits res.r_ffs && fits res.r_bram18 && fits res.r_dsps)
+  then reject t "Netlist.add_cell: a resource count exceeds 32 bits";
   let c = t.n_cells in
-  t.kinds <- grow t.kinds (c + 1) Comb;
-  t.delays <- grow t.delays (c + 1) 0.;
-  t.res <- grow t.res (4 * (c + 1)) 0;
-  t.cell_names <- grow t.cell_names (2 * (c + 1)) 0;
-  t.kinds.(c) <- kind;
-  t.delays.(c) <- delay;
+  if c = max32 then reject t "Netlist.add_cell: too many cells";
+  finish_name t name;
+  if c = t.cell_cap then grow_cells t (c + 1);
+  set8 t.kinds c (kind_code kind);
+  Array.unsafe_set t.delays c delay;
   let r = 4 * c in
-  t.res.(r) <- res.r_luts;
-  t.res.(r + 1) <- res.r_ffs;
-  t.res.(r + 2) <- res.r_bram18;
-  t.res.(r + 3) <- res.r_dsps;
-  seal t t.cell_names c name;
+  set t.res r res.r_luts;
+  set t.res (r + 1) res.r_ffs;
+  set t.res (r + 2) res.r_bram18;
+  set t.res (r + 3) res.r_dsps;
+  seal t t.cell_names c;
   t.n_cells <- c + 1;
   c
 
@@ -188,8 +331,9 @@ let check_net t n =
    live when [add_net] sets the net's end offset. *)
 let push_sink t s =
   if s < 0 || s >= t.n_cells then reject t "Netlist: cell id out of range";
-  t.sinks <- grow t.sinks (t.sinks_len + 1) 0;
-  t.sinks.(t.sinks_len) <- s;
+  if t.sinks_len = max32 then reject t "Netlist: sink CSR exceeds 32 bits";
+  grow_sinks t (t.sinks_len + 1);
+  set t.sinks t.sinks_len s;
   t.sinks_len <- t.sinks_len + 1
 
 let rec push_sinks t = function
@@ -203,19 +347,17 @@ let add_net ?(cls = Data) ?name t ~driver ~sinks ~width () =
   let n = t.n_nets in
   push_sinks t sinks;
   if width < 1 then reject t "Netlist.add_net: width < 1";
-  (match t.kinds.(driver) with
+  if width > max32 then reject t "Netlist.add_net: width exceeds 32 bits";
+  (match kind_of_code (get8 t.kinds driver) with
   | Port_out -> reject t "Netlist.add_net: output port cannot drive"
   | Comb | Seq | Mem | Port_in -> ());
-  t.drivers <- grow t.drivers (n + 1) 0;
-  t.widths <- grow t.widths (n + 1) 0;
-  t.classes <- grow t.classes (n + 1) Data;
-  t.net_names <- grow t.net_names (2 * (n + 1)) 0;
-  t.sink_off <- grow t.sink_off (n + 2) 0;
-  t.drivers.(n) <- driver;
-  t.widths.(n) <- width;
-  t.classes.(n) <- cls;
-  t.sink_off.(n + 1) <- t.sinks_len;
-  seal t t.net_names n name;
+  finish_name t name;
+  if n = t.net_cap then grow_nets t (n + 1);
+  set t.drivers n driver;
+  set t.widths n width;
+  set8 t.classes n (class_code cls);
+  set t.sink_off (n + 1) t.sinks_len;
+  seal t t.net_names n;
   t.n_nets <- n + 1;
   n
 
@@ -232,7 +374,7 @@ let mark t =
   {
     m_cells = t.n_cells;
     m_nets = t.n_nets;
-    m_sinks = t.sink_off.(t.n_nets);
+    m_sinks = get t.sink_off t.n_nets;
     m_names = t.sealed;
   }
 
@@ -260,17 +402,20 @@ let copy_name_bytes ~from ~upto ~drop ~prefix ~splices =
     splices
 
 let copy_slice t ~from ~upto ~drop ~prefix ~splices =
-  if t.names_len <> t.sealed || t.sinks_len <> t.sink_off.(t.n_nets) then
+  if t.names_len <> t.sealed || t.sinks_len <> get t.sink_off t.n_nets then
     invalid_arg "Netlist.copy_slice: a name or net is being written";
   if from.m_cells < 0 || from.m_cells > upto.m_cells || upto.m_cells > t.n_cells
      || from.m_nets < 0 || from.m_nets > upto.m_nets || upto.m_nets > t.n_nets
-     || from.m_sinks <> t.sink_off.(from.m_nets)
-     || upto.m_sinks <> t.sink_off.(upto.m_nets)
+     || from.m_sinks <> get t.sink_off from.m_nets
+     || upto.m_sinks <> get t.sink_off upto.m_nets
   then invalid_arg "Netlist.copy_slice: not a slice of this netlist";
   let nc = upto.m_cells - from.m_cells and nn = upto.m_nets - from.m_nets in
   let s0 = from.m_sinks and ns = upto.m_sinks - from.m_sinks in
-  reserve t ~cells:nc ~nets:nn ~sinks:ns
-    ~name_bytes:(copy_name_bytes ~from ~upto ~drop ~prefix ~splices);
+  let name_bytes = copy_name_bytes ~from ~upto ~drop ~prefix ~splices in
+  if t.n_cells + nc > max32 || t.sinks_len + ns > max32
+     || t.names_len + name_bytes > max32
+  then invalid_arg "Netlist.copy_slice: the copy exceeds 32 bits";
+  reserve t ~cells:nc ~nets:nn ~sinks:ns ~name_bytes;
   let c0 = t.n_cells and n0 = t.n_nets in
   let shift = c0 - from.m_cells in
   let moved c =
@@ -278,38 +423,38 @@ let copy_slice t ~from ~upto ~drop ~prefix ~splices =
       invalid_arg "Netlist.copy_slice: a net leaves the slice";
     c + shift
   in
-  Array.blit t.kinds from.m_cells t.kinds c0 nc;
+  Bytes.blit t.kinds from.m_cells t.kinds c0 nc;
   Array.blit t.delays from.m_cells t.delays c0 nc;
-  Array.blit t.res (4 * from.m_cells) t.res (4 * c0) (4 * nc);
+  Bytes.blit t.res (16 * from.m_cells) t.res (16 * c0) (16 * nc);
   for i = 0 to nn - 1 do
-    t.drivers.(n0 + i) <- moved t.drivers.(from.m_nets + i)
+    set t.drivers (n0 + i) (moved (get t.drivers (from.m_nets + i)))
   done;
-  Array.blit t.widths from.m_nets t.widths n0 nn;
-  Array.blit t.classes from.m_nets t.classes n0 nn;
+  Bytes.blit t.widths (4 * from.m_nets) t.widths (4 * n0) (4 * nn);
+  Bytes.blit t.classes from.m_nets t.classes n0 nn;
   let s_shift = t.sinks_len - s0 in
   for i = 1 to nn do
-    t.sink_off.(n0 + i) <- t.sink_off.(from.m_nets + i) + s_shift
+    set t.sink_off (n0 + i) (get t.sink_off (from.m_nets + i) + s_shift)
   done;
   for k = s0 to s0 + ns - 1 do
-    t.sinks.(k + s_shift) <- moved t.sinks.(k)
+    set t.sinks (k + s_shift) (moved (get t.sinks k))
   done;
   (* Names: [prefix], then the bytes past the first [drop], with the
      entity's splice applied; the cells' names first, then the nets'. *)
   let p = ref t.names_len in
   let put_bytes src len =
-    Bytes.blit t.names src t.names !p len;
+    move t src !p len;
     p := !p + len
   in
   let put_string s =
-    Bytes.blit_string s 0 t.names !p (String.length s);
+    put t (Bytes.unsafe_of_string s) 0 !p (String.length s);
     p := !p + String.length s
   in
   let copy_names offs ~src ~dst ~count ~net =
     let sps = ref (List.filter (fun sp -> sp.sp_net = net) splices) in
     for i = 0 to count - 1 do
       sps := splices_from i !sps;
-      let s = offs.(2 * (src + i)) + drop and e = offs.((2 * (src + i)) + 1) in
-      offs.(2 * (dst + i)) <- !p;
+      let s = get offs (2 * (src + i)) + drop and e = get offs ((2 * (src + i)) + 1) in
+      set offs (2 * (dst + i)) !p;
       put_string prefix;
       (match !sps with
       | sp :: _ when sp.sp_lo <= i ->
@@ -326,7 +471,7 @@ let copy_slice t ~from ~upto ~drop ~prefix ~splices =
       | _ ->
         if e < s then invalid_arg "Netlist.copy_slice: a name is too short";
         put_bytes s (e - s));
-      offs.((2 * (dst + i)) + 1) <- !p
+      set offs ((2 * (dst + i)) + 1) !p
     done
   in
   copy_names t.cell_names ~src:from.m_cells ~dst:c0 ~count:nc ~net:false;
@@ -342,15 +487,15 @@ let n_nets t = t.n_nets
 
 let kind t c =
   check_cell t c;
-  t.kinds.(c)
+  kind_of_code (get8 t.kinds c)
 
 let delay t c =
   check_cell t c;
-  t.delays.(c)
+  Array.unsafe_get t.delays c
 
 let[@inline] res_field t c k =
   check_cell t c;
-  t.res.((4 * c) + k)
+  get t.res ((4 * c) + k)
 
 let luts t c = res_field t c 0
 let ffs t c = res_field t c 1
@@ -365,15 +510,15 @@ let cell_name t c =
 
 let driver t n =
   check_net t n;
-  t.drivers.(n)
+  get t.drivers n
 
 let width t n =
   check_net t n;
-  t.widths.(n)
+  get t.widths n
 
 let net_class t n =
   check_net t n;
-  t.classes.(n)
+  class_of_code (get8 t.classes n)
 
 let net_name t n =
   check_net t n;
@@ -381,16 +526,17 @@ let net_name t n =
 
 let[@inline] fanout t n =
   check_net t n;
-  t.sink_off.(n + 1) - t.sink_off.(n)
+  get t.sink_off (n + 1) - get t.sink_off n
 
 let sink t n k =
   if k < 0 || k >= fanout t n then invalid_arg "Netlist: sink index out of range";
-  t.sinks.(t.sink_off.(n) + k)
+  get t.sinks (get t.sink_off n + k)
 
 let max_fanout_net t ?cls () =
+  let want = match cls with None -> -1 | Some c -> class_code c in
   let best = ref None in
   for n = 0 to t.n_nets - 1 do
-    let keep = match cls with None -> true | Some c -> t.classes.(n) = c in
+    let keep = want < 0 || get8 t.classes n = want in
     if keep then
       match !best with
       | Some b when fanout t b >= fanout t n -> ()
@@ -402,7 +548,7 @@ let total_resources t =
   let sum k =
     let s = ref 0 in
     for c = 0 to t.n_cells - 1 do
-      s := !s + t.res.((4 * c) + k)
+      s := !s + get t.res ((4 * c) + k)
     done;
     !s
   in
@@ -429,9 +575,9 @@ let arcs t =
   let n = t.n_cells in
   let in_off = Array.make (n + 1) 0 and out_off = Array.make (n + 1) 0 in
   for nid = 0 to t.n_nets - 1 do
-    let drv = t.drivers.(nid) in
-    for k = t.sink_off.(nid) to t.sink_off.(nid + 1) - 1 do
-      let s = t.sinks.(k) in
+    let drv = get t.drivers nid in
+    for k = get t.sink_off nid to get t.sink_off (nid + 1) - 1 do
+      let s = get t.sinks k in
       in_off.(s) <- in_off.(s) + 1;
       out_off.(drv) <- out_off.(drv) + 1
     done
@@ -448,9 +594,9 @@ let arcs t =
   let in_driver = Array.make n_arcs 0 and in_net = Array.make n_arcs 0 in
   let out_sink = Array.make n_arcs 0 in
   for nid = 0 to t.n_nets - 1 do
-    let drv = t.drivers.(nid) in
-    for k = t.sink_off.(nid) to t.sink_off.(nid + 1) - 1 do
-      let s = t.sinks.(k) in
+    let drv = get t.drivers nid in
+    for k = get t.sink_off nid to get t.sink_off (nid + 1) - 1 do
+      let s = get t.sinks k in
       let i = in_off.(s) - 1 in
       in_off.(s) <- i;
       in_driver.(i) <- drv;
@@ -465,7 +611,7 @@ let arcs t =
 let validate t =
   let n = t.n_cells in
   let { in_off; in_driver; _ } = (arcs t).fanin in
-  let comb c = t.kinds.(c) = Comb in
+  let comb c = get8 t.kinds c = kind_code Comb in
   let g = Intgraph.create n in
   for c = 0 to n - 1 do
     if comb c then

@@ -31,16 +31,21 @@ type net_class =
 
 (** {2 Storage}
 
-    One struct-of-arrays store, filled by appends into growable flat
-    buffers (doubled when full): per cell its kind, its intrinsic delay
-    (ns, in a float array; Seq clk->q is the device's) and its four
-    resource counts in an int array; per net its driver, width and class,
-    plus one sink CSR (per-net offsets into one sink array, each net's
-    sinks in the order they were given). Nothing is boxed per cell or per
-    net, so a finished netlist is a dozen arrays, not a heap of records.
+    One store of byte columns, filled by appends: per cell its kind (one
+    byte), its intrinsic delay (ns, in a float array; Seq clk->q is the
+    device's) and its four resource counts; per net its driver, width and
+    class (one byte), plus one sink CSR (per-net offsets into one sink
+    column, each net's sinks in the order they were given). Every other
+    int is a 32-bit entry: a resource count or width outside the 32-bit
+    range is rejected ([Invalid_argument]) with the store unchanged. A
+    full column grows to at least twice its size, by a fresh block and a
+    memcpy of its live prefix. Nothing is boxed per cell or per net, so a
+    finished netlist is a dozen flat blocks, not a heap of records.
 
-    Names live in one byte arena, with a (start, stop) offset pair per
-    cell and per net. A name is written as pieces ({!name_str},
+    Names live in one byte arena of fixed-size chunks (the first grows by
+    doubling until it reaches that size; later ones are added whole, so
+    the arena never copies what it holds), with a (start, stop) offset
+    pair per cell and per net. A name is written as pieces ({!name_str},
     {!name_int}) straight into the arena, and the next {!add_cell} or
     {!add_net} seals the pieces written since the previous add, followed
     by its [?name] tail, as that entity's name. So [add_cell nl ~name:"a.b"
@@ -73,8 +78,8 @@ val add_cell :
   delay:float ->
   res:resources ->
   int
-(** Raises [Invalid_argument] on a negative delay, discarding the pieces
-    written for it. *)
+(** Raises [Invalid_argument] on a negative delay or a resource count
+    outside the 32-bit range, discarding the pieces written for it. *)
 
 val push_sink : t -> int -> unit
 (** Append a sink to the net being written. Raises [Invalid_argument] on
@@ -89,14 +94,15 @@ val add_net :
   width:int ->
   unit ->
   int
-(** Raises [Invalid_argument] on out-of-range cells, [width < 1], or a
-    driver that is an output port, discarding the pieces written for it.
+(** Raises [Invalid_argument] on out-of-range cells, a width outside
+    [1 .. 2^31 - 1], or a driver that is an output port, discarding the
+    pieces written for it.
     Empty sink lists are allowed (dangling nets are legal RTL and are
     ignored by timing). *)
 
 val reserve : t -> cells:int -> nets:int -> sinks:int -> name_bytes:int -> unit
 (** Make room for that many more cells, nets, sinks and name bytes, so the
-    appends that follow grow no buffer. A buffer that must grow at least
+    appends that follow grow no column. A column that must grow at least
     doubles, and takes a quarter more than it needs, so that a few appends
     past the reservation (channel wiring, controllers) still fit. *)
 
@@ -152,12 +158,14 @@ val copy_slice :
     gains [prefix], and an entity inside a splice's range gets that splice
     applied. The bytes are copied, never searched.
 
-    Each buffer is reserved once for the whole copy. The splices of one
+    Each column is reserved once for the whole copy. The splices of one
     kind must be sorted by [sp_lo] and disjoint; a name takes at most one.
     Raises [Invalid_argument], leaving [t] unchanged, when a name or net is
     being written (pending pieces), when the marks do not bound a slice of
-    [t], when a net of the slice reaches a cell outside it, or when a name
-    is shorter than [drop] plus its splice's [sp_len]. *)
+    [t], when the copy would take the cell count, the sink CSR or the name
+    arena past the 32-bit range, when a net of the slice reaches a cell
+    outside it, or when a name is shorter than [drop] plus its splice's
+    [sp_len]. *)
 
 val n_cells : t -> int
 val n_nets : t -> int

@@ -105,17 +105,16 @@ let test_validate_seq_feedback_ok () =
    forward and consing each arc onto its cell's list leaves every list in
    reverse net-encounter order, which is the slice order [Netlist.arcs]
    promises. Flattened cell by cell, the lists must equal its arrays. *)
-let reference_arcs nl =
-  let n = Netlist.n_cells nl in
+let reference_arcs_of n nets =
   let fi = Array.make n [] and fo = Array.make n [] in
-  for nid = 0 to Netlist.n_nets nl - 1 do
-    let d = Netlist.driver nl nid in
-    for k = 0 to Netlist.fanout nl nid - 1 do
-      let s = Netlist.sink nl nid k in
-      fi.(s) <- (d, nid) :: fi.(s);
-      fo.(d) <- s :: fo.(d)
-    done
-  done;
+  Array.iteri
+    (fun nid (d, sinks) ->
+      List.iter
+        (fun s ->
+          fi.(s) <- (d, nid) :: fi.(s);
+          fo.(d) <- s :: fo.(d))
+        sinks)
+    nets;
   let offsets lists =
     let off = Array.make (n + 1) 0 in
     Array.iteri (fun c l -> off.(c + 1) <- off.(c) + List.length l) lists;
@@ -128,6 +127,11 @@ let reference_arcs nl =
     out_off = offsets fo;
     out_sink = flat Fun.id fo;
   }
+
+let reference_arcs nl =
+  reference_arcs_of (Netlist.n_cells nl)
+    (Array.init (Netlist.n_nets nl) (fun nid ->
+         (Netlist.driver nl nid, List.init (Netlist.fanout nl nid) (Netlist.sink nl nid))))
 
 (* A random netlist of every cell kind. Besides random nets (sink lists
    drawn from a few cells, so duplicates are common) it always carries a
@@ -250,6 +254,339 @@ let prop_names_spelled =
       Netlist.name_int a (-7);
       ignore (Netlist.add_cell a ~name:"_end" ~kind:Netlist.Seq ~delay:0. ~res:Netlist.zero_res);
       plain && names_of a = (a_cells @ [ "pending.-7_end" ], a_nets))
+
+(* ---- The store against a reference model ---- *)
+
+(* A list-based model of the store: cells and nets as records, the name
+   being written as one string, the pushed sinks as a list. Random runs of
+   every writer ([name_str], [name_int], [push_sink], [add_cell],
+   [add_net], [reserve], [copy_slice]), rejected calls and 32-bit edge
+   values included, must leave every accessor agreeing with it. *)
+type mcell = {
+  mc_kind : Netlist.cell_kind;
+  mc_delay : float;
+  mc_res : Netlist.resources;
+  mc_name : string;
+}
+
+type mnet = {
+  mn_driver : int;
+  mn_sinks : int list;
+  mn_width : int;
+  mn_cls : Netlist.net_class;
+  mn_name : string;
+}
+
+type model = {
+  mutable cells : mcell list;  (* newest first *)
+  mutable nets : mnet list;  (* newest first *)
+  mutable pending : string;  (* name pieces written since the last add *)
+  mutable pushed : int list;  (* sinks pushed since the last net, newest first *)
+  mutable marks : Netlist.mark list;  (* newest first *)
+}
+
+let max32 = 0x7fff_ffff
+let fits32 v = v >= -max32 - 1 && v <= max32
+
+let model_mark m =
+  let bytes f l = List.fold_left (fun a x -> a + String.length (f x)) 0 l in
+  {
+    Netlist.m_cells = List.length m.cells;
+    m_nets = List.length m.nets;
+    m_sinks = List.fold_left (fun a n -> a + List.length n.mn_sinks) 0 m.nets;
+    m_names = bytes (fun c -> c.mc_name) m.cells + bytes (fun n -> n.mn_name) m.nets;
+  }
+
+(* [name] as [copy_slice] rewrites it, or [None] when it is too short. *)
+let rewrite ~drop ~prefix (sp : Netlist.splice option) name =
+  let len = String.length name - drop in
+  match sp with
+  | None -> if len < 0 then None else Some (prefix ^ String.sub name drop len)
+  | Some sp ->
+    let keep = len - sp.Netlist.sp_len in
+    if keep < 0 then None
+    else if sp.Netlist.sp_tail then Some (prefix ^ String.sub name drop keep ^ sp.Netlist.sp_with)
+    else Some (prefix ^ sp.Netlist.sp_with ^ String.sub name (drop + sp.Netlist.sp_len) keep)
+
+(* The model's copy of a slice between two marks, or [None] when
+   [copy_slice] must reject it. *)
+let model_copy m ~(from : Netlist.mark) ~(upto : Netlist.mark) ~drop ~prefix ~splices =
+  let cells = Array.of_list (List.rev m.cells) and nets = Array.of_list (List.rev m.nets) in
+  let shift = Array.length cells - from.Netlist.m_cells in
+  let inside c = c >= from.Netlist.m_cells && c < upto.Netlist.m_cells in
+  let exception Reject in
+  let name ~net i n =
+    let sp =
+      List.find_opt
+        (fun (sp : Netlist.splice) ->
+          sp.Netlist.sp_net = net && sp.Netlist.sp_lo <= i && i < sp.Netlist.sp_hi)
+        splices
+    in
+    match rewrite ~drop ~prefix sp n with Some s -> s | None -> raise Reject
+  in
+  match
+    ( List.init (upto.Netlist.m_cells - from.Netlist.m_cells) (fun i ->
+          let c = cells.(from.Netlist.m_cells + i) in
+          { c with mc_name = name ~net:false i c.mc_name }),
+      List.init (upto.Netlist.m_nets - from.Netlist.m_nets) (fun i ->
+          let n = nets.(from.Netlist.m_nets + i) in
+          if not (inside n.mn_driver && List.for_all inside n.mn_sinks) then raise Reject;
+          {
+            n with
+            mn_driver = n.mn_driver + shift;
+            mn_sinks = List.map (fun s -> s + shift) n.mn_sinks;
+            mn_name = name ~net:true i n.mn_name;
+          }) )
+  with
+  | copy -> Some copy
+  | exception Reject -> None
+
+let raises f = match f () with _ -> false | exception Invalid_argument _ -> true
+
+(* One random writer call on both the store and the model; false when the
+   store accepts what the model rejects, or the other way round. *)
+let step rng nl m =
+  let module Rng = Hlsb_util.Rng in
+  let pick a = a.(Rng.int rng (Array.length a)) in
+  let n_cells = List.length m.cells in
+  let cell_id () = Rng.int rng (n_cells + 2) - 1 in
+  let is_cell c = c >= 0 && c < n_cells in
+  let tail () = if Rng.bool rng then None else Some (String.make (Rng.int rng 3) 't') in
+  (* A call either raises, discarding the pending pieces and sinks, or
+     lands. *)
+  let add ~rejected f landed =
+    if rejected then begin
+      m.pending <- "";
+      m.pushed <- [];
+      raises f
+    end
+    else begin
+      landed (f ());
+      true
+    end
+  in
+  match Rng.int rng 10 with
+  | 0 ->
+    (* long pieces carry the arena across chunk boundaries *)
+    let s =
+      match Rng.int rng 5 with
+      | 0 -> ""
+      | 1 -> "k.v1_"
+      | 2 -> String.make (1 + Rng.int rng 40) 'x'
+      | 3 when Rng.bool rng ->
+        (* fill the arena up to a 16 KB chunk boundary, then write an
+           empty piece there *)
+        let len = (model_mark m).Netlist.m_names + String.length m.pending in
+        let fill = String.make (16384 - (len mod 16384)) 'z' in
+        Netlist.name_str nl fill;
+        m.pending <- m.pending ^ fill;
+        ""
+      | _ ->
+        let o = Rng.int rng 26 in
+        String.init (Rng.int rng 9000) (fun k -> Char.chr (97 + ((o + k) mod 26)))
+    in
+    Netlist.name_str nl s;
+    m.pending <- m.pending ^ s;
+    true
+  | 1 ->
+    let i = pick [| 0; -1; 42; -500; min_int; max_int |] in
+    Netlist.name_int nl i;
+    m.pending <- m.pending ^ string_of_int i;
+    true
+  | 2 ->
+    let s = cell_id () in
+    add ~rejected:(not (is_cell s))
+      (fun () -> Netlist.push_sink nl s)
+      (fun () -> m.pushed <- s :: m.pushed)
+  | 3 | 4 ->
+    let kind = pick [| Netlist.Comb; Netlist.Seq; Netlist.Mem; Netlist.Port_in; Netlist.Port_out |] in
+    let delay = pick [| 0.; 0.25; 1.5; -1. |] in
+    let edge () = pick [| 0; 7; max32; max32 + 1; -max32 - 1; -max32 - 2 |] in
+    let res =
+      if Rng.int rng 3 = 0 then
+        { Netlist.r_luts = edge (); r_ffs = edge (); r_bram18 = edge (); r_dsps = edge () }
+      else { Netlist.r_luts = Rng.int rng 50; r_ffs = Rng.int rng 50; r_bram18 = 0; r_dsps = 1 }
+    in
+    let name = tail () in
+    let rejected =
+      delay < 0.
+      || not
+           (fits32 res.Netlist.r_luts && fits32 res.Netlist.r_ffs
+           && fits32 res.Netlist.r_bram18 && fits32 res.Netlist.r_dsps)
+    in
+    let cell = { mc_kind = kind; mc_delay = delay; mc_res = res; mc_name = m.pending ^ Option.value ~default:"" name } in
+    (* a cell seals the name; pushed sinks wait for the next net *)
+    add ~rejected
+      (fun () -> Netlist.add_cell ?name nl ~kind ~delay ~res)
+      (fun c ->
+        if c = n_cells then m.cells <- cell :: m.cells;
+        m.pending <- "")
+  | 5 | 6 ->
+    let driver = cell_id () in
+    let sinks = List.init (Rng.int rng 4) (fun _ -> cell_id ()) in
+    let width = pick [| 1; 32; 512; max32; 0; max32 + 1 |] in
+    let cls = pick [| Netlist.Data; Netlist.Data_broadcast; Netlist.Ctrl_sync; Netlist.Ctrl_pipeline |] in
+    let name = tail () in
+    let rejected =
+      (not (is_cell driver))
+      || (not (List.for_all is_cell sinks))
+      || width < 1 || width > max32
+      || (List.nth m.cells (n_cells - 1 - driver)).mc_kind = Netlist.Port_out
+    in
+    let net =
+      {
+        mn_driver = driver;
+        mn_sinks = List.rev_append m.pushed sinks;
+        mn_width = width;
+        mn_cls = cls;
+        mn_name = m.pending ^ Option.value ~default:"" name;
+      }
+    in
+    add ~rejected
+      (fun () -> Netlist.add_net ~cls ?name nl ~driver ~sinks ~width ())
+      (fun _ ->
+        m.nets <- net :: m.nets;
+        m.pending <- "";
+        m.pushed <- [])
+  | 7 ->
+    Netlist.reserve nl ~cells:(Rng.int rng 40) ~nets:(Rng.int rng 40)
+      ~sinks:(Rng.int rng 90) ~name_bytes:(Rng.int rng 40000);
+    true
+  | 8 ->
+    m.marks <- Netlist.mark nl :: m.marks;
+    true
+  | _ when n_cells > 2000 || (Netlist.mark nl).Netlist.m_names > 500_000 ->
+    (* a copy can double the store: keep runs small *)
+    true
+  | _ ->
+    let marks = Array.of_list (List.rev (Netlist.mark nl :: m.marks)) in
+    let i = Rng.int rng (Array.length marks) in
+    let upto = marks.(i + Rng.int rng (Array.length marks - i)) in
+    (* now and then a pair that bounds no slice *)
+    let bad = Rng.int rng 8 = 0 in
+    let from = if bad then { (marks.(i)) with Netlist.m_sinks = -1 } else marks.(i) in
+    let drop = Rng.int rng 3 and prefix = pick [| ""; "pe1."; "copy_" |] in
+    let splice net count =
+      if count = 0 || Rng.bool rng then []
+      else
+        let lo = Rng.int rng count in
+        [
+          {
+            Netlist.sp_net = net;
+            sp_lo = lo;
+            sp_hi = lo + 1 + Rng.int rng (count - lo);
+            sp_tail = Rng.bool rng;
+            sp_len = Rng.int rng 3;
+            sp_with = pick [| ""; "Q"; "_r7" |];
+          };
+        ]
+    in
+    let splices =
+      splice false (upto.Netlist.m_cells - from.Netlist.m_cells)
+      @ splice true (upto.Netlist.m_nets - from.Netlist.m_nets)
+    in
+    let copy () = Netlist.copy_slice nl ~from ~upto ~drop ~prefix ~splices in
+    (* a rejected copy leaves the pending pieces in place *)
+    match
+      if bad || m.pending <> "" || m.pushed <> [] then None
+      else model_copy m ~from ~upto ~drop ~prefix ~splices
+    with
+    | None -> raises copy
+    | Some (cells, nets) ->
+      copy ();
+      m.cells <- List.rev_append cells m.cells;
+      m.nets <- List.rev_append nets m.nets;
+      true
+
+(* Every accessor of [nl] against the model; fails naming the first
+   disagreement. *)
+let agree nl m =
+  let cells = Array.of_list (List.rev m.cells) and nets = Array.of_list (List.rev m.nets) in
+  let expect what ok = if not ok then QCheck.Test.fail_reportf "%s disagrees" what in
+  expect "n_cells" (Netlist.n_cells nl = Array.length cells);
+  expect "n_nets" (Netlist.n_nets nl = Array.length nets);
+  expect "mark" (Netlist.mark nl = model_mark m);
+  Array.iteri
+    (fun c x ->
+      let r = x.mc_res in
+      expect (Printf.sprintf "cell %d" c)
+        (Netlist.kind nl c = x.mc_kind
+        && Netlist.delay nl c = x.mc_delay
+        && Netlist.luts nl c = r.Netlist.r_luts
+        && Netlist.ffs nl c = r.Netlist.r_ffs
+        && Netlist.bram18 nl c = r.Netlist.r_bram18
+        && Netlist.dsps nl c = r.Netlist.r_dsps
+        && Netlist.cell_name nl c = x.mc_name))
+    cells;
+  Array.iteri
+    (fun n x ->
+      expect (Printf.sprintf "net %d" n)
+        (Netlist.driver nl n = x.mn_driver
+        && Netlist.width nl n = x.mn_width
+        && Netlist.net_class nl n = x.mn_cls
+        && Netlist.net_name nl n = x.mn_name
+        && List.init (Netlist.fanout nl n) (Netlist.sink nl n) = x.mn_sinks))
+    nets;
+  expect "delays" (Netlist.delays nl = Array.map (fun x -> x.mc_delay) cells);
+  expect "total_resources"
+    (Netlist.total_resources nl
+    = Array.fold_left (fun a x -> Netlist.add_res a x.mc_res) Netlist.zero_res cells);
+  let widest cls =
+    let best = ref None in
+    Array.iteri
+      (fun n x ->
+        let f = List.length x.mn_sinks in
+        if cls = None || cls = Some x.mn_cls then
+          match !best with Some (_, bf) when bf >= f -> () | _ -> best := Some (n, f))
+      nets;
+    Option.map fst !best
+  in
+  List.iter
+    (fun cls -> expect "max_fanout_net" (Netlist.max_fanout_net nl ?cls () = widest cls))
+    [ None; Some Netlist.Data; Some Netlist.Data_broadcast; Some Netlist.Ctrl_sync; Some Netlist.Ctrl_pipeline ];
+  expect "arcs"
+    (Netlist.arcs nl
+    = reference_arcs_of (Array.length cells)
+        (Array.map (fun x -> (x.mn_driver, x.mn_sinks)) nets))
+
+let prop_store_model =
+  QCheck.Test.make ~count:300 ~name:"store agrees with a list model"
+    QCheck.small_nat
+    (fun seed ->
+      let rng = Hlsb_util.Rng.create seed in
+      let nl = Netlist.create ~name:"m" in
+      let m = { cells = []; nets = []; pending = ""; pushed = []; marks = [] } in
+      for k = 1 to 1 + Hlsb_util.Rng.int rng 120 do
+        if not (step rng nl m) then
+          QCheck.Test.fail_reportf "step %d: the store and the model disagree on acceptance" k
+      done;
+      agree nl m;
+      (* The 32-bit edge: 2^31 - 1 is stored; 2^31 is rejected, leaving the
+         store as it was and discarding the pending name and sinks, so the
+         next cell is named by its own pieces alone and the next net has
+         no sinks. *)
+      let top = { Netlist.zero_res with Netlist.r_dsps = max32 } in
+      let c = Netlist.add_cell nl ~name:"edge" ~kind:Netlist.Seq ~delay:0. ~res:top in
+      m.cells <-
+        { mc_kind = Netlist.Seq; mc_delay = 0.; mc_res = top; mc_name = m.pending ^ "edge" }
+        :: m.cells;
+      m.pending <- "";
+      Netlist.name_str nl "over";
+      Netlist.push_sink nl c;
+      let before = Netlist.mark nl in
+      let over = { Netlist.zero_res with Netlist.r_luts = max32 + 1 } in
+      let rejected = raises (fun () -> Netlist.add_cell nl ~kind:Netlist.Seq ~delay:0. ~res:over) in
+      let unchanged = Netlist.mark nl = before && Netlist.n_cells nl = c + 1 in
+      ignore (Netlist.add_cell nl ~name:"next" ~kind:Netlist.Comb ~delay:0. ~res:Netlist.zero_res);
+      ignore (Netlist.add_net nl ~name:"n" ~driver:c ~sinks:[] ~width:1 ());
+      m.cells <-
+        { mc_kind = Netlist.Comb; mc_delay = 0.; mc_res = Netlist.zero_res; mc_name = "next" }
+        :: m.cells;
+      m.nets <-
+        { mn_driver = c; mn_sinks = []; mn_width = 1; mn_cls = Netlist.Data; mn_name = "n" }
+        :: m.nets;
+      agree nl m;
+      Netlist.dsps nl c = max32 && rejected && unchanged)
 
 (* ---- Macro ---- *)
 
@@ -444,4 +781,5 @@ let suite =
     Alcotest.test_case "fanout tree bad args" `Quick test_fanout_tree_bad_args;
     QCheck_alcotest.to_alcotest prop_arcs_order;
     QCheck_alcotest.to_alcotest prop_names_spelled;
+    QCheck_alcotest.to_alcotest prop_store_model;
   ]

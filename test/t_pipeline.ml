@@ -56,6 +56,11 @@ let test_session_shares_stages () =
   let s = Option.get (Hlsb_designs.Suite.find "Vector Arithmetic") in
   let session = Pipeline.of_spec s in
   ignore (Pipeline.run_exn session ~recipe:Style.original);
+  (* lower's netlist columns outgrow the minor heap, so only the stage
+     record's major words show their growth *)
+  let lower = List.find (fun r -> r.Pipeline.sr_stage = Pipeline.Lower) (Pipeline.last_run session) in
+  Alcotest.(check bool) "lower allocates in the major heap" true
+    (lower.Pipeline.sr_major_words > 0.);
   ignore (Pipeline.run_exn session ~recipe:Style.optimized);
   Alcotest.(check int) "one elaboration for two recipes" 1
     (runs_of session "elaborate");
