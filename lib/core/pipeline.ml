@@ -519,6 +519,7 @@ let compiled_exn ?name ?(plan = Plan.identity) ?target_mhz ?inject t ~recipe =
         exec t ~recipe Place (fun () ->
           let pl = Placement.place t.ss_device design.Design.netlist in
           Metrics.incr ~by:(Placement.relaxes pl) "place.relaxes";
+          Metrics.incr ~by:(Placement.pack_steps pl) "place.pack_steps";
           pl)
       in
       let timing =

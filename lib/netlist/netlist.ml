@@ -504,6 +504,22 @@ let dsps t c = res_field t c 3
 
 let delays t = Array.sub t.delays 0 t.n_cells
 
+(* Slice-equivalent footprint used for packing; DSP and BRAM contributions
+   are folded in for Comb cells that embed them (they enlarge the region a
+   macro occupies, which is what the wire model cares about). *)
+let slice_footprints t (d : Device.t) =
+  let imax (a : int) b = if a >= b then a else b and cdiv a b = (a + b - 1) / b in
+  let fp = Array.make t.n_cells 1 in
+  for c = 0 to t.n_cells - 1 do
+    let r = 4 * c in
+    let slices =
+      imax (cdiv (get t.res r) d.lut_per_slice) (cdiv (get t.res (r + 1)) d.ff_per_slice)
+    in
+    let extra = (get t.res (r + 3) * 3) + (get t.res (r + 2) * 5) in
+    Array.unsafe_set fp c (imax 1 (slices + extra))
+  done;
+  fp
+
 let cell_name t c =
   check_cell t c;
   spell t t.cell_names c

@@ -186,6 +186,11 @@ val bram18 : t -> int -> int
 val dsps : t -> int -> int
 val cell_name : t -> int -> string
 
+val slice_footprints : t -> Hlsb_device.Device.t -> int array
+(** Every cell's packing footprint on a device, in a fresh array: the
+    larger of its LUT and FF slice counts, plus 3 slices per DSP and 5 per
+    BRAM18, and at least 1. *)
+
 (** Per-net fields; each raises [Invalid_argument] on an unknown net. *)
 
 val driver : t -> int -> int

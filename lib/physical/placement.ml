@@ -16,14 +16,16 @@ type t = {
       (* sqrt (float fp) per cell: the spread radius folded into every
          wire-length query, precomputed once instead of per net per STA *)
   max_extent : float;  (* largest slice coordinate the packer claimed *)
+  pack_steps : int;  (* iterations of the packer's block walk *)
   relaxes : int;  (* movable cells x sweeps run *)
 }
 
 (* Hilbert curve index -> point on a 2^k x 2^k grid, packed as [x * n + y];
    contiguous index runs map to compact 2D regions, giving nets over
    contiguously-placed cells a bounding box of half-perimeter
-   Theta(sqrt(area)). [place] walks the same curve block by block; this
-   per-point form is its reference. *)
+   Theta(sqrt(area)). [place] walks the same curve block by block and
+   reads the points of a 16x16 block from [pref] below; this per-point
+   form is the reference for both. *)
 let hilbert_d2xy n d =
   let x = ref 0 and y = ref 0 and t = ref d and s = ref 1 in
   while !s < n do
@@ -47,19 +49,7 @@ let hilbert_d2xy n d =
 let imax (a : int) b = if a >= b then a else b
 let fmax (a : float) b = if a >= b then a else b
 
-let cdiv a b = (a + b - 1) / b
-
-(* Slice-equivalent footprint used for packing; DSP and BRAM contributions
-   are folded in for Comb cells that embed them (they enlarge the region a
-   macro occupies, which is what the wire model cares about). *)
-let footprint (d : Device.t) nl c =
-  let slices =
-    imax
-      (cdiv (Netlist.luts nl c) d.lut_per_slice)
-      (cdiv (Netlist.ffs nl c) d.ff_per_slice)
-  in
-  let extra = (Netlist.dsps nl c * 3) + (Netlist.bram18 nl c * 5) in
-  imax 1 (slices + extra)
+let imin (a : int) b = if a <= b then a else b
 
 (* Relax rule per cell, one byte each, fixed once before the sweeps: every
    movable cell (light, with fanin and fanout) runs the cheapest arithmetic
@@ -80,20 +70,40 @@ let recip = Array.init 65 (fun k -> 1. /. float_of_int k)
 let sqrt_deg = Array.init 65 (fun k -> sqrt (float_of_int k))
 let pow2_deg k = k <= 64 && k land (k - 1) = 0
 
-(* Unchecked reads for the sweeps, monomorphic so they stay unboxed: every
-   index there is a cell id, an arc offset of {!Netlist.arcs}' CSR, or a
-   power-of-two degree of at most 64, all in range by construction. *)
+(* Unchecked reads for the packer and the sweeps, monomorphic so they stay
+   unboxed: every index there is a [pref] entry of a run within one block,
+   a cell id, an arc offset of {!Netlist.arcs}' CSR, or a power-of-two
+   degree of at most 64, all in range by construction. *)
 let fget (a : float array) i = Array.unsafe_get a i
 let iget (a : int array) i = Array.unsafe_get a i
+
+(* The level at which the packer stops descending: a block of
+   [4^pack_level] points lying wholly on the die is taken a run of points
+   at a time. [pref.(2k)] and [pref.(2k + 1)] are the x and y sums of the
+   first [k] points of the canonical [2^pack_level]-square curve; built
+   once here and never written, so packing keeps no state between calls. *)
+let pack_level = 4
+let pack_points = 1 lsl (2 * pack_level)
+
+let pref =
+  let w = 1 lsl pack_level in
+  let p = Array.make (2 * (pack_points + 1)) 0 in
+  for i = 0 to pack_points - 1 do
+    let h = hilbert_d2xy w i in
+    p.((2 * i) + 2) <- p.(2 * i) + (h / w);
+    p.((2 * i) + 3) <- p.((2 * i) + 1) + (h mod w)
+  done;
+  p
 
 (* Refinement sweeps run when the placement never settles. *)
 let max_sweeps = 24
 
 let place (d : Device.t) nl =
   let n = Netlist.n_cells nl in
-  let xs = Array.make n 0. in
-  let ys = Array.make n 0. in
-  let fp = Array.make n 1 in
+  let xs = Array.create_float n in
+  let ys = Array.create_float n in
+  let sq = Array.create_float n in
+  let fp = Netlist.slice_footprints nl d in
   let side, levels =
     let rec grow k l = if k >= d.cols && k >= d.rows then (k, l) else grow (2 * k) (l + 1) in
     grow 1 0
@@ -109,7 +119,16 @@ let place (d : Device.t) nl =
      identity and G_j = G_(j+1) o F_j, with F_j [hilbert_d2xy]'s step for
      digit j of [cur]. Invariant: G_j is valid for every j >= [lvl], and
      [cur] is a multiple of 4^lvl, so indices [cur, cur + 4^lvl) fill the
-     aligned square G_lvl([0, 2^lvl)^2). *)
+     aligned square G_lvl([0, 2^lvl)^2).
+
+     Above [pack_level] a block wholly off-die is skipped and one wholly
+     on-die that fits the cell's remainder is summed in closed form; any
+     other block is split. A [pack_level] block wholly on-die is never
+     split: the walk stays on it with [off] of its points claimed, and a
+     cell that takes [k] more adds G's permutation times [pref]'s sums of
+     points [off, off + k), plus [k] times G's offset. So a cell costs
+     O(1) steps beyond the die-edge blocks it meets. Blocks that cross
+     the die edge descend to single points, as the reference does. *)
   let g = Array.make (6 * (levels + 1)) 0 in
   g.(6 * levels) <- 1;
   g.((6 * levels) + 3) <- 1;
@@ -136,10 +155,9 @@ let place (d : Device.t) nl =
       g.(o + 3) <- e
     end
   in
-  let cur = ref 0 and lvl = ref levels in
+  let cur = ref 0 and lvl = ref levels and off = ref 0 and steps = ref 0 in
   for id = 0 to n - 1 do
-    let s = footprint d nl id in
-    fp.(id) <- s;
+    let s = fp.(id) in
     if !used + s > capacity then
       Diag.fail
         ~entity:(Diag.Design (Netlist.name nl))
@@ -149,6 +167,7 @@ let place (d : Device.t) nl =
         d.name (Netlist.cell_name nl id) s (capacity - !used) capacity d.cols
         d.rows;
     used := !used + s;
+    sq.(id) <- sqrt (float_of_int s);
     (* Integer sums of the cell's slice coordinates: every partial sum is
        below 2^53, so the centroid equals per-slice float accumulation bit
        for bit. *)
@@ -157,19 +176,45 @@ let place (d : Device.t) nl =
       (* the capacity check leaves at most [capacity] slices to claim,
          and the curve visits every on-die slice *)
       assert (!cur < total_points);
+      incr steps;
       let o = 6 * !lvl and w = 1 lsl !lvl in
       let x0 = g.(o + 4) - if g.(o) + g.(o + 1) < 0 then w - 1 else 0
       and y0 = g.(o + 5) - if g.(o + 2) + g.(o + 3) < 0 then w - 1 else 0 in
       let on_die = x0 + w <= d.cols && y0 + w <= d.rows in
-      if x0 >= d.cols || y0 >= d.rows || (on_die && w * w <= !r) then begin
-        (* skip a block wholly off-die, or consume one wholly on-die *)
-        if on_die then begin
+      (* points of the current block to step past: 0 to stay on it *)
+      let past =
+        if x0 >= d.cols || y0 >= d.rows then w * w (* wholly off-die *)
+        else if on_die && !lvl = pack_level then begin
+          let k = imin !r (pack_points - !off) in
+          let p = 2 * !off and q = 2 * (!off + k) in
+          let px = iget pref q - iget pref p and py = iget pref (q + 1) - iget pref (p + 1) in
+          sx := !sx + (g.(o) * px) + (g.(o + 1) * py) + (k * g.(o + 4));
+          sy := !sy + (g.(o + 2) * px) + (g.(o + 3) * py) + (k * g.(o + 5));
+          r := !r - k;
+          off := !off + k;
+          if !off < pack_points then 0
+          else begin
+            off := 0;
+            extent := imax !extent (imax x0 y0 + w - 1);
+            w * w
+          end
+        end
+        else if on_die && w * w <= !r then begin
           sx := !sx + (w * ((w * x0) + (w * (w - 1) / 2)));
           sy := !sy + (w * ((w * y0) + (w * (w - 1) / 2)));
           r := !r - (w * w);
-          extent := imax !extent (imax x0 y0 + w - 1)
-        end;
-        cur := !cur + (w * w);
+          extent := imax !extent (imax x0 y0 + w - 1);
+          w * w
+        end
+        else begin
+          (* straddles the die edge or exceeds the remainder: descend *)
+          decr lvl;
+          compose !lvl 0;
+          0
+        end
+      in
+      if past > 0 then begin
+        cur := !cur + past;
         (* the next block starts at the new index's lowest nonzero digit,
            the only level whose map changed *)
         while !lvl < levels && (!cur lsr (2 * !lvl)) land 3 = 0 do
@@ -177,15 +222,21 @@ let place (d : Device.t) nl =
         done;
         if !lvl < levels then compose !lvl ((!cur lsr (2 * !lvl)) land 3)
       end
-      else begin
-        (* straddles the die edge or exceeds the remainder: descend *)
-        decr lvl;
-        compose !lvl 0
-      end
     done;
     xs.(id) <- float_of_int !sx /. float_of_int s;
     ys.(id) <- float_of_int !sy /. float_of_int s
   done;
+  (* the last cell may leave a block partly claimed: its claimed points
+     count toward the extent once, here *)
+  if !off > 0 then begin
+    let o = 6 * pack_level in
+    for i = 0 to !off - 1 do
+      let px = pref.((2 * i) + 2) - pref.(2 * i) and py = pref.((2 * i) + 3) - pref.((2 * i) + 1) in
+      let x = (g.(o) * px) + (g.(o + 1) * py) + g.(o + 4)
+      and y = (g.(o + 2) * px) + (g.(o + 3) * py) + g.(o + 5) in
+      extent := imax !extent (imax x y)
+    done
+  end;
   (* Register refinement: a timing-driven placer (and phys_opt) pulls light
      register cells to the midpoint between their driver and their sinks, so
      a chain of pipeline registers inserted across a long route settles at
@@ -308,13 +359,9 @@ let place (d : Device.t) nl =
     if not !moved then settled := true;
     incr sweep
   done;
-  let sq = Array.make n 0. in
-  for i = 0 to n - 1 do
-    sq.(i) <- sqrt (float_of_int fp.(i))
-  done;
   let max_extent = float_of_int !extent in
   let relaxes = !movable * (!sweep - 1) in
-  { netlist = nl; fanin; xs; ys; fp; sq; max_extent; relaxes }
+  { netlist = nl; fanin; xs; ys; fp; sq; max_extent; pack_steps = !steps; relaxes }
 
 let fanin t = t.fanin
 let coords t = (t.xs, t.ys)
@@ -377,4 +424,5 @@ let star_length t nid =
   end
 
 let max_extent t = t.max_extent
+let pack_steps t = t.pack_steps
 let relaxes t = t.relaxes

@@ -23,9 +23,17 @@ val place : Hlsb_device.Device.t -> Hlsb_netlist.Netlist.t -> t
 (** Pack, then refine with up to 24 alternating relax sweeps, stopping at
     the first sweep whose largest position update is exactly zero (a
     fixpoint, so the result is bit-identical to running every sweep).
+    Packing walks the curve in aligned blocks, stops at 16x16 blocks that
+    lie wholly on the die and takes a cell's points of such a block from
+    a prefix-sum table of the canonical 16x16 curve, so each cell costs
+    O(1) walk steps ({!pack_steps}) plus the die-edge blocks it meets.
     Raises [Hlsb_util.Diag.Diagnostic] (stage ["place"], entity [Design])
     naming the device and the capacity constraint if the design does not
     fit. *)
+
+val pack_steps : t -> int
+(** Iterations of {!place}'s block walk: about one per cell, plus one per
+    die-edge block and per 16x16 block a cell runs into. *)
 
 val relaxes : t -> int
 (** Relax steps {!place} ran: movable cells times sweeps run. *)
@@ -35,7 +43,9 @@ val hilbert_d2xy : int -> int -> int
     an [n] x [n] grid ([n] a power of two), packed as [x * n + y]. The
     reference for {!place}'s packing: cell k takes the next
     [footprint_slices] on-die points of this curve after cell k-1's, and
-    its centroid is their mean. *)
+    its centroid is their mean. [hilbert_d2xy 16] is also the canonical
+    curve whose prefix sums {!place} reads inside a 16x16 block; the block's
+    signed permutation and offset map it onto the grid. *)
 
 val fanin : t -> Hlsb_netlist.Netlist.fanin
 (** The placed netlist's fanin arcs ({!Hlsb_netlist.Netlist.arcs}), built

@@ -649,18 +649,30 @@ let check_matches_ref (d : Device.t) fp =
   true
 
 (* Random footprints on every device: mostly small cells with the odd
-   macro, optionally topped up by one cell that fills the die to within
-   [slack] slices of capacity (so the walk crosses every die edge and
-   off-die block). *)
+   macro and footprints either side of one and two 16x16 blocks (255-257,
+   511-513) in random order, with a run of up to 600 unit cells (enough to
+   cross a block) put in at a random place; optionally topped up by one cell that fills the die to
+   within [slack] slices of capacity (so the walk crosses every die edge
+   and off-die block). Without the top-up the last cell mostly ends
+   mid-block, so the extent of a partly claimed block is compared too. *)
 let prop_pack_matches_reference =
   let gen =
     QCheck.Gen.(
       let* dev_i = int_bound (List.length Device.all - 1) in
       let* small = list_size (int_range 1 60) (int_range 1 9) in
       let* macros = list_size (int_bound 3) (int_range 10 5000) in
+      let* blocks = list_size (int_bound 4) (oneofl [ 255; 256; 257; 511; 512; 513 ]) in
+      let* body = shuffle_l (small @ macros @ blocks) in
+      let* at = int_bound (List.length body) in
+      let* units = int_bound 600 in
+      let fps =
+        List.filteri (fun i _ -> i < at) body
+        @ List.init units (fun _ -> 1)
+        @ List.filteri (fun i _ -> i >= at) body
+      in
       let* fill = bool in
       let* slack = int_bound 5 in
-      return (dev_i, small @ macros, fill, slack))
+      return (dev_i, fps, fill, slack))
   in
   let print (i, fps, fill, slack) =
     Printf.sprintf "device %d, %d cells, fill=%b slack=%d" i (List.length fps) fill slack
@@ -676,7 +688,8 @@ let prop_pack_matches_reference =
 
 let test_pack_fills_die () =
   (* one unit cell per slice: every on-die slot is taken exactly once, in
-     reference order, and one more slice overflows *)
+     reference order, and one more slice overflows. Each die's sides leave
+     a different remainder mod 16, so each has its own edge blocks. *)
   List.iter
     (fun (d : Device.t) ->
       let cap = Device.n_slices d in
@@ -684,7 +697,7 @@ let test_pack_fills_die () =
       match Placement.place d (footprint_netlist d (Array.make (cap + 1) 1)) with
       | _ -> Alcotest.failf "%s: placed one slice past capacity" d.Device.name
       | exception Hlsb_util.Diag.Diagnostic _ -> ())
-    [ Device.virtex7_690t; Device.ultrascale_plus ]
+    Device.all
 
 let test_place_overflow_text () =
   (* overflow mid-way: the diagnostic names the cell that does not fit,
