@@ -241,16 +241,6 @@ let explain_arg =
 
 (* ---- run-ledger records: compile / cc / profile / fuzz / explore ---- *)
 
-let stage_ms_of_session session =
-  List.map
-    (fun (r : Pipeline.stage_record) ->
-      {
-        Ledger.st_name = Pipeline.stage_name r.Pipeline.sr_stage;
-        st_status = Pipeline.status_label r.Pipeline.sr_status;
-        st_ms = r.Pipeline.sr_ms;
-      })
-    (Pipeline.last_run session)
-
 let cache_counters (snap : Metrics.snapshot) =
   List.filter
     (fun (name, _) ->
@@ -271,7 +261,7 @@ type run_info = {
   ri_label : string;
   ri_device : Hlsb_device.Device.t option;
   ri_recipe : Style.recipe option;
-  ri_stages : Ledger.stage_ms list;
+  ri_stages : Ledger.stage list;
   ri_results : Pipeline.result list;
 }
 
@@ -280,7 +270,7 @@ let compile_info ~label ~device ~recipe session r =
     ri_label = label;
     ri_device = Some device;
     ri_recipe = Some recipe;
-    ri_stages = stage_ms_of_session session;
+    ri_stages = Pipeline.last_run session;
     ri_results = [ r ];
   }
 
@@ -369,12 +359,23 @@ let cmd_passes =
        ~doc:"List the compile pipeline's stages and their dump formats")
     Term.(const run $ const ())
 
+(* The in-process compile of a suite design, as compile and profile run
+   it: one session, one run record (see [with_run_record]). *)
+let compile_recorded ?always ~cmd (s : Spec.t) ~recipe =
+  let session = Pipeline.of_spec s in
+  let r, recorded =
+    with_run_record ?always ~cmd
+      ~describe:
+        (compile_info ~label:s.Spec.sp_name ~device:s.Spec.sp_device ~recipe
+           session)
+      (fun () -> run_or_fail session ~recipe)
+  in
+  (session, r, recorded)
+
 let cmd_compile =
   let run () name recipe json dump_after explain daemon =
     let s = find_design name in
     let recipe = recipe_of recipe in
-    let session = Pipeline.of_spec s in
-    let compile () = run_or_fail session ~recipe in
     if daemon || daemon_env_set () then
       daemon_or_fallback
         (Serve_protocol.Compile
@@ -384,15 +385,10 @@ let cmd_compile =
              cp_target_mhz = None;
              cp_inject = None;
            })
-        (fun () -> print_result_artifact (compile ()))
+        (fun () ->
+          print_result_artifact (run_or_fail (Pipeline.of_spec s) ~recipe))
     else
-      let r, _ =
-        with_run_record ~cmd:"compile"
-          ~describe:
-            (compile_info ~label:s.Spec.sp_name ~device:s.Spec.sp_device
-               ~recipe session)
-          compile
-      in
+      let session, r, _ = compile_recorded ~cmd:"compile" s ~recipe in
       report_compile ~json ~dump_name:s.Spec.sp_name ~dump_after ~explain
         session ~recipe r
   in
@@ -422,40 +418,13 @@ let cmd_profile =
     let s = find_design name in
     let recipe = recipe_of recipe in
     let trace = Trace.create () in
-    let session = Pipeline.of_spec s in
-    (* Profile is inherently instrumented, so the record is assembled
-       regardless; HLSB_LEDGER only controls whether it is persisted.
-       The --metrics file is that same record — one format everywhere. *)
-    let r, recorded =
-      with_run_record ~always:true ~cmd:"profile"
-        ~describe:
-          (compile_info ~label:s.Spec.sp_name ~device:s.Spec.sp_device ~recipe
-             session)
-        (fun () ->
-          Trace.with_collector trace (fun () ->
-            let r = run_or_fail session ~recipe in
-            (* Drive the behavioral skid model under bursty back-pressure
-               so the profile also carries the §4.3 occupancy series. *)
-            let stages =
-              List.fold_left
-                (fun acc (k : Hlsb_rtlgen.Design.kernel_info) ->
-                  max acc k.Hlsb_rtlgen.Design.ki_depth)
-                1 r.Pipeline.fr_design.Hlsb_rtlgen.Design.kernels
-              |> min 64
-            in
-            let skid_depth =
-              Hlsb_ctrl.Skid.required_depth ~pipeline_depth:stages ()
-            in
-            Trace.with_span "occupancy_sim"
-              ~attrs:[ ("stages", Json.Int stages) ]
-              (fun () ->
-                ignore
-                  (Hlsb_sim.Pipeline.run_skid ~stages ~skid_depth ~ctrl_delay:0
-                     ~gate:Hlsb_sim.Pipeline.Gate_empty
-                     ~inputs:(List.init 256 Fun.id)
-                     ~ready:(fun c -> c mod 7 <> 0 && c mod 13 <> 1)
-                     ~f:Fun.id));
-            r))
+    (* compile's own run under a trace collector. Profile is inherently
+       instrumented, so the record is assembled regardless; HLSB_LEDGER
+       only controls whether it is persisted. The --metrics file is that
+       same record — one format everywhere. *)
+    let _, r, recorded =
+      Trace.with_collector trace (fun () ->
+        compile_recorded ~always:true ~cmd:"profile" s ~recipe)
     in
     let snap, record = Option.get recorded in
     if not quiet then begin
@@ -507,8 +476,8 @@ let cmd_profile =
   Cmd.v
     (Cmd.info "profile"
        ~doc:
-         "Compile a benchmark with telemetry enabled: nested spans for \
-          elaborate/schedule/lower/timing plus broadcast/occupancy metrics")
+         "Compile a benchmark as $(b,compile) does, with telemetry enabled: \
+          nested spans for every pipeline stage plus the metrics snapshot")
     Term.(
       const run $ common_term $ design_arg $ recipe_arg $ trace_arg $ metrics_arg
       $ quiet_arg)
@@ -893,15 +862,7 @@ let cmd_explore =
             (List.fold_left (fun acc rp -> acc + rp.Explore.ep_probes) 0 reports);
         ri_device = None;
         ri_recipe = None;
-        ri_stages =
-          List.map
-            (fun rp ->
-              {
-                Ledger.st_name = rp.Explore.ep_design;
-                st_status = "ran";
-                st_ms = rp.Explore.ep_ms;
-              })
-            reports;
+        ri_stages = List.map (fun rp -> rp.Explore.ep_stage) reports;
         ri_results =
           List.map
             (fun rp -> rp.Explore.ep_winner.Explore.cr_result)

@@ -15,9 +15,9 @@ module Diag = Hlsb_util.Diag
 module Table = Hlsb_util.Table
 module Trace = Hlsb_telemetry.Trace
 module Metrics = Hlsb_telemetry.Metrics
-module Clock = Hlsb_telemetry.Clock
 module Json = Hlsb_telemetry.Json
 module Log = Hlsb_obs.Log
+module Ledger = Hlsb_obs.Ledger
 module Ast = Hlsb_frontend.Ast
 module Frontend = Hlsb_frontend.Frontend
 module Pass = Hlsb_transform.Pass
@@ -144,16 +144,6 @@ let summary r =
 
 (* ---------------- sessions ---------------- *)
 
-type status = Ran | Cached | Skipped | Failed
-
-type stage_record = {
-  sr_stage : stage;
-  sr_status : status;
-  sr_ms : float;
-  sr_minor_words : float;
-  sr_major_words : float;
-}
-
 type compiled = {
   co_design : Design.t;
   co_max_extent : float;
@@ -192,7 +182,7 @@ type session = {
       (** (plan key, effective target, injection, sched mode) -> schedules *)
   mutable ss_compiled : artifact list;
   ss_counts : (string, int) Hashtbl.t;
-  mutable ss_last : stage_record list;  (** reversed while a run records *)
+  mutable ss_last : Ledger.stage list;  (** reversed while a run records *)
   mutable ss_diags : Diag.t list;  (** reversed *)
 }
 
@@ -237,55 +227,27 @@ let of_kernel ~device kernel =
 
 (* ---------------- stage execution machinery ---------------- *)
 
-let record t stage status ms minor major =
-  t.ss_last <-
-    {
-      sr_stage = stage;
-      sr_status = status;
-      sr_ms = ms;
-      sr_minor_words = minor;
-      sr_major_words = major;
-    }
-    :: t.ss_last
+let log_attrs t name =
+  [ ("stage", Json.Str name); ("design", Json.Str t.ss_name) ]
 
-(* Words allocated directly in the major heap so far: major minus
-   promoted, so a block a minor collection moved is not counted twice. *)
-let direct_major_words () =
-  let _, promoted, major = Gc.counters () in
-  major -. promoted
-
-(* Run one stage body: telemetry span + run counters around it, stray
-   [Invalid_argument]/[Failure] from deep inside the pass promoted to a
-   structured diagnostic carrying the stage name. *)
+(* Run one stage body: telemetry span and run counters around it, its
+   cost recorded, stray [Invalid_argument]/[Failure] from deep inside the
+   pass promoted to a structured diagnostic carrying the stage name. *)
 let exec t ~recipe stage f =
   let name = stage_name stage in
-  let count () =
+  let body () =
+    let v, st = Ledger.measure name f in
     Hashtbl.replace t.ss_counts name
       (1 + Option.value ~default:0 (Hashtbl.find_opt t.ss_counts name));
     Metrics.incr "pipeline.stage_runs";
-    Metrics.incr ("pipeline.stage_runs." ^ name)
-  in
-  let body () =
-    (* [Gc.counters] allocates its result, so it is read outside the
-       minor-word window *)
-    let m0 = direct_major_words () in
-    let t0 = Clock.now_ns () and w0 = Gc.minor_words () in
-    let elapsed () = Clock.ns_to_ms (Int64.sub (Clock.now_ns ()) t0) in
-    match f () with
-    | v ->
-      count ();
-      let ms = elapsed () in
-      let minor = Gc.minor_words () -. w0 in
-      record t stage Ran ms minor (direct_major_words () -. m0);
-      Log.debug
-        ~attrs:
-          [ ("stage", Json.Str name); ("design", Json.Str t.ss_name) ]
-        "stage %s: %.1f ms" name ms;
+    t.ss_last <- st :: t.ss_last;
+    match v with
+    | Ok v ->
+      if Log.would_log Log.Debug then
+        Log.debug ~attrs:(log_attrs t name) "stage %s: %.1f ms" name
+          st.Ledger.st_ms;
       v
-    | exception e ->
-      count ();
-      let minor = Gc.minor_words () -. w0 in
-      record t stage Failed (elapsed ()) minor (direct_major_words () -. m0);
+    | Error e ->
       let d =
         match e with
         | Diag.Diagnostic d -> d
@@ -293,10 +255,8 @@ let exec t ~recipe stage f =
         | e -> raise e
       in
       t.ss_diags <- d :: t.ss_diags;
-      Log.error
-        ~attrs:
-          [ ("stage", Json.Str name); ("design", Json.Str t.ss_name) ]
-        "stage %s failed: %s" name (Diag.to_string d);
+      Log.error ~attrs:(log_attrs t name) "stage %s failed: %s" name
+        (Diag.to_string d);
       raise (Diag.Diagnostic d)
   in
   if not (Trace.enabled ()) then body ()
@@ -310,14 +270,11 @@ let exec t ~recipe stage f =
       body
 
 let cached t stage =
+  let name = stage_name stage in
   Metrics.incr "pipeline.cache_hits";
-  Log.debug
-    ~attrs:
-      [
-        ("stage", Json.Str (stage_name stage)); ("design", Json.Str t.ss_name);
-      ]
-    "stage %s: cache hit" (stage_name stage);
-  record t stage Cached 0. 0. 0.
+  if Log.would_log Log.Debug then
+    Log.debug ~attrs:(log_attrs t name) "stage %s: cache hit" name;
+  t.ss_last <- Ledger.unmeasured name Ledger.Cached :: t.ss_last
 
 (* ---------------- cached upstream artifacts ---------------- *)
 
@@ -524,12 +481,7 @@ let compiled_exn ?name ?(plan = Plan.identity) ?target_mhz ?inject t ~recipe =
       in
       let timing =
         exec t ~recipe Sta (fun () ->
-          let r =
-            Timing.analyze t.ss_device design.Design.netlist placement
-          in
-          Metrics.incr "timing.runs";
-          Metrics.set_gauge "timing.critical_ns" r.Timing.critical_ns;
-          r)
+          Timing.analyze t.ss_device design.Design.netlist placement)
       in
       let result =
         exec t ~recipe Report (fun () -> finish ~name:label design timing)
@@ -578,25 +530,16 @@ let last_run t =
   let recorded = List.rev t.ss_last in
   List.map
     (fun s ->
-      match List.find_opt (fun r -> r.sr_stage = s) recorded with
+      let name = stage_name s in
+      match
+        List.find_opt (fun (r : Ledger.stage) -> r.Ledger.st_name = name)
+          recorded
+      with
       | Some r -> r
-      | None ->
-        {
-          sr_stage = s;
-          sr_status = Skipped;
-          sr_ms = 0.;
-          sr_minor_words = 0.;
-          sr_major_words = 0.;
-        })
+      | None -> Ledger.unmeasured name Ledger.Skipped)
     stages
 
 let diagnostics t = List.rev t.ss_diags
-
-let status_label = function
-  | Ran -> "ran"
-  | Cached -> "cached"
-  | Skipped -> "skipped"
-  | Failed -> "FAILED"
 
 let explain t =
   let tbl =
@@ -616,19 +559,21 @@ let explain t =
     else if w >= 1e3 then Printf.sprintf "%.1f kw" (w /. 1e3)
     else Printf.sprintf "%.0f w" w
   in
-  List.iter
-    (fun r ->
-      let ran = r.sr_status = Ran || r.sr_status = Failed in
+  List.iter2
+    (fun s (r : Ledger.stage) ->
+      let ran =
+        r.Ledger.st_status = Ledger.Ran || r.Ledger.st_status = Ledger.Failed
+      in
       Table.add_row tbl
         [
-          stage_name r.sr_stage;
-          status_label r.sr_status;
-          (if ran then Printf.sprintf "%.1f ms" r.sr_ms else "-");
-          (if ran then words r.sr_minor_words else "-");
-          (if ran then words r.sr_major_words else "-");
-          describe r.sr_stage;
+          r.Ledger.st_name;
+          Ledger.status_name r.Ledger.st_status;
+          (if ran then Printf.sprintf "%.1f ms" r.Ledger.st_ms else "-");
+          (if ran then words r.Ledger.st_minor_words else "-");
+          (if ran then words r.Ledger.st_major_words else "-");
+          describe s;
         ])
-    (last_run t);
+    stages (last_run t);
   let buf = Buffer.create 512 in
   Buffer.add_string buf (Table.render tbl);
   (match diagnostics t with

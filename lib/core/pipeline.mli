@@ -2,7 +2,7 @@
     stages ([elaborate], [classify], [schedule], [lower], [sync],
     [place], [sta], [report]), each a function between typed stage
     artifacts carried in a compile {!session}, each wrapped in a
-    telemetry span and per-stage run counters, and each reporting
+    telemetry span and measured ({!last_run}), and each reporting
     failures as structured diagnostics ({!Hlsb_util.Diag.t}) instead of
     letting [Invalid_argument]/[Failure] escape from deep inside rtlgen.
 
@@ -159,35 +159,16 @@ val stage_runs : session -> (string * int) list
     session's lifetime (cache hits do not count), sorted by stage order.
     The two-recipe-session test asserts [elaborate = 1] here. *)
 
-type status = Ran | Cached | Skipped | Failed
-
-type stage_record = {
-  sr_stage : stage;
-  sr_status : status;
-  sr_ms : float;  (** wall-clock of the stage body; 0 unless [Ran] *)
-  sr_minor_words : float;
-      (** [Gc.minor_words] allocated by the stage body in the calling
-          domain; 0 unless [Ran] *)
-  sr_major_words : float;
-      (** words the stage body allocated directly in the major heap
-          (blocks too large for the minor heap: [Gc.counters]' major minus
-          promoted words), in the calling domain; 0 unless [Ran] *)
-}
-
-val status_label : status -> string
-(** ["ran"] | ["cached"] | ["skipped"] | ["FAILED"] — the spelling used
-    by {!explain} and by the run-ledger records. *)
-
-val last_run : session -> stage_record list
-(** Stage records of the most recent {!run}, in stage order. Stages the
-    run never reached (or that only run on demand, like [classify]) are
-    reported [Skipped]. *)
+val last_run : session -> Hlsb_obs.Ledger.stage list
+(** What each stage of the most recent {!run} cost, one record per
+    stage in stage order, named by {!stage_name}: the records the run
+    ledger stores. Stages the run never reached (or that only run on
+    demand, like [classify]) are reported [Skipped]. *)
 
 val explain : session -> string
-(** Per-stage table of the last run (status, time, minor-heap words and
-    words allocated directly in the major heap)
-    followed by any diagnostics collected — the payload of [hlsbc compile
-    --explain]. *)
+(** Per-stage table of {!last_run} (status, time, minor-heap words and
+    words allocated directly in the major heap) followed by any
+    diagnostics collected — the payload of [hlsbc compile --explain]. *)
 
 val diagnostics : session -> Diag.t list
 (** Every diagnostic the session has collected, oldest first. *)

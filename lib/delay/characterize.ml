@@ -49,7 +49,7 @@ let arith (d : Device.t) op dt ~factor =
   ignore
     (Netlist.add_net nl ~cls:Netlist.Data_broadcast ~name:"bcast" ~driver:src
        ~sinks:ops ~width:w ());
-  let report = Timing.run d nl in
+  let report = Timing.analyze d nl (Placement.place d nl) in
   (* Operator delay as HLS accounts for it: everything from the source
      register's output up to and including the operator's own logic — its
      input net (the broadcast) but not its output net, which belongs to the
@@ -88,7 +88,7 @@ let mem_skeleton (d : Device.t) ~units ~read =
     let src = Structs.add_register nl ~name:"src" ~width in
     ignore (Structs.connect_write nl ~name:"wdata" ~driver:src mb ~width)
   end;
-  let report = Timing.run d nl in
+  let report = Timing.analyze d nl (Placement.place d nl) in
   (comb_time d report, mb.Structs.mb_n_units)
 
 let mem_curve d ~units ~read =

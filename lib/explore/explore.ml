@@ -7,6 +7,7 @@ module Atomic_file = Hlsb_util.Atomic_file
 module Table = Hlsb_util.Table
 module Metrics = Hlsb_telemetry.Metrics
 module Clock = Hlsb_telemetry.Clock
+module Ledger = Hlsb_obs.Ledger
 module Json = Hlsb_telemetry.Json
 
 (* ---------------- configurations ---------------- *)
@@ -120,7 +121,7 @@ type report = {
   ep_stage_runs : (string * int) list;
   ep_probes : int;
   ep_hit_rate : float;
-  ep_ms : float;
+  ep_stage : Ledger.stage;
 }
 
 let slug name =
@@ -144,7 +145,7 @@ let record_metrics rp =
     gi "probes" rp.ep_probes;
     g "best_mhz" rp.ep_winner.cr_fmax;
     g "static_mhz" rp.ep_static.Pipeline.fr_fmax_mhz;
-    g "search_ms" rp.ep_ms;
+    g "search_ms" rp.ep_stage.Ledger.st_ms;
     g "cache_hit_rate" rp.ep_hit_rate;
     gi "elaborate_runs"
       (Option.value ~default:0 (List.assoc_opt "elaborate" rp.ep_stage_runs));
@@ -154,49 +155,53 @@ let record_metrics rp =
 
 let run_design ?(budget = 8) ?(t0 = 300.) ?(tol = 0.02) ?(max_probes = 5)
     ?(plans = []) session ~name =
-  let start = Clock.now_ns () in
   let ms_since t = Clock.ns_to_ms (Int64.sub (Clock.now_ns ()) t) in
-  (* The untuned static compile: the bar the search must clear (and does,
-     by construction: the first configuration's first probe at the
-     default t0 reproduces this exact schedule). *)
-  let static = Pipeline.run_exn session ~recipe:Style.optimized in
   let configs = take budget (space ~plans) in
   let probes_total = ref 0 in
-  let results =
-    List.filter_map
-      (fun cf ->
-        let c0 = Clock.now_ns () in
-        let seen = Hashtbl.create 8 in
-        let oracle target =
-          let r =
-            Pipeline.run_exn ~plan:cf.cf_plan ~target_mhz:target
-              ?inject:cf.cf_inject session ~recipe:cf.cf_recipe
-          in
-          Hashtbl.replace seen target r;
-          r.Pipeline.fr_fmax_mhz
-        in
-        match Search.run ~t0 ~tol ~max_probes oracle with
-        | o ->
-          let best = Hashtbl.find seen o.Search.o_best_target in
-          let probes = List.length o.Search.o_probes in
-          probes_total := !probes_total + probes;
-          Some
-            {
-              cr_config = cf;
-              cr_label = config_label cf;
-              cr_fmax = o.Search.o_best_achieved;
-              cr_area =
-                best.Pipeline.fr_lut_pct +. best.Pipeline.fr_ff_pct;
-              cr_probes = probes;
-              cr_ms = ms_since c0;
-              cr_outcome = o;
-              cr_result = best;
-            }
-        | exception Diag.Diagnostic _ ->
-          (* an unbuildable configuration is pruned, not fatal *)
-          None)
-      configs
+  let searched, stage =
+    Ledger.measure name (fun () ->
+      (* The untuned static compile: the bar the search must clear (and
+         does, by construction: the first configuration's first probe at
+         the default t0 reproduces this exact schedule). *)
+      let static = Pipeline.run_exn session ~recipe:Style.optimized in
+      let results =
+        List.filter_map
+          (fun cf ->
+            let c0 = Clock.now_ns () in
+            let seen = Hashtbl.create 8 in
+            let oracle target =
+              let r =
+                Pipeline.run_exn ~plan:cf.cf_plan ~target_mhz:target
+                  ?inject:cf.cf_inject session ~recipe:cf.cf_recipe
+              in
+              Hashtbl.replace seen target r;
+              r.Pipeline.fr_fmax_mhz
+            in
+            match Search.run ~t0 ~tol ~max_probes oracle with
+            | o ->
+              let best = Hashtbl.find seen o.Search.o_best_target in
+              let probes = List.length o.Search.o_probes in
+              probes_total := !probes_total + probes;
+              Some
+                {
+                  cr_config = cf;
+                  cr_label = config_label cf;
+                  cr_fmax = o.Search.o_best_achieved;
+                  cr_area =
+                    best.Pipeline.fr_lut_pct +. best.Pipeline.fr_ff_pct;
+                  cr_probes = probes;
+                  cr_ms = ms_since c0;
+                  cr_outcome = o;
+                  cr_result = best;
+                }
+            | exception Diag.Diagnostic _ ->
+              (* an unbuildable configuration is pruned, not fatal *)
+              None)
+          configs
+      in
+      (static, results))
   in
+  let static, results = match searched with Ok v -> v | Error e -> raise e in
   if results = [] then
     raise
       (Diag.Diagnostic
@@ -236,7 +241,7 @@ let run_design ?(budget = 8) ?(t0 = 300.) ?(tol = 0.02) ?(max_probes = 5)
       ep_probes = !probes_total;
       ep_hit_rate =
         (if cold = 0 then 0. else Float.max 0. (1. -. (float_of_int ran /. float_of_int cold)));
-      ep_ms = ms_since start;
+      ep_stage = stage;
     }
   in
   record_metrics rp;
@@ -258,7 +263,7 @@ let summary rp =
        "  %d config(s), %d probe(s), %.0f ms; cache hit rate %.0f%%, stage \
         runs: %s\n"
        (List.length rp.ep_configs)
-       rp.ep_probes rp.ep_ms
+       rp.ep_probes rp.ep_stage.Ledger.st_ms
        (100. *. rp.ep_hit_rate)
        (String.concat ", "
           (List.map
@@ -304,7 +309,7 @@ let table reports =
           w.cr_label;
           string_of_int (List.length rp.ep_configs);
           string_of_int rp.ep_probes;
-          Printf.sprintf "%.0f" rp.ep_ms;
+          Printf.sprintf "%.0f" rp.ep_stage.Ledger.st_ms;
           string_of_int
             (Option.value ~default:0
                (List.assoc_opt "elaborate" rp.ep_stage_runs));
@@ -333,7 +338,7 @@ let report_to_json rp =
       ("best_mhz", Json.Float rp.ep_winner.cr_fmax);
       ("winner", Json.Str rp.ep_winner.cr_label);
       ("probes", Json.Int rp.ep_probes);
-      ("search_ms", Json.Float rp.ep_ms);
+      ("search_ms", Json.Float rp.ep_stage.Ledger.st_ms);
       ("cache_hit_rate", Json.Float rp.ep_hit_rate);
       ( "stage_runs",
         Json.Obj

@@ -88,7 +88,9 @@ type report = {
   ep_probes : int;  (** oracle compiles over all configurations *)
   ep_hit_rate : float;
       (** fraction of per-compile stage work served from session caches *)
-  ep_ms : float;  (** wall-clock of the whole design's search *)
+  ep_stage : Hlsb_obs.Ledger.stage;
+      (** what the whole design's search cost, named after the design:
+          its entry in the run ledger *)
 }
 
 val run_design :

@@ -1,4 +1,5 @@
 module Json = Hlsb_telemetry.Json
+module Clock = Hlsb_telemetry.Clock
 module Pool = Hlsb_util.Pool
 module Atomic_file = Hlsb_util.Atomic_file
 
@@ -6,7 +7,65 @@ let schema = "hlsb-run/1"
 let env_var = "HLSB_LEDGER"
 let default_path = Filename.concat ".hlsb" "ledger.jsonl"
 
-type stage_ms = { st_name : string; st_status : string; st_ms : float }
+type status = Ran | Cached | Skipped | Failed
+
+let status_name = function
+  | Ran -> "ran"
+  | Cached -> "cached"
+  | Skipped -> "skipped"
+  | Failed -> "FAILED"
+
+let status_of_name n =
+  List.find_opt (fun s -> status_name s = n) [ Ran; Cached; Skipped; Failed ]
+
+type stage = {
+  st_name : string;
+  st_status : status;
+  st_ms : float;
+  st_minor_words : float;
+  st_major_words : float;
+}
+
+let unmeasured name status =
+  {
+    st_name = name;
+    st_status = status;
+    st_ms = 0.;
+    st_minor_words = 0.;
+    st_major_words = 0.;
+  }
+
+(* Words allocated directly in the major heap so far: major minus
+   promoted, so a block a minor collection moved is not counted twice. *)
+let direct_major_words () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
+(* [Gc.counters] and the clock allocate their results, so they are read
+   outside the minor-word window, which [f] alone fills. *)
+let measured name status t0 minor m0 =
+  let ms = Clock.ns_to_ms (Int64.sub (Clock.now_ns ()) t0) in
+  {
+    st_name = name;
+    st_status = status;
+    st_ms = ms;
+    st_minor_words = minor;
+    st_major_words = direct_major_words () -. m0;
+  }
+
+let measure name f =
+  let m0 = direct_major_words () in
+  let t0 = Clock.now_ns () in
+  let w0 = Gc.minor_words () in
+  match f () with
+  | v ->
+    let minor = Gc.minor_words () -. w0 in
+    let st = measured name Ran t0 minor m0 in
+    (Ok v, st)
+  | exception e ->
+    let minor = Gc.minor_words () -. w0 in
+    let st = measured name Failed t0 minor m0 in
+    (Error e, st)
 
 type run = {
   r_id : string;
@@ -19,7 +78,7 @@ type run = {
   r_recipe : string option;
   r_jobs : int;
   r_cores : int;
-  r_stages : stage_ms list;
+  r_stages : stage list;
   r_results : Json.t list;
   r_cache : (string * int) list;
   r_metrics : Json.t option;
@@ -56,7 +115,7 @@ let make ?device ?fingerprint ?recipe
 
 let total_ms run =
   List.fold_left
-    (fun acc st -> if st.st_status = "ran" then acc +. st.st_ms else acc)
+    (fun acc st -> if st.st_status = Ran then acc +. st.st_ms else acc)
     0. run.r_stages
 
 let result_label j =
@@ -90,8 +149,10 @@ let to_json r =
                Json.Obj
                  [
                    ("stage", Json.Str st.st_name);
-                   ("status", Json.Str st.st_status);
+                   ("status", Json.Str (status_name st.st_status));
                    ("ms", Json.Float st.st_ms);
+                   ("minor_words", Json.Float st.st_minor_words);
+                   ("major_words", Json.Float st.st_major_words);
                  ])
              r.r_stages) );
       ("results", Json.List r.r_results);
@@ -108,13 +169,21 @@ let of_json j =
       | Some (Json.List items) ->
         List.filter_map
           (fun it ->
-            match (Json.str_field "stage" it, Json.str_field "status" it) with
-            | Ok name, Ok status ->
+            let num k = Result.value ~default:0. (Json.float_field k it) in
+            match
+              ( Json.str_field "stage" it,
+                Option.bind
+                  (Result.to_option (Json.str_field "status" it))
+                  status_of_name )
+            with
+            | Ok name, Some status ->
               Some
                 {
                   st_name = name;
                   st_status = status;
-                  st_ms = Result.value ~default:0. (Json.float_field "ms" it);
+                  st_ms = num "ms";
+                  st_minor_words = num "minor_words";
+                  st_major_words = num "major_words";
                 }
             | _ -> None)
           items

@@ -1,13 +1,18 @@
 (** The persistent run ledger: one versioned [hlsb-run/1] JSON record
-    per compile / characterization / fuzz / bench invocation, appended
-    to an append-only JSONL file so runs from different processes (and
+    per compile / fuzz / explore / serve invocation, appended to an
+    append-only JSONL file so runs from different processes (and
     different days) can be compared, diffed, and gated on.
 
     The ledger is the durable complement of [Hlsb_telemetry]: spans and
     counters die with the process; the record assembled from them —
-    per-stage wall-clock from [Core.Pipeline.last_run], the full metrics
+    the per-stage costs of [Core.Pipeline.last_run], the full metrics
     snapshot, cache hit/miss traffic, per-design Fmax — survives in
     [.hlsb/ledger.jsonl] and feeds [hlsbc obs report|diff|regress].
+
+    {!stage} is the one record of what a stage cost. {!measure} takes
+    it, and every writer uses it: the pipeline's stages (also behind
+    [hlsbc compile --explain]), the explorer's per-design searches and
+    the daemon's requests.
 
     Resolution of the ledger path: the [HLSB_LEDGER] environment
     variable ([off] or the empty string disables the ledger entirely; a
@@ -38,11 +43,38 @@ val schema : string
 val env_var : string
 (** ["HLSB_LEDGER"]. *)
 
-type stage_ms = {
-  st_name : string;  (** pipeline stage or bench section name *)
-  st_status : string;  (** "ran" | "cached" | "skipped" | "FAILED" *)
-  st_ms : float;  (** wall-clock of the stage body; 0 unless ran *)
+(** {1 Stage records} *)
+
+type status =
+  | Ran  (** the body ran and returned *)
+  | Cached  (** served from a cache; the body did not run *)
+  | Skipped  (** not reached, or only run on demand *)
+  | Failed  (** the body ran and raised (or answered with an error) *)
+
+val status_name : status -> string
+(** ["ran"] | ["cached"] | ["skipped"] | ["FAILED"]: the spelling of
+    records and tables. *)
+
+type stage = {
+  st_name : string;  (** pipeline stage, explored design, or ["serve"] *)
+  st_status : status;
+  st_ms : float;  (** monotonic-clock time of the body; 0 unless it ran *)
+  st_minor_words : float;
+      (** [Gc.minor_words] the body allocated in the calling domain *)
+  st_major_words : float;
+      (** words the body allocated directly in the major heap (blocks too
+          large for the minor heap: [Gc.counters]' major minus promoted
+          words), in the calling domain *)
 }
+
+val measure : string -> (unit -> 'a) -> ('a, exn) result * stage
+(** [measure name f] runs [f] once and records what it cost: [Ran] when
+    it returns, [Failed] (with the exception) when it raises. The words
+    cover [f] alone: nothing is allocated inside the window but what [f]
+    allocates. *)
+
+val unmeasured : string -> status -> stage
+(** The record of a stage whose body did not run: zero time and words. *)
 
 type run = {
   r_id : string;  (** unique-enough: time + pid *)
@@ -56,7 +88,7 @@ type run = {
   r_recipe : string option;  (** recipe hash ([Style.label]) *)
   r_jobs : int;
   r_cores : int;
-  r_stages : stage_ms list;
+  r_stages : stage list;
   r_results : Json.t list;  (** per-design compile result records *)
   r_cache : (string * int) list;  (** cache hit/miss counters, sorted *)
   r_metrics : Json.t option;  (** full [Metrics.to_json] snapshot *)
@@ -66,7 +98,7 @@ val make :
   ?device:string ->
   ?fingerprint:string ->
   ?recipe:string ->
-  ?stages:stage_ms list ->
+  ?stages:stage list ->
   ?results:Json.t list ->
   ?cache:(string * int) list ->
   ?metrics:Json.t ->
@@ -78,7 +110,7 @@ val make :
     jobs/cores from the ambient pool configuration. *)
 
 val total_ms : run -> float
-(** Sum of the ["ran"] stages' wall-clock. *)
+(** Sum of the [Ran] stages' time. *)
 
 val result_label : Json.t -> string
 val result_fmax : Json.t -> float option
@@ -87,8 +119,9 @@ val result_critical_ns : Json.t -> float option
 
 val to_json : run -> Json.t
 val of_json : Json.t -> (run, string) result
-(** Tolerant parse: unknown fields are ignored; a wrong or missing
-    ["schema"] is an error. *)
+(** Tolerant parse: unknown fields are ignored, a stage without
+    [minor_words] or [major_words] (records that predate them) reads 0
+    there; a wrong or missing ["schema"] is an error. *)
 
 (** {1 The on-disk ledger} *)
 

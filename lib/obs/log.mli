@@ -34,7 +34,7 @@ val set_format : format -> unit
 
 val set_sink : (string -> unit) -> unit
 (** Redirect rendered records (one line each, no trailing newline) away
-    from stderr — tests and the future daemon use this. *)
+    from stderr (tests use this). *)
 
 val reset_sink : unit -> unit
 (** Restore the stderr sink. *)

@@ -1,5 +1,5 @@
 (** Prometheus text-format exposition (version 0.0.4) of a metrics
-    snapshot, so the coming [hlsbd] daemon can scrape itself: counters
+    snapshot, as [hlsbc obs prom] prints a ledger record's: counters
     become [counter] families, gauges [gauge], and bucketed histograms
     full [histogram] families with cumulative [le] buckets, [_sum] and
     [_count]. Metric names are sanitized ([sched.broadcast_factor] ->

@@ -30,15 +30,15 @@ let stage_table (run : Ledger.run) =
         ]
   in
   List.iter
-    (fun (st : Ledger.stage_ms) ->
+    (fun (st : Ledger.stage) ->
       Table.add_row tbl
         [
           st.Ledger.st_name;
-          st.Ledger.st_status;
-          (if st.Ledger.st_status = "ran" || st.Ledger.st_status = "FAILED"
-           then ms_str st.Ledger.st_ms
-           else "-");
-          (if st.Ledger.st_status = "ran" && total > 0. then
+          Ledger.status_name st.Ledger.st_status;
+          (match st.Ledger.st_status with
+          | Ledger.Ran | Ledger.Failed -> ms_str st.Ledger.st_ms
+          | Ledger.Cached | Ledger.Skipped -> "-");
+          (if st.Ledger.st_status = Ledger.Ran && total > 0. then
              Printf.sprintf "%.0f%%" (100. *. st.Ledger.st_ms /. total)
            else "-");
         ])
@@ -118,12 +118,12 @@ let summary_line (run : Ledger.run) =
 (* ---- diff ---- *)
 
 let assoc_stage name (run : Ledger.run) =
-  List.find_opt (fun (st : Ledger.stage_ms) -> st.Ledger.st_name = name)
+  List.find_opt (fun (st : Ledger.stage) -> st.Ledger.st_name = name)
     run.Ledger.r_stages
 
 let stage_names a b =
   let names (r : Ledger.run) =
-    List.map (fun (st : Ledger.stage_ms) -> st.Ledger.st_name) r.Ledger.r_stages
+    List.map (fun (st : Ledger.stage) -> st.Ledger.st_name) r.Ledger.r_stages
   in
   (* keep [a]'s order, then anything only [b] has *)
   names a @ List.filter (fun n -> not (List.mem n (names a))) (names b)
@@ -157,7 +157,7 @@ let diff (a : Ledger.run) (b : Ledger.run) =
     (fun name ->
       let cell r =
         match assoc_stage name r with
-        | Some st when st.Ledger.st_status = "ran" -> Some st.Ledger.st_ms
+        | Some { Ledger.st_status = Ledger.Ran; st_ms; _ } -> Some st_ms
         | _ -> None
       in
       match (cell a, cell b) with
@@ -253,10 +253,10 @@ let regress ?(min_ms = 1.0) ~(baseline : Ledger.run) ~(current : Ledger.run)
   List.iter
     (fun name ->
       match (assoc_stage name baseline, assoc_stage name current) with
-      | Some b, Some c
-        when b.Ledger.st_status = "ran" && c.Ledger.st_status = "ran" ->
+      | ( Some { Ledger.st_status = Ledger.Ran; st_ms = b; _ },
+          Some { Ledger.st_status = Ledger.Ran; st_ms = c; _ } ) ->
         incr compared;
-        check_row name b.Ledger.st_ms c.Ledger.st_ms
+        check_row name b c
       | _ -> ())
     (stage_names baseline current);
   (* A baseline with stage timings and no overlap with the current run

@@ -1,7 +1,5 @@
 module Device = Hlsb_device.Device
 module Netlist = Hlsb_netlist.Netlist
-module Trace = Hlsb_telemetry.Trace
-module Metrics = Hlsb_telemetry.Metrics
 
 type path_step = {
   ps_cell : int;
@@ -333,22 +331,3 @@ let analyze_ctx ctx =
 
 let analyze ?jitter ?seed (d : Device.t) nl pl =
   analyze_ctx (prepare ?jitter ?seed d nl pl)
-
-let run_body ?jitter ?seed d nl =
-  let pl = Trace.with_span "place" (fun () -> Placement.place d nl) in
-  let r = Trace.with_span "sta" (fun () -> analyze ?jitter ?seed d nl pl) in
-  Metrics.incr "timing.runs";
-  Metrics.set_gauge "timing.critical_ns" r.critical_ns;
-  r
-
-let run ?jitter ?seed d nl =
-  if not (Trace.enabled ()) then run_body ?jitter ?seed d nl
-  else
-    Trace.with_span "timing"
-      ~attrs:
-        [
-          ("netlist", Hlsb_telemetry.Json.Str (Netlist.name nl));
-          ("cells", Hlsb_telemetry.Json.Int (Netlist.n_cells nl));
-          ("nets", Hlsb_telemetry.Json.Int (Netlist.n_nets nl));
-        ]
-      (fun () -> run_body ?jitter ?seed d nl)

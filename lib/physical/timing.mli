@@ -93,6 +93,3 @@ val refresh : ctx -> int
 val analyze_ctx : ctx -> report
 (** Arrival propagation + critical-path reconstruction over the cached
     arrays. Call after {!refresh} when positions changed. *)
-
-val run : ?jitter:float -> ?seed:int -> Hlsb_device.Device.t -> Hlsb_netlist.Netlist.t -> report
-(** Place then analyze. *)

@@ -155,7 +155,8 @@ let status_json t =
           ] );
     ]
 
-let record_request t (req : Protocol.request) (resp : Protocol.response) ms =
+let record_request t (req : Protocol.request) (resp : Protocol.response)
+    (st : Ledger.stage) =
   Metrics.incr "serve.requests";
   Metrics.set_gauge "serve.store_hit_rate" (Store.hit_rate t.d_store);
   if t.d_ledger && Ledger.enabled () then begin
@@ -179,18 +180,13 @@ let record_request t (req : Protocol.request) (resp : Protocol.response) ms =
         ("serve.ok", if resp.Protocol.p_error = None then 1 else 0);
       ]
     in
-    let stages =
-      [
-        {
-          Ledger.st_name = "serve";
-          st_status = (if resp.Protocol.p_error = None then "ran" else "FAILED");
-          st_ms = ms;
-        };
-      ]
+    let st =
+      if resp.Protocol.p_error = None then st
+      else { st with Ledger.st_status = Ledger.Failed }
     in
     match
       Ledger.append ~sync:true
-        (Ledger.make ?recipe ~stages ~cache ~cmd:"serve" ~label ())
+        (Ledger.make ?recipe ~stages:[ st ] ~cache ~cmd:"serve" ~label ())
     with
     | Ok _ -> ()
     | Error msg -> Log.warn "run ledger: %s" msg
@@ -199,43 +195,44 @@ let record_request t (req : Protocol.request) (resp : Protocol.response) ms =
 let handle t (req : Protocol.request) =
   let id = req.Protocol.q_id in
   let ns = req.Protocol.q_ns in
-  let t0 = Unix.gettimeofday () in
-  let resp =
-    Trace.with_span "serve.request"
-      ~attrs:
-        [
-          ("verb", Json.Str (Protocol.verb_name req.Protocol.q_verb));
-          ("ns", Json.Str ns);
-        ]
-      (fun () ->
-        try
-          match req.Protocol.q_verb with
-          | Protocol.Compile c -> handle_compile t ~id ~ns c
-          | Protocol.Cc c -> handle_cc t ~id ~ns c
-          | Protocol.Status ->
-            Protocol.ok ~id
-              (Json.to_string ~minify:false (status_json t) ^ "\n")
-          | Protocol.Gc ->
-            let evicted = Store.gc t.d_store in
-            Protocol.ok ~id
-              (Json.to_string ~minify:false
-                 (Json.Obj
-                    [
-                      ("schema", Json.Str "hlsbd-gc/1");
-                      ("evicted", Json.Int evicted);
-                    ])
-              ^ "\n")
-          | Protocol.Shutdown ->
-            Atomic.set t.d_stop true;
-            Protocol.ok ~id ""
-        with
-        | Diag.Diagnostic d -> Protocol.fail ~id d
-        | exn ->
-          Protocol.fail ~id
-            (Diag.error ~stage:"serve" (Printexc.to_string exn)))
+  let resp, st =
+    Ledger.measure "serve" (fun () ->
+      Trace.with_span "serve.request"
+        ~attrs:
+          [
+            ("verb", Json.Str (Protocol.verb_name req.Protocol.q_verb));
+            ("ns", Json.Str ns);
+          ]
+        (fun () ->
+          try
+            match req.Protocol.q_verb with
+            | Protocol.Compile c -> handle_compile t ~id ~ns c
+            | Protocol.Cc c -> handle_cc t ~id ~ns c
+            | Protocol.Status ->
+              Protocol.ok ~id
+                (Json.to_string ~minify:false (status_json t) ^ "\n")
+            | Protocol.Gc ->
+              let evicted = Store.gc t.d_store in
+              Protocol.ok ~id
+                (Json.to_string ~minify:false
+                   (Json.Obj
+                      [
+                        ("schema", Json.Str "hlsbd-gc/1");
+                        ("evicted", Json.Int evicted);
+                      ])
+                ^ "\n")
+            | Protocol.Shutdown ->
+              Atomic.set t.d_stop true;
+              Protocol.ok ~id ""
+          with
+          | Diag.Diagnostic d -> Protocol.fail ~id d
+          | exn ->
+            Protocol.fail ~id
+              (Diag.error ~stage:"serve" (Printexc.to_string exn))))
   in
+  let resp = match resp with Ok r -> r | Error e -> raise e in
   Mutex.protect t.d_mu (fun () -> t.d_requests <- t.d_requests + 1);
-  record_request t req resp ((Unix.gettimeofday () -. t0) *. 1000.);
+  record_request t req resp st;
   resp
 
 (* ---- the socket loop ----------------------------------------------- *)

@@ -21,13 +21,28 @@
     - ["sync.groups_split"] (counter) — extra controllers created by
       splitting independent sync groups.
     - ["sync.controllers"] (counter), ["sync.max_start_fanout"] (gauge).
+    - ["sched.kernels"], ["sched.kernels_shared"] (counters) — kernels
+      scheduled, and those that reuse a replicated kernel's schedule.
     - ["calibrate.lookups"] (counter), ["calibrate.curve_builds"]
       (counter) — delay-calibration table traffic.
-    - ["timing.runs"] (counter), ["timing.critical_ns"] (gauge).
     - ["netlist.cells"], ["netlist.nets"] (counters) — emitted size.
-    - ["lower.registers_added"], ["lower.skid_bits"] (counters).
-    - ["sim.skid_occupancy"] (histogram) — per-cycle skid-buffer fill
-      (§4.3); ["sim.cycles"] (counter). *)
+    - ["lower.registers_added"], ["lower.skid_bits"],
+      ["lower.kernels_stamped"] (counters) — the last counts netlist
+      slices copied from a replicated kernel's first lowering.
+    - ["place.relaxes"], ["place.pack_steps"] (counters) — placement
+      relaxations (movable cells times sweeps) and packing-walk steps.
+    - ["broadcast.nodes"], ["broadcast.total_reads"],
+      ["broadcast.worst_fanout"], ["broadcast.mem_banks"],
+      ["broadcast.channels"] (gauges) — the source-level broadcast
+      profile of the compiled network.
+    - ["pipeline.stage_runs"], ["pipeline.cache_hits"],
+      ["pipeline.cache_misses"], ["pipeline.compiles"] (counters);
+      ["pipeline.fmax_mhz"], ["pipeline.critical_ns"],
+      ["pipeline.lut_pct"], ["pipeline.ff_pct"] (gauges) — stage
+      executions, session cache traffic and the compiled result.
+
+    The cycle simulator emits ["sim.skid_occupancy"] (histogram) —
+    per-cycle skid-buffer fill (§4.3) — and ["sim.cycles"] (counter). *)
 
 type t
 

@@ -195,8 +195,8 @@ let sample_run ?(cmd = "compile") ?(label = "t") ?(ms = 10.) () =
     ~recipe:"aware/skid-min/pruned"
     ~stages:
       [
-        { Ledger.st_name = "schedule"; st_status = "ran"; st_ms = ms };
-        { Ledger.st_name = "classify"; st_status = "skipped"; st_ms = 0. };
+        { (Ledger.unmeasured "schedule" Ledger.Ran) with Ledger.st_ms = ms };
+        Ledger.unmeasured "classify" Ledger.Skipped;
       ]
     ~results:
       [
@@ -248,6 +248,14 @@ let test_ledger_build_id () =
       old.Ledger.r_build_id;
     Alcotest.(check string) "id" "cc-9fdcbb099a-4819" old.Ledger.r_id;
     Alcotest.(check int) "stages" 3 (List.length old.Ledger.r_stages);
+    Alcotest.(check bool) "statuses typed" true
+      (List.map (fun st -> st.Ledger.st_status) old.Ledger.r_stages
+      = [ Ledger.Cached; Ledger.Ran; Ledger.Ran ]);
+    Alcotest.(check bool) "no words recorded reads as 0" true
+      (List.for_all
+         (fun st ->
+           st.Ledger.st_minor_words = 0. && st.Ledger.st_major_words = 0.)
+         old.Ledger.r_stages);
     Alcotest.(check (float 1e-9)) "ran stages total" (2.163643 +. 1.464599)
       (Ledger.total_ms old);
     Alcotest.(check bool) "fmax" true
@@ -258,6 +266,59 @@ let test_ledger_build_id () =
       = [ ("calibrate.cache_hits", 2); ("pipeline.cache_misses", 1) ]);
     Alcotest.(check bool) "report prints no build" true
       (contains ~needle:"build:  -" (Report.report old))
+
+(* One compile: the stage records [--explain] reads are the ones the
+   ledger stores and reads back, words included; and a record written
+   now still compares against the committed CI baseline, which predates
+   the word counts. *)
+let test_ledger_stages_are_last_run () =
+  let spec = Option.get (Hlsb_designs.Suite.find "Vector Arithmetic") in
+  let session = Core.Pipeline.of_spec spec in
+  let r = Core.Pipeline.run_exn session ~recipe:Hlsb_ctrl.Style.optimized in
+  let stages = Core.Pipeline.last_run session in
+  let record =
+    Ledger.make ~stages ~results:[ Core.Pipeline.result_to_json r ]
+      ~cmd:"compile" ~label:spec.Hlsb_designs.Spec.sp_name ()
+  in
+  let back =
+    match Ledger.of_json (Ledger.to_json record) with
+    | Ok b -> b
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check (list string)) "stage names"
+    (List.map Core.Pipeline.stage_name Core.Pipeline.stages)
+    (List.map (fun st -> st.Ledger.st_name) back.Ledger.r_stages);
+  List.iter2
+    (fun (a : Ledger.stage) (b : Ledger.stage) ->
+      let name = a.Ledger.st_name in
+      Alcotest.(check string) (name ^ " status")
+        (Ledger.status_name a.Ledger.st_status)
+        (Ledger.status_name b.Ledger.st_status);
+      Alcotest.(check (float 0.)) (name ^ " ms") a.Ledger.st_ms b.Ledger.st_ms;
+      Alcotest.(check (float 0.)) (name ^ " minor words")
+        a.Ledger.st_minor_words b.Ledger.st_minor_words;
+      Alcotest.(check (float 0.)) (name ^ " major words")
+        a.Ledger.st_major_words b.Ledger.st_major_words)
+    stages back.Ledger.r_stages;
+  let lower = List.find (fun st -> st.Ledger.st_name = "lower") stages in
+  Alcotest.(check bool) "lower's minor words > 0" true
+    (lower.Ledger.st_minor_words > 0.);
+  match Ledger.load ~path:"../ci/baseline-ledger.json" with
+  | Error e -> Alcotest.fail e
+  | Ok [] -> Alcotest.fail "no baseline records"
+  | Ok runs ->
+    let baseline = List.nth runs (List.length runs - 1) in
+    let v =
+      Report.regress ~min_ms:5. ~baseline ~current:back
+        ~max_slowdown_pct:400. ()
+    in
+    Alcotest.(check bool) "stages compared" true
+      (contains ~needle:"schedule" v.Report.v_table);
+    (* time may breach on a loaded machine; comparability and Fmax may not *)
+    List.iter
+      (fun m ->
+        if not (String.starts_with ~prefix:"stage " m) then Alcotest.fail m)
+      v.Report.v_failures
 
 let tmp_ledger () =
   let path = Filename.temp_file "hlsb_ledger" ".jsonl" in
@@ -346,7 +407,7 @@ let test_ledger_resolve () =
 
 (* ---- Report.regress ---- *)
 
-let stage n ms = { Ledger.st_name = n; st_status = "ran"; st_ms = ms }
+let stage n ms = { (Ledger.unmeasured n Ledger.Ran) with Ledger.st_ms = ms }
 
 let run_with ?(fmax = 400.) stages =
   {
@@ -433,6 +494,8 @@ let suite =
       test_ledger_codec_roundtrip;
     Alcotest.test_case "ledger build id; old records load" `Quick
       test_ledger_build_id;
+    Alcotest.test_case "ledger stages are Pipeline.last_run" `Quick
+      test_ledger_stages_are_last_run;
     Alcotest.test_case "ledger append/load" `Quick test_ledger_append_load;
     Alcotest.test_case "ledger concurrent writers" `Quick
       test_ledger_concurrent_append;

@@ -14,6 +14,10 @@ module Spec = Hlsb_designs.Spec
 
 let dev = Device.ultrascale_plus
 
+(* Place, then analyze. *)
+let sta ?jitter ?seed d nl =
+  Timing.analyze ?jitter ?seed d nl (Placement.place d nl)
+
 let reg ?(w = 32) nl name = Structs.add_register nl ~name ~width:w
 
 let test_place_inside_die () =
@@ -224,7 +228,7 @@ let simple_pipe () =
 
 let test_sta_simple () =
   let nl = simple_pipe () in
-  let r = Timing.run ~jitter:0. dev nl in
+  let r = sta ~jitter:0. dev nl in
   (* path = clk_q + net + logic + net + setup: at least logic + overheads *)
   Alcotest.(check bool) "lower bound" true (r.Timing.critical_ns > 1.1);
   Alcotest.(check bool) "upper bound" true (r.Timing.critical_ns < 2.5);
@@ -233,7 +237,7 @@ let test_sta_simple () =
 
 let test_sta_empty_netlist () =
   let nl = Netlist.create ~name:"empty" in
-  let r = Timing.run ~jitter:0. dev nl in
+  let r = sta ~jitter:0. dev nl in
   (* clock floor: clk_q + setup *)
   Alcotest.(check (float 1e-6)) "floor"
     (dev.Device.t_clk_q +. dev.Device.t_setup)
@@ -241,14 +245,14 @@ let test_sta_empty_netlist () =
 
 let test_sta_deterministic () =
   let nl = simple_pipe () in
-  let a = Timing.run dev nl in
-  let b = Timing.run dev nl in
+  let a = sta dev nl in
+  let b = sta dev nl in
   Alcotest.(check (float 1e-9)) "same" a.Timing.critical_ns b.Timing.critical_ns
 
 let test_sta_jitter_seeded () =
   let nl = simple_pipe () in
-  let a = Timing.run ~seed:1 dev nl in
-  let b = Timing.run ~seed:2 dev nl in
+  let a = sta ~seed:1 dev nl in
+  let b = sta ~seed:2 dev nl in
   Alcotest.(check bool) "different seeds differ" true
     (a.Timing.critical_ns <> b.Timing.critical_ns)
 
@@ -270,7 +274,7 @@ let test_sta_chain_adds () =
     done;
     let r2 = reg nl "r2" in
     ignore (Netlist.add_net nl ~name:"end" ~driver:!prev ~sinks:[ r2 ] ~width:8 ());
-    (Timing.run ~jitter:0. dev nl).Timing.critical_ns
+    (sta ~jitter:0. dev nl).Timing.critical_ns
   in
   let one = build 1 and three = build 3 in
   Alcotest.(check bool) "chaining accumulates" true (three > one +. 0.9)
@@ -281,7 +285,7 @@ let test_sta_broadcast_slower () =
     let src = reg nl "src" in
     let sinks = List.init fanout (fun i -> reg nl (Printf.sprintf "s%d" i)) in
     ignore (Netlist.add_net nl ~name:"net" ~driver:src ~sinks ~width:32 ());
-    (Timing.run ~jitter:0. dev nl).Timing.critical_ns
+    (sta ~jitter:0. dev nl).Timing.critical_ns
   in
   Alcotest.(check bool) "fanout 256 slower than 2" true (build 256 > build 2 +. 0.3)
 
@@ -292,7 +296,7 @@ let test_sta_cycle_fails () =
   ignore (Netlist.add_net nl ~name:"a" ~driver:c1 ~sinks:[ c2 ] ~width:1 ());
   ignore (Netlist.add_net nl ~name:"b" ~driver:c2 ~sinks:[ c1 ] ~width:1 ());
   Alcotest.(check bool) "cycle raises" true
-    (try ignore (Timing.run dev nl); false
+    (try ignore (sta dev nl); false
      with Failure _ -> true)
 
 let test_sta_deep_chain () =
@@ -359,7 +363,7 @@ let test_sta_ports_not_endpoints () =
   in
   ignore (Netlist.add_net nl ~name:"a" ~driver:r1 ~sinks:[ c ] ~width:1 ());
   ignore (Netlist.add_net nl ~name:"b" ~driver:c ~sinks:[ port ] ~width:1 ());
-  let r = Timing.run ~jitter:0. dev nl in
+  let r = sta ~jitter:0. dev nl in
   Alcotest.(check bool) "port path ignored" true (r.Timing.critical_ns < 1.)
 
 let test_net_delay_monotone_fanout () =
@@ -797,7 +801,7 @@ let prop_sta_monotone_in_cell_delay =
         let r2 = Structs.add_register nl ~name:"r2" ~width:8 in
         ignore (Netlist.add_net nl ~name:"a" ~driver:r1 ~sinks:[ c ] ~width:8 ());
         ignore (Netlist.add_net nl ~name:"b" ~driver:c ~sinks:[ r2 ] ~width:8 ());
-        (Timing.run ~jitter:0. dev nl).Timing.critical_ns
+        (sta ~jitter:0. dev nl).Timing.critical_ns
       in
       build (d +. 0.5) > build d)
 

@@ -13,6 +13,7 @@ module Netlist = Hlsb_netlist.Netlist
 module Timing = Hlsb_physical.Timing
 module Diag = Hlsb_util.Diag
 module Spec = Hlsb_designs.Spec
+module Ledger = Hlsb_obs.Ledger
 
 let contains_sub ~sub s =
   let n = String.length s and m = String.length sub in
@@ -58,9 +59,11 @@ let test_session_shares_stages () =
   ignore (Pipeline.run_exn session ~recipe:Style.original);
   (* lower's netlist columns outgrow the minor heap, so only the stage
      record's major words show their growth *)
-  let lower = List.find (fun r -> r.Pipeline.sr_stage = Pipeline.Lower) (Pipeline.last_run session) in
+  let lower =
+    List.find (fun r -> r.Ledger.st_name = "lower") (Pipeline.last_run session)
+  in
   Alcotest.(check bool) "lower allocates in the major heap" true
-    (lower.Pipeline.sr_major_words > 0.);
+    (lower.Ledger.st_major_words > 0.);
   ignore (Pipeline.run_exn session ~recipe:Style.optimized);
   Alcotest.(check int) "one elaboration for two recipes" 1
     (runs_of session "elaborate");
@@ -84,7 +87,7 @@ let test_session_shares_stages () =
   (* the cached run is visible in last_run as Cached stages *)
   let cached_stages =
     List.filter
-      (fun (sr : Pipeline.stage_record) -> sr.Pipeline.sr_status = Pipeline.Cached)
+      (fun (st : Ledger.stage) -> st.Ledger.st_status = Ledger.Cached)
       (Pipeline.last_run session)
   in
   Alcotest.(check bool) "last_run reports cached stages" true
@@ -207,11 +210,12 @@ let test_schedule_content_reuse () =
       Alcotest.(check string)
         (Pipeline.stage_name stage ^ " status")
         status
-        (Pipeline.status_label
+        (Ledger.status_name
            (List.find
-              (fun (r : Pipeline.stage_record) -> r.Pipeline.sr_stage = stage)
+              (fun (r : Ledger.stage) ->
+                r.Ledger.st_name = Pipeline.stage_name stage)
               (Pipeline.last_run session))
-             .Pipeline.sr_status))
+             .Ledger.st_status))
     [
       (Pipeline.Schedule, "ran");
       (Pipeline.Lower, "cached");

@@ -22,6 +22,7 @@ module Protocol = Hlsb_serve.Protocol
 module Daemon = Hlsb_serve.Daemon
 module Client = Hlsb_serve.Client
 module Ledger = Hlsb_obs.Ledger
+module Clock = Hlsb_telemetry.Clock
 
 let rec rm_rf path =
   match Unix.lstat path with
@@ -675,6 +676,39 @@ let test_daemon_status_and_gc () =
       Alcotest.(check bool) "gc evicts nothing under budget" true
         (Json.member "evicted" j = Some (Json.Int 0)))
 
+(* A request's ledger entry is timed on the monotonic clock: under a
+   source that steps one second per read, the [serve] entry of a status
+   request reads whole seconds, where the wall clock would read a
+   fraction of a millisecond. *)
+let test_daemon_ledger_monotonic_ms () =
+  with_temp_dir (fun root ->
+    let path = Filename.concat root "ledger.jsonl" in
+    let prev = Sys.getenv_opt Ledger.env_var in
+    let now = ref 0L in
+    Clock.set_source (fun () ->
+      now := Int64.add !now 1_000_000_000L;
+      !now);
+    Unix.putenv Ledger.env_var path;
+    Fun.protect
+      ~finally:(fun () ->
+        Clock.reset_source ();
+        Unix.putenv Ledger.env_var (Option.value ~default:"off" prev))
+      (fun () ->
+        let t = Daemon.create ~store_root:(Filename.concat root "store") () in
+        ignore (check_ok (Daemon.handle t (req "1" Protocol.Status))));
+    match Ledger.load ~path with
+    | Ok [ { Ledger.r_cmd = "serve"; r_stages = [ st ]; _ } ] ->
+      Alcotest.(check string) "stage" "serve" st.Ledger.st_name;
+      Alcotest.(check string) "status" "ran"
+        (Ledger.status_name st.Ledger.st_status);
+      Alcotest.(check bool)
+        (Printf.sprintf "%g ms is whole stepped seconds" st.Ledger.st_ms)
+        true
+        (st.Ledger.st_ms >= 1000. && Float.rem st.Ledger.st_ms 1000. = 0.)
+    | Ok runs ->
+      Alcotest.failf "expected one serve record, got %d" (List.length runs)
+    | Error m -> Alcotest.fail m)
+
 let test_daemon_over_socket () =
   with_temp_dir (fun root ->
     let sock = Filename.temp_file "hlsbd-t" ".sock" in
@@ -890,6 +924,8 @@ let suite =
       test_daemon_status_and_gc;
     Alcotest.test_case "daemon: full client/server over a Unix socket" `Slow
       test_daemon_over_socket;
+    Alcotest.test_case "daemon: ledger entry timed on the monotonic clock"
+      `Quick test_daemon_ledger_monotonic_ms;
     Alcotest.test_case "ledger: fsynced append round-trips" `Quick
       test_ledger_sync_append;
     Alcotest.test_case "atomic writer: concurrent domains" `Quick

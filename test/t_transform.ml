@@ -323,9 +323,9 @@ let test_pipeline_plan_caching () =
     (runs_of "transform");
   let transform_cached =
     List.exists
-      (fun (sr : Pipeline.stage_record) ->
-        sr.Pipeline.sr_stage = Pipeline.Transform
-        && sr.Pipeline.sr_status = Pipeline.Cached)
+      (fun (st : Hlsb_obs.Ledger.stage) ->
+        st.Hlsb_obs.Ledger.st_name = "transform"
+        && st.Hlsb_obs.Ledger.st_status = Hlsb_obs.Ledger.Cached)
       (Pipeline.last_run session)
   in
   Alcotest.(check bool) "transform stage reports Cached on recompile" true
