@@ -481,7 +481,9 @@ let compiled_exn ?name ?(plan = Plan.identity) ?target_mhz ?inject t ~recipe =
       in
       let timing =
         exec t ~recipe Sta (fun () ->
-          Timing.analyze t.ss_device design.Design.netlist placement)
+          let r = Timing.analyze t.ss_device design.Design.netlist placement in
+          Metrics.incr ~by:r.Timing.nets_timed "sta.nets_timed";
+          r)
       in
       let result =
         exec t ~recipe Report (fun () -> finish ~name:label design timing)

@@ -520,6 +520,48 @@ let slice_footprints t (d : Device.t) =
   done;
   fp
 
+(* The star length of net [n] from the store's columns: the farthest
+   sink's Manhattan distance from the driver plus the pins' mean
+   [radius], folded driver first, then sinks in CSR order; 0 for a
+   sinkless net. Callers check that the three arrays cover every cell, so
+   the reads skip the bounds check: drivers and sinks are cell ids. *)
+let[@inline] star_at t (xs : float array) (ys : float array) (radius : float array) n =
+  let k0 = get t.sink_off n and k1 = get t.sink_off (n + 1) in
+  if k0 = k1 then 0.
+  else begin
+    let drv = get t.drivers n in
+    let dx = Array.unsafe_get xs drv and dy = Array.unsafe_get ys drv in
+    let far = ref 0. and spread = ref (Array.unsafe_get radius drv) in
+    for k = k0 to k1 - 1 do
+      let s = get t.sinks k in
+      let d =
+        abs_float (Array.unsafe_get xs s -. dx) +. abs_float (Array.unsafe_get ys s -. dy)
+      in
+      (* [Stdlib.max]'s choice ([far >= d] keeps [far]) without its
+         polymorphic compare *)
+      if not (!far >= d) then far := d;
+      spread := !spread +. Array.unsafe_get radius s
+    done;
+    !far +. (!spread /. float_of_int (1 + k1 - k0))
+  end
+
+let check_coords t xs ys radius =
+  if Array.length xs < t.n_cells || Array.length ys < t.n_cells
+     || Array.length radius < t.n_cells
+  then invalid_arg "Netlist: coordinate arrays shorter than the cells"
+
+let star_length t ~xs ~ys ~radius n =
+  check_net t n;
+  check_coords t xs ys radius;
+  star_at t xs ys radius n
+
+let star_lengths t ~xs ~ys ~radius out =
+  check_coords t xs ys radius;
+  if Array.length out < t.n_nets then invalid_arg "Netlist.star_lengths: output shorter than the nets";
+  for n = 0 to t.n_nets - 1 do
+    Array.unsafe_set out n (star_at t xs ys radius n)
+  done
+
 let cell_name t c =
   check_cell t c;
   spell t t.cell_names c

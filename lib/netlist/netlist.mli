@@ -191,6 +191,24 @@ val slice_footprints : t -> Hlsb_device.Device.t -> int array
     larger of its LUT and FF slice counts, plus 3 slices per DSP and 5 per
     BRAM18, and at least 1. *)
 
+val star_length :
+  t -> xs:float array -> ys:float array -> radius:float array -> int -> float
+(** [star_length t ~xs ~ys ~radius n] is the wire model's length of net
+    [n] for cells at ([xs.(c)], [ys.(c)]) of spread radius [radius.(c)]:
+    the largest Manhattan distance from the driver to a sink, plus the
+    mean radius over the driver and the sinks (a sink listed twice counts
+    twice). The distances are folded in sink order with [Stdlib.max]'s
+    tie-break, and the radii summed driver first. A sinkless net has
+    length 0. Raises [Invalid_argument] on an unknown net or an array
+    shorter than the cells. *)
+
+val star_lengths :
+  t -> xs:float array -> ys:float array -> radius:float array -> float array -> unit
+(** [star_lengths t ~xs ~ys ~radius out] sets [out.(n)] to
+    [star_length t ~xs ~ys ~radius n] for every net, bit for bit, in one
+    pass over the sink CSR. Raises [Invalid_argument] if an array is
+    shorter than the cells, or [out] than the nets. *)
+
 (** Per-net fields; each raises [Invalid_argument] on an unknown net. *)
 
 val driver : t -> int -> int

@@ -41,30 +41,34 @@ let direct_major_words () =
   let _, promoted, major = Gc.counters () in
   major -. promoted
 
-(* [Gc.counters] and the clock allocate their results, so they are read
-   outside the minor-word window, which [f] alone fills. *)
-let measured name status t0 minor m0 =
+(* A body's words are those the calling domain allocated plus those pool
+   workers allocated for it ({!Pool.credited_words}). [Gc.counters], the
+   account and the clock allocate their results, so they are read outside
+   the minor-word window, which [f] alone fills. *)
+let measured name status t0 minor c0 m0 =
   let ms = Clock.ns_to_ms (Int64.sub (Clock.now_ns ()) t0) in
+  let c1, cm1 = Pool.credited_words () in
   {
     st_name = name;
     st_status = status;
     st_ms = ms;
-    st_minor_words = minor;
-    st_major_words = direct_major_words () -. m0;
+    st_minor_words = minor +. (c1 -. c0);
+    st_major_words = direct_major_words () +. cm1 -. m0;
   }
 
 let measure name f =
-  let m0 = direct_major_words () in
+  let c0, cm0 = Pool.credited_words () in
+  let m0 = direct_major_words () +. cm0 in
   let t0 = Clock.now_ns () in
   let w0 = Gc.minor_words () in
   match f () with
   | v ->
     let minor = Gc.minor_words () -. w0 in
-    let st = measured name Ran t0 minor m0 in
+    let st = measured name Ran t0 minor c0 m0 in
     (Ok v, st)
   | exception e ->
     let minor = Gc.minor_words () -. w0 in
-    let st = measured name Failed t0 minor m0 in
+    let st = measured name Failed t0 minor c0 m0 in
     (Error e, st)
 
 type run = {

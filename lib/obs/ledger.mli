@@ -60,18 +60,20 @@ type stage = {
   st_status : status;
   st_ms : float;  (** monotonic-clock time of the body; 0 unless it ran *)
   st_minor_words : float;
-      (** [Gc.minor_words] the body allocated in the calling domain *)
+      (** [Gc.minor_words] the body allocated, in the calling domain and
+          in the pool workers its maps ran on ({!Hlsb_util.Pool.credited_words}) *)
   st_major_words : float;
       (** words the body allocated directly in the major heap (blocks too
           large for the minor heap: [Gc.counters]' major minus promoted
-          words), in the calling domain *)
+          words), counted across domains the same way *)
 }
 
 val measure : string -> (unit -> 'a) -> ('a, exn) result * stage
 (** [measure name f] runs [f] once and records what it cost: [Ran] when
     it returns, [Failed] (with the exception) when it raises. The words
     cover [f] alone: nothing is allocated inside the window but what [f]
-    allocates. *)
+    allocates, on the calling domain or, for its {!Hlsb_util.Pool.map}
+    tasks, on the workers; so they do not depend on the job count. *)
 
 val unmeasured : string -> status -> stage
 (** The record of a stage whose body did not run: zero time and words. *)

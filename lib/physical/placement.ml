@@ -12,6 +12,7 @@ type t = {
   xs : float array;
   ys : float array;
   fp : int array;
+  shape : Bytes.t;  (* relax shape per cell, see [shape_of] *)
   sq : float array;
       (* sqrt (float fp) per cell: the spread radius folded into every
          wire-length query, precomputed once instead of per net per STA *)
@@ -44,31 +45,55 @@ let hilbert_d2xy n d =
   done;
   (!x * n) + !y
 
-(* Monomorphic maxima: [Stdlib.max] on floats is a polymorphic compare over
-   boxed arguments. [fmax] keeps its exact semantics ([a >= b] picks [a]). *)
+(* Monomorphic integer extrema, free of [Stdlib.max]'s polymorphic
+   compare. *)
 let imax (a : int) b = if a >= b then a else b
-let fmax (a : float) b = if a >= b then a else b
 
 let imin (a : int) b = if a <= b then a else b
 
-(* Relax rule per cell, one byte each, fixed once before the sweeps: every
-   movable cell (light, with fanin and fanout) runs the cheapest arithmetic
-   that gives the general formula's bits. Dividing by 2^j and multiplying
-   by 2^-j round the same real number, so power-of-two degrees multiply by
-   [recip] instead of dividing; with both degrees 1 the register weights
-   are 1 and the divisor 2, so the rule is a halved sum. *)
-let m_fixed = 0
-let m_reg11 = 1  (* Seq, one driver and one sink *)
-let m_reg_pow2 = 2  (* Seq, both degrees powers of two <= 64 *)
-let m_reg = 3
-let m_comb_pow2 = 4  (* Comb, both degrees powers of two <= 64 *)
-let m_comb = 5
+let pow2_deg k = k <= 64 && k land (k - 1) = 0
+
+(* Relax shape per cell, one byte each, fixed once before the sweeps: the
+   relax rule (register or comb) and, for the common cells, the degrees
+   (fanin, fanout) too. A shape with fixed degrees runs a straight-line
+   body: the general rule's operations in its order, the arcs summed from
+   [0.] in CSR order, with its constants folded. Every other movable cell
+   (light, with fanin and fanout) runs the general loops, still picking
+   the cheapest arithmetic that gives the general formula's bits: dividing
+   by 2^j and multiplying by 2^-j round the same real number, so
+   power-of-two degrees multiply by [recip] instead of dividing. Shapes go
+   by degree alone; the sweep dispatches on the byte with one jump.
+
+   Byte values (the [match] in [place] spells them as literals):
+   0 fixed; straight-line bodies 1 register (1,1), 2 register (2,1),
+   3 register (2,3), 4 comb (2,1), 5 comb (1,1); general loops
+   6 register with both degrees powers of two <= 64, 7 other register,
+   8 comb with both degrees powers of two <= 64, 9 other comb. *)
+let n_shapes = 10
+
+let shape_of ~seq ki ko =
+  let pow2 = pow2_deg ki && pow2_deg ko in
+  if seq then
+    match (ki, ko) with
+    | 1, 1 -> 1
+    | 2, 1 -> 2
+    | 2, 3 -> 3
+    | _ -> if pow2 then 6 else 7
+  else
+    match (ki, ko) with
+    | 2, 1 -> 4
+    | 1, 1 -> 5
+    | _ -> if pow2 then 8 else 9
 
 (* [recip.(k)] is read for powers of two only; [sqrt_deg.(k)] holds the
-   same [sqrt] the general register rule computes. *)
+   same [sqrt] the general register rule computes. The register shapes'
+   weights and weight sums are those same values, summed once here. *)
 let recip = Array.init 65 (fun k -> 1. /. float_of_int k)
 let sqrt_deg = Array.init 65 (fun k -> sqrt (float_of_int k))
-let pow2_deg k = k <= 64 && k land (k - 1) = 0
+let sqrt2 = sqrt_deg.(2)
+let sqrt3 = sqrt_deg.(3)
+let w21 = sqrt2 +. sqrt_deg.(1)
+let w23 = sqrt2 +. sqrt3
 
 (* Unchecked reads for the packer and the sweeps, monomorphic so they stay
    unboxed: every index there is a [pref] entry of a run within one block,
@@ -249,22 +274,16 @@ let place (d : Device.t) nl =
      keeps float summation, and hence every position, bit-identical. *)
   let { Netlist.fanin; out_off; out_sink } = Netlist.arcs nl in
   let { Netlist.in_off; in_driver; _ } = fanin in
-  let mode = Bytes.make n (Char.chr m_fixed) in
+  let shape = Bytes.make n '\000' in
   let movable = ref 0 in
   for id = 0 to n - 1 do
     let ki = in_off.(id + 1) - in_off.(id) and ko = out_off.(id + 1) - out_off.(id) in
-    if fp.(id) <= 64 && ki > 0 && ko > 0 then begin
-      let pow2 = pow2_deg ki && pow2_deg ko in
-      let m =
-        match Netlist.kind nl id with
-        | Netlist.Seq ->
-          if ki = 1 && ko = 1 then m_reg11 else if pow2 then m_reg_pow2 else m_reg
-        | Netlist.Comb -> if pow2 then m_comb_pow2 else m_comb
-        | _ -> m_fixed
-      in
-      if m <> m_fixed then incr movable;
-      Bytes.unsafe_set mode id (Char.unsafe_chr m)
-    end
+    if fp.(id) <= 64 && ki > 0 && ko > 0 then
+      match Netlist.kind nl id with
+      | (Netlist.Seq | Netlist.Comb) as k ->
+        incr movable;
+        Bytes.unsafe_set shape id (Char.unsafe_chr (shape_of ~seq:(k = Netlist.Seq) ki ko))
+      | Netlist.Mem | Netlist.Port_in | Netlist.Port_out -> ()
   done;
   (* Light combinational cells (muxes, reduce-tree nodes) are likewise
      pulled toward their pin centroid but stay 10% anchored to their packed
@@ -284,7 +303,18 @@ let place (d : Device.t) nl =
      to running all [max_sweeps]. Designs that settle early
      (the characterize skeletons settle in 2-3 sweeps; 100k-cell bigmul
      netlists in far fewer than 24) skip the dead sweeps; designs that
-     never settle run exactly the historical count, bit-identically. *)
+     never settle run exactly the historical count, bit-identically.
+
+     Star-model equilibrium: a register settles at the pin-count weighted
+     centroid, so a fanout-tree leaf sits with its sinks while a 1-in/1-out
+     chain register sits at the midpoint; sqrt weighting balances hop
+     delays along pipelined chains while still pulling multi-sink leaves
+     toward their cluster. Combinational cells hug their *sources* (gather
+     trees sit at their operand clusters; downstream registers carry the
+     distance), with a slight slot anchor so packed structure is not fully
+     erased. In the bodies with fixed degrees a fanout of 1 makes the sink
+     sum's reciprocal and weight 1, and [x *. 1.] is [x] on finite floats,
+     so those factors are left out. *)
   let sweep = ref 1 in
   let settled = ref false in
   while !sweep <= max_sweeps && not !settled do
@@ -292,56 +322,80 @@ let place (d : Device.t) nl =
     let forward = !sweep mod 2 = 1 in
     for j = 0 to n - 1 do
       let id = if forward then j else n - 1 - j in
-      let m = Char.code (Bytes.unsafe_get mode id) in
-      if m <> m_fixed then begin
+      let s = Char.code (Bytes.unsafe_get shape id) in
+      if s <> 0 then begin
         let nx = ref 0. and ny = ref 0. in
-        if m = m_reg11 then begin
-          let p = iget in_driver (iget in_off id) and q = iget out_sink (iget out_off id) in
+        let ia = iget in_off id and oa = iget out_off id in
+        (match s with
+        | 1 ->
+          (* register (1,1): weights 1 and 1, so a halved sum *)
+          let p = iget in_driver ia and q = iget out_sink oa in
           nx := (0. +. fget xs p +. (0. +. fget xs q)) *. 0.5;
           ny := (0. +. fget ys p +. (0. +. fget ys q)) *. 0.5
-        end
-        else begin
+        | 2 ->
+          (* register (2,1) *)
+          let p0 = iget in_driver ia and p1 = iget in_driver (ia + 1) in
+          let q = iget out_sink oa in
+          nx := ((0. +. fget xs p0 +. fget xs p1) *. 0.5 *. sqrt2 +. (0. +. fget xs q)) /. w21;
+          ny := ((0. +. fget ys p0 +. fget ys p1) *. 0.5 *. sqrt2 +. (0. +. fget ys q)) /. w21
+        | 3 ->
+          (* register (2,3): the sink sum divides by 3 *)
+          let p0 = iget in_driver ia and p1 = iget in_driver (ia + 1) in
+          let q0 = iget out_sink oa and q1 = iget out_sink (oa + 1) in
+          let q2 = iget out_sink (oa + 2) in
+          let isx = 0. +. fget xs p0 +. fget xs p1 and isy = 0. +. fget ys p0 +. fget ys p1 in
+          let osx = 0. +. fget xs q0 +. fget xs q1 +. fget xs q2
+          and osy = 0. +. fget ys q0 +. fget ys q1 +. fget ys q2 in
+          nx := ((isx *. 0.5 *. sqrt2) +. (osx /. 3. *. sqrt3)) /. w23;
+          ny := ((isy *. 0.5 *. sqrt2) +. (osy /. 3. *. sqrt3)) /. w23
+        | 4 ->
+          (* comb (2,1) *)
+          let p0 = iget in_driver ia and p1 = iget in_driver (ia + 1) in
+          let q = iget out_sink oa in
+          let cx = (0.65 *. ((0. +. fget xs p0 +. fget xs p1) *. 0.5)) +. (0.35 *. (0. +. fget xs q))
+          and cy = (0.65 *. ((0. +. fget ys p0 +. fget ys p1) *. 0.5)) +. (0.35 *. (0. +. fget ys q)) in
+          nx := (0.1 *. fget slot_x id) +. (0.9 *. cx);
+          ny := (0.1 *. fget slot_y id) +. (0.9 *. cy)
+        | 5 ->
+          (* comb (1,1) *)
+          let p = iget in_driver ia and q = iget out_sink oa in
+          let cx = (0.65 *. (0. +. fget xs p)) +. (0.35 *. (0. +. fget xs q))
+          and cy = (0.65 *. (0. +. fget ys p)) +. (0.35 *. (0. +. fget ys q)) in
+          nx := (0.1 *. fget slot_x id) +. (0.9 *. cx);
+          ny := (0.1 *. fget slot_y id) +. (0.9 *. cy)
+        | _ ->
+          let ib = iget in_off (id + 1) and ob = iget out_off (id + 1) in
           let isx = ref 0. and isy = ref 0. in
-          for k = iget in_off id to iget in_off (id + 1) - 1 do
+          for k = ia to ib - 1 do
             let p = iget in_driver k in
             isx := !isx +. fget xs p;
             isy := !isy +. fget ys p
           done;
           let osx = ref 0. and osy = ref 0. in
-          for k = iget out_off id to iget out_off (id + 1) - 1 do
+          for k = oa to ob - 1 do
             let p = iget out_sink k in
             osx := !osx +. fget xs p;
             osy := !osy +. fget ys p
           done;
-          let ki = iget in_off (id + 1) - iget in_off id
-          and ko = iget out_off (id + 1) - iget out_off id in
-          (* star-model equilibrium: a register settles at the pin-count
-             weighted centroid, so a fanout-tree leaf sits with its sinks
-             while a 1-in/1-out chain register sits at the midpoint; sqrt
-             weighting balances hop delays along pipelined chains while
-             still pulling multi-sink leaves toward their cluster.
-             Combinational cells hug their *sources* (gather trees sit at
-             their operand clusters; downstream registers carry the
-             distance), with a slight slot anchor so packed structure is
-             not fully erased. *)
-          if m = m_reg_pow2 then begin
+          let ki = ib - ia and ko = ob - oa in
+          if s = 6 then begin
             let ri = fget recip ki and ro = fget recip ko in
             let wi = fget sqrt_deg ki and wo = fget sqrt_deg ko in
             nx := ((!isx *. ri *. wi) +. (!osx *. ro *. wo)) /. (wi +. wo);
             ny := ((!isy *. ri *. wi) +. (!osy *. ro *. wo)) /. (wi +. wo)
           end
-          else if m = m_comb_pow2 then begin
+          else if s = 7 then begin
+            let fi = float_of_int ki and fo = float_of_int ko in
+            let wi = sqrt fi and wo = sqrt fo in
+            nx := ((!isx /. fi *. wi) +. (!osx /. fo *. wo)) /. (wi +. wo);
+            ny := ((!isy /. fi *. wi) +. (!osy /. fo *. wo)) /. (wi +. wo)
+          end
+          else if s = 8 then begin
             let ri = fget recip ki and ro = fget recip ko in
             let cx = (0.65 *. (!isx *. ri)) +. (0.35 *. (!osx *. ro))
             and cy = (0.65 *. (!isy *. ri)) +. (0.35 *. (!osy *. ro)) in
             nx := (0.1 *. fget slot_x id) +. (0.9 *. cx);
             ny := (0.1 *. fget slot_y id) +. (0.9 *. cy)
-          end
-          else if m = m_reg then begin
-            let fi = float_of_int ki and fo = float_of_int ko in
-            let wi = sqrt fi and wo = sqrt fo in
-            nx := ((!isx /. fi *. wi) +. (!osx /. fo *. wo)) /. (wi +. wo);
-            ny := ((!isy /. fi *. wi) +. (!osy /. fo *. wo)) /. (wi +. wo)
           end
           else begin
             let fi = float_of_int ki and fo = float_of_int ko in
@@ -349,11 +403,10 @@ let place (d : Device.t) nl =
             and cy = (0.65 *. (!isy /. fi)) +. (0.35 *. (!osy /. fo)) in
             nx := (0.1 *. fget slot_x id) +. (0.9 *. cx);
             ny := (0.1 *. fget slot_y id) +. (0.9 *. cy)
-          end
-        end;
+          end);
         if !nx <> fget xs id || !ny <> fget ys id then moved := true;
-        xs.(id) <- !nx;
-        ys.(id) <- !ny
+        Array.unsafe_set xs id !nx;
+        Array.unsafe_set ys id !ny
       end
     done;
     if not !moved then settled := true;
@@ -361,67 +414,22 @@ let place (d : Device.t) nl =
   done;
   let max_extent = float_of_int !extent in
   let relaxes = !movable * (!sweep - 1) in
-  { netlist = nl; fanin; xs; ys; fp; sq; max_extent; pack_steps = !steps; relaxes }
+  { netlist = nl; fanin; xs; ys; fp; shape; sq; max_extent; pack_steps = !steps; relaxes }
 
 let fanin t = t.fanin
 let coords t = (t.xs, t.ys)
 let position t c = (t.xs.(c), t.ys.(c))
 let footprint_slices t c = t.fp.(c)
+let shape t c = Char.code (Bytes.get t.shape c)
 
 let set_position t c (x, y) =
   t.xs.(c) <- x;
   t.ys.(c) <- y
 
-(* The wire-length queries below index the netlist's sink CSR directly
-   instead of materializing [driver :: sinks] lists; they run once per net
-   per STA. Fold orders are driver first, then sinks in order. *)
-
-let bbox t nid =
-  let nl = t.netlist in
-  let drv = Netlist.driver nl nid in
-  let xmin = ref t.xs.(drv) and ymin = ref t.ys.(drv) in
-  let xmax = ref t.xs.(drv) and ymax = ref t.ys.(drv) in
-  for k = 0 to Netlist.fanout nl nid - 1 do
-    let s = Netlist.sink nl nid k in
-    let x = t.xs.(s) and y = t.ys.(s) in
-    if x < !xmin then xmin := x;
-    if y < !ymin then ymin := y;
-    if x > !xmax then xmax := x;
-    if y > !ymax then ymax := y
-  done;
-  (!xmin, !ymin, !xmax, !ymax)
-
-let hpwl t nid =
-  let nl = t.netlist in
-  let n_sinks = Netlist.fanout nl nid in
-  if n_sinks = 0 then 0.
-  else begin
-    let xmin, ymin, xmax, ymax = bbox t nid in
-    (* Large cells are regions, not points: extend the bbox by the radius of
-       the cells at its corners so a net feeding one huge macro still pays
-       for crossing it. *)
-    let spread = ref t.sq.(Netlist.driver nl nid) in
-    for k = 0 to n_sinks - 1 do
-      spread := !spread +. t.sq.(Netlist.sink nl nid k)
-    done;
-    xmax -. xmin +. (ymax -. ymin) +. (!spread /. float_of_int (1 + n_sinks))
-  end
-
-let star_length t nid =
-  let nl = t.netlist in
-  let n_sinks = Netlist.fanout nl nid in
-  if n_sinks = 0 then 0.
-  else begin
-    let drv = Netlist.driver nl nid in
-    let dx = t.xs.(drv) and dy = t.ys.(drv) in
-    let far = ref 0. and spread = ref t.sq.(drv) in
-    for k = 0 to n_sinks - 1 do
-      let s = Netlist.sink nl nid k in
-      far := fmax !far (abs_float (t.xs.(s) -. dx) +. abs_float (t.ys.(s) -. dy));
-      spread := !spread +. t.sq.(s)
-    done;
-    !far +. (!spread /. float_of_int (1 + n_sinks))
-  end
+(* The wire model's lengths come from {!Netlist.star_length}'s kernel,
+   which reads the sink CSR in the store's own columns. *)
+let star_length t nid = Netlist.star_length t.netlist ~xs:t.xs ~ys:t.ys ~radius:t.sq nid
+let star_lengths t out = Netlist.star_lengths t.netlist ~xs:t.xs ~ys:t.ys ~radius:t.sq out
 
 let max_extent t = t.max_extent
 let pack_steps t = t.pack_steps

@@ -23,6 +23,8 @@ val place : Hlsb_device.Device.t -> Hlsb_netlist.Netlist.t -> t
 (** Pack, then refine with up to 24 alternating relax sweeps, stopping at
     the first sweep whose largest position update is exactly zero (a
     fixpoint, so the result is bit-identical to running every sweep).
+    Each cell's relax {!shape} is fixed before the sweeps, and the common
+    shapes run straight-line bodies that compute the general rule's bits.
     Packing walks the curve in aligned blocks, stops at 16x16 blocks that
     lie wholly on the die and takes a cell's points of such a block from
     a prefix-sum table of the canonical 16x16 curve, so each cell costs
@@ -37,6 +39,19 @@ val pack_steps : t -> int
 
 val relaxes : t -> int
 (** Relax steps {!place} ran: movable cells times sweeps run. *)
+
+val n_shapes : int
+(** Relax shapes are [0 .. n_shapes - 1]. *)
+
+val shape : t -> int -> int
+(** The relax shape {!place} gave a cell, chosen by its kind, footprint
+    and degrees (fanin arcs, fanout arcs) alone: 0 fixed (Mem, ports,
+    cells over 64 slices, no fanin or no fanout); straight-line bodies 1
+    register (1,1), 2 register (2,1), 3 register (2,3), 4 comb (2,1), 5
+    comb (1,1); general loops 6 register and 8 comb with both degrees
+    powers of two up to 64 (they multiply by reciprocals), 7 any other
+    register and 9 any other comb (they divide). Every shape computes the
+    same bits as the general rule. *)
 
 val hilbert_d2xy : int -> int -> int
 (** [hilbert_d2xy n d] is the point at index [d] of the Hilbert curve over
@@ -68,19 +83,19 @@ val footprint_slices : t -> int -> int
 (** Slices occupied by a cell (1 minimum; BRAM/DSP cells report their site
     count scaled to slice-equivalents for bbox purposes). *)
 
-val hpwl : t -> int -> float
-(** Half-perimeter wire length of a net's bounding box (driver + sinks), in
-    slice-grid units. Dangling nets have hpwl 0. *)
-
 val star_length : t -> int -> float
-(** Source-to-farthest-sink Manhattan distance plus the sink cells' spread
-    radius — the length of the longest branch of the routed net, which is
-    what its delay follows. For two-pin nets this equals the Manhattan
-    distance; for star-shaped nets it avoids the bounding-box
-    overestimate. *)
+(** Source-to-farthest-sink Manhattan distance plus the pins' mean spread
+    radius ([sqrt] of the footprint), in slice-grid units: the length of
+    the longest branch of the routed net, which is what its delay
+    follows. For two-pin nets this is the Manhattan distance plus the
+    radius; for star-shaped nets it avoids the bounding-box overestimate.
+    Sinkless nets have length 0. {!Hlsb_netlist.Netlist.star_length} over
+    the current positions. *)
 
-val bbox : t -> int -> float * float * float * float
-(** (xmin, ymin, xmax, ymax) of a net. *)
+val star_lengths : t -> float array -> unit
+(** [star_lengths t out] sets [out.(n)] to [star_length t n] for every
+    net, bit for bit, in one pass over the netlist's sink CSR
+    ({!Hlsb_netlist.Netlist.star_lengths}). *)
 
 val max_extent : t -> float
 (** Largest coordinate used; must be within the die (tests). *)

@@ -16,6 +16,7 @@ type report = {
   worst_net_fanout : int;
   worst_net_class : Netlist.net_class option;
   arrivals : float array;
+  nets_timed : int;
 }
 
 (* Allocation-free splitmix64 step, inlined from [Rng.next_int64]: the
@@ -58,19 +59,21 @@ let[@inline] jitter_factor ~jitter ~seed nid =
     fmax 0.5 (1. +. (jitter *. z))
   end
 
-(* Inlined, with [jitter_factor], into the two loops that fill the delay
-   array, so only [Placement.star_length]'s float is boxed per net. *)
-let[@inline] net_delay (d : Device.t) nl pl ~jitter ~seed nid =
+(* [log (1. +. f)] for the fanouts up to 64, built with that expression, so
+   a read gives the same bits as the call. *)
+let log_fanout = Array.init 65 (fun f -> log (1. +. float_of_int f))
+
+(* The delay of a net of fanout [f >= 1] and star length [star]. Inlined,
+   with [jitter_factor], into the loops that fill the delay array, so
+   nothing is boxed per net there. *)
+let[@inline] delay_of (d : Device.t) ~jitter ~seed nid f star =
+  let lf = if f <= 64 then Array.unsafe_get log_fanout f else log (1. +. float_of_int f) in
+  (d.t_net_base +. (d.t_net_fanout *. lf) +. (d.t_net_dist *. star))
+  *. jitter_factor ~jitter ~seed nid
+
+let net_delay (d : Device.t) nl pl ~jitter ~seed nid =
   let f = Netlist.fanout nl nid in
-  if f = 0 then 0.
-  else begin
-    let base =
-      d.t_net_base
-      +. (d.t_net_fanout *. log (1. +. float_of_int f))
-      +. (d.t_net_dist *. Placement.star_length pl nid)
-    in
-    base *. jitter_factor ~jitter ~seed nid
-  end
+  if f = 0 then 0. else delay_of d ~jitter ~seed nid f (Placement.star_length pl nid)
 
 let default_seed nl = Hashtbl.hash (Netlist.name nl) land 0xFFFFFF
 
@@ -84,15 +87,26 @@ type ctx = {
   cx_seed : int;
   cx_fanin : Netlist.fanin;  (* the placement's arcs, built once per place *)
   cx_ndelay : float array;
+  cx_timed : int;  (* nets with a sink *)
   cx_snap_x : float array;  (* cell positions as of the last ndelay fill *)
   cx_snap_y : float array;
 }
 
 let prepare ?(jitter = 0.02) ?seed (d : Device.t) nl pl =
   let seed = match seed with Some s -> s | None -> default_seed nl in
-  let ndelay = Array.make (Netlist.n_nets nl) 0. in
-  for nid = 0 to Array.length ndelay - 1 do
-    ndelay.(nid) <- net_delay d nl pl ~jitter ~seed nid
+  (* One pass over the sink CSR writes every net's star length; a second
+     over the flat array turns each into its delay. A sinkless net's
+     length, and delay, is 0. *)
+  let n_nets = Netlist.n_nets nl in
+  let ndelay = Array.create_float n_nets in
+  Placement.star_lengths pl ndelay;
+  let timed = ref 0 in
+  for nid = 0 to n_nets - 1 do
+    let f = Netlist.fanout nl nid in
+    if f > 0 then begin
+      incr timed;
+      Array.unsafe_set ndelay nid (delay_of d ~jitter ~seed nid f (Array.unsafe_get ndelay nid))
+    end
   done;
   let xs, ys = Placement.coords pl in
   {
@@ -103,9 +117,12 @@ let prepare ?(jitter = 0.02) ?seed (d : Device.t) nl pl =
     cx_seed = seed;
     cx_fanin = Placement.fanin pl;
     cx_ndelay = ndelay;
+    cx_timed = !timed;
     cx_snap_x = Array.copy xs;
     cx_snap_y = Array.copy ys;
   }
+
+let net_delays ctx = Array.copy ctx.cx_ndelay
 
 let refresh ctx =
   (* Re-time only the nets with an endpoint whose position changed since
@@ -266,7 +283,11 @@ let analyze_ctx ctx =
     match Netlist.kind nl c with
     | Netlist.Seq | Netlist.Mem ->
       for k = off.(c) to off.(c + 1) - 1 do
-        let t = input_arrival arc_pred.(k) arc_net.(k) +. d.t_setup in
+        (* [input_arrival]'s sum, spelled out: its float result would be
+           boxed once per endpoint arc *)
+        let pred = arc_pred.(k) in
+        eval pred;
+        let t = arrival.(pred) +. ndelay.(arc_net.(k)) +. d.t_setup in
         if t > !worst then begin
           worst := t;
           worst_end := Some (c, arc_pred.(k), arc_net.(k))
@@ -327,6 +348,7 @@ let analyze_ctx ctx =
     worst_net_fanout = worst_fo;
     worst_net_class = worst_cls;
     arrivals = arrival;
+    nets_timed = ctx.cx_timed;
   }
 
 let analyze ?jitter ?seed (d : Device.t) nl pl =

@@ -26,6 +26,9 @@ type report = {
   arrivals : float array;
       (** arrival time at each cell's output (ns); sequential cells report
           clk->q. Used by the characterizer to probe a specific cell. *)
+  nets_timed : int;
+      (** nets with at least one sink: the delays the STA computed (a
+          sinkless net's delay is 0) *)
 }
 
 val jitter_factor : jitter:float -> seed:int -> int -> float
@@ -43,9 +46,11 @@ val net_delay :
   seed:int ->
   int ->
   float
-(** Delay of one net under the model above. [jitter] is the relative sigma
-    (0. disables); the perturbation is a deterministic function of [seed]
-    and the net id. *)
+(** Delay of one net under the model above (0 for a sinkless net).
+    [jitter] is the relative sigma (0. disables); the perturbation is a
+    deterministic function of [seed] and the net id. The single-net form
+    of {!prepare}'s fill, which {!refresh} uses; [ln(1+f)] comes from a
+    table built with that expression for [f <= 64]. *)
 
 val analyze :
   ?jitter:float ->
@@ -81,8 +86,15 @@ val prepare :
   Placement.t ->
   ctx
 (** Build the timing arrays for this placement (same defaults as
-    {!analyze}). The context aliases the placement: later position edits
-    are picked up by {!refresh}. *)
+    {!analyze}). The delays are filled in one pass over the netlist's
+    sink CSR ({!Placement.star_lengths}), then one over the nets, each
+    bit-identical to {!net_delay}. The context aliases the placement:
+    later position edits are picked up by {!refresh}. *)
+
+val net_delays : ctx -> float array
+(** A copy of the context's delay per net: for each net, {!net_delay}
+    under the context's jitter and seed at the positions of the last fill,
+    bit for bit. *)
 
 val refresh : ctx -> int
 (** Re-time the nets with a driver or sink that moved since {!prepare}

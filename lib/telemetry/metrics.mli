@@ -31,6 +31,8 @@
       slices copied from a replicated kernel's first lowering.
     - ["place.relaxes"], ["place.pack_steps"] (counters) — placement
       relaxations (movable cells times sweeps) and packing-walk steps.
+    - ["sta.nets_timed"] (counter) — nets whose delay the STA computed
+      (those with at least one sink).
     - ["broadcast.nodes"], ["broadcast.total_reads"],
       ["broadcast.worst_fanout"], ["broadcast.mem_banks"],
       ["broadcast.channels"] (gauges) — the source-level broadcast

@@ -81,6 +81,26 @@ let in_map : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
 let sequential_map f arr = Array.map f arr
 
+(* ---- words allocated on behalf of a domain ----
+
+   [Gc] counters count the calling domain's allocation only, so a map's
+   workers credit the words their tasks allocated to the domain that
+   called [map], which adds them to its account here. *)
+
+type account = { mutable minor : float; mutable major : float }
+
+let account : account Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { minor = 0.; major = 0. })
+
+let credited_words () =
+  let a = Domain.DLS.get account in
+  (a.minor, a.major)
+
+(* Words allocated directly in the major heap: major minus promoted. *)
+let direct_major_words () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
 (* ---- persistent workers ---- *)
 
 type worker = {
@@ -239,13 +259,30 @@ let map ?jobs f arr =
               done
             in
             let ws = acquire (jobs - 1) in
-            List.iter (fun w -> submit w body) ws;
+            (* slot [i]: the minor and direct major words of worker [i]'s
+               share, read outside its window *)
+            let credit = Array.make (2 * (jobs - 1)) 0. in
+            List.iteri
+              (fun i w ->
+                submit w (fun () ->
+                  let m0 = direct_major_words () in
+                  let w0 = Gc.minor_words () in
+                  body ();
+                  let minor = Gc.minor_words () -. w0 in
+                  credit.(2 * i) <- minor;
+                  credit.((2 * i) + 1) <- direct_major_words () -. m0))
+              ws;
             (* The calling domain is the [jobs]-th worker; it is not flagged
                as one so a task running here may still see ambient
                per-domain state. *)
             (try body ()
              with e -> ignore (Atomic.compare_and_set error None (Some e)));
             List.iter wait_idle ws;
+            let a = Domain.DLS.get account in
+            for i = 0 to jobs - 2 do
+              a.minor <- a.minor +. credit.(2 * i);
+              a.major <- a.major +. credit.((2 * i) + 1)
+            done;
             match Atomic.get error with
             | Some e -> raise e
             | None ->

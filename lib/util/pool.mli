@@ -44,6 +44,16 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
     the call is nested inside another pool task. If any task raises, one of
     the raised exceptions is re-raised after all domains join. *)
 
+val credited_words : unit -> float * float
+(** Words that worker domains allocated for the calling domain's maps
+    since it started: (minor-heap words, words allocated directly in the
+    major heap). [Gc]'s counters see one domain only, so {!map} credits
+    each worker's share of a batch to the domain that called it when the
+    batch ends; a domain's own allocation plus this account is what its
+    maps cost wherever they ran. A map that runs inline (one job, one
+    element, nested) credits nothing: the caller's counters already saw
+    it. *)
+
 val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
 val iter : ?jobs:int -> ('a -> unit) -> 'a array -> unit

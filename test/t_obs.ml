@@ -267,6 +267,51 @@ let test_ledger_build_id () =
     Alcotest.(check bool) "report prints no build" true
       (contains ~needle:"build:  -" (Report.report old))
 
+(* A cold compile's [schedule] stage characterizes delay curves across
+   the pool's domains; the words its record holds must not depend on how
+   many domains ran them. Each compile targets its own copy of the device
+   (calibrations are memoized per device name) with no cache directory,
+   so both characterize every curve anew. *)
+let test_stage_words_independent_of_jobs () =
+  let module Calibrate = Hlsb_delay.Calibrate in
+  let spec = Option.get (Hlsb_designs.Suite.find "Genome Sequencing") in
+  let dev = spec.Hlsb_designs.Spec.sp_device in
+  let schedule_words jobs =
+    let device =
+      { dev with Hlsb_device.Device.name = Printf.sprintf "%s-cold-jobs%d" dev.name jobs }
+    in
+    let session =
+      Core.Pipeline.create ~device ~name:spec.Hlsb_designs.Spec.sp_name
+        ~build:spec.Hlsb_designs.Spec.sp_build ()
+    in
+    let saved_jobs = Pool.default_jobs () in
+    Pool.set_default_jobs jobs;
+    Fun.protect
+      ~finally:(fun () -> Pool.set_default_jobs saved_jobs)
+      (fun () -> ignore (Core.Pipeline.run_exn session ~recipe:Hlsb_ctrl.Style.optimized));
+    let st =
+      List.find (fun st -> st.Ledger.st_name = "schedule") (Core.Pipeline.last_run session)
+    in
+    (st.Ledger.st_minor_words, st.Ledger.st_major_words)
+  in
+  let saved_dir = Calibrate.ambient_dir () in
+  Unix.putenv "HLSB_CACHE_DIR" "";
+  let (minor1, major1), (minor2, major2) =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "HLSB_CACHE_DIR" (Option.value ~default:"" saved_dir))
+      (fun () ->
+        let one = schedule_words 1 in
+        (one, schedule_words 2))
+  in
+  Printf.printf "cold schedule words: jobs 1 %.0f minor / %.0f major, jobs 2 %.0f / %.0f\n"
+    minor1 major1 minor2 major2;
+  let agree what a b =
+    if a <= 0. || abs_float (b -. a) > 0.02 *. a then
+      Alcotest.failf "%s words: %.0f at one job, %.0f at two" what a b
+  in
+  agree "minor" minor1 minor2;
+  agree "major" major1 major2
+
 (* One compile: the stage records [--explain] reads are the ones the
    ledger stores and reads back, words included; and a record written
    now still compares against the committed CI baseline, which predates
@@ -496,6 +541,8 @@ let suite =
       test_ledger_build_id;
     Alcotest.test_case "ledger stages are Pipeline.last_run" `Quick
       test_ledger_stages_are_last_run;
+    Alcotest.test_case "cold stage words independent of jobs" `Quick
+      test_stage_words_independent_of_jobs;
     Alcotest.test_case "ledger append/load" `Quick test_ledger_append_load;
     Alcotest.test_case "ledger concurrent writers" `Quick
       test_ledger_concurrent_append;

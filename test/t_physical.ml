@@ -71,19 +71,20 @@ let test_footprint_scales () =
   Alcotest.(check bool) "bigger footprint" true
     (Placement.footprint_slices pl big > Placement.footprint_slices pl small)
 
-(* The load-bearing property: hpwl of a one-to-N net grows sublinearly
-   (sqrt-like) but definitely grows, when the N sinks are contiguous. *)
-let broadcast_hpwl n_sinks =
+(* The load-bearing property: the star length of a one-to-N net, the wire
+   model STA uses, grows sublinearly (sqrt-like) but definitely grows,
+   when the N sinks are contiguous. *)
+let broadcast_star n_sinks =
   let nl = Netlist.create ~name:(Printf.sprintf "b%d" n_sinks) in
   let src = reg nl "src" in
   let sinks = List.init n_sinks (fun i -> reg nl (Printf.sprintf "s%d" i)) in
   let net = Netlist.add_net nl ~name:"bc" ~driver:src ~sinks ~width:32 () in
   let pl = Placement.place dev nl in
-  Placement.hpwl pl net
+  Placement.star_length pl net
 
-let test_hpwl_grows_with_fanout () =
-  let h16 = broadcast_hpwl 16 in
-  let h256 = broadcast_hpwl 256 in
+let test_star_grows_with_fanout () =
+  let h16 = broadcast_star 16 in
+  let h256 = broadcast_star 256 in
   Alcotest.(check bool) "grows" true (h256 > h16 *. 1.5);
   (* sublinear: 16x the sinks should cost well under 16x the wire *)
   Alcotest.(check bool) "sublinear" true (h256 < h16 *. 10.)
@@ -121,21 +122,13 @@ let test_register_chain_waypoints () =
   Alcotest.(check bool) "waypoints split the route" true
     (!max_hop < total /. 2.)
 
-(* The wire-length queries index the netlist's sink CSR directly; these
-   pin them, bit for bit, to the straightforward list-based
-   definitions they replaced (bbox over all pins; spread = mean cell radius
-   over driver-then-sinks; star = farthest sink + spread). *)
+(* The wire-length kernel reads the netlist's sink CSR directly; this pins
+   it, bit for bit, to the straightforward list-based definition it
+   replaced (spread = mean cell radius over driver-then-sinks; star =
+   farthest sink + spread), net by net and in the one-pass bulk fill. *)
 
 let ref_sinks nl nid = List.init (Netlist.fanout nl nid) (Netlist.sink nl nid)
 let ref_pins nl nid = Netlist.driver nl nid :: ref_sinks nl nid
-
-let ref_bbox pl nl nid =
-  let pts = List.map (Placement.position pl) (ref_pins nl nid) in
-  let xs = List.map fst pts and ys = List.map snd pts in
-  ( List.fold_left min infinity xs,
-    List.fold_left min infinity ys,
-    List.fold_left max neg_infinity xs,
-    List.fold_left max neg_infinity ys )
 
 let ref_spread pl nl nid =
   let pins = ref_pins nl nid in
@@ -143,13 +136,6 @@ let ref_spread pl nl nid =
     (fun acc c -> acc +. sqrt (float_of_int (Placement.footprint_slices pl c)))
     0. pins
   /. float_of_int (List.length pins)
-
-let ref_hpwl pl nl nid =
-  if Netlist.fanout nl nid = 0 then 0.
-  else begin
-    let xmin, ymin, xmax, ymax = ref_bbox pl nl nid in
-    xmax -. xmin +. (ymax -. ymin) +. ref_spread pl nl nid
-  end
 
 let ref_star pl nl nid =
   if Netlist.fanout nl nid = 0 then 0.
@@ -165,6 +151,8 @@ let ref_star pl nl nid =
     far +. ref_spread pl nl nid
   end
 
+(* Random cells and nets: sinks drawn with repeats (a sink listed twice is
+   two pins), some nets sinkless, a few wide broadcasts. *)
 let test_wirelength_matches_list_reference () =
   let rng = Rng.create 90125 in
   let nl = Netlist.create ~name:"wl" in
@@ -180,36 +168,40 @@ let test_wirelength_matches_list_reference () =
                 Netlist.r_luts = 1 + Rng.int rng 400;
               })
   in
-  let nets = ref [] in
-  for i = 0 to 119 do
+  for i = 0 to 139 do
     let driver = cells.(Rng.int rng 160) in
-    let sinks =
-      List.init (1 + Rng.int rng 20) (fun _ -> cells.(Rng.int rng 160))
-      |> List.sort_uniq compare
-      |> List.filter (fun c -> c <> driver)
+    let n_sinks =
+      match i mod 20 with 0 -> 0 | 1 -> 100 + Rng.int rng 60 | _ -> 1 + Rng.int rng 20
     in
-    if sinks <> [] then
-      nets :=
-        Netlist.add_net nl ~name:(Printf.sprintf "n%d" i) ~driver ~sinks
-          ~width:8 ()
-        :: !nets
+    let sinks = List.init n_sinks (fun _ -> cells.(Rng.int rng 160)) in
+    ignore
+      (Netlist.add_net nl ~name:(Printf.sprintf "n%d" i) ~driver ~sinks ~width:8 ())
   done;
   let pl = Placement.place dev nl in
-  List.iter
-    (fun nid ->
-      Alcotest.(check (float 0.))
-        (Printf.sprintf "hpwl net %d" nid)
-        (ref_hpwl pl nl nid) (Placement.hpwl pl nid);
-      Alcotest.(check (float 0.))
-        (Printf.sprintf "star net %d" nid)
-        (ref_star pl nl nid)
-        (Placement.star_length pl nid);
-      let rx0, ry0, rx1, ry1 = ref_bbox pl nl nid in
-      let x0, y0, x1, y1 = Placement.bbox pl nid in
-      Alcotest.(check (list (float 0.)))
-        (Printf.sprintf "bbox net %d" nid)
-        [ rx0; ry0; rx1; ry1 ] [ x0; y0; x1; y1 ])
-    !nets
+  let xs, ys = Placement.coords pl in
+  let radius =
+    Array.init (Netlist.n_cells nl) (fun c ->
+        sqrt (float_of_int (Placement.footprint_slices pl c)))
+  in
+  let bulk = Array.make (Netlist.n_nets nl) nan in
+  Placement.star_lengths pl bulk;
+  let kernel = Array.make (Netlist.n_nets nl) nan in
+  Netlist.star_lengths nl ~xs ~ys ~radius kernel;
+  let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
+  for nid = 0 to Netlist.n_nets nl - 1 do
+    let want = ref_star pl nl nid in
+    List.iter
+      (fun (what, got) ->
+        if not (same want got) then
+          Alcotest.failf "net %d (fanout %d): %s %h <> reference %h" nid
+            (Netlist.fanout nl nid) what got want)
+      [
+        ("Placement.star_length", Placement.star_length pl nid);
+        ("Placement.star_lengths", bulk.(nid));
+        ("Netlist.star_length", Netlist.star_length nl ~xs ~ys ~radius nid);
+        ("Netlist.star_lengths", kernel.(nid));
+      ]
+  done
 
 (* ---- Timing ---- *)
 
@@ -542,11 +534,33 @@ let test_place_early_exit_equivalence () =
   (* the eight movable cells, sweep after sweep *)
   Alcotest.(check int) "relaxes" 0 (Placement.relaxes pl mod 8)
 
-(* Random netlists that reach every relax rule: registers and light comb
+(* Degrees (fanin arcs, fanout arcs) planted on fresh registers and comb
+   cells: each straight-line relax shape, each one's general-loop
+   neighbours one degree past it, degrees that are no power of two, and
+   degrees above 64. *)
+let planted_degrees =
+  [
+    (* straight-line bodies *)
+    (`Reg, 1, 1); (`Reg, 2, 1); (`Reg, 2, 3); (`Comb, 2, 1); (`Comb, 1, 1);
+    (* one degree past them *)
+    (`Reg, 1, 2); (`Reg, 3, 1); (`Reg, 2, 2); (`Reg, 3, 3); (`Reg, 2, 4);
+    (`Comb, 3, 1); (`Comb, 2, 2); (`Comb, 1, 2);
+    (* no power of two, and above 64 *)
+    (`Reg, 5, 3); (`Comb, 3, 5); (`Reg, 65, 1); (`Reg, 1, 128); (`Comb, 1, 65);
+    (`Comb, 128, 2);
+  ]
+
+(* The relax shapes the property's netlists reached; the property's test
+   case fails unless every one was. *)
+let shapes_seen = Array.make Placement.n_shapes false
+
+(* Random netlists that reach every relax shape: registers and light comb
    cells of small in/out degree (1 to 5 and over), fixed cells (Mem,
    ports, macros over 64 slices), cells with no fanin or no fanout, and
    two hubs whose fanin and fanout exceed 64. The hub nets stay among
-   cells 0-3, so they leave the other cells' degrees alone. *)
+   cells 0-3, so they leave the other cells' degrees alone. Then up to a
+   dozen cells of [planted_degrees], made last and wired by nets of their
+   own, so nothing else changes their degrees. *)
 let prop_place_matches_relax =
   let gen =
     QCheck.Gen.(
@@ -561,15 +575,29 @@ let prop_place_matches_relax =
       in
       let* nets = list_size (int_range 1 80) (pair (int_bound (n - 1)) sinks) in
       let* hub = list_size (int_range 65 70) (int_bound 3) in
-      return (kinds, nets, hub))
+      let* planted =
+        list_size (int_bound 12)
+          (let* kind, ki, ko = oneofl planted_degrees in
+           let* ins = list_repeat ki (int_bound (n - 1)) in
+           let* outs = list_repeat ko (int_bound (n - 1)) in
+           return (kind, ins, outs))
+      in
+      return (kinds, nets, hub, planted))
   in
-  let print (kinds, nets, hub) =
-    Printf.sprintf "%d cells, %d nets, hub degree %d" (List.length kinds + 2)
+  let print (kinds, nets, hub, planted) =
+    Printf.sprintf "%d cells, %d nets, hub degree %d, planted %s" (List.length kinds + 2)
       (List.length nets) (List.length hub)
+      (String.concat " "
+         (List.map
+            (fun (k, ins, outs) ->
+              Printf.sprintf "%s(%d,%d)"
+                (match k with `Reg -> "reg" | `Comb -> "comb")
+                (List.length ins) (List.length outs))
+            planted))
   in
   QCheck.Test.make ~count:100 ~name:"place = reference relax"
     (QCheck.make ~print gen)
-    (fun (kinds, nets, hub) ->
+    (fun (kinds, nets, hub, planted) ->
       let nl = Netlist.create ~name:"relax" in
       let cell kind luts =
         Netlist.add_cell nl ~kind ~delay:0.1
@@ -598,30 +626,68 @@ let prop_place_matches_relax =
       List.iter (fun drv -> net drv [ 0; 1 ]) hub;
       net 0 hub;
       net 1 hub;
-      ignore (check_matches_relax dev nl);
+      List.iter
+        (fun (kind, ins, outs) ->
+          let c = match kind with `Reg -> reg nl "p" | `Comb -> cell Netlist.Comb 8 in
+          List.iter (fun drv -> net drv [ c ]) ins;
+          net c outs)
+        planted;
+      let pl = check_matches_relax dev nl in
+      for c = 0 to Netlist.n_cells nl - 1 do
+        shapes_seen.(Placement.shape pl c) <- true
+      done;
       true)
 
-(* The same comparison on every Suite design under both recipes and on the
-   ~104k-cell bm420x2 point. *)
-let test_place_matches_relax_designs () =
-  let check name (device : Device.t) build recipes =
+let place_matches_relax_case =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_place_matches_relax in
+  ( name,
+    speed,
+    fun () ->
+      Array.fill shapes_seen 0 Placement.n_shapes false;
+      run ();
+      Array.iteri
+        (fun s seen -> if not seen then Alcotest.failf "no netlist reached relax shape %d" s)
+        shapes_seen )
+
+(* Every Suite design's netlist under both recipes, and the ~104k-cell
+   bm420x2 point's, each handed to [f] with its device. *)
+let iter_design_netlists f =
+  let each (device : Device.t) name build =
     List.iter
       (fun recipe ->
         let df = build () in
         let scheds = Design.schedule_processes ~device ~recipe df in
         let dp = Design.lower_processes ~device ~recipe ~name df scheds in
-        let nl = (Design.emit_sync ~device ~recipe df dp).Design.netlist in
-        ignore (check_matches_relax device nl))
-      recipes
+        f device (Design.emit_sync ~device ~recipe df dp).Design.netlist)
+      [ Style.original; Style.optimized ]
   in
   List.iter
-    (fun (spec : Spec.t) ->
-      check spec.Spec.sp_name spec.Spec.sp_device spec.Spec.sp_build
-        [ Style.original; Style.optimized ])
+    (fun (spec : Spec.t) -> each spec.Spec.sp_device spec.Spec.sp_name spec.Spec.sp_build)
     Hlsb_designs.Suite.all;
-  check "bm420x2" Device.ultrascale_plus
+  each Device.ultrascale_plus "bm420x2"
     (Hlsb_designs.Bigmul.build_point ~bits:420 ~limb:7 ~lanes:2)
-    [ Style.original; Style.optimized ]
+
+(* [place] against [ref_relax] on every design netlist. *)
+let test_place_matches_relax_designs () =
+  iter_design_netlists (fun device nl -> ignore (check_matches_relax device nl))
+
+(* [Timing.prepare]'s one-pass delay fill against [Timing.net_delay], net
+   by net and bit for bit, on every design netlist, with and without
+   jitter. *)
+let test_net_delays_match_designs () =
+  iter_design_netlists (fun device nl ->
+      let pl = Placement.place device nl in
+      List.iter
+        (fun jitter ->
+          let bulk = Timing.net_delays (Timing.prepare ~jitter ~seed:7 device nl pl) in
+          Array.iteri
+            (fun nid got ->
+              let want = Timing.net_delay device nl pl ~jitter ~seed:7 nid in
+              if Int64.bits_of_float got <> Int64.bits_of_float want then
+                Alcotest.failf "%s net %d (fanout %d, jitter %g): prepare %h <> net_delay %h"
+                  (Netlist.name nl) nid (Netlist.fanout nl nid) jitter got want)
+            bulk)
+        [ 0.; 0.02 ])
 
 (* Unconnected cells of the given slice footprints: every cell is fixed, so
    [place]'s result is the packing alone. *)
@@ -813,7 +879,7 @@ let suite =
     Alcotest.test_case "pack fills die" `Quick test_pack_fills_die;
     Alcotest.test_case "adjacent cells close" `Quick test_adjacent_cells_close;
     Alcotest.test_case "footprint scales" `Quick test_footprint_scales;
-    Alcotest.test_case "hpwl grows with fanout" `Quick test_hpwl_grows_with_fanout;
+    Alcotest.test_case "star length grows with fanout" `Quick test_star_grows_with_fanout;
     Alcotest.test_case "register chain waypoints" `Quick test_register_chain_waypoints;
     Alcotest.test_case "wirelength matches list reference" `Quick
       test_wirelength_matches_list_reference;
@@ -832,10 +898,13 @@ let suite =
       test_place_early_exit_equivalence;
     Alcotest.test_case "place = reference relax on designs" `Slow
       test_place_matches_relax_designs;
+    Alcotest.test_case "net delays = net_delay on designs" `Slow
+      test_net_delays_match_designs;
     Alcotest.test_case "jitter matches rng reference" `Quick
       test_jitter_matches_rng_reference;
     Alcotest.test_case "incremental sta equivalence" `Quick
       test_incremental_sta_equivalence;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_sta_monotone_in_cell_delay; prop_pack_matches_reference; prop_place_matches_relax ]
+      [ prop_sta_monotone_in_cell_delay; prop_pack_matches_reference ]
+  @ [ place_matches_relax_case ]
