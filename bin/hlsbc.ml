@@ -214,11 +214,6 @@ let daemon_or_fallback verb fallback =
     Printf.eprintf "[hlsbd] in-process fallback\n%!";
     fallback ()
 
-(* The in-process spelling of the daemon's compile artifact: the same
-   result record, rendered by the same encoder, newline-terminated. *)
-let print_result_artifact r =
-  print_string (Json.to_string ~minify:false (Pipeline.result_to_json r) ^ "\n")
-
 let daemon_arg =
   Arg.(
     value & flag
@@ -323,7 +318,8 @@ let sanitize_filename name =
    then the --explain table. *)
 let report_compile ?plan ?(json = false) ~dump_name ~dump_after ~explain
     session ~recipe r =
-  if json then print_result_artifact r else print_endline (Pipeline.summary r);
+  if json then print_string (Pipeline.artifact r)
+  else print_endline (Pipeline.summary r);
   (match dump_after with
   | None -> ()
   | Some stage_s -> (
@@ -386,7 +382,8 @@ let cmd_compile =
              cp_inject = None;
            })
         (fun () ->
-          print_result_artifact (run_or_fail (Pipeline.of_spec s) ~recipe))
+          print_string
+            (Pipeline.artifact (run_or_fail (Pipeline.of_spec s) ~recipe)))
     else
       let session, r, _ = compile_recorded ~cmd:"compile" s ~recipe in
       report_compile ~json ~dump_name:s.Spec.sp_name ~dump_after ~explain
@@ -545,8 +542,9 @@ let cmd_cc =
              cc_plan = plan;
            })
         (fun () ->
-          print_result_artifact
-            (run_or_fail ~plan (source_session file src) ~recipe))
+          print_string
+            (Pipeline.artifact
+               (run_or_fail ~plan (source_session file src) ~recipe)))
     else
       let session = source_session file src in
       (match Pipeline.classify_report ~plan session with

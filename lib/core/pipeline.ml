@@ -136,6 +136,8 @@ let result_to_json r =
       ("max_sync_fanout", Json.Int r.fr_design.Design.max_sync_fanout);
     ]
 
+let artifact r = Json.to_string ~minify:false (result_to_json r) ^ "\n"
+
 let summary r =
   Printf.sprintf
     "%-40s %6.1f MHz  (%.2f ns)  LUT %5.1f%%  FF %5.1f%%  BRAM %5.1f%%  DSP %5.1f%%"
@@ -144,25 +146,22 @@ let summary r =
 
 (* ---------------- sessions ---------------- *)
 
-type compiled = {
-  co_design : Design.t;
-  co_max_extent : float;
-      (* all the place dump reads: neither positions nor arcs outlive a
-         compile *)
-  co_timing : Timing.report;
-  co_result : result;
-}
-
-(* A lower..report artifact, filed under what those stages consume:
-   [ar_bucket] (recipe, result label, netlist name, plan key) and the
+(* A lower..report entry, filed under what those stages consume:
+   [rp_bucket] (recipe, result label, netlist name, plan key) and the
    per-process schedules, matched by {!Schedule.lowers_same} — so two
    requests whose schedules lower alike (say, two explorer targets)
    share one compile. *)
-type artifact = {
-  ar_bucket : Style.recipe * string * string * string;
-  ar_scheds : Schedule.t option array;
-  ar_compiled : compiled;
+type reported = {
+  rp_bucket : Style.recipe * string * string * string;
+  rp_scheds : Schedule.t option array;
+  rp_result : result;
+  rp_max_extent : float;
+      (* all the place dump reads: neither positions nor arcs outlive a
+         compile *)
 }
+
+(* One upstream stage's cache: key -> artifact, newest first. *)
+type ('k, 'v) memo = ('k * 'v) list ref
 
 type session = {
   ss_device : Device.t;
@@ -171,16 +170,16 @@ type session = {
   ss_build : unit -> Dataflow.t;
   ss_program : Ast.program option;
       (** source program (cc sessions); [None] for IR-level sessions *)
-  mutable ss_transformed : (string * Ast.program) list;
+  ss_transformed : (string, Ast.program) memo;
       (** plan key -> transformed program *)
-  mutable ss_dfs : (string * Dataflow.t) list;  (** plan key -> network *)
-  mutable ss_classify : (string * Classify.report) list;  (** by plan key *)
-  mutable ss_scheds :
-    ((string * float * Schedule.inject option * Style.sched_mode)
-    * Schedule.t option array)
-    list;
+  ss_dfs : (string, Dataflow.t) memo;  (** plan key -> network *)
+  ss_classify : (string, Classify.report) memo;  (** by plan key *)
+  ss_scheds :
+    (string * float * Schedule.inject option * Style.sched_mode,
+     Schedule.t option array)
+    memo;
       (** (plan key, effective target, injection, sched mode) -> schedules *)
-  mutable ss_compiled : artifact list;
+  mutable ss_reported : reported list;
   ss_counts : (string, int) Hashtbl.t;
   mutable ss_last : Ledger.stage list;  (** reversed while a run records *)
   mutable ss_diags : Diag.t list;  (** reversed *)
@@ -193,11 +192,11 @@ let create ~device ~name ~build () =
     ss_kernel_naming = false;
     ss_build = build;
     ss_program = None;
-    ss_transformed = [];
-    ss_dfs = [];
-    ss_classify = [];
-    ss_scheds = [];
-    ss_compiled = [];
+    ss_transformed = ref [];
+    ss_dfs = ref [];
+    ss_classify = ref [];
+    ss_scheds = ref [];
+    ss_reported = [];
     ss_counts = Hashtbl.create 8;
     ss_last = [];
     ss_diags = [];
@@ -276,6 +275,23 @@ let cached t stage =
     Log.debug ~attrs:(log_attrs t name) "stage %s: cache hit" name;
   t.ss_last <- Ledger.unmeasured name Ledger.Cached :: t.ss_last
 
+(* The session's one cache rule for an upstream stage: a hit records
+   [stage] [Cached]; a miss first runs [needs] (the cached stages the
+   body consumes, which record themselves and are not timed as this
+   stage), then runs [body] on their output under {!exec} and files the
+   value under [key]. *)
+let memo t ~recipe stage (table : (_, _) memo) key ~needs body =
+  match List.assoc_opt key !table with
+  | Some v ->
+    cached t stage;
+    v
+  | None ->
+    let input = needs () in
+    exec t ~recipe stage (fun () ->
+      let v = body input in
+      table := (key, v) :: !table;
+      v)
+
 (* ---------------- cached upstream artifacts ---------------- *)
 
 let plan_key plan = Plan.to_string plan
@@ -301,93 +317,64 @@ let transformed t ~recipe ~plan =
                   IR; source plans need a program session (hlsbc cc)"
                  (Plan.to_string plan))))
     else None
-  | Some program -> (
-    let key = plan_key plan in
-    match List.assoc_opt key t.ss_transformed with
-    | Some p ->
-      cached t Transform;
-      Some p
-    | None ->
-      exec t ~recipe Transform (fun () ->
-        (* surface unknown-pragma warnings once per plan, whether or not
-           the plan replays the pragmas as requests *)
-        let _, warns = Pass.requests_of_pragmas program in
-        List.iter (fun w -> t.ss_diags <- w :: t.ss_diags) warns;
-        match Plan.apply_source plan program with
-        | Ok p ->
-          t.ss_transformed <- (key, p) :: t.ss_transformed;
-          Some p
-        | Error d -> raise (Diag.Diagnostic d)))
+  | Some program ->
+    Some
+      (memo t ~recipe Transform t.ss_transformed (plan_key plan) ~needs:ignore
+         (fun () ->
+           (* surface unknown-pragma warnings once per plan, whether or not
+              the plan replays the pragmas as requests *)
+           let _, warns = Pass.requests_of_pragmas program in
+           List.iter (fun w -> t.ss_diags <- w :: t.ss_diags) warns;
+           match Plan.apply_source plan program with
+           | Ok p -> p
+           | Error d -> raise (Diag.Diagnostic d)))
 
 let elaborate ?(plan = Plan.identity) t ~recipe =
   let prog = transformed t ~recipe ~plan in
-  let key = plan_key plan in
-  match List.assoc_opt key t.ss_dfs with
-  | Some df ->
-    cached t Elaborate;
-    df
-  | None ->
-    exec t ~recipe Elaborate (fun () ->
-      let df =
-        match prog with
-        | None -> t.ss_build ()
-        | Some p -> (
-          match Frontend.design_of_program p with
-          | Ok df -> df
-          | Error e ->
-            raise
-              (Diag.Diagnostic
-                 (Diag.error ~stage:"elaborate"
-                    (Format.asprintf "%a" Frontend.pp_error e))))
+  memo t ~recipe Elaborate t.ss_dfs (plan_key plan) ~needs:ignore (fun () ->
+    let df =
+      match prog with
+      | None -> t.ss_build ()
+      | Some p -> (
+        match Frontend.design_of_program p with
+        | Ok df -> df
+        | Error e ->
+          raise
+            (Diag.Diagnostic
+               (Diag.error ~stage:"elaborate"
+                  (Format.asprintf "%a" Frontend.pp_error e))))
+    in
+    let df = if Plan.has_channel_reuse plan then fst (Reuse.run df) else df in
+    (match Dataflow.problems df with
+    | [] -> ()
+    | { Dataflow.pb_entity; pb_message } :: _ ->
+      let entity =
+        match pb_entity with
+        | `Channel n -> Diag.Channel n
+        | `Process n -> Diag.Process n
       in
-      let df =
-        if Plan.has_channel_reuse plan then fst (Reuse.run df) else df
-      in
-      (match Dataflow.problems df with
-      | [] -> ()
-      | { Dataflow.pb_entity; pb_message } :: _ ->
-        let entity =
-          match pb_entity with
-          | `Channel n -> Diag.Channel n
-          | `Process n -> Diag.Process n
-        in
-        raise
-          (Diag.Diagnostic (Diag.error ~entity ~stage:"elaborate" pb_message)));
-      t.ss_dfs <- (key, df) :: t.ss_dfs;
-      df)
+      raise
+        (Diag.Diagnostic (Diag.error ~entity ~stage:"elaborate" pb_message)));
+    df)
 
 (* Schedules are keyed on the effective target — the run's override,
    else [Schedule.default_target_mhz] — so the explorer's first probe at
    300 MHz shares the untuned compile's schedule. *)
 let scheduled ?(plan = Plan.identity) ?target_mhz ?inject t ~recipe df =
   let target = Option.value target_mhz ~default:Schedule.default_target_mhz in
-  let key = (plan_key plan, target, inject, recipe.Style.sched) in
-  match List.assoc_opt key t.ss_scheds with
-  | Some scheds ->
-    cached t Schedule;
-    scheds
-  | None ->
-    exec t ~recipe Schedule (fun () ->
-      let scheds =
-        Design.schedule_processes ~target_mhz:target ?inject
-          ~device:t.ss_device ~recipe df
-      in
-      t.ss_scheds <- (key, scheds) :: t.ss_scheds;
-      scheds)
+  memo t ~recipe Schedule t.ss_scheds
+    (plan_key plan, target, inject, recipe.Style.sched)
+    ~needs:ignore
+    (fun () ->
+      Design.schedule_processes ~target_mhz:target ?inject ~device:t.ss_device
+        ~recipe df)
 
+(* A hit must not touch [elaborate]: only a miss needs the network. *)
 let classify_report ?(plan = Plan.identity) t =
-  let key = plan_key plan in
-  match List.assoc_opt key t.ss_classify with
-  | Some r ->
-    cached t Classify;
-    r
-  | None ->
-    let recipe = Style.original in
-    let df = elaborate ~plan t ~recipe in
-    exec t ~recipe Classify (fun () ->
-      let r = Classify.analyze df in
-      t.ss_classify <- (key, r) :: t.ss_classify;
-      r)
+  let recipe = Style.original in
+  memo t ~recipe Classify t.ss_classify (plan_key plan)
+    ~needs:(fun () -> elaborate ~plan t ~recipe)
+    Classify.analyze
 
 (* ---------------- the full pipeline ---------------- *)
 
@@ -444,8 +431,8 @@ let same_scheds a b =
        a b
 
 (* A repeat request finds its schedules in [ss_scheds], so it matches
-   its own artifact here too. *)
-let compiled_exn ?name ?(plan = Plan.identity) ?target_mhz ?inject t ~recipe =
+   its own entry here too. *)
+let reported_exn ?name ?(plan = Plan.identity) ?target_mhz ?inject t ~recipe =
   t.ss_last <- [];
   let label, netlist_name = effective_names ?name t ~recipe in
   let bucket = (recipe, label, netlist_name, plan_key plan) in
@@ -454,12 +441,12 @@ let compiled_exn ?name ?(plan = Plan.identity) ?target_mhz ?inject t ~recipe =
     let scheds = scheduled ~plan ?target_mhz ?inject t ~recipe df in
     match
       List.find_opt
-        (fun a -> a.ar_bucket = bucket && same_scheds a.ar_scheds scheds)
-        t.ss_compiled
+        (fun e -> e.rp_bucket = bucket && same_scheds e.rp_scheds scheds)
+        t.ss_reported
     with
-    | Some a ->
+    | Some e ->
       List.iter (cached t) [ Lower; Sync; Place; Sta; Report ];
-      a.ar_compiled
+      e
     | None ->
       Metrics.incr "pipeline.cache_misses";
       record_broadcast_gauges df;
@@ -488,18 +475,16 @@ let compiled_exn ?name ?(plan = Plan.identity) ?target_mhz ?inject t ~recipe =
       let result =
         exec t ~recipe Report (fun () -> finish ~name:label design timing)
       in
-      let c =
+      let e =
         {
-          co_design = design;
-          co_max_extent = Placement.max_extent placement;
-          co_timing = timing;
-          co_result = result;
+          rp_bucket = bucket;
+          rp_scheds = scheds;
+          rp_result = result;
+          rp_max_extent = Placement.max_extent placement;
         }
       in
-      t.ss_compiled <-
-        { ar_bucket = bucket; ar_scheds = scheds; ar_compiled = c }
-        :: t.ss_compiled;
-      c
+      t.ss_reported <- e :: t.ss_reported;
+      e
   in
   if not (Trace.enabled ()) then body ()
   else
@@ -512,7 +497,7 @@ let compiled_exn ?name ?(plan = Plan.identity) ?target_mhz ?inject t ~recipe =
       body
 
 let run_exn ?name ?plan ?target_mhz ?inject t ~recipe =
-  (compiled_exn ?name ?plan ?target_mhz ?inject t ~recipe).co_result
+  (reported_exn ?name ?plan ?target_mhz ?inject t ~recipe).rp_result
 
 let run ?name ?plan ?target_mhz ?inject t ~recipe =
   match run_exn ?name ?plan ?target_mhz ?inject t ~recipe with
@@ -655,6 +640,7 @@ let timing_to_json (r : Timing.report) =
     ]
 
 let dump_after ?(plan = Plan.identity) t ~recipe stage =
+  let result () = (reported_exn ~plan t ~recipe).rp_result in
   let render () =
     match stage with
     | Transform -> (
@@ -694,25 +680,22 @@ let dump_after ?(plan = Plan.identity) t ~recipe stage =
             df scheds)
       in
       Export.to_dot dp.Design.dp_netlist
-    | Sync ->
-      let c = compiled_exn ~plan t ~recipe in
-      Export.to_dot c.co_design.Design.netlist
+    | Sync -> Export.to_dot (result ()).fr_design.Design.netlist
     | Place ->
-      let c = compiled_exn ~plan t ~recipe in
+      let e = reported_exn ~plan t ~recipe in
+      let netlist = e.rp_result.fr_design.Design.netlist in
       Json.to_string ~minify:false
         (Json.Obj
            [
-             ("cells", Json.Int (Netlist.n_cells c.co_design.Design.netlist));
-             ("nets", Json.Int (Netlist.n_nets c.co_design.Design.netlist));
-             ("max_extent", Json.Float c.co_max_extent);
+             ("cells", Json.Int (Netlist.n_cells netlist));
+             ("nets", Json.Int (Netlist.n_nets netlist));
+             ("max_extent", Json.Float e.rp_max_extent);
            ])
       ^ "\n"
     | Sta ->
-      let c = compiled_exn ~plan t ~recipe in
-      Json.to_string ~minify:false (timing_to_json c.co_timing) ^ "\n"
-    | Report ->
-      let c = compiled_exn ~plan t ~recipe in
-      Json.to_string ~minify:false (result_to_json c.co_result) ^ "\n"
+      Json.to_string ~minify:false (timing_to_json (result ()).fr_timing)
+      ^ "\n"
+    | Report -> artifact (result ())
   in
   match render () with
   | text -> Ok text

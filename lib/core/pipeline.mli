@@ -7,13 +7,17 @@
     letting [Invalid_argument]/[Failure] escape from deep inside rtlgen.
 
     A session caches upstream artifacts keyed by the inputs that
-    actually affect them: elaboration is shared by every compile of the
-    session, scheduling is shared between recipes that agree on
-    [sched_mode], and a (recipe, name) pair that was already compiled is
-    served entirely from cache. Compiling the same design under
-    [Style.original] and [Style.optimized] — or sweeping buffer sizes
-    over recipes, as the Fig-19 driver does — therefore elaborates once
-    instead of once per recipe point.
+    actually affect them, under one rule: a hit records the stage
+    [Cached] and counts [pipeline.cache_hits]; a miss runs the stage
+    body and files its value. Transform and elaboration are keyed by the
+    plan, classification by the plan, scheduling by (plan, effective
+    target, injection, [sched_mode]). Lower..report share one table
+    whose entries are the {!result} itself, filed under (recipe, names,
+    plan) and the schedules it was lowered from: a request whose
+    schedules lower alike is served entirely from cache. Compiling the
+    same design under [Style.original] and [Style.optimized] — or
+    sweeping buffer sizes over recipes, as the Fig-19 driver does —
+    therefore elaborates once instead of once per recipe point.
 
     This is the library's one compile path: compile a design with
     {!Hlsb_ctrl.Style.original} to see what today's HLS emits, with
@@ -63,6 +67,12 @@ val result_to_json : result -> Hlsb_telemetry.Json.t
 (** The record as JSON (Fmax, critical ns, utilization percentages,
     per-kernel depth/registers/skid bits) — the payload of
     [hlsbc compile --json] and [hlsbc profile]. *)
+
+val artifact : result -> string
+(** The compile artifact's bytes: {!result_to_json}, unminified, with a
+    trailing newline. The one spelling of what [hlsbc compile --json],
+    [--dump-after report] and the hlsbd daemon's store serve, so
+    in-process and daemon compiles are byte-identical by construction. *)
 
 val summary : result -> string
 (** One text line: label, Fmax, critical ns and utilization — what

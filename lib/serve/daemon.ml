@@ -59,9 +59,6 @@ let session_for t ~key mk =
       Hashtbl.add t.d_sessions key slot;
       slot)
 
-let artifact_of_result r =
-  Json.to_string ~minify:false (Pipeline.result_to_json r) ^ "\n"
-
 (* The store key of a [compile] or [cc] verb: the device's fingerprint
    and the verb's own wire encoding, its names already resolved. The
    encoding carries every input the artifact depends on (recipe, target,
@@ -92,7 +89,7 @@ let serve_artifact t ~id ~ns ~device verb compile =
 let run_artifact slot run =
   Mutex.protect slot.sl_mutex (fun () ->
     match run slot.sl_session with
-    | Ok r -> artifact_of_result r
+    | Ok r -> Pipeline.artifact r
     | Error d -> raise (Diag.Diagnostic d))
 
 let handle_compile t ~id ~ns (c : Protocol.compile_req) =

@@ -28,20 +28,26 @@ let request_to_string = function
 
 (* ---- expression/statement utilities ---- *)
 
-let rec subst_expr v repl (e : Ast.expr) : Ast.expr =
-  match e with
-  | Ast.Var name when name = v -> repl
-  | Ast.Int_const _ | Ast.Float_const _ | Ast.Var _ -> e
-  | Ast.Field (b, f) -> Ast.Field (subst_expr v repl b, f)
-  | Ast.Index (b, i) -> Ast.Index (subst_expr v repl b, subst_expr v repl i)
-  | Ast.Binop (op, a, b) ->
-    Ast.Binop (op, subst_expr v repl a, subst_expr v repl b)
-  | Ast.Unop (op, a) -> Ast.Unop (op, subst_expr v repl a)
-  | Ast.Ternary (c, t, f) ->
-    Ast.Ternary (subst_expr v repl c, subst_expr v repl t, subst_expr v repl f)
-  | Ast.Call (fn, args) -> Ast.Call (fn, List.map (subst_expr v repl) args)
-  | Ast.Method (obj, m, args) ->
-    Ast.Method (obj, m, List.map (subst_expr v repl) args)
+(* Bottom-up expression rewrite with a partial function tried at every
+   node (children first, so the match sees already-rewritten subtrees). *)
+let rec map_expr fe (e : Ast.expr) =
+  let e =
+    match e with
+    | Ast.Int_const _ | Ast.Float_const _ | Ast.Var _ -> e
+    | Ast.Field (b, f) -> Ast.Field (map_expr fe b, f)
+    | Ast.Index (b, i) -> Ast.Index (map_expr fe b, map_expr fe i)
+    | Ast.Binop (op, a, b) -> Ast.Binop (op, map_expr fe a, map_expr fe b)
+    | Ast.Unop (op, a) -> Ast.Unop (op, map_expr fe a)
+    | Ast.Ternary (c, t, f) ->
+      Ast.Ternary (map_expr fe c, map_expr fe t, map_expr fe f)
+    | Ast.Call (fn, args) -> Ast.Call (fn, List.map (map_expr fe) args)
+    | Ast.Method (obj, m, args) ->
+      Ast.Method (obj, m, List.map (map_expr fe) args)
+  in
+  match fe e with Some e' -> e' | None -> e
+
+let subst_expr v repl =
+  map_expr (function Ast.Var name when name = v -> Some repl | _ -> None)
 
 (* Substitute [Var v := repl] through a block, honouring shadowing: a
    redeclaration of [v] hides it for the rest of the block, and a nested
@@ -495,24 +501,6 @@ let rec stmt_mentions name (s : Ast.stmt) =
 
 let stmts_mentions name stmts =
   List.fold_left (fun acc s -> acc + stmt_mentions name s) 0 stmts
-
-(* Bottom-up expression rewrite with a partial function tried at every
-   node (children first, so the match sees already-rewritten subtrees). *)
-let rec map_expr fe (e : Ast.expr) =
-  let e =
-    match e with
-    | Ast.Int_const _ | Ast.Float_const _ | Ast.Var _ -> e
-    | Ast.Field (b, f) -> Ast.Field (map_expr fe b, f)
-    | Ast.Index (b, i) -> Ast.Index (map_expr fe b, map_expr fe i)
-    | Ast.Binop (op, a, b) -> Ast.Binop (op, map_expr fe a, map_expr fe b)
-    | Ast.Unop (op, a) -> Ast.Unop (op, map_expr fe a)
-    | Ast.Ternary (c, t, f) ->
-      Ast.Ternary (map_expr fe c, map_expr fe t, map_expr fe f)
-    | Ast.Call (fn, args) -> Ast.Call (fn, List.map (map_expr fe) args)
-    | Ast.Method (obj, m, args) ->
-      Ast.Method (obj, m, List.map (map_expr fe) args)
-  in
-  match fe e with Some e' -> e' | None -> e
 
 let rec map_stmt_exprs fe (s : Ast.stmt) =
   match s with

@@ -14,7 +14,10 @@ module Export = Hlsb_netlist.Export
 module Json = Hlsb_telemetry.Json
 module Spec = Hlsb_designs.Spec
 
-let golden_file = "golden.digests"
+(* Beside the test binary (test/dune's link_deps), so the suite reads it
+   from any working directory. *)
+let golden_file =
+  Filename.concat (Filename.dirname Sys.executable_name) "golden.digests"
 
 let bm420x2 () =
   let table1 = Option.get (Hlsb_designs.Suite.find "Modular Squaring") in

@@ -348,7 +348,14 @@ let test_ledger_stages_are_last_run () =
   let lower = List.find (fun st -> st.Ledger.st_name = "lower") stages in
   Alcotest.(check bool) "lower's minor words > 0" true
     (lower.Ledger.st_minor_words > 0.);
-  match Ledger.load ~path:"../ci/baseline-ledger.json" with
+  (* resolved from the test binary's directory (test/dune's link_deps
+     put the file there), not from the working directory *)
+  let path =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      "../ci/baseline-ledger.json"
+  in
+  match Ledger.load ~path with
   | Error e -> Alcotest.fail e
   | Ok [] -> Alcotest.fail "no baseline records"
   | Ok runs ->

@@ -14,6 +14,7 @@ module Timing = Hlsb_physical.Timing
 module Diag = Hlsb_util.Diag
 module Spec = Hlsb_designs.Spec
 module Ledger = Hlsb_obs.Ledger
+module Metrics = Hlsb_telemetry.Metrics
 
 let contains_sub ~sub s =
   let n = String.length s and m = String.length sub in
@@ -112,6 +113,72 @@ let small_session () =
   Pipeline.create ~device:Device.ultrascale_plus ~name:"va_small"
     ~build:(fun () -> Hlsb_designs.Vector_arith.dataflow ~width:64 ~pes:2 ())
     ()
+
+(* The session's one cache rule, record by record. A repeat run in an
+   IR session hits every cached stage exactly once (transform and
+   classify never run there) and executes nothing; a repeat
+   [classify_report] adds one Cached classify record and never touches
+   [elaborate]. *)
+let test_memo_records () =
+  let reg = Metrics.create () in
+  Metrics.with_registry reg (fun () ->
+    let session = small_session () in
+    let recipe = Style.optimized in
+    let counters () =
+      List.map (Metrics.counter_value reg)
+        [
+          "pipeline.cache_hits"; "pipeline.cache_misses"; "pipeline.stage_runs";
+        ]
+    in
+    let statuses () =
+      List.map
+        (fun (r : Ledger.stage) ->
+          (r.Ledger.st_name, Ledger.status_name r.Ledger.st_status))
+        (Pipeline.last_run session)
+    in
+    let c1 = Pipeline.classify_report session in
+    let r1 = Pipeline.run_exn session ~recipe in
+    let runs = Pipeline.stage_runs session in
+    let before = counters () in
+    let r2 = Pipeline.run_exn session ~recipe in
+    Alcotest.(check bool) "same result record" true (r1 == r2);
+    let repeat =
+      [
+        ("transform", "skipped");
+        ("elaborate", "cached");
+        ("classify", "skipped");
+        ("schedule", "cached");
+        ("lower", "cached");
+        ("sync", "cached");
+        ("place", "cached");
+        ("sta", "cached");
+        ("report", "cached");
+      ]
+    in
+    Alcotest.(check (list (pair string string)))
+      "repeat run records" repeat (statuses ());
+    Alcotest.(check (list int))
+      "hits +7; misses and stage runs unchanged"
+      (List.map2 ( + ) before [ 7; 0; 0 ])
+      (counters ());
+    Alcotest.(check (list (pair string int)))
+      "no stage body ran" runs
+      (Pipeline.stage_runs session);
+    let before = counters () in
+    let c2 = Pipeline.classify_report session in
+    Alcotest.(check bool) "same classification" true (c1 == c2);
+    Alcotest.(check (list (pair string string)))
+      "only a cached classify record is added"
+      (List.map
+         (fun (n, st) -> (n, if n = "classify" then "cached" else st))
+         repeat)
+      (statuses ());
+    Alcotest.(check (list int))
+      "classify hit: hits +1, nothing runs"
+      (List.map2 ( + ) before [ 1; 0; 0 ])
+      (counters ());
+    Alcotest.(check int) "elaborate ran once" 1 (runs_of session "elaborate");
+    Alcotest.(check int) "classify ran once" 1 (runs_of session "classify"))
 
 let prop_cached_reuse_stable =
   QCheck.Test.make ~count:8
@@ -330,6 +397,8 @@ let test_dump_and_explain () =
 let suite =
   [
     Alcotest.test_case "session shares stages" `Quick test_session_shares_stages;
+    Alcotest.test_case "memo records: repeat run and classify" `Quick
+      test_memo_records;
     Alcotest.test_case "diagnostic: dangling process" `Quick
       test_diagnostic_validate;
     Alcotest.test_case "diagnostic: FIFO mismatch names kernel+channel" `Quick
